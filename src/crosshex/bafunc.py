@@ -132,6 +132,9 @@ class _SpectralDataBase:
         self._mantissa_floor = _GENERICITY_FLOOR * abs(self._theta0.mantissa)
         self._integral_cache: dict[tuple, complex] = {}
         self._phi_cache: dict[tuple, ScaledComplex] = {}
+        # generic theta denominators by lift; a singular one is never
+        # stored, so every call on it raises again
+        self._denominator_cache: dict[tuple, ScaledComplex] = {}
 
     def _check_separation(self) -> None:
         named = list(self.marked.items())
@@ -170,10 +173,13 @@ class _SpectralDataBase:
 
     def denominator_scaled(self, P: SurfacePoint) -> ScaledComplex:
         """The label-independent theta denominator, guarded by the genericity floor."""
-        val = theta_eval_scaled(
-            self.curve.pm, self.curve.abel(P) + self._W, _THETA_EPS
-        )
-        self.require_generic(val, f"theta denominator at lift {P.lift}")
+        val = self._denominator_cache.get(P.lift)
+        if val is None:
+            val = theta_eval_scaled(
+                self.curve.pm, self.curve.abel(P) + self._W, _THETA_EPS
+            )
+            self.require_generic(val, f"theta denominator at lift {P.lift}")
+            self._denominator_cache[P.lift] = val
         return val
 
     def require_generic(self, theta_value: ScaledComplex, what: str) -> ScaledComplex:

@@ -254,7 +254,28 @@ def _lattice_sum(
     real part of the exponent (the Gaussian peak), so the shell count
     stays small no matter how large ``|z|`` is; the true value is
     independent of the centering, which is a plain reindexing of the sum.
+
+    A non-finite argument raises :class:`NonConvergent` up front.  Genus
+    one runs the scalar loop :func:`_lattice_sum_1d`, every other genus
+    the array loop :func:`_lattice_sum_nd`; on genus-one input the two
+    return the same bits.
     """
+    zs = z.tolist()
+    if not all(map(cmath.isfinite, zs)):
+        raise NonConvergent(f"theta argument is not finite: {z}")
+    if pm.genus == 1:
+        return _lattice_sum_1d(pm.scalar, zs[0], eps, weight_index is not None, min_shells)
+    return _lattice_sum_nd(pm, z, eps, weight_index, min_shells)
+
+
+def _lattice_sum_nd(
+    pm: PeriodMatrix,
+    z: np.ndarray,
+    eps: float,
+    weight_index: int | None,
+    min_shells: int,
+) -> ScaledComplex:
+    """The shell sum over numpy arrays, for any genus."""
     B = pm.matrix
     g = pm.genus
     center_real = np.linalg.solve(B.real, -z.real)
@@ -291,6 +312,54 @@ def _lattice_sum(
                 return ScaledComplex(acc, scale)
         else:
             quiet = 0
+    raise NonConvergent(
+        f"lattice sum did not reach relative tail {eps:g} within {_SHELL_CAP} shells"
+    )
+
+
+def _lattice_sum_1d(
+    b: complex, z: complex, eps: float, weighted: bool, min_shells: int
+) -> ScaledComplex:
+    """Genus-one :func:`_lattice_sum` in plain ``complex`` arithmetic.
+
+    Every shell of genus one holds two lattice points, so the array
+    version spends nearly all its time on numpy dispatch.  This loop
+    performs the same operations in the same order (centre, peak scale,
+    shell order ``n0 - r`` then ``n0 + r``, per-shell sums, stopping
+    rule) and therefore returns the same bits.  An overflow anywhere in
+    the sum means the argument is far outside the range the shell
+    centring can handle; it is reported as :class:`NonConvergent`.
+    """
+    try:
+        n0 = round(-z.real / b.real)
+        # n0 == 0 gives exactly 0.0: the array path's dot products start
+        # from +0.0, where the scalar products of zeros may give -0.0
+        scale = (0.5 * (n0 * b * n0) + n0 * z).real if n0 else 0.0
+
+        def term(N: int) -> complex:
+            t = cmath.exp(0.5 * (b * N * N) + N * z - scale)
+            return t * N if weighted else t
+
+        acc = 0j
+        quiet = 0
+        for radius in range(_SHELL_CAP + 1):
+            if radius == 0:
+                shell_sum = term(n0)
+                shell_mag = abs(shell_sum)
+            else:
+                t0 = term(n0 - radius)
+                t1 = term(n0 + radius)
+                shell_sum = t0 + t1
+                shell_mag = abs(t0) + abs(t1)
+            acc += shell_sum
+            if shell_mag < eps * max(1.0, abs(acc)):
+                quiet += 1
+                if radius >= max(1, min_shells) and quiet >= 2:
+                    return ScaledComplex(acc, scale)
+            else:
+                quiet = 0
+    except OverflowError as exc:
+        raise NonConvergent(f"genus-1 lattice sum overflowed at argument {z}") from exc
     raise NonConvergent(
         f"lattice sum did not reach relative tail {eps:g} within {_SHELL_CAP} shells"
     )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crosshex.bafunc import (
+    _THETA_EPS,
     ConstantNormalization,
     SpectralDataCross,
     SpectralDataHex,
@@ -20,6 +21,7 @@ from crosshex.errors import (
     SingularEvaluation,
 )
 from crosshex.labels import relabel_cross, relabel_hex, site_cross, site_hex
+from crosshex.theta import theta_eval_scaled
 
 from conftest import CELL_FRACTIONS, CROSS_NAME_ORDER, DIVISOR_FRACTION, cell_point
 
@@ -146,6 +148,24 @@ def test_evaluation_on_the_divisor_is_refused(cross_data):
     )
     with pytest.raises(SingularEvaluation):
         phi_cross(cross_data, CROSS_LABEL, near)
+
+
+def test_singular_denominator_is_refused_on_every_call(cross_data):
+    near = cross_data.curve.point(
+        cross_data.divisor[0].scalar + 1e-12 * (0.3 + 0.4j)
+    )
+    for _ in range(2):
+        with pytest.raises(SingularEvaluation):
+            cross_data.denominator_scaled(near)
+
+
+def test_denominator_memo_returns_the_theta_value(cross_data):
+    P = cell_point(cross_data.curve, 0.41, 0.62)
+    first = cross_data.denominator_scaled(P)
+    assert cross_data.denominator_scaled(P) is first
+    assert first == theta_eval_scaled(
+        cross_data.curve.pm, cross_data.curve.abel(P) + cross_data._W, _THETA_EPS
+    )
 
 
 def test_marked_point_collision_is_detected(torus):

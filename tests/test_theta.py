@@ -10,6 +10,8 @@ from crosshex.errors import DimensionMismatch, NonConvergent
 from crosshex.theta import (
     PeriodMatrix,
     ScaledComplex,
+    _lattice_sum,
+    _lattice_sum_nd,
     quasi_period_factor,
     quasi_period_factor_scaled,
     theta_eval,
@@ -186,3 +188,42 @@ def test_shell_cap_raises_nonconvergent():
     pm = PeriodMatrix(-1e-8)
     with pytest.raises(NonConvergent):
         theta_eval(pm, [30.0])
+
+
+def test_genus_one_kernel_matches_the_array_shell_sum_bit_for_bit():
+    # the scalar genus-1 loop must repeat the array loop's arithmetic
+    # exactly: same centre, scale, shell order and stopping decision
+    rng = np.random.default_rng(11)
+    mismatches = []
+    for i in range(5000):
+        pm = PeriodMatrix(complex(rng.uniform(-8.0, -3.0), rng.uniform(-3.0, 3.0)))
+        z = np.array([500.0 ** rng.uniform(-1.0, 1.0) * cmath.exp(2j * math.pi * rng.uniform())])
+        eps = (1e-12, 1e-14, 1e-6)[i % 3]
+        weight_index = (None, 0)[i % 2]
+        min_shells = int(rng.integers(0, 4))
+        fast = _lattice_sum(pm, z, eps, weight_index, min_shells)
+        ref = _lattice_sum_nd(pm, z, eps, weight_index, min_shells)
+        # repr also tells +0.0 from -0.0, which == does not
+        if (fast.mantissa, fast.log_scale) != (ref.mantissa, ref.log_scale) or repr(fast) != repr(ref):
+            mismatches.append((pm.scalar, z[0], eps, weight_index, min_shells))
+    assert not mismatches, mismatches[:5]
+
+
+# the array path for genus 2 warns on its way to the shell cap at 1e300
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("genus", [1, 2])
+@pytest.mark.parametrize(
+    "bad", [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, math.inf), 1e300]
+)
+def test_non_finite_or_huge_argument_raises_nonconvergent(genus, bad):
+    pm = PeriodMatrix(np.diag([-5.0, -6.0])[:genus, :genus] + 0.5j * np.eye(genus))
+    with pytest.raises(NonConvergent):
+        theta_eval_scaled(pm, np.full(genus, bad))
+
+
+@pytest.mark.parametrize("bad", [1e10, 1e15])
+def test_genus_one_overflow_raises_nonconvergent(bad):
+    # the peak scale is computed with cancellation error larger than
+    # the double range of exp; the sum must fail loudly, not return inf
+    with pytest.raises(NonConvergent):
+        theta_eval_scaled(PeriodMatrix(complex(-5.0, 1.0)), [bad])
