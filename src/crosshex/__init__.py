@@ -10,8 +10,9 @@ Layers, bottom up: ``theta`` (Riemann theta with scaled arithmetic),
 ``surface`` (genus-one analytic curve backend plus a tabulated backend
 and curve documents), ``labels`` (lattice-site relabelling and stencil
 geometry), ``bafunc`` (the function families and uniqueness checks),
-``operators`` (stencil formulas, fields, residuals, oracle, gauge,
-documents), ``cli`` (the four-command pipeline).
+``operators`` (stencil formulas, the ``MODELS`` registry of per-lattice
+facts, fields, residuals, oracle, gauge, documents), ``cli`` (the
+four-command pipeline).
 """
 
 from .bafunc import (
@@ -23,15 +24,13 @@ from .bafunc import (
     SpectralDataCross,
     SpectralDataHex,
     UniquenessReport,
-    phi_cross,
-    phi_hex,
+    phi,
     psi,
     relift,
     theta_component,
     uniqueness_check,
 )
 from .errors import (
-    ArityMismatch,
     ConsistencyFailure,
     CrosshexError,
     DimensionMismatch,
@@ -59,13 +58,15 @@ from .labels import (
     stencil_offsets,
 )
 from .operators import (
-    CrossStencil,
+    CROSS,
+    HEX,
+    MODELS,
     GaugeField,
-    HexStencil,
+    Model,
     OracleReport,
     ResidualReport,
+    Stencil,
     StencilField,
-    apply_stencil,
     build_field,
     cross_coefficients,
     field_from_document,
@@ -73,6 +74,7 @@ from .operators import (
     field_to_document,
     gauge_transform,
     hex_coefficients,
+    model_named,
     nullspace_oracle,
     oracle_report,
     residual_report,
@@ -83,13 +85,9 @@ from .surface import (
     SurfacePoint,
     TabulatedCurve,
     TorusCurve,
-    abel,
-    b_period_vector,
     export_curve_document,
     load_tabulated_curve,
     make_torus_curve,
-    riemann_constants,
-    third_kind_integral,
 )
 from .theta import (
     PeriodMatrix,

@@ -290,11 +290,8 @@ def theta_component(sd, P: SurfacePoint, v) -> complex:
     return sd.theta_component_scaled(P, sd.validate_label(v)).as_complex()
 
 
-def phi_cross(sd: SpectralDataCross, v, P: SurfacePoint) -> complex:
-    return sd.phi_scaled(v, P).as_complex()
-
-
-def phi_hex(sd: SpectralDataHex, v, P: SurfacePoint) -> complex:
+def phi(sd, v, P: SurfacePoint) -> complex:
+    """The function of label v at point P (collapsed to a plain complex)."""
     return sd.phi_scaled(v, P).as_complex()
 
 
@@ -378,7 +375,7 @@ def uniqueness_check(sd, v, probes, tol: float = 1e-8, gap_tol: float = 1e-6) ->
     if len(probes) >= 8 and generic:
         from . import operators  # deferred: operators depends on this module
 
-        origin = SiteCross(0, 0) if sd.model == "cross" else SiteHex(0, 0, 0)
+        origin = (0,) * len(operators.MODELS[sd.model].index_names)
         try:
             _, gap = operators.nullspace_oracle(sd, origin, probes)
         except (SingularEvaluation, PoleOnPath):

@@ -30,23 +30,15 @@ import sys
 
 import numpy as np
 
-from .bafunc import (
-    CROSS_MARKED_NAMES,
-    CROSS_PAIRS,
-    HEX_MARKED_NAMES,
-    HEX_PAIRS,
-    ConstantNormalization,
-    SpectralDataCross,
-    SpectralDataHex,
-)
+from .bafunc import ConstantNormalization
 from .errors import CrosshexError, SchemaError, SeparationFailure
 from .operators import (
-    CROSS_CURVE_INTEGRALS,
-    HEX_CURVE_INTEGRALS,
+    MODELS,
     build_field,
     field_from_document,
     field_to_csv,
     field_to_document,
+    model_named,
     oracle_report,
     residual_report,
     sample_probes,
@@ -63,11 +55,6 @@ from .surface import (
 
 SPECTRAL_DOC_FORMAT = "crosshex-spectral-v1"
 VERIFY_DOC_FORMAT = "crosshex-verify-v1"
-
-_MARKED_NAMES = {"cross": CROSS_MARKED_NAMES, "hex": HEX_MARKED_NAMES}
-_BASIS_PAIRS = {"cross": CROSS_PAIRS, "hex": HEX_PAIRS}
-_CURVE_INTEGRALS = {"cross": CROSS_CURVE_INTEGRALS, "hex": HEX_CURVE_INTEGRALS}
-_SPECTRAL_CLASS = {"cross": SpectralDataCross, "hex": SpectralDataHex}
 
 _MIN_COVER_SEPARATION = 0.1
 _MAX_DRAWS = 1000
@@ -119,7 +106,8 @@ def _sample_separated_lifts(curve: TorusCurve, rng, count: int) -> list[np.ndarr
 
 
 def cmd_gen_spectral(config) -> int:
-    model = config.model
+    model = MODELS[config.model]
+    spectral_class = model.spectral_class
     rng = np.random.default_rng(config.seed)
     if config.b_re is not None:
         b = complex(config.b_re, config.b_im)
@@ -129,7 +117,7 @@ def cmd_gen_spectral(config) -> int:
     else:
         b = complex(rng.uniform(-8.0, -3.0))
     curve = make_torus_curve(b)
-    names = _MARKED_NAMES[model]
+    names = spectral_class.marked_names
     genus = curve.genus
     lifts = _sample_separated_lifts(curve, rng, len(names) + genus)
     marked = {name: curve.point(lifts[i]) for i, name in enumerate(names)}
@@ -137,17 +125,17 @@ def cmd_gen_spectral(config) -> int:
     normalization = ConstantNormalization()
     # construct once now: separation and precomputation problems should
     # surface at generation time, not at first use
-    _SPECTRAL_CLASS[model](curve, marked, divisor, normalization)
+    spectral_class(curve, marked, divisor, normalization)
 
     out = config.output
     stem = out[: -len(".json")] if out.endswith(".json") else out
     curve_path = stem + ".curve.json"
     curve_doc = export_curve_document(
-        curve, marked, list(_BASIS_PAIRS[model]), list(_CURVE_INTEGRALS[model])
+        curve, marked, list(spectral_class.basis_pairs), list(model.curve_integrals)
     )
     spectral_doc = {
         "format": SPECTRAL_DOC_FORMAT,
-        "model": model,
+        "model": model.name,
         "seed": config.seed,
         "backend": "torus-analytic",
         "curve_ref": os.path.basename(curve_path),
@@ -156,7 +144,7 @@ def cmd_gen_spectral(config) -> int:
     }
     _dump_json(curve_doc, curve_path)
     _dump_json(spectral_doc, out)
-    print(f"wrote {out} and {curve_path} (model {model}, seed {config.seed})")
+    print(f"wrote {out} and {curve_path} (model {model.name}, seed {config.seed})")
     return 0
 
 
@@ -176,9 +164,13 @@ def load_spectral_document(path: str):
     doc = _load_json(path)
     if not isinstance(doc, dict) or doc.get("format") != SPECTRAL_DOC_FORMAT:
         raise SchemaError(f"{path}: not a {SPECTRAL_DOC_FORMAT} document")
-    model = doc.get("model")
-    if model not in _MARKED_NAMES:
-        raise SchemaError(f"{path}: model must be 'cross' or 'hex', got {model!r}")
+    try:
+        spectral_class = model_named(doc.get("model")).spectral_class
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
+    seed = doc.get("seed", 0)
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise SchemaError(f"{path}: seed must be a non-negative integer, got {seed!r}")
     curve_ref = doc.get("curve_ref")
     if not isinstance(curve_ref, str) or not curve_ref:
         raise SchemaError(f"{path}: curve_ref must be a nonempty path string")
@@ -199,7 +191,10 @@ def load_spectral_document(path: str):
         except (TypeError, IndexError, KeyError):
             raise SchemaError(f"{curve_path}: B must be a 1x1 matrix of [re, im] pairs") from None
         base = _json2lift(curve_doc.get("base_lift"), 1, "base_lift")
-        curve = make_torus_curve(b_val, base[0])
+        try:
+            curve = make_torus_curve(b_val, base[0])
+        except ValueError as exc:
+            raise SchemaError(f"{curve_path}: {exc}") from None
         marked_raw = curve_doc.get("marked_points")
         if not isinstance(marked_raw, dict):
             raise SchemaError(f"{curve_path}: marked_points must be an object")
@@ -212,9 +207,9 @@ def load_spectral_document(path: str):
         marked = curve.marked
     else:
         raise SchemaError(f"{path}: unknown backend {backend!r}")
-    if set(marked) != set(_MARKED_NAMES[model]):
+    if set(marked) != set(spectral_class.marked_names):
         raise SchemaError(
-            f"{curve_path}: marked points {sorted(marked)} do not match model {model}"
+            f"{curve_path}: marked points {sorted(marked)} do not match model {spectral_class.model}"
         )
     divisor_raw = doc.get("divisor")
     if not isinstance(divisor_raw, list) or len(divisor_raw) != curve.genus:
@@ -228,7 +223,7 @@ def load_spectral_document(path: str):
         normalization = ConstantNormalization.from_json(norm_raw)
     except (ValueError, TypeError, IndexError, KeyError) as exc:
         raise SchemaError(f"{path}: bad normalization: {exc}") from None
-    sd = _SPECTRAL_CLASS[model](curve, marked, divisor, normalization)
+    sd = spectral_class(curve, marked, divisor, normalization)
     return sd, doc
 
 
@@ -267,7 +262,7 @@ def cmd_verify(config) -> int:
             file=sys.stderr,
         )
         return 2
-    probe_seed = config.seed if config.seed is not None else int(doc.get("seed", 0)) + 1000
+    probe_seed = config.seed if config.seed is not None else doc.get("seed", 0) + 1000
     probes = sample_probes(sd, config.probes, seed=probe_seed)
     field = build_field(sd, config.window)
     rrep = residual_report(sd, config.window, probes, field=field, tol=config.tol)
@@ -284,7 +279,7 @@ def cmd_verify(config) -> int:
     _print_check(
         "oracle match", orep.max_mismatch, orep.match_tolerance, orep.max_mismatch <= orep.match_tolerance
     )
-    if sd.model == "hex":
+    if any(MODELS[sd.model].zeros):
         _print_check(
             "forced zeros",
             orep.max_forced_zero_excess,
@@ -357,7 +352,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen-spectral", help="generate seeded spectral data documents")
-    g.add_argument("--model", choices=("cross", "hex"), required=True)
+    g.add_argument("--model", choices=tuple(MODELS), required=True)
     g.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     g.add_argument(
         "--b-re", type=float, default=None,

@@ -38,10 +38,6 @@ class InvalidSite(CrosshexError):
     """A lattice site violates its defining constraint (hex: k + l + m = 0)."""
 
 
-class ArityMismatch(CrosshexError):
-    """A stencil was applied to the wrong number of function values."""
-
-
 class RankDeficient(CrosshexError):
     """The probe matrix has more than a one-dimensional numerical kernel."""
 

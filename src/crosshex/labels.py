@@ -78,20 +78,26 @@ class SiteHex(NamedTuple):
         return SiteHex(self.k + dk, self.l + dl, self.m + dm)
 
 
-def site_cross(n: int, m: int) -> SiteCross:
-    if not (isinstance(n, int) and isinstance(m, int)):
-        raise InvalidSite(f"square-lattice site must be a pair of integers, got ({n!r}, {m!r})")
-    return SiteCross(n, m)
+def _integers(coords, count: int) -> bool:
+    return len(coords) == count and all(
+        isinstance(x, int) and not isinstance(x, bool) for x in coords
+    )
 
 
-def site_hex(k: int, l: int, m: int) -> SiteHex:
-    if not all(isinstance(x, int) for x in (k, l, m)):
-        raise InvalidSite(
-            f"triangular-lattice site must be a triple of integers, got ({k!r}, {l!r}, {m!r})"
-        )
-    if k + l + m != 0:
-        raise InvalidSite(f"triangular-lattice site must satisfy k+l+m=0, got {k}+{l}+{m}")
-    return SiteHex(k, l, m)
+def site_cross(*nm) -> SiteCross:
+    """Validated square-lattice site; any other arity or type raises InvalidSite."""
+    if not _integers(nm, 2):
+        raise InvalidSite(f"square-lattice site must be a pair of integers, got {nm!r}")
+    return SiteCross(*nm)
+
+
+def site_hex(*klm) -> SiteHex:
+    """Validated triangular-lattice site; also requires k + l + m = 0."""
+    if not _integers(klm, 3):
+        raise InvalidSite(f"triangular-lattice site must be a triple of integers, got {klm!r}")
+    if sum(klm) != 0:
+        raise InvalidSite("triangular-lattice site must satisfy k+l+m=0, got {}+{}+{}".format(*klm))
+    return SiteHex(*klm)
 
 
 class Label3(NamedTuple):
@@ -100,9 +106,6 @@ class Label3(NamedTuple):
     x1: int
     x2: int
     x3: int
-
-    def plus(self, shift: tuple[int, int, int]) -> "Label3":
-        return Label3(self.x1 + shift[0], self.x2 + shift[1], self.x3 + shift[2])
 
 
 class Label6(NamedTuple):
@@ -120,9 +123,6 @@ class Label6(NamedTuple):
     x4: int
     x5: int
     x6: int
-
-    def plus(self, shift: tuple[int, ...]) -> "Label6":
-        return Label6(*(x + s for x, s in zip(self, shift)))
 
     def check_blocks(self) -> "Label6":
         if self.x1 + self.x2 + self.x3 != 0 or self.x4 + self.x5 + self.x6 != 0:
@@ -188,19 +188,15 @@ def label_shift_hex(site: SiteHex, key: str) -> tuple[int, ...]:
     return tuple(b - a for a, b in zip(base, neigh))
 
 
-def stencil_offsets(model: str, site) -> list[tuple[tuple, tuple]]:
-    """Neighbor sites and label shifts, in coefficient order.
+def stencil_offsets(model: str, site) -> list[tuple]:
+    """Neighbor sites in coefficient order, validated like the site itself.
 
     For the cross model the list is a, b, c, d, then the center site
-    itself (zero shift) last; for hex it is a through g.  Sites are
-    validated, so malformed input raises :class:`InvalidSite`.
+    itself last; for hex it is a through g.  Malformed input raises
+    :class:`InvalidSite`, an unknown model ``ValueError``.
     """
-    if model == "cross":
-        s = site_cross(*site)
-        return [
-            (tuple(s.neighbor(key)), label_shift_cross(s, key)) for key in CROSS_COEFFS
-        ]
-    if model == "hex":
-        s = site_hex(*site)
-        return [(tuple(s.neighbor(key)), label_shift_hex(s, key)) for key in HEX_COEFFS]
-    raise ValueError(f"unknown model {model!r}: expected 'cross' or 'hex'")
+    from .operators import model_named  # deferred: operators depends on this module
+
+    m = model_named(model)
+    s = m.site(*site)
+    return [s.neighbor(key) for key in m.coeffs]

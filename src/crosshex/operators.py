@@ -15,6 +15,10 @@ of a probes-by-coefficients matrix), so agreement between the two is a
 genuine cross-check, and the singular-value gap certifies that the
 kernel is one-dimensional (the uniqueness statement at desk scale).
 
+Every per-lattice fact (coefficient keys, site classes, unit, zero and
+formula tables, spectral-data class) lives in one :class:`Model` record
+per lattice, looked up by name in ``MODELS``.
+
 All internal values are carried as (mantissa, log-scale) pairs: at
 sites a few steps from the origin the individual theta and exponential
 factors overflow double precision while every reported quantity -
@@ -24,37 +28,26 @@ normalized residuals, ratios, gaps - is moderate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
-from typing import ClassVar
+from dataclasses import dataclass, field as dc_field, replace
+from operator import attrgetter
+from typing import Callable
 
 import numpy as np
 
 from .bafunc import SpectralDataCross, SpectralDataHex
 from .errors import (
-    ArityMismatch,
+    InvalidSite,
     MissingGauge,
     RankDeficient,
     SchemaError,
     SeparationFailure,
     SingularEvaluation,
 )
-from .labels import (
-    CROSS_COEFFS,
-    HEX_COEFFS,
-    SiteCross,
-    SiteHex,
-    site_cross,
-    site_hex,
-    stencil_offsets,
-)
+from .labels import CROSS_COEFFS, HEX_COEFFS, site_cross, site_hex, stencil_offsets
 from .surface import SurfacePoint, TorusCurve
 from .theta import ScaledComplex
 
 FIELD_DOC_FORMAT = "crosshex-field-v1"
-
-CROSS_UNIT_BY_PARITY = {0: "d", 1: "c"}
-HEX_UNIT_BY_RESIDUE = {0: "b", 1: "d", 2: "f"}
-HEX_ZEROS_BY_RESIDUE = {0: ("c", "g"), 1: ("a", "g"), 2: ("a", "c")}
 
 # pole pairs of the third-kind differentials entering the formulas
 _P1 = ("P1+", "P1-")
@@ -67,35 +60,6 @@ _R32 = ("R3", "R2")
 _Q12 = ("Q1", "Q2")
 _R12 = ("R1", "R2")
 _R21 = ("R2", "R1")
-
-# every (endpoint | pole pair) combination a tabulated curve must store
-CROSS_CURVE_INTEGRALS: tuple[tuple[str, tuple[str, str]], ...] = (
-    ("P2+", _P1),
-    ("P2-", _P1),
-    ("P3+", _P1),
-    ("P3-", _P1),
-    ("P1-", _P2),
-    ("P1+", _P2),
-    ("P1-", _P3),
-    ("P1+", _P3),
-    ("P2-", _P3),
-    ("P2+", _P3),
-)
-HEX_CURVE_INTEGRALS: tuple[tuple[str, tuple[str, str]], ...] = (
-    ("Q3", _R21),
-    ("Q3", _Q12),
-    ("Q3", _R12),
-    ("Q2", _Q31),
-    ("Q2", _R31),
-    ("R1", _Q32),
-    ("R1", _R32),
-    ("R3", _Q12),
-    ("R3", _R12),
-    ("Q1", _Q32),
-    ("Q1", _R32),
-    ("R2", _Q31),
-    ("R2", _R31),
-)
 
 
 @dataclass(frozen=True)
@@ -485,11 +449,104 @@ _HEX_CASE2: tuple[RatioFormula, ...] = (
     ),
 )
 
-HEX_FORMULAS_BY_RESIDUE: dict[int, tuple[RatioFormula, ...]] = {
-    0: _HEX_CASE0,
-    1: _HEX_CASE1,
-    2: _HEX_CASE2,
-}
+HEX_FORMULAS_BY_RESIDUE: tuple[tuple[RatioFormula, ...], ...] = (_HEX_CASE0, _HEX_CASE1, _HEX_CASE2)
+
+
+# ---------------------------------------------------------------------------
+# the model registry
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, repr=False)
+class Model:
+    """Every per-lattice fact of one operator family.
+
+    A site's class (``site_class``: parity on the square lattice, residue
+    on the triangular one) indexes ``units``, ``zeros`` and ``formulas``.
+    Marked-point names and basis pairs live on ``spectral_class``.
+    """
+
+    name: str
+    coeffs: tuple[str, ...]  # coefficient keys, also the export column order
+    index_names: tuple[str, ...]  # CSV site-index columns
+    site: Callable[..., tuple]  # validating site constructor (raises InvalidSite)
+    site_class: Callable[[tuple], int]
+    window: Callable[[int], list[tuple]]  # sites of max-norm <= radius, lexicographic
+    units: tuple[str, ...]  # unit coefficient per class
+    zeros: tuple[tuple[str, ...], ...]  # coefficients forced to zero per class
+    formulas: tuple[tuple[RatioFormula, ...], ...]  # ratio formulas per class
+    spectral_class: type
+    # every (endpoint | pole pair) combination a tabulated curve must store
+    curve_integrals: tuple[tuple[str, tuple[str, str]], ...]
+
+    def __repr__(self) -> str:
+        return f"Model({self.name!r})"
+
+
+CROSS = Model(
+    name="cross",
+    coeffs=CROSS_COEFFS,
+    index_names=("n", "m"),
+    site=site_cross,
+    site_class=attrgetter("parity"),
+    window=lambda r: [(n, m) for n in range(-r, r + 1) for m in range(-r, r + 1)],
+    units=("d", "c"),
+    zeros=((), ()),
+    formulas=(CROSS_EVEN_FORMULAS, CROSS_ODD_FORMULAS),
+    spectral_class=SpectralDataCross,
+    curve_integrals=(
+        ("P2+", _P1),
+        ("P2-", _P1),
+        ("P3+", _P1),
+        ("P3-", _P1),
+        ("P1-", _P2),
+        ("P1+", _P2),
+        ("P1-", _P3),
+        ("P1+", _P3),
+        ("P2-", _P3),
+        ("P2+", _P3),
+    ),
+)
+
+HEX = Model(
+    name="hex",
+    coeffs=HEX_COEFFS,
+    index_names=("k", "l", "m"),
+    site=site_hex,
+    site_class=attrgetter("residue"),
+    window=lambda r: [
+        (k, l, -k - l) for k in range(-r, r + 1) for l in range(-r, r + 1) if abs(k + l) <= r
+    ],
+    units=("b", "d", "f"),
+    zeros=(("c", "g"), ("a", "g"), ("a", "c")),
+    formulas=HEX_FORMULAS_BY_RESIDUE,
+    spectral_class=SpectralDataHex,
+    curve_integrals=(
+        ("Q3", _R21),
+        ("Q3", _Q12),
+        ("Q3", _R12),
+        ("Q2", _Q31),
+        ("Q2", _R31),
+        ("R1", _Q32),
+        ("R1", _R32),
+        ("R3", _Q12),
+        ("R3", _R12),
+        ("Q1", _Q32),
+        ("Q1", _R32),
+        ("R2", _Q31),
+        ("R2", _R31),
+    ),
+)
+
+MODELS: dict[str, Model] = {m.name: m for m in (CROSS, HEX)}
+
+
+def model_named(name) -> Model:
+    """The registry entry called ``name``; ``ValueError`` for anything else."""
+    model = MODELS.get(name) if isinstance(name, str) else None
+    if model is None:
+        raise ValueError(f"unknown model {name!r}: expected {' or '.join(map(repr, MODELS))}")
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -540,24 +597,22 @@ def evaluate_ratio(sd, v, formula: RatioFormula) -> ScaledComplex:
 
 
 @dataclass(frozen=True)
-class _StencilBase:
-    """Coefficients of one lattice site, in fixed coefficient order."""
+class Stencil:
+    """Coefficients of one lattice site, in its model's coefficient order."""
 
+    model: Model
     unit: str
     values: tuple[ScaledComplex, ...] = dc_field(repr=False)
 
-    model: ClassVar[str] = ""
-    keys: ClassVar[tuple[str, ...]] = ()
-
     def scaled(self, key: str) -> ScaledComplex:
-        return self.values[self.keys.index(key)]
+        return self.values[self.model.coeffs.index(key)]
 
     def coefficient(self, key: str) -> complex:
         return self.scaled(key).as_complex()
 
     def as_dict(self) -> dict[str, complex]:
         out = {}
-        for key, val in zip(self.keys, self.values):
+        for key, val in zip(self.model.coeffs, self.values):
             c = val.as_complex()
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
                 raise SingularEvaluation(
@@ -567,80 +622,31 @@ class _StencilBase:
             out[key] = c
         return out
 
-    def rescaled(self, factor) -> "_StencilBase":
-        return type(self)(self.unit, tuple(val.times(factor) for val in self.values))
+    def rescaled(self, factor) -> "Stencil":
+        return replace(self, values=tuple(val.times(factor) for val in self.values))
 
 
-class CrossStencil(_StencilBase):
-    model = "cross"
-    keys = CROSS_COEFFS
-
-    a = property(lambda self: self.coefficient("a"))
-    b = property(lambda self: self.coefficient("b"))
-    c = property(lambda self: self.coefficient("c"))
-    d = property(lambda self: self.coefficient("d"))
-    v = property(lambda self: self.coefficient("v"))
-
-
-class HexStencil(_StencilBase):
-    model = "hex"
-    keys = HEX_COEFFS
-
-    a = property(lambda self: self.coefficient("a"))
-    b = property(lambda self: self.coefficient("b"))
-    c = property(lambda self: self.coefficient("c"))
-    d = property(lambda self: self.coefficient("d"))
-    f = property(lambda self: self.coefficient("f"))
-    g = property(lambda self: self.coefficient("g"))
-
-
-def cross_coefficients(sd: SpectralDataCross, site) -> CrossStencil:
-    """The stencil at one square-lattice site, unit coefficient set to 1."""
-    s = site_cross(*site) if not isinstance(site, SiteCross) else site
+def _closed_form_stencil(model: Model, sd, site) -> Stencil:
+    """The stencil at one site: the class's unit is exactly 1, its forced zeros exactly 0."""
+    s = model.site(*site)
     v = tuple(sd.site_label(s))
-    unit = CROSS_UNIT_BY_PARITY[s.parity]
-    table = CROSS_EVEN_FORMULAS if s.parity == 0 else CROSS_ODD_FORMULAS
-    vals = {unit: ScaledComplex.one()}
-    for formula in table:
-        vals[formula.coeff] = evaluate_ratio(sd, v, formula)
-    return CrossStencil(unit, tuple(vals[k] for k in CROSS_COEFFS))
-
-
-def hex_coefficients(sd: SpectralDataHex, site) -> HexStencil:
-    """The stencil at one triangular-lattice site.
-
-    The per-residue unit coefficient is exactly 1 and the two
-    forced-zero coefficients are exactly 0; nothing else is special-cased.
-    """
-    s = site_hex(*site) if not isinstance(site, SiteHex) else site
-    v = tuple(sd.site_label(s))
-    residue = s.residue
-    unit = HEX_UNIT_BY_RESIDUE[residue]
-    vals = {unit: ScaledComplex.one()}
-    for zero_key in HEX_ZEROS_BY_RESIDUE[residue]:
+    cls = model.site_class(s)
+    vals = {model.units[cls]: ScaledComplex.one()}
+    for zero_key in model.zeros[cls]:
         vals[zero_key] = ScaledComplex(0j, 0.0)
-    for formula in HEX_FORMULAS_BY_RESIDUE[residue]:
+    for formula in model.formulas[cls]:
         vals[formula.coeff] = evaluate_ratio(sd, v, formula)
-    return HexStencil(unit, tuple(vals[k] for k in HEX_COEFFS))
+    return Stencil(model, model.units[cls], tuple(vals[k] for k in model.coeffs))
 
 
-def _site_object(model: str, site):
-    return site_cross(*site) if model == "cross" else site_hex(*site)
+def cross_coefficients(sd: SpectralDataCross, site) -> Stencil:
+    """The stencil at one square-lattice site, unit coefficient set to 1."""
+    return _closed_form_stencil(CROSS, sd, site)
 
 
-def apply_stencil(model: str, stencil: _StencilBase, psi_values) -> complex:
-    """Dot product of the stencil with neighbor-ordered function values.
-
-    ``psi_values`` must be ordered exactly as :func:`stencil_offsets`
-    emits neighbors (the fixed coefficient order; the cross center is
-    last).
-    """
-    keys = CROSS_COEFFS if model == "cross" else HEX_COEFFS
-    if len(psi_values) != len(keys):
-        raise ArityMismatch(
-            f"{model} stencil takes {len(keys)} function values, got {len(psi_values)}"
-        )
-    return sum(stencil.coefficient(k) * complex(val) for k, val in zip(keys, psi_values))
+def hex_coefficients(sd: SpectralDataHex, site) -> Stencil:
+    """The stencil at one triangular-lattice site, with its two forced zeros."""
+    return _closed_form_stencil(HEX, sd, site)
 
 
 # ---------------------------------------------------------------------------
@@ -650,37 +656,32 @@ def apply_stencil(model: str, stencil: _StencilBase, psi_values) -> complex:
 
 def window_sites(model: str, radius: int) -> list[tuple]:
     """All sites with max-norm at most ``radius``, in lexicographic order."""
-    if radius < 0:
-        return []
-    r = int(radius)
-    if model == "cross":
-        return [(n, m) for n in range(-r, r + 1) for m in range(-r, r + 1)]
-    if model == "hex":
-        return [
-            (k, l, -k - l)
-            for k in range(-r, r + 1)
-            for l in range(-r, r + 1)
-            if abs(k + l) <= r
-        ]
-    raise ValueError(f"unknown model {model!r}")
+    return model_named(model).window(int(radius))
 
 
 @dataclass(frozen=True)
 class StencilField:
-    """A window's worth of stencils, keyed by site tuple."""
+    """A window's worth of stencils, keyed by site tuple: no site more, none less."""
 
     model: str
     radius: int
-    stencils: dict[tuple, _StencilBase]
+    stencils: dict[tuple, Stencil]
 
     def __post_init__(self):
-        for site in window_sites(self.model, self.radius):
+        window = window_sites(self.model, self.radius)
+        for site in window:
             if site not in self.stencils:
                 raise ValueError(f"field is missing site {site} inside its window")
+        if len(self.stencils) != len(window):
+            outside = sorted(set(self.stencils) - set(window))
+            raise ValueError(f"field has sites outside its radius-{self.radius} window: {outside}")
 
 
 def build_field(sd, radius: int) -> StencilField:
     """Evaluate the closed-form stencils on the whole window."""
+    # The one model-name dispatch outside the registry.  The builder is read
+    # from the module globals at call time because a profiler that rebinds
+    # them (perfbench's tracer) would miss a function stored in the registry.
     builder = cross_coefficients if sd.model == "cross" else hex_coefficients
     return StencilField(
         sd.model,
@@ -721,44 +722,48 @@ def field_from_document(doc: dict) -> StencilField:
         raise SchemaError("field document must be a JSON object")
     if doc.get("format") != FIELD_DOC_FORMAT:
         raise SchemaError(f"unexpected field-document format {doc.get('format')!r}")
-    model = doc.get("model")
-    if model not in ("cross", "hex"):
-        raise SchemaError(f"model must be 'cross' or 'hex', got {model!r}")
+    try:
+        model = model_named(doc.get("model"))
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from None
     window = doc.get("window")
     if not isinstance(window, dict) or not isinstance(window.get("radius"), int):
         raise SchemaError("window must be an object with an integer 'radius'")
-    keys = CROSS_COEFFS if model == "cross" else HEX_COEFFS
-    stencil_cls = CrossStencil if model == "cross" else HexStencil
     sites_raw = doc.get("sites")
     if not isinstance(sites_raw, list):
         raise SchemaError("sites must be a list")
-    stencils: dict[tuple, _StencilBase] = {}
+    stencils: dict[tuple, Stencil] = {}
     for entry in sites_raw:
-        if not isinstance(entry, dict) or "site" not in entry or "coeffs" not in entry:
-            raise SchemaError("each site entry needs 'site' and 'coeffs'")
-        site = tuple(entry["site"])
-        if not all(isinstance(x, int) for x in site):
-            raise SchemaError(f"site indices must be integers: {entry['site']!r}")
-        s_obj = _site_object(model, site)  # InvalidSite on malformed hex sites
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("site"), list)
+            and isinstance(entry.get("coeffs"), dict)
+        ):
+            raise SchemaError("each site entry needs a 'site' list and a 'coeffs' object")
+        try:
+            s = model.site(*entry["site"])
+        except InvalidSite as exc:
+            raise SchemaError(str(exc)) from None
+        site = tuple(s)
+        if site in stencils:
+            raise SchemaError(f"site {site} is listed twice")
         coeffs = entry["coeffs"]
-        if set(coeffs) != set(keys):
+        if set(coeffs) != set(model.coeffs):
             raise SchemaError(
-                f"site {site}: coefficients must be exactly {keys}, got {sorted(coeffs)}"
+                f"site {site}: coefficients must be exactly {model.coeffs}, got {sorted(coeffs)}"
             )
         vals = []
-        for k in keys:
-            pair = coeffs[k]
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise SchemaError(f"site {site}: coefficient {k} must be a [re, im] pair")
-            vals.append(ScaledComplex.from_complex(complex(pair[0], pair[1])))
-        unit = (
-            CROSS_UNIT_BY_PARITY[s_obj.parity]
-            if model == "cross"
-            else HEX_UNIT_BY_RESIDUE[s_obj.residue]
-        )
-        stencils[site] = stencil_cls(unit, tuple(vals))
+        for k in model.coeffs:
+            try:
+                # ValueError: not two items; TypeError: strings, null, nested lists
+                re, im = coeffs[k]
+                value = complex(re, im)
+            except (TypeError, ValueError):
+                raise SchemaError(f"site {site}: coefficient {k} must be a [re, im] pair") from None
+            vals.append(ScaledComplex.from_complex(value))
+        stencils[site] = Stencil(model, model.units[model.site_class(s)], tuple(vals))
     try:
-        return StencilField(model, window["radius"], stencils)
+        return StencilField(model.name, window["radius"], stencils)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 
@@ -769,16 +774,15 @@ def field_to_csv(field: StencilField) -> str:
     Values are printed with 17 significant digits, which round-trips
     IEEE doubles exactly; rows are in lexicographic site order.
     """
-    keys = CROSS_COEFFS if field.model == "cross" else HEX_COEFFS
-    index_names = ("n", "m") if field.model == "cross" else ("k", "l", "m")
-    header = list(index_names)
-    for k in keys:
+    model = MODELS[field.model]
+    header = list(model.index_names)
+    for k in model.coeffs:
         header += [f"re_{k}", f"im_{k}"]
     lines = [",".join(header)]
     for site in sorted(field.stencils):
         coeffs = field.stencils[site].as_dict()
         row = [str(x) for x in site]
-        for k in keys:
+        for k in model.coeffs:
             row += ["%.17g" % coeffs[k].real, "%.17g" % coeffs[k].imag]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"
@@ -845,22 +849,20 @@ def residual_report(
     sites = window_sites(sd.model, window) if isinstance(window, int) else [tuple(s) for s in window]
     if field is None:
         field = build_field(sd, max((max(map(abs, s)) for s in sites), default=0)) if sites else None
-    keys = CROSS_COEFFS if sd.model == "cross" else HEX_COEFFS
     entries = []
     failures = []
     worst_overall = 0.0
     for site in sites:
         stencil = field.stencils[site]
-        neighbor_sites = [nb for nb, _shift in stencil_offsets(sd.model, site)]
+        neighbor_sites = stencil_offsets(sd.model, site)
         worst = -1.0
         worst_probe = -1
         for ip, P in enumerate(probes):
             terms = []
-            for key, nb in zip(keys, neighbor_sites):
-                cval = stencil.scaled(key)
+            for cval, nb in zip(stencil.values, neighbor_sites):
                 if cval.mantissa == 0:
                     continue
-                t = cval.times(sd.psi_scaled(_site_object(sd.model, nb), P))
+                t = cval.times(sd.psi_scaled(nb, P))
                 if gauge is not None:
                     t = t.times(gauge.at(nb))
                 terms.append(t)
@@ -886,7 +888,7 @@ def residual_report(
 # ---------------------------------------------------------------------------
 
 
-def nullspace_oracle(sd, site, probes) -> tuple[_StencilBase, float]:
+def nullspace_oracle(sd, site, probes) -> tuple[Stencil, float]:
     """Recover the stencil at ``site`` from function values alone.
 
     Builds the probes-by-coefficients matrix of neighbor function
@@ -900,14 +902,11 @@ def nullspace_oracle(sd, site, probes) -> tuple[_StencilBase, float]:
     """
     if len(probes) < 8:
         raise ValueError("nullspace_oracle needs at least 8 probe points")
-    model = sd.model
-    s_obj = _site_object(model, tuple(site))
-    keys = CROSS_COEFFS if model == "cross" else HEX_COEFFS
-    neighbor_sites = [nb for nb, _shift in stencil_offsets(model, tuple(site))]
-    ncols = len(keys)
-    vals = [
-        [sd.psi_scaled(_site_object(model, nb), P) for nb in neighbor_sites] for P in probes
-    ]
+    model = MODELS[sd.model]
+    s_obj = model.site(*site)
+    neighbor_sites = stencil_offsets(model.name, s_obj)
+    ncols = len(model.coeffs)
+    vals = [[sd.psi_scaled(nb, P) for nb in neighbor_sites] for P in probes]
     logs = np.array([[v.log_abs for v in row] for row in vals])
     phases = np.array(
         [[v.mantissa / abs(v.mantissa) if v.mantissa != 0 else 0j for v in row] for row in vals]
@@ -928,10 +927,8 @@ def nullspace_oracle(sd, site, probes) -> tuple[_StencilBase, float]:
     gap = float(sing[-1] / sing[-2])
     kernel = vh[-1].conj()
     scaled_kernel = [ScaledComplex(kernel[j], -float(col_scale[j])) for j in range(ncols)]
-    unit = (
-        CROSS_UNIT_BY_PARITY[s_obj.parity] if model == "cross" else HEX_UNIT_BY_RESIDUE[s_obj.residue]
-    )
-    u_idx = keys.index(unit)
+    unit = model.units[model.site_class(s_obj)]
+    u_idx = model.coeffs.index(unit)
     kernel_mags = np.abs(kernel)
     if kernel_mags[u_idx] < 1e-12 * kernel_mags.max():
         raise RankDeficient(
@@ -943,8 +940,7 @@ def nullspace_oracle(sd, site, probes) -> tuple[_StencilBase, float]:
         ScaledComplex.one() if j == u_idx else scaled_kernel[j].over(unit_val)
         for j in range(ncols)
     )
-    cls = CrossStencil if model == "cross" else HexStencil
-    return cls(unit, values), gap
+    return Stencil(model, unit, values), gap
 
 
 @dataclass(frozen=True)
@@ -992,7 +988,6 @@ def oracle_report(
     sites = window_sites(sd.model, window) if isinstance(window, int) else [tuple(s) for s in window]
     if field is None and sites:
         field = build_field(sd, max(max(map(abs, s)) for s in sites))
-    keys = CROSS_COEFFS if sd.model == "cross" else HEX_COEFFS
     entries = []
     failures = []
     max_gap = 0.0
@@ -1004,9 +999,7 @@ def oracle_report(
         mismatch = 0.0
         zero_excess = 0.0
         peak_log = max(v.log_abs for v in oracle.values if v.mantissa != 0)
-        for k in keys:
-            t_val = formula.scaled(k)
-            o_val = oracle.scaled(k)
+        for t_val, o_val in zip(formula.values, oracle.values):
             if t_val.mantissa == 0:
                 if o_val.mantissa != 0:
                     zero_excess = max(zero_excess, math.exp(o_val.log_abs - peak_log))
@@ -1062,15 +1055,13 @@ def gauge_transform(field: StencilField, gauge: GaugeField) -> StencilField:
     The transformed operator annihilates the gauge-scaled function
     values exactly when the original annihilates the originals.
     """
-    keys = CROSS_COEFFS if field.model == "cross" else HEX_COEFFS
-    out: dict[tuple, _StencilBase] = {}
+    out: dict[tuple, Stencil] = {}
     for site, stencil in field.stencils.items():
-        neighbor_sites = [nb for nb, _shift in stencil_offsets(field.model, site)]
-        new_values = []
-        for key, nb in zip(keys, neighbor_sites):
-            g = gauge.at(nb)
-            new_values.append(stencil.scaled(key).over(ScaledComplex.from_complex(g)))
-        out[site] = type(stencil)(stencil.unit, tuple(new_values))
+        new_values = tuple(
+            val.over(ScaledComplex.from_complex(gauge.at(nb)))
+            for val, nb in zip(stencil.values, stencil_offsets(field.model, site))
+        )
+        out[site] = replace(stencil, values=new_values)
     return StencilField(field.model, field.radius, out)
 
 

@@ -148,9 +148,6 @@ class SpectralCurve:
             best = min(best, float(np.linalg.norm(delta - lat)))
         return best
 
-    def same_point(self, Pa: SurfacePoint, Pb: SurfacePoint, tol: float = 1e-9) -> bool:
-        return self.cover_distance(Pa.as_array(), Pb.as_array()) <= tol
-
 
 class TorusCurve(SpectralCurve):
     """Genus-one curve with everything computed analytically.
@@ -605,24 +602,3 @@ def make_torus_curve(B, base_lift: complex = 0.0, eps: float = 1e-13) -> TorusCu
     pm = B if isinstance(B, PeriodMatrix) else PeriodMatrix(B)
     return TorusCurve(pm, base_lift, eps)
 
-
-# functional spellings of the curve operations, for callers that hold a
-# curve of either backend and prefer free functions over methods
-
-
-def abel(curve: SpectralCurve, P: SurfacePoint) -> np.ndarray:
-    return curve.abel(P)
-
-
-def third_kind_integral(
-    curve: SpectralCurve, P: SurfacePoint, Pplus: SurfacePoint, Pminus: SurfacePoint
-) -> complex:
-    return curve.third_kind_integral(P, Pplus, Pminus)
-
-
-def b_period_vector(curve: SpectralCurve, Pplus: SurfacePoint, Pminus: SurfacePoint) -> np.ndarray:
-    return curve.b_period_vector(Pplus, Pminus)
-
-
-def riemann_constants(curve: SpectralCurve) -> np.ndarray:
-    return curve.riemann_constants()

@@ -8,8 +8,7 @@ from crosshex.bafunc import (
     ConstantNormalization,
     SpectralDataCross,
     SpectralDataHex,
-    phi_cross,
-    phi_hex,
+    phi,
     psi,
     relift,
     theta_component,
@@ -36,8 +35,8 @@ def test_zero_label_value_is_one_at_the_base(cross_data, hex_data):
 
 
 def test_phi_depends_on_the_point(cross_data, cross_probes):
-    a = phi_cross(cross_data, CROSS_LABEL, cross_probes[0])
-    b = phi_cross(cross_data, CROSS_LABEL, cross_probes[1])
+    a = phi(cross_data, CROSS_LABEL, cross_probes[0])
+    b = phi(cross_data, CROSS_LABEL, cross_probes[1])
     assert abs(a - b) > 1e-6 * max(abs(a), abs(b))
 
 
@@ -106,17 +105,17 @@ def test_normalization_scales_phi_linearly(torus, cross_data, cross_probes):
         normalization=ConstantNormalization(lam),
     )
     for P in cross_probes[:3]:
-        base = phi_cross(cross_data, CROSS_LABEL, P)
-        assert abs(phi_cross(scaled, CROSS_LABEL, P) - lam * base) <= 1e-12 * abs(lam * base)
+        base = phi(cross_data, CROSS_LABEL, P)
+        assert abs(phi(scaled, CROSS_LABEL, P) - lam * base) <= 1e-12 * abs(lam * base)
 
 
 def test_psi_is_phi_at_the_site_label(cross_data, hex_data, cross_probes, hex_probes):
     site = site_cross(1, 2)
-    assert psi(cross_data, site, cross_probes[0]) == phi_cross(
+    assert psi(cross_data, site, cross_probes[0]) == phi(
         cross_data, relabel_cross(site), cross_probes[0]
     )
     hsite = site_hex(1, 1, -2)
-    assert psi(hex_data, hsite, hex_probes[0]) == phi_hex(
+    assert psi(hex_data, hsite, hex_probes[0]) == phi(
         hex_data, relabel_hex(hsite), hex_probes[0]
     )
 
@@ -147,7 +146,7 @@ def test_evaluation_on_the_divisor_is_refused(cross_data):
         cross_data.divisor[0].scalar + 1e-12 * (0.3 + 0.4j)
     )
     with pytest.raises(SingularEvaluation):
-        phi_cross(cross_data, CROSS_LABEL, near)
+        phi(cross_data, CROSS_LABEL, near)
 
 
 def test_singular_denominator_is_refused_on_every_call(cross_data):

@@ -155,7 +155,7 @@ def test_shallow_curve_refusal(tmp_path):
     assert not (tmp_path / "bad.json").exists()
 
 
-def test_corrupt_documents_exit_2(workspace, tmp_path):
+def test_corrupt_documents_exit_2(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
     assert main(["build", "-i", str(bad), "-o", str(tmp_path / "x.json")]) == 2
@@ -175,6 +175,46 @@ def test_corrupt_documents_exit_2(workspace, tmp_path):
     broken_field = tmp_path / "broken-field.json"
     broken_field.write_text(json.dumps(fdoc))
     assert main(["export", "-i", str(broken_field), "-o", str(tmp_path / "w.csv")]) == 2
+
+    def exits_2_with_error_line(argv) -> bool:
+        capsys.readouterr()
+        return main(argv) == 2 and capsys.readouterr().err.startswith("error: ")
+
+    good = json.loads(field.read_text())
+    sites, first = good["sites"], good["sites"][0]
+    for i, change in enumerate(
+        [
+            {"model": "hex"},
+            {"sites": [{**first, "site": [0, 0, 0]}] + sites[1:]},
+            {"sites": [{**first, "site": 0}] + sites[1:]},
+            {"sites": [{**first, "coeffs": list(first["coeffs"])}] + sites[1:]},
+            {"sites": [{**first, "coeffs": {**first["coeffs"], "a": ["1", "0"]}}] + sites[1:]},
+            {"sites": [{**first, "coeffs": {**first["coeffs"], "a": None}}] + sites[1:]},
+            {"sites": sites + [first]},
+            {"sites": sites + [{**first, "site": [9, 9]}]},
+        ]
+    ):
+        path = tmp_path / f"field-{i}.json"
+        path.write_text(json.dumps({**good, **change}))
+        assert exits_2_with_error_line(["export", "-i", str(path), "-o", str(tmp_path / "v.csv")])
+
+    sdoc = json.loads(spectral.read_text())
+    cdoc = json.loads((spectral.parent / sdoc["curve_ref"]).read_text())
+    for i, (spectral_change, curve_change) in enumerate(
+        [
+            ({"seed": "x"}, {}),
+            ({"seed": None}, {}),
+            ({"seed": 1.5}, {}),
+            ({"model": ["cross"]}, {}),
+            ({}, {"B": [[[0.5, 0.0]]]}),
+        ]
+    ):
+        folder = tmp_path / f"spectral-{i}"
+        folder.mkdir()
+        (folder / spectral.name).write_text(json.dumps({**sdoc, **spectral_change}))
+        (folder / sdoc["curve_ref"]).write_text(json.dumps({**cdoc, **curve_change}))
+        argv = ["verify", "-i", str(folder / spectral.name), "--window", "0", "--probes", "8"]
+        assert exits_2_with_error_line(argv)
 
 
 def test_usage_errors_raise_systemexit_2(tmp_path):

@@ -51,8 +51,14 @@ def test_relabel_hex_pins(site, label):
     assert relabel_hex(site_hex(*site)) == Label6(*label)
 
 
+def _cross_shifts(n, m):
+    """Neighbor site -> label shift, in coefficient order."""
+    site = site_cross(n, m)
+    return {tuple(site.neighbor(k)): label_shift_cross(site, k) for k in CROSS_COEFFS}
+
+
 def test_cross_even_site_shifts():
-    shifts = dict(stencil_offsets("cross", (0, 0)))
+    shifts = _cross_shifts(0, 0)
     assert shifts == {
         (-1, 0): (1, -1, 0),
         (1, 0): (0, 0, 1),
@@ -65,27 +71,18 @@ def test_cross_even_site_shifts():
 def test_cross_odd_site_shifts_negate_the_even_pattern():
     # the odd-site shift toward offset d is minus the even-site shift
     # toward the opposite offset -d, so the two parities share one table
-    even = {
-        tuple(n - s for n, s in zip(neigh, (0, 0))): shift
-        for neigh, shift in stencil_offsets("cross", (0, 0))
-    }
-    for neigh, shift in stencil_offsets("cross", (1, 0)):
+    even = _cross_shifts(0, 0)
+    for neigh, shift in _cross_shifts(1, 0).items():
         offset = (neigh[0] - 1, neigh[1] - 0)
         opposite = (-offset[0], -offset[1])
         assert shift == tuple(-x for x in even[opposite])
 
 
 def test_stencil_offsets_follow_coefficient_order():
-    cross = stencil_offsets("cross", (2, -1))
-    assert [neigh for neigh, _ in cross] == [
-        (1, -1), (3, -1), (2, -2), (2, 0), (2, -1)
-    ]
-    assert len(cross) == len(CROSS_COEFFS)
-    hexa = stencil_offsets("hex", (1, 1, -2))
-    assert [neigh for neigh, _ in hexa] == [
+    assert stencil_offsets("cross", (2, -1)) == [(1, -1), (3, -1), (2, -2), (2, 0), (2, -1)]
+    assert stencil_offsets("hex", (1, 1, -2)) == [
         (1, 2, -3), (1, 0, -1), (2, 0, -2), (0, 2, -2), (2, 1, -3), (0, 1, -1)
     ]
-    assert len(hexa) == len(HEX_COEFFS)
 
 
 # -- structural invariants ---------------------------------------------------
@@ -160,5 +157,6 @@ def test_stencil_offsets_unknown_model():
 
 
 def test_stencil_offsets_validates_site():
-    with pytest.raises(InvalidSite):
-        stencil_offsets("hex", (1, 0, 1))
+    for model, site in (("hex", (1, 0, 1)), ("hex", (0, 0)), ("cross", (0, 0, 0))):
+        with pytest.raises(InvalidSite):
+            stencil_offsets(model, site)

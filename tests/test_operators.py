@@ -1,11 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from crosshex.bafunc import ConstantNormalization, SpectralDataHex
 from crosshex.errors import (
-    ArityMismatch,
     MissingGauge,
     RankDeficient,
     SchemaError,
@@ -23,17 +23,15 @@ from crosshex.labels import (
     stencil_offsets,
 )
 from crosshex.operators import (
+    CROSS,
     CROSS_EVEN_FORMULAS,
     CROSS_ODD_FORMULAS,
-    CROSS_UNIT_BY_PARITY,
+    HEX,
     HEX_CASE0_F_AS_PRINTED,
-    HEX_CURVE_INTEGRALS,
     HEX_FORMULAS_BY_RESIDUE,
-    HEX_UNIT_BY_RESIDUE,
-    HEX_ZEROS_BY_RESIDUE,
+    MODELS,
     GaugeField,
     StencilField,
-    apply_stencil,
     build_field,
     evaluate_ratio,
     field_from_document,
@@ -95,14 +93,14 @@ def test_hex_oracle_matches_field_and_zero_pattern(hex_data, hex_probes):
 def test_unit_and_zero_coefficients_by_class(cross_data, hex_data):
     cfield = build_field(cross_data, 1)
     for site, st in cfield.stencils.items():
-        unit = CROSS_UNIT_BY_PARITY[(site[0] + site[1]) % 2]
+        unit = CROSS.units[(site[0] + site[1]) % 2]
         assert st.unit == unit and st.coefficient(unit) == 1.0 + 0j
     hfield = build_field(hex_data, 1)
     for site, st in hfield.stencils.items():
         r = (site[0] - site[1]) % 3
-        assert st.unit == HEX_UNIT_BY_RESIDUE[r]
+        assert st.unit == HEX.units[r]
         assert st.coefficient(st.unit) == 1.0 + 0j
-        for key in HEX_ZEROS_BY_RESIDUE[r]:
+        for key in HEX.zeros[r]:
             assert st.coefficient(key) == 0j
 
 
@@ -116,32 +114,25 @@ def _theta_shifts(formula):
             yield tf.shift
 
 
-def test_cross_formula_tables_align_with_shifts():
-    for parity, formulas, ref in ((0, CROSS_EVEN_FORMULAS, (0, 0)), (1, CROSS_ODD_FORMULAS, (1, 0))):
-        site = site_cross(*ref)
-        unit = CROSS_UNIT_BY_PARITY[parity]
-        num_shift = label_shift_cross(site, unit)
-        covered = {f.coeff for f in formulas}
-        assert covered == set(CROSS_COEFFS) - {unit}
+@pytest.mark.parametrize("name", MODELS)
+def test_formula_tables_align_with_shifts(name, request):
+    model = MODELS[name]
+    sd = request.getfixturevalue(f"{name}_data")
+    assert model.spectral_class.model == name and type(sd) is model.spectral_class
+    label_shift = {"cross": label_shift_cross, "hex": label_shift_hex}[name]
+    classes = {model.site_class(model.site(*s)): model.site(*s) for s in model.window(2)}
+    assert sorted(classes) == list(range(len(model.formulas)))
+    assert len(model.units) == len(model.zeros) == len(model.formulas)
+    for cls, site in sorted(classes.items()):
+        unit, zeros, formulas = model.units[cls], model.zeros[cls], model.formulas[cls]
+        # unit, forced zeros and formula keys split the coefficients, no key twice
+        assert sorted([unit, *zeros, *(f.coeff for f in formulas)]) == sorted(model.coeffs)
+        num_shift = label_shift(site, unit)
         for f in formulas:
             assert f.r_num_shift == num_shift
-            assert f.r_den_shift == label_shift_cross(site, f.coeff)
-
-
-def test_hex_formula_tables_align_with_shifts():
-    refs = {0: site_hex(0, 0, 0), 1: site_hex(1, 0, -1), 2: site_hex(2, 0, -2)}
-    for residue, formulas in HEX_FORMULAS_BY_RESIDUE.items():
-        site = refs[residue]
-        unit = HEX_UNIT_BY_RESIDUE[residue]
-        zeros = set(HEX_ZEROS_BY_RESIDUE[residue])
-        covered = {f.coeff for f in formulas}
-        assert covered == set(HEX_COEFFS) - {unit} - zeros
-        num_shift = label_shift_hex(site, unit)
-        for f in formulas:
-            assert f.r_num_shift == num_shift
-            assert f.r_den_shift == label_shift_hex(site, f.coeff)
+            assert f.r_den_shift == label_shift(site, f.coeff)
             for shift in _theta_shifts(f):
-                assert sum(shift[:3]) == 0 and sum(shift[3:]) == 0
+                sd.validate_label(shift)  # hex: both 3-blocks sum to zero
 
 
 def test_ratio_formula_reproduces_oracle_coefficient(cross_data, cross_probes):
@@ -175,7 +166,7 @@ def test_every_formula_declares_its_transcription():
         for formulas in (
             CROSS_EVEN_FORMULAS,
             CROSS_ODD_FORMULAS,
-            *HEX_FORMULAS_BY_RESIDUE.values(),
+            *HEX_FORMULAS_BY_RESIDUE,
         )
         for f in formulas
     ]
@@ -194,7 +185,7 @@ def test_tabulated_backend_builds_identical_field(torus, hex_data):
         torus,
         dict(hex_data.marked),
         list(hex_data.basis_pairs),
-        list(HEX_CURVE_INTEGRALS),
+        list(HEX.curve_integrals),
     )
     tab = load_tabulated_curve(json.loads(json.dumps(doc)))
     sd_tab = SpectralDataHex(tab, tab.marked, [p.lift for p in hex_data.divisor])
@@ -213,7 +204,7 @@ def _random_gauge(model, radius, seed):
     rng = np.random.default_rng(seed)
     sites = set(window_sites(model, radius))
     for site in list(sites):
-        sites.update(nb for nb, _ in stencil_offsets(model, site))
+        sites.update(stencil_offsets(model, site))
     values = {
         site: complex(rng.uniform(0.5, 2.0) * np.exp(2j * np.pi * rng.random()))
         for site in sorted(sites)
@@ -288,7 +279,7 @@ def test_perturbed_coefficient_is_detected(cross_data):
     bumped = [st.scaled(k) for k in CROSS_COEFFS]
     bumped[CROSS_COEFFS.index("v")] = bumped[CROSS_COEFFS.index("v")].times(1 + 1e-3)
     perturbed = StencilField(
-        "cross", 1, {**field.stencils, (0, 0): type(st)(st.unit, tuple(bumped))}
+        "cross", 1, {**field.stencils, (0, 0): replace(st, values=tuple(bumped))}
     )
     rep = residual_report(cross_data, [(0, 0)], probes, field=perturbed)
     assert rep.max_residual >= 1e-4
@@ -300,21 +291,6 @@ def test_oracle_needs_independent_probes(cross_data, cross_probes):
         nullspace_oracle(cross_data, site_cross(0, 0), [cross_probes[0]] * 8)
     with pytest.raises(ValueError):
         nullspace_oracle(cross_data, site_cross(0, 0), cross_probes[:5])
-
-
-def test_apply_stencil_annihilates_only_the_true_stencil(cross_data, cross_probes):
-    site = site_cross(1, 0)
-    stencil = build_field(cross_data, 1).stencils[(1, 0)]
-    P = cross_probes[0]
-    values = [
-        cross_data.psi_scaled(site_cross(*nb), P).as_complex()
-        for nb, _ in stencil_offsets("cross", (1, 0))
-    ]
-    scale = max(abs(v) for v in values)
-    assert abs(apply_stencil("cross", stencil, values)) <= 1e-8 * scale
-    assert abs(apply_stencil("cross", stencil, values[::-1])) > 1e-3 * scale
-    with pytest.raises(ArityMismatch):
-        apply_stencil("cross", stencil, values[:3])
 
 
 # -- documents and CSV ---------------------------------------------------------
@@ -339,22 +315,31 @@ def test_field_document_validation(cross_data):
         doc.update(changes)
         return doc
 
-    with pytest.raises(SchemaError):
-        field_from_document(broken(format="nope"))
-    with pytest.raises(SchemaError):
-        field_from_document(broken(model="tri"))
-    with pytest.raises(SchemaError):
-        field_from_document(broken(window={"radius": "one"}))
+    def first_site(**changes):
+        """The sites list with fields of its first entry replaced."""
+        return [{**good["sites"][0], **changes}] + good["sites"][1:]
 
-    missing_site = json.loads(json.dumps(good))
-    del missing_site["sites"][0]
-    with pytest.raises(SchemaError):
-        field_from_document(missing_site)
-
-    bad_site = json.loads(json.dumps(good))
-    bad_site["sites"][0]["site"] = [0, 0.5]
-    with pytest.raises(SchemaError):
-        field_from_document(bad_site)
+    coeffs = good["sites"][0]["coeffs"]
+    for doc in (
+        broken(format="nope"),
+        broken(model="tri"),
+        broken(model=["cross"]),
+        broken(model="hex"),  # two-index sites in a hex document
+        broken(window={"radius": "one"}),
+        broken(sites=good["sites"][1:]),  # a window site is missing
+        broken(sites=good["sites"] + good["sites"][:1]),  # a site listed twice
+        broken(sites=good["sites"] + [{"site": [2, 0], "coeffs": coeffs}]),  # outside the window
+        broken(sites=first_site(site=[0, 0.5])),
+        broken(sites=first_site(site=[0, 0, 0])),
+        broken(sites=first_site(site=[True, 0])),
+        broken(sites=first_site(site=7)),
+        broken(sites=first_site(coeffs=list(coeffs))),
+        broken(sites=first_site(coeffs={**coeffs, "a": ["1", "2"]})),
+        broken(sites=first_site(coeffs={**coeffs, "a": None})),
+        broken(sites=first_site(coeffs={**coeffs, "a": [None, None]})),
+    ):
+        with pytest.raises(SchemaError):
+            field_from_document(doc)
 
     missing_coeff = json.loads(json.dumps(good))
     del missing_coeff["sites"][0]["coeffs"]["v"]

@@ -13,13 +13,9 @@ from crosshex.errors import (
 )
 from crosshex.surface import (
     TorusCurve,
-    abel,
-    b_period_vector,
     export_curve_document,
     load_tabulated_curve,
     make_torus_curve,
-    riemann_constants,
-    third_kind_integral,
 )
 from crosshex.theta import PeriodMatrix, theta_eval_scaled
 
@@ -28,9 +24,9 @@ from conftest import CELL_FRACTIONS, CROSS_NAME_ORDER, cell_point
 
 def test_abel_map_is_lift_minus_base(torus):
     lift = 0.4 + 1.1j
-    assert abel(torus, torus.point(lift))[0] == lift
+    assert torus.abel(torus.point(lift))[0] == lift
     shifted = make_torus_curve(-6.0, base_lift=0.25)
-    assert abel(shifted, shifted.point(lift))[0] == lift - 0.25
+    assert shifted.abel(shifted.point(lift))[0] == lift - 0.25
 
 
 def test_cover_distance_vanishes_on_lattice_translates(torus):
@@ -53,8 +49,8 @@ def test_third_kind_pole_orders_by_log_fit(torus):
     direction = 0.6 + 0.8j
     for target, expected in ((plus, 1.0), (minus, -1.0)):
         vals = [
-            third_kind_integral(
-                torus, torus.point(target.scalar + eps * direction), plus, minus
+            torus.third_kind_integral(
+                torus.point(target.scalar + eps * direction), plus, minus
             ).real
             for eps in ladder
         ]
@@ -76,7 +72,7 @@ def test_integral_exponential_matches_theta_quotient(torus):
     base = torus.base_lift[0]
     for _ in range(5):
         u = 2j * math.pi * rng.random() + torus.pm.matrix[0, 0] * rng.random()
-        val = third_kind_integral(torus, torus.point(u), plus, minus)
+        val = torus.third_kind_integral(torus.point(u), plus, minus)
         lhs = prime(u - plus.scalar).times(prime(base - minus.scalar))
         rhs = prime(base - plus.scalar).times(prime(u - minus.scalar))
         ratio = lhs.over(rhs).times_exp(complex(-val))
@@ -90,9 +86,9 @@ def test_b_period_agrees_with_endpoint_translation(torus):
     minus = cell_point(torus, 0.71, 0.83)
     u = 0.9 + 0.4j
     b = torus.pm.matrix[0, 0]
-    base_val = third_kind_integral(torus, torus.point(u), plus, minus)
-    moved_val = third_kind_integral(torus, torus.point(u + b), plus, minus)
-    period = b_period_vector(torus, plus, minus)[0]
+    base_val = torus.third_kind_integral(torus.point(u), plus, minus)
+    moved_val = torus.third_kind_integral(torus.point(u + b), plus, minus)
+    period = torus.b_period_vector(plus, minus)[0]
     diff = moved_val - base_val - period
     k = round(diff.imag / (2.0 * math.pi))
     assert abs(diff - 2j * math.pi * k) <= 1e-8
@@ -101,13 +97,13 @@ def test_b_period_agrees_with_endpoint_translation(torus):
 def test_b_period_is_abel_difference(torus):
     plus = cell_point(torus, 0.23, 0.41)
     minus = cell_point(torus, 0.71, 0.83)
-    U = b_period_vector(torus, plus, minus)
-    expected = abel(torus, plus) - abel(torus, minus)
+    U = torus.b_period_vector(plus, minus)
+    expected = torus.abel(plus) - torus.abel(minus)
     assert abs(U[0] - expected[0]) <= 1e-12
 
 
 def test_riemann_constants_value_and_divisor_check(torus):
-    K = riemann_constants(torus)
+    K = torus.riemann_constants()
     assert abs(K[0] - (-3.0 + 1j * math.pi)) <= 1e-12  # i*pi + B/2 for B = -6
     at_minus_k = theta_eval_scaled(torus.pm, -K)
     at_zero = theta_eval_scaled(torus.pm, [0.0])
@@ -118,9 +114,9 @@ def test_complex_period_backend():
     curve = make_torus_curve(complex(-5.0, 1.3))
     plus = cell_point(curve, 0.2, 0.4)
     minus = cell_point(curve, 0.7, 0.8)
-    val = third_kind_integral(curve, cell_point(curve, 0.45, 0.1), plus, minus)
+    val = curve.third_kind_integral(cell_point(curve, 0.45, 0.1), plus, minus)
     assert np.isfinite(val.real) and np.isfinite(val.imag)
-    K = riemann_constants(curve)[0]
+    K = curve.riemann_constants()[0]
     assert abs(K - (1j * math.pi + complex(-5.0, 1.3) / 2.0)) <= 1e-12
 
 
@@ -129,7 +125,7 @@ def test_straight_path_through_pole_is_refused(torus):
     plus = torus.point(0.35 * b)  # directly on the base-to-endpoint chord
     minus = cell_point(torus, 0.5, 0.9)
     with pytest.raises(PoleOnPath):
-        third_kind_integral(torus, torus.point(0.7 * b), plus, minus)
+        torus.third_kind_integral(torus.point(0.7 * b), plus, minus)
 
 
 def test_genus_one_only():
@@ -167,23 +163,21 @@ def test_tabulated_backend_serves_stored_values(torus, curve_doc):
     tab = load_tabulated_curve(json.loads(json.dumps(curve_doc)))
     p2p = tab.marked["P2+"]
     plus, minus = tab.marked["P1+"], tab.marked["P1-"]
-    stored = third_kind_integral(tab, p2p, plus, minus)
-    direct = third_kind_integral(
-        torus, torus.point(p2p.lift), torus.point(plus.lift), torus.point(minus.lift)
+    stored = tab.third_kind_integral(p2p, plus, minus)
+    direct = torus.third_kind_integral(
+        torus.point(p2p.lift), torus.point(plus.lift), torus.point(minus.lift)
     )
     assert stored == direct  # the document stores full doubles
-    U_tab = b_period_vector(tab, plus, minus)
-    U_dir = b_period_vector(torus, torus.point(plus.lift), torus.point(minus.lift))
+    U_tab = tab.b_period_vector(plus, minus)
+    U_dir = torus.b_period_vector(torus.point(plus.lift), torus.point(minus.lift))
     assert U_tab[0] == U_dir[0]
-    assert riemann_constants(tab)[0] == riemann_constants(torus)[0]
+    assert tab.riemann_constants()[0] == torus.riemann_constants()[0]
 
 
 def test_tabulated_lookup_of_unstored_combination(curve_doc):
     tab = load_tabulated_curve(curve_doc)
     with pytest.raises(UnknownPoint):
-        third_kind_integral(
-            tab, tab.marked["P3+"], tab.marked["P1+"], tab.marked["P1-"]
-        )
+        tab.third_kind_integral(tab.marked["P3+"], tab.marked["P1+"], tab.marked["P1-"])
 
 
 def test_tabulated_rejects_missing_sections(curve_doc):
