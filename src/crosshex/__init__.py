@@ -87,6 +87,7 @@ from .surface import (
     TorusCurve,
     export_curve_document,
     load_tabulated_curve,
+    load_torus_curve,
     make_torus_curve,
 )
 from .theta import (

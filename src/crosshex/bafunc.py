@@ -25,7 +25,6 @@ their products stay moderate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,7 @@ from .errors import (
     SingularEvaluation,
 )
 from .labels import Label3, Label6, SiteCross, SiteHex, relabel_cross, relabel_hex
-from .surface import SpectralCurve, SurfacePoint
+from .surface import SpectralCurve, SurfacePoint, complex_from_json
 from .theta import ScaledComplex, theta_eval_scaled
 
 _MIN_POINT_SEPARATION = 1e-6
@@ -86,8 +85,7 @@ class ConstantNormalization:
     def from_json(obj: dict) -> "ConstantNormalization":
         if not isinstance(obj, dict) or obj.get("kind") != "constant":
             raise ValueError(f"unsupported normalization description: {obj!r}")
-        val = obj.get("value", [1.0, 0.0])
-        return ConstantNormalization(complex(val[0], val[1]))
+        return ConstantNormalization(complex_from_json(obj.get("value", [1.0, 0.0]), "value"))
 
 
 class _SpectralDataBase:

@@ -31,8 +31,9 @@ import sys
 import numpy as np
 
 from .bafunc import ConstantNormalization
-from .errors import CrosshexError, SchemaError, SeparationFailure
+from .errors import CrosshexError, SchemaError
 from .operators import (
+    MIN_ORACLE_PROBES,
     MODELS,
     build_field,
     field_from_document,
@@ -45,19 +46,19 @@ from .operators import (
 )
 from .surface import (
     TorusCurve,
-    _json2lift,
-    _lift2json,
-    _pair2c,
     export_curve_document,
+    lift_from_json,
+    lift_to_json,
     load_tabulated_curve,
+    load_torus_curve,
     make_torus_curve,
 )
 
 SPECTRAL_DOC_FORMAT = "crosshex-spectral-v1"
 VERIFY_DOC_FORMAT = "crosshex-verify-v1"
 
+# marked and divisor points keep this cover distance from the base and each other
 _MIN_COVER_SEPARATION = 0.1
-_MAX_DRAWS = 1000
 
 
 def _dump_json(obj, path: str) -> None:
@@ -79,32 +80,6 @@ def _load_json(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _sample_separated_lifts(curve: TorusCurve, rng, count: int) -> list[np.ndarray]:
-    """Uniform cell draws, pairwise and base-separated by 0.1 cover distance."""
-    B = curve.pm.matrix
-    g = curve.genus
-    kept: list[np.ndarray] = []
-    anchors = [np.array(curve.base_lift, dtype=complex)]
-    tries = 0
-    while len(kept) < count:
-        if tries >= _MAX_DRAWS:
-            raise SeparationFailure(
-                f"placed {len(kept)} of {count} points in {_MAX_DRAWS} draws at "
-                f"minimum cover separation {_MIN_COVER_SEPARATION}"
-            )
-        tries += 1
-        lift = (
-            np.array(curve.base_lift, dtype=complex)
-            + 2j * math.pi * rng.random(g)
-            + B @ rng.random(g)
-        )
-        if min(curve.cover_distance(lift, a) for a in anchors) < _MIN_COVER_SEPARATION:
-            continue
-        anchors.append(lift)
-        kept.append(lift)
-    return kept
-
-
 def cmd_gen_spectral(config) -> int:
     model = MODELS[config.model]
     spectral_class = model.spectral_class
@@ -118,10 +93,12 @@ def cmd_gen_spectral(config) -> int:
         b = complex(rng.uniform(-8.0, -3.0))
     curve = make_torus_curve(b)
     names = spectral_class.marked_names
-    genus = curve.genus
-    lifts = _sample_separated_lifts(curve, rng, len(names) + genus)
-    marked = {name: curve.point(lifts[i]) for i, name in enumerate(names)}
-    divisor = [curve.point(lift) for lift in lifts[len(names):]]
+    points = curve.sample_points(
+        rng, len(names) + curve.genus, avoid=[curve.point(curve.base_lift)],
+        min_avoid=_MIN_COVER_SEPARATION, min_pairwise=_MIN_COVER_SEPARATION, max_tries=1000,
+    )
+    marked = dict(zip(names, points))
+    divisor = points[len(names):]
     normalization = ConstantNormalization()
     # construct once now: separation and precomputation problems should
     # surface at generation time, not at first use
@@ -139,7 +116,7 @@ def cmd_gen_spectral(config) -> int:
         "seed": config.seed,
         "backend": "torus-analytic",
         "curve_ref": os.path.basename(curve_path),
-        "divisor": [_lift2json(p.lift) for p in divisor],
+        "divisor": [lift_to_json(p.lift) for p in divisor],
         "normalization": normalization.to_json(),
     }
     _dump_json(curve_doc, curve_path)
@@ -174,39 +151,19 @@ def load_spectral_document(path: str):
     curve_ref = doc.get("curve_ref")
     if not isinstance(curve_ref, str) or not curve_ref:
         raise SchemaError(f"{path}: curve_ref must be a nonempty path string")
+    backend = doc.get("backend")
+    if backend not in ("torus-analytic", "tabulated"):
+        raise SchemaError(f"{path}: unknown backend {backend!r}")
     curve_path = os.path.join(os.path.dirname(path) or ".", curve_ref)
     curve_doc = _load_json(curve_path)
-    backend = doc.get("backend")
-    if backend == "torus-analytic":
-        if not isinstance(curve_doc, dict):
-            raise SchemaError(f"{curve_path}: curve document must be a JSON object")
-        genus = curve_doc.get("genus")
-        if genus != 1:
-            raise SchemaError(
-                f"{curve_path}: the analytic backend is genus-1 only, got genus {genus!r}"
-            )
-        B_raw = curve_doc.get("B")
-        try:
-            b_val = _pair2c(B_raw[0][0], "B")
-        except (TypeError, IndexError, KeyError):
-            raise SchemaError(f"{curve_path}: B must be a 1x1 matrix of [re, im] pairs") from None
-        base = _json2lift(curve_doc.get("base_lift"), 1, "base_lift")
-        try:
-            curve = make_torus_curve(b_val, base[0])
-        except ValueError as exc:
-            raise SchemaError(f"{curve_path}: {exc}") from None
-        marked_raw = curve_doc.get("marked_points")
-        if not isinstance(marked_raw, dict):
-            raise SchemaError(f"{curve_path}: marked_points must be an object")
-        marked = {
-            name: curve.point(_json2lift(lift, 1, f"marked_points[{name}]"))
-            for name, lift in marked_raw.items()
-        }
-    elif backend == "tabulated":
-        curve = load_tabulated_curve(curve_doc)
-        marked = curve.marked
-    else:
-        raise SchemaError(f"{path}: unknown backend {backend!r}")
+    try:
+        if backend == "tabulated":
+            curve = load_tabulated_curve(curve_doc)
+            marked = curve.marked
+        else:
+            curve, marked = load_torus_curve(curve_doc)
+    except SchemaError as exc:
+        raise SchemaError(f"{curve_path}: {exc}") from None
     if set(marked) != set(spectral_class.marked_names):
         raise SchemaError(
             f"{curve_path}: marked points {sorted(marked)} do not match model {spectral_class.model}"
@@ -215,13 +172,13 @@ def load_spectral_document(path: str):
     if not isinstance(divisor_raw, list) or len(divisor_raw) != curve.genus:
         raise SchemaError(f"{path}: divisor must list exactly genus={curve.genus} points")
     divisor = [
-        curve.point(_json2lift(x, curve.genus, f"divisor[{i}]"))
+        curve.point(lift_from_json(x, curve.genus, f"divisor[{i}]"))
         for i, x in enumerate(divisor_raw)
     ]
     norm_raw = doc.get("normalization")
     try:
         normalization = ConstantNormalization.from_json(norm_raw)
-    except (ValueError, TypeError, IndexError, KeyError) as exc:
+    except (ValueError, SchemaError) as exc:
         raise SchemaError(f"{path}: bad normalization: {exc}") from None
     sd = spectral_class(curve, marked, divisor, normalization)
     return sd, doc
@@ -344,6 +301,25 @@ def cmd_export(config) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _checked(convert, accept, rule: str):
+    """An argparse ``type`` that refuses values outside ``rule`` with a usage error."""
+
+    def parse(text: str):
+        value = convert(text)  # argparse reports a ValueError as "invalid int value"
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_NATURAL = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_PROBE_COUNT = _checked(int, lambda v: v >= MIN_ORACLE_PROBES, f"an integer >= {MIN_ORACLE_PROBES}")
+_FINITE = _checked(float, math.isfinite, "a finite number")
+_TOLERANCE = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="crosshex",
@@ -353,32 +329,32 @@ def _build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-spectral", help="generate seeded spectral data documents")
     g.add_argument("--model", choices=tuple(MODELS), required=True)
-    g.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+    g.add_argument("--seed", type=_NATURAL, default=0, help="RNG seed (default 0)")
     g.add_argument(
-        "--b-re", type=float, default=None,
+        "--b-re", type=_FINITE, default=None,
         help="period real part (<= -3); default: seeded draw from [-8, -3]",
     )
-    g.add_argument("--b-im", type=float, default=0.0, help="period imaginary part")
+    g.add_argument("--b-im", type=_FINITE, default=0.0, help="period imaginary part")
     g.add_argument("-o", "--output", required=True, help="spectral document path (.json)")
     g.set_defaults(func=cmd_gen_spectral)
 
     b = sub.add_parser("build", help="evaluate the stencil field on a window")
     b.add_argument("-i", "--input", required=True, help="spectral document path")
-    b.add_argument("--window", type=int, default=3, help="window radius (default 3)")
+    b.add_argument("--window", type=_NATURAL, default=3, help="window radius (default 3)")
     b.add_argument("-o", "--output", required=True, help="field document path (.json)")
     b.set_defaults(func=cmd_build)
 
     v = sub.add_parser("verify", help="check residuals, kernel gap, and oracle match")
     v.add_argument("-i", "--input", required=True, help="spectral document path")
-    v.add_argument("--window", type=int, default=3, help="window radius (default 3)")
-    v.add_argument("--probes", type=int, default=20, help="probe count (default 20)")
+    v.add_argument("--window", type=_NATURAL, default=3, help="window radius (default 3)")
+    v.add_argument("--probes", type=_PROBE_COUNT, default=20, help="probe count (default 20)")
     v.add_argument(
-        "--seed", type=int, default=None,
+        "--seed", type=_NATURAL, default=None,
         help="probe seed (default: spectral seed + 1000)",
     )
-    v.add_argument("--tol", type=float, default=1e-8, help="residual tolerance")
-    v.add_argument("--gap-tol", type=float, default=1e-6, help="kernel-gap tolerance")
-    v.add_argument("--match-tol", type=float, default=1e-6, help="oracle-match tolerance")
+    v.add_argument("--tol", type=_TOLERANCE, default=1e-8, help="residual tolerance")
+    v.add_argument("--gap-tol", type=_TOLERANCE, default=1e-6, help="kernel-gap tolerance")
+    v.add_argument("--match-tol", type=_TOLERANCE, default=1e-6, help="oracle-match tolerance")
     v.add_argument("-o", "--output", default=None, help="optional JSON report path")
     v.set_defaults(func=cmd_verify)
 
@@ -395,10 +371,7 @@ def main(argv=None) -> int:
     config = parser.parse_args(argv)
     try:
         return config.func(config)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CrosshexError as exc:

@@ -40,11 +40,10 @@ from .errors import (
     MissingGauge,
     RankDeficient,
     SchemaError,
-    SeparationFailure,
     SingularEvaluation,
 )
 from .labels import CROSS_COEFFS, HEX_COEFFS, site_cross, site_hex, stencil_offsets
-from .surface import SurfacePoint, TorusCurve
+from .surface import SurfacePoint, complex_from_json
 from .theta import ScaledComplex
 
 FIELD_DOC_FORMAT = "crosshex-field-v1"
@@ -727,8 +726,9 @@ def field_from_document(doc: dict) -> StencilField:
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
     window = doc.get("window")
-    if not isinstance(window, dict) or not isinstance(window.get("radius"), int):
-        raise SchemaError("window must be an object with an integer 'radius'")
+    radius = window.get("radius") if isinstance(window, dict) else None
+    if type(radius) is not int or radius < 0:
+        raise SchemaError("window must be an object with an integer 'radius' >= 0")
     sites_raw = doc.get("sites")
     if not isinstance(sites_raw, list):
         raise SchemaError("sites must be a list")
@@ -752,18 +752,13 @@ def field_from_document(doc: dict) -> StencilField:
             raise SchemaError(
                 f"site {site}: coefficients must be exactly {model.coeffs}, got {sorted(coeffs)}"
             )
-        vals = []
-        for k in model.coeffs:
-            try:
-                # ValueError: not two items; TypeError: strings, null, nested lists
-                re, im = coeffs[k]
-                value = complex(re, im)
-            except (TypeError, ValueError):
-                raise SchemaError(f"site {site}: coefficient {k} must be a [re, im] pair") from None
-            vals.append(ScaledComplex.from_complex(value))
+        try:
+            vals = [ScaledComplex.from_complex(complex_from_json(coeffs[k], k)) for k in model.coeffs]
+        except SchemaError as exc:
+            raise SchemaError(f"site {site}: coefficient {exc}") from None
         stencils[site] = Stencil(model, model.units[model.site_class(s)], tuple(vals))
     try:
-        return StencilField(model.name, window["radius"], stencils)
+        return StencilField(model.name, radius, stencils)
     except ValueError as exc:
         raise SchemaError(str(exc)) from None
 
@@ -887,6 +882,8 @@ def residual_report(
 # verification: independent null-space oracle
 # ---------------------------------------------------------------------------
 
+MIN_ORACLE_PROBES = 8
+
 
 def nullspace_oracle(sd, site, probes) -> tuple[Stencil, float]:
     """Recover the stencil at ``site`` from function values alone.
@@ -900,8 +897,8 @@ def nullspace_oracle(sd, site, probes) -> tuple[Stencil, float]:
     is small.  Raises :class:`RankDeficient` when the second-smallest
     singular value also collapses (degenerate probes or data).
     """
-    if len(probes) < 8:
-        raise ValueError("nullspace_oracle needs at least 8 probe points")
+    if len(probes) < MIN_ORACLE_PROBES:
+        raise ValueError(f"nullspace_oracle needs at least {MIN_ORACLE_PROBES} probe points")
     model = MODELS[sd.model]
     s_obj = model.site(*site)
     neighbor_sites = stencil_offsets(model.name, s_obj)
@@ -1080,39 +1077,13 @@ def sample_probes(
 ) -> list[SurfacePoint]:
     """Deterministic quasi-uniform probe points on the curve.
 
-    Lifts are drawn uniformly in the fundamental cell, rejected within
-    ``min_avoid`` cover-distance of any marked or divisor point and
-    within ``min_pairwise`` of each other.  On the analytic backend,
-    candidates whose base-to-lift segment passes within 1e-3 of a
-    marked-point translate are also rejected, so downstream integrals
-    never fight the pole guard.  Raises :class:`SeparationFailure` after
-    ``max_tries`` draws.
+    Draws with :meth:`SpectralCurve.sample_points`, clear of the marked
+    and divisor points.  The marked points are the poles whose
+    translates the base-to-probe path must clear, so downstream
+    integrals never fight the pole guard.
     """
-    curve = sd.curve
-    g = curve.genus
-    rng = np.random.default_rng(seed)
-    avoid = [p.as_array() for p in sd.marked.values()] + [p.as_array() for p in sd.divisor]
-    base = np.array(curve.base_lift, dtype=complex)
-    B = curve.pm.matrix
-    probes: list[SurfacePoint] = []
-    tries = 0
-    while len(probes) < count:
-        if tries >= max_tries:
-            raise SeparationFailure(
-                f"could only place {len(probes)} of {count} probes in {max_tries} draws"
-            )
-        tries += 1
-        lift = base + 2j * math.pi * rng.random(g) + B @ rng.random(g)
-        if min(curve.cover_distance(lift, a) for a in avoid) < min_avoid:
-            continue
-        if probes and min(curve.cover_distance(lift, p.as_array()) for p in probes) < min_pairwise:
-            continue
-        if isinstance(curve, TorusCurve):
-            clearance = min(
-                curve._segment_pole_distance(p.scalar, base[0], complex(lift[0]))
-                for p in sd.marked.values()
-            )
-            if clearance < 1e-3:
-                continue
-        probes.append(curve.point(lift))
-    return probes
+    marked = list(sd.marked.values())
+    return sd.curve.sample_points(
+        np.random.default_rng(seed), count, marked + list(sd.divisor),
+        min_avoid, min_pairwise, max_tries, poles=marked,
+    )

@@ -39,11 +39,13 @@ from .errors import (
     DimensionMismatch,
     PoleOnPath,
     SchemaError,
+    SeparationFailure,
     UnknownPoint,
 )
 from .theta import PeriodMatrix, ScaledComplex, theta_eval_scaled
 
 _POLE_TOL = 1e-8
+_PATH_CLEARANCE = 1e-3
 _BILINEAR_TOL = 1e-8
 _KCHECK_REL = 1e-10
 _CONTINUATION_STACK_CAP = 64
@@ -148,6 +150,42 @@ class SpectralCurve:
             best = min(best, float(np.linalg.norm(delta - lat)))
         return best
 
+    def _path_clearance(self, lift: complex, poles) -> float:
+        """Distance from the base-to-lift integration path to the poles (none for stored tables)."""
+        return math.inf
+
+    def sample_points(
+        self, rng, count: int, avoid, min_avoid: float, min_pairwise: float, max_tries: int, poles=()
+    ) -> list[SurfacePoint]:
+        """Rejection-sample ``count`` lifts uniformly from the fundamental cell.
+
+        Each draw is ``base + 2*pi*i*rng.random(g) + B @ rng.random(g)``.
+        It is rejected within ``min_avoid`` cover distance of a point of
+        the non-empty ``avoid``, within ``min_pairwise`` of a lift kept, and,
+        when ``poles`` are given, if its base-to-lift path passes within
+        1e-3 of a pole translate.  Raises :class:`SeparationFailure`
+        after ``max_tries`` draws.
+        """
+        g = self.genus
+        B = self.pm.matrix
+        base = np.array(self.base_lift, dtype=complex)
+        avoid = [p.as_array() for p in avoid]
+        kept: list[np.ndarray] = []
+        for _ in range(max_tries):
+            if len(kept) == count:
+                break
+            lift = base + 2j * math.pi * rng.random(g) + B @ rng.random(g)
+            if min(self.cover_distance(lift, a) for a in avoid) < min_avoid:
+                continue
+            if kept and min(self.cover_distance(lift, k) for k in kept) < min_pairwise:
+                continue
+            if poles and self._path_clearance(complex(lift[0]), poles) < _PATH_CLEARANCE:
+                continue
+            kept.append(lift)
+        if len(kept) < count:
+            raise SeparationFailure(f"placed {len(kept)} of {count} points in {max_tries} draws")
+        return [self.point(lift) for lift in kept]
+
 
 class TorusCurve(SpectralCurve):
     """Genus-one curve with everything computed analytically.
@@ -179,6 +217,10 @@ class TorusCurve(SpectralCurve):
     def _prime(self, w: complex) -> ScaledComplex:
         """E(w) = Theta(w - z0); vanishes exactly on the period lattice."""
         return theta_eval_scaled(self.pm, w - self._z0, self.eps)
+
+    def _path_clearance(self, lift: complex, poles) -> float:
+        base = self.base_lift[0]
+        return min(self._segment_pole_distance(p.scalar, base, lift) for p in poles)
 
     def _segment_pole_distance(self, pole: complex, a: complex, b: complex) -> float:
         """Min distance from segment [a, b] to the lattice translates of ``pole``."""
@@ -368,34 +410,34 @@ def _c2pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _pair2c(obj, where: str) -> complex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
-    ):
-        raise SchemaError(f"{where}: expected a [re, im] pair, got {obj!r}")
-    return complex(obj[0], obj[1])
+_PAIR_TYPES = (list, tuple)
+_REAL_TYPES = (float, int)  # compared as exact types: a bool is an int subclass, not a number
 
 
-def _lift2json(lift: tuple[complex, ...]) -> list:
-    if len(lift) == 1:
-        return _c2pair(lift[0])
-    return [_c2pair(z) for z in lift]
+def complex_from_json(obj, where: str) -> complex:
+    """Read a ``[re, im]`` pair of numbers, the one complex encoding of every document."""
+    # field documents call this once per coefficient: the message is built only on failure
+    try:
+        re, im = obj
+    except (TypeError, ValueError):
+        pass
+    else:
+        if type(re) in _REAL_TYPES and type(im) in _REAL_TYPES and type(obj) in _PAIR_TYPES:
+            return complex(re, im)
+    raise SchemaError(f"{where}: expected a [re, im] pair, got {obj!r}")
 
 
-def _json2lift(obj, genus: int, where: str) -> tuple[complex, ...]:
-    if (
-        isinstance(obj, (list, tuple))
-        and len(obj) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj)
-    ):
-        if genus != 1:
-            raise SchemaError(f"{where}: scalar lift given for genus {genus}")
-        return (complex(obj[0], obj[1]),)
-    if not isinstance(obj, (list, tuple)) or len(obj) != genus:
-        raise SchemaError(f"{where}: expected a lift of length {genus}")
-    return tuple(_pair2c(x, where) for x in obj)
+def lift_to_json(lift: tuple[complex, ...]) -> list:
+    return _c2pair(lift[0]) if len(lift) == 1 else [_c2pair(z) for z in lift]
+
+
+def lift_from_json(obj, genus: int, where: str) -> tuple[complex, ...]:
+    """A genus-one lift is one ``[re, im]`` pair, a genus-g lift a list of g pairs."""
+    if genus == 1:
+        return (complex_from_json(obj, where),)
+    if type(obj) not in _PAIR_TYPES or len(obj) != genus:
+        raise SchemaError(f"{where}: expected a lift of {genus} [re, im] pairs")
+    return tuple(complex_from_json(x, where) for x in obj)
 
 
 class TabulatedCurve(SpectralCurve):
@@ -457,27 +499,24 @@ class TabulatedCurve(SpectralCurve):
         return self._constants.copy()
 
 
-def load_tabulated_curve(document: dict) -> TabulatedCurve:
-    """Build a :class:`TabulatedCurve` from a curve-data document.
+_CURVE_DOC_KEYS = {
+    "genus", "B", "base_lift", "marked_points", "riemann_constants", "b_periods", "third_kind_integrals"
+}
 
-    Structural problems raise :class:`SchemaError`; well-formed data
-    that fails a recomputable invariant (B symmetry/definiteness, stored
-    b-periods vs Abel differences to 1e-8, opposite-orientation integral
-    pairs, the Riemann-constant vanishing check) raises
-    :class:`ConsistencyFailure`.
+
+def _read_curve_document(document: dict) -> TabulatedCurve:
+    """Read a curve-data document into its tables, checking its structure only.
+
+    Both backends start here.  Any structural problem raises
+    :class:`SchemaError`: a wrong ``format``, a missing section, a
+    malformed number, pair or lift, a key naming an unknown marked
+    point, or a ``B`` that is not a valid period matrix.
     """
     if not isinstance(document, dict):
         raise SchemaError("curve document must be a JSON object")
-    required = {
-        "genus",
-        "B",
-        "base_lift",
-        "marked_points",
-        "riemann_constants",
-        "b_periods",
-        "third_kind_integrals",
-    }
-    missing = required - document.keys()
+    if document.get("format") != CURVE_DOC_FORMAT:
+        raise SchemaError(f"not a {CURVE_DOC_FORMAT} document (format {document.get('format')!r})")
+    missing = _CURVE_DOC_KEYS - document.keys()
     if missing:
         raise SchemaError(f"curve document is missing keys: {sorted(missing)}")
     genus = document["genus"]
@@ -490,74 +529,91 @@ def load_tabulated_curve(document: dict) -> TabulatedCurve:
     for i, row in enumerate(braw):
         if not isinstance(row, list) or len(row) != genus:
             raise SchemaError(f"B row {i} must have {genus} entries")
-        rows.append([_pair2c(x, f"B[{i}][{j}]") for j, x in enumerate(row)])
+        rows.append([complex_from_json(x, f"B[{i}][{j}]") for j, x in enumerate(row)])
     try:
         pm = PeriodMatrix(np.array(rows, dtype=complex))
-    except DimensionMismatch as exc:
-        raise SchemaError(str(exc)) from None
     except ValueError as exc:
-        raise ConsistencyFailure(f"stored B is invalid: {exc}") from None
+        raise SchemaError(f"B: {exc}") from None
 
-    base = _json2lift(document["base_lift"], genus, "base_lift")
-    marked_raw = document["marked_points"]
-    if not isinstance(marked_raw, dict) or not marked_raw:
-        raise SchemaError("marked_points must be a non-empty mapping")
+    for section in ("marked_points", "b_periods", "third_kind_integrals"):
+        if not isinstance(document[section], dict):
+            raise SchemaError(f"{section} must be a mapping")
+    if not document["marked_points"]:
+        raise SchemaError("marked_points must not be empty")
+
+    base = lift_from_json(document["base_lift"], genus, "base_lift")
     marked = {
-        str(name): SurfacePoint(_json2lift(val, genus, f"marked_points[{name}]"))
-        for name, val in marked_raw.items()
+        str(name): SurfacePoint(lift_from_json(val, genus, f"marked_points[{name}]"))
+        for name, val in document["marked_points"].items()
     }
-    constants = np.array(_json2lift(document["riemann_constants"], genus, "riemann_constants"))
-
-    b_periods_raw = document["b_periods"]
-    if not isinstance(b_periods_raw, dict):
-        raise SchemaError("b_periods must be a mapping")
+    constants = np.array(lift_from_json(document["riemann_constants"], genus, "riemann_constants"))
     b_periods: dict[str, np.ndarray] = {}
-    for key, val in b_periods_raw.items():
-        parts = str(key).split("/")
-        if len(parts) != 2:
+    for key, val in document["b_periods"].items():
+        names = str(key).split("/")
+        if len(names) != 2:
             raise SchemaError(f"b_periods key {key!r} must look like 'A/B'")
-        b_periods[str(key)] = np.array(_json2lift(val, genus, f"b_periods[{key}]"))
+        if not set(names) <= marked.keys():
+            raise SchemaError(f"b_periods key {key!r} names unknown marked points")
+        b_periods[str(key)] = np.array(lift_from_json(val, genus, f"b_periods[{key}]"))
 
-    integrals_raw = document["third_kind_integrals"]
-    if not isinstance(integrals_raw, dict):
-        raise SchemaError("third_kind_integrals must be a mapping")
     integrals: dict[str, complex] = {}
-    for key, val in integrals_raw.items():
+    for key, val in document["third_kind_integrals"].items():
         skey = str(key)
         head, sep, tail = skey.partition("|")
         pair = tail.split(",")
         if not sep or len(pair) != 2:
             raise SchemaError(f"third_kind_integrals key {key!r} must look like 'S|A,B'")
-        integrals[skey] = _pair2c(val, f"third_kind_integrals[{key}]")
+        for nm in (head, *pair):
+            if nm not in marked:
+                raise SchemaError(f"third_kind_integrals key {key!r} names unknown point {nm!r}")
+        integrals[skey] = complex_from_json(val, f"third_kind_integrals[{key}]")
 
-    curve = TabulatedCurve(pm, base, marked, constants, b_periods, integrals)
+    return TabulatedCurve(pm, base, marked, constants, b_periods, integrals)
 
-    # recomputable invariants
-    for key, U in b_periods.items():
+
+def load_torus_curve(document: dict) -> tuple[TorusCurve, dict[str, SurfacePoint]]:
+    """The analytic genus-one curve and its marked points, from a curve document.
+
+    Only the structure is checked: a :class:`TorusCurve` validates its
+    own Riemann constants and b-periods when first asked for them.
+    """
+    tables = _read_curve_document(document)
+    if tables.genus != 1:
+        raise SchemaError(f"the analytic backend is genus-1 only, got genus {tables.genus}")
+    return TorusCurve(tables.pm, tables.base_lift[0]), tables.marked
+
+
+def load_tabulated_curve(document: dict) -> TabulatedCurve:
+    """Build a :class:`TabulatedCurve` from a curve-data document.
+
+    Structural problems raise :class:`SchemaError`; well-formed data
+    that fails a recomputable invariant (stored b-periods vs Abel
+    differences to 1e-8, opposite-orientation integral pairs, the
+    Riemann-constant vanishing check) raises :class:`ConsistencyFailure`.
+    """
+    curve = _read_curve_document(document)
+    marked = curve.marked
+    for key, U in curve._b_periods.items():
         a_name, b_name = key.split("/")
-        if a_name not in marked or b_name not in marked:
-            raise SchemaError(f"b_periods key {key!r} names unknown marked points")
         diff = curve.abel(marked[a_name]) - curve.abel(marked[b_name])
         err = float(np.abs(U - diff).max())
         if err > _BILINEAR_TOL:
             raise ConsistencyFailure(
                 f"stored b-period {key!r} disagrees with the Abel difference by {err:.3e}"
             )
-    for key in integrals:
+    integrals = curve._integrals
+    for key, value in integrals.items():
         endpoint, _, tail = key.partition("|")
         a_name, b_name = tail.split(",")
-        for nm in (endpoint, a_name, b_name):
-            if nm not in marked:
-                raise SchemaError(f"third_kind_integrals key {key!r} names unknown point {nm!r}")
         flipped = f"{endpoint}|{b_name},{a_name}"
         if flipped in integrals:
-            mismatch = abs(integrals[key] + integrals[flipped])
-            if mismatch > _BILINEAR_TOL * max(1.0, abs(integrals[key])):
+            mismatch = abs(value + integrals[flipped])
+            if mismatch > _BILINEAR_TOL * max(1.0, abs(value)):
                 raise ConsistencyFailure(
                     f"stored integrals {key!r} and {flipped!r} are not negatives "
                     f"(|sum| = {mismatch:.3e})"
                 )
-    _validate_constants(curve, constants)
+    _validate_constants(curve, curve.riemann_constants())
     return curve
 
 
@@ -580,7 +636,7 @@ def export_curve_document(
     b_periods = {}
     for plus_name, minus_name in b_period_pairs:
         U = curve.b_period_vector(marked[plus_name], marked[minus_name])
-        b_periods[f"{plus_name}/{minus_name}"] = _lift2json(tuple(U))
+        b_periods[f"{plus_name}/{minus_name}"] = lift_to_json(tuple(U))
     integrals = {}
     for endpoint, (plus_name, minus_name) in integral_specs:
         val = curve.third_kind_integral(marked[endpoint], marked[plus_name], marked[minus_name])
@@ -589,9 +645,9 @@ def export_curve_document(
         "format": CURVE_DOC_FORMAT,
         "genus": curve.genus,
         "B": [[_c2pair(z) for z in row] for row in curve.pm.matrix],
-        "base_lift": _lift2json(curve.base_lift),
-        "marked_points": {name: _lift2json(pt.lift) for name, pt in marked.items()},
-        "riemann_constants": _lift2json(tuple(curve.riemann_constants())),
+        "base_lift": lift_to_json(curve.base_lift),
+        "marked_points": {name: lift_to_json(pt.lift) for name, pt in marked.items()},
+        "riemann_constants": lift_to_json(tuple(curve.riemann_constants())),
         "b_periods": b_periods,
         "third_kind_integrals": integrals,
     }

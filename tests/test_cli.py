@@ -190,8 +190,10 @@ def test_corrupt_documents_exit_2(workspace, tmp_path, capsys):
             {"sites": [{**first, "coeffs": list(first["coeffs"])}] + sites[1:]},
             {"sites": [{**first, "coeffs": {**first["coeffs"], "a": ["1", "0"]}}] + sites[1:]},
             {"sites": [{**first, "coeffs": {**first["coeffs"], "a": None}}] + sites[1:]},
+            {"sites": [{**first, "coeffs": {**first["coeffs"], "a": [True, False]}}] + sites[1:]},
             {"sites": sites + [first]},
             {"sites": sites + [{**first, "site": [9, 9]}]},
+            {"window": {"radius": -1}, "sites": []},
         ]
     ):
         path = tmp_path / f"field-{i}.json"
@@ -200,27 +202,58 @@ def test_corrupt_documents_exit_2(workspace, tmp_path, capsys):
 
     sdoc = json.loads(spectral.read_text())
     cdoc = json.loads((spectral.parent / sdoc["curve_ref"]).read_text())
+    drop = object()  # marks a key to delete
+    tabulated = {"backend": "tabulated"}
     for i, (spectral_change, curve_change) in enumerate(
         [
             ({"seed": "x"}, {}),
             ({"seed": None}, {}),
             ({"seed": 1.5}, {}),
             ({"model": ["cross"]}, {}),
+            ({"normalization": {"kind": "constant", "value": [1.0, 0.0, 99]}}, {}),
+            ({"normalization": {"kind": "constant", "value": [True, 0]}}, {}),
             ({}, {"B": [[[0.5, 0.0]]]}),
+            (tabulated, {"B": [[[0.5, 0.0]]]}),
+            ({}, {"B": [[[True, False]]]}),
+            ({}, {"format": "nonsense"}),
+            (tabulated, {"format": "nonsense"}),
+            ({}, {"format": drop}),
+            ({}, {"riemann_constants": drop}),
+            ({}, {"third_kind_integrals": drop}),
         ]
     ):
         folder = tmp_path / f"spectral-{i}"
         folder.mkdir()
+        curve = {k: v for k, v in {**cdoc, **curve_change}.items() if v is not drop}
         (folder / spectral.name).write_text(json.dumps({**sdoc, **spectral_change}))
-        (folder / sdoc["curve_ref"]).write_text(json.dumps({**cdoc, **curve_change}))
-        argv = ["verify", "-i", str(folder / spectral.name), "--window", "0", "--probes", "8"]
-        assert exits_2_with_error_line(argv)
+        (folder / sdoc["curve_ref"]).write_text(json.dumps(curve))
+        path = str(folder / spectral.name)
+        assert exits_2_with_error_line(["build", "-i", path, "--window", "0", "-o", str(folder / "f.json")])
+        assert exits_2_with_error_line(["verify", "-i", path, "--window", "0", "--probes", "8"])
 
 
-def test_usage_errors_raise_systemexit_2(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["gen-spectral", "--model", "pentagon", "-o", str(tmp_path / "x.json")])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
+def test_usage_errors_raise_systemexit_2(tmp_path, capsys):
+    out = str(tmp_path / "x.json")
+    gen = ["gen-spectral", "--model", "cross", "-o", out]
+    verify = ["verify", "-i", out]
+    for argv in (
+        ["gen-spectral", "--model", "pentagon", "-o", out],
+        ["no-such-command"],
+        gen + ["--seed", "-1"],
+        gen + ["--b-re", "nan"],
+        gen + ["--b-re", "-4", "--b-im", "inf"],
+        ["build", "-i", out, "--window", "-1", "-o", out],
+        verify + ["--seed", "-1"],
+        verify + ["--probes", "7"],
+        verify + ["--window", "-1"],
+        verify + ["--tol", "nan"],
+        verify + ["--tol", "0"],
+        verify + ["--gap-tol", "nan"],
+        verify + ["--gap-tol", "-1e-6"],
+        verify + ["--match-tol", "nan"],
+        verify + ["--match-tol", "inf"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert "usage:" in capsys.readouterr().err, argv

@@ -326,6 +326,8 @@ def test_field_document_validation(cross_data):
         broken(model=["cross"]),
         broken(model="hex"),  # two-index sites in a hex document
         broken(window={"radius": "one"}),
+        broken(window={"radius": -1}, sites=[]),
+        broken(window={"radius": True}),
         broken(sites=good["sites"][1:]),  # a window site is missing
         broken(sites=good["sites"] + good["sites"][:1]),  # a site listed twice
         broken(sites=good["sites"] + [{"site": [2, 0], "coeffs": coeffs}]),  # outside the window
@@ -337,6 +339,8 @@ def test_field_document_validation(cross_data):
         broken(sites=first_site(coeffs={**coeffs, "a": ["1", "2"]})),
         broken(sites=first_site(coeffs={**coeffs, "a": None})),
         broken(sites=first_site(coeffs={**coeffs, "a": [None, None]})),
+        broken(sites=first_site(coeffs={**coeffs, "a": [True, False]})),
+        broken(sites=first_site(coeffs={**coeffs, "a": [1.0, 0.0, 99]})),
     ):
         with pytest.raises(SchemaError):
             field_from_document(doc)

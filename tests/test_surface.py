@@ -9,12 +9,14 @@ from crosshex.errors import (
     DimensionMismatch,
     PoleOnPath,
     SchemaError,
+    SeparationFailure,
     UnknownPoint,
 )
 from crosshex.surface import (
     TorusCurve,
     export_curve_document,
     load_tabulated_curve,
+    load_torus_curve,
     make_torus_curve,
 )
 from crosshex.theta import PeriodMatrix, theta_eval_scaled
@@ -128,6 +130,25 @@ def test_straight_path_through_pole_is_refused(torus):
         torus.third_kind_integral(torus.point(0.7 * b), plus, minus)
 
 
+def test_sample_points_keeps_its_separations(torus):
+    poles = [cell_point(torus, 0.2, 0.6), cell_point(torus, 0.7, 0.3)]
+    avoid = [torus.point(torus.base_lift)] + poles
+
+    def draw(seed, **changes):
+        kwargs = dict(avoid=avoid, min_avoid=0.3, min_pairwise=0.2, max_tries=1000, poles=poles)
+        return torus.sample_points(np.random.default_rng(seed), 12, **{**kwargs, **changes})
+
+    points = draw(3)
+    assert points == draw(3) and points != draw(4)
+    for i, p in enumerate(points):
+        assert min(torus.cover_distance(p.lift, a.lift) for a in avoid) >= 0.3
+        assert all(torus.cover_distance(p.lift, q.lift) >= 0.2 for q in points[:i])
+        for pole in poles:
+            assert torus._segment_pole_distance(pole.scalar, torus.base_lift[0], p.scalar) >= 1e-3
+    with pytest.raises(SeparationFailure):
+        draw(0, min_pairwise=50.0, max_tries=60)
+
+
 def test_genus_one_only():
     with pytest.raises(DimensionMismatch):
         TorusCurve(PeriodMatrix(np.diag([-4.0, -5.0])), (0.0, 0.0))
@@ -174,6 +195,23 @@ def test_tabulated_backend_serves_stored_values(torus, curve_doc):
     assert tab.riemann_constants()[0] == torus.riemann_constants()[0]
 
 
+def test_analytic_reader_rebuilds_the_curve_from_the_document(torus, curve_doc):
+    curve, marked = load_torus_curve(json.loads(json.dumps(curve_doc)))
+    assert curve.pm.scalar == torus.pm.scalar and curve.base_lift == torus.base_lift
+    assert {name: p.lift for name, p in marked.items()} == {
+        name: (complex(*lift),) for name, lift in curve_doc["marked_points"].items()
+    }
+    # the stored tables are read for structure only, not replayed
+    tampered = json.loads(json.dumps(curve_doc))
+    tampered["riemann_constants"] = [0.0, 0.0]
+    load_torus_curve(tampered)
+    # both backends share one reader, so they refuse the same documents
+    for change in ({"format": "crosshex-curve-v0"}, {"B": [[[0.5, 0.0]]]}):
+        for load in (load_torus_curve, load_tabulated_curve):
+            with pytest.raises(SchemaError):
+                load({**curve_doc, **change})
+
+
 def test_tabulated_lookup_of_unstored_combination(curve_doc):
     tab = load_tabulated_curve(curve_doc)
     with pytest.raises(UnknownPoint):
@@ -181,7 +219,7 @@ def test_tabulated_lookup_of_unstored_combination(curve_doc):
 
 
 def test_tabulated_rejects_missing_sections(curve_doc):
-    for key in ("genus", "B", "marked_points", "third_kind_integrals"):
+    for key in ("format", "genus", "B", "marked_points", "third_kind_integrals"):
         broken = json.loads(json.dumps(curve_doc))
         del broken[key]
         with pytest.raises(SchemaError):
