@@ -120,35 +120,42 @@ class SpectralCurve:
     def lattice_coords(self, delta) -> tuple[np.ndarray, np.ndarray]:
         """Real coordinates (s, t) with delta = 2*pi*i*s + B*t.
 
+        ``delta`` has shape (g,) or (g, N); s and t have the same shape.
         Solvable for any valid B because Re(B) is negative definite:
         the real part gives Re(B) t = Re(delta), the imaginary part then
         yields s.
         """
-        d = np.asarray(delta, dtype=complex).reshape(-1)
-        if d.shape[0] != self.genus:
+        d = np.asarray(delta, dtype=complex)
+        if d.shape[:1] != (self.genus,):
             raise DimensionMismatch("lattice_coords argument has wrong length")
         B = self.pm.matrix
         t = np.linalg.solve(B.real, d.real)
         s = (d.imag - B.imag @ t) / (2.0 * math.pi)
         return s, t
 
-    def cover_distance(self, lift_a, lift_b) -> float:
-        """Distance between two lifts as curve points: min over lattice translates."""
-        a = np.asarray(lift_a, dtype=complex).reshape(-1)
-        b = np.asarray(lift_b, dtype=complex).reshape(-1)
-        delta = a - b
-        s, t = self.lattice_coords(delta)
-        best = math.inf
-        B = self.pm.matrix
-        g = self.genus
-        from itertools import product as _product
+    def cover_distance(self, lift, others) -> float | np.ndarray:
+        """Distance between lifts as curve points: min over lattice translates.
 
-        for offs in _product((-1, 0, 1), repeat=2 * g):
-            m = np.rint(s).astype(int) + np.array(offs[:g])
-            n = np.rint(t).astype(int) + np.array(offs[g:])
-            lat = 2j * math.pi * m + B @ n
-            best = min(best, float(np.linalg.norm(delta - lat)))
-        return best
+        ``lift`` has shape (g,).  For ``others`` of shape (g,) the result
+        is a ``float``; for a stack of shape (N, g) it is an array of the
+        N distances.  Either way one vectorised pass tries the 3^(2g)
+        translates around the nearest lattice vector of each difference.
+        """
+        g = self.genus
+        a = np.asarray(lift, dtype=complex)
+        b = np.asarray(others, dtype=complex)
+        if a.shape != (g,) or b.shape not in ((g,), b.shape[:1] + (g,)):
+            raise DimensionMismatch(f"lifts must have length {g}, the curve genus")
+        delta = a - np.atleast_2d(b)
+        s, t = self.lattice_coords(delta.T)
+        offsets = np.indices((3,) * (2 * g)).reshape(2 * g, -1).T - 1
+        m = np.rint(s.T)[:, None] + offsets[:, :g]
+        n = np.rint(t.T)[:, None] + offsets[:, g:]
+        # B @ n as elementwise sums (a stacked matmul rounds differently at genus >= 2)
+        # and |diff|^2 as one dot per translate: the bits of np.linalg.norm(diff)
+        diff = delta[:, None] - (2j * math.pi * m + (n[..., None, :] * self.pm.matrix).sum(-1))
+        dist = np.sqrt(sum((x[..., None, :] @ x[..., None])[..., 0, 0] for x in (diff.real, diff.imag)))
+        return dist.min(-1) if b.ndim == 2 else float(dist.min())
 
     def _path_clearance(self, lift: complex, poles) -> float:
         """Distance from the base-to-lift integration path to the poles (none for stored tables)."""
@@ -169,15 +176,15 @@ class SpectralCurve:
         g = self.genus
         B = self.pm.matrix
         base = np.array(self.base_lift, dtype=complex)
-        avoid = [p.as_array() for p in avoid]
+        avoid = np.array([p.lift for p in avoid], dtype=complex)
         kept: list[np.ndarray] = []
         for _ in range(max_tries):
             if len(kept) == count:
                 break
             lift = base + 2j * math.pi * rng.random(g) + B @ rng.random(g)
-            if min(self.cover_distance(lift, a) for a in avoid) < min_avoid:
+            if self.cover_distance(lift, avoid).min() < min_avoid:
                 continue
-            if kept and min(self.cover_distance(lift, k) for k in kept) < min_pairwise:
+            if kept and self.cover_distance(lift, np.array(kept)).min() < min_pairwise:
                 continue
             if poles and self._path_clearance(complex(lift[0]), poles) < _PATH_CLEARANCE:
                 continue
@@ -225,12 +232,14 @@ class TorusCurve(SpectralCurve):
     def _segment_pole_distance(self, pole: complex, a: complex, b: complex) -> float:
         """Min distance from segment [a, b] to the lattice translates of ``pole``."""
         B = self.pm.scalar
-        sa, ta = self.lattice_coords([a - pole])
-        sb, tb = self.lattice_coords([b - pole])
-        m_lo = math.floor(min(sa[0], sb[0])) - 1
-        m_hi = math.ceil(max(sa[0], sb[0])) + 1
-        n_lo = math.floor(min(ta[0], tb[0])) - 1
-        n_hi = math.ceil(max(ta[0], tb[0])) + 1
+        # lattice coordinates (s, t) of a - pole and b - pole, as in lattice_coords
+        ta, tb = (a - pole).real / B.real, (b - pole).real / B.real
+        sa = ((a - pole).imag - B.imag * ta) / (2.0 * math.pi)
+        sb = ((b - pole).imag - B.imag * tb) / (2.0 * math.pi)
+        m_lo = math.floor(min(sa, sb)) - 1
+        m_hi = math.ceil(max(sa, sb)) + 1
+        n_lo = math.floor(min(ta, tb)) - 1
+        n_hi = math.ceil(max(ta, tb)) + 1
         best = math.inf
         for m in range(m_lo, m_hi + 1):
             for n in range(n_lo, n_hi + 1):

@@ -4,6 +4,9 @@ For seeds 0-4 of both models the test regenerates the spectral and
 curve documents (``gen-spectral``), the radius-3 field (``build``), its
 CSV and JSON exports, and the radius-2, 8-probe ``verify -o`` report,
 then compares the SHA-256 of every file with ``tests/golden_hashes.json``.
+Seeds 0-1 also run a radius-1, 60-probe ``verify -o``: its maxima
+depend on all 60 probe lifts, so it pins the rejection sampler when
+each draw is checked against many kept lifts.
 
 Any change to the numbers a document holds, down to the last printed
 digit, fails this test.  A change that is meant to move documents must
@@ -24,6 +27,7 @@ from crosshex.cli import main
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden_hashes.json"
 MODELS = ("cross", "hex")
 SEEDS = range(5)
+MANY_PROBE_SEEDS = range(2)
 
 
 def _run(argv) -> None:
@@ -45,6 +49,9 @@ def pipeline_hashes(root: Path) -> dict[str, str]:
             _run(["export", "-i", field, "--format", "json", "-o", f"{stem}-export.json"])
             _run(["verify", "-i", spectral, "--window", "2", "--probes", "8",
                   "-o", f"{stem}-verify.json"])
+            if seed in MANY_PROBE_SEEDS:
+                _run(["verify", "-i", spectral, "--window", "1", "--probes", "60",
+                      "-o", f"{stem}-verify-60.json"])
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(root.iterdir())

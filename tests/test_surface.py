@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -13,7 +14,9 @@ from crosshex.errors import (
     UnknownPoint,
 )
 from crosshex.surface import (
+    SpectralCurve,
     TorusCurve,
+    _point_segment_distance,
     export_curve_document,
     load_tabulated_curve,
     load_torus_curve,
@@ -37,6 +40,83 @@ def test_cover_distance_vanishes_on_lattice_translates(torus):
     for translate in (2j * math.pi, b, -2 * b + 4j * math.pi):
         assert torus.cover_distance(u, u + translate) <= 1e-12
     assert torus.cover_distance(u, u + 0.05) == pytest.approx(0.05, rel=1e-9)
+
+
+def _genus2_curve():
+    """The shared curve behaviour on a genus-2 period matrix, without tables."""
+    curve = SpectralCurve()
+    curve.pm = PeriodMatrix([[-5.0 + 0.7j, 1.2 - 0.4j], [1.2 - 0.4j, -4.2 + 1.1j]])
+    curve.base_lift = (0.3 + 0.1j, -0.2 + 0.5j)
+    return curve
+
+
+def test_cover_distance_rejects_wrong_length_lifts(torus):
+    """A genus-1 curve never reads a length-2 lift as two genus-1 lifts."""
+    one, two = np.array([0.3 + 0.9j]), np.array([0.3 + 0.9j, 1.1 - 0.4j])
+    for lift, others in ((two, one), (one, two), (one, np.stack([two, two, two]))):
+        with pytest.raises(DimensionMismatch):
+            torus.cover_distance(lift, others)
+    # nor does a genus-2 curve broadcast a stack of genus-1 lifts against a lift
+    with pytest.raises(DimensionMismatch):
+        _genus2_curve().cover_distance(two, np.stack([one, one]))
+
+
+def _per_offset_cover_distance(curve, lift_a, lift_b):
+    """Reference cover distance: one numpy pass and one norm per lattice offset."""
+    delta = np.asarray(lift_a, dtype=complex) - np.asarray(lift_b, dtype=complex)
+    s, t = curve.lattice_coords(delta)
+    B, g = curve.pm.matrix, curve.genus
+    best = math.inf
+    for offs in itertools.product((-1, 0, 1), repeat=2 * g):
+        m = np.rint(s).astype(int) + np.array(offs[:g])
+        n = np.rint(t).astype(int) + np.array(offs[g:])
+        best = min(best, float(np.linalg.norm(delta - (2j * math.pi * m + B @ n))))
+    return best
+
+
+def test_stacked_cover_distance_matches_the_per_offset_loop():
+    rng = np.random.default_rng(20)
+    curves = [
+        make_torus_curve(complex(rng.uniform(-8, -3), rng.uniform(-3, 3)), base_lift=rng.normal())
+        for _ in range(40)
+    ]
+    for curve in curves + [_genus2_curve()]:
+        B, g = curve.pm.matrix, curve.genus
+        base = np.array(curve.base_lift)
+        # 50 draws per curve, up to ~10 cells from the base
+        lift, *others = (
+            base + 2j * math.pi * rng.uniform(-10, 10, g) + B @ rng.uniform(-10, 10, g)
+            for _ in range(51)
+        )
+        stacked = curve.cover_distance(lift, np.array(others))
+        assert stacked.shape == (len(others),)
+        for other, d in zip(others, stacked):
+            single = curve.cover_distance(lift, other)
+            assert type(single) is float
+            assert d == single == _per_offset_cover_distance(curve, lift, other)
+        shifts = rng.integers(-3, 4, size=(20, 2 * g))
+        translates = np.array([lift + 2j * math.pi * k[:g] + B @ k[g:] for k in shifts])
+        assert curve.cover_distance(lift, translates).max() <= 1e-12
+
+
+def test_segment_pole_distance_is_the_nearest_translate():
+    """Brute force over |m|, |n| <= 8: the coordinate bound never drops the nearest translate."""
+    rng = np.random.default_rng(21)
+    periods = [-8.0, -8.0 + 2.5j, -3.0 - 3.0j] + [
+        complex(rng.uniform(-8, -3), rng.uniform(-3, 3)) for _ in range(17)
+    ]
+    grid = [(m, n) for m in range(-8, 9) for n in range(-8, 9)]
+    for B in periods:
+        curve = make_torus_curve(B)
+        for _ in range(50):
+            (s, t), (ds, dt) = rng.uniform(-3, 3, 2), rng.uniform(-4, 4, 2) * rng.random() ** 2
+            pole = complex(*rng.uniform(-40, 40, 2))
+            a = pole + 2j * math.pi * s + B * t
+            b = a + 2j * math.pi * ds + B * dt  # up to 4 cells long, most far shorter
+            brute = min(
+                _point_segment_distance(pole + 2j * math.pi * m + B * n, a, b) for m, n in grid
+            )
+            assert curve._segment_pole_distance(pole, a, b) == brute
 
 
 def test_third_kind_pole_orders_by_log_fit(torus):
