@@ -6,13 +6,16 @@ special functions, and verifies the construction numerically: stencil
 residuals, an independent SVD null-space oracle with its kernel-gap
 certificate, and gauge covariance.
 
-Layers, bottom up: ``theta`` (Riemann theta with scaled arithmetic),
-``surface`` (genus-one analytic curve backend plus a tabulated backend
-and curve documents), ``labels`` (lattice-site relabelling and stencil
-geometry), ``bafunc`` (the function families and uniqueness checks),
-``operators`` (stencil formulas, the ``MODELS`` registry of per-lattice
-facts, fields, residuals, oracle, gauge, documents), ``cli`` (the
-four-command pipeline).
+Everything is built on genus-one (torus) spectral data, so lifts,
+periods and theta arguments are plain complex numbers.
+
+Layers, bottom up: ``theta`` (the genus-one Riemann theta with scaled
+arithmetic), ``surface`` (the analytic torus backend plus a tabulated
+backend and curve documents), ``labels`` (lattice-site relabelling and
+stencil geometry), ``bafunc`` (the function families and uniqueness
+checks), ``operators`` (stencil formulas, the ``MODELS`` registry of
+per-lattice facts, fields, residuals, oracle, gauge, documents),
+``cli`` (the four-command pipeline).
 """
 
 from .bafunc import (
@@ -93,7 +96,6 @@ from .surface import (
 from .theta import (
     PeriodMatrix,
     ScaledComplex,
-    quasi_period_factor,
     theta_eval,
     theta_eval_scaled,
     theta_zero_1d,

@@ -1,7 +1,7 @@
 """Families of Baker-Akhiezer-type functions built from spectral data.
 
 A *spectral data* bundle is a curve, six marked points, a divisor of
-``g`` points, and a normalization family ``r``.  From it we build the
+one point, and a normalization family ``r``.  From it we build the
 meromorphic family ``phi`` indexed by integer labels: a ratio of theta
 values times an exponential of third-kind integrals,
 
@@ -9,8 +9,8 @@ values times an exponential of third-kind integrals,
                    * Theta(A(P) + sum_i c_i(label) U_i - A(D) - K)
                    / Theta(A(P) - A(D) - K),
 
-where the pairs behind the integrals ``I_i`` and b-period vectors
-``U_i`` are fixed per model: three plus/minus pairs for the square
+where the pairs behind the integrals ``I_i`` and b-periods ``U_i``
+are fixed per model: three plus/minus pairs for the square
 lattice, four pairs anchored at the third point of each triple for the
 triangular lattice.  Every ingredient is evaluated along the SAME
 straight path from the base lift to the point's lift; that shared path
@@ -25,6 +25,7 @@ their products stay moderate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,23 +107,22 @@ class _SpectralDataBase:
                 f"{type(self).__name__} needs marked points {self.marked_names}, got {sorted(marked)}"
             )
         divisor = tuple(curve.point(p.lift if isinstance(p, SurfacePoint) else p) for p in divisor)
-        if len(divisor) != curve.genus:
-            raise DimensionMismatch(
-                f"divisor must have {curve.genus} points (one per handle), got {len(divisor)}"
-            )
+        if len(divisor) != 1:
+            raise DimensionMismatch(f"the divisor must be exactly one point, got {len(divisor)}")
         self.curve = curve
         self.marked = {name: curve.point(marked[name].lift) for name in self.marked_names}
         self.divisor = divisor
         self.normalization = normalization or ConstantNormalization()
         self._check_separation()
 
-        self._U = np.vstack(
+        # one numpy dot pairs a label with U (see theta_argument)
+        self._U = np.array(
             [curve.b_period_vector(self.marked[a], self.marked[b]) for a, b in self.basis_pairs]
-        )  # (npairs, g)
+        )
         self._K = curve.riemann_constants()
-        self._AD = np.sum([curve.abel(p) for p in self.divisor], axis=0)
+        self._AD = curve.abel(self.divisor[0])
         self._W = -self._AD - self._K
-        self._theta0 = theta_eval_scaled(curve.pm, np.zeros(curve.genus), _THETA_EPS)
+        self._theta0 = theta_eval_scaled(curve.pm, 0j, _THETA_EPS)
         # Theta(0) has zero peak scale, so its mantissa IS its value; the
         # genericity floor compares mantissas, i.e. values relative to
         # their local Gaussian-peak scale, which stays meaningful for the
@@ -132,24 +132,23 @@ class _SpectralDataBase:
         self._phi_cache: dict[tuple, ScaledComplex] = {}
         # generic theta denominators by lift; a singular one is never
         # stored, so every call on it raises again
-        self._denominator_cache: dict[tuple, ScaledComplex] = {}
+        self._denominator_cache: dict[complex, ScaledComplex] = {}
 
     def _check_separation(self) -> None:
         named = list(self.marked.items())
         for i, (name_a, pa) in enumerate(named):
             for name_b, pb in named[i + 1 :]:
-                d = self.curve.cover_distance(pa.as_array(), pb.as_array())
+                d = self.curve.cover_distance(pa.lift, pb.lift)
                 if d < _MIN_POINT_SEPARATION:
                     raise ConsistencyFailure(
                         f"marked points {name_a} and {name_b} are only {d:.3e} apart on the curve"
                     )
-        for j, pd in enumerate(self.divisor):
-            for name_a, pa in named:
-                d = self.curve.cover_distance(pd.as_array(), pa.as_array())
-                if d < _MIN_POINT_SEPARATION:
-                    raise ConsistencyFailure(
-                        f"divisor point {j} collides with marked point {name_a} ({d:.3e})"
-                    )
+        for name_a, pa in named:
+            d = self.curve.cover_distance(self.divisor[0].lift, pa.lift)
+            if d < _MIN_POINT_SEPARATION:
+                raise ConsistencyFailure(
+                    f"the divisor point collides with marked point {name_a} ({d:.3e})"
+                )
 
     # -- label plumbing (model-specific) --------------------------------------
 
@@ -162,9 +161,10 @@ class _SpectralDataBase:
 
     # -- evaluation primitives -------------------------------------------------
 
-    def theta_argument(self, P: SurfacePoint, label) -> np.ndarray:
-        coeffs = self.label_coeffs(label)
-        return self.curve.abel(P) + coeffs @ self._U + self._W
+    def theta_argument(self, P: SurfacePoint, label) -> complex:
+        # a numpy dot, not a Python sum: the dot accumulates with fused
+        # multiply-adds, and the documents hold its bits
+        return self.curve.abel(P) + complex(self.label_coeffs(label) @ self._U) + self._W
 
     def theta_component_scaled(self, P: SurfacePoint, label) -> ScaledComplex:
         return theta_eval_scaled(self.curve.pm, self.theta_argument(P, label), _THETA_EPS)
@@ -300,9 +300,7 @@ def psi(sd, site, P: SurfacePoint) -> complex:
 
 def relift(sd, P: SurfacePoint, m: int, n: int) -> SurfacePoint:
     """The same curve point carried by a lattice-translated lift."""
-    g = sd.curve.genus
-    shift = sd.curve.pm.lattice_vector(np.full(g, m, dtype=int), np.full(g, n, dtype=int))
-    return sd.curve.point(P.as_array() + shift)
+    return sd.curve.point(P.lift + (2j * math.pi * m + sd.curve.pm.B * n))
 
 
 @dataclass(frozen=True)

@@ -46,9 +46,9 @@ from .operators import (
 )
 from .surface import (
     TorusCurve,
+    complex_from_json,
+    complex_to_json,
     export_curve_document,
-    lift_from_json,
-    lift_to_json,
     load_tabulated_curve,
     load_torus_curve,
     make_torus_curve,
@@ -94,7 +94,7 @@ def cmd_gen_spectral(config) -> int:
     curve = make_torus_curve(b)
     names = spectral_class.marked_names
     points = curve.sample_points(
-        rng, len(names) + curve.genus, avoid=[curve.point(curve.base_lift)],
+        rng, len(names) + 1, avoid=[curve.point(curve.base_lift)],
         min_avoid=_MIN_COVER_SEPARATION, min_pairwise=_MIN_COVER_SEPARATION, max_tries=1000,
     )
     marked = dict(zip(names, points))
@@ -116,7 +116,7 @@ def cmd_gen_spectral(config) -> int:
         "seed": config.seed,
         "backend": "torus-analytic",
         "curve_ref": os.path.basename(curve_path),
-        "divisor": [lift_to_json(p.lift) for p in divisor],
+        "divisor": [complex_to_json(p.lift) for p in divisor],
         "normalization": normalization.to_json(),
     }
     _dump_json(curve_doc, curve_path)
@@ -169,12 +169,9 @@ def load_spectral_document(path: str):
             f"{curve_path}: marked points {sorted(marked)} do not match model {spectral_class.model}"
         )
     divisor_raw = doc.get("divisor")
-    if not isinstance(divisor_raw, list) or len(divisor_raw) != curve.genus:
-        raise SchemaError(f"{path}: divisor must list exactly genus={curve.genus} points")
-    divisor = [
-        curve.point(lift_from_json(x, curve.genus, f"divisor[{i}]"))
-        for i, x in enumerate(divisor_raw)
-    ]
+    if not isinstance(divisor_raw, list) or len(divisor_raw) != 1:
+        raise SchemaError(f"{path}: divisor must list exactly one point")
+    divisor = [curve.point(complex_from_json(divisor_raw[0], f"{path}: divisor[0]"))]
     norm_raw = doc.get("normalization")
     try:
         normalization = ConstantNormalization.from_json(norm_raw)

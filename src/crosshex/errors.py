@@ -15,7 +15,7 @@ class NonConvergent(CrosshexError):
 
 
 class DimensionMismatch(CrosshexError):
-    """An argument's length is inconsistent with the genus."""
+    """An argument has the wrong length or shape (a label, a divisor, a stack of lifts)."""
 
 
 class PoleOnPath(CrosshexError):

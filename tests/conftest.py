@@ -6,6 +6,7 @@ them across test modules keeps the whole suite fast without any
 cross-test state leaking — the caches are value caches only.
 """
 
+import json
 import math
 
 import pytest
@@ -32,8 +33,19 @@ HEX_NAME_ORDER = ("Q1", "Q2", "Q3", "R1", "R2", "R3")
 
 
 def cell_point(curve, fs, ft):
-    b = curve.pm.matrix[0, 0]
-    return curve.point(2j * math.pi * fs + b * ft)
+    return curve.point(2j * math.pi * fs + curve.pm.B * ft)
+
+
+def genus_two_document(curve_doc: dict) -> dict:
+    """A curve document reshaped as genus 2: a 2x2 B, every lift and period a list of 2 pairs."""
+    doc = json.loads(json.dumps(curve_doc))
+    doc["genus"] = 2
+    doc["B"] = [[[-5.0, 0.7], [1.2, -0.4]], [[1.2, -0.4], [-4.2, 1.1]]]
+    for key in ("base_lift", "riemann_constants"):
+        doc[key] = [doc[key], [0.0, 0.0]]
+    for section in ("marked_points", "b_periods"):
+        doc[section] = {name: [pair, [0.0, 0.0]] for name, pair in doc[section].items()}
+    return doc
 
 
 @pytest.fixture(scope="session")

@@ -30,7 +30,7 @@ HEX_LABEL = (2, -1, -1, 1, -2, 1)
 
 def test_zero_label_value_is_one_at_the_base(cross_data, hex_data):
     for sd, label in ((cross_data, (0, 0, 0)), (hex_data, (0,) * 6)):
-        base = sd.curve.point(sd.curve.base_lift[0])
+        base = sd.curve.point(sd.curve.base_lift)
         assert sd.phi_scaled(label, base).as_complex() == pytest.approx(1.0, abs=1e-14)
 
 
@@ -69,7 +69,7 @@ def _fitted_vanishing_order(sd, label, point):
     direction = 0.6 + 0.8j
     ladder = [10.0 ** (-k) for k in (3.0, 3.5, 4.0, 4.5)]
     logs = [
-        sd.phi_scaled(label, sd.curve.point(point.scalar + eps * direction)).log_abs
+        sd.phi_scaled(label, sd.curve.point(point.lift + eps * direction)).log_abs
         for eps in ladder
     ]
     return np.polyfit(np.log(ladder), logs, 1)[0]
@@ -142,17 +142,13 @@ def test_uniqueness_check_needs_three_probes(cross_data, cross_probes):
 
 
 def test_evaluation_on_the_divisor_is_refused(cross_data):
-    near = cross_data.curve.point(
-        cross_data.divisor[0].scalar + 1e-12 * (0.3 + 0.4j)
-    )
+    near = cross_data.curve.point(cross_data.divisor[0].lift + 1e-12 * (0.3 + 0.4j))
     with pytest.raises(SingularEvaluation):
         phi(cross_data, CROSS_LABEL, near)
 
 
 def test_singular_denominator_is_refused_on_every_call(cross_data):
-    near = cross_data.curve.point(
-        cross_data.divisor[0].scalar + 1e-12 * (0.3 + 0.4j)
-    )
+    near = cross_data.curve.point(cross_data.divisor[0].lift + 1e-12 * (0.3 + 0.4j))
     for _ in range(2):
         with pytest.raises(SingularEvaluation):
             cross_data.denominator_scaled(near)
@@ -172,7 +168,7 @@ def test_marked_point_collision_is_detected(torus):
         name: cell_point(torus, fs, ft)
         for name, (fs, ft) in zip(CROSS_NAME_ORDER, CELL_FRACTIONS)
     }
-    marked["P1-"] = torus.point(marked["P1+"].scalar + 1e-8)
+    marked["P1-"] = torus.point(marked["P1+"].lift + 1e-8)
     with pytest.raises(ConsistencyFailure):
         SpectralDataCross(torus, marked, [cell_point(torus, *DIVISOR_FRACTION)])
 

@@ -1,11 +1,14 @@
 import filecmp
 import json
+import math
 import os
 
 import pytest
 
 from crosshex.cli import SPECTRAL_DOC_FORMAT, VERIFY_DOC_FORMAT, main
 from crosshex.operators import FIELD_DOC_FORMAT
+
+from conftest import genus_two_document
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +187,9 @@ def test_corrupt_documents_exit_2(workspace, tmp_path, capsys):
     sites, first = good["sites"], good["sites"][0]
     for i, change in enumerate(
         [
+            {"sites": [{**first, "coeffs": {**first["coeffs"], "a": [math.nan, 0.0]}}] + sites[1:]},
+            {"sites": [{**first, "coeffs": {**first["coeffs"], "a": [1.0, -math.inf]}}] + sites[1:]},
+            {"sites": [{**first, "coeffs": {**first["coeffs"], "a": [10**400, 0]}}] + sites[1:]},
             {"model": "hex"},
             {"sites": [{**first, "site": [0, 0, 0]}] + sites[1:]},
             {"sites": [{**first, "site": 0}] + sites[1:]},
@@ -221,6 +227,12 @@ def test_corrupt_documents_exit_2(workspace, tmp_path, capsys):
             ({}, {"riemann_constants": drop}),
             ({}, {"third_kind_integrals": drop}),
         ]
+        + [
+            ({**backend, **spectral_change}, curve_change)
+            for backend in ({}, tabulated)
+            for bad in (math.nan, -math.inf)
+            for spectral_change, curve_change in _non_finite_changes(cdoc, bad)
+        ]
     ):
         folder = tmp_path / f"spectral-{i}"
         folder.mkdir()
@@ -230,6 +242,44 @@ def test_corrupt_documents_exit_2(workspace, tmp_path, capsys):
         path = str(folder / spectral.name)
         assert exits_2_with_error_line(["build", "-i", path, "--window", "0", "-o", str(folder / "f.json")])
         assert exits_2_with_error_line(["verify", "-i", path, "--window", "0", "--probes", "8"])
+
+
+def _non_finite_changes(cdoc: dict, bad: float) -> list[tuple[dict, dict]]:
+    """(spectral, curve) document changes that each put ``bad`` into one number."""
+    point = next(iter(cdoc["marked_points"]))
+    integral = next(iter(cdoc["third_kind_integrals"]))
+    return [
+        ({}, {"B": [[[bad, 0.0]]]}),
+        ({}, {"base_lift": [0.0, bad]}),
+        ({}, {"marked_points": {**cdoc["marked_points"], point: [bad, 0.0]}}),
+        ({}, {"riemann_constants": [bad, 0.0]}),
+        ({}, {"third_kind_integrals": {**cdoc["third_kind_integrals"], integral: [0.0, bad]}}),
+        ({"divisor": [[bad, 0.0]]}, {}),
+        ({"normalization": {"kind": "constant", "value": [1.0, bad]}}, {}),
+    ]
+
+
+def test_other_genus_exits_2(workspace, tmp_path, capsys):
+    """Only genus-1 curve documents with a 1x1 B are read, on either backend."""
+    spectral, _ = workspace["cross"]
+    sdoc = json.loads(spectral.read_text())
+    cdoc = json.loads((spectral.parent / sdoc["curve_ref"]).read_text())
+    one_by_two = {**cdoc, "B": [[cdoc["B"][0][0], [0.0, 0.0]]]}
+    for i, curve in enumerate((genus_two_document(cdoc), one_by_two)):
+        for backend in ("torus-analytic", "tabulated"):
+            folder = tmp_path / f"{i}-{backend}"
+            folder.mkdir()
+            (folder / spectral.name).write_text(json.dumps({**sdoc, "backend": backend}))
+            (folder / sdoc["curve_ref"]).write_text(json.dumps(curve))
+            path = str(folder / spectral.name)
+            for argv in (
+                ["build", "-i", path, "--window", "0", "-o", str(folder / "f.json")],
+                ["verify", "-i", path, "--window", "0", "--probes", "8"],
+            ):
+                capsys.readouterr()
+                assert main(argv) == 2, (i, backend, argv[0])
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_usage_errors_raise_systemexit_2(tmp_path, capsys):

@@ -396,9 +396,9 @@ def test_sample_probes_deterministic_and_separated(cross_data):
     assert [p.lift for p in a] != [p.lift for p in c]
     for i, p in enumerate(a):
         for q in list(cross_data.marked.values()) + list(cross_data.divisor):
-            assert cross_data.curve.cover_distance(p.as_array(), q.as_array()) >= 0.05
+            assert cross_data.curve.cover_distance(p.lift, q.lift) >= 0.05
         for q in a[i + 1 :]:
-            assert cross_data.curve.cover_distance(p.as_array(), q.as_array()) >= 0.02
+            assert cross_data.curve.cover_distance(p.lift, q.lift) >= 0.02
 
 
 def test_sample_probes_raises_when_separation_impossible(cross_data):

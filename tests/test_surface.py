@@ -14,62 +14,50 @@ from crosshex.errors import (
     UnknownPoint,
 )
 from crosshex.surface import (
-    SpectralCurve,
-    TorusCurve,
     _point_segment_distance,
     export_curve_document,
     load_tabulated_curve,
     load_torus_curve,
     make_torus_curve,
 )
-from crosshex.theta import PeriodMatrix, theta_eval_scaled
+from crosshex.theta import theta_eval_scaled
 
-from conftest import CELL_FRACTIONS, CROSS_NAME_ORDER, cell_point
+from conftest import CELL_FRACTIONS, CROSS_NAME_ORDER, cell_point, genus_two_document
 
 
 def test_abel_map_is_lift_minus_base(torus):
     lift = 0.4 + 1.1j
-    assert torus.abel(torus.point(lift))[0] == lift
+    assert torus.abel(torus.point(lift)) == lift
     shifted = make_torus_curve(-6.0, base_lift=0.25)
-    assert shifted.abel(shifted.point(lift))[0] == lift - 0.25
+    assert shifted.abel(shifted.point(lift)) == lift - 0.25
 
 
 def test_cover_distance_vanishes_on_lattice_translates(torus):
-    b = torus.pm.matrix[0, 0]
-    u = np.array([0.3 + 0.9j])
+    b = torus.pm.B
+    u = 0.3 + 0.9j
     for translate in (2j * math.pi, b, -2 * b + 4j * math.pi):
         assert torus.cover_distance(u, u + translate) <= 1e-12
     assert torus.cover_distance(u, u + 0.05) == pytest.approx(0.05, rel=1e-9)
 
 
-def _genus2_curve():
-    """The shared curve behaviour on a genus-2 period matrix, without tables."""
-    curve = SpectralCurve()
-    curve.pm = PeriodMatrix([[-5.0 + 0.7j, 1.2 - 0.4j], [1.2 - 0.4j, -4.2 + 1.1j]])
-    curve.base_lift = (0.3 + 0.1j, -0.2 + 0.5j)
-    return curve
-
-
 def test_cover_distance_rejects_wrong_length_lifts(torus):
-    """A genus-1 curve never reads a length-2 lift as two genus-1 lifts."""
-    one, two = np.array([0.3 + 0.9j]), np.array([0.3 + 0.9j, 1.1 - 0.4j])
-    for lift, others in ((two, one), (one, two), (one, np.stack([two, two, two]))):
+    """The lifts to compare against are one lift or a 1-D array of them, never a 2-D stack."""
+    u = 0.3 + 0.9j
+    for others in (np.array([[u, u + 1.0]]), np.full((3, 2), u), np.full((2, 1), u)):
         with pytest.raises(DimensionMismatch):
-            torus.cover_distance(lift, others)
-    # nor does a genus-2 curve broadcast a stack of genus-1 lifts against a lift
-    with pytest.raises(DimensionMismatch):
-        _genus2_curve().cover_distance(two, np.stack([one, one]))
+            torus.cover_distance(u, others)
 
 
 def _per_offset_cover_distance(curve, lift_a, lift_b):
-    """Reference cover distance: one numpy pass and one norm per lattice offset."""
-    delta = np.asarray(lift_a, dtype=complex) - np.asarray(lift_b, dtype=complex)
-    s, t = curve.lattice_coords(delta)
-    B, g = curve.pm.matrix, curve.genus
+    """Reference cover distance: solve for the lattice coordinates, one norm per offset."""
+    B = np.array([[curve.pm.B]])
+    delta = np.array([lift_a - lift_b])
+    t = np.linalg.solve(B.real, delta.real)
+    s = (delta.imag - B.imag @ t) / (2.0 * math.pi)
     best = math.inf
-    for offs in itertools.product((-1, 0, 1), repeat=2 * g):
-        m = np.rint(s).astype(int) + np.array(offs[:g])
-        n = np.rint(t).astype(int) + np.array(offs[g:])
+    for offs in itertools.product((-1, 0, 1), repeat=2):
+        m = np.rint(s).astype(int) + offs[0]
+        n = np.rint(t).astype(int) + offs[1]
         best = min(best, float(np.linalg.norm(delta - (2j * math.pi * m + B @ n))))
     return best
 
@@ -80,12 +68,11 @@ def test_stacked_cover_distance_matches_the_per_offset_loop():
         make_torus_curve(complex(rng.uniform(-8, -3), rng.uniform(-3, 3)), base_lift=rng.normal())
         for _ in range(40)
     ]
-    for curve in curves + [_genus2_curve()]:
-        B, g = curve.pm.matrix, curve.genus
-        base = np.array(curve.base_lift)
+    for curve in curves:
+        B = curve.pm.B
         # 50 draws per curve, up to ~10 cells from the base
         lift, *others = (
-            base + 2j * math.pi * rng.uniform(-10, 10, g) + B @ rng.uniform(-10, 10, g)
+            curve.base_lift + 2j * math.pi * rng.uniform(-10, 10) + B * rng.uniform(-10, 10)
             for _ in range(51)
         )
         stacked = curve.cover_distance(lift, np.array(others))
@@ -94,8 +81,10 @@ def test_stacked_cover_distance_matches_the_per_offset_loop():
             single = curve.cover_distance(lift, other)
             assert type(single) is float
             assert d == single == _per_offset_cover_distance(curve, lift, other)
-        shifts = rng.integers(-3, 4, size=(20, 2 * g))
-        translates = np.array([lift + 2j * math.pi * k[:g] + B @ k[g:] for k in shifts])
+        with pytest.raises(DimensionMismatch):
+            curve.cover_distance(lift, np.array(others).reshape(25, 2))
+        shifts = rng.integers(-3, 4, size=(20, 2))
+        translates = np.array([lift + 2j * math.pi * int(m) + B * int(n) for m, n in shifts])
         assert curve.cover_distance(lift, translates).max() <= 1e-12
 
 
@@ -132,7 +121,7 @@ def test_third_kind_pole_orders_by_log_fit(torus):
     for target, expected in ((plus, 1.0), (minus, -1.0)):
         vals = [
             torus.third_kind_integral(
-                torus.point(target.scalar + eps * direction), plus, minus
+                torus.point(target.lift + eps * direction), plus, minus
             ).real
             for eps in ladder
         ]
@@ -143,20 +132,20 @@ def test_third_kind_pole_orders_by_log_fit(torus):
 def test_integral_exponential_matches_theta_quotient(torus):
     # branch-free oracle: exp(integral) must equal the cross-ratio of
     # translated theta values regardless of how the path tracked branches
-    z0 = 1j * math.pi + torus.pm.matrix[0, 0] / 2.0
+    z0 = 1j * math.pi + torus.pm.B / 2.0
 
     def prime(w):
-        return theta_eval_scaled(torus.pm, [w - z0])
+        return theta_eval_scaled(torus.pm, w - z0)
 
     plus = cell_point(torus, 0.23, 0.41)
     minus = cell_point(torus, 0.71, 0.83)
     rng = np.random.default_rng(8)
-    base = torus.base_lift[0]
+    base = torus.base_lift
     for _ in range(5):
-        u = 2j * math.pi * rng.random() + torus.pm.matrix[0, 0] * rng.random()
+        u = 2j * math.pi * rng.random() + torus.pm.B * rng.random()
         val = torus.third_kind_integral(torus.point(u), plus, minus)
-        lhs = prime(u - plus.scalar).times(prime(base - minus.scalar))
-        rhs = prime(base - plus.scalar).times(prime(u - minus.scalar))
+        lhs = prime(u - plus.lift).times(prime(base - minus.lift))
+        rhs = prime(base - plus.lift).times(prime(u - minus.lift))
         ratio = lhs.over(rhs).times_exp(complex(-val))
         assert abs(ratio.as_complex() - 1.0) <= 1e-10
 
@@ -167,10 +156,10 @@ def test_b_period_agrees_with_endpoint_translation(torus):
     plus = cell_point(torus, 0.23, 0.41)
     minus = cell_point(torus, 0.71, 0.83)
     u = 0.9 + 0.4j
-    b = torus.pm.matrix[0, 0]
+    b = torus.pm.B
     base_val = torus.third_kind_integral(torus.point(u), plus, minus)
     moved_val = torus.third_kind_integral(torus.point(u + b), plus, minus)
-    period = torus.b_period_vector(plus, minus)[0]
+    period = torus.b_period_vector(plus, minus)
     diff = moved_val - base_val - period
     k = round(diff.imag / (2.0 * math.pi))
     assert abs(diff - 2j * math.pi * k) <= 1e-8
@@ -181,14 +170,14 @@ def test_b_period_is_abel_difference(torus):
     minus = cell_point(torus, 0.71, 0.83)
     U = torus.b_period_vector(plus, minus)
     expected = torus.abel(plus) - torus.abel(minus)
-    assert abs(U[0] - expected[0]) <= 1e-12
+    assert abs(U - expected) <= 1e-12
 
 
 def test_riemann_constants_value_and_divisor_check(torus):
     K = torus.riemann_constants()
-    assert abs(K[0] - (-3.0 + 1j * math.pi)) <= 1e-12  # i*pi + B/2 for B = -6
+    assert abs(K - (-3.0 + 1j * math.pi)) <= 1e-12  # i*pi + B/2 for B = -6
     at_minus_k = theta_eval_scaled(torus.pm, -K)
-    at_zero = theta_eval_scaled(torus.pm, [0.0])
+    at_zero = theta_eval_scaled(torus.pm, 0j)
     assert at_minus_k.log_abs - at_zero.log_abs <= math.log(1e-10)
 
 
@@ -198,12 +187,12 @@ def test_complex_period_backend():
     minus = cell_point(curve, 0.7, 0.8)
     val = curve.third_kind_integral(cell_point(curve, 0.45, 0.1), plus, minus)
     assert np.isfinite(val.real) and np.isfinite(val.imag)
-    K = curve.riemann_constants()[0]
+    K = curve.riemann_constants()
     assert abs(K - (1j * math.pi + complex(-5.0, 1.3) / 2.0)) <= 1e-12
 
 
 def test_straight_path_through_pole_is_refused(torus):
-    b = torus.pm.matrix[0, 0]
+    b = torus.pm.B
     plus = torus.point(0.35 * b)  # directly on the base-to-endpoint chord
     minus = cell_point(torus, 0.5, 0.9)
     with pytest.raises(PoleOnPath):
@@ -224,14 +213,9 @@ def test_sample_points_keeps_its_separations(torus):
         assert min(torus.cover_distance(p.lift, a.lift) for a in avoid) >= 0.3
         assert all(torus.cover_distance(p.lift, q.lift) >= 0.2 for q in points[:i])
         for pole in poles:
-            assert torus._segment_pole_distance(pole.scalar, torus.base_lift[0], p.scalar) >= 1e-3
+            assert torus._segment_pole_distance(pole.lift, torus.base_lift, p.lift) >= 1e-3
     with pytest.raises(SeparationFailure):
         draw(0, min_pairwise=50.0, max_tries=60)
-
-
-def test_genus_one_only():
-    with pytest.raises(DimensionMismatch):
-        TorusCurve(PeriodMatrix(np.diag([-4.0, -5.0])), (0.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +255,15 @@ def test_tabulated_backend_serves_stored_values(torus, curve_doc):
     assert stored == direct  # the document stores full doubles
     U_tab = tab.b_period_vector(plus, minus)
     U_dir = torus.b_period_vector(torus.point(plus.lift), torus.point(minus.lift))
-    assert U_tab[0] == U_dir[0]
-    assert tab.riemann_constants()[0] == torus.riemann_constants()[0]
+    assert U_tab == U_dir
+    assert tab.riemann_constants() == torus.riemann_constants()
 
 
 def test_analytic_reader_rebuilds_the_curve_from_the_document(torus, curve_doc):
     curve, marked = load_torus_curve(json.loads(json.dumps(curve_doc)))
-    assert curve.pm.scalar == torus.pm.scalar and curve.base_lift == torus.base_lift
+    assert curve.pm.B == torus.pm.B and curve.base_lift == torus.base_lift
     assert {name: p.lift for name, p in marked.items()} == {
-        name: (complex(*lift),) for name, lift in curve_doc["marked_points"].items()
+        name: complex(*lift) for name, lift in curve_doc["marked_points"].items()
     }
     # the stored tables are read for structure only, not replayed
     tampered = json.loads(json.dumps(curve_doc))
@@ -290,6 +274,21 @@ def test_analytic_reader_rebuilds_the_curve_from_the_document(torus, curve_doc):
         for load in (load_torus_curve, load_tabulated_curve):
             with pytest.raises(SchemaError):
                 load({**curve_doc, **change})
+
+
+def test_genus_one_only(curve_doc):
+    """Both backends refuse a genus other than 1 and a B other than 1x1 at the reader."""
+    entry = curve_doc["B"][0][0]
+    for broken in (
+        genus_two_document(curve_doc),
+        {**curve_doc, "genus": 2},
+        {**curve_doc, "genus": True},
+        {**curve_doc, "B": [[entry, [0.0, 0.0]]]},
+        {**curve_doc, "B": [[entry], [entry]]},
+    ):
+        for load in (load_torus_curve, load_tabulated_curve):
+            with pytest.raises(SchemaError):
+                load(broken)
 
 
 def test_tabulated_lookup_of_unstored_combination(curve_doc):
