@@ -6,7 +6,10 @@ CSV and JSON exports, and the radius-2, 8-probe ``verify -o`` report,
 then compares the SHA-256 of every file with ``tests/golden_hashes.json``.
 Seeds 0-1 also run a radius-1, 60-probe ``verify -o``: its maxima
 depend on all 60 probe lifts, so it pins the rejection sampler when
-each draw is checked against many kept lifts.
+each draw is checked against many kept lifts.  Seeds 0-1 also build
+the radius-10 field, and for the cross model run a radius-8, 8-probe
+``verify -o``: labels that far out reach theta arguments whose last
+bits the radius-3 documents never see.
 
 Any change to the numbers a document holds, down to the last printed
 digit, fails this test.  A change that is meant to move documents must
@@ -28,6 +31,7 @@ GOLDEN_PATH = Path(__file__).resolve().parent / "golden_hashes.json"
 MODELS = ("cross", "hex")
 SEEDS = range(5)
 MANY_PROBE_SEEDS = range(2)
+WIDE_SEEDS = range(2)
 
 
 def _run(argv) -> None:
@@ -52,6 +56,11 @@ def pipeline_hashes(root: Path) -> dict[str, str]:
             if seed in MANY_PROBE_SEEDS:
                 _run(["verify", "-i", spectral, "--window", "1", "--probes", "60",
                       "-o", f"{stem}-verify-60.json"])
+            if seed in WIDE_SEEDS:
+                _run(["build", "-i", spectral, "--window", "10", "-o", f"{stem}-field-10.json"])
+                if model == "cross":
+                    _run(["verify", "-i", spectral, "--window", "8", "--probes", "8",
+                          "-o", f"{stem}-verify-8.json"])
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(root.iterdir())
