@@ -38,7 +38,7 @@ from .errors import (
 )
 from .labels import Label3, Label6, SiteCross, SiteHex, relabel_cross, relabel_hex
 from .surface import SpectralCurve, SurfacePoint, complex_from_json
-from .theta import ScaledComplex, theta_eval_scaled
+from .theta import ScaledArray, ScaledComplex, complex_mul, theta_eval_batch, theta_eval_scaled
 
 _MIN_POINT_SEPARATION = 1e-6
 _GENERICITY_FLOOR = 1e-10
@@ -93,8 +93,8 @@ class _SpectralDataBase:
     """Shared machinery of the two spectral-data flavors.
 
     Immutable after construction; the caches only memoize pure
-    evaluations (path integrals keyed by (lift, pair), phi values keyed
-    by (label, lift)), so concurrent readers are safe.
+    evaluations (path integrals keyed by (lift, pair), theta denominators
+    keyed by lift), so concurrent readers are safe.
     """
 
     model: str
@@ -129,7 +129,6 @@ class _SpectralDataBase:
         # astronomically large arguments reached at big labels.
         self._mantissa_floor = _GENERICITY_FLOOR * abs(self._theta0.mantissa)
         self._integral_cache: dict[tuple, complex] = {}
-        self._phi_cache: dict[tuple, ScaledComplex] = {}
         # generic theta denominators by lift; a singular one is never
         # stored, so every call on it raises again
         self._denominator_cache: dict[complex, ScaledComplex] = {}
@@ -169,6 +168,18 @@ class _SpectralDataBase:
     def theta_component_scaled(self, P: SurfacePoint, label) -> ScaledComplex:
         return theta_eval_scaled(self.curve.pm, self.theta_argument(P, label), _THETA_EPS)
 
+    def marked_thetas(self, keys) -> dict[tuple, ScaledComplex]:
+        """Theta at each distinct (marked point name, label) key, in one kernel call.
+
+        Each argument is formed by :meth:`theta_argument`, so every value
+        has the bits of :meth:`theta_component_scaled` at that key.
+        """
+        keys = list(dict.fromkeys(keys))
+        args = [
+            self.theta_argument(self.marked[name], self.validate_label(label)) for name, label in keys
+        ]
+        return dict(zip(keys, theta_eval_batch(self.curve.pm, args, _THETA_EPS).scalars()))
+
     def denominator_scaled(self, P: SurfacePoint) -> ScaledComplex:
         """The label-independent theta denominator, guarded by the genericity floor."""
         val = self._denominator_cache.get(P.lift)
@@ -206,22 +217,43 @@ class _SpectralDataBase:
     def marked_integral(self, endpoint: str, pair: tuple[str, str]) -> complex:
         return self.integral(self.marked[endpoint], pair)
 
-    def phi_scaled(self, label, P: SurfacePoint) -> ScaledComplex:
-        label = self.validate_label(label)
-        key = (tuple(label), P.lift)
-        hit = self._phi_cache.get(key)
-        if hit is not None:
-            return hit
-        den = self.denominator_scaled(P)
-        num = self.theta_component_scaled(P, label)
-        coeffs = self.label_coeffs(label)
-        w = 0j
-        for c, pair in zip(coeffs, self.basis_pairs):
-            if c != 0:
-                w += complex(c) * self.integral(P, pair)
-        val = num.over(den).times_exp(w).times(self.normalization.scale_for(label))
-        self._phi_cache[key] = val
-        return val
+    def phi_scaled(self, labels, probes):
+        """phi at every label and probe, with one theta kernel call for the grid.
+
+        ``labels`` is a sequence of labels and ``probes`` a sequence of
+        points; the result is a :class:`ScaledArray` of shape (labels,
+        probes).  One label at one point (a ``SurfacePoint``) gives a
+        :class:`ScaledComplex`, computed by the one-value formula below;
+        every grid element has that formula's bits.
+        """
+        if isinstance(probes, SurfacePoint):
+            label, P = self.validate_label(labels), probes
+            den = self.denominator_scaled(P)
+            num = self.theta_component_scaled(P, label)
+            w = 0j
+            for c, pair in zip(self.label_coeffs(label), self.basis_pairs):
+                if c != 0:
+                    w += complex(c) * self.integral(P, pair)
+            return num.over(den).times_exp(w).times(self.normalization.scale_for(label))
+        labels = [self.validate_label(label) for label in labels]
+        den = ScaledArray.of(self.denominator_scaled(P) for P in probes)
+        coeffs = [self.label_coeffs(label) for label in labels]
+        # theta_argument's per-label dot, then its two additions, in order
+        shift = np.array([complex(c @ self._U) for c in coeffs], dtype=complex)
+        abel = np.array([self.curve.abel(P) for P in probes], dtype=complex)
+        num = theta_eval_batch(
+            self.curve.pm, (abel[None, :] + shift[:, None]) + self._W, _THETA_EPS
+        )
+        coeffs = np.array(coeffs, dtype=int).reshape(len(labels), len(self.basis_pairs))
+        w = np.zeros(num.shape, dtype=complex)
+        for c, pair in zip(coeffs.T, self.basis_pairs):
+            if not c.any():
+                continue
+            integrals = np.array([self.integral(P, pair) for P in probes], dtype=complex)
+            term = complex_mul(c[:, None] + 0j, integrals[None, :])
+            w = np.where(c[:, None] != 0, w + term, w)
+        r = np.array([complex(self.normalization.scale_for(label)) for label in labels], dtype=complex)
+        return num.over(den).times_exp(w).times(r[:, None])
 
     def psi_scaled(self, site, P: SurfacePoint) -> ScaledComplex:
         return self.phi_scaled(self.site_label(site), P)

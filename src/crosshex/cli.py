@@ -41,6 +41,7 @@ from .operators import (
     field_to_document,
     model_named,
     oracle_report,
+    psi_grid,
     residual_report,
     sample_probes,
 )
@@ -219,7 +220,8 @@ def cmd_verify(config) -> int:
     probe_seed = config.seed if config.seed is not None else doc.get("seed", 0) + 1000
     probes = sample_probes(sd, config.probes, seed=probe_seed)
     field = build_field(sd, config.window)
-    rrep = residual_report(sd, config.window, probes, field=field, tol=config.tol)
+    grid = psi_grid(sd, config.window, probes)
+    rrep = residual_report(sd, config.window, probes, field=field, tol=config.tol, grid=grid)
     orep = oracle_report(
         sd,
         config.window,
@@ -227,6 +229,7 @@ def cmd_verify(config) -> int:
         field=field,
         gap_tol=config.gap_tol,
         match_tol=config.match_tol,
+        grid=grid,
     )
     _print_check("residual", rrep.max_residual, rrep.tolerance, not rrep.failures)
     _print_check("kernel gap", orep.max_gap, orep.gap_tolerance, orep.max_gap <= orep.gap_tolerance)

@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from operator import attrgetter
+from functools import cached_property
+from operator import add, attrgetter
 from typing import Callable
 
 import numpy as np
@@ -44,7 +45,7 @@ from .errors import (
 )
 from .labels import CROSS_COEFFS, HEX_COEFFS, site_cross, site_hex, stencil_offsets
 from .surface import SurfacePoint, complex_from_json
-from .theta import ScaledComplex
+from .theta import ScaledArray, ScaledComplex
 
 FIELD_DOC_FORMAT = "crosshex-field-v1"
 
@@ -553,18 +554,25 @@ def model_named(name) -> Model:
 # ---------------------------------------------------------------------------
 
 
-def _marked_theta(sd, v: tuple, factor: ThetaFactor) -> ScaledComplex:
-    label = tuple(a + b for a, b in zip(v, factor.shift))
-    return sd.theta_component_scaled(sd.marked[factor.point], sd.validate_label(label))
+def _theta_key(v: tuple, factor: ThetaFactor) -> tuple:
+    return factor.point, tuple(map(add, v, factor.shift))
 
 
-def _eval_product(sd, v: tuple, term: ProductTerm) -> ScaledComplex:
+def _theta_keys(v: tuple, formulas):
+    """The (marked point, shifted label) key of every theta factor in ``formulas`` at label v."""
+    for formula in formulas:
+        for term in (formula.main, *formula.bracket):
+            for factor in term.theta_num + term.theta_den:
+                yield _theta_key(v, factor)
+
+
+def _eval_product(sd, v: tuple, term: ProductTerm, thetas: dict) -> ScaledComplex:
     out = ScaledComplex.one()
     for factor in term.theta_num:
-        out = out.times(_marked_theta(sd, v, factor))
+        out = out.times(thetas[_theta_key(v, factor)])
     for factor in term.theta_den:
         den = sd.require_generic(
-            _marked_theta(sd, v, factor),
+            thetas[_theta_key(v, factor)],
             f"theta denominator at {factor.point} with shift {factor.shift}",
         )
         out = out.over(den)
@@ -575,19 +583,46 @@ def _eval_product(sd, v: tuple, term: ProductTerm) -> ScaledComplex:
     return out.negated() if term.sign < 0 else out
 
 
-def evaluate_ratio(sd, v, formula: RatioFormula) -> ScaledComplex:
-    """One coefficient ratio at label v, in scaled arithmetic."""
+def evaluate_ratio(sd, v, formula: RatioFormula, thetas: dict | None = None) -> ScaledComplex:
+    """One coefficient ratio at label v, in scaled arithmetic.
+
+    ``thetas`` maps (marked point, label) to theta values (see
+    :func:`theta_table`); the ones the formula needs are evaluated here
+    when it is omitted.
+    """
     v = tuple(v)
-    out = _eval_product(sd, v, formula.main)
+    if thetas is None:
+        thetas = sd.marked_thetas(_theta_keys(v, (formula,)))
+    out = _eval_product(sd, v, formula.main, thetas)
     if formula.bracket:
-        acc = _eval_product(sd, v, formula.bracket[0])
+        acc = _eval_product(sd, v, formula.bracket[0], thetas)
         for term in formula.bracket[1:]:
-            acc = acc.plus(_eval_product(sd, v, term))
+            acc = acc.plus(_eval_product(sd, v, term, thetas))
         out = out.times(acc)
-    r_num = tuple(a + b for a, b in zip(v, formula.r_num_shift))
-    r_den = tuple(a + b for a, b in zip(v, formula.r_den_shift))
+    r_num = tuple(map(add, v, formula.r_num_shift))
+    r_den = tuple(map(add, v, formula.r_den_shift))
     out = out.times(sd.normalization.ratio(r_num, r_den))
     return out.negated() if formula.sign < 0 else out
+
+
+@dataclass(frozen=True)
+class ThetaTable:
+    """Exponent labels of a set of sites, and every marked-point theta their formulas use."""
+
+    labels: dict[tuple, tuple]  # site -> exponent label
+    thetas: dict[tuple, ScaledComplex]  # (marked point, shifted label) -> theta
+
+
+def theta_table(sd, sites) -> ThetaTable:
+    """Label each site once and evaluate its formulas' distinct theta factors in one kernel call."""
+    model = MODELS[sd.model]
+    labels: dict[tuple, tuple] = {}
+    keys: dict[tuple, None] = {}  # distinct keys in first-use order
+    for site in sites:
+        s = model.site(*site)
+        v = labels[tuple(s)] = tuple(sd.site_label(s))
+        keys.update(dict.fromkeys(_theta_keys(v, model.formulas[model.site_class(s)])))
+    return ThetaTable(labels, sd.marked_thetas(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -625,27 +660,33 @@ class Stencil:
         return replace(self, values=tuple(val.times(factor) for val in self.values))
 
 
-def _closed_form_stencil(model: Model, sd, site) -> Stencil:
+def _closed_form_stencil(model: Model, sd, site, table: ThetaTable | None) -> Stencil:
     """The stencil at one site: the class's unit is exactly 1, its forced zeros exactly 0."""
     s = model.site(*site)
-    v = tuple(sd.site_label(s))
+    if table is None:
+        table = theta_table(sd, [s])
+    v = table.labels[tuple(s)]
     cls = model.site_class(s)
     vals = {model.units[cls]: ScaledComplex.one()}
     for zero_key in model.zeros[cls]:
         vals[zero_key] = ScaledComplex(0j, 0.0)
     for formula in model.formulas[cls]:
-        vals[formula.coeff] = evaluate_ratio(sd, v, formula)
+        vals[formula.coeff] = evaluate_ratio(sd, v, formula, table.thetas)
     return Stencil(model, model.units[cls], tuple(vals[k] for k in model.coeffs))
 
 
-def cross_coefficients(sd: SpectralDataCross, site) -> Stencil:
-    """The stencil at one square-lattice site, unit coefficient set to 1."""
-    return _closed_form_stencil(CROSS, sd, site)
+def cross_coefficients(sd: SpectralDataCross, site, table: ThetaTable | None = None) -> Stencil:
+    """The stencil at one square-lattice site, unit coefficient set to 1.
+
+    ``table`` must cover the site (see :func:`theta_table`); without it
+    the site's own theta values are evaluated here.
+    """
+    return _closed_form_stencil(CROSS, sd, site, table)
 
 
-def hex_coefficients(sd: SpectralDataHex, site) -> Stencil:
+def hex_coefficients(sd: SpectralDataHex, site, table: ThetaTable | None = None) -> Stencil:
     """The stencil at one triangular-lattice site, with its two forced zeros."""
-    return _closed_form_stencil(HEX, sd, site)
+    return _closed_form_stencil(HEX, sd, site, table)
 
 
 # ---------------------------------------------------------------------------
@@ -677,16 +718,18 @@ class StencilField:
 
 
 def build_field(sd, radius: int) -> StencilField:
-    """Evaluate the closed-form stencils on the whole window."""
+    """Evaluate the closed-form stencils on the whole window.
+
+    The window's marked-point theta values come from one table, built
+    with one kernel call; the ratio arithmetic then runs site by site.
+    """
     # The one model-name dispatch outside the registry.  The builder is read
     # from the module globals at call time because a profiler that rebinds
     # them (perfbench's tracer) would miss a function stored in the registry.
     builder = cross_coefficients if sd.model == "cross" else hex_coefficients
-    return StencilField(
-        sd.model,
-        int(radius),
-        {site: builder(sd, site) for site in window_sites(sd.model, radius)},
-    )
+    sites = window_sites(sd.model, radius)
+    table = theta_table(sd, sites)
+    return StencilField(sd.model, int(radius), {site: builder(sd, site, table) for site in sites})
 
 
 def field_to_document(
@@ -788,22 +831,55 @@ def field_to_csv(field: StencilField) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _normalized_residual(terms: list[ScaledComplex]) -> float:
-    """|sum| / sum(|.|), computed at a common scale so nothing overflows."""
-    mags = [t.log_abs for t in terms if t.mantissa != 0]
-    if not mags:
-        return 0.0
-    top = max(mags)
-    total = 0j
-    denom = 0.0
-    for t in terms:
-        if t.mantissa == 0:
-            continue
-        mag = math.exp(t.log_abs - top)
-        val = (t.mantissa / abs(t.mantissa)) * mag
-        total += val
-        denom += mag
-    return abs(total) / denom
+def _sites(model: str, window) -> list[tuple]:
+    """A radius's window, or an explicit iterable of site tuples."""
+    return window_sites(model, window) if isinstance(window, int) else [tuple(s) for s in window]
+
+
+@dataclass(frozen=True)
+class PsiGrid:
+    """psi at a set of sites (rows) and probe points (columns)."""
+
+    probes: tuple[SurfacePoint, ...]
+    rows: dict[tuple, int]
+    values: ScaledArray  # (sites, probes)
+
+    def index(self, sites) -> list[int]:
+        return [self.rows[tuple(s)] for s in sites]
+
+    def at(self, sites) -> ScaledArray:
+        """The rows of ``sites``, in order: shape (len(sites), probes)."""
+        return self.values[self.index(sites)]
+
+    @cached_property
+    def log_abs(self) -> np.ndarray:
+        return self.values.log_abs
+
+    @cached_property
+    def phase(self) -> np.ndarray:
+        return self.values.phase
+
+
+def psi_grid(sd, window, probes) -> PsiGrid:
+    """psi at every site of ``window`` and its one-site halo, at every probe.
+
+    ``window`` is a radius or an iterable of sites.  Each site is
+    labelled once, and the whole grid is one :meth:`phi_scaled` call.
+    """
+    halo = list(
+        dict.fromkeys(nb for site in _sites(sd.model, window) for nb in stencil_offsets(sd.model, site))
+    )
+    probes = tuple(probes)
+    values = sd.phi_scaled([sd.site_label(nb) for nb in halo], probes)
+    return PsiGrid(probes, {nb: i for i, nb in enumerate(halo)}, values)
+
+
+def _grid_for(sd, sites, probes, grid: PsiGrid | None) -> PsiGrid:
+    if grid is None:
+        return psi_grid(sd, sites, probes)
+    if grid.probes != tuple(probes):
+        raise ValueError("the psi grid was evaluated at other probe points")
+    return grid
 
 
 @dataclass(frozen=True)
@@ -827,6 +903,27 @@ class ResidualReport:
         return not self.failures
 
 
+# sites whose residuals are computed together: bounds the temporaries to a
+# few hundred kB while keeping numpy calls few
+_RESIDUAL_CHUNK = 64
+
+
+def _site_residuals(sd, field: StencilField, grid: PsiGrid, sites, gauge) -> np.ndarray:
+    """Normalized residual of each site's stencil equation at each probe: (sites, probes)."""
+    ncoef = len(MODELS[sd.model].coeffs)
+    shape = (ncoef, len(sites), len(grid.probes))
+    # axis 0 runs over the coefficients, so the terms are summed in stencil order
+    neighbors = [stencil_offsets(sd.model, site) for site in sites]
+    flat = [nbs[k] for k in range(ncoef) for nbs in neighbors]
+    coeffs = ScaledArray.of(field.stencils[site].values[k] for k in range(ncoef) for site in sites)
+    coeffs = coeffs.reshape(ncoef, len(sites), 1)
+    terms = coeffs.times(grid.at(flat).reshape(*shape))
+    if gauge is not None:
+        gauges = np.array([gauge.at(nb) for nb in flat], dtype=complex)
+        terms = terms.times(gauges.reshape(ncoef, len(sites), 1))
+    return terms.cancellation(np.broadcast_to(coeffs.mantissa != 0, shape))
+
+
 def residual_report(
     sd,
     window,
@@ -834,40 +931,34 @@ def residual_report(
     field: StencilField | None = None,
     tol: float = 1e-8,
     gauge: "GaugeField | None" = None,
+    grid: PsiGrid | None = None,
 ) -> ResidualReport:
     """Max normalized residual of the stencil equation over a window.
 
     ``window`` is a radius or an explicit iterable of site tuples.  With
     a ``gauge``, function values are multiplied by the gauge at their
     own site, which is how a gauge-transformed ``field`` is verified.
+    ``grid`` holds psi at these probes (see :func:`psi_grid`); it is
+    evaluated here when omitted.  Each site's residual at a probe is
+    |sum of terms| / sum of |terms| over its nonzero coefficients.
     """
-    sites = window_sites(sd.model, window) if isinstance(window, int) else [tuple(s) for s in window]
+    sites = _sites(sd.model, window)
     if field is None:
         field = build_field(sd, max((max(map(abs, s)) for s in sites), default=0)) if sites else None
+    grid = _grid_for(sd, sites, probes, grid)
     entries = []
     failures = []
     worst_overall = 0.0
-    for site in sites:
-        stencil = field.stencils[site]
-        neighbor_sites = stencil_offsets(sd.model, site)
-        worst = -1.0
-        worst_probe = -1
-        for ip, P in enumerate(probes):
-            terms = []
-            for cval, nb in zip(stencil.values, neighbor_sites):
-                if cval.mantissa == 0:
-                    continue
-                t = cval.times(sd.psi_scaled(nb, P))
-                if gauge is not None:
-                    t = t.times(gauge.at(nb))
-                terms.append(t)
-            res = _normalized_residual(terms)
-            if res > worst:
-                worst, worst_probe = res, ip
-        entries.append(SiteResidual(site, worst, worst_probe))
-        worst_overall = max(worst_overall, worst)
-        if worst > tol:
-            failures.append(site)
+    for start in range(0, len(sites), _RESIDUAL_CHUNK):
+        chunk = sites[start : start + _RESIDUAL_CHUNK]
+        for site, row in zip(chunk, _site_residuals(sd, field, grid, chunk, gauge)):
+            # the first probe attaining the maximum; -1 when there are none
+            worst_probe = int(row.argmax()) if row.size else -1
+            worst = float(row[worst_probe]) if row.size else -1.0
+            entries.append(SiteResidual(site, worst, worst_probe))
+            worst_overall = max(worst_overall, worst)
+            if worst > tol:
+                failures.append(site)
     return ResidualReport(
         model=sd.model,
         tolerance=tol,
@@ -885,7 +976,7 @@ def residual_report(
 MIN_ORACLE_PROBES = 8
 
 
-def nullspace_oracle(sd, site, probes) -> tuple[Stencil, float]:
+def nullspace_oracle(sd, site, probes, grid: PsiGrid | None = None) -> tuple[Stencil, float]:
     """Recover the stencil at ``site`` from function values alone.
 
     Builds the probes-by-coefficients matrix of neighbor function
@@ -895,7 +986,9 @@ def nullspace_oracle(sd, site, probes) -> tuple[Stencil, float]:
     right singular vector of the smallest singular value.  The returned
     gap sigma_min / sigma_second certifies kernel dimension one when it
     is small.  Raises :class:`RankDeficient` when the second-smallest
-    singular value also collapses (degenerate probes or data).
+    singular value also collapses (degenerate probes or data).  ``grid``
+    holds psi at these probes and the site's neighbors (see
+    :func:`psi_grid`); it is evaluated here when omitted.
     """
     if len(probes) < MIN_ORACLE_PROBES:
         raise ValueError(f"nullspace_oracle needs at least {MIN_ORACLE_PROBES} probe points")
@@ -903,11 +996,12 @@ def nullspace_oracle(sd, site, probes) -> tuple[Stencil, float]:
     s_obj = model.site(*site)
     neighbor_sites = stencil_offsets(model.name, s_obj)
     ncols = len(model.coeffs)
-    vals = [[sd.psi_scaled(nb, P) for nb in neighbor_sites] for P in probes]
-    logs = np.array([[v.log_abs for v in row] for row in vals])
-    phases = np.array(
-        [[v.mantissa / abs(v.mantissa) if v.mantissa != 0 else 0j for v in row] for row in vals]
-    )
+    grid = _grid_for(sd, [tuple(s_obj)], probes, grid)
+    rows = grid.index(neighbor_sites)
+    # probes by coefficients, C-ordered: numpy's elementwise kernels below
+    # round the same way only on the same memory layout
+    logs = np.ascontiguousarray(grid.log_abs[rows].T)
+    phases = np.ascontiguousarray(grid.phase[rows].T)
     col_scale = logs.max(axis=0)
     balanced = logs - col_scale[None, :]
     row_scale = balanced.max(axis=1)
@@ -973,6 +1067,7 @@ def oracle_report(
     gap_tol: float = 1e-6,
     match_tol: float = 1e-6,
     zero_tol: float = 1e-8,
+    grid: PsiGrid | None = None,
 ) -> OracleReport:
     """Compare the closed-form stencils against the null-space oracle sitewise.
 
@@ -981,10 +1076,13 @@ def oracle_report(
     oracle relatively (``match_tol``); coefficients the formulas force
     to zero must come back from the oracle at or below ``zero_tol``
     relative to the largest of the site's raw kernel components.
+    ``grid`` holds psi at these probes (see :func:`psi_grid`); it is
+    evaluated here when omitted.
     """
-    sites = window_sites(sd.model, window) if isinstance(window, int) else [tuple(s) for s in window]
+    sites = _sites(sd.model, window)
     if field is None and sites:
         field = build_field(sd, max(max(map(abs, s)) for s in sites))
+    grid = _grid_for(sd, sites, probes, grid)
     entries = []
     failures = []
     max_gap = 0.0
@@ -992,7 +1090,7 @@ def oracle_report(
     max_zero = 0.0
     for site in sites:
         formula = field.stencils[site]
-        oracle, gap = nullspace_oracle(sd, site, probes)
+        oracle, gap = nullspace_oracle(sd, site, probes, grid)
         mismatch = 0.0
         zero_excess = 0.0
         peak_log = max(v.log_abs for v in oracle.values if v.mantissa != 0)

@@ -16,6 +16,9 @@ Values of the series span an enormous dynamic range once ``|z|`` grows
 (the function is entire of order two), so the workhorse evaluator
 :func:`theta_eval_scaled` returns a mantissa/log-scale pair that never
 overflows; :func:`theta_eval` is the plain-complex convenience wrapper.
+:func:`theta_eval_batch` evaluates a whole array of arguments in one
+numpy pass and returns a :class:`ScaledArray`, whose elements carry the
+same bits as :func:`theta_eval_scaled` on each argument.
 
 All evaluations are deterministic: the lattice is enumerated shell by
 shell in a fixed order, so repeated calls with identical inputs return
@@ -27,6 +30,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import NonConvergent
 
@@ -150,6 +155,176 @@ class ScaledComplex:
         return ScaledComplex(cmath.exp(1j * w.imag), w.real)
 
 
+# Elementwise helpers that round exactly as CPython's complex and math
+# operations do.  numpy's own complex multiply, divide and abs, its real
+# exp and log, and complex log near |x| = 1 each differ from CPython in
+# the last bit for a share of inputs; these helpers avoid all of them.
+
+_math_log = np.frompyfunc(math.log, 1, 1)
+
+
+def _complex(re, im) -> np.ndarray:
+    """A complex array from its parts, with no arithmetic (signed zeros kept)."""
+    re, im = np.broadcast_arrays(re, im)
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = im
+    return out
+
+
+def _abs(z) -> np.ndarray:
+    """``abs(complex)``: CPython computes it with ``hypot``."""
+    return np.hypot(z.real, z.imag)
+
+
+def _log(x) -> np.ndarray:
+    """``math.log`` on each element (positive input)."""
+    return _math_log(x).astype(float)
+
+
+def _exp(x) -> np.ndarray:
+    """``math.exp`` on each element: the libm exp behind numpy's complex exp."""
+    return np.exp(x + 0j).real
+
+
+def complex_mul(a, b) -> np.ndarray:
+    """CPython's complex product ``a * b``, elementwise."""
+    return _complex(a.real * b.real - a.imag * b.imag, a.real * b.imag + a.imag * b.real)
+
+
+def _div(a, b) -> np.ndarray:
+    """CPython's complex quotient ``a / b`` (Smith's method); ``b`` must be nonzero."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    by_real = np.abs(br) >= np.abs(bi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(by_real, bi / br, br / bi)
+        denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
+        re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
+        im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom
+    return _complex(re, im)
+
+
+@dataclass(frozen=True, eq=False)
+class ScaledArray:
+    """An array of :class:`ScaledComplex` values: a mantissa array and a log-scale array.
+
+    Each operation repeats, element by element, the IEEE operations of the
+    :class:`ScaledComplex` method of the same name in the same order, so
+    every element has the bits the scalar computation would give.
+    """
+
+    mantissa: np.ndarray  # complex
+    log_scale: np.ndarray  # float, same shape
+
+    def __getitem__(self, index) -> "ScaledArray":
+        return ScaledArray(self.mantissa[index], self.log_scale[index])
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.mantissa.shape
+
+    def reshape(self, *shape) -> "ScaledArray":
+        return ScaledArray(self.mantissa.reshape(shape), self.log_scale.reshape(shape))
+
+    def normalized(self) -> "ScaledArray":
+        a = _abs(self.mantissa)
+        move = (a != 0.0) & ~((1e-8 < a) & (a < 1e8))
+        if not move.any():
+            return self
+        mantissa = self.mantissa.copy()
+        log_scale = self.log_scale.copy()
+        moved = a[move]
+        mantissa[move] = _div(mantissa[move], _complex(moved, 0.0))
+        log_scale[move] = log_scale[move] + _log(moved)
+        return ScaledArray(mantissa, log_scale)
+
+    def times(self, other) -> "ScaledArray":
+        """Elementwise product with a ScaledArray or a plain complex array."""
+        if not isinstance(other, ScaledArray):
+            other = ScaledArray.from_complex(other)
+        return ScaledArray(
+            complex_mul(self.mantissa, other.mantissa), self.log_scale + other.log_scale
+        ).normalized()
+
+    def over(self, other: "ScaledArray") -> "ScaledArray":
+        if (other.mantissa == 0).any():
+            raise ZeroDivisionError("division by zero ScaledArray")
+        return ScaledArray(
+            _div(self.mantissa, other.mantissa), self.log_scale - other.log_scale
+        ).normalized()
+
+    def times_exp(self, w) -> "ScaledArray":
+        """Multiply by exp(w) without forming exp(w)."""
+        w = np.asarray(w, dtype=complex)
+        # the parts of CPython's 1j * w.imag, then cmath.exp of it
+        phase = np.exp(_complex(0.0 * w.imag - 0.0, 0.0 + w.imag))
+        return ScaledArray(
+            complex_mul(self.mantissa, phase), self.log_scale + w.real
+        ).normalized()
+
+    @property
+    def phase(self) -> np.ndarray:
+        """``mantissa / abs(mantissa)``, and 0 where the mantissa is 0."""
+        a = _abs(self.mantissa)
+        nonzero = self.mantissa != 0
+        out = np.zeros(a.shape, dtype=complex)
+        out[nonzero] = _div(self.mantissa[nonzero], _complex(a[nonzero], 0.0))
+        return out
+
+    @property
+    def log_abs(self) -> np.ndarray:
+        a = _abs(self.mantissa)
+        out = np.full(a.shape, -math.inf)
+        nonzero = self.mantissa != 0
+        out[nonzero] = _log(a[nonzero]) + self.log_scale[nonzero]
+        return out
+
+    def scalars(self) -> list[ScaledComplex]:
+        """The elements, in C order, as plain ScaledComplex values."""
+        return [
+            ScaledComplex(m, s)
+            for m, s in zip(self.mantissa.ravel().tolist(), self.log_scale.ravel().tolist())
+        ]
+
+    def cancellation(self, used) -> np.ndarray:
+        """``|sum| / sum(|.|)`` along axis 0, over the elements where ``used`` holds.
+
+        Computed at a common scale, so nothing overflows; 0 where no
+        element is used or all used ones are 0.  Elements are summed in
+        index order, so the result has the bits of the same sum over
+        ScaledComplex terms.
+        """
+        used = used & (self.mantissa != 0)
+        logs = self.log_abs
+        top = np.where(used, logs, -math.inf).max(axis=0)
+        phase = self.phase
+        total = np.zeros(top.shape, dtype=complex)
+        denom = np.zeros(top.shape)
+        # unused elements may overflow or be NaN; np.where drops them
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(self.shape[0]):
+                mag = _exp(logs[k] - top)
+                # CPython's complex * float goes through complex(mag, 0.0)
+                val = complex_mul(phase[k], _complex(mag, 0.0))
+                total = np.where(used[k], total + val, total)
+                denom = np.where(used[k], denom + mag, denom)
+            return np.where(used.any(axis=0), _abs(total) / denom, 0.0)
+
+    @staticmethod
+    def of(values) -> "ScaledArray":
+        """A 1-D ScaledArray holding the given ScaledComplex values."""
+        values = list(values)
+        return ScaledArray(
+            np.array([v.mantissa for v in values], dtype=complex),
+            np.array([v.log_scale for v in values], dtype=float),
+        )
+
+    @staticmethod
+    def from_complex(w) -> "ScaledArray":
+        w = np.asarray(w, dtype=complex)
+        return ScaledArray(w, np.zeros(w.shape))
+
+
 def _check_eps(eps: float) -> float:
     eps = float(eps)
     if not (0.0 < eps <= _MAX_EPS):
@@ -231,6 +406,76 @@ def theta_eval_scaled(
     ``min_shells`` forces extra shells before the adaptive tail test may
     fire (used by the truncation-stability tests)."""
     return _lattice_sum_1d(pm.B, complex(z), _check_eps(eps), False, min_shells)
+
+
+def _lattice_sum_batch(b: complex, z: np.ndarray, eps: float, min_shells: int) -> ScaledArray:
+    """:func:`_lattice_sum_1d` (unweighted) over an array of arguments.
+
+    Every element follows the scalar kernel step for step: the same
+    Gaussian-peak centre and scale, the same shell order, the same
+    two-quiet-shells stop, each element stopping at its own shell, so
+    each result has the scalar kernel's bits.  Finished elements leave
+    the working set; a non-finite argument or term anywhere raises
+    :class:`NonConvergent`, as does a shell cap reached by any element.
+    """
+    z = np.asarray(z, dtype=complex)
+    flat = z.ravel()
+    if not np.isfinite(flat).all():
+        raise NonConvergent("theta argument is not finite")
+    mantissa = np.empty(flat.shape, dtype=complex)
+    log_scale = np.empty(flat.shape)
+    with np.errstate(all="ignore"):
+        n0 = np.rint(-flat.real / b.real)
+        # n0 == 0 gives exactly 0.0, as in the scalar kernel
+        scale = np.where(n0 != 0, (0.5 * (n0 * b * n0) + n0 * flat).real, 0.0)
+
+        def term(N, zs, sc):
+            t = np.exp(0.5 * (b * N * N) + N * zs - sc)
+            if not np.isfinite(t).all():
+                raise NonConvergent("theta lattice sum overflowed")
+            return t
+
+        live = np.arange(flat.size)
+        n0_l, z_l, sc_l = n0, flat, scale
+        acc = np.zeros(flat.shape, dtype=complex)
+        quiet = np.zeros(flat.shape, dtype=int)
+        for radius in range(_SHELL_CAP + 1):
+            if not live.size:
+                break
+            if radius == 0:
+                shell_sum = term(n0_l, z_l, sc_l)
+                shell_mag = _abs(shell_sum)
+            else:
+                t0 = term(n0_l - radius, z_l, sc_l)
+                t1 = term(n0_l + radius, z_l, sc_l)
+                shell_sum = t0 + t1
+                shell_mag = _abs(t0) + _abs(t1)
+            acc = acc + shell_sum
+            size = _abs(acc)
+            calm = shell_mag < eps * np.where(size > 1.0, size, 1.0)
+            quiet = np.where(calm, quiet + 1, 0)
+            if radius < max(1, min_shells):
+                continue
+            done = quiet >= 2
+            if done.any():
+                mantissa[live[done]] = acc[done]
+                log_scale[live[done]] = sc_l[done]
+                keep = ~done
+                live, n0_l, z_l, sc_l = live[keep], n0_l[keep], z_l[keep], sc_l[keep]
+                acc, quiet = acc[keep], quiet[keep]
+    if live.size:
+        raise NonConvergent(
+            f"lattice sum did not reach relative tail {eps:g} within {_SHELL_CAP} shells"
+        )
+    return ScaledArray(mantissa.reshape(z.shape), log_scale.reshape(z.shape))
+
+
+def theta_eval_batch(pm: PeriodMatrix, z, eps: float = 1e-12) -> ScaledArray:
+    """Theta at every element of the complex array ``z``, as a :class:`ScaledArray`.
+
+    Element ``i`` has the bits of ``theta_eval_scaled(pm, z[i], eps)``.
+    """
+    return _lattice_sum_batch(pm.B, z, _check_eps(eps), 0)
 
 
 def theta_eval(pm: PeriodMatrix, z: complex, eps: float = 1e-12, *, min_shells: int = 0) -> complex:

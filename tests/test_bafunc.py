@@ -34,6 +34,23 @@ def test_zero_label_value_is_one_at_the_base(cross_data, hex_data):
         assert sd.phi_scaled(label, base).as_complex() == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("model", ["cross", "hex"])
+def test_phi_grid_matches_one_value_phi_bit_for_bit(model, cross_data, hex_data, cross_probes, hex_probes):
+    sd, probes = (cross_data, cross_probes) if model == "cross" else (hex_data, hex_probes)
+    relabel = relabel_cross if model == "cross" else relabel_hex
+    make = site_cross if model == "cross" else site_hex
+    sites = [(n, m) for n in range(-5, 6) for m in range(-5, 6)]
+    if model == "hex":
+        sites = [(k, l, -k - l) for k, l in sites]
+    labels = [relabel(make(*s)) for s in sites]
+    grid = sd.phi_scaled(labels, probes)
+    assert grid.shape == (len(labels), len(probes))
+    got = iter(grid.scalars())
+    for label in labels:
+        for P in probes:
+            assert repr(next(got)) == repr(sd.phi_scaled(label, P)), (label, P.lift)
+
+
 def test_phi_depends_on_the_point(cross_data, cross_probes):
     a = phi(cross_data, CROSS_LABEL, cross_probes[0])
     b = phi(cross_data, CROSS_LABEL, cross_probes[1])

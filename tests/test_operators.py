@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -33,13 +34,16 @@ from crosshex.operators import (
     GaugeField,
     StencilField,
     build_field,
+    cross_coefficients,
     evaluate_ratio,
     field_from_document,
     field_to_csv,
     field_to_document,
     gauge_transform,
+    hex_coefficients,
     nullspace_oracle,
     oracle_report,
+    psi_grid,
     residual_report,
     sample_probes,
     window_sites,
@@ -88,6 +92,52 @@ def test_hex_oracle_matches_field_and_zero_pattern(hex_data, hex_probes):
     assert rep.max_gap <= 1e-6
     assert rep.max_mismatch <= 1e-6
     assert rep.max_forced_zero_excess <= 1e-8
+
+
+@pytest.mark.parametrize("model", ["cross", "hex"])
+def test_window_table_build_matches_site_by_site_build(model, cross_data, hex_data):
+    # build_field evaluates the window's theta factors in one kernel call;
+    # each site built alone evaluates only its own, and the bits agree
+    sd, builder = (cross_data, cross_coefficients) if model == "cross" else (hex_data, hex_coefficients)
+    field = build_field(sd, 3)
+    for site, stencil in field.stencils.items():
+        assert repr(builder(sd, site).values) == repr(stencil.values), site
+
+
+def _scalar_residual(sd, stencil, site, P):
+    """The residual at one probe from one-value psi calls and ScaledComplex sums."""
+    terms = [
+        c.times(sd.psi_scaled(nb, P))
+        for c, nb in zip(stencil.values, stencil_offsets(sd.model, site))
+        if c.mantissa != 0
+    ]
+    top = max(t.log_abs for t in terms)
+    total, denom = 0j, 0.0
+    for t in terms:
+        mag = math.exp(t.log_abs - top)
+        total += (t.mantissa / abs(t.mantissa)) * mag
+        denom += mag
+    return abs(total) / denom
+
+
+@pytest.mark.parametrize("model", ["cross", "hex"])
+def test_grid_residuals_match_one_value_psi(model, cross_data, hex_data, cross_probes, hex_probes):
+    sd, probes = (cross_data, cross_probes) if model == "cross" else (hex_data, hex_probes)
+    field = build_field(sd, 2)
+    rep = residual_report(sd, 2, probes, field=field, grid=psi_grid(sd, 2, probes))
+    for entry in rep.entries:
+        stencil = field.stencils[entry.site]
+        per_probe = [_scalar_residual(sd, stencil, entry.site, P) for P in probes]
+        assert repr(entry.residual) == repr(max(per_probe))
+        assert entry.worst_probe == per_probe.index(max(per_probe))
+
+
+def test_grid_must_hold_the_probes(cross_data, cross_probes):
+    grid = psi_grid(cross_data, 1, cross_probes[:8])
+    with pytest.raises(ValueError):
+        residual_report(cross_data, 1, cross_probes[1:9], grid=grid)
+    with pytest.raises(ValueError):
+        nullspace_oracle(cross_data, site_cross(0, 0), cross_probes[1:9], grid)
 
 
 def test_unit_and_zero_coefficients_by_class(cross_data, hex_data):

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from crosshex.errors import NonConvergent
 from crosshex.theta import (
     PeriodMatrix,
+    ScaledArray,
     ScaledComplex,
     _lattice_sum_1d,
     quasi_period_factor_scaled,
     theta_eval,
+    theta_eval_batch,
     theta_eval_scaled,
     theta_zero_1d,
 )
@@ -235,3 +237,120 @@ def test_genus_one_overflow_raises_nonconvergent(bad):
     # the double range of exp; the sum must fail loudly, not return inf
     with pytest.raises(NonConvergent):
         theta_eval_scaled(PeriodMatrix(complex(-5.0, 1.0)), bad)
+
+
+def _batch_draws(rng, count):
+    """Seeded arguments over |z| <= 500, a fifth of them near the origin (peak index n0 == 0)."""
+    z = 500.0 ** rng.uniform(-1.0, 1.0, count) * np.exp(2j * math.pi * rng.uniform(size=count))
+    near = count // 5
+    z[:near] = rng.uniform(-1.0, 1.0, near) + 1j * rng.uniform(-40.0, 40.0, near)
+    return z
+
+
+def test_batch_kernel_matches_the_scalar_kernel_bit_for_bit():
+    # same centre, scale, shell order and per-element stop as _lattice_sum_1d;
+    # repr tells +0.0 from -0.0, which == does not
+    rng = np.random.default_rng(23)
+    mismatches = []
+    checked = 0
+    for _ in range(10):
+        pm = PeriodMatrix(complex(rng.uniform(-8.0, -3.0), rng.uniform(-3.0, 3.0)))
+        z = _batch_draws(rng, 600)
+        batch = theta_eval_batch(pm, z.reshape(20, 30), 1e-13)
+        assert batch.shape == (20, 30)
+        for zi, got in zip(z.tolist(), batch.scalars()):
+            want = theta_eval_scaled(pm, zi, 1e-13)
+            checked += 1
+            if repr(got) != repr(want):
+                mismatches.append((pm.B, zi))
+    assert checked == 6000
+    assert not any(abs(zi.real / pm.B.real) >= 0.5 for zi in z[:120].tolist())  # n0 == 0 draws
+    assert not mismatches, mismatches[:5]
+
+
+def test_batch_kernel_of_nothing_is_empty():
+    got = theta_eval_batch(PeriodMatrix(-4.0), np.zeros(0, dtype=complex))
+    assert got.shape == (0,) and got.scalars() == []
+
+
+@pytest.mark.parametrize(
+    "bad", [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(0.0, math.inf), 1e300, 1e10, 1e15]
+)
+def test_batch_kernel_raises_nonconvergent_where_the_scalar_kernel_does(bad):
+    pm = PeriodMatrix(complex(-5.0, 1.0))
+    with pytest.raises(NonConvergent):
+        theta_eval_scaled(pm, bad)
+    # one bad element fails the whole batch
+    with pytest.raises(NonConvergent):
+        theta_eval_batch(pm, np.array([0.5 + 0.25j, bad, 3.0]))
+
+
+def test_batch_kernel_shell_cap_raises_nonconvergent():
+    with pytest.raises(NonConvergent):
+        theta_eval_batch(PeriodMatrix(-1e-8), np.array([30.0 + 0j]))
+
+
+def _scaled_draws(rng, count):
+    """Mantissas across 24 decades, some purely real or imaginary, with wide log scales."""
+    mantissa = 10.0 ** rng.uniform(-12.0, 12.0, count) * np.exp(2j * math.pi * rng.uniform(size=count))
+    mantissa[:50] = rng.normal(size=50) + 0j
+    mantissa[50:100] = 1j * rng.normal(size=50)
+    mantissa[100:150] = np.exp(2j * math.pi * rng.uniform(size=50))  # |m| near 1
+    return ScaledArray(mantissa, rng.normal(0.0, 300.0, count))
+
+
+def test_scaled_array_ops_match_scaled_complex_bit_for_bit():
+    rng = np.random.default_rng(29)
+    a, b = _scaled_draws(rng, 5000), _scaled_draws(rng, 5000)
+    w = rng.normal(0.0, 50.0, 5000) + 1j * rng.normal(0.0, 50.0, 5000)
+    plain = b.mantissa
+    pairs = list(zip(a.scalars(), b.scalars(), w.tolist(), plain.tolist()))
+
+    def same(got, want):
+        return [repr(g) for g in got] == [repr(x) for x in want]
+
+    assert same(a.times(b).scalars(), [x.times(y) for x, y, _, _ in pairs])
+    assert same(a.times(plain).scalars(), [x.times(p) for x, _, _, p in pairs])
+    assert same(a.over(b).scalars(), [x.over(y) for x, y, _, _ in pairs])
+    assert same(a.times_exp(w).scalars(), [x.times_exp(v) for x, _, v, _ in pairs])
+    assert same(a.normalized().scalars(), [x.normalized() for x, _, _, _ in pairs])
+    assert same(a.log_abs.tolist(), [x.log_abs for x, _, _, _ in pairs])
+    assert same(
+        a.phase.tolist(), [x.mantissa / abs(x.mantissa) for x, _, _, _ in pairs]
+    )
+
+
+def test_scaled_array_zero_mantissas():
+    a = ScaledArray(np.array([0j, 1.0 + 1.0j]), np.array([3.0, 2.0]))
+    assert a.log_abs[0] == -math.inf and a.phase[0] == 0
+    assert repr(a.normalized().scalars()[0]) == repr(ScaledComplex(0j, 3.0).normalized())
+    with pytest.raises(ZeroDivisionError):
+        ScaledArray.from_complex([1.0 + 0j]).over(a)
+
+
+def _cancellation_reference(terms):
+    """The normalized-residual loop over ScaledComplex terms, zero terms skipped."""
+    mags = [t.log_abs for t in terms if t.mantissa != 0]
+    if not mags:
+        return 0.0
+    top = max(mags)
+    total = 0j
+    denom = 0.0
+    for t in terms:
+        if t.mantissa == 0:
+            continue
+        mag = math.exp(t.log_abs - top)
+        total += (t.mantissa / abs(t.mantissa)) * mag
+        denom += mag
+    return abs(total) / denom
+
+
+def test_cancellation_matches_the_scalar_sum_bit_for_bit():
+    rng = np.random.default_rng(31)
+    terms = _scaled_draws(rng, 6 * 700).reshape(6, 700)
+    used = rng.random((6, 700)) < 0.8
+    used[:, :5] = False  # no term used
+    got = terms.cancellation(used)
+    for j in range(700):
+        column = [terms[k, j].scalars()[0] for k in range(6) if used[k, j]]
+        assert repr(float(got[j])) == repr(_cancellation_reference(column)), j
