@@ -408,7 +408,7 @@ def theta_eval_scaled(
     return _lattice_sum_1d(pm.B, complex(z), _check_eps(eps), False, min_shells)
 
 
-def _lattice_sum_batch(b: complex, z: np.ndarray, eps: float, min_shells: int) -> ScaledArray:
+def _lattice_sum_batch(b: complex, z: np.ndarray, eps: float) -> ScaledArray:
     """:func:`_lattice_sum_1d` (unweighted) over an array of arguments.
 
     Every element follows the scalar kernel step for step: the same
@@ -454,9 +454,7 @@ def _lattice_sum_batch(b: complex, z: np.ndarray, eps: float, min_shells: int) -
             size = _abs(acc)
             calm = shell_mag < eps * np.where(size > 1.0, size, 1.0)
             quiet = np.where(calm, quiet + 1, 0)
-            if radius < max(1, min_shells):
-                continue
-            done = quiet >= 2
+            done = quiet >= 2  # two quiet shells need radius >= 1
             if done.any():
                 mantissa[live[done]] = acc[done]
                 log_scale[live[done]] = sc_l[done]
@@ -475,7 +473,7 @@ def theta_eval_batch(pm: PeriodMatrix, z, eps: float = 1e-12) -> ScaledArray:
 
     Element ``i`` has the bits of ``theta_eval_scaled(pm, z[i], eps)``.
     """
-    return _lattice_sum_batch(pm.B, z, _check_eps(eps), 0)
+    return _lattice_sum_batch(pm.B, z, _check_eps(eps))
 
 
 def theta_eval(pm: PeriodMatrix, z: complex, eps: float = 1e-12, *, min_shells: int = 0) -> complex:
