@@ -405,7 +405,7 @@ def uniqueness_check(sd, v, probes, tol: float = 1e-8, gap_tol: float = 1e-6) ->
 
         origin = (0,) * len(operators.MODELS[sd.model].index_names)
         try:
-            _, gap = operators.nullspace_oracle(sd, origin, probes)
+            _, gap, _ = operators.nullspace_oracle(sd, origin, probes)
         except (SingularEvaluation, PoleOnPath):
             gap = None
 

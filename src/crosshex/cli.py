@@ -56,7 +56,7 @@ from .surface import (
 )
 
 SPECTRAL_DOC_FORMAT = "crosshex-spectral-v1"
-VERIFY_DOC_FORMAT = "crosshex-verify-v1"
+VERIFY_DOC_FORMAT = "crosshex-verify-v2"
 
 # marked and divisor points keep this cover distance from the base and each other
 _MIN_COVER_SEPARATION = 0.1

@@ -976,7 +976,9 @@ def residual_report(
 MIN_ORACLE_PROBES = 8
 
 
-def nullspace_oracle(sd, site, probes, grid: PsiGrid | None = None) -> tuple[Stencil, float]:
+def nullspace_oracle(
+    sd, site, probes, grid: PsiGrid | None = None
+) -> tuple[Stencil, float, np.ndarray]:
     """Recover the stencil at ``site`` from function values alone.
 
     Builds the probes-by-coefficients matrix of neighbor function
@@ -985,10 +987,14 @@ def nullspace_oracle(sd, site, probes, grid: PsiGrid | None = None) -> tuple[Ste
     column scaling is inverted on the kernel vector), and takes the
     right singular vector of the smallest singular value.  The returned
     gap sigma_min / sigma_second certifies kernel dimension one when it
-    is small.  Raises :class:`RankDeficient` when the second-smallest
-    singular value also collapses (degenerate probes or data).  ``grid``
-    holds psi at these probes and the site's neighbors (see
-    :func:`psi_grid`); it is evaluated here when omitted.
+    is small.  The third value holds, per coefficient j, the largest
+    share its term takes of the stencil equation over the probes i, in
+    the balanced frame: max_i |M_ij k_j| / sum_j |M_ij k_j| for the
+    balanced matrix M and kernel vector k.  Raises
+    :class:`RankDeficient` when the second-smallest singular value also
+    collapses (degenerate probes or data).  ``grid`` holds psi at these
+    probes and the site's neighbors (see :func:`psi_grid`); it is
+    evaluated here when omitted.
     """
     if len(probes) < MIN_ORACLE_PROBES:
         raise ValueError(f"nullspace_oracle needs at least {MIN_ORACLE_PROBES} probe points")
@@ -1031,7 +1037,10 @@ def nullspace_oracle(sd, site, probes, grid: PsiGrid | None = None) -> tuple[Ste
         ScaledComplex.one() if j == u_idx else scaled_kernel[j].over(unit_val)
         for j in range(ncols)
     )
-    return Stencil(model, unit, values), gap
+    terms = np.abs(matrix * kernel[None, :])
+    sums = terms.sum(axis=1, keepdims=True)
+    shares = np.divide(terms, sums, out=np.zeros_like(terms), where=sums > 0).max(axis=0)
+    return Stencil(model, unit, values), gap, shares
 
 
 @dataclass(frozen=True)
@@ -1073,9 +1082,12 @@ def oracle_report(
 
     For each site: the singular-value gap must certify a 1-dimensional
     kernel (``gap_tol``); non-vanishing coefficients must match the
-    oracle relatively (``match_tol``); coefficients the formulas force
-    to zero must come back from the oracle at or below ``zero_tol``
-    relative to the largest of the site's raw kernel components.
+    oracle relatively (``match_tol``); the term of a coefficient the
+    formulas force to zero must carry at most ``zero_tol`` of the
+    oracle's stencil equation at every probe (its share in the balanced
+    frame, see :func:`nullspace_oracle`).  Measured there, a forced
+    zero does not drift with the spread of neighbour magnitudes, which
+    grows with the window.
     ``grid`` holds psi at these probes (see :func:`psi_grid`); it is
     evaluated here when omitted.
     """
@@ -1090,14 +1102,12 @@ def oracle_report(
     max_zero = 0.0
     for site in sites:
         formula = field.stencils[site]
-        oracle, gap = nullspace_oracle(sd, site, probes, grid)
+        oracle, gap, shares = nullspace_oracle(sd, site, probes, grid)
         mismatch = 0.0
         zero_excess = 0.0
-        peak_log = max(v.log_abs for v in oracle.values if v.mantissa != 0)
-        for t_val, o_val in zip(formula.values, oracle.values):
+        for t_val, o_val, share in zip(formula.values, oracle.values, shares):
             if t_val.mantissa == 0:
-                if o_val.mantissa != 0:
-                    zero_excess = max(zero_excess, math.exp(o_val.log_abs - peak_log))
+                zero_excess = max(zero_excess, float(share))
                 continue
             mismatch = max(mismatch, abs(o_val.over(t_val).as_complex() - 1.0))
         entries.append(OracleSiteResult(site, gap, mismatch, zero_excess))

@@ -439,7 +439,7 @@ def test_criterion_8_errata_accounting(announce, generated):
         # reproduce the recorded evidence against the null-space oracle
         sd, doc = generated["hex"][0]
         probes = sample_probes(sd, 12, seed=doc["seed"] + 3000)
-        stencil, _ = nullspace_oracle(sd, site_hex(0, 0, 0), probes)
+        stencil, _, _ = nullspace_oracle(sd, site_hex(0, 0, 0), probes)
         want = stencil.coefficient("f")
         v = relabel_hex(site_hex(0, 0, 0))
         corrected_err = abs(

@@ -25,6 +25,7 @@ from crosshex.labels import (
 )
 from crosshex.operators import (
     CROSS,
+    PsiGrid,
     CROSS_EVEN_FORMULAS,
     CROSS_ODD_FORMULAS,
     HEX,
@@ -49,6 +50,7 @@ from crosshex.operators import (
     window_sites,
 )
 from crosshex.surface import export_curve_document, load_tabulated_curve
+from crosshex.theta import ScaledArray
 
 
 # -- windows -----------------------------------------------------------------
@@ -188,7 +190,7 @@ def test_formula_tables_align_with_shifts(name, request):
 def test_ratio_formula_reproduces_oracle_coefficient(cross_data, cross_probes):
     v = relabel_cross(site_cross(0, 0))
     formula = next(f for f in CROSS_EVEN_FORMULAS if f.coeff == "a")
-    stencil, gap = nullspace_oracle(cross_data, site_cross(0, 0), cross_probes)
+    stencil, gap, _ = nullspace_oracle(cross_data, site_cross(0, 0), cross_probes)
     assert gap <= 1e-6
     want = stencil.coefficient("a")
     got = evaluate_ratio(cross_data, v, formula).as_complex()
@@ -202,7 +204,7 @@ def test_printed_residue0_formula_fails_and_correction_holds(hex_data, hex_probe
     corrected = next(f for f in HEX_FORMULAS_BY_RESIDUE[0] if f.coeff == "f")
     assert "corrected-index" in corrected.transcription
     assert "as-printed" in HEX_CASE0_F_AS_PRINTED.transcription
-    stencil, _ = nullspace_oracle(hex_data, site_hex(0, 0, 0), hex_probes)
+    stencil, _, _ = nullspace_oracle(hex_data, site_hex(0, 0, 0), hex_probes)
     want = stencil.coefficient("f")
     good = evaluate_ratio(hex_data, v, corrected).as_complex()
     bad = evaluate_ratio(hex_data, v, HEX_CASE0_F_AS_PRINTED).as_complex()
@@ -334,6 +336,25 @@ def test_perturbed_coefficient_is_detected(cross_data):
     rep = residual_report(cross_data, [(0, 0)], probes, field=perturbed)
     assert rep.max_residual >= 1e-4
     assert not rep.passed
+
+
+def test_forced_zero_measure_reads_a_real_term(hex_data, hex_probes):
+    # residue-0 site: b is the unit, c and g are forced to zero.  Copying the
+    # c-neighbour's psi over the b-neighbour's leaves e_b - e_c as the only
+    # kernel, so the forced-zero term carries half of the equation
+    site = site_hex(0, 0, 0)
+    grid = psi_grid(hex_data, [site], hex_probes)
+    clean = oracle_report(hex_data, [site], hex_probes, grid=grid)
+    assert clean.passed and clean.max_forced_zero_excess <= 1e-10
+    nbs = stencil_offsets("hex", site)
+    b_row, c_row = grid.index([nbs[HEX_COEFFS.index("b")], nbs[HEX_COEFFS.index("c")]])
+    mantissa, log_scale = grid.values.mantissa.copy(), grid.values.log_scale.copy()
+    mantissa[b_row], log_scale[b_row] = mantissa[c_row], log_scale[c_row]
+    mutated = PsiGrid(grid.probes, grid.rows, ScaledArray(mantissa, log_scale))
+    rep = oracle_report(hex_data, [site], hex_probes, grid=mutated)
+    assert rep.entries[0].gap <= 1e-6  # a clean one-dimensional kernel
+    assert rep.max_forced_zero_excess >= 0.1
+    assert rep.failures == (tuple(site),)
 
 
 def test_oracle_needs_independent_probes(cross_data, cross_probes):
