@@ -117,7 +117,7 @@ class _SpectralDataBase:
 
         # one numpy dot pairs a label with U (see theta_argument)
         self._U = np.array(
-            [curve.b_period_vector(self.marked[a], self.marked[b]) for a, b in self.basis_pairs]
+            curve.b_period_vectors([(self.marked[a], self.marked[b]) for a, b in self.basis_pairs])
         )
         self._K = curve.riemann_constants()
         self._AD = curve.abel(self.divisor[0])
@@ -214,6 +214,19 @@ class _SpectralDataBase:
             self._integral_cache[key] = hit
         return hit
 
+    def prefetch_integrals(self, requests) -> None:
+        """Cache the integral of every ``(P, pair)`` request, the missing ones in one curve call.
+
+        Each cached value has the bits :meth:`integral` would compute.
+        """
+        missing = {
+            (P.lift, pair): P for P, pair in requests if (P.lift, pair) not in self._integral_cache
+        }
+        values = self.curve.third_kind_integrals(
+            [(P, self.marked[pair[0]], self.marked[pair[1]]) for (_, pair), P in missing.items()]
+        )
+        self._integral_cache.update(zip(missing, values))
+
     def marked_integral(self, endpoint: str, pair: tuple[str, str]) -> complex:
         return self.integral(self.marked[endpoint], pair)
 
@@ -230,8 +243,10 @@ class _SpectralDataBase:
             label, P = self.validate_label(labels), probes
             den = self.denominator_scaled(P)
             num = self.theta_component_scaled(P, label)
+            coeffs = self.label_coeffs(label)
+            self.prefetch_integrals((P, pair) for c, pair in zip(coeffs, self.basis_pairs) if c != 0)
             w = 0j
-            for c, pair in zip(self.label_coeffs(label), self.basis_pairs):
+            for c, pair in zip(coeffs, self.basis_pairs):
                 if c != 0:
                     w += complex(c) * self.integral(P, pair)
             return num.over(den).times_exp(w).times(self.normalization.scale_for(label))
@@ -245,6 +260,9 @@ class _SpectralDataBase:
             self.curve.pm, (abel[None, :] + shift[:, None]) + self._W, _THETA_EPS
         )
         coeffs = np.array(coeffs, dtype=int).reshape(len(labels), len(self.basis_pairs))
+        self.prefetch_integrals(
+            (P, pair) for c, pair in zip(coeffs.T, self.basis_pairs) if c.any() for P in probes
+        )
         w = np.zeros(num.shape, dtype=complex)
         for c, pair in zip(coeffs.T, self.basis_pairs):
             if not c.any():

@@ -614,15 +614,30 @@ class ThetaTable:
 
 
 def theta_table(sd, sites) -> ThetaTable:
-    """Label each site once and evaluate its formulas' distinct theta factors in one kernel call."""
+    """Label each site once and evaluate its formulas' distinct theta factors in one kernel call.
+
+    The third-kind integrals of those formulas are cached on ``sd`` with
+    one curve call as well.
+    """
     model = MODELS[sd.model]
     labels: dict[tuple, tuple] = {}
     keys: dict[tuple, None] = {}  # distinct keys in first-use order
+    classes: set[int] = set()
     for site in sites:
         s = model.site(*site)
+        cls = model.site_class(s)
+        classes.add(cls)
         v = labels[tuple(s)] = tuple(sd.site_label(s))
-        keys.update(dict.fromkeys(_theta_keys(v, model.formulas[model.site_class(s)])))
-    return ThetaTable(labels, sd.marked_thetas(keys))
+        keys.update(dict.fromkeys(_theta_keys(v, model.formulas[cls])))
+    thetas = sd.marked_thetas(keys)
+    sd.prefetch_integrals(
+        (sd.marked[it.endpoint], it.pair)
+        for cls in sorted(classes)
+        for formula in model.formulas[cls]
+        for term in (formula.main, *formula.bracket)
+        for it in term.integrals
+    )
+    return ThetaTable(labels, thetas)
 
 
 # ---------------------------------------------------------------------------
@@ -843,9 +858,16 @@ class PsiGrid:
     probes: tuple[SurfacePoint, ...]
     rows: dict[tuple, int]
     values: ScaledArray  # (sites, probes)
+    # stencil neighbours of the window sites, in coefficient order
+    neighbors: dict[tuple, list[tuple]] = dc_field(default_factory=dict)
 
     def index(self, sites) -> list[int]:
         return [self.rows[tuple(s)] for s in sites]
+
+    def neighbors_of(self, model: str, site) -> list[tuple]:
+        """The site's stencil neighbours: stored for the grid's window, computed for any other site."""
+        nbs = self.neighbors.get(tuple(site))
+        return stencil_offsets(model, site) if nbs is None else nbs
 
     def at(self, sites) -> ScaledArray:
         """The rows of ``sites``, in order: shape (len(sites), probes)."""
@@ -866,12 +888,11 @@ def psi_grid(sd, window, probes) -> PsiGrid:
     ``window`` is a radius or an iterable of sites.  Each site is
     labelled once, and the whole grid is one :meth:`phi_scaled` call.
     """
-    halo = list(
-        dict.fromkeys(nb for site in _sites(sd.model, window) for nb in stencil_offsets(sd.model, site))
-    )
+    neighbors = {site: stencil_offsets(sd.model, site) for site in _sites(sd.model, window)}
+    halo = list(dict.fromkeys(nb for nbs in neighbors.values() for nb in nbs))
     probes = tuple(probes)
     values = sd.phi_scaled([sd.site_label(nb) for nb in halo], probes)
-    return PsiGrid(probes, {nb: i for i, nb in enumerate(halo)}, values)
+    return PsiGrid(probes, {nb: i for i, nb in enumerate(halo)}, values, neighbors)
 
 
 def _grid_for(sd, sites, probes, grid: PsiGrid | None) -> PsiGrid:
@@ -913,7 +934,7 @@ def _site_residuals(sd, field: StencilField, grid: PsiGrid, sites, gauge) -> np.
     ncoef = len(MODELS[sd.model].coeffs)
     shape = (ncoef, len(sites), len(grid.probes))
     # axis 0 runs over the coefficients, so the terms are summed in stencil order
-    neighbors = [stencil_offsets(sd.model, site) for site in sites]
+    neighbors = [grid.neighbors_of(sd.model, site) for site in sites]
     flat = [nbs[k] for k in range(ncoef) for nbs in neighbors]
     coeffs = ScaledArray.of(field.stencils[site].values[k] for k in range(ncoef) for site in sites)
     coeffs = coeffs.reshape(ncoef, len(sites), 1)
@@ -1000,10 +1021,9 @@ def nullspace_oracle(
         raise ValueError(f"nullspace_oracle needs at least {MIN_ORACLE_PROBES} probe points")
     model = MODELS[sd.model]
     s_obj = model.site(*site)
-    neighbor_sites = stencil_offsets(model.name, s_obj)
     ncols = len(model.coeffs)
     grid = _grid_for(sd, [tuple(s_obj)], probes, grid)
-    rows = grid.index(neighbor_sites)
+    rows = grid.index(grid.neighbors_of(model.name, s_obj))
     # probes by coefficients, C-ordered: numpy's elementwise kernels below
     # round the same way only on the same memory layout
     logs = np.ascontiguousarray(grid.log_abs[rows].T)

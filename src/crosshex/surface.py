@@ -28,6 +28,7 @@ re-checks every cross-checkable invariant at load time.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -41,7 +42,7 @@ from .errors import (
     SeparationFailure,
     UnknownPoint,
 )
-from .theta import PeriodMatrix, ScaledComplex, theta_eval_scaled
+from .theta import PeriodMatrix, theta_eval_batch, theta_eval_scaled
 
 _POLE_TOL = 1e-8
 _PATH_CLEARANCE = 1e-3
@@ -55,6 +56,10 @@ _THETA_EPS = 1e-13
 _BCYCLE_STARTS = ((0.317, 0.473), (0.137, 0.613), (0.791, 0.215), (0.057, 0.349), (0.503, 0.867))
 # (m, n) offsets of the 9 lattice translates cover_distance tries around the nearest one
 _OFFSET_M, _OFFSET_N = np.indices((3, 3)).reshape(2, -1) - 1
+# CPython's float ** 2 is libm pow, which rounds differently from x * x for some x
+_square = np.frompyfunc(lambda x: x**2, 1, 1)
+# (segment, translate) pairs TorusCurve._segment_pole_distance handles at once
+_DISTANCE_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -67,17 +72,6 @@ class SurfacePoint:
     """
 
     lift: complex
-
-
-def _point_segment_distance(q: complex, a: complex, b: complex) -> float:
-    """Euclidean distance from q to the segment [a, b] in C."""
-    ab = b - a
-    denom = abs(ab) ** 2
-    if denom == 0.0:
-        return abs(q - a)
-    t = ((q - a) * ab.conjugate()).real / denom
-    t = min(1.0, max(0.0, t))
-    return abs(q - (a + t * ab))
 
 
 class SpectralCurve:
@@ -124,9 +118,17 @@ class SpectralCurve:
         dist = np.sqrt(diff.real * diff.real + diff.imag * diff.imag).min(-1)
         return dist if delta.ndim else float(dist)
 
-    def _path_clearance(self, lift: complex, poles) -> float:
-        """Distance from the base-to-lift integration path to the poles (none for stored tables)."""
-        return math.inf
+    def third_kind_integrals(self, requests) -> list[complex]:
+        """``third_kind_integral`` of each ``(P, Pplus, Pminus)`` request, in order."""
+        return [self.third_kind_integral(*request) for request in requests]
+
+    def b_period_vectors(self, pairs) -> list[complex]:
+        """``b_period_vector`` of each ``(Pplus, Pminus)`` pair, in order."""
+        return [self.b_period_vector(plus, minus) for plus, minus in pairs]
+
+    def _path_clearances(self, lifts: list[complex], poles) -> np.ndarray:
+        """Distance from each base-to-lift integration path to the poles (none for stored tables)."""
+        return np.full(len(lifts), math.inf)
 
     def sample_points(
         self, rng, count: int, avoid, min_avoid: float, min_pairwise: float, max_tries: int, poles=()
@@ -143,17 +145,22 @@ class SpectralCurve:
         B = self.pm.B
         avoid = np.array([p.lift for p in avoid], dtype=complex)
         kept: list[complex] = []
-        for _ in range(max_tries):
-            if len(kept) == count:
-                break
-            lift = self.base_lift + 2j * math.pi * rng.random() + B * rng.random()
-            if self.cover_distance(lift, avoid).min() < min_avoid:
-                continue
-            if kept and self.cover_distance(lift, np.array(kept)).min() < min_pairwise:
-                continue
-            if poles and self._path_clearance(lift, poles) < _PATH_CLEARANCE:
-                continue
-            kept.append(lift)
+        tries = 0
+        while len(kept) < count and tries < max_tries:
+            # each lift still missing takes a draw of its own, so drawing them
+            # together never takes more draws than drawing one at a time
+            draws = min(count - len(kept), max_tries - tries)
+            tries += draws
+            lifts = [
+                self.base_lift + 2j * math.pi * rng.random() + B * rng.random() for _ in range(draws)
+            ]
+            blocked = self._path_clearances(lifts, poles) < _PATH_CLEARANCE if poles else [False] * draws
+            for lift, block in zip(lifts, blocked):
+                if block or self.cover_distance(lift, avoid).min() < min_avoid:
+                    continue
+                if kept and self.cover_distance(lift, np.array(kept)).min() < min_pairwise:
+                    continue
+                kept.append(lift)
         if len(kept) < count:
             raise SeparationFailure(f"placed {len(kept)} of {count} points in {max_tries} draws")
         return [SurfacePoint(lift) for lift in kept]
@@ -180,62 +187,116 @@ class TorusCurve(SpectralCurve):
 
     # -- prime-form surrogate -------------------------------------------------
 
-    def _prime(self, w: complex) -> ScaledComplex:
-        """E(w) = Theta(w - z0); vanishes exactly on the period lattice."""
-        return theta_eval_scaled(self.pm, w - self._z0, _THETA_EPS)
+    def _path_clearances(self, lifts: list[complex], poles) -> np.ndarray:
+        ends = np.repeat(np.array(lifts, dtype=complex), len(poles))
+        pole = np.tile(np.array([p.lift for p in poles], dtype=complex), len(lifts))
+        distance = self._segment_pole_distance(pole, self.base_lift, ends)
+        return distance.reshape(len(lifts), -1).min(axis=1)
 
-    def _path_clearance(self, lift: complex, poles) -> float:
-        return min(self._segment_pole_distance(p.lift, self.base_lift, lift) for p in poles)
+    def _segment_pole_distance(self, pole, a, b) -> float | np.ndarray:
+        """Min distance from segment [a, b] to the lattice translates of ``pole``.
 
-    def _segment_pole_distance(self, pole: complex, a: complex, b: complex) -> float:
-        """Min distance from segment [a, b] to the lattice translates of ``pole``."""
+        Complex arguments give a ``float``; arrays (broadcast together)
+        give the distance of each segment to the translates of its own
+        pole.  The translates tried are those whose lattice coordinates
+        lie within one cell of the segment's coordinate box.  The
+        translate offsets are taken in blocks of at most
+        ``_DISTANCE_BLOCK`` (segment, translate) pairs, so memory stays
+        O(segments) however many segments there are.
+        """
         B = self.pm.B
+        pole, a, b = np.broadcast_arrays(*(np.asarray(x, dtype=complex) for x in (pole, a, b)))
+        shape = pole.shape
+        pole, a, b = (x.reshape(-1, 1) for x in (pole, a, b))
         sa, ta = self.lattice_coords(a - pole)
         sb, tb = self.lattice_coords(b - pole)
-        m_lo = math.floor(min(sa, sb)) - 1
-        m_hi = math.ceil(max(sa, sb)) + 1
-        n_lo = math.floor(min(ta, tb)) - 1
-        n_hi = math.ceil(max(ta, tb)) + 1
-        best = math.inf
-        for m in range(m_lo, m_hi + 1):
-            for n in range(n_lo, n_hi + 1):
-                q = pole + 2j * math.pi * m + B * n
-                best = min(best, _point_segment_distance(q, a, b))
-        return best
+        m_lo = np.floor(np.minimum(sa, sb)) - 1
+        m_hi = np.ceil(np.maximum(sa, sb)) + 1
+        n_lo = np.floor(np.minimum(ta, tb)) - 1
+        n_hi = np.ceil(np.maximum(ta, tb)) + 1
+        ab = b - a
+        denom = np.array(_square(np.hypot(ab.real, ab.imag)), dtype=float).reshape(ab.shape)
+        denom[denom == 0.0] = math.inf  # a point segment: t = 0, the distance to a
+        widths = (int((m_hi - m_lo).max(initial=0)) + 1, int((n_hi - n_lo).max(initial=0)) + 1)
+        dm, dn = np.indices(widths).reshape(2, -1)
+        best = np.full(pole.shape, math.inf)
+        block = max(1, _DISTANCE_BLOCK // max(1, pole.size))
+        for k in range(0, dm.size, block):
+            # an offset past a segment's own box repeats its last translate
+            m = np.minimum(m_lo + dm[k : k + block], m_hi)
+            n = np.minimum(n_lo + dn[k : k + block], n_hi)
+            # the parts of pole + 2*pi*i*m + B*n; CPython's zero cross terms
+            # only change the sign of a zero, which the distance ignores
+            q_re = pole.real + B.real * n
+            q_im = (pole.imag + 2.0 * math.pi * m) + B.imag * n
+            # ((q - a) * conj(ab)).real / abs(ab)**2, then min(1.0, max(0.0, t))
+            t = ((q_re - a.real) * ab.real - (q_im - a.imag) * -ab.imag) / denom
+            t = np.where(t > 0.0, t, 0.0)
+            t = np.where(t < 1.0, t, 1.0)
+            dist = np.hypot(q_re - (a.real + t * ab.real), q_im - (a.imag + t * ab.imag))
+            best = np.fmin(best, np.fmin.reduce(dist, axis=1, keepdims=True))
+        best = best.reshape(shape)
+        return best if best.ndim else float(best)
 
-    def _log_prime_delta(self, pole: complex, a: complex, b: complex) -> complex:
-        """Continuously tracked increment of log E(u - pole) along [a, b].
+    def _log_prime_deltas(self, segments) -> list:
+        """Continuously tracked increment of log E(u - pole) along each ``(pole, a, b)`` segment.
 
-        The segment is subdivided adaptively until each step changes the
-        argument by at most ~1 radian and the log-magnitude by at most
-        1.5, which pins the branch of the logarithm.  Raises
-        :class:`PoleOnPath` if the segment passes within 1e-8 of a
-        lattice translate of ``pole`` or the subdivision stack overruns.
+        Each segment is subdivided depth-first until every step changes
+        the argument by at most ~1 radian and the log-magnitude by at
+        most 1.5, which pins the branch of the logarithm, and its steps
+        are summed from a to b.  All segments advance in lockstep: each
+        round evaluates the next point of every unfinished segment with
+        one :func:`theta_eval_batch` call.  A segment takes the same
+        steps as it would alone, so its increment has the bits of a
+        one-segment call; equal segments are tracked once, and
+        ``a == b`` gives 0j.  A segment that passes within 1e-8 of a
+        lattice translate of its pole, or whose subdivision stack
+        overruns, gets a :class:`PoleOnPath` in place of its increment
+        (returned, not raised).
         """
-        if a == b:
-            return 0j
-        if self._segment_pole_distance(pole, a, b) < _POLE_TOL:
-            raise PoleOnPath(
-                f"integration segment passes within {_POLE_TOL:g} of a pole lift"
-            )
-        total = 0j
-        u0 = a
-        f0 = self._prime(a - pole)
-        pending = [b]
-        while pending:
-            u1 = pending[-1]
-            f1 = self._prime(u1 - pole)
-            d_arg = cmath.phase(f1.mantissa / f0.mantissa)
-            d_logabs = f1.log_abs - f0.log_abs
-            if abs(d_arg) > 1.0 or abs(d_logabs) > 1.5:
-                if len(pending) >= _CONTINUATION_STACK_CAP:
-                    raise PoleOnPath("branch tracking could not resolve the path")
-                pending.append(0.5 * (u0 + u1))
-                continue
-            total += complex(d_logabs, d_arg)
-            pending.pop()
-            u0, f0 = u1, f1
-        return total
+        out: dict[tuple, complex | PoleOnPath] = dict.fromkeys(segments, 0j)
+        work = [seg for seg in out if seg[1] != seg[2]]
+        if not work:
+            return [out[seg] for seg in segments]
+        pole, a, b = (np.array(col, dtype=complex) for col in zip(*work))
+        near = self._segment_pole_distance(pole, a, b) < _POLE_TOL
+        for seg in itertools.compress(work, near):
+            out[seg] = PoleOnPath(f"integration segment passes within {_POLE_TOL:g} of a pole lift")
+        work = list(itertools.compress(work, ~near))
+        pole = [p for p, _, _ in work]
+        u0 = [a for _, a, _ in work]
+        m0, la0 = self._primes([a - p for p, a, _ in work])
+        pending = [[b] for _, _, b in work]  # right ends still to reach; the last is next
+        total = [0j] * len(work)
+        live = list(range(len(work)))
+        while live:
+            m1, la1 = self._primes([pending[i][-1] - pole[i] for i in live])
+            still = []
+            for i, m, la in zip(live, m1, la1):
+                d_arg = cmath.phase(m / m0[i])
+                d_logabs = la - la0[i]
+                if abs(d_arg) > 1.0 or abs(d_logabs) > 1.5:
+                    if len(pending[i]) >= _CONTINUATION_STACK_CAP:
+                        out[work[i]] = PoleOnPath("branch tracking could not resolve the path")
+                        continue
+                    pending[i].append(0.5 * (u0[i] + pending[i][-1]))
+                else:
+                    total[i] += complex(d_logabs, d_arg)
+                    u0[i], m0[i], la0[i] = pending[i].pop(), m, la
+                    if not pending[i]:
+                        out[work[i]] = total[i]
+                        continue
+                still.append(i)
+            live = still
+        return [out[seg] for seg in segments]
+
+    def _primes(self, w: list[complex]) -> tuple[list[complex], list[float]]:
+        """Mantissas and log-magnitudes of E(w) = Theta(w - z0) at each point, in one kernel call.
+
+        E vanishes exactly on the period lattice.
+        """
+        values = theta_eval_batch(self.pm, [x - self._z0 for x in w], _THETA_EPS)
+        return values.mantissa.tolist(), values.log_abs.tolist()
 
     # -- public surface operations --------------------------------------------
 
@@ -247,9 +308,23 @@ class TorusCurve(SpectralCurve):
         to ``P.lift``; the value depends on the lift (as it must - it is
         what multiplies exponentials that see the same lift).
         """
-        plus = self._log_prime_delta(Pplus.lift, self.base_lift, P.lift)
-        minus = self._log_prime_delta(Pminus.lift, self.base_lift, P.lift)
-        return plus - minus
+        (value,) = self.third_kind_integrals([(P, Pplus, Pminus)])
+        return value
+
+    def third_kind_integrals(self, requests) -> list[complex]:
+        """:meth:`third_kind_integral` of each ``(P, Pplus, Pminus)``, in one lockstep pass.
+
+        Each value has the bits of its one-request call.  A request
+        whose path runs into a pole makes the whole call raise
+        :class:`PoleOnPath`.
+        """
+        deltas = self._log_prime_deltas(
+            [(pole.lift, self.base_lift, P.lift) for P, *poles in requests for pole in poles]
+        )
+        for delta in deltas:
+            if isinstance(delta, PoleOnPath):
+                raise delta
+        return [plus - minus for plus, minus in zip(deltas[::2], deltas[1::2])]
 
     def b_period_vector(self, Pplus: SurfacePoint, Pminus: SurfacePoint) -> complex:
         """b-period of Omega_{Pplus,Pminus}: equals abel(Pplus) - abel(Pminus).
@@ -262,38 +337,61 @@ class TorusCurve(SpectralCurve):
         translates.  A mismatch beyond 1e-8 raises
         :class:`ConsistencyFailure`.
         """
-        U = self.abel(Pplus) - self.abel(Pminus)
-        key = (Pplus.lift, Pminus.lift)
-        if key not in self._verified_pairs:
-            self._verify_b_period(Pplus.lift, Pminus.lift, U)
-            self._verified_pairs.add(key)
+        (U,) = self.b_period_vectors([(Pplus, Pminus)])
         return U
 
-    def _verify_b_period(self, p: complex, q: complex, expected: complex) -> None:
+    def b_period_vectors(self, pairs) -> list[complex]:
+        """:meth:`b_period_vector` of each ``(Pplus, Pminus)``; new pairs are verified together."""
+        pairs = list(pairs)
+        periods = [self.abel(plus) - self.abel(minus) for plus, minus in pairs]
+        new = {
+            (plus.lift, minus.lift): U
+            for (plus, minus), U in zip(pairs, periods)
+            if (plus.lift, minus.lift) not in self._verified_pairs
+        }
+        self._verify_b_periods(new)
+        self._verified_pairs.update(new)
+        return periods
+
+    def _verify_b_periods(self, expected: dict[tuple[complex, complex], complex]) -> None:
+        """Check each (p, q) lift pair's b-period against continuation along a b-cycle.
+
+        The pairs are tracked together in one lockstep pass per start
+        point; a pair whose representative runs into a pole tries the
+        next deterministic start point.
+        """
         B = self.pm.B
+        pending = list(expected)
         last_error: Exception | None = None
         for fs, ft in _BCYCLE_STARTS:
+            if not pending:
+                return
             start = self.base_lift + 2j * math.pi * fs + B * ft
-            try:
-                direct = self._log_prime_delta(p, start, start + B) - self._log_prime_delta(
-                    q, start, start + B
-                )
-            except PoleOnPath as exc:  # try the next deterministic start point
-                last_error = exc
-                continue
-            k = (direct - expected) / (2j * math.pi)
-            k_int = round(k.real)
-            resid = abs(direct - expected - 2j * math.pi * k_int)
-            if resid > _BILINEAR_TOL:
-                raise ConsistencyFailure(
-                    "b-period bilinear identity failed: direct continuation gives "
-                    f"{direct:.12g}, abel difference {expected:.12g} "
-                    f"(residual {resid:.3e} after removing {k_int} full 2*pi*i windings)"
-                )
-            return
-        raise ConsistencyFailure(
-            f"could not route a b-cycle representative clear of poles: {last_error}"
-        )
+            deltas = self._log_prime_deltas(
+                [(pole, start, start + B) for pair in pending for pole in pair]
+            )
+            retry = []
+            for pair, plus, minus in zip(pending, deltas[::2], deltas[1::2]):
+                refused = [d for d in (plus, minus) if isinstance(d, PoleOnPath)]
+                if refused:
+                    last_error = refused[0]
+                    retry.append(pair)
+                    continue
+                direct = plus - minus
+                k = (direct - expected[pair]) / (2j * math.pi)
+                k_int = round(k.real)
+                resid = abs(direct - expected[pair] - 2j * math.pi * k_int)
+                if resid > _BILINEAR_TOL:
+                    raise ConsistencyFailure(
+                        "b-period bilinear identity failed: direct continuation gives "
+                        f"{direct:.12g}, abel difference {expected[pair]:.12g} "
+                        f"(residual {resid:.3e} after removing {k_int} full 2*pi*i windings)"
+                    )
+            pending = retry
+        if pending:
+            raise ConsistencyFailure(
+                f"could not route a b-cycle representative clear of poles: {last_error}"
+            )
 
     def riemann_constants(self) -> complex:
         """The Riemann constant K = i*pi + B/2.
@@ -337,7 +435,7 @@ def _validate_constants(curve: SpectralCurve, K: complex) -> None:
         for j in range(10)
         for k in range(10)
     ]
-    logs = [theta_eval_scaled(pm, (u - u1) - K, 1e-13).log_abs for u in nodes]
+    logs = theta_eval_batch(pm, np.array([(u - u1) - K for u in nodes]), 1e-13).log_abs.tolist()
     median_log = float(np.median(logs))
     cell = min(2.0 * math.pi, abs(B))
     for u, lv in zip(nodes, logs):
@@ -569,10 +667,13 @@ def export_curve_document(
     for plus_name, minus_name in b_period_pairs:
         U = curve.b_period_vector(marked[plus_name], marked[minus_name])
         b_periods[f"{plus_name}/{minus_name}"] = complex_to_json(U)
-    integrals = {}
-    for endpoint, (plus_name, minus_name) in integral_specs:
-        val = curve.third_kind_integral(marked[endpoint], marked[plus_name], marked[minus_name])
-        integrals[f"{endpoint}|{plus_name},{minus_name}"] = complex_to_json(val)
+    values = curve.third_kind_integrals(
+        [(marked[endpoint], marked[plus], marked[minus]) for endpoint, (plus, minus) in integral_specs]
+    )
+    integrals = {
+        f"{endpoint}|{plus},{minus}": complex_to_json(val)
+        for (endpoint, (plus, minus)), val in zip(integral_specs, values)
+    }
     return {
         "format": CURVE_DOC_FORMAT,
         "genus": 1,

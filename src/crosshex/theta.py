@@ -37,6 +37,10 @@ from .errors import NonConvergent
 
 _SHELL_CAP = 60
 _MAX_EPS = 1.0e-3
+# below this many arguments theta_eval_batch runs the scalar kernel element by
+# element: a numpy pass costs about 250 us whatever its size, one scalar call
+# about 13 us (2-core Xeon, Python 3.11, numpy 2.4)
+_BATCH_CROSSOVER = 20
 
 
 @dataclass(frozen=True)
@@ -472,8 +476,18 @@ def theta_eval_batch(pm: PeriodMatrix, z, eps: float = 1e-12) -> ScaledArray:
     """Theta at every element of the complex array ``z``, as a :class:`ScaledArray`.
 
     Element ``i`` has the bits of ``theta_eval_scaled(pm, z[i], eps)``.
+    Arrays of fewer than ``_BATCH_CROSSOVER`` elements are evaluated
+    element by element with the scalar kernel, which is faster there.
     """
-    return _lattice_sum_batch(pm.B, z, _check_eps(eps))
+    eps = _check_eps(eps)
+    z = np.asarray(z, dtype=complex)
+    if z.size < _BATCH_CROSSOVER:
+        values = [_lattice_sum_1d(pm.B, w, eps, False, 0) for w in z.ravel().tolist()]
+        return ScaledArray(
+            np.array([v.mantissa for v in values], dtype=complex).reshape(z.shape),
+            np.array([v.log_scale for v in values], dtype=float).reshape(z.shape),
+        )
+    return _lattice_sum_batch(pm.B, z, eps)
 
 
 def theta_eval(pm: PeriodMatrix, z: complex, eps: float = 1e-12, *, min_shells: int = 0) -> complex:

@@ -1,3 +1,4 @@
+import cmath
 import itertools
 import json
 import math
@@ -13,8 +14,8 @@ from crosshex.errors import (
     SeparationFailure,
     UnknownPoint,
 )
+from crosshex import surface
 from crosshex.surface import (
-    _point_segment_distance,
     export_curve_document,
     load_tabulated_curve,
     load_torus_curve,
@@ -86,6 +87,156 @@ def test_stacked_cover_distance_matches_the_per_offset_loop():
         shifts = rng.integers(-3, 4, size=(20, 2))
         translates = np.array([lift + 2j * math.pi * int(m) + B * int(n) for m, n in shifts])
         assert curve.cover_distance(lift, translates).max() <= 1e-12
+
+
+def _point_segment_distance(q: complex, a: complex, b: complex) -> float:
+    """Reference: Euclidean distance from q to the segment [a, b] in C."""
+    ab = b - a
+    denom = abs(ab) ** 2
+    if denom == 0.0:
+        return abs(q - a)
+    t = ((q - a) * ab.conjugate()).real / denom
+    t = min(1.0, max(0.0, t))
+    return abs(q - (a + t * ab))
+
+
+def _segment_pole_distance_loop(curve, pole: complex, a: complex, b: complex) -> float:
+    """Reference: the scalar loop over the translates in the segment's coordinate box."""
+    B = curve.pm.B
+    sa, ta = curve.lattice_coords(a - pole)
+    sb, tb = curve.lattice_coords(b - pole)
+    best = math.inf
+    for m in range(math.floor(min(sa, sb)) - 1, math.ceil(max(sa, sb)) + 2):
+        for n in range(math.floor(min(ta, tb)) - 1, math.ceil(max(ta, tb)) + 2):
+            best = min(best, _point_segment_distance(pole + 2j * math.pi * m + B * n, a, b))
+    return best
+
+
+def _log_prime_delta_dfs(curve, pole: complex, a: complex, b: complex) -> complex:
+    """Reference: one segment's branch tracking as a scalar depth-first loop."""
+    if a == b:
+        return 0j
+    if _segment_pole_distance_loop(curve, pole, a, b) < surface._POLE_TOL:
+        raise PoleOnPath("integration segment passes within 1e-08 of a pole lift")
+
+    def prime(w):
+        return theta_eval_scaled(curve.pm, w - curve._z0, surface._THETA_EPS)
+
+    total = 0j
+    u0 = a
+    f0 = prime(a - pole)
+    pending = [b]
+    while pending:
+        u1 = pending[-1]
+        f1 = prime(u1 - pole)
+        d_arg = cmath.phase(f1.mantissa / f0.mantissa)
+        d_logabs = f1.log_abs - f0.log_abs
+        if abs(d_arg) > 1.0 or abs(d_logabs) > 1.5:
+            if len(pending) >= surface._CONTINUATION_STACK_CAP:
+                raise PoleOnPath("branch tracking could not resolve the path")
+            pending.append(0.5 * (u0 + u1))
+            continue
+        total += complex(d_logabs, d_arg)
+        pending.pop()
+        u0, f0 = u1, f1
+    return total
+
+
+def _tracking_cases(rng, count):
+    """Seeded curves, each with segments of every kind the package tracks.
+
+    Base-to-point paths inside the cell, b-cycle-length paths, paths a
+    few cells long, paths brushing a pole translate (deeply subdivided),
+    and a == b, with poles anywhere.
+    """
+    for _ in range(count):
+        curve = make_torus_curve(complex(rng.uniform(-8, -3), rng.uniform(-3, 3)), base_lift=rng.normal())
+        B = curve.pm.B
+
+        def cell(s, t):
+            return curve.base_lift + 2j * math.pi * s + B * t
+
+        segments = []
+        for _ in range(8):
+            pole = cell(*rng.uniform(-3, 3, 2))
+            start = cell(*rng.uniform(0, 1, 2))
+            segments += [
+                (pole, curve.base_lift, cell(*rng.uniform(0, 1, 2))),
+                (pole, start, start + B),
+                (pole, start, cell(*rng.uniform(-2, 3, 2))),
+                # passes 1e-6 .. 1e-3 from a translate of the pole
+                (pole, start, 2 * (pole + 2j * math.pi + B) - start + 10 ** rng.uniform(-6, -3) * 1j),
+                (pole, start, start),
+            ]
+        yield curve, segments
+
+
+def _reference_or_error(curve, segment):
+    """The reference increment, or PoleOnPath where the reference raises it."""
+    try:
+        return _log_prime_delta_dfs(curve, *segment)
+    except PoleOnPath:
+        return PoleOnPath
+
+
+def _same_outcome(got, want) -> bool:
+    return isinstance(got, PoleOnPath) if want is PoleOnPath else repr(got) == repr(want)
+
+
+def test_lockstep_tracking_matches_the_scalar_dfs_bit_for_bit():
+    rng = np.random.default_rng(31)
+    checked = 0
+    for curve, segments in _tracking_cases(rng, 12):
+        want = [_reference_or_error(curve, seg) for seg in segments]
+        got = curve._log_prime_deltas(segments)
+        assert all(_same_outcome(g, w) for g, w in zip(got, want))
+        checked += sum(w is not PoleOnPath for w in want)
+        # one segment at a time gives the same bits as the whole batch
+        assert [curve._log_prime_deltas([seg])[0] for seg in segments[:5]] == got[:5]
+    assert checked >= 400
+
+
+def test_pole_on_a_chord_is_refused_inside_a_batch(torus):
+    b = torus.pm.B
+    plus = torus.point(0.35 * b)  # directly on the base-to-endpoint chord
+    minus = cell_point(torus, 0.5, 0.9)
+    clear = [torus.point(cell_point(torus, f, 0.5).lift) for f in (0.1, 0.4)]
+    requests = [(P, cell_point(torus, 0.2, 0.6), minus) for P in clear]
+    assert len(torus.third_kind_integrals(requests)) == 2
+    on_chord = (torus.point(0.7 * b), plus, minus)
+    for batch in ([on_chord], requests + [on_chord], [on_chord] + requests):
+        with pytest.raises(PoleOnPath):
+            torus.third_kind_integrals(batch)
+    deltas = torus._log_prime_deltas([(pole.lift, torus.base_lift, 0.7 * b) for pole in (plus, minus)])
+    assert isinstance(deltas[0], PoleOnPath) and isinstance(deltas[1], complex)
+
+
+def test_stack_cap_refuses_where_the_scalar_dfs_raises(monkeypatch):
+    monkeypatch.setattr(surface, "_CONTINUATION_STACK_CAP", 4)
+    rng = np.random.default_rng(37)
+    refused = 0
+    for curve, segments in _tracking_cases(rng, 4):
+        want = [_reference_or_error(curve, seg) for seg in segments]
+        refused += sum(w is PoleOnPath for w in want)
+        got = curve._log_prime_deltas(segments)
+        assert all(_same_outcome(g, w) for g, w in zip(got, want))
+        assert all(_same_outcome(curve._log_prime_deltas([seg])[0], w) for seg, w in zip(segments, want))
+    assert refused >= 10
+
+
+def test_array_pole_distance_matches_the_scalar_loop():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        curve = make_torus_curve(complex(rng.uniform(-8, -3), rng.uniform(-3, 3)))
+        B = curve.pm.B
+        pole = rng.uniform(-30, 30, 1000) + 1j * rng.uniform(-30, 30, 1000)
+        a = pole + 2j * math.pi * rng.uniform(-2, 2, 1000) + B * rng.uniform(-2, 2, 1000)
+        b = a + 2j * math.pi * rng.uniform(-2, 2, 1000) + B * rng.uniform(-2, 2, 1000) * rng.random(1000)
+        b[:100] = a[:100]
+        got = curve._segment_pole_distance(pole, a, b)
+        segments = zip(pole.tolist(), a.tolist(), b.tolist())
+        want = [_segment_pole_distance_loop(curve, *seg) for seg in segments]
+        assert got.tolist() == want
 
 
 def test_segment_pole_distance_is_the_nearest_translate():
@@ -216,6 +367,47 @@ def test_sample_points_keeps_its_separations(torus):
             assert torus._segment_pole_distance(pole.lift, torus.base_lift, p.lift) >= 1e-3
     with pytest.raises(SeparationFailure):
         draw(0, min_pairwise=50.0, max_tries=60)
+
+
+def _sample_points_one_at_a_time(curve, rng, count, avoid, min_avoid, min_pairwise, max_tries, poles):
+    """Reference: one draw, then its three checks, at a time; also counts the refusals by check."""
+    kept, refused = [], [0, 0, 0]
+    for _ in range(max_tries):
+        if len(kept) == count:
+            break
+        lift = curve.base_lift + 2j * math.pi * rng.random() + curve.pm.B * rng.random()
+        if min(curve.cover_distance(lift, p.lift) for p in avoid) < min_avoid:
+            refused[0] += 1
+        elif any(curve.cover_distance(lift, k) < min_pairwise for k in kept):
+            refused[1] += 1
+        elif min(
+            _segment_pole_distance_loop(curve, p.lift, curve.base_lift, lift) for p in poles
+        ) < surface._PATH_CLEARANCE:
+            refused[2] += 1
+        else:
+            kept.append(lift)
+    return kept, refused
+
+
+def test_sample_points_draws_what_one_draw_at_a_time_draws(monkeypatch):
+    """Drawing the missing lifts together keeps the draws, their order and the rng stream."""
+    # a wide path clearance, so that every check refuses some draws
+    monkeypatch.setattr(surface, "_PATH_CLEARANCE", 0.2)
+    rng = np.random.default_rng(43)
+    refused = np.zeros(3, dtype=int)
+    for _ in range(6):
+        curve = make_torus_curve(complex(rng.uniform(-8, -3), rng.uniform(-3, 3)))
+        poles = [cell_point(curve, *rng.uniform(0, 1, 2)) for _ in range(6)]
+        avoid = [curve.point(curve.base_lift)] + poles
+        args = (30, avoid, 0.3, 0.4, 500)
+        seed = int(rng.integers(1 << 30))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = curve.sample_points(got_rng, *args, poles=poles)
+        want, counts = _sample_points_one_at_a_time(curve, want_rng, *args, poles)
+        assert [p.lift for p in got] == want
+        assert got_rng.random() == want_rng.random()
+        refused += counts
+    assert refused.min() > 0, refused
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from crosshex.theta import (
     PeriodMatrix,
     ScaledArray,
     ScaledComplex,
+    _BATCH_CROSSOVER,
     _lattice_sum_1d,
     quasi_period_factor_scaled,
     theta_eval,
@@ -280,14 +281,31 @@ def test_batch_kernel_raises_nonconvergent_where_the_scalar_kernel_does(bad):
     pm = PeriodMatrix(complex(-5.0, 1.0))
     with pytest.raises(NonConvergent):
         theta_eval_scaled(pm, bad)
-    # one bad element fails the whole batch
-    with pytest.raises(NonConvergent):
-        theta_eval_batch(pm, np.array([0.5 + 0.25j, bad, 3.0]))
+    # one bad element fails the whole batch, on both sides of the crossover
+    for size in (3, 3 + _BATCH_CROSSOVER):
+        z = np.full(size, 0.5 + 0.25j)
+        z[1] = bad
+        with pytest.raises(NonConvergent):
+            theta_eval_batch(pm, z)
 
 
 def test_batch_kernel_shell_cap_raises_nonconvergent():
-    with pytest.raises(NonConvergent):
-        theta_eval_batch(PeriodMatrix(-1e-8), np.array([30.0 + 0j]))
+    for size in (1, _BATCH_CROSSOVER):
+        with pytest.raises(NonConvergent):
+            theta_eval_batch(PeriodMatrix(-1e-8), np.full(size, 30.0 + 0j))
+
+
+def test_batch_kernel_matches_the_scalar_kernel_across_the_crossover():
+    """Short arrays take the scalar kernel element by element, longer ones the numpy pass: same bits."""
+    rng = np.random.default_rng(29)
+    for size in (1, 2, _BATCH_CROSSOVER - 1, _BATCH_CROSSOVER, _BATCH_CROSSOVER + 1, 60):
+        pm = PeriodMatrix(complex(rng.uniform(-8.0, -3.0), rng.uniform(-3.0, 3.0)))
+        z = _batch_draws(rng, size)
+        got = theta_eval_batch(pm, z, 1e-13)
+        assert got.shape == (size,)
+        want = [theta_eval_scaled(pm, w, 1e-13) for w in z.tolist()]
+        assert [repr(v) for v in got.scalars()] == [repr(v) for v in want]
+    assert theta_eval_batch(PeriodMatrix(-4.0), 0.5 + 0.5j).shape == ()
 
 
 def _scaled_draws(rng, count):
