@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from crosshex import surface
 from crosshex.errors import (
     ConsistencyFailure,
     DimensionMismatch,
@@ -14,7 +15,6 @@ from crosshex.errors import (
     SeparationFailure,
     UnknownPoint,
 )
-from crosshex import surface
 from crosshex.surface import (
     export_curve_document,
     load_tabulated_curve,
