@@ -202,7 +202,7 @@ class TorusCurve(SpectralCurve):
         lie within one cell of the segment's coordinate box.  The
         translate offsets are taken in blocks of at most
         ``_DISTANCE_BLOCK`` (segment, translate) pairs, so memory stays
-        O(segments) however many segments there are.
+        O(segments) however many segments and translates there are.
         """
         B = self.pm.B
         pole, a, b = np.broadcast_arrays(*(np.asarray(x, dtype=complex) for x in (pole, a, b)))
@@ -217,14 +217,15 @@ class TorusCurve(SpectralCurve):
         ab = b - a
         denom = np.array(_square(np.hypot(ab.real, ab.imag)), dtype=float).reshape(ab.shape)
         denom[denom == 0.0] = math.inf  # a point segment: t = 0, the distance to a
-        widths = (int((m_hi - m_lo).max(initial=0)) + 1, int((n_hi - n_lo).max(initial=0)) + 1)
-        dm, dn = np.indices(widths).reshape(2, -1)
+        n_width = int((n_hi - n_lo).max(initial=0)) + 1
+        offsets = (int((m_hi - m_lo).max(initial=0)) + 1) * n_width
         best = np.full(pole.shape, math.inf)
         block = max(1, _DISTANCE_BLOCK // max(1, pole.size))
-        for k in range(0, dm.size, block):
+        for k in range(0, offsets, block):
+            dm, dn = np.divmod(np.arange(k, min(k + block, offsets)), n_width)
             # an offset past a segment's own box repeats its last translate
-            m = np.minimum(m_lo + dm[k : k + block], m_hi)
-            n = np.minimum(n_lo + dn[k : k + block], n_hi)
+            m = np.minimum(m_lo + dm, m_hi)
+            n = np.minimum(n_lo + dn, n_hi)
             # the parts of pole + 2*pi*i*m + B*n; CPython's zero cross terms
             # only change the sign of a zero, which the distance ignores
             q_re = pole.real + B.real * n
