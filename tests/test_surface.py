@@ -324,6 +324,36 @@ def test_b_period_is_abel_difference(torus):
     assert abs(U - expected) <= 1e-12
 
 
+def test_b_period_pair_refused_at_one_start_tries_the_next(monkeypatch):
+    """Pairs are checked together; one whose b-cycle runs into a pole moves on alone."""
+    curve = make_torus_curve(-6.0)
+    B = curve.pm.B
+    fs, ft = surface._BCYCLE_STARTS[0]
+    on_first_cycle = curve.point(curve.base_lift + 2j * math.pi * fs + B * (ft + 0.5))
+    other = cell_point(curve, 0.71, 0.83)
+    pairs = [(cell_point(curve, 0.23, 0.41), other), (on_first_cycle, other)]
+    tracked = []
+    track = curve._log_prime_deltas
+
+    def recording(segments):
+        tracked.append(segments)
+        return track(segments)
+
+    monkeypatch.setattr(curve, "_log_prime_deltas", recording)
+    assert curve.b_period_vectors(pairs) == [curve.abel(p) - curve.abel(m) for p, m in pairs]
+    assert curve._verified_pairs == {(p.lift, m.lift) for p, m in pairs}
+    # both pairs from the first start, then the refused one alone from the second
+    assert [[pole for pole, _, _ in segments] for segments in tracked] == [
+        [p.lift for pair in pairs for p in pair],
+        [on_first_cycle.lift, other.lift],
+    ]
+    assert tracked[1][0][1] != tracked[0][0][1]
+    # with the first start point alone, the pair has nowhere to go
+    monkeypatch.setattr(surface, "_BCYCLE_STARTS", surface._BCYCLE_STARTS[:1])
+    with pytest.raises(ConsistencyFailure, match="could not route"):
+        make_torus_curve(-6.0).b_period_vector(on_first_cycle, other)
+
+
 def test_riemann_constants_value_and_divisor_check(torus):
     K = torus.riemann_constants()
     assert abs(K - (-3.0 + 1j * math.pi)) <= 1e-12  # i*pi + B/2 for B = -6
