@@ -92,9 +92,11 @@ class ConstantNormalization:
 class _SpectralDataBase:
     """Shared machinery of the two spectral-data flavors.
 
-    Immutable after construction; the caches only memoize pure
-    evaluations (path integrals keyed by (lift, pair), theta denominators
-    keyed by lift), so concurrent readers are safe.
+    ``phi_scaled`` is the one evaluator of phi: a labels x probes grid,
+    one theta kernel call for its numerators and one curve call for the
+    third-kind integrals it has not seen before.  Immutable after
+    construction; the one memo holds pure values (integrals keyed by
+    (lift, pair)), so concurrent readers are safe.
     """
 
     model: str
@@ -119,19 +121,14 @@ class _SpectralDataBase:
         self._U = np.array(
             curve.b_period_vectors([(self.marked[a], self.marked[b]) for a, b in self.basis_pairs])
         )
-        self._K = curve.riemann_constants()
-        self._AD = curve.abel(self.divisor[0])
-        self._W = -self._AD - self._K
-        self._theta0 = theta_eval_scaled(curve.pm, 0j, _THETA_EPS)
+        self._W = -curve.abel(self.divisor[0]) - curve.riemann_constants()
         # Theta(0) has zero peak scale, so its mantissa IS its value; the
         # genericity floor compares mantissas, i.e. values relative to
         # their local Gaussian-peak scale, which stays meaningful for the
         # astronomically large arguments reached at big labels.
-        self._mantissa_floor = _GENERICITY_FLOOR * abs(self._theta0.mantissa)
+        theta0 = theta_eval_scaled(curve.pm, 0j, _THETA_EPS)
+        self._mantissa_floor = _GENERICITY_FLOOR * abs(theta0.mantissa)
         self._integral_cache: dict[tuple, complex] = {}
-        # generic theta denominators by lift; a singular one is never
-        # stored, so every call on it raises again
-        self._denominator_cache: dict[complex, ScaledComplex] = {}
 
     def _check_separation(self) -> None:
         named = list(self.marked.items())
@@ -165,14 +162,11 @@ class _SpectralDataBase:
         # multiply-adds, and the documents hold its bits
         return self.curve.abel(P) + complex(self.label_coeffs(label) @ self._U) + self._W
 
-    def theta_component_scaled(self, P: SurfacePoint, label) -> ScaledComplex:
-        return theta_eval_scaled(self.curve.pm, self.theta_argument(P, label), _THETA_EPS)
-
     def marked_thetas(self, keys) -> dict[tuple, ScaledComplex]:
         """Theta at each distinct (marked point name, label) key, in one kernel call.
 
         Each argument is formed by :meth:`theta_argument`, so every value
-        has the bits of :meth:`theta_component_scaled` at that key.
+        has the bits of ``theta_eval_scaled`` at that key's argument.
         """
         keys = list(dict.fromkeys(keys))
         args = [
@@ -182,14 +176,10 @@ class _SpectralDataBase:
 
     def denominator_scaled(self, P: SurfacePoint) -> ScaledComplex:
         """The label-independent theta denominator, guarded by the genericity floor."""
-        val = self._denominator_cache.get(P.lift)
-        if val is None:
-            val = theta_eval_scaled(
-                self.curve.pm, self.curve.abel(P) + self._W, _THETA_EPS
-            )
-            self.require_generic(val, f"theta denominator at lift {P.lift}")
-            self._denominator_cache[P.lift] = val
-        return val
+        return self.require_generic(
+            theta_eval_scaled(self.curve.pm, self.curve.abel(P) + self._W, _THETA_EPS),
+            f"theta denominator at lift {P.lift}",
+        )
 
     def require_generic(self, theta_value: ScaledComplex, what: str) -> ScaledComplex:
         """Raise :class:`SingularEvaluation` if a theta value sits on the divisor.
@@ -205,51 +195,33 @@ class _SpectralDataBase:
             )
         return theta_value
 
-    def integral(self, P: SurfacePoint, pair: tuple[str, str]) -> complex:
-        """Third-kind integral from the base to P for a named pole pair, cached."""
-        key = (P.lift, pair)
-        hit = self._integral_cache.get(key)
-        if hit is None:
-            hit = self.curve.third_kind_integral(P, self.marked[pair[0]], self.marked[pair[1]])
-            self._integral_cache[key] = hit
-        return hit
+    def integrals(self, requests) -> list[complex]:
+        """Third-kind integral from the base to P for each ``(P, pair)`` request, in order.
 
-    def prefetch_integrals(self, requests) -> None:
-        """Cache the integral of every ``(P, pair)`` request, the missing ones in one curve call.
-
-        Each cached value has the bits :meth:`integral` would compute.
+        Values are memoized by (lift, pair); the ones not seen before are
+        tracked in one curve call, each with the bits of a one-request call.
         """
-        missing = {
-            (P.lift, pair): P for P, pair in requests if (P.lift, pair) not in self._integral_cache
-        }
+        keys = [((P.lift, pair), P) for P, pair in requests]
+        missing = {key: P for key, P in keys if key not in self._integral_cache}
         values = self.curve.third_kind_integrals(
-            [(P, self.marked[pair[0]], self.marked[pair[1]]) for (_, pair), P in missing.items()]
+            [(P, self.marked[a], self.marked[b]) for (_, (a, b)), P in missing.items()]
         )
         self._integral_cache.update(zip(missing, values))
+        return [self._integral_cache[key] for key, _ in keys]
 
-    def marked_integral(self, endpoint: str, pair: tuple[str, str]) -> complex:
-        return self.integral(self.marked[endpoint], pair)
+    def integral(self, P: SurfacePoint, pair: tuple[str, str]) -> complex:
+        """Third-kind integral from the base to P for a named pole pair (see :meth:`integrals`)."""
+        (value,) = self.integrals([(P, pair)])
+        return value
 
-    def phi_scaled(self, labels, probes):
+    def phi_scaled(self, labels, probes) -> ScaledArray:
         """phi at every label and probe, with one theta kernel call for the grid.
 
         ``labels`` is a sequence of labels and ``probes`` a sequence of
         points; the result is a :class:`ScaledArray` of shape (labels,
-        probes).  One label at one point (a ``SurfacePoint``) gives a
-        :class:`ScaledComplex`, computed by the one-value formula below;
-        every grid element has that formula's bits.
+        probes).  A value outside double range (a mantissa that overflowed)
+        raises :class:`SingularEvaluation`.
         """
-        if isinstance(probes, SurfacePoint):
-            label, P = self.validate_label(labels), probes
-            den = self.denominator_scaled(P)
-            num = self.theta_component_scaled(P, label)
-            coeffs = self.label_coeffs(label)
-            self.prefetch_integrals((P, pair) for c, pair in zip(coeffs, self.basis_pairs) if c != 0)
-            w = 0j
-            for c, pair in zip(coeffs, self.basis_pairs):
-                if c != 0:
-                    w += complex(c) * self.integral(P, pair)
-            return num.over(den).times_exp(w).times(self.normalization.scale_for(label))
         labels = [self.validate_label(label) for label in labels]
         den = ScaledArray.of(self.denominator_scaled(P) for P in probes)
         coeffs = [self.label_coeffs(label) for label in labels]
@@ -260,21 +232,20 @@ class _SpectralDataBase:
             self.curve.pm, (abel[None, :] + shift[:, None]) + self._W, _THETA_EPS
         )
         coeffs = np.array(coeffs, dtype=int).reshape(len(labels), len(self.basis_pairs))
-        self.prefetch_integrals(
-            (P, pair) for c, pair in zip(coeffs.T, self.basis_pairs) if c.any() for P in probes
-        )
+        used = [(c, pair) for c, pair in zip(coeffs.T, self.basis_pairs) if c.any()]
+        integrals = np.array(
+            self.integrals((P, pair) for _, pair in used for P in probes), dtype=complex
+        ).reshape(len(used), len(probes))
         w = np.zeros(num.shape, dtype=complex)
-        for c, pair in zip(coeffs.T, self.basis_pairs):
-            if not c.any():
-                continue
-            integrals = np.array([self.integral(P, pair) for P in probes], dtype=complex)
-            term = complex_mul(c[:, None] + 0j, integrals[None, :])
+        for (c, _), row in zip(used, integrals):
+            term = complex_mul(c[:, None] + 0j, row[None, :])
             w = np.where(c[:, None] != 0, w + term, w)
         r = np.array([complex(self.normalization.scale_for(label)) for label in labels], dtype=complex)
-        return num.over(den).times_exp(w).times(r[:, None])
-
-    def psi_scaled(self, site, P: SurfacePoint) -> ScaledComplex:
-        return self.phi_scaled(self.site_label(site), P)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            out = num.over(den).times_exp(w).times(r[:, None])
+        if not (np.isfinite(out.mantissa).all() and np.isfinite(out.log_scale).all()):
+            raise SingularEvaluation("phi left double range: the normalization or a label is too large")
+        return out
 
     def site_label(self, site):
         raise NotImplementedError
@@ -333,19 +304,26 @@ class SpectralDataHex(_SpectralDataBase):
 # ---------------------------------------------------------------------------
 
 
+def _phi_at(sd, label, P: SurfacePoint) -> ScaledComplex:
+    """One phi value: the 1 x 1 grid of :meth:`_SpectralDataBase.phi_scaled`."""
+    (value,) = sd.phi_scaled([label], [P]).scalars()
+    return value
+
+
 def theta_component(sd, P: SurfacePoint, v) -> complex:
     """Theta factor at point P and label v (collapsed to a plain complex)."""
-    return sd.theta_component_scaled(P, sd.validate_label(v)).as_complex()
+    arg = sd.theta_argument(P, sd.validate_label(v))
+    return theta_eval_scaled(sd.curve.pm, arg, _THETA_EPS).as_complex()
 
 
 def phi(sd, v, P: SurfacePoint) -> complex:
     """The function of label v at point P (collapsed to a plain complex)."""
-    return sd.phi_scaled(v, P).as_complex()
+    return _phi_at(sd, v, P).as_complex()
 
 
 def psi(sd, site, P: SurfacePoint) -> complex:
     """The lattice field: phi at the site's exponent label."""
-    return sd.psi_scaled(site, P).as_complex()
+    return phi(sd, sd.site_label(site), P)
 
 
 def relift(sd, P: SurfacePoint, m: int, n: int) -> SurfacePoint:
@@ -387,7 +365,7 @@ def uniqueness_check(sd, v, probes, tol: float = 1e-8, gap_tol: float = 1e-6) ->
     invariance = 0.0
     for P in probes:
         try:
-            val = sd.phi_scaled(label, P)
+            val = _phi_at(sd, label, P)
         except SingularEvaluation:
             generic = False
             base_vals.append(None)
@@ -397,7 +375,7 @@ def uniqueness_check(sd, v, probes, tol: float = 1e-8, gap_tol: float = 1e-6) ->
         moved = None
         for m, n in _RELIFT_OFFSETS:
             try:
-                moved = sd.phi_scaled(label, relift(sd, P, m, n))
+                moved = _phi_at(sd, label, relift(sd, P, m, n))
                 break
             except PoleOnPath:
                 continue

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from operator import add, attrgetter
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -471,13 +471,16 @@ class Model:
     index_names: tuple[str, ...]  # CSV site-index columns
     site: Callable[..., tuple]  # validating site constructor (raises InvalidSite)
     site_class: Callable[[tuple], int]
-    window: Callable[[int], list[tuple]]  # sites of max-norm <= radius, lexicographic
+    window: Callable[[int], Iterator[tuple]]  # sites of max-norm <= radius, lexicographic
     units: tuple[str, ...]  # unit coefficient per class
     zeros: tuple[tuple[str, ...], ...]  # coefficients forced to zero per class
     formulas: tuple[tuple[RatioFormula, ...], ...]  # ratio formulas per class
     spectral_class: type
-    # every (endpoint | pole pair) combination a tabulated curve must store
-    curve_integrals: tuple[tuple[str, tuple[str, str]], ...]
+
+    @property
+    def curve_integrals(self) -> tuple[tuple[str, tuple[str, str]], ...]:
+        """Every (endpoint, pole pair) integral of the formulas: what a tabulated curve must store."""
+        return tuple(dict.fromkeys(_integral_keys(f for table in self.formulas for f in table)))
 
     def __repr__(self) -> str:
         return f"Model({self.name!r})"
@@ -489,23 +492,11 @@ CROSS = Model(
     index_names=("n", "m"),
     site=site_cross,
     site_class=attrgetter("parity"),
-    window=lambda r: [(n, m) for n in range(-r, r + 1) for m in range(-r, r + 1)],
+    window=lambda r: ((n, m) for n in range(-r, r + 1) for m in range(-r, r + 1)),
     units=("d", "c"),
     zeros=((), ()),
     formulas=(CROSS_EVEN_FORMULAS, CROSS_ODD_FORMULAS),
     spectral_class=SpectralDataCross,
-    curve_integrals=(
-        ("P2+", _P1),
-        ("P2-", _P1),
-        ("P3+", _P1),
-        ("P3-", _P1),
-        ("P1-", _P2),
-        ("P1+", _P2),
-        ("P1-", _P3),
-        ("P1+", _P3),
-        ("P2-", _P3),
-        ("P2+", _P3),
-    ),
 )
 
 HEX = Model(
@@ -514,28 +505,13 @@ HEX = Model(
     index_names=("k", "l", "m"),
     site=site_hex,
     site_class=attrgetter("residue"),
-    window=lambda r: [
-        (k, l, -k - l) for k in range(-r, r + 1) for l in range(-r, r + 1) if abs(k + l) <= r
-    ],
+    window=lambda r: (
+        (k, l, -k - l) for k in range(-r, r + 1) for l in range(max(-r, -r - k), min(r, r - k) + 1)
+    ),
     units=("b", "d", "f"),
     zeros=(("c", "g"), ("a", "g"), ("a", "c")),
     formulas=HEX_FORMULAS_BY_RESIDUE,
     spectral_class=SpectralDataHex,
-    curve_integrals=(
-        ("Q3", _R21),
-        ("Q3", _Q12),
-        ("Q3", _R12),
-        ("Q2", _Q31),
-        ("Q2", _R31),
-        ("R1", _Q32),
-        ("R1", _R32),
-        ("R3", _Q12),
-        ("R3", _R12),
-        ("Q1", _Q32),
-        ("Q1", _R32),
-        ("R2", _Q31),
-        ("R2", _R31),
-    ),
 )
 
 MODELS: dict[str, Model] = {m.name: m for m in (CROSS, HEX)}
@@ -566,38 +542,62 @@ def _theta_keys(v: tuple, formulas):
                 yield _theta_key(v, factor)
 
 
-def _eval_product(sd, v: tuple, term: ProductTerm, thetas: dict) -> ScaledComplex:
+def _integral_keys(formulas):
+    """The (endpoint, pole pair) of every third-kind integral term in ``formulas``."""
+    for formula in formulas:
+        for term in (formula.main, *formula.bracket):
+            for it in term.integrals:
+                yield it.endpoint, it.pair
+
+
+@dataclass(frozen=True)
+class ThetaTable:
+    """Exponent labels of a set of sites, and every marked-point theta and integral their formulas use."""
+
+    labels: dict[tuple, tuple]  # site -> exponent label
+    thetas: dict[tuple, ScaledComplex]  # (marked point, shifted label) -> theta
+    integrals: dict[tuple, complex]  # (endpoint, pole pair) -> third-kind integral
+
+
+def _marked_integrals(sd, formulas) -> dict[tuple, complex]:
+    """The formulas' distinct marked-point integrals, from one :meth:`integrals` call."""
+    keys = list(dict.fromkeys(_integral_keys(formulas)))
+    return dict(zip(keys, sd.integrals((sd.marked[endpoint], pair) for endpoint, pair in keys)))
+
+
+def _eval_product(sd, v: tuple, term: ProductTerm, table: ThetaTable) -> ScaledComplex:
     out = ScaledComplex.one()
     for factor in term.theta_num:
-        out = out.times(thetas[_theta_key(v, factor)])
+        out = out.times(table.thetas[_theta_key(v, factor)])
     for factor in term.theta_den:
         den = sd.require_generic(
-            thetas[_theta_key(v, factor)],
+            table.thetas[_theta_key(v, factor)],
             f"theta denominator at {factor.point} with shift {factor.shift}",
         )
         out = out.over(den)
     w = 0j
     for it in term.integrals:
-        w += it.sign * sd.marked_integral(it.endpoint, it.pair)
+        w += it.sign * table.integrals[it.endpoint, it.pair]
     out = out.times_exp(w)
     return out.negated() if term.sign < 0 else out
 
 
-def evaluate_ratio(sd, v, formula: RatioFormula, thetas: dict | None = None) -> ScaledComplex:
+def evaluate_ratio(sd, v, formula: RatioFormula, table: ThetaTable | None = None) -> ScaledComplex:
     """One coefficient ratio at label v, in scaled arithmetic.
 
-    ``thetas`` maps (marked point, label) to theta values (see
-    :func:`theta_table`); the ones the formula needs are evaluated here
-    when it is omitted.
+    ``table`` holds the theta values and integrals the formula needs at
+    label v (see :func:`theta_table`); they are evaluated here when it
+    is omitted.
     """
     v = tuple(v)
-    if thetas is None:
-        thetas = sd.marked_thetas(_theta_keys(v, (formula,)))
-    out = _eval_product(sd, v, formula.main, thetas)
+    if table is None:
+        formulas = (formula,)
+        table = ThetaTable({}, sd.marked_thetas(_theta_keys(v, formulas)), _marked_integrals(sd, formulas))
+    out = _eval_product(sd, v, formula.main, table)
     if formula.bracket:
-        acc = _eval_product(sd, v, formula.bracket[0], thetas)
+        acc = _eval_product(sd, v, formula.bracket[0], table)
         for term in formula.bracket[1:]:
-            acc = acc.plus(_eval_product(sd, v, term, thetas))
+            acc = acc.plus(_eval_product(sd, v, term, table))
         out = out.times(acc)
     r_num = tuple(map(add, v, formula.r_num_shift))
     r_den = tuple(map(add, v, formula.r_den_shift))
@@ -605,19 +605,10 @@ def evaluate_ratio(sd, v, formula: RatioFormula, thetas: dict | None = None) -> 
     return out.negated() if formula.sign < 0 else out
 
 
-@dataclass(frozen=True)
-class ThetaTable:
-    """Exponent labels of a set of sites, and every marked-point theta their formulas use."""
-
-    labels: dict[tuple, tuple]  # site -> exponent label
-    thetas: dict[tuple, ScaledComplex]  # (marked point, shifted label) -> theta
-
-
 def theta_table(sd, sites) -> ThetaTable:
     """Label each site once and evaluate its formulas' distinct theta factors in one kernel call.
 
-    The third-kind integrals of those formulas are cached on ``sd`` with
-    one curve call as well.
+    The formulas' marked-point integrals come from one ``integrals`` call.
     """
     model = MODELS[sd.model]
     labels: dict[tuple, tuple] = {}
@@ -629,15 +620,8 @@ def theta_table(sd, sites) -> ThetaTable:
         classes.add(cls)
         v = labels[tuple(s)] = tuple(sd.site_label(s))
         keys.update(dict.fromkeys(_theta_keys(v, model.formulas[cls])))
-    thetas = sd.marked_thetas(keys)
-    sd.prefetch_integrals(
-        (sd.marked[it.endpoint], it.pair)
-        for cls in sorted(classes)
-        for formula in model.formulas[cls]
-        for term in (formula.main, *formula.bracket)
-        for it in term.integrals
-    )
-    return ThetaTable(labels, thetas)
+    formulas = [formula for cls in sorted(classes) for formula in model.formulas[cls]]
+    return ThetaTable(labels, sd.marked_thetas(keys), _marked_integrals(sd, formulas))
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +670,7 @@ def _closed_form_stencil(model: Model, sd, site, table: ThetaTable | None) -> St
     for zero_key in model.zeros[cls]:
         vals[zero_key] = ScaledComplex(0j, 0.0)
     for formula in model.formulas[cls]:
-        vals[formula.coeff] = evaluate_ratio(sd, v, formula, table.thetas)
+        vals[formula.coeff] = evaluate_ratio(sd, v, formula, table)
     return Stencil(model, model.units[cls], tuple(vals[k] for k in model.coeffs))
 
 
@@ -711,7 +695,7 @@ def hex_coefficients(sd: SpectralDataHex, site, table: ThetaTable | None = None)
 
 def window_sites(model: str, radius: int) -> list[tuple]:
     """All sites with max-norm at most ``radius``, in lexicographic order."""
-    return model_named(model).window(int(radius))
+    return list(model_named(model).window(int(radius)))
 
 
 @dataclass(frozen=True)
@@ -723,12 +707,14 @@ class StencilField:
     stencils: dict[tuple, Stencil]
 
     def __post_init__(self):
-        window = window_sites(self.model, self.radius)
-        for site in window:
+        # walked lazily, so a huge radius stops at its first missing site
+        inside = 0
+        for site in MODELS[self.model].window(self.radius):
             if site not in self.stencils:
                 raise ValueError(f"field is missing site {site} inside its window")
-        if len(self.stencils) != len(window):
-            outside = sorted(set(self.stencils) - set(window))
+            inside += 1
+        if len(self.stencils) != inside:
+            outside = sorted(set(self.stencils) - set(MODELS[self.model].window(self.radius)))
             raise ValueError(f"field has sites outside its radius-{self.radius} window: {outside}")
 
 
@@ -903,6 +889,11 @@ def _grid_for(sd, sites, probes, grid: PsiGrid | None) -> PsiGrid:
     return grid
 
 
+def _worse(a: float, b: float) -> float:
+    """``max(a, b)``, except that a NaN wins: a NaN measure is never within tolerance."""
+    return a if math.isnan(a) or b <= a else b
+
+
 @dataclass(frozen=True)
 class SiteResidual:
     site: tuple
@@ -977,8 +968,8 @@ def residual_report(
             worst_probe = int(row.argmax()) if row.size else -1
             worst = float(row[worst_probe]) if row.size else -1.0
             entries.append(SiteResidual(site, worst, worst_probe))
-            worst_overall = max(worst_overall, worst)
-            if worst > tol:
+            worst_overall = _worse(worst_overall, worst)
+            if not worst <= tol:  # a NaN residual is a breach
                 failures.append(site)
     return ResidualReport(
         model=sd.model,
@@ -1127,14 +1118,14 @@ def oracle_report(
         zero_excess = 0.0
         for t_val, o_val, share in zip(formula.values, oracle.values, shares):
             if t_val.mantissa == 0:
-                zero_excess = max(zero_excess, float(share))
+                zero_excess = _worse(zero_excess, float(share))
                 continue
-            mismatch = max(mismatch, abs(o_val.over(t_val).as_complex() - 1.0))
+            mismatch = _worse(mismatch, abs(o_val.over(t_val).as_complex() - 1.0))
         entries.append(OracleSiteResult(site, gap, mismatch, zero_excess))
-        max_gap = max(max_gap, gap)
-        max_mismatch = max(max_mismatch, mismatch)
-        max_zero = max(max_zero, zero_excess)
-        if gap > gap_tol or mismatch > match_tol or zero_excess > zero_tol:
+        max_gap = _worse(max_gap, gap)
+        max_mismatch = _worse(max_mismatch, mismatch)
+        max_zero = _worse(max_zero, zero_excess)
+        if not (gap <= gap_tol and mismatch <= match_tol and zero_excess <= zero_tol):
             failures.append(site)
     return OracleReport(
         model=sd.model,

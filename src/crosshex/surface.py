@@ -537,6 +537,14 @@ class TabulatedCurve(SpectralCurve):
         return self._constants
 
 
+# Paths start at the base lift and b-period checks track a path of length |B|;
+# the steps grow with path length, so a curve document keeps its marked points
+# this many lattice cells from the base (gen-spectral draws them in the base
+# cell) and Re B above this floor (the Riemann-constant check already fails
+# from Re B = -100 down).
+_MAX_LIFT_CELLS = 16
+_MIN_RE_B = -1e4
+
 _CURVE_DOC_KEYS = {
     "genus", "B", "base_lift", "marked_points", "riemann_constants", "b_periods", "third_kind_integrals"
 }
@@ -548,8 +556,9 @@ def _read_curve_document(document: dict) -> TabulatedCurve:
     Both backends start here.  Any structural problem raises
     :class:`SchemaError`: a wrong ``format``, a missing section, a genus
     other than 1, a ``B`` that is not a 1x1 nested list holding a valid
-    period, a malformed or non-finite number or pair, or a key naming an
-    unknown marked point.
+    period (with ``Re B >= _MIN_RE_B``), a malformed or
+    non-finite number or pair, a key naming an unknown marked point, or a
+    marked point more than ``_MAX_LIFT_CELLS`` lattice cells from the base.
     """
     if not isinstance(document, dict):
         raise SchemaError("curve document must be a JSON object")
@@ -568,6 +577,8 @@ def _read_curve_document(document: dict) -> TabulatedCurve:
         pm = PeriodMatrix(complex_from_json(braw[0][0], "B[0][0]"))
     except ValueError as exc:
         raise SchemaError(f"B: {exc}") from None
+    if pm.B.real < _MIN_RE_B:
+        raise SchemaError(f"B: real part must be at least {_MIN_RE_B:g}, got {pm.B.real!r}")
 
     for section in ("marked_points", "b_periods", "third_kind_integrals"):
         if not isinstance(document[section], dict):
@@ -602,7 +613,14 @@ def _read_curve_document(document: dict) -> TabulatedCurve:
                 raise SchemaError(f"third_kind_integrals key {key!r} names unknown point {nm!r}")
         integrals[skey] = complex_from_json(val, f"third_kind_integrals[{key}]")
 
-    return TabulatedCurve(pm, base, marked, constants, b_periods, integrals)
+    curve = TabulatedCurve(pm, base, marked, constants, b_periods, integrals)
+    for name, point in marked.items():
+        cells = curve.lattice_coords(point.lift - base)
+        if not all(abs(c) <= _MAX_LIFT_CELLS for c in cells):
+            raise SchemaError(
+                f"marked point {name} is {cells} lattice cells from the base (max {_MAX_LIFT_CELLS})"
+            )
+    return curve
 
 
 def load_torus_curve(document: dict) -> tuple[TorusCurve, dict[str, SurfacePoint]]:

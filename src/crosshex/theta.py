@@ -395,7 +395,8 @@ def _lattice_sum_1d(
                     return ScaledComplex(acc, scale)
             else:
                 quiet = 0
-    except OverflowError as exc:
+    except (OverflowError, ValueError) as exc:
+        # cmath.exp raises ValueError where the result has an infinite part
         raise NonConvergent(f"theta lattice sum overflowed at argument {z}") from exc
     raise NonConvergent(
         f"lattice sum did not reach relative tail {eps:g} within {_SHELL_CAP} shells"

@@ -6,14 +6,16 @@ them across test modules keeps the whole suite fast without any
 cross-test state leaking — the caches are value caches only.
 """
 
+import functools
 import json
 import math
 
 import pytest
 
-from crosshex.bafunc import SpectralDataCross, SpectralDataHex
+from crosshex.bafunc import _THETA_EPS, SpectralDataCross, SpectralDataHex
 from crosshex.operators import sample_probes
 from crosshex.surface import make_torus_curve
+from crosshex.theta import theta_eval_scaled
 
 B_FIXTURE = -6.0
 
@@ -34,6 +36,31 @@ HEX_NAME_ORDER = ("Q1", "Q2", "Q3", "R1", "R2", "R3")
 
 def cell_point(curve, fs, ft):
     return curve.point(2j * math.pi * fs + curve.pm.B * ft)
+
+
+@functools.lru_cache(maxsize=None)
+def _integral(curve, lift, plus, minus):
+    return curve.third_kind_integral(curve.point(lift), curve.point(plus), curve.point(minus))
+
+
+def one_value_phi(sd, label, P):
+    """phi at one label and one point, by the one-value formula: the grid's reference.
+
+    Scalar theta calls, one third-kind integral per nonzero label
+    coefficient (memoized here, by lifts), summed in basis order, and
+    ScaledComplex arithmetic; ``phi_scaled`` must give these bits at
+    every grid element.
+    """
+    label = sd.validate_label(label)
+    den = sd.require_generic(
+        theta_eval_scaled(sd.curve.pm, sd.curve.abel(P) + sd._W, _THETA_EPS), "denominator"
+    )
+    num = theta_eval_scaled(sd.curve.pm, sd.theta_argument(P, label), _THETA_EPS)
+    w = 0j
+    for c, (plus, minus) in zip(sd.label_coeffs(label), sd.basis_pairs):
+        if c != 0:
+            w += complex(c) * _integral(sd.curve, P.lift, sd.marked[plus].lift, sd.marked[minus].lift)
+    return num.over(den).times_exp(w).times(sd.normalization.scale_for(label))
 
 
 def genus_two_document(curve_doc: dict) -> dict:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crosshex.bafunc import relift
+from crosshex.bafunc import psi, relift
 from crosshex.cli import load_spectral_document, main as cli_main
 from crosshex.labels import (
     relabel_hex,
@@ -212,24 +212,28 @@ def test_criterion_3_relift_invariance(announce, generated):
         checked = 0
         for model in ("cross", "hex"):
             sites = window_sites(model, 4)
+            make = site_cross if model == "cross" else site_hex
+            origin = make(*(0,) * len(sites[0]))
             for sd, doc in generated[model]:
                 probes = sample_probes(sd, 10, seed=doc["seed"] + 500)
+                moved = []
                 for P in probes:
-                    moved = None
                     for offset in ((1, 1), (2, 1), (1, 2)):
                         try:
                             Q = relift(sd, P, *offset)
-                            sd.psi_scaled(site_cross(0, 0) if model == "cross" else site_hex(0, 0, 0), Q)
-                            moved = Q
+                            psi(sd, origin, Q)
+                            moved.append(Q)
                             break
                         except Exception:
                             continue
-                    if moved is None:
+                    else:
                         return False, f"no usable lattice translate for a probe ({model})"
-                    for raw in sites:
-                        site = site_cross(*raw) if model == "cross" else site_hex(*raw)
-                        a = sd.psi_scaled(site, P)
-                        bb = sd.psi_scaled(site, moved)
+                # one grid: every site at the probes, then at their translates
+                labels = [sd.site_label(make(*raw)) for raw in sites]
+                grid = sd.phi_scaled(labels, probes + moved).scalars()
+                for row in range(len(sites)):
+                    values = grid[row * 2 * len(probes) : (row + 1) * 2 * len(probes)]
+                    for a, bb in zip(values[: len(probes)], values[len(probes) :]):
                         worst = max(worst, abs(bb.over(a).as_complex() - 1.0))
                         checked += 1
         ok = worst <= 1e-8
@@ -247,11 +251,8 @@ def test_criterion_3_relift_invariance(announce, generated):
 def _fitted_vanishing_order(sd, label, point):
     direction = 0.6 + 0.8j
     ladder = [10.0 ** (-k) for k in (3.0, 3.5, 4.0, 4.5)]
-    logs = [
-        sd.phi_scaled(label, sd.curve.point(point.lift + eps * direction)).log_abs
-        for eps in ladder
-    ]
-    return np.polyfit(np.log(ladder), logs, 1)[0]
+    points = [sd.curve.point(point.lift + eps * direction) for eps in ladder]
+    return np.polyfit(np.log(ladder), sd.phi_scaled([label], points).log_abs[0], 1)[0]
 
 
 def test_criterion_4_divisor_orders(announce, generated):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from crosshex.bafunc import (
-    _THETA_EPS,
     ConstantNormalization,
     SpectralDataCross,
     SpectralDataHex,
@@ -20,9 +19,8 @@ from crosshex.errors import (
     SingularEvaluation,
 )
 from crosshex.labels import relabel_cross, relabel_hex, site_cross, site_hex
-from crosshex.theta import theta_eval_scaled
 
-from conftest import CELL_FRACTIONS, CROSS_NAME_ORDER, DIVISOR_FRACTION, cell_point
+from conftest import CELL_FRACTIONS, CROSS_NAME_ORDER, DIVISOR_FRACTION, cell_point, one_value_phi
 
 CROSS_LABEL = (2, -1, 1)
 HEX_LABEL = (2, -1, -1, 1, -2, 1)
@@ -31,7 +29,7 @@ HEX_LABEL = (2, -1, -1, 1, -2, 1)
 def test_zero_label_value_is_one_at_the_base(cross_data, hex_data):
     for sd, label in ((cross_data, (0, 0, 0)), (hex_data, (0,) * 6)):
         base = sd.curve.point(sd.curve.base_lift)
-        assert sd.phi_scaled(label, base).as_complex() == pytest.approx(1.0, abs=1e-14)
+        assert phi(sd, label, base) == pytest.approx(1.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("model", ["cross", "hex"])
@@ -48,7 +46,7 @@ def test_phi_grid_matches_one_value_phi_bit_for_bit(model, cross_data, hex_data,
     got = iter(grid.scalars())
     for label in labels:
         for P in probes:
-            assert repr(next(got)) == repr(sd.phi_scaled(label, P)), (label, P.lift)
+            assert repr(next(got)) == repr(one_value_phi(sd, label, P)), (label, P.lift)
 
 
 def test_phi_depends_on_the_point(cross_data, cross_probes):
@@ -68,12 +66,11 @@ def test_relift_invariance(fixture, sites, cross_data, hex_data, cross_probes, h
     sd = cross_data if fixture == "cross" else hex_data
     make = site_cross if fixture == "cross" else site_hex
     probes = (cross_probes if fixture == "cross" else hex_probes)[:2]
-    for raw in sites:
-        site = make(*raw)
-        for P in probes:
-            val = sd.psi_scaled(site, P)
-            moved = sd.psi_scaled(site, relift(sd, P, 1, 1))
-            assert abs(moved.over(val).as_complex() - 1.0) <= 1e-10
+    labels = [sd.site_label(make(*raw)) for raw in sites]
+    values = sd.phi_scaled(labels, probes).scalars()
+    moved = sd.phi_scaled(labels, [relift(sd, P, 1, 1) for P in probes]).scalars()
+    for val, other in zip(values, moved):
+        assert abs(other.over(val).as_complex() - 1.0) <= 1e-10
 
 
 def _fitted_vanishing_order(sd, label, point):
@@ -85,11 +82,8 @@ def _fitted_vanishing_order(sd, label, point):
     """
     direction = 0.6 + 0.8j
     ladder = [10.0 ** (-k) for k in (3.0, 3.5, 4.0, 4.5)]
-    logs = [
-        sd.phi_scaled(label, sd.curve.point(point.lift + eps * direction)).log_abs
-        for eps in ladder
-    ]
-    return np.polyfit(np.log(ladder), logs, 1)[0]
+    points = [sd.curve.point(point.lift + eps * direction) for eps in ladder]
+    return np.polyfit(np.log(ladder), sd.phi_scaled([label], points).log_abs[0], 1)[0]
 
 
 def test_cross_orders_match_label_components(cross_data):
@@ -171,13 +165,14 @@ def test_singular_denominator_is_refused_on_every_call(cross_data):
             cross_data.denominator_scaled(near)
 
 
-def test_denominator_memo_returns_the_theta_value(cross_data):
-    P = cell_point(cross_data.curve, 0.41, 0.62)
-    first = cross_data.denominator_scaled(P)
-    assert cross_data.denominator_scaled(P) is first
-    assert first == theta_eval_scaled(
-        cross_data.curve.pm, cross_data.curve.abel(P) + cross_data._W, _THETA_EPS
+def test_non_finite_phi_is_refused(torus, cross_data, cross_probes):
+    # a huge normalization overflows some mantissas: refused, never returned
+    huge = SpectralDataCross(
+        torus, dict(cross_data.marked), cross_data.divisor, ConstantNormalization(1e308)
     )
+    labels = [relabel_cross(site_cross(n, m)) for n in range(-1, 2) for m in range(-1, 2)]
+    with pytest.raises(SingularEvaluation, match="left double range"):
+        huge.phi_scaled(labels, cross_probes)
 
 
 def test_marked_point_collision_is_detected(torus):

@@ -212,11 +212,16 @@ def test_corrupt_documents_exit_2(workspace, tmp_path, capsys):
             {"sites": sites + [first]},
             {"sites": sites + [{**first, "site": [9, 9]}]},
             {"window": {"radius": -1}, "sites": []},
+            {"window": {"radius": 2**70}},
         ]
     ):
         path = tmp_path / f"field-{i}.json"
         path.write_text(json.dumps({**good, **change}))
         assert exits_2_with_error_line(["export", "-i", str(path), "-o", str(tmp_path / "v.csv")])
+    # the window is walked only as far as the listed sites reach
+    huge = tmp_path / "huge-hex.json"
+    huge.write_text(json.dumps({**json.loads(workspace["hex"][1].read_text()), "window": {"radius": 2**70}}))
+    assert exits_2_with_error_line(["export", "-i", str(huge), "-o", str(tmp_path / "v.csv")])
 
     sdoc = json.loads(spectral.read_text())
     cdoc = json.loads((spectral.parent / sdoc["curve_ref"]).read_text())
@@ -238,6 +243,12 @@ def test_corrupt_documents_exit_2(workspace, tmp_path, capsys):
             ({}, {"format": drop}),
             ({}, {"riemann_constants": drop}),
             ({}, {"third_kind_integrals": drop}),
+            # paths and b-cycle checks would take steps in proportion to these lengths
+            ({}, {"B": [[[-1e308, 0.0]]]}),
+            (tabulated, {"B": [[[-2.0**70, 0.0]]]}),
+            ({}, {"marked_points": {**cdoc["marked_points"], "P2-": [1e4, 0.0]}}),
+            (tabulated, {"marked_points": {**cdoc["marked_points"], "P2-": [0.0, 2.0**70]}}),
+            ({}, {"base_lift": [0.0, 1e6]}),
         ]
         + [
             ({**backend, **spectral_change}, curve_change)
@@ -319,3 +330,25 @@ def test_usage_errors_raise_systemexit_2(tmp_path, capsys):
             main(argv)
         assert exc.value.code == 2, argv
         assert "usage:" in capsys.readouterr().err, argv
+
+
+def test_out_of_range_values_exit_1(tmp_path, capsys):
+    """Finite values whose evaluation leaves double range: a failure line, exit 1, never an exception."""
+    spectral = tmp_path / "hex.json"
+    assert main(["gen-spectral", "--model", "hex", "--seed", "1", "-o", str(spectral)]) == 0
+    sdoc = json.loads(spectral.read_text())
+    for i, change in enumerate(
+        [
+            # the theta series at this divisor overflows the shell sum
+            {"divisor": [[0.0, -1e308]]},
+            # phi at the probes leaves double range ([1e300, 0] does not)
+            {"normalization": {"kind": "constant", "value": [1e308, 0.0]}},
+        ]
+    ):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps({**sdoc, **change}))
+        capsys.readouterr()
+        assert main(["verify", "-i", str(path), "--window", "0", "--probes", "8"]) == 1, change
+        assert capsys.readouterr().err.startswith("verification-grade failure: ")
+    assert main(["build", "-i", str(tmp_path / "0.json"), "--window", "1", "-o", str(tmp_path / "f.json")]) == 1
+    assert main(["build", "-i", str(tmp_path / "1.json"), "--window", "1", "-o", str(tmp_path / "f.json")]) == 0

@@ -52,6 +52,8 @@ from crosshex.operators import (
 from crosshex.surface import export_curve_document, load_tabulated_curve
 from crosshex.theta import ScaledArray
 
+from conftest import one_value_phi
+
 
 # -- windows -----------------------------------------------------------------
 
@@ -107,9 +109,9 @@ def test_window_table_build_matches_site_by_site_build(model, cross_data, hex_da
 
 
 def _scalar_residual(sd, stencil, site, P):
-    """The residual at one probe from one-value psi calls and ScaledComplex sums."""
+    """The residual at one probe from the one-value phi formula and ScaledComplex sums."""
     terms = [
-        c.times(sd.psi_scaled(nb, P))
+        c.times(one_value_phi(sd, sd.site_label(nb), P))
         for c, nb in zip(stencil.values, stencil_offsets(sd.model, site))
         if c.mantissa != 0
     ]
@@ -132,6 +134,19 @@ def test_grid_residuals_match_one_value_psi(model, cross_data, hex_data, cross_p
         per_probe = [_scalar_residual(sd, stencil, entry.site, P) for P in probes]
         assert repr(entry.residual) == repr(max(per_probe))
         assert entry.worst_probe == per_probe.index(max(per_probe))
+
+
+def test_a_nan_residual_is_a_breach(cross_data, cross_probes):
+    grid = psi_grid(cross_data, 1, cross_probes)
+    mantissa = grid.values.mantissa.copy()
+    mantissa[grid.rows[(0, 0)], 3] = complex(math.nan, 0.0)
+    bad = replace(grid, values=ScaledArray(mantissa, grid.values.log_scale))
+    rep = residual_report(cross_data, 1, cross_probes, grid=bad)
+    # (0, 0) is its own centre and a neighbour of the four sites next to it
+    hit = {(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)}
+    assert set(rep.failures) == hit
+    assert math.isnan(rep.max_residual)
+    assert all(math.isnan(e.residual) == (e.site in hit) for e in rep.entries)
 
 
 def test_grid_must_hold_the_probes(cross_data, cross_probes):

@@ -240,6 +240,19 @@ def test_genus_one_overflow_raises_nonconvergent(bad):
         theta_eval_scaled(PeriodMatrix(complex(-5.0, 1.0)), bad)
 
 
+@pytest.mark.parametrize("count", [1, 3, 25])
+def test_infinite_exponent_raises_nonconvergent_in_both_kernels(count):
+    # N * z overflows to an infinite imaginary part: cmath.exp raises
+    # ValueError there, numpy returns NaN; both must become NonConvergent,
+    # below the batch crossover (scalar kernel) and above it
+    pm = PeriodMatrix(-4.25)
+    assert count < _BATCH_CROSSOVER or count > _BATCH_CROSSOVER
+    with pytest.raises(NonConvergent):
+        theta_eval_batch(pm, [1e308j] * count)
+    with pytest.raises(NonConvergent):
+        theta_eval_scaled(pm, 1e308j)
+
+
 def _batch_draws(rng, count):
     """Seeded arguments over |z| <= 500, a fifth of them near the origin (peak index n0 == 0)."""
     z = 500.0 ** rng.uniform(-1.0, 1.0, count) * np.exp(2j * math.pi * rng.uniform(size=count))
