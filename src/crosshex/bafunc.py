@@ -79,6 +79,10 @@ class ConstantNormalization:
     def ratio(self, label_num, label_den) -> complex:
         return complex(self.scale_for(label_num) / self.scale_for(label_den))
 
+    def ratios(self, labels_num, labels_den) -> np.ndarray:
+        """:meth:`ratio` at each row of two label arrays: one value, repeated."""
+        return np.full(len(labels_num), self.ratio(None, None), dtype=complex)
+
     def to_json(self) -> dict:
         return {"kind": "constant", "value": [self.value.real, self.value.imag]}
 
@@ -162,17 +166,19 @@ class _SpectralDataBase:
         # multiply-adds, and the documents hold its bits
         return self.curve.abel(P) + complex(self.label_coeffs(label) @ self._U) + self._W
 
-    def marked_thetas(self, keys) -> dict[tuple, ScaledComplex]:
-        """Theta at each distinct (marked point name, label) key, in one kernel call.
+    def marked_thetas(self, labels, points, rows) -> ScaledArray:
+        """Theta at marked point ``points[i]`` and label ``labels[rows[i]]`` for each i, in one kernel call.
 
-        Each argument is formed by :meth:`theta_argument`, so every value
-        has the bits of ``theta_eval_scaled`` at that key's argument.
+        ``labels`` holds one label per row and ``points`` indexes
+        ``marked_names``.  Each label takes :meth:`theta_argument`'s dot
+        once, and each argument is its ``(abel + dot) + W``, so every
+        element has the bits of ``theta_eval_scaled`` at that argument.
         """
-        keys = list(dict.fromkeys(keys))
-        args = [
-            self.theta_argument(self.marked[name], self.validate_label(label)) for name, label in keys
-        ]
-        return dict(zip(keys, theta_eval_batch(self.curve.pm, args, _THETA_EPS).scalars()))
+        dots = np.array([complex(self.label_coeffs(label) @ self._U) for label in labels], dtype=complex)
+        abel = np.array([self.curve.abel(self.marked[name]) for name in self.marked_names], dtype=complex)
+        return theta_eval_batch(
+            self.curve.pm, (abel[points] + dots[rows]) + self._W, _THETA_EPS
+        )
 
     def denominator_scaled(self, P: SurfacePoint) -> ScaledComplex:
         """The label-independent theta denominator, guarded by the genericity floor."""
@@ -181,16 +187,18 @@ class _SpectralDataBase:
             f"theta denominator at lift {P.lift}",
         )
 
-    def require_generic(self, theta_value: ScaledComplex, what: str) -> ScaledComplex:
+    def require_generic(self, theta_value, what: str):
         """Raise :class:`SingularEvaluation` if a theta value sits on the divisor.
 
-        ``theta_value`` must come straight from :func:`theta_eval_scaled`
+        ``theta_value`` is a ScaledComplex, or a ScaledArray whose every
+        element is checked, and must come straight from the theta kernel
         (mantissa relative to the peak scale, not renormalized).
         """
-        if abs(theta_value.mantissa) < self._mantissa_floor:
+        size = np.hypot(np.real(theta_value.mantissa), np.imag(theta_value.mantissa))
+        if (size < self._mantissa_floor).any():
             raise SingularEvaluation(
                 f"{what} is below the genericity floor "
-                f"(|mantissa| = {abs(theta_value.mantissa):.3e}; data non-generic "
+                f"(|mantissa| = {np.min(size):.3e}; data non-generic "
                 "or evaluation point too close to the divisor)"
             )
         return theta_value

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
-from operator import add, attrgetter
+from operator import attrgetter
 from typing import Callable, Iterator
 
 import numpy as np
@@ -530,18 +530,6 @@ def model_named(name) -> Model:
 # ---------------------------------------------------------------------------
 
 
-def _theta_key(v: tuple, factor: ThetaFactor) -> tuple:
-    return factor.point, tuple(map(add, v, factor.shift))
-
-
-def _theta_keys(v: tuple, formulas):
-    """The (marked point, shifted label) key of every theta factor in ``formulas`` at label v."""
-    for formula in formulas:
-        for term in (formula.main, *formula.bracket):
-            for factor in term.theta_num + term.theta_den:
-                yield _theta_key(v, factor)
-
-
 def _integral_keys(formulas):
     """The (endpoint, pole pair) of every third-kind integral term in ``formulas``."""
     for formula in formulas:
@@ -550,78 +538,122 @@ def _integral_keys(formulas):
                 yield it.endpoint, it.pair
 
 
-@dataclass(frozen=True)
-class ThetaTable:
-    """Exponent labels of a set of sites, and every marked-point theta and integral their formulas use."""
-
-    labels: dict[tuple, tuple]  # site -> exponent label
-    thetas: dict[tuple, ScaledComplex]  # (marked point, shifted label) -> theta
-    integrals: dict[tuple, complex]  # (endpoint, pole pair) -> third-kind integral
-
-
 def _marked_integrals(sd, formulas) -> dict[tuple, complex]:
     """The formulas' distinct marked-point integrals, from one :meth:`integrals` call."""
     keys = list(dict.fromkeys(_integral_keys(formulas)))
     return dict(zip(keys, sd.integrals((sd.marked[endpoint], pair) for endpoint, pair in keys)))
 
 
-def _eval_product(sd, v: tuple, term: ProductTerm, table: ThetaTable) -> ScaledComplex:
-    out = ScaledComplex.one()
-    for factor in term.theta_num:
-        out = out.times(table.thetas[_theta_key(v, factor)])
-    for factor in term.theta_den:
-        den = sd.require_generic(
-            table.thetas[_theta_key(v, factor)],
-            f"theta denominator at {factor.point} with shift {factor.shift}",
-        )
-        out = out.over(den)
+def _exponent(term: ProductTerm, integrals: dict[tuple, complex]) -> complex:
+    """The term's signed sum of third-kind integrals, in its order."""
     w = 0j
     for it in term.integrals:
-        w += it.sign * table.integrals[it.endpoint, it.pair]
-    out = out.times_exp(w)
-    return out.negated() if term.sign < 0 else out
+        w += it.sign * integrals[it.endpoint, it.pair]
+    return w
 
 
-def evaluate_ratio(sd, v, formula: RatioFormula, table: ThetaTable | None = None) -> ScaledComplex:
-    """One coefficient ratio at label v, in scaled arithmetic.
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D integer array and the index of each row among them.
 
-    ``table`` holds the theta values and integrals the formula needs at
-    label v (see :func:`theta_table`); they are evaluated here when it
-    is omitted.
+    What ``np.unique(a, axis=0, return_inverse=True)`` gives up to the
+    order of the distinct rows, from one sort of the rows as byte strings
+    (several times faster).
     """
-    v = tuple(v)
-    if table is None:
-        formulas = (formula,)
-        table = ThetaTable({}, sd.marked_thetas(_theta_keys(v, formulas)), _marked_integrals(sd, formulas))
-    out = _eval_product(sd, v, formula.main, table)
-    if formula.bracket:
-        acc = _eval_product(sd, v, formula.bracket[0], table)
-        for term in formula.bracket[1:]:
-            acc = acc.plus(_eval_product(sd, v, term, table))
-        out = out.times(acc)
-    r_num = tuple(map(add, v, formula.r_num_shift))
-    r_den = tuple(map(add, v, formula.r_den_shift))
-    out = out.times(sd.normalization.ratio(r_num, r_den))
-    return out.negated() if formula.sign < 0 else out
+    rows = np.ascontiguousarray(a).view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel()
+    distinct, inverse = np.unique(rows, return_inverse=True)
+    return distinct.view(a.dtype).reshape(-1, a.shape[1]), inverse.ravel()
 
 
-def theta_table(sd, sites) -> ThetaTable:
-    """Label each site once and evaluate its formulas' distinct theta factors in one kernel call.
+def _theta_table(sd, blocks, terms) -> tuple[ScaledArray, list[list[np.ndarray]]]:
+    """The thetas of ``terms`` at their blocks' labels, one per distinct key, in one kernel call.
 
-    The formulas' marked-point integrals come from one ``integrals`` call.
+    A key is a (marked point, shifted label) pair; each distinct label
+    takes one dot with U.  Returned with the table: for each term, the
+    table index of each of its factors (numerators, then denominators)
+    at each row of its block.  Every denominator is held to the
+    genericity floor here.
     """
-    model = MODELS[sd.model]
-    labels: dict[tuple, tuple] = {}
-    keys: dict[tuple, None] = {}  # distinct keys in first-use order
-    classes: set[int] = set()
-    for site in sites:
-        s = model.site(*site)
-        cls = model.site_class(s)
-        classes.add(cls)
-        v = labels[tuple(s)] = tuple(sd.site_label(s))
-        keys.update(dict.fromkeys(_theta_keys(v, model.formulas[cls])))
-    formulas = [formula for cls in sorted(classes) for formula in model.formulas[cls]]
-    return ThetaTable(labels, sd.marked_thetas(keys), _marked_integrals(sd, formulas))
+    sizes = [len(labels) for labels, _ in blocks]
+    factors = [(b, factor) for b, term in terms for factor in term.theta_num + term.theta_den]
+    shifted = np.concatenate([blocks[b][0] + np.array(factor.shift, dtype=int) for b, factor in factors])
+    points = np.repeat([sd.marked_names.index(f.point) for _, f in factors], [sizes[b] for b, _ in factors])
+    keys, key_of = _unique_rows(np.column_stack([points, shifted]))
+    labels, label_of = _unique_rows(keys[:, 1:])
+    table = sd.marked_thetas(labels, keys[:, 0], label_of)
+    starts = np.cumsum([0] + [sizes[b] for b, _ in factors]).tolist()
+    pieces = iter(key_of[start:end] for start, end in zip(starts, starts[1:]))
+    index = [[next(pieces) for _ in term.theta_num + term.theta_den] for _, term in terms]
+    for (_, term), at in zip(terms, index):
+        for factor, rows in zip(term.theta_den, at[len(term.theta_num) :]):
+            sd.require_generic(table[rows], f"theta denominator at {factor.point} with shift {factor.shift}")
+    return table, index
+
+
+def _ratios(sd, blocks) -> ScaledArray:
+    """Every formula of ``blocks`` at every label of its block, in a fixed number of array passes.
+
+    ``blocks`` is a list of ``(labels, formula)`` pairs, ``labels`` an
+    integer array with one label per row; the result holds the ratios
+    block after block.  The product terms of all blocks are stacked by
+    shape (numerator and denominator counts): each shape takes one
+    ``times`` or ``over`` per factor position, one ``times_exp`` and one
+    sign flip.  Brackets of one length take one ``plus`` per further term
+    and one product with their main terms; then all ratios take one
+    normalization product and one sign flip.  Each element goes through
+    the ScaledComplex operations of the one-label formula in their
+    order, so it has those bits.
+    """
+    integrals = _marked_integrals(sd, [formula for _, formula in blocks])
+    terms = [(b, term) for b, (_, f) in enumerate(blocks) for term in (f.main, *f.bracket)]
+    table, index = _theta_table(sd, blocks, terms)
+    sizes = [len(labels) for labels, _ in blocks]
+
+    shapes: dict[tuple, list[int]] = {}
+    for i, (_, term) in enumerate(terms):
+        shapes.setdefault((len(term.theta_num), len(term.theta_den)), []).append(i)
+    parts = []
+    for (num, den), group in shapes.items():
+        counts = [sizes[terms[i][0]] for i in group]
+        out = ScaledArray.from_complex(np.ones(sum(counts), dtype=complex))
+        for k in range(num + den):
+            theta = table[np.concatenate([index[i][k] for i in group])]
+            out = out.times(theta) if k < num else out.over(theta)
+        w = np.repeat(np.array([_exponent(terms[i][1], integrals) for i in group], dtype=complex), counts)
+        parts.append(out.times_exp(w).negated(np.repeat([terms[i][1].sign < 0 for i in group], counts)))
+    products = ScaledArray.concatenate(parts)
+    # the rows of each term in ``products``, and of each block in the result
+    order = [i for group in shapes.values() for i in group]
+    starts = np.cumsum([0] + [sizes[terms[i][0]] for i in order]).tolist()
+    term_rows = {i: np.arange(start, start + sizes[terms[i][0]]) for i, start in zip(order, starts)}
+    mains = np.cumsum([0] + [1 + len(f.bracket) for _, f in blocks]).tolist()  # term index of each main
+    starts = np.cumsum([0] + sizes).tolist()
+
+    out = products[np.concatenate([term_rows[mains[b]] for b in range(len(blocks))])]
+    widths: dict[int, list[int]] = {}
+    for b, (_, f) in enumerate(blocks):
+        if f.bracket:
+            widths.setdefault(len(f.bracket), []).append(b)
+    for width, group in widths.items():
+        acc = products[np.concatenate([term_rows[mains[b] + 1] for b in group])]
+        for t in range(2, width + 1):
+            acc = acc.plus(products[np.concatenate([term_rows[mains[b] + t] for b in group])])
+        rows = np.concatenate([np.arange(starts[b], starts[b + 1]) for b in group])
+        # ``out`` owns its arrays (a gather), so the bracketed rows are replaced in place
+        bracketed = out[rows].times(acc)
+        out.mantissa[rows], out.log_scale[rows] = bracketed.mantissa, bracketed.log_scale
+    ratios = np.concatenate(
+        [
+            sd.normalization.ratios(labels + np.array(f.r_num_shift), labels + np.array(f.r_den_shift))
+            for labels, f in blocks
+        ]
+    )
+    return out.times(ratios).negated(np.repeat([f.sign < 0 for _, f in blocks], sizes))
+
+
+def evaluate_ratio(sd, v, formula: RatioFormula) -> ScaledComplex:
+    """One coefficient ratio at label v: the one-label case of :func:`_ratios`."""
+    (value,) = _ratios(sd, [(np.array([sd.validate_label(v)], dtype=int), formula)]).scalars()
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -659,33 +691,48 @@ class Stencil:
         return replace(self, values=tuple(val.times(factor) for val in self.values))
 
 
-def _closed_form_stencil(model: Model, sd, site, table: ThetaTable | None) -> Stencil:
-    """The stencil at one site: the class's unit is exactly 1, its forced zeros exactly 0."""
-    s = model.site(*site)
-    if table is None:
-        table = theta_table(sd, [s])
-    v = table.labels[tuple(s)]
-    cls = model.site_class(s)
-    vals = {model.units[cls]: ScaledComplex.one()}
-    for zero_key in model.zeros[cls]:
-        vals[zero_key] = ScaledComplex(0j, 0.0)
-    for formula in model.formulas[cls]:
-        vals[formula.coeff] = evaluate_ratio(sd, v, formula, table)
-    return Stencil(model, model.units[cls], tuple(vals[k] for k in model.coeffs))
+def _stencils(model: Model, sd, sites) -> list[Stencil]:
+    """The stencils at ``sites``: each class's unit exactly 1, its forced zeros exactly 0.
 
-
-def cross_coefficients(sd: SpectralDataCross, site, table: ThetaTable | None = None) -> Stencil:
-    """The stencil at one square-lattice site, unit coefficient set to 1.
-
-    ``table`` must cover the site (see :func:`theta_table`); without it
-    the site's own theta values are evaluated here.
+    Each site is labelled once, and every formula of every class present
+    is evaluated at its sites in one :func:`_ratios` call.
     """
-    return _closed_form_stencil(CROSS, sd, site, table)
+    sites = [model.site(*site) for site in sites]
+    if not sites:
+        return []
+    classes = np.array([model.site_class(s) for s in sites])
+    labels = np.array([sd.site_label(s) for s in sites], dtype=int)
+    present = np.unique(classes).tolist()
+    ratios = _ratios(sd, [(labels[classes == c], f) for c in present for f in model.formulas[c]])
+    mantissa = np.zeros((len(sites), len(model.coeffs)), dtype=complex)
+    log_scale = np.zeros(mantissa.shape)
+    mantissa[np.arange(len(sites)), [model.coeffs.index(model.units[c]) for c in classes]] = 1.0
+    start = 0
+    for c in present:
+        rows = np.flatnonzero(classes == c)
+        for f in model.formulas[c]:
+            column = model.coeffs.index(f.coeff)
+            mantissa[rows, column] = ratios.mantissa[start : start + len(rows)]
+            log_scale[rows, column] = ratios.log_scale[start : start + len(rows)]
+            start += len(rows)
+    values = ScaledArray(mantissa, log_scale).scalars()
+    width = len(model.coeffs)
+    return [
+        Stencil(model, model.units[c], tuple(values[i * width : (i + 1) * width]))
+        for i, c in enumerate(classes.tolist())
+    ]
 
 
-def hex_coefficients(sd: SpectralDataHex, site, table: ThetaTable | None = None) -> Stencil:
+def cross_coefficients(sd: SpectralDataCross, site) -> Stencil:
+    """The stencil at one square-lattice site, unit coefficient set to 1."""
+    (stencil,) = _stencils(CROSS, sd, [site])
+    return stencil
+
+
+def hex_coefficients(sd: SpectralDataHex, site) -> Stencil:
     """The stencil at one triangular-lattice site, with its two forced zeros."""
-    return _closed_form_stencil(HEX, sd, site, table)
+    (stencil,) = _stencils(HEX, sd, [site])
+    return stencil
 
 
 # ---------------------------------------------------------------------------
@@ -719,18 +766,9 @@ class StencilField:
 
 
 def build_field(sd, radius: int) -> StencilField:
-    """Evaluate the closed-form stencils on the whole window.
-
-    The window's marked-point theta values come from one table, built
-    with one kernel call; the ratio arithmetic then runs site by site.
-    """
-    # The one model-name dispatch outside the registry.  The builder is read
-    # from the module globals at call time because a profiler that rebinds
-    # them (perfbench's tracer) would miss a function stored in the registry.
-    builder = cross_coefficients if sd.model == "cross" else hex_coefficients
+    """Evaluate the closed-form stencils on the whole window, stacked over all its sites."""
     sites = window_sites(sd.model, radius)
-    table = theta_table(sd, sites)
-    return StencilField(sd.model, int(radius), {site: builder(sd, site, table) for site in sites})
+    return StencilField(sd.model, int(radius), dict(zip(sites, _stencils(MODELS[sd.model], sd, sites))))
 
 
 def field_to_document(

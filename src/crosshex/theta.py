@@ -169,8 +169,7 @@ _math_log = np.frompyfunc(math.log, 1, 1)
 
 def _complex(re, im) -> np.ndarray:
     """A complex array from its parts, with no arithmetic (signed zeros kept)."""
-    re, im = np.broadcast_arrays(re, im)
-    out = np.empty(re.shape, dtype=complex)
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
     out.real = re
     out.imag = im
     return out
@@ -266,6 +265,27 @@ class ScaledArray:
             complex_mul(self.mantissa, phase), self.log_scale + w.real
         ).normalized()
 
+    def plus(self, other: "ScaledArray") -> "ScaledArray":
+        self_hi = self.log_scale >= other.log_scale
+        hi_m = np.where(self_hi, self.mantissa, other.mantissa)
+        lo_m = np.where(self_hi, other.mantissa, self.mantissa)
+        hi_s = np.where(self_hi, self.log_scale, other.log_scale)
+        lo_s = np.where(self_hi, other.log_scale, self.log_scale)
+        diff = lo_s - hi_s
+        # CPython's complex * float goes through complex(exp(diff), 0.0)
+        small = np.where(diff > -745.0, complex_mul(lo_m, _complex(_exp(diff), 0.0)), 0j)
+        out = ScaledArray(hi_m + small, hi_s).normalized()
+        # a zero term gives back the other term as it is, not normalized
+        lo_zero, hi_zero = lo_m == 0, hi_m == 0
+        return ScaledArray(
+            np.where(lo_zero, hi_m, np.where(hi_zero, lo_m, out.mantissa)),
+            np.where(lo_zero, hi_s, np.where(hi_zero, lo_s, out.log_scale)),
+        )
+
+    def negated(self, where=True) -> "ScaledArray":
+        """The negated elements where ``where`` holds, the others as they are."""
+        return ScaledArray(np.where(where, -self.mantissa, self.mantissa), self.log_scale)
+
     @property
     def phase(self) -> np.ndarray:
         """``mantissa / abs(mantissa)``, and 0 where the mantissa is 0."""
@@ -327,6 +347,14 @@ class ScaledArray:
     def from_complex(w) -> "ScaledArray":
         w = np.asarray(w, dtype=complex)
         return ScaledArray(w, np.zeros(w.shape))
+
+    @staticmethod
+    def concatenate(parts) -> "ScaledArray":
+        """The 1-D ScaledArrays ``parts``, one after another."""
+        parts = list(parts)
+        return ScaledArray(
+            np.concatenate([p.mantissa for p in parts]), np.concatenate([p.log_scale for p in parts])
+        )
 
 
 def _check_eps(eps: float) -> float:

@@ -13,9 +13,9 @@ import math
 import pytest
 
 from crosshex.bafunc import _THETA_EPS, SpectralDataCross, SpectralDataHex
-from crosshex.operators import sample_probes
+from crosshex.operators import MODELS, sample_probes
 from crosshex.surface import make_torus_curve
-from crosshex.theta import theta_eval_scaled
+from crosshex.theta import ScaledComplex, theta_eval_scaled
 
 B_FIXTURE = -6.0
 
@@ -63,6 +63,76 @@ def one_value_phi(sd, label, P):
     return num.over(den).times_exp(w).times(sd.normalization.scale_for(label))
 
 
+def _one_label_product(sd, v, term, thetas):
+    out = ScaledComplex.one()
+    for factor in term.theta_num:
+        out = out.times(_marked_theta(sd, factor, v, thetas))
+    for factor in term.theta_den:
+        den = sd.require_generic(
+            _marked_theta(sd, factor, v, thetas),
+            f"theta denominator at {factor.point} with shift {factor.shift}",
+        )
+        out = out.over(den)
+    w = 0j
+    for it in term.integrals:
+        a, b = it.pair
+        w += it.sign * _integral(sd.curve, sd.marked[it.endpoint].lift, sd.marked[a].lift, sd.marked[b].lift)
+    out = out.times_exp(w)
+    return out.negated() if term.sign < 0 else out
+
+
+def _marked_theta(sd, factor, v, thetas):
+    key = factor.point, tuple(x + d for x, d in zip(v, factor.shift))
+    if key not in thetas:
+        arg = sd.theta_argument(sd.marked[factor.point], sd.validate_label(key[1]))
+        thetas[key] = theta_eval_scaled(sd.curve.pm, arg, _THETA_EPS)
+    return thetas[key]
+
+
+def one_label_ratio(sd, v, formula, thetas=None):
+    """One coefficient ratio at label v, by the one-label formula in ScaledComplex arithmetic.
+
+    Scalar theta calls (memoized in ``thetas`` by marked point and
+    shifted label), one ``third_kind_integral`` per integral term, and the
+    main term times the bracket sum, times the normalization ratio, signed.
+    """
+    thetas = {} if thetas is None else thetas
+    v = tuple(v)
+    out = _one_label_product(sd, v, formula.main, thetas)
+    if formula.bracket:
+        acc = _one_label_product(sd, v, formula.bracket[0], thetas)
+        for term in formula.bracket[1:]:
+            acc = acc.plus(_one_label_product(sd, v, term, thetas))
+        out = out.times(acc)
+    r_num = tuple(x + d for x, d in zip(v, formula.r_num_shift))
+    r_den = tuple(x + d for x, d in zip(v, formula.r_den_shift))
+    out = out.times(sd.normalization.ratio(r_num, r_den))
+    return out.negated() if formula.sign < 0 else out
+
+
+def one_site_stencil(sd, site, thetas=None):
+    """The stencil values at one site, one formula at a time: the array build's reference.
+
+    The class's unit is exactly 1 and its forced zeros exactly 0;
+    ``build_field`` must give these bits at every site.
+    """
+    thetas = {} if thetas is None else thetas
+    model = MODELS[sd.model]
+    s = model.site(*site)
+    cls = model.site_class(s)
+    vals = {model.units[cls]: ScaledComplex.one(), **{k: ScaledComplex(0j, 0.0) for k in model.zeros[cls]}}
+    for formula in model.formulas[cls]:
+        vals[formula.coeff] = one_label_ratio(sd, sd.site_label(s), formula, thetas)
+    return tuple(vals[k] for k in model.coeffs)
+
+
+def spectral_data(model, curve):
+    """Spectral data of ``model`` on ``curve``, with the fixture's marked and divisor points."""
+    if model == "cross":
+        return _spectral(SpectralDataCross, CROSS_NAME_ORDER, curve)
+    return _spectral(SpectralDataHex, HEX_NAME_ORDER, curve)
+
+
 def genus_two_document(curve_doc: dict) -> dict:
     """A curve document reshaped as genus 2: a 2x2 B, every lift and period a list of 2 pairs."""
     doc = json.loads(json.dumps(curve_doc))
@@ -91,12 +161,12 @@ def _spectral(cls, names, curve):
 
 @pytest.fixture(scope="session")
 def cross_data(torus):
-    return _spectral(SpectralDataCross, CROSS_NAME_ORDER, torus)
+    return spectral_data("cross", torus)
 
 
 @pytest.fixture(scope="session")
 def hex_data(torus):
-    return _spectral(SpectralDataHex, HEX_NAME_ORDER, torus)
+    return spectral_data("hex", torus)
 
 
 @pytest.fixture(scope="session")

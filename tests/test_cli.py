@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+import crosshex.bafunc
 from crosshex.cli import SPECTRAL_DOC_FORMAT, VERIFY_DOC_FORMAT, main
 from crosshex.operators import FIELD_DOC_FORMAT
 
@@ -352,3 +353,12 @@ def test_out_of_range_values_exit_1(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("verification-grade failure: ")
     assert main(["build", "-i", str(tmp_path / "0.json"), "--window", "1", "-o", str(tmp_path / "f.json")]) == 1
     assert main(["build", "-i", str(tmp_path / "1.json"), "--window", "1", "-o", str(tmp_path / "f.json")]) == 0
+
+
+def test_a_denominator_below_the_floor_fails_build(workspace, tmp_path, capsys, monkeypatch):
+    spectral, _ = workspace["hex"]
+    monkeypatch.setattr(crosshex.bafunc, "_GENERICITY_FLOOR", math.inf)
+    capsys.readouterr()
+    assert main(["build", "-i", str(spectral), "--window", "1", "-o", str(tmp_path / "f.json")]) == 1
+    assert "theta denominator at" in capsys.readouterr().err
+    assert not (tmp_path / "f.json").exists()

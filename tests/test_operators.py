@@ -11,6 +11,7 @@ from crosshex.errors import (
     RankDeficient,
     SchemaError,
     SeparationFailure,
+    SingularEvaluation,
 )
 from crosshex.labels import (
     CROSS_COEFFS,
@@ -49,10 +50,10 @@ from crosshex.operators import (
     sample_probes,
     window_sites,
 )
-from crosshex.surface import export_curve_document, load_tabulated_curve
+from crosshex.surface import export_curve_document, load_tabulated_curve, make_torus_curve
 from crosshex.theta import ScaledArray
 
-from conftest import one_value_phi
+from conftest import one_site_stencil, one_value_phi, spectral_data
 
 
 # -- windows -----------------------------------------------------------------
@@ -99,13 +100,28 @@ def test_hex_oracle_matches_field_and_zero_pattern(hex_data, hex_probes):
 
 
 @pytest.mark.parametrize("model", ["cross", "hex"])
-def test_window_table_build_matches_site_by_site_build(model, cross_data, hex_data):
-    # build_field evaluates the window's theta factors in one kernel call;
-    # each site built alone evaluates only its own, and the bits agree
-    sd, builder = (cross_data, cross_coefficients) if model == "cross" else (hex_data, hex_coefficients)
-    field = build_field(sd, 3)
-    for site, stencil in field.stencils.items():
-        assert repr(builder(sd, site).values) == repr(stencil.values), site
+def test_window_table_build_matches_site_by_site_build(model, torus):
+    # build_field evaluates every stencil of the window in stacked array
+    # passes; the one-formula-at-a-time ScaledComplex reference gives the
+    # same bits at every site, whatever the window
+    for curve in (torus, make_torus_curve(complex(-4.25, 3.0))):
+        sd = spectral_data(model, curve)
+        thetas = {}
+        for radius in range(7):
+            for site, stencil in build_field(sd, radius).stencils.items():
+                assert repr(stencil.values) == repr(one_site_stencil(sd, site, thetas)), (curve.pm.B, radius, site)
+
+
+def test_one_site_builders_match_the_reference(cross_data, hex_data):
+    for sd, builder in ((cross_data, cross_coefficients), (hex_data, hex_coefficients)):
+        for site in window_sites(sd.model, 1):
+            assert repr(builder(sd, site).values) == repr(one_site_stencil(sd, site)), site
+
+
+def test_a_denominator_below_the_floor_is_refused(cross_data, monkeypatch):
+    monkeypatch.setattr(cross_data, "_mantissa_floor", math.inf)
+    with pytest.raises(SingularEvaluation, match="theta denominator at"):
+        build_field(cross_data, 2)
 
 
 def _scalar_residual(sd, stencil, site, P):

@@ -362,6 +362,31 @@ def test_riemann_constants_value_and_divisor_check(torus):
     assert at_minus_k.log_abs - at_zero.log_abs <= math.log(1e-10)
 
 
+@pytest.mark.parametrize("B", [-3.0, complex(-4.25, 3.0), -8.0, -100.0, -1000.0])
+def test_riemann_scan_accepts_the_true_constant_at_deep_periods(B):
+    # log|Theta| spreads across the cell in proportion to |Re B|; the scan
+    # reads each node's peak-relative value, which does not
+    curve = make_torus_curve(B)
+    assert curve.riemann_constants() == 1j * math.pi + curve.pm.B / 2.0
+
+
+def test_riemann_scan_refuses_a_far_node_near_zero(monkeypatch):
+    curve = make_torus_curve(-6.0)
+    K = 1j * math.pi + curve.pm.B / 2.0
+    surface._validate_constants(curve, K)
+    kernel = surface.theta_eval_batch
+
+    def one_tiny_far_node(pm, z, eps):
+        values = kernel(pm, z, eps)
+        if values.shape == (100,):  # the grid scan; node 90 sits at cell fractions (0.95, 0.05)
+            values.mantissa[90] *= 1e-4
+        return values
+
+    monkeypatch.setattr(surface, "theta_eval_batch", one_tiny_far_node)
+    with pytest.raises(ConsistencyFailure, match="unexpected theta zero"):
+        surface._validate_constants(curve, K)
+
+
 def test_complex_period_backend():
     curve = make_torus_curve(complex(-5.0, 1.3))
     plus = cell_point(curve, 0.2, 0.4)

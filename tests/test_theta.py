@@ -349,6 +349,29 @@ def test_scaled_array_ops_match_scaled_complex_bit_for_bit():
     assert same(
         a.phase.tolist(), [x.mantissa / abs(x.mantissa) for x, _, _, _ in pairs]
     )
+    assert same(a.negated().scalars(), [x.negated() for x, _, _, _ in pairs])
+    flip = w.real < 0
+    assert same(
+        a.negated(flip).scalars(), [x.negated() if f else x for (x, _, _, _), f in zip(pairs, flip)]
+    )
+    # plus: a zero mantissa on either side and on both, equal log scales (the
+    # tie keeps self as the larger term), and gaps past the exp cutoff
+    left = ScaledArray(a.mantissa.copy(), a.log_scale.copy())
+    right = ScaledArray(b.mantissa.copy(), b.log_scale.copy())
+    left.mantissa[200:260] = 0
+    right.mantissa[240:300] = 0
+    right.log_scale[300:400] = left.log_scale[300:400]
+    # signed zeros make the tie and the cutoff visible: two zero mantissas of
+    # opposite signs at one scale, and a far smaller term added to a mantissa
+    # with a -0.0 part (lo * exp(diff) has a -0.0 there, the cutoff's 0.0 not)
+    left.mantissa[300:304] = [0j, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)]
+    right.mantissa[300:304] = [complex(-0.0, -0.0), complex(-0.0, 0.0), complex(0.0, -0.0), 0j]
+    left.mantissa[400:404], left.log_scale[400:404] = complex(2.0, -0.0), 0.0
+    right.mantissa[400:404], right.log_scale[400:404] = complex(-1.0, -1.0), [-744.9, -745.0, -745.1, -800.0]
+    diff = right.log_scale - left.log_scale
+    assert (diff <= -745).sum() > 100 and (diff >= 745).sum() > 100
+    assert same(left.plus(right).scalars(), [x.plus(y) for x, y in zip(left.scalars(), right.scalars())])
+    assert same(right.plus(left).scalars(), [y.plus(x) for x, y in zip(left.scalars(), right.scalars())])
 
 
 def test_scaled_array_zero_mantissas():
