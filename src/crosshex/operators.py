@@ -620,7 +620,9 @@ def _ratios(sd, blocks) -> ScaledArray:
             out = out.times(theta) if k < num else out.over(theta)
         w = np.repeat(np.array([_exponent(terms[i][1], integrals) for i in group], dtype=complex), counts)
         parts.append(out.times_exp(w).negated(np.repeat([terms[i][1].sign < 0 for i in group], counts)))
-    products = ScaledArray.concatenate(parts)
+    products = ScaledArray(
+        np.concatenate([p.mantissa for p in parts]), np.concatenate([p.log_scale for p in parts])
+    )
     # the rows of each term in ``products``, and of each block in the result
     order = [i for group in shapes.values() for i in group]
     starts = np.cumsum([0] + [sizes[terms[i][0]] for i in order]).tolist()

@@ -348,14 +348,6 @@ class ScaledArray:
         w = np.asarray(w, dtype=complex)
         return ScaledArray(w, np.zeros(w.shape))
 
-    @staticmethod
-    def concatenate(parts) -> "ScaledArray":
-        """The 1-D ScaledArrays ``parts``, one after another."""
-        parts = list(parts)
-        return ScaledArray(
-            np.concatenate([p.mantissa for p in parts]), np.concatenate([p.log_scale for p in parts])
-        )
-
 
 def _check_eps(eps: float) -> float:
     eps = float(eps)

@@ -89,7 +89,7 @@ def _marked_theta(sd, factor, v, thetas):
     return thetas[key]
 
 
-def one_label_ratio(sd, v, formula, thetas=None):
+def _one_label_ratio(sd, v, formula, thetas=None):
     """One coefficient ratio at label v, by the one-label formula in ScaledComplex arithmetic.
 
     Scalar theta calls (memoized in ``thetas`` by marked point and
@@ -122,7 +122,7 @@ def one_site_stencil(sd, site, thetas=None):
     cls = model.site_class(s)
     vals = {model.units[cls]: ScaledComplex.one(), **{k: ScaledComplex(0j, 0.0) for k in model.zeros[cls]}}
     for formula in model.formulas[cls]:
-        vals[formula.coeff] = one_label_ratio(sd, sd.site_label(s), formula, thetas)
+        vals[formula.coeff] = _one_label_ratio(sd, sd.site_label(s), formula, thetas)
     return tuple(vals[k] for k in model.coeffs)
 
 

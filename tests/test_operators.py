@@ -109,7 +109,8 @@ def test_window_table_build_matches_site_by_site_build(model, torus):
         thetas = {}
         for radius in range(7):
             for site, stencil in build_field(sd, radius).stencils.items():
-                assert repr(stencil.values) == repr(one_site_stencil(sd, site, thetas)), (curve.pm.B, radius, site)
+                want = one_site_stencil(sd, site, thetas)
+                assert repr(stencil.values) == repr(want), (curve.pm.B, radius, site)
 
 
 def test_one_site_builders_match_the_reference(cross_data, hex_data):
