@@ -79,10 +79,6 @@ class ConstantNormalization:
     def ratio(self, label_num, label_den) -> complex:
         return complex(self.scale_for(label_num) / self.scale_for(label_den))
 
-    def ratios(self, labels_num, labels_den) -> np.ndarray:
-        """:meth:`ratio` at each row of two label arrays: one value, repeated."""
-        return np.full(len(labels_num), self.ratio(None, None), dtype=complex)
-
     def to_json(self) -> dict:
         return {"kind": "constant", "value": [self.value.real, self.value.imag]}
 

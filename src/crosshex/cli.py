@@ -46,6 +46,7 @@ from .operators import (
     sample_probes,
 )
 from .surface import (
+    MIN_RE_B,
     TorusCurve,
     complex_from_json,
     complex_to_json,
@@ -87,8 +88,9 @@ def cmd_gen_spectral(config) -> int:
     rng = np.random.default_rng(config.seed)
     if config.b_re is not None:
         b = complex(config.b_re, config.b_im)
-        if b.real > -3.0:
-            print(f"error: the period must have real part <= -3, got {b.real}", file=sys.stderr)
+        if not MIN_RE_B <= b.real <= -3.0:
+            message = f"the period's real part must lie in [{MIN_RE_B:g}, -3], got {b.real}"
+            print(f"error: {message}", file=sys.stderr)
             return 2
     else:
         b = complex(rng.uniform(-8.0, -3.0))
@@ -332,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=_NATURAL, default=0, help="RNG seed (default 0)")
     g.add_argument(
         "--b-re", type=_FINITE, default=None,
-        help="period real part (<= -3); default: seeded draw from [-8, -3]",
+        help=f"period real part (in [{MIN_RE_B:g}, -3]); default: seeded draw from [-8, -3]",
     )
     g.add_argument("--b-im", type=_FINITE, default=0.0, help="period imaginary part")
     g.add_argument("-o", "--output", required=True, help="spectral document path (.json)")

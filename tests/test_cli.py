@@ -171,6 +171,14 @@ def test_shallow_curve_refusal(tmp_path):
     assert not (tmp_path / "bad.json").exists()
 
 
+def test_a_period_below_the_reader_floor_is_refused(tmp_path, capsys):
+    # a document gen-spectral writes must be one build and verify read back
+    out = tmp_path / "deep.json"
+    assert main(["gen-spectral", "--model", "hex", "--b-re", "-20000", "-o", str(out)]) == 2
+    assert "must lie in [-10000, -3]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_corrupt_documents_exit_2(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")
