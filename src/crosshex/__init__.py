@@ -12,8 +12,8 @@ periods and theta arguments are plain complex numbers.
 Layers, bottom up: ``theta`` (the genus-one Riemann theta with scaled
 arithmetic), ``surface`` (the analytic torus backend plus a tabulated
 backend and curve documents), ``labels`` (lattice-site relabelling and
-stencil geometry), ``bafunc`` (the function families and uniqueness
-checks), ``operators`` (stencil formulas, the ``MODELS`` registry of
+stencil geometry), ``bafunc`` (the function families on a labels x
+probes grid), ``operators`` (stencil formulas, the ``MODELS`` registry of
 per-lattice facts, fields, residuals, oracle, gauge, documents),
 ``cli`` (the four-command pipeline).
 """
@@ -26,12 +26,6 @@ from .bafunc import (
     ConstantNormalization,
     SpectralDataCross,
     SpectralDataHex,
-    UniquenessReport,
-    phi,
-    psi,
-    relift,
-    theta_component,
-    uniqueness_check,
 )
 from .errors import (
     ConsistencyFailure,
@@ -93,13 +87,7 @@ from .surface import (
     load_torus_curve,
     make_torus_curve,
 )
-from .theta import (
-    PeriodMatrix,
-    ScaledComplex,
-    theta_eval,
-    theta_eval_scaled,
-    theta_zero_1d,
-)
+from .theta import PeriodMatrix, ScaledComplex, theta_eval_scaled
 
 __version__ = "0.1.0"
 

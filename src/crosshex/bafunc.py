@@ -25,17 +25,11 @@ their products stay moderate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ConsistencyFailure,
-    DimensionMismatch,
-    PoleOnPath,
-    SingularEvaluation,
-)
+from .errors import ConsistencyFailure, DimensionMismatch, SingularEvaluation
 from .labels import Label3, Label6, SiteCross, SiteHex, relabel_cross, relabel_hex
 from .surface import SpectralCurve, SurfacePoint, complex_from_json
 from .theta import ScaledArray, ScaledComplex, complex_mul, theta_eval_batch, theta_eval_scaled
@@ -44,8 +38,6 @@ _MIN_POINT_SEPARATION = 1e-6
 _GENERICITY_FLOOR = 1e-10
 _MIN_NORMALIZATION = 1e-12
 _THETA_EPS = 1e-13
-# lattice translates tried when re-lifting a point (lift-invariance checks)
-_RELIFT_OFFSETS = ((1, 0), (0, 1), (1, 1), (-1, 0), (0, -1), (2, 1))
 
 CROSS_MARKED_NAMES = ("P1+", "P1-", "P2+", "P2-", "P3+", "P3-")
 CROSS_PAIRS = (("P1+", "P1-"), ("P2+", "P2-"), ("P3+", "P3-"))
@@ -73,11 +65,10 @@ class ConstantNormalization:
                 f"normalization constant {self.value!r} is below the {_MIN_NORMALIZATION:g} floor"
             )
 
-    def scale_for(self, label) -> complex:
-        return complex(self.value)
-
-    def ratio(self, label_num, label_den) -> complex:
-        return complex(self.scale_for(label_num) / self.scale_for(label_den))
+    def ratio(self) -> complex:
+        """r_x / r_y, one value for every pair of labels."""
+        value = complex(self.value)
+        return complex(value / value)
 
     def to_json(self) -> dict:
         return {"kind": "constant", "value": [self.value.real, self.value.imag]}
@@ -117,7 +108,7 @@ class _SpectralDataBase:
         self.normalization = normalization or ConstantNormalization()
         self._check_separation()
 
-        # one numpy dot pairs a label with U (see theta_argument)
+        # one numpy dot pairs a label with U (see marked_thetas)
         self._U = np.array(
             curve.b_period_vectors([(self.marked[a], self.marked[b]) for a, b in self.basis_pairs])
         )
@@ -157,18 +148,15 @@ class _SpectralDataBase:
 
     # -- evaluation primitives -------------------------------------------------
 
-    def theta_argument(self, P: SurfacePoint, label) -> complex:
-        # a numpy dot, not a Python sum: the dot accumulates with fused
-        # multiply-adds, and the documents hold its bits
-        return self.curve.abel(P) + complex(self.label_coeffs(label) @ self._U) + self._W
-
     def marked_thetas(self, labels, points, rows) -> ScaledArray:
         """Theta at marked point ``points[i]`` and label ``labels[rows[i]]`` for each i, in one kernel call.
 
         ``labels`` holds one label per row and ``points`` indexes
-        ``marked_names``.  Each label takes :meth:`theta_argument`'s dot
-        once, and each argument is its ``(abel + dot) + W``, so every
-        element has the bits of ``theta_eval_scaled`` at that argument.
+        ``marked_names``.  Each label is paired with the b-periods ``U``
+        by one numpy dot, not a Python sum: the dot accumulates with fused
+        multiply-adds, and the documents hold its bits.  Each argument is
+        ``(abel + dot) + W``, and each element has the bits of
+        ``theta_eval_scaled`` at that argument.
         """
         dots = np.array([complex(self.label_coeffs(label) @ self._U) for label in labels], dtype=complex)
         abel = np.array([self.curve.abel(self.marked[name]) for name in self.marked_names], dtype=complex)
@@ -229,7 +217,7 @@ class _SpectralDataBase:
         labels = [self.validate_label(label) for label in labels]
         den = ScaledArray.of(self.denominator_scaled(P) for P in probes)
         coeffs = [self.label_coeffs(label) for label in labels]
-        # theta_argument's per-label dot, then its two additions, in order
+        # marked_thetas' per-label dot, then its two additions, in order
         shift = np.array([complex(c @ self._U) for c in coeffs], dtype=complex)
         abel = np.array([self.curve.abel(P) for P in probes], dtype=complex)
         num = theta_eval_batch(
@@ -244,9 +232,8 @@ class _SpectralDataBase:
         for (c, _), row in zip(used, integrals):
             term = complex_mul(c[:, None] + 0j, row[None, :])
             w = np.where(c[:, None] != 0, w + term, w)
-        r = np.array([complex(self.normalization.scale_for(label)) for label in labels], dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            out = num.over(den).times_exp(w).times(r[:, None])
+            out = num.over(den).times_exp(w).times(complex(self.normalization.value))
         if not (np.isfinite(out.mantissa).all() and np.isfinite(out.log_scale).all()):
             raise SingularEvaluation("phi left double range: the normalization or a label is too large")
         return out
@@ -301,127 +288,3 @@ class SpectralDataHex(_SpectralDataBase):
 
     def site_label(self, site: SiteHex) -> Label6:
         return relabel_hex(site)
-
-
-# ---------------------------------------------------------------------------
-# spec-level entry points
-# ---------------------------------------------------------------------------
-
-
-def _phi_at(sd, label, P: SurfacePoint) -> ScaledComplex:
-    """One phi value: the 1 x 1 grid of :meth:`_SpectralDataBase.phi_scaled`."""
-    (value,) = sd.phi_scaled([label], [P]).scalars()
-    return value
-
-
-def theta_component(sd, P: SurfacePoint, v) -> complex:
-    """Theta factor at point P and label v (collapsed to a plain complex)."""
-    arg = sd.theta_argument(P, sd.validate_label(v))
-    return theta_eval_scaled(sd.curve.pm, arg, _THETA_EPS).as_complex()
-
-
-def phi(sd, v, P: SurfacePoint) -> complex:
-    """The function of label v at point P (collapsed to a plain complex)."""
-    return _phi_at(sd, v, P).as_complex()
-
-
-def psi(sd, site, P: SurfacePoint) -> complex:
-    """The lattice field: phi at the site's exponent label."""
-    return phi(sd, sd.site_label(site), P)
-
-
-def relift(sd, P: SurfacePoint, m: int, n: int) -> SurfacePoint:
-    """The same curve point carried by a lattice-translated lift."""
-    return sd.curve.point(P.lift + (2j * math.pi * m + sd.curve.pm.B * n))
-
-
-@dataclass(frozen=True)
-class UniquenessReport:
-    """Diagnostic for 'unique up to a constant' on a numerical budget."""
-
-    model: str
-    label: tuple
-    probe_count: int
-    lift_invariance_error: float
-    ratio_consistency_error: float
-    generic: bool
-    oracle_gap: float | None
-    passed: bool
-
-
-def uniqueness_check(sd, v, probes, tol: float = 1e-8, gap_tol: float = 1e-6) -> UniquenessReport:
-    """Certify the function family numerically at label ``v``.
-
-    Three independent angles: (1) each probe value is unchanged when the
-    probe's lift is translated by a lattice vector, i.e. phi really is a
-    function of the curve point; (2) value ratios between probes are
-    reproduced through those independent computational paths; (3) with
-    at least 8 probes, the null-space oracle at the origin site reports
-    a one-dimensional kernel (gap <= gap_tol), which is the numerical
-    surrogate for uniqueness of the whole construction.
-    """
-    if len(probes) < 3:
-        raise ValueError("uniqueness_check needs at least 3 probe points")
-    label = sd.validate_label(v)
-    generic = True
-    base_vals: list[ScaledComplex | None] = []
-    alt_vals: list[ScaledComplex | None] = []
-    invariance = 0.0
-    for P in probes:
-        try:
-            val = _phi_at(sd, label, P)
-        except SingularEvaluation:
-            generic = False
-            base_vals.append(None)
-            alt_vals.append(None)
-            continue
-        base_vals.append(val)
-        moved = None
-        for m, n in _RELIFT_OFFSETS:
-            try:
-                moved = _phi_at(sd, label, relift(sd, P, m, n))
-                break
-            except PoleOnPath:
-                continue
-            except SingularEvaluation:
-                generic = False
-                break
-        alt_vals.append(moved)
-        if moved is not None and val.mantissa != 0:
-            invariance = max(invariance, abs(moved.over(val).as_complex() - 1.0))
-
-    ratio_err = 0.0
-    usable = [i for i, (b, a) in enumerate(zip(base_vals, alt_vals)) if b is not None and a is not None]
-    for idx, i in enumerate(usable):
-        for j in usable[idx + 1 :]:
-            r_base = base_vals[i].over(base_vals[j]).as_complex()
-            r_alt = alt_vals[i].over(alt_vals[j]).as_complex()
-            if r_base != 0:
-                ratio_err = max(ratio_err, abs(r_alt / r_base - 1.0))
-
-    gap: float | None = None
-    if len(probes) >= 8 and generic:
-        from . import operators  # deferred: operators depends on this module
-
-        origin = (0,) * len(operators.MODELS[sd.model].index_names)
-        try:
-            _, gap, _ = operators.nullspace_oracle(sd, origin, probes)
-        except (SingularEvaluation, PoleOnPath):
-            gap = None
-
-    passed = (
-        generic
-        and invariance <= tol
-        and ratio_err <= tol
-        and (gap is None or gap <= gap_tol)
-    )
-    return UniquenessReport(
-        model=sd.model,
-        label=tuple(label),
-        probe_count=len(probes),
-        lift_invariance_error=invariance,
-        ratio_consistency_error=ratio_err,
-        generic=generic,
-        oracle_gap=gap,
-        passed=passed,
-    )

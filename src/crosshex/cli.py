@@ -46,6 +46,7 @@ from .operators import (
     sample_probes,
 )
 from .surface import (
+    MAX_ABS_IM_B,
     MIN_RE_B,
     TorusCurve,
     complex_from_json,
@@ -86,14 +87,16 @@ def cmd_gen_spectral(config) -> int:
     model = MODELS[config.model]
     spectral_class = model.spectral_class
     rng = np.random.default_rng(config.seed)
-    if config.b_re is not None:
-        b = complex(config.b_re, config.b_im)
-        if not MIN_RE_B <= b.real <= -3.0:
-            message = f"the period's real part must lie in [{MIN_RE_B:g}, -3], got {b.real}"
-            print(f"error: {message}", file=sys.stderr)
-            return 2
-    else:
-        b = complex(rng.uniform(-8.0, -3.0))
+    # the default --b-im 0.0 gives complex(x, 0.0), which has the bits of complex(x)
+    b = complex(rng.uniform(-8.0, -3.0) if config.b_re is None else config.b_re, config.b_im)
+    message = None
+    if not MIN_RE_B <= b.real <= -3.0:
+        message = f"the period's real part must lie in [{MIN_RE_B:g}, -3], got {b.real}"
+    elif abs(b.imag) > MAX_ABS_IM_B:
+        message = f"the period's imaginary part must lie in [-{MAX_ABS_IM_B:g}, {MAX_ABS_IM_B:g}], got {b.imag}"
+    if message:
+        print(f"error: {message}", file=sys.stderr)
+        return 2
     curve = make_torus_curve(b)
     names = spectral_class.marked_names
     points = curve.sample_points(
@@ -280,20 +283,16 @@ def cmd_export(config) -> int:
     doc = _load_json(config.input)
     field = field_from_document(doc)
     if config.format == "csv":
-        text = field_to_csv(field)
+        with open(config.output, "w") as fh:
+            fh.write(field_to_csv(field))
     else:
-        text = json.dumps(
-            field_to_document(
-                field,
-                spectral_data_ref=doc.get("spectral_data_ref", ""),
-                seed=doc.get("seed"),
-                normalization=doc.get("normalization"),
-            ),
-            sort_keys=True,
-            indent=2,
-        ) + "\n"
-    with open(config.output, "w") as fh:
-        fh.write(text)
+        document = field_to_document(
+            field,
+            spectral_data_ref=doc.get("spectral_data_ref", ""),
+            seed=doc.get("seed"),
+            normalization=doc.get("normalization"),
+        )
+        _dump_json(document, config.output)
     print(f"wrote {config.output} ({config.format}, {len(field.stencils)} sites)")
     return 0
 
@@ -336,7 +335,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--b-re", type=_FINITE, default=None,
         help=f"period real part (in [{MIN_RE_B:g}, -3]); default: seeded draw from [-8, -3]",
     )
-    g.add_argument("--b-im", type=_FINITE, default=0.0, help="period imaginary part")
+    g.add_argument(
+        "--b-im", type=_FINITE, default=0.0,
+        help=f"period imaginary part (in [-{MAX_ABS_IM_B:g}, {MAX_ABS_IM_B:g}]; default 0)",
+    )
     g.add_argument("-o", "--output", required=True, help="spectral document path (.json)")
     g.set_defaults(func=cmd_gen_spectral)
 

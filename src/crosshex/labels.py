@@ -170,24 +170,6 @@ def relabel_hex(site: SiteHex) -> Label6:
     ).check_blocks()
 
 
-def label_shift_cross(site: SiteCross, key: str) -> tuple[int, int, int]:
-    """Shift relabel(neighbor) - relabel(site) for coefficient ``key``.
-
-    Computed from the relabelling itself rather than hard-coded, so the
-    stencil geometry and the exponent bookkeeping cannot drift apart.
-    """
-    base = relabel_cross(site)
-    neigh = relabel_cross(site.neighbor(key))
-    return (neigh.x1 - base.x1, neigh.x2 - base.x2, neigh.x3 - base.x3)
-
-
-def label_shift_hex(site: SiteHex, key: str) -> tuple[int, ...]:
-    """Shift relabel(neighbor) - relabel(site) for coefficient ``key``."""
-    base = relabel_hex(site)
-    neigh = relabel_hex(site.neighbor(key))
-    return tuple(b - a for a, b in zip(base, neigh))
-
-
 def stencil_offsets(model: str, site) -> list[tuple]:
     """Neighbor sites in coefficient order, validated like the site itself.
 

@@ -643,9 +643,7 @@ def _ratios(sd, blocks) -> ScaledArray:
         # ``out`` owns its arrays (a gather), so the bracketed rows are replaced in place
         bracketed = out[rows].times(acc)
         out.mantissa[rows], out.log_scale[rows] = bracketed.mantissa, bracketed.log_scale
-    # a constant normalization (the only kind a document holds) has one ratio for every label
-    ratio = sd.normalization.ratio(None, None)
-    return out.times(ratio).negated(np.repeat([f.sign < 0 for _, f in blocks], sizes))
+    return out.times(sd.normalization.ratio()).negated(np.repeat([f.sign < 0 for _, f in blocks], sizes))
 
 
 def evaluate_ratio(sd, v, formula: RatioFormula) -> ScaledComplex:
@@ -667,12 +665,6 @@ class Stencil:
     unit: str
     values: tuple[ScaledComplex, ...] = dc_field(repr=False)
 
-    def scaled(self, key: str) -> ScaledComplex:
-        return self.values[self.model.coeffs.index(key)]
-
-    def coefficient(self, key: str) -> complex:
-        return self.scaled(key).as_complex()
-
     def as_dict(self) -> dict[str, complex]:
         out = {}
         for key, val in zip(self.model.coeffs, self.values):
@@ -684,9 +676,6 @@ class Stencil:
                 )
             out[key] = c
         return out
-
-    def rescaled(self, factor) -> "Stencil":
-        return replace(self, values=tuple(val.times(factor) for val in self.values))
 
 
 @dataclass(frozen=True)

@@ -180,7 +180,8 @@ class TorusCurve(SpectralCurve):
     def __init__(self, pm: PeriodMatrix, base_lift: complex = 0.0):
         self.pm = pm
         self.base_lift = complex(base_lift)
-        # exact theta zero: i*pi + B/2 (see theta.theta_zero_1d)
+        # the theta zero in closed form: pairing the series terms N and
+        # -N-1 cancels Theta exactly at i*pi + B/2
         self._z0 = 1j * math.pi + pm.B / 2.0
         self._verified_pairs: set[tuple[complex, complex]] = set()
         self._constants_validated = False
@@ -550,6 +551,11 @@ class TabulatedCurve(SpectralCurve):
 # every document it writes can be read back.
 _MAX_LIFT_CELLS = 16
 MIN_RE_B = -1e4
+# In a strongly sheared cell the probe screen rejects nearly every draw, and
+# verify cannot place its probes; gen-spectral and the reader both refuse a
+# period with |Im B| above this bound (the seeded sweep behind the value is
+# recorded in CHANGES.md).
+MAX_ABS_IM_B = 5e3
 
 _CURVE_DOC_KEYS = {
     "genus", "B", "base_lift", "marked_points", "riemann_constants", "b_periods", "third_kind_integrals"
@@ -562,9 +568,10 @@ def _read_curve_document(document: dict) -> TabulatedCurve:
     Both backends start here.  Any structural problem raises
     :class:`SchemaError`: a wrong ``format``, a missing section, a genus
     other than 1, a ``B`` that is not a 1x1 nested list holding a valid
-    period (with ``Re B >= MIN_RE_B``), a malformed or
-    non-finite number or pair, a key naming an unknown marked point, or a
-    marked point more than ``_MAX_LIFT_CELLS`` lattice cells from the base.
+    period (with ``Re B >= MIN_RE_B`` and ``|Im B| <= MAX_ABS_IM_B``), a
+    malformed or non-finite number or pair, a key naming an unknown marked
+    point, or a marked point more than ``_MAX_LIFT_CELLS`` lattice cells
+    from the base.
     """
     if not isinstance(document, dict):
         raise SchemaError("curve document must be a JSON object")
@@ -585,6 +592,8 @@ def _read_curve_document(document: dict) -> TabulatedCurve:
         raise SchemaError(f"B: {exc}") from None
     if pm.B.real < MIN_RE_B:
         raise SchemaError(f"B: real part must be at least {MIN_RE_B:g}, got {pm.B.real!r}")
+    if abs(pm.B.imag) > MAX_ABS_IM_B:
+        raise SchemaError(f"B: imaginary part must be at most {MAX_ABS_IM_B:g} in size, got {pm.B.imag!r}")
 
     for section in ("marked_points", "b_periods", "third_kind_integrals"):
         if not isinstance(document[section], dict):

@@ -15,7 +15,7 @@ Z}``, and the quasi-periodicity law reads
 Values of the series span an enormous dynamic range once ``|z|`` grows
 (the function is entire of order two), so the workhorse evaluator
 :func:`theta_eval_scaled` returns a mantissa/log-scale pair that never
-overflows; :func:`theta_eval` is the plain-complex convenience wrapper.
+overflows (``.as_complex()`` collapses it to a plain complex).
 :func:`theta_eval_batch` evaluates a whole array of arguments in one
 numpy pass and returns a :class:`ScaledArray`, whose elements carry the
 same bits as :func:`theta_eval_scaled` on each argument.
@@ -151,12 +151,6 @@ class ScaledComplex:
         # no normalization: keeps as_complex() an exact inverse, which the
         # document and CSV round-trips rely on
         return ScaledComplex(complex(w), 0.0)
-
-    @staticmethod
-    def from_exp(w: complex) -> "ScaledComplex":
-        """exp(w) as a ScaledComplex, for arbitrary complex w."""
-        w = complex(w)
-        return ScaledComplex(cmath.exp(1j * w.imag), w.real)
 
 
 # Elementwise helpers that round exactly as CPython's complex and math
@@ -356,14 +350,8 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
-def _lattice_sum_1d(
-    b: complex, z: complex, eps: float, weighted: bool, min_shells: int
-) -> ScaledComplex:
-    """The shell sum of the theta series, or of its derivative series.
-
-    ``weighted=False`` sums the theta series itself; ``weighted=True``
-    weights each term by its index ``N``, which is the derivative series
-    the Newton zero search uses.
+def _lattice_sum_1d(b: complex, z: complex, eps: float) -> ScaledComplex:
+    """The shell sum of the theta series.
 
     Shells are centered on the integer nearest the maximum of the real
     part of the exponent (the Gaussian peak), so the shell count stays
@@ -383,8 +371,7 @@ def _lattice_sum_1d(
         scale = (0.5 * (n0 * b * n0) + n0 * z).real if n0 else 0.0
 
         def term(N: int) -> complex:
-            t = cmath.exp(0.5 * (b * N * N) + N * z - scale)
-            return t * N if weighted else t
+            return cmath.exp(0.5 * (b * N * N) + N * z - scale)
 
         acc = 0j
         quiet = 0
@@ -406,7 +393,7 @@ def _lattice_sum_1d(
             # decay non-monotone.
             if shell_mag < eps * max(1.0, abs(acc)):
                 quiet += 1
-                if radius >= max(1, min_shells) and quiet >= 2:
+                if quiet >= 2:  # two quiet shells need radius >= 1
                     # deliberately NOT normalized: the mantissa is the value
                     # relative to the Gaussian-peak scale, which is exactly the
                     # quantity genericity floors must inspect (a near-divisor
@@ -423,18 +410,18 @@ def _lattice_sum_1d(
     )
 
 
-def theta_eval_scaled(
-    pm: PeriodMatrix, z: complex, eps: float = 1e-12, *, min_shells: int = 0
-) -> ScaledComplex:
+def theta_eval_scaled(pm: PeriodMatrix, z: complex, eps: float = 1e-12) -> ScaledComplex:
     """Theta(z) as a :class:`ScaledComplex`; never overflows.
 
-    ``min_shells`` forces extra shells before the adaptive tail test may
-    fire (used by the truncation-stability tests)."""
-    return _lattice_sum_1d(pm.B, complex(z), _check_eps(eps), False, min_shells)
+    Deterministic for fixed inputs.  Raises :class:`NonConvergent` if the
+    adaptive shell radius hits its cap (60) or ``z`` is not finite, and
+    ``ValueError`` for ``eps`` outside (0, 1e-3].
+    """
+    return _lattice_sum_1d(pm.B, complex(z), _check_eps(eps))
 
 
 def _lattice_sum_batch(b: complex, z: np.ndarray, eps: float) -> ScaledArray:
-    """:func:`_lattice_sum_1d` (unweighted) over an array of arguments.
+    """:func:`_lattice_sum_1d` over an array of arguments.
 
     Every element follows the scalar kernel step for step: the same
     Gaussian-peak centre and scale, the same shell order, the same
@@ -503,53 +490,9 @@ def theta_eval_batch(pm: PeriodMatrix, z, eps: float = 1e-12) -> ScaledArray:
     eps = _check_eps(eps)
     z = np.asarray(z, dtype=complex)
     if z.size < _BATCH_CROSSOVER:
-        values = [_lattice_sum_1d(pm.B, w, eps, False, 0) for w in z.ravel().tolist()]
+        values = [_lattice_sum_1d(pm.B, w, eps) for w in z.ravel().tolist()]
         return ScaledArray(
             np.array([v.mantissa for v in values], dtype=complex).reshape(z.shape),
             np.array([v.log_scale for v in values], dtype=float).reshape(z.shape),
         )
     return _lattice_sum_batch(pm.B, z, eps)
-
-
-def theta_eval(pm: PeriodMatrix, z: complex, eps: float = 1e-12, *, min_shells: int = 0) -> complex:
-    """Theta(z) as a plain complex number.
-
-    Deterministic for fixed inputs.  Raises :class:`NonConvergent` if the
-    adaptive shell radius hits its cap (60) or ``z`` is not finite, and
-    ``ValueError`` for ``eps`` outside (0, 1e-3].
-    """
-    return theta_eval_scaled(pm, z, eps, min_shells=min_shells).as_complex()
-
-
-def quasi_period_factor_scaled(pm: PeriodMatrix, z: complex, m: int, n: int) -> ScaledComplex:
-    """The factor relating Theta(z + 2*pi*i*m + B*n) to Theta(z), overflow-safe.
-
-    Returns ``exp( -(1/2) B n^2 - n z )``, i.e. the exact ratio
-    ``Theta(z + 2*pi*i*m + B*n) / Theta(z)`` (the ``m`` shift is a true
-    period and contributes nothing).  ``m`` and ``n`` must be integers.
-    """
-    if m != round(m) or n != round(n):
-        raise ValueError(f"lattice shift (m, n) = ({m!r}, {n!r}) must be integral")
-    return ScaledComplex.from_exp(-0.5 * (n * pm.B * n) - n * complex(z))
-
-
-def theta_zero_1d(pm: PeriodMatrix, eps: float = 1e-12) -> complex:
-    """The zero of the theta function in the fundamental cell.
-
-    The theta divisor is the single point ``z0 = i*pi + B/2`` (mod the
-    lattice): pairing the terms ``N`` and ``-N-1`` cancels the series
-    exactly there.  A Newton iteration seeded at that value guards
-    against accumulated rounding; it must drive ``|Theta(z)|`` below
-    ``eps * |Theta(0)|`` within 20 steps or raise :class:`NonConvergent`.
-    """
-    eps = _check_eps(eps)
-    theta0_log = theta_eval_scaled(pm, 0j, 1e-14).log_abs
-    z = 1j * math.pi + pm.B / 2.0
-    for _ in range(20):
-        val = theta_eval_scaled(pm, z, 1e-14)
-        if val.log_abs - theta0_log <= math.log(eps):
-            return z
-        deriv = _lattice_sum_1d(pm.B, z, 1e-14, True, 0)
-        step = val.over(deriv)
-        z = z - step.as_complex()
-    raise NonConvergent("Newton search for the theta zero did not converge")

@@ -38,6 +38,21 @@ def cell_point(curve, fs, ft):
     return curve.point(2j * math.pi * fs + curve.pm.B * ft)
 
 
+def translated(sd, P, m, n):
+    """The same curve point on a lift moved by the lattice vector 2*pi*i*m + B*n."""
+    return sd.curve.point(P.lift + (2j * math.pi * m + sd.curve.pm.B * n))
+
+
+def label_shift(relabel, site, key):
+    """relabel(neighbour) - relabel(site) for the neighbour of coefficient ``key``."""
+    return tuple(b - a for a, b in zip(relabel(site), relabel(site.neighbor(key))))
+
+
+def _theta_argument(sd, P, label):
+    """A(P) + c(label) . U - A(D) - K, with the dot taken by numpy as the package takes it."""
+    return sd.curve.abel(P) + complex(sd.label_coeffs(label) @ sd._U) + sd._W
+
+
 @functools.lru_cache(maxsize=None)
 def _integral(curve, lift, plus, minus):
     return curve.third_kind_integral(curve.point(lift), curve.point(plus), curve.point(minus))
@@ -55,12 +70,12 @@ def one_value_phi(sd, label, P):
     den = sd.require_generic(
         theta_eval_scaled(sd.curve.pm, sd.curve.abel(P) + sd._W, _THETA_EPS), "denominator"
     )
-    num = theta_eval_scaled(sd.curve.pm, sd.theta_argument(P, label), _THETA_EPS)
+    num = theta_eval_scaled(sd.curve.pm, _theta_argument(sd, P, label), _THETA_EPS)
     w = 0j
     for c, (plus, minus) in zip(sd.label_coeffs(label), sd.basis_pairs):
         if c != 0:
             w += complex(c) * _integral(sd.curve, P.lift, sd.marked[plus].lift, sd.marked[minus].lift)
-    return num.over(den).times_exp(w).times(sd.normalization.scale_for(label))
+    return num.over(den).times_exp(w).times(sd.normalization.value)
 
 
 def _one_label_product(sd, v, term, thetas):
@@ -84,7 +99,7 @@ def _one_label_product(sd, v, term, thetas):
 def _marked_theta(sd, factor, v, thetas):
     key = factor.point, tuple(x + d for x, d in zip(v, factor.shift))
     if key not in thetas:
-        arg = sd.theta_argument(sd.marked[factor.point], sd.validate_label(key[1]))
+        arg = _theta_argument(sd, sd.marked[factor.point], sd.validate_label(key[1]))
         thetas[key] = theta_eval_scaled(sd.curve.pm, arg, _THETA_EPS)
     return thetas[key]
 
@@ -104,9 +119,7 @@ def _one_label_ratio(sd, v, formula, thetas=None):
         for term in formula.bracket[1:]:
             acc = acc.plus(_one_label_product(sd, v, term, thetas))
         out = out.times(acc)
-    r_num = tuple(x + d for x, d in zip(v, formula.r_num_shift))
-    r_den = tuple(x + d for x, d in zip(v, formula.r_den_shift))
-    out = out.times(sd.normalization.ratio(r_num, r_den))
+    out = out.times(sd.normalization.ratio())
     return out.negated() if formula.sign < 0 else out
 
 

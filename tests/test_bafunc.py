@@ -1,35 +1,36 @@
-import math
-
 import numpy as np
 import pytest
 
-from crosshex.bafunc import (
-    ConstantNormalization,
-    SpectralDataCross,
-    SpectralDataHex,
-    phi,
-    psi,
-    relift,
-    theta_component,
-    uniqueness_check,
-)
+from crosshex.bafunc import ConstantNormalization, SpectralDataCross, SpectralDataHex
 from crosshex.errors import (
     ConsistencyFailure,
     DimensionMismatch,
     SingularEvaluation,
 )
-from crosshex.labels import relabel_cross, relabel_hex, site_cross, site_hex
+from crosshex.labels import relabel_cross, relabel_hex, site_cross, site_hex, stencil_offsets
+from crosshex.operators import psi_grid
 
-from conftest import CELL_FRACTIONS, CROSS_NAME_ORDER, DIVISOR_FRACTION, cell_point, one_value_phi
+from conftest import (
+    CELL_FRACTIONS,
+    CROSS_NAME_ORDER,
+    DIVISOR_FRACTION,
+    cell_point,
+    one_value_phi,
+    translated,
+)
 
 CROSS_LABEL = (2, -1, 1)
 HEX_LABEL = (2, -1, -1, 1, -2, 1)
 
 
-def test_zero_label_value_is_one_at_the_base(cross_data, hex_data):
-    for sd, label in ((cross_data, (0, 0, 0)), (hex_data, (0,) * 6)):
+def test_zero_label_value_is_one_at_the_base(cross_data, hex_data, cross_probes, hex_probes):
+    for sd, label, probes in ((cross_data, (0, 0, 0), cross_probes), (hex_data, (0,) * 6, hex_probes)):
         base = sd.curve.point(sd.curve.base_lift)
-        assert phi(sd, label, base) == pytest.approx(1.0, abs=1e-14)
+        (value,) = sd.phi_scaled([label], [base]).scalars()
+        assert value.as_complex() == pytest.approx(1.0, abs=1e-14)
+        # the zero label's numerator is the denominator at every point
+        for at_probe in sd.phi_scaled([label], probes[:3]).scalars():
+            assert at_probe.as_complex() == pytest.approx(1.0, rel=1e-14)
 
 
 @pytest.mark.parametrize("model", ["cross", "hex"])
@@ -50,8 +51,7 @@ def test_phi_grid_matches_one_value_phi_bit_for_bit(model, cross_data, hex_data,
 
 
 def test_phi_depends_on_the_point(cross_data, cross_probes):
-    a = phi(cross_data, CROSS_LABEL, cross_probes[0])
-    b = phi(cross_data, CROSS_LABEL, cross_probes[1])
+    a, b = (v.as_complex() for v in cross_data.phi_scaled([CROSS_LABEL], cross_probes[:2]).scalars())
     assert abs(a - b) > 1e-6 * max(abs(a), abs(b))
 
 
@@ -68,7 +68,7 @@ def test_relift_invariance(fixture, sites, cross_data, hex_data, cross_probes, h
     probes = (cross_probes if fixture == "cross" else hex_probes)[:2]
     labels = [sd.site_label(make(*raw)) for raw in sites]
     values = sd.phi_scaled(labels, probes).scalars()
-    moved = sd.phi_scaled(labels, [relift(sd, P, 1, 1) for P in probes]).scalars()
+    moved = sd.phi_scaled(labels, [translated(sd, P, 1, 1) for P in probes]).scalars()
     for val, other in zip(values, moved):
         assert abs(other.over(val).as_complex() - 1.0) <= 1e-10
 
@@ -115,47 +115,27 @@ def test_normalization_scales_phi_linearly(torus, cross_data, cross_probes):
         cross_data.divisor,
         normalization=ConstantNormalization(lam),
     )
-    for P in cross_probes[:3]:
-        base = phi(cross_data, CROSS_LABEL, P)
-        assert abs(phi(scaled, CROSS_LABEL, P) - lam * base) <= 1e-12 * abs(lam * base)
+    base = cross_data.phi_scaled([CROSS_LABEL], cross_probes[:3]).scalars()
+    for b, s in zip(base, scaled.phi_scaled([CROSS_LABEL], cross_probes[:3]).scalars()):
+        b, s = b.as_complex(), s.as_complex()
+        assert abs(s - lam * b) <= 1e-12 * abs(lam * b)
 
 
 def test_psi_is_phi_at_the_site_label(cross_data, hex_data, cross_probes, hex_probes):
-    site = site_cross(1, 2)
-    assert psi(cross_data, site, cross_probes[0]) == phi(
-        cross_data, relabel_cross(site), cross_probes[0]
-    )
-    hsite = site_hex(1, 1, -2)
-    assert psi(hex_data, hsite, hex_probes[0]) == phi(
-        hex_data, relabel_hex(hsite), hex_probes[0]
-    )
-
-
-def test_theta_component_is_the_numerator_factor(cross_data, cross_probes):
-    P = cross_probes[0]
-    val = theta_component(cross_data, P, (0, 0, 0))
-    den = cross_data.denominator_scaled(P).as_complex()
-    assert val == pytest.approx(den, rel=1e-14)
-
-
-def test_uniqueness_check_passes_on_generic_data(cross_data, hex_data, cross_probes, hex_probes):
-    rep = uniqueness_check(cross_data, CROSS_LABEL, cross_probes)
-    assert rep.passed and rep.generic
-    assert rep.lift_invariance_error <= 1e-10
-    assert rep.oracle_gap is not None and rep.oracle_gap <= 1e-6
-    hrep = uniqueness_check(hex_data, HEX_LABEL, hex_probes)
-    assert hrep.passed and hrep.oracle_gap is not None
-
-
-def test_uniqueness_check_needs_three_probes(cross_data, cross_probes):
-    with pytest.raises(ValueError):
-        uniqueness_check(cross_data, CROSS_LABEL, cross_probes[:2])
+    for sd, probes, site, relabel in (
+        (cross_data, cross_probes[:2], (1, 2), relabel_cross),
+        (hex_data, hex_probes[:2], (1, 1, -2), relabel_hex),
+    ):
+        neighbors = stencil_offsets(sd.model, site)
+        psi = psi_grid(sd, [site], probes).at(neighbors)
+        phi = sd.phi_scaled([relabel(nb) for nb in neighbors], probes)
+        assert repr(psi.scalars()) == repr(phi.scalars())
 
 
 def test_evaluation_on_the_divisor_is_refused(cross_data):
     near = cross_data.curve.point(cross_data.divisor[0].lift + 1e-12 * (0.3 + 0.4j))
     with pytest.raises(SingularEvaluation):
-        phi(cross_data, CROSS_LABEL, near)
+        cross_data.phi_scaled([CROSS_LABEL], [near])
 
 
 def test_singular_denominator_is_refused_on_every_call(cross_data):

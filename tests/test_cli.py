@@ -1,7 +1,6 @@
 import filecmp
 import json
 import math
-import os
 
 import pytest
 
@@ -176,6 +175,27 @@ def test_a_period_below_the_reader_floor_is_refused(tmp_path, capsys):
     out = tmp_path / "deep.json"
     assert main(["gen-spectral", "--model", "hex", "--b-re", "-20000", "-o", str(out)]) == 2
     assert "must lie in [-10000, -3]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_b_im_applies_to_the_drawn_real_part(tmp_path):
+    runs = {"none": [], "zero": ["--b-im", "0"], "two": ["--b-im", "2"]}
+    for name, extra in runs.items():
+        (tmp_path / name).mkdir()
+        out = tmp_path / name / "spec.json"
+        assert main(["gen-spectral", "--model", "cross", "--seed", "1", *extra, "-o", str(out)]) == 0
+    period = {name: json.loads((tmp_path / name / "spec.curve.json").read_text())["B"][0][0] for name in runs}
+    assert period["none"][1] == 0.0 and period["two"] == [period["none"][0], 2.0]
+    # an explicit zero writes the default documents byte for byte
+    for doc in ("spec.json", "spec.curve.json"):
+        assert filecmp.cmp(tmp_path / "none" / doc, tmp_path / "zero" / doc, shallow=False)
+
+
+def test_a_period_beyond_the_im_bound_is_refused(tmp_path, capsys):
+    out = tmp_path / "sheared.json"
+    for b_im in ("1e5", "-1e5"):
+        assert main(["gen-spectral", "--model", "cross", f"--b-im={b_im}", "-o", str(out)]) == 2
+        assert "imaginary part must lie in [-5000, 5000]" in capsys.readouterr().err
     assert not out.exists()
 
 

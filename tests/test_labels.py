@@ -8,14 +8,14 @@ from crosshex.labels import (
     HEX_COEFFS,
     Label3,
     Label6,
-    label_shift_cross,
-    label_shift_hex,
     relabel_cross,
     relabel_hex,
     site_cross,
     site_hex,
     stencil_offsets,
 )
+
+from conftest import label_shift
 
 ints = st.integers(min_value=-50, max_value=50)
 
@@ -54,7 +54,7 @@ def test_relabel_hex_pins(site, label):
 def _cross_shifts(n, m):
     """Neighbor site -> label shift, in coefficient order."""
     site = site_cross(n, m)
-    return {tuple(site.neighbor(k)): label_shift_cross(site, k) for k in CROSS_COEFFS}
+    return {tuple(site.neighbor(k)): label_shift(relabel_cross, site, k) for k in CROSS_COEFFS}
 
 
 def test_cross_even_site_shifts():
@@ -108,15 +108,15 @@ def test_hex_labels_have_zero_block_sums(site):
 @given(hex_sites())
 def test_hex_shifts_depend_only_on_residue(site):
     ref = {0: site_hex(0, 0, 0), 1: site_hex(1, 0, -1), 2: site_hex(2, 0, -2)}
-    expected = [label_shift_hex(ref[site.residue], key) for key in HEX_COEFFS]
-    assert [label_shift_hex(site, key) for key in HEX_COEFFS] == expected
+    expected = [label_shift(relabel_hex, ref[site.residue], key) for key in HEX_COEFFS]
+    assert [label_shift(relabel_hex, site, key) for key in HEX_COEFFS] == expected
 
 
 @given(ints, ints)
 def test_cross_shifts_depend_only_on_parity(n, m):
     ref = site_cross((n + m) % 2, 0)
     for key in CROSS_COEFFS:
-        assert label_shift_cross(site_cross(n, m), key) == label_shift_cross(ref, key)
+        assert label_shift(relabel_cross, site_cross(n, m), key) == label_shift(relabel_cross, ref, key)
 
 
 @given(hex_sites())

@@ -16,8 +16,6 @@ from crosshex.errors import (
 from crosshex.labels import (
     CROSS_COEFFS,
     HEX_COEFFS,
-    label_shift_cross,
-    label_shift_hex,
     relabel_cross,
     relabel_hex,
     site_cross,
@@ -53,7 +51,7 @@ from crosshex.operators import (
 from crosshex.surface import export_curve_document, load_tabulated_curve, make_torus_curve
 from crosshex.theta import ScaledArray
 
-from conftest import one_site_stencil, one_value_phi, spectral_data
+from conftest import label_shift, one_site_stencil, one_value_phi, spectral_data
 
 
 # -- windows -----------------------------------------------------------------
@@ -178,14 +176,14 @@ def test_unit_and_zero_coefficients_by_class(cross_data, hex_data):
     cfield = build_field(cross_data, 1)
     for site, st in cfield.stencils.items():
         unit = CROSS.units[(site[0] + site[1]) % 2]
-        assert st.unit == unit and st.coefficient(unit) == 1.0 + 0j
+        assert st.unit == unit and st.as_dict()[unit] == 1.0 + 0j
     hfield = build_field(hex_data, 1)
     for site, st in hfield.stencils.items():
         r = (site[0] - site[1]) % 3
         assert st.unit == HEX.units[r]
-        assert st.coefficient(st.unit) == 1.0 + 0j
+        assert st.as_dict()[st.unit] == 1.0 + 0j
         for key in HEX.zeros[r]:
-            assert st.coefficient(key) == 0j
+            assert st.as_dict()[key] == 0j
 
 
 # -- formula tables stay glued to the lattice bookkeeping ---------------------
@@ -203,7 +201,7 @@ def test_formula_tables_align_with_shifts(name, request):
     model = MODELS[name]
     sd = request.getfixturevalue(f"{name}_data")
     assert model.spectral_class.model == name and type(sd) is model.spectral_class
-    label_shift = {"cross": label_shift_cross, "hex": label_shift_hex}[name]
+    relabel = {"cross": relabel_cross, "hex": relabel_hex}[name]
     classes = {model.site_class(model.site(*s)): model.site(*s) for s in model.window(2)}
     assert sorted(classes) == list(range(len(model.formulas)))
     assert len(model.units) == len(model.zeros) == len(model.formulas)
@@ -211,10 +209,10 @@ def test_formula_tables_align_with_shifts(name, request):
         unit, zeros, formulas = model.units[cls], model.zeros[cls], model.formulas[cls]
         # unit, forced zeros and formula keys split the coefficients, no key twice
         assert sorted([unit, *zeros, *(f.coeff for f in formulas)]) == sorted(model.coeffs)
-        num_shift = label_shift(site, unit)
+        num_shift = label_shift(relabel, site, unit)
         for f in formulas:
             assert f.r_num_shift == num_shift
-            assert f.r_den_shift == label_shift(site, f.coeff)
+            assert f.r_den_shift == label_shift(relabel, site, f.coeff)
             for shift in _theta_shifts(f):
                 sd.validate_label(shift)  # hex: both 3-blocks sum to zero
 
@@ -224,7 +222,7 @@ def test_ratio_formula_reproduces_oracle_coefficient(cross_data, cross_probes):
     formula = next(f for f in CROSS_EVEN_FORMULAS if f.coeff == "a")
     stencil, gap, _ = nullspace_oracle(cross_data, site_cross(0, 0), cross_probes)
     assert gap <= 1e-6
-    want = stencil.coefficient("a")
+    want = stencil.as_dict()["a"]
     got = evaluate_ratio(cross_data, v, formula).as_complex()
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -237,7 +235,7 @@ def test_printed_residue0_formula_fails_and_correction_holds(hex_data, hex_probe
     assert "corrected-index" in corrected.transcription
     assert "as-printed" in HEX_CASE0_F_AS_PRINTED.transcription
     stencil, _, _ = nullspace_oracle(hex_data, site_hex(0, 0, 0), hex_probes)
-    want = stencil.coefficient("f")
+    want = stencil.as_dict()["f"]
     good = evaluate_ratio(hex_data, v, corrected).as_complex()
     bad = evaluate_ratio(hex_data, v, HEX_CASE0_F_AS_PRINTED).as_complex()
     assert abs(good - want) <= 1e-10 * abs(want)
@@ -278,7 +276,7 @@ def test_tabulated_backend_builds_identical_field(torus, hex_data):
     for site, st in analytic.stencils.items():
         other = tabulated.stencils[site]
         for key in HEX_COEFFS:
-            assert st.coefficient(key) == other.coefficient(key)
+            assert st.as_dict()[key] == other.as_dict()[key]
 
 
 # -- gauge and rescaling covariance -------------------------------------------
@@ -323,11 +321,12 @@ def test_gauge_floor():
 def test_residual_invariant_under_per_site_rescaling(cross_data, cross_probes):
     field = build_field(cross_data, 1)
     rng = np.random.default_rng(29)
+    factors = {site: complex(rng.uniform(0.2, 5.0), rng.uniform(-1, 1)) for site in field.stencils}
     rescaled = StencilField(
         "cross",
         1,
         {
-            site: st.rescaled(complex(rng.uniform(0.2, 5.0), rng.uniform(-1, 1)))
+            site: replace(st, values=tuple(v.times(factors[site]) for v in st.values))
             for site, st in field.stencils.items()
         },
     )
@@ -349,7 +348,7 @@ def test_constant_normalization_cancels_in_coefficients(torus, hex_data):
     b = build_field(scaled, 1)
     for site in a.stencils:
         for key in HEX_COEFFS:
-            va, vb = a.stencils[site].coefficient(key), b.stencils[site].coefficient(key)
+            va, vb = a.stencils[site].as_dict()[key], b.stencils[site].as_dict()[key]
             assert va == pytest.approx(vb, rel=1e-12, abs=1e-15)
 
 
@@ -360,7 +359,7 @@ def test_perturbed_coefficient_is_detected(cross_data):
     probes = sample_probes(cross_data, 20, seed=11)
     field = build_field(cross_data, 1)
     st = field.stencils[(0, 0)]
-    bumped = [st.scaled(k) for k in CROSS_COEFFS]
+    bumped = list(st.values)
     bumped[CROSS_COEFFS.index("v")] = bumped[CROSS_COEFFS.index("v")].times(1 + 1e-3)
     perturbed = StencilField(
         "cross", 1, {**field.stencils, (0, 0): replace(st, values=tuple(bumped))}
@@ -406,7 +405,7 @@ def test_field_document_round_trip_exact(cross_data):
     assert back.model == field.model and back.radius == field.radius
     for site, st in field.stencils.items():
         for key in CROSS_COEFFS:
-            assert back.stencils[site].coefficient(key) == st.coefficient(key)
+            assert back.stencils[site].as_dict()[key] == st.as_dict()[key]
 
 
 def test_field_document_validation(cross_data):
@@ -472,7 +471,7 @@ def test_csv_shape_and_exact_round_trip(cross_data, hex_data):
         site = (int(cells[0]), int(cells[1]))
         st = cfield.stencils[site]
         for i, key in enumerate(CROSS_COEFFS):
-            want = st.coefficient(key)
+            want = st.as_dict()[key]
             assert complex(float(cells[2 + 2 * i]), float(cells[3 + 2 * i])) == want
 
     hfield = build_field(hex_data, 1)

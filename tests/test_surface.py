@@ -523,6 +523,18 @@ def test_analytic_reader_rebuilds_the_curve_from_the_document(torus, curve_doc):
                 load({**curve_doc, **change})
 
 
+def test_reader_refuses_periods_outside_the_accepted_range(curve_doc):
+    """Both backends refuse a period that gen-spectral would not write."""
+    for B in (
+        [surface.MIN_RE_B - 1.0, 0.0],
+        [-6.0, surface.MAX_ABS_IM_B * 1.5],
+        [-6.0, -surface.MAX_ABS_IM_B * 1.5],
+    ):
+        for load in (load_torus_curve, load_tabulated_curve):
+            with pytest.raises(SchemaError, match="B: "):
+                load({**curve_doc, "B": [[B]]})
+
+
 def test_genus_one_only(curve_doc):
     """Both backends refuse a genus other than 1 and a B other than 1x1 at the reader."""
     entry = curve_doc["B"][0][0]

@@ -13,11 +13,8 @@ from crosshex.theta import (
     ScaledComplex,
     _BATCH_CROSSOVER,
     _lattice_sum_1d,
-    quasi_period_factor_scaled,
-    theta_eval,
     theta_eval_batch,
     theta_eval_scaled,
-    theta_zero_1d,
 )
 
 
@@ -33,7 +30,7 @@ def test_value_at_zero_matches_independent_direct_sum():
     # oracle: the plain series summed term by term over a wide window;
     # for B = -2*pi the terms are exp(-pi n^2)
     direct = sum(math.exp(-math.pi * n * n) for n in range(-30, 31))
-    val = theta_eval(PeriodMatrix(-2.0 * math.pi), 0.0)
+    val = theta_eval_scaled(PeriodMatrix(-2.0 * math.pi), 0.0).as_complex()
     assert abs(val - direct) <= 1e-12
     assert abs(val - 1.0864348112133082) <= 5e-15  # frozen from the sum above
 
@@ -48,7 +45,7 @@ def test_parity_periodicity_quasi_periodicity_100_draws():
         assert _rel_diff(theta_eval_scaled(pm, -z), t0) <= 1e-9
         assert _rel_diff(theta_eval_scaled(pm, z + 2j * math.pi * m), t0) <= 1e-9
         shifted = theta_eval_scaled(pm, z + 2j * math.pi * m + pm.B * n)
-        predicted = t0.times(quasi_period_factor_scaled(pm, z, m, n))
+        predicted = t0.times_exp(-0.5 * (n * pm.B * n) - n * z)
         assert _rel_diff(shifted, predicted) <= 1e-9
 
 
@@ -58,7 +55,7 @@ def test_truncation_stable_under_forced_extra_shells():
     for _ in range(20):
         z = complex(rng.normal(0, 4), rng.normal(0, 4))
         a = theta_eval_scaled(pm, z)
-        b = theta_eval_scaled(pm, z, min_shells=8)
+        b = _array_shell_sum(pm, z, 1e-12, min_shells=8)
         assert _rel_diff(a, b) <= 1e-12
 
 
@@ -70,16 +67,15 @@ def test_truncation_survives_phase_resonant_shell():
     pm = PeriodMatrix(-6.0)
     z = 12.0 + 2.5j * math.pi
     adaptive = theta_eval_scaled(pm, z)
-    forced = theta_eval_scaled(pm, z, min_shells=10)
+    forced = _array_shell_sum(pm, z, 1e-12, min_shells=10)
     assert _rel_diff(adaptive, forced) <= 1e-12
 
 
 def test_zero_of_genus_one_theta():
+    # the closed form the curve uses: the terms N and -N-1 cancel there
     for b in (-2.0 * math.pi, -6.0, complex(-5.0, 1.3)):
         pm = PeriodMatrix(b)
-        z0 = theta_zero_1d(pm)
-        assert abs(z0 - (1j * math.pi + complex(b) / 2.0)) <= 1e-8
-        at_zero = theta_eval_scaled(pm, z0)
+        at_zero = theta_eval_scaled(pm, 1j * math.pi + pm.B / 2.0)
         at_origin = theta_eval_scaled(pm, 0j)
         assert at_zero.log_abs - at_origin.log_abs <= math.log(1e-10)
 
@@ -105,16 +101,9 @@ def test_period_matrix_validation(bad):
 def test_eps_bounds():
     pm = PeriodMatrix(-4.0)
     with pytest.raises(ValueError):
-        theta_eval(pm, 0j, eps=0.0)
+        theta_eval_scaled(pm, 0j, eps=0.0)
     with pytest.raises(ValueError):
-        theta_eval(pm, 0j, eps=0.5)
-
-
-def test_quasi_period_shift_must_be_integral():
-    pm = PeriodMatrix(-4.0)
-    for m, n in ((0.5, 1), (0, 1.5)):
-        with pytest.raises(ValueError):
-            quasi_period_factor_scaled(pm, 0.1, m, n)
+        theta_eval_scaled(pm, 0j, eps=0.5)
 
 
 @settings(max_examples=30, deadline=None)
@@ -128,7 +117,7 @@ def test_quasi_periodicity_is_exact_in_the_exponent(n, m, zr, zi):
     pm = PeriodMatrix(-4.7)
     z = complex(zr, zi)
     lhs = theta_eval_scaled(pm, z + 2j * math.pi * m + pm.B * n)
-    rhs = theta_eval_scaled(pm, z).times(quasi_period_factor_scaled(pm, z, m, n))
+    rhs = theta_eval_scaled(pm, z).times_exp(-0.5 * (n * pm.B * n) - n * z)
     assert abs(lhs.over(rhs).as_complex() - 1.0) <= 1e-9
 
 
@@ -173,10 +162,10 @@ def test_shell_cap_raises_nonconvergent():
     # slowly that the shell cap triggers before the tail test
     pm = PeriodMatrix(-1e-8)
     with pytest.raises(NonConvergent):
-        theta_eval(pm, 30.0)
+        theta_eval_scaled(pm, 30.0)
 
 
-def _array_shell_sum(pm, z, eps, weighted, min_shells):
+def _array_shell_sum(pm, z, eps, min_shells=0):
     """Reference: the theta shell sum in numpy array arithmetic.
 
     This is the general-genus formulation (solve for the peak, einsum for
@@ -193,8 +182,6 @@ def _array_shell_sum(pm, z, eps, weighted, min_shells):
         offsets = np.array([[-radius], [radius]] if radius else [[0]], dtype=np.int64)
         Nf = (offsets + n0).astype(float)
         terms = np.exp(0.5 * np.einsum("ij,ni,nj->n", B, Nf, Nf) + Nf @ zv - scale)
-        if weighted:
-            terms = terms * Nf[:, 0]
         acc += complex(terms.sum())
         if float(np.abs(terms).sum()) < eps * max(1.0, abs(acc)):
             quiet += 1
@@ -214,13 +201,11 @@ def test_genus_one_kernel_matches_the_array_shell_sum_bit_for_bit():
         pm = PeriodMatrix(complex(rng.uniform(-8.0, -3.0), rng.uniform(-3.0, 3.0)))
         z = 500.0 ** rng.uniform(-1.0, 1.0) * cmath.exp(2j * math.pi * rng.uniform())
         eps = (1e-12, 1e-14, 1e-6)[i % 3]
-        weighted = i % 2 == 1
-        min_shells = int(rng.integers(0, 4))
-        fast = _lattice_sum_1d(pm.B, z, eps, weighted, min_shells)
-        ref = _array_shell_sum(pm, z, eps, weighted, min_shells)
+        fast = _lattice_sum_1d(pm.B, z, eps)
+        ref = _array_shell_sum(pm, z, eps)
         # repr also tells +0.0 from -0.0, which == does not
         if (fast.mantissa, fast.log_scale) != (ref.mantissa, ref.log_scale) or repr(fast) != repr(ref):
-            mismatches.append((pm.B, z, eps, weighted, min_shells))
+            mismatches.append((pm.B, z, eps))
     assert not mismatches, mismatches[:5]
 
 
