@@ -66,7 +66,9 @@ from .operators import (
     StencilField,
     build_field,
     cross_coefficients,
+    field_document_text,
     field_from_document,
+    field_metadata,
     field_to_csv,
     field_to_document,
     gauge_transform,

@@ -36,7 +36,9 @@ from .operators import (
     MIN_ORACLE_PROBES,
     MODELS,
     build_field,
+    field_document_text,
     field_from_document,
+    field_metadata,
     field_to_csv,
     field_to_document,
     model_named,
@@ -64,10 +66,18 @@ VERIFY_DOC_FORMAT = "crosshex-verify-v2"
 _MIN_COVER_SEPARATION = 0.1
 
 
-def _dump_json(obj, path: str) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _write_text(text: str, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(text)
+
+
+def _dump_json(obj, path: str) -> None:
+    _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
+
+
+def _write_field(field, path: str, **metadata) -> None:
+    """Write a field document: :func:`field_to_document` laid out by its fixed-template writer."""
+    _write_text(field_document_text(field_to_document(field, **metadata)), path)
 
 
 def _load_json(path: str) -> dict:
@@ -195,13 +205,13 @@ def load_spectral_document(path: str):
 def cmd_build(config) -> int:
     sd, doc = load_spectral_document(config.input)
     field = build_field(sd, config.window)
-    field_doc = field_to_document(
+    _write_field(
         field,
+        config.output,
         spectral_data_ref=os.path.basename(config.input),
         seed=doc.get("seed"),
-        normalization=doc.get("normalization"),
+        normalization=sd.normalization.to_json(),
     )
-    _dump_json(field_doc, config.output)
     print(
         f"wrote {config.output}: {len(field.stencils)} {sd.model} stencils, "
         f"window radius {config.window}"
@@ -283,16 +293,9 @@ def cmd_export(config) -> int:
     doc = _load_json(config.input)
     field = field_from_document(doc)
     if config.format == "csv":
-        with open(config.output, "w") as fh:
-            fh.write(field_to_csv(field))
+        _write_text(field_to_csv(field), config.output)
     else:
-        document = field_to_document(
-            field,
-            spectral_data_ref=doc.get("spectral_data_ref", ""),
-            seed=doc.get("seed"),
-            normalization=doc.get("normalization"),
-        )
-        _dump_json(document, config.output)
+        _write_field(field, config.output, **field_metadata(doc))
     print(f"wrote {config.output} ({config.format}, {len(field.stencils)} sites)")
     return 0
 

@@ -27,15 +27,16 @@ normalized residuals, ratios, gaps - is moderate.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field as dc_field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from operator import attrgetter
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .bafunc import SpectralDataCross, SpectralDataHex
+from .bafunc import ConstantNormalization, SpectralDataCross, SpectralDataHex
 from .errors import (
     InvalidSite,
     MissingGauge,
@@ -811,11 +812,66 @@ def field_to_document(
     }
 
 
+@cache
+def _site_template(keys: tuple, width: int) -> str:
+    """One ``sites`` entry as ``json.dumps(sort_keys=True, indent=2)`` lays it out.
+
+    Each coefficient part and site index is a ``%r`` slot: ``repr`` of a
+    float or an int is the text ``json`` prints for it.
+    """
+    pairs = ",\n".join(f"        {json.dumps(k)}: [\n          %r,\n          %r\n        ]" for k in keys)
+    indices = ",\n".join(["        %r"] * width)
+    return f'    {{\n      "coeffs": {{\n{pairs}\n      }},\n      "site": [\n{indices}\n      ]\n    }}'
+
+
+def field_document_text(doc: dict) -> str:
+    """The file text of a :func:`field_to_document` dict, byte for byte.
+
+    That is ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline.
+    The ``sites`` list, nearly all of the document, is filled into a
+    fixed per-site template, several times faster than the pure-Python
+    encoder that ``indent`` makes ``json`` use; ``json`` lays out the
+    other members around it.
+    """
+    head = json.dumps({**doc, "sites": []}, sort_keys=True, indent=2)
+    entries = []
+    for entry in doc["sites"]:
+        coeffs, site = entry["coeffs"], entry["site"]
+        keys = tuple(sorted(coeffs))
+        entries.append(_site_template(keys, len(site)) % (*[x for k in keys for x in coeffs[k]], *site))
+    # a newline and a two-space indent start a top-level member: no JSON string holds a raw newline
+    sites = '\n  "sites": [\n' + ",\n".join(entries) + "\n  ]"
+    return head.replace('\n  "sites": []', sites, 1) + "\n"
+
+
+def field_metadata(doc: dict) -> dict:
+    """A field document's ``spectral_data_ref``, ``seed`` and ``normalization``, checked.
+
+    The result holds the keyword arguments of :func:`field_to_document`;
+    the normalization comes back in its canonical ``to_json`` form.  The
+    rules are the spectral document's: a string ref (absent reads as
+    ``""``), a non-negative integer seed or null, and a normalization
+    that ``ConstantNormalization.from_json`` accepts.
+    """
+    ref = doc.get("spectral_data_ref", "")
+    if not isinstance(ref, str):
+        raise SchemaError(f"spectral_data_ref must be a string, got {ref!r}")
+    seed = doc.get("seed")
+    if seed is not None and not (type(seed) is int and seed >= 0):
+        raise SchemaError(f"seed must be a non-negative integer or null, got {seed!r}")
+    try:
+        normalization = ConstantNormalization.from_json(doc.get("normalization"))
+    except (ValueError, SchemaError) as exc:
+        raise SchemaError(f"bad normalization: {exc}") from None
+    return {"spectral_data_ref": ref, "seed": seed, "normalization": normalization.to_json()}
+
+
 def field_from_document(doc: dict) -> StencilField:
     if not isinstance(doc, dict):
         raise SchemaError("field document must be a JSON object")
     if doc.get("format") != FIELD_DOC_FORMAT:
         raise SchemaError(f"unexpected field-document format {doc.get('format')!r}")
+    field_metadata(doc)  # a field read back is written back: its metadata must be writable
     try:
         model = model_named(doc.get("model"))
     except ValueError as exc:

@@ -103,9 +103,15 @@ def test_export_csv_and_json(workspace, tmp_path):
             assert cells[c_lo : c_lo + 2] == ["0", "0"]
             assert cells[g_lo : g_lo + 2] == ["0", "0"]
 
-    json_path = tmp_path / "hex-export.json"
-    assert main(["export", "-i", str(field), "--format", "json", "-o", str(json_path)]) == 0
-    assert json.loads(json_path.read_text()) == json.loads(field.read_text())
+    # the JSON export reproduces the build byte for byte
+    for model in ("cross", "hex"):
+        spectral, _ = workspace[model]
+        for radius in (0, 3):
+            built = tmp_path / f"{model}-{radius}.json"
+            exported = tmp_path / f"{model}-{radius}-export.json"
+            assert main(["build", "-i", str(spectral), "--window", str(radius), "-o", str(built)]) == 0
+            assert main(["export", "-i", str(built), "--format", "json", "-o", str(exported)]) == 0
+            assert exported.read_bytes() == built.read_bytes()
 
 
 def test_pipeline_is_deterministic(workspace, tmp_path):

@@ -4,7 +4,9 @@ Each example takes a valid document, mutates one place in it (drops a
 key or list entry, wraps a value in another type, or puts in a huge or
 non-finite number or nested junk) and runs the commands that read it.
 Every run must end with exit 0, 1 or 2; an exception escaping ``main``
-fails the test.  Hypothesis runs derandomized, so the examples are the
+fails the test.  Field metadata that ``export`` would copy into its
+output (a NaN normalization, a non-integer seed, a non-string ref) must
+exit 2.  Hypothesis runs derandomized, so the examples are the
 same on every run.
 """
 
@@ -114,3 +116,23 @@ def test_mutated_field_documents_exit_cleanly(documents, data, model):
     field.write_text(json.dumps(data.draw(mutated(docs[model][2]))))
     for fmt in ("csv", "json"):
         assert _run(["export", "-i", str(field), "--format", fmt, "-o", str(root / "out")]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "metadata",
+    [
+        {"normalization": math.nan},
+        {"seed": math.inf},
+        {"normalization": {"kind": "weird", "value": [math.nan, 0]}},
+        {"spectral_data_ref": 5},
+        {"seed": "x"},
+    ],
+    ids=["nan-normalization", "infinite-seed", "nan-in-unknown-normalization", "integer-ref", "string-seed"],
+)
+def test_field_metadata_is_checked_before_export(documents, metadata):
+    # export used to copy these into its output, NaN and Infinity as non-JSON literals
+    root, docs = documents
+    field = root / "metadata-case.json"
+    field.write_text(json.dumps({**docs["cross"][2], **metadata}))
+    for fmt in ("csv", "json"):
+        assert _run(["export", "-i", str(field), "--format", fmt, "-o", str(root / "out")]) == 2

@@ -1,9 +1,12 @@
+import itertools
 import json
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crosshex.bafunc import ConstantNormalization, SpectralDataHex
 from crosshex.errors import (
@@ -36,6 +39,7 @@ from crosshex.operators import (
     build_field,
     cross_coefficients,
     evaluate_ratio,
+    field_document_text,
     field_from_document,
     field_to_csv,
     field_to_document,
@@ -451,6 +455,49 @@ def test_field_document_validation(cross_data):
     del missing_coeff["sites"][0]["coeffs"]["v"]
     with pytest.raises(SchemaError):
         field_from_document(missing_coeff)
+
+
+def _json_reference(doc) -> str:
+    """The field document text as the json encoder writes it."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def _with_parts(doc, parts):
+    """``doc`` with its coefficient parts replaced, site by site and key by key, by ``parts`` cycled."""
+    parts = itertools.cycle(parts)
+    sites = [
+        {"site": e["site"], "coeffs": {k: [next(parts), next(parts)] for k in e["coeffs"]}}
+        for e in doc["sites"]
+    ]
+    return {**doc, "sites": sites}
+
+
+EDGE_PARTS = [
+    -0.0, 0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e300, -1e300,
+    1.0, -1.0, 1.7976931348623157e308, 0.1, 1 / 3, 123456789.0, 1e16, 1e-7,
+]
+HOSTILE_REFS = ['say "hi"', "back\\slash\\", "nön-ÄSCII 日本", '"sites": []', '\n  "sites": []', "100%r %s"]
+
+
+@pytest.mark.parametrize("radius", [0, 1])
+def test_field_document_text_is_the_json_encoding(cross_data, hex_data, radius):
+    for sd in (cross_data, hex_data):
+        # built fields hold the exact units 1 and the forced zeros 0
+        doc = field_to_document(build_field(sd, radius), seed=3, spectral_data_ref="s.json")
+        cases = [doc, _with_parts(doc, EDGE_PARTS)]
+        cases += [{**doc, "spectral_data_ref": ref} for ref in HOSTILE_REFS]
+        for case in cases:
+            assert field_document_text(case) == _json_reference(case)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(data=st.data(), model=st.sampled_from(["cross", "hex"]))
+def test_field_document_text_matches_json_on_any_finite_coefficients(cross_data, hex_data, data, model):
+    doc = field_to_document(build_field(cross_data if model == "cross" else hex_data, 1))
+    count = 2 * sum(len(e["coeffs"]) for e in doc["sites"])
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    doc = _with_parts(doc, data.draw(st.lists(finite, min_size=count, max_size=count)))
+    assert field_document_text(doc) == _json_reference(doc)
 
 
 def test_window_completeness_enforced(cross_data):
