@@ -64,7 +64,7 @@ def test_radius_40_build_matches_the_one_site_formulas(B):
         mismatched = [
             site
             for site, stencil in field.stencils.items()
-            if repr(stencil.values) != repr(one_site_stencil(sd, site, thetas))
+            if repr(stencil.values.scalars()) != repr(one_site_stencil(sd, site, thetas))
         ]
         assert not mismatched, (model, len(mismatched), mismatched[:5])
         # the theta values the window divides by are far outside double range

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyFailure, DimensionMismatch, SingularEvaluation
+from .errors import ConsistencyFailure, DimensionMismatch, SchemaError, SingularEvaluation
 from .labels import Label3, Label6, SiteCross, SiteHex, relabel_cross, relabel_hex
 from .surface import SpectralCurve, SurfacePoint, complex_from_json
 from .theta import ScaledArray, ScaledComplex, complex_mul, theta_eval_batch, theta_eval_scaled
@@ -75,9 +75,13 @@ class ConstantNormalization:
 
     @staticmethod
     def from_json(obj: dict) -> "ConstantNormalization":
+        """The normalization a document describes; a value below the floor is a malformed document."""
         if not isinstance(obj, dict) or obj.get("kind") != "constant":
             raise ValueError(f"unsupported normalization description: {obj!r}")
-        return ConstantNormalization(complex_from_json(obj.get("value", [1.0, 0.0]), "value"))
+        try:
+            return ConstantNormalization(complex_from_json(obj.get("value", [1.0, 0.0]), "value"))
+        except SingularEvaluation as exc:
+            raise SchemaError(str(exc)) from None
 
 
 class _SpectralDataBase:

@@ -40,7 +40,6 @@ from .operators import (
     field_from_document,
     field_metadata,
     field_to_csv,
-    field_to_document,
     model_named,
     oracle_report,
     psi_grid,
@@ -73,11 +72,6 @@ def _write_text(text: str, path: str) -> None:
 
 def _dump_json(obj, path: str) -> None:
     _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
-
-
-def _write_field(field, path: str, **metadata) -> None:
-    """Write a field document: :func:`field_to_document` laid out by its fixed-template writer."""
-    _write_text(field_document_text(field_to_document(field, **metadata)), path)
 
 
 def _load_json(path: str) -> dict:
@@ -205,15 +199,15 @@ def load_spectral_document(path: str):
 def cmd_build(config) -> int:
     sd, doc = load_spectral_document(config.input)
     field = build_field(sd, config.window)
-    _write_field(
+    text = field_document_text(
         field,
-        config.output,
         spectral_data_ref=os.path.basename(config.input),
         seed=doc.get("seed"),
         normalization=sd.normalization.to_json(),
     )
+    _write_text(text, config.output)
     print(
-        f"wrote {config.output}: {len(field.stencils)} {sd.model} stencils, "
+        f"wrote {config.output}: {len(field.sites)} {sd.model} stencils, "
         f"window radius {config.window}"
     )
     return 0
@@ -295,8 +289,8 @@ def cmd_export(config) -> int:
     if config.format == "csv":
         _write_text(field_to_csv(field), config.output)
     else:
-        _write_field(field, config.output, **field_metadata(doc))
-    print(f"wrote {config.output} ({config.format}, {len(field.stencils)} sites)")
+        _write_text(field_document_text(field, **field_metadata(doc)), config.output)
+    print(f"wrote {config.output} ({config.format}, {len(field.sites)} sites)")
     return 0
 
 

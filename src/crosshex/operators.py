@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cache, cached_property
+from itertools import chain, islice
 from operator import attrgetter
 from typing import Callable, Iterator
 
@@ -45,7 +47,7 @@ from .errors import (
     SingularEvaluation,
 )
 from .labels import CROSS_COEFFS, HEX_COEFFS, site_cross, site_hex, stencil_offsets
-from .surface import SurfacePoint, complex_from_json
+from .surface import SurfacePoint, complex_array_from_json
 from .theta import ScaledArray, ScaledComplex
 
 FIELD_DOC_FORMAT = "crosshex-field-v1"
@@ -660,43 +662,40 @@ def evaluate_ratio(sd, v, formula: RatioFormula) -> ScaledComplex:
 
 @dataclass(frozen=True)
 class Stencil:
-    """Coefficients of one lattice site, in its model's coefficient order."""
+    """The coefficients of one lattice site, in its model's coefficient order.
+
+    ``values`` is a one-site view: a row of a field's (sites,
+    coefficients) array, or a lone site's evaluation.
+    """
 
     model: Model
-    unit: str
-    values: tuple[ScaledComplex, ...] = dc_field(repr=False)
+    site: tuple
+    values: ScaledArray = dc_field(repr=False)  # (coefficients,)
+
+    @property
+    def unit(self) -> str:
+        """The coefficient that is 1 at this site's class."""
+        return self.model.units[self.model.site_class(self.model.site(*self.site))]
 
     def as_dict(self) -> dict[str, complex]:
-        out = {}
-        for key, val in zip(self.model.coeffs, self.values):
-            c = val.as_complex()
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise SingularEvaluation(
-                    f"coefficient {key} exceeds double range (log magnitude "
-                    f"{val.log_abs:.1f}); the window is too large for a plain-number export"
-                )
-            out[key] = c
-        return out
+        return dict(zip(self.model.coeffs, _plain(self.model, self.values).tolist()))
 
 
-@dataclass(frozen=True)
-class _StencilTable:
-    """The stencils of a list of sites, evaluated together; :meth:`stencil` reads one site."""
-
-    model: Model
-    rows: dict[tuple, int]  # site -> its row
-    classes: list[int]
-    values: list[ScaledComplex]  # row after row, one value per coefficient
-
-    def stencil(self, site) -> Stencil:
-        i = self.rows[site]
-        width = len(self.model.coeffs)
-        values = tuple(self.values[i * width : (i + 1) * width])
-        return Stencil(self.model, self.model.units[self.classes[i]], values)
+def _plain(model: Model, coeffs: ScaledArray) -> np.ndarray:
+    """``coeffs.as_complex()``, coefficients last; the first one beyond double range (C order) raises."""
+    values = coeffs.as_complex()
+    beyond = np.flatnonzero(~np.isfinite(values))
+    if beyond.size:
+        i = beyond[0]
+        raise SingularEvaluation(
+            f"coefficient {model.coeffs[i % len(model.coeffs)]} exceeds double range (log magnitude "
+            f"{coeffs.log_abs.flat[i]:.1f}); the window is too large for a plain-number export"
+        )
+    return values
 
 
-def _stencil_table(model: Model, sd, sites) -> _StencilTable:
-    """The stencils at ``sites``: each class's unit exactly 1, its forced zeros exactly 0.
+def _stencil_table(model: Model, sd, sites) -> ScaledArray:
+    """The stencils at ``sites``, one row each: each class's unit exactly 1, its forced zeros exactly 0.
 
     Each site is labelled once, and every formula of every class present
     is evaluated at its sites in one :func:`_ratios` call.
@@ -718,27 +717,29 @@ def _stencil_table(model: Model, sd, sites) -> _StencilTable:
             mantissa[rows, column] = ratios.mantissa[start : start + len(rows)]
             log_scale[rows, column] = ratios.log_scale[start : start + len(rows)]
             start += len(rows)
-    values = ScaledArray(mantissa.ravel(), log_scale.ravel()).scalars()
-    return _StencilTable(model, {s: i for i, s in enumerate(sites)}, classes.tolist(), values)
+    return ScaledArray(mantissa, log_scale)
 
 
-def _site_stencil(model: Model, sd, site, table: _StencilTable | None) -> Stencil:
-    # a table of the other model holds no site of this one (pairs against triples): KeyError
-    return (table or _stencil_table(model, sd, [site])).stencil(model.site(*site))
+def _site_stencil(model: Model, sd, site, field: "StencilField | None") -> Stencil:
+    if field is not None:
+        # a site outside the field, or of the other model (pairs against triples): KeyError
+        return field.stencils[site]
+    site = model.site(*site)
+    return Stencil(model, tuple(site), _stencil_table(model, sd, [site])[0])
 
 
-def cross_coefficients(sd: SpectralDataCross, site, table: _StencilTable | None = None) -> Stencil:
+def cross_coefficients(sd: SpectralDataCross, site, field: "StencilField | None" = None) -> Stencil:
     """The stencil at one square-lattice site, unit coefficient set to 1.
 
-    ``table`` is a window's stacked evaluation (see :func:`build_field`)
-    and must cover the site; without it the site is evaluated alone.
+    ``field`` is a built window (see :func:`build_field`) and must cover
+    the site; without it the site is evaluated alone.
     """
-    return _site_stencil(CROSS, sd, site, table)
+    return _site_stencil(CROSS, sd, site, field)
 
 
-def hex_coefficients(sd: SpectralDataHex, site, table: _StencilTable | None = None) -> Stencil:
+def hex_coefficients(sd: SpectralDataHex, site, field: "StencilField | None" = None) -> Stencil:
     """The stencil at one triangular-lattice site, with its two forced zeros."""
-    return _site_stencil(HEX, sd, site, table)
+    return _site_stencil(HEX, sd, site, field)
 
 
 # ---------------------------------------------------------------------------
@@ -753,63 +754,96 @@ def window_sites(model: str, radius: int) -> list[tuple]:
 
 @dataclass(frozen=True)
 class StencilField:
-    """A window's worth of stencils, keyed by site tuple: no site more, none less."""
+    """A window's stencils: its sites in lexicographic order and one (sites, coefficients) array.
+
+    Row i of ``coeffs`` holds the coefficients of ``sites[i]`` in the
+    model's coefficient order; ``stencils[site]`` is a read-only
+    one-site :class:`Stencil` view of a row.
+    """
 
     model: str
     radius: int
-    stencils: dict[tuple, Stencil]
+    sites: tuple[tuple, ...]
+    coeffs: ScaledArray = dc_field(repr=False)
 
     def __post_init__(self):
-        # walked lazily, so a huge radius stops at its first missing site
-        inside = 0
-        for site in MODELS[self.model].window(self.radius):
-            if site not in self.stencils:
-                raise ValueError(f"field is missing site {site} inside its window")
-            inside += 1
-        if len(self.stencils) != inside:
-            outside = sorted(set(self.stencils) - set(MODELS[self.model].window(self.radius)))
-            raise ValueError(f"field has sites outside its radius-{self.radius} window: {outside}")
+        # walked lazily, so a huge radius stops one site past the field's
+        window = tuple(islice(MODELS[self.model].window(self.radius), len(self.sites) + 1))
+        if tuple(self.sites) != window:
+            raise ValueError(f"field sites are not the radius-{self.radius} window in lexicographic order")
+        if self.coeffs.shape != (len(self.sites), len(MODELS[self.model].coeffs)):
+            raise ValueError(f"field coefficients have shape {self.coeffs.shape}, not one row per site")
+        # the stencil views share these arrays
+        self.coeffs.mantissa.flags.writeable = self.coeffs.log_scale.flags.writeable = False
+
+    @cached_property
+    def rows(self) -> dict[tuple, int]:
+        return {site: i for i, site in enumerate(self.sites)}
+
+    @cached_property
+    def stencils(self) -> Mapping[tuple, Stencil]:
+        return _FieldStencils(self)
+
+
+class _FieldStencils(Mapping):
+    """``StencilField.stencils``: a site's :class:`Stencil`, a view of its row made on lookup."""
+
+    def __init__(self, field: StencilField):
+        self._field = field
+
+    def __getitem__(self, site) -> Stencil:
+        field = self._field
+        row = field.rows[tuple(site)]
+        return Stencil(MODELS[field.model], field.sites[row], field.coeffs[row])
+
+    def __iter__(self):
+        return iter(self._field.sites)
+
+    def __len__(self) -> int:
+        return len(self._field.sites)
 
 
 def build_field(sd, radius: int) -> StencilField:
-    """Evaluate the closed-form stencils on the whole window, stacked over all its sites.
-
-    The model's per-site builder then reads each site's stencil from that
-    one table.
-    """
-    # The builder is read from the module globals at call time because a
-    # profiler that rebinds them (perfbench's tracer) counts one call per site.
+    """Evaluate the closed-form stencils on the whole window, stacked over all its sites."""
+    model = MODELS[sd.model]
+    sites = window_sites(model.name, radius)
+    field = StencilField(model.name, int(radius), tuple(sites), _stencil_table(model, sd, sites))
+    # This loop exists only because perfbench's tracer counts one call of the
+    # model's per-site builder per site (coeff_calls == 14); the tracer rebinds
+    # the module globals, so the builder is read from them at call time.  Each
+    # call returns a view of its site's row, which is dropped.  The loop goes
+    # once the counters live in the package (ROADMAP item 1).
     builder = cross_coefficients if sd.model == "cross" else hex_coefficients
-    sites = window_sites(sd.model, radius)
-    table = _stencil_table(MODELS[sd.model], sd, sites)
-    return StencilField(sd.model, int(radius), {site: builder(sd, site, table) for site in sites})
+    for site in sites:
+        builder(sd, site, field)
+    return field
 
 
-def field_to_document(
-    field: StencilField,
-    *,
-    spectral_data_ref: str = "",
-    seed: int | None = None,
-    normalization: dict | None = None,
-) -> dict:
-    sites_json = []
-    for site in sorted(field.stencils):
-        coeffs = field.stencils[site].as_dict()
-        sites_json.append(
-            {
-                "site": list(site),
-                "coeffs": {k: [c.real, c.imag] for k, c in coeffs.items()},
-            }
-        )
+def _document(field: StencilField, sites: list, *, spectral_data_ref="", seed=None, normalization=None):
     return {
         "format": FIELD_DOC_FORMAT,
         "model": field.model,
         "window": {"radius": field.radius},
-        "sites": sites_json,
+        "sites": sites,
         "normalization": normalization or {"kind": "constant", "value": [1.0, 0.0]},
         "spectral_data_ref": spectral_data_ref,
         "seed": seed,
     }
+
+
+def field_to_document(field: StencilField, **metadata) -> dict:
+    """The field document as a dict; :func:`field_document_text` writes its file text.
+
+    ``metadata`` holds the keyword arguments ``spectral_data_ref``
+    (default ``""``), ``seed`` (default ``None``) and ``normalization``
+    (default: the constant 1), as :func:`field_metadata` returns them.
+    """
+    model = MODELS[field.model]
+    sites = [
+        {"site": list(site), "coeffs": {k: [c.real, c.imag] for k, c in zip(model.coeffs, row)}}
+        for site, row in zip(field.sites, _plain(model, field.coeffs).tolist())
+    ]
+    return _document(field, sites, **metadata)
 
 
 @cache
@@ -824,23 +858,25 @@ def _site_template(keys: tuple, width: int) -> str:
     return f'    {{\n      "coeffs": {{\n{pairs}\n      }},\n      "site": [\n{indices}\n      ]\n    }}'
 
 
-def field_document_text(doc: dict) -> str:
-    """The file text of a :func:`field_to_document` dict, byte for byte.
+def field_document_text(field: StencilField, **metadata) -> str:
+    """The file text of ``field_to_document(field, **metadata)``, byte for byte.
 
-    That is ``json.dumps(doc, sort_keys=True, indent=2)`` and a newline.
-    The ``sites`` list, nearly all of the document, is filled into a
-    fixed per-site template, several times faster than the pure-Python
-    encoder that ``indent`` makes ``json`` use; ``json`` lays out the
-    other members around it.
+    That is ``json.dumps(sort_keys=True, indent=2)`` of the dict and a
+    newline.  The ``sites`` list, nearly all of the document, is one
+    ``%`` pass of the per-site template over the field's arrays, several
+    times faster than the pure-Python encoder that ``indent`` makes
+    ``json`` use; ``json`` lays out the other members around it.
     """
-    head = json.dumps({**doc, "sites": []}, sort_keys=True, indent=2)
-    entries = []
-    for entry in doc["sites"]:
-        coeffs, site = entry["coeffs"], entry["site"]
-        keys = tuple(sorted(coeffs))
-        entries.append(_site_template(keys, len(site)) % (*[x for k in keys for x in coeffs[k]], *site))
+    model = MODELS[field.model]
+    head = json.dumps(_document(field, [], **metadata), sort_keys=True, indent=2)
+    keys = tuple(sorted(model.coeffs))
+    # re and im of each coefficient, in the template's (sorted) key order
+    columns = [2 * model.coeffs.index(k) + part for k in keys for part in (0, 1)]
+    parts = _plain(model, field.coeffs).view(float)[:, columns].tolist()
+    values = [x for row, site in zip(parts, field.sites) for x in (*row, *site)]
+    template = ",\n".join([_site_template(keys, len(model.index_names))] * len(field.sites))
     # a newline and a two-space indent start a top-level member: no JSON string holds a raw newline
-    sites = '\n  "sites": [\n' + ",\n".join(entries) + "\n  ]"
+    sites = '\n  "sites": [\n' + template % tuple(values) + "\n  ]"
     return head.replace('\n  "sites": []', sites, 1) + "\n"
 
 
@@ -866,7 +902,31 @@ def field_metadata(doc: dict) -> dict:
     return {"spectral_data_ref": ref, "seed": seed, "normalization": normalization.to_json()}
 
 
+def _site_refusal(model: Model, raw_sites) -> tuple | None:
+    """The first entry whose site the lattice refuses (stage 0) or repeats one before it (stage 1)."""
+    seen = set()
+    for i, raw in enumerate(raw_sites):
+        try:
+            site = tuple(model.site(*raw))
+        except InvalidSite as exc:
+            return i, 0, str(exc)
+        if site in seen:
+            return i, 1, f"site {site} is listed twice"
+        seen.add(site)
+    return None
+
+
 def field_from_document(doc: dict) -> StencilField:
+    """The field a document holds; every refusal is a :class:`SchemaError`.
+
+    A refusal names the first offending site (and coefficient) in
+    document order; within an entry the site comes first, then its
+    repeat, its coefficient keys and its values.  One lean pass over the
+    entries checks their shape and keys and builds nothing per entry.
+    The sites are then checked at once by comparing them, sorted, with
+    the window, and the coefficient parts are checked and converted in
+    bulk; an entry-by-entry walk runs only to name a refusal.
+    """
     if not isinstance(doc, dict):
         raise SchemaError("field document must be a JSON object")
     if doc.get("format") != FIELD_DOC_FORMAT:
@@ -883,55 +943,66 @@ def field_from_document(doc: dict) -> StencilField:
     sites_raw = doc.get("sites")
     if not isinstance(sites_raw, list):
         raise SchemaError("sites must be a list")
-    stencils: dict[tuple, Stencil] = {}
-    for entry in sites_raw:
+    keys, keyset = model.coeffs, set(model.coeffs)
+    raw_sites, pairs = [], []
+    refusal = None  # (entry, stage, message) of the first refusal
+    for i, entry in enumerate(sites_raw):
         if not (
             isinstance(entry, dict)
             and isinstance(entry.get("site"), list)
             and isinstance(entry.get("coeffs"), dict)
         ):
-            raise SchemaError("each site entry needs a 'site' list and a 'coeffs' object")
-        try:
-            s = model.site(*entry["site"])
-        except InvalidSite as exc:
-            raise SchemaError(str(exc)) from None
-        site = tuple(s)
-        if site in stencils:
-            raise SchemaError(f"site {site} is listed twice")
+            refusal = i, 0, "each site entry needs a 'site' list and a 'coeffs' object"
+            break
+        raw_sites.append(entry["site"])
         coeffs = entry["coeffs"]
-        if set(coeffs) != set(model.coeffs):
-            raise SchemaError(
-                f"site {site}: coefficients must be exactly {model.coeffs}, got {sorted(coeffs)}"
-            )
-        try:
-            vals = [ScaledComplex.from_complex(complex_from_json(coeffs[k], k)) for k in model.coeffs]
-        except SchemaError as exc:
-            raise SchemaError(f"site {site}: coefficient {exc}") from None
-        stencils[site] = Stencil(model, model.units[model.site_class(s)], tuple(vals))
-    try:
-        return StencilField(model.name, radius, stencils)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from None
+        if coeffs.keys() != keyset:
+            site = tuple(entry["site"])
+            refusal = i, 2, f"site {site}: coefficients must be exactly {keys}, got {sorted(coeffs)}"
+            break
+        pairs += map(coeffs.__getitem__, keys)
+    sites = [tuple(raw) for raw in raw_sites]
+    # integer sites (bools excluded, as labels has it) that sort into the
+    # window are valid, distinct and complete
+    types = set(map(type, chain.from_iterable(sites)))
+    integers = all(issubclass(t, int) and not issubclass(t, bool) for t in types)
+    order = sorted(range(len(sites)), key=sites.__getitem__) if integers else []
+    window = list(islice(model.window(radius), len(sites) + 1))  # walked lazily: a huge radius stops early
+    in_window = integers and [sites[i] for i in order] == window
+    if not in_window:
+        refusal = min(filter(None, (refusal, _site_refusal(model, raw_sites))), default=None)
+    # the parts of the entries before a refusal come before it in document order
+    values = complex_array_from_json(
+        pairs[: len(keys) * refusal[0]] if refusal else pairs,
+        lambda i: f"site {sites[i // len(keys)]}: coefficient {keys[i % len(keys)]}",
+    )
+    if refusal:
+        raise SchemaError(refusal[2])
+    if not in_window:
+        present = set(sites)
+        for site in model.window(radius):
+            if site not in present:
+                raise SchemaError(f"field is missing site {site} inside its window")
+        outside = sorted(present - set(model.window(radius)))
+        raise SchemaError(f"field has sites outside its radius-{radius} window: {outside}")
+    mantissa = values.reshape(len(sites), len(keys))[order]
+    return StencilField(model.name, radius, tuple(window), ScaledArray(mantissa, np.zeros(mantissa.shape)))
 
 
 def field_to_csv(field: StencilField) -> str:
     """CSV with one row per site: indices, then Re/Im of each coefficient.
 
     Values are printed with 17 significant digits, which round-trips
-    IEEE doubles exactly; rows are in lexicographic site order.
+    IEEE doubles exactly; rows are in lexicographic site order.  The
+    rows are one ``%`` pass of a fixed row template over the field's
+    arrays.
     """
     model = MODELS[field.model]
-    header = list(model.index_names)
-    for k in model.coeffs:
-        header += [f"re_{k}", f"im_{k}"]
-    lines = [",".join(header)]
-    for site in sorted(field.stencils):
-        coeffs = field.stencils[site].as_dict()
-        row = [str(x) for x in site]
-        for k in model.coeffs:
-            row += ["%.17g" % coeffs[k].real, "%.17g" % coeffs[k].imag]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    header = [*model.index_names, *(f"{part}_{k}" for k in model.coeffs for part in ("re", "im"))]
+    parts = _plain(model, field.coeffs).view(float).tolist()
+    values = [x for site, row in zip(field.sites, parts) for x in (*site, *row)]
+    row = ",".join(["%d"] * len(model.index_names) + ["%.17g"] * (2 * len(model.coeffs)))
+    return ",".join(header) + "\n" + "\n".join([row] * len(field.sites)) % tuple(values) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -942,6 +1013,16 @@ def field_to_csv(field: StencilField) -> str:
 def _sites(model: str, window) -> list[tuple]:
     """A radius's window, or an explicit iterable of site tuples."""
     return window_sites(model, window) if isinstance(window, int) else [tuple(s) for s in window]
+
+
+def _radius_of(sites) -> int:
+    """The smallest window radius holding ``sites``."""
+    return max((max(map(abs, s)) for s in sites), default=0)
+
+
+def _rows(field: StencilField, sites) -> ScaledArray:
+    """The field's coefficients at ``sites``: shape (len(sites), coefficients)."""
+    return field.coeffs[[field.rows[site] for site in sites]]
 
 
 @dataclass(frozen=True)
@@ -1034,7 +1115,8 @@ def _site_residuals(sd, field: StencilField, grid: PsiGrid, sites, gauge) -> np.
     # axis 0 runs over the coefficients, so the terms are summed in stencil order
     neighbors = [grid.neighbors_of(sd.model, site) for site in sites]
     flat = [nbs[k] for k in range(ncoef) for nbs in neighbors]
-    coeffs = ScaledArray.of(field.stencils[site].values[k] for k in range(ncoef) for site in sites)
+    rows = _rows(field, sites)
+    coeffs = ScaledArray(np.ascontiguousarray(rows.mantissa.T), np.ascontiguousarray(rows.log_scale.T))
     coeffs = coeffs.reshape(ncoef, len(sites), 1)
     terms = coeffs.times(grid.at(flat).reshape(*shape))
     if gauge is not None:
@@ -1062,8 +1144,7 @@ def residual_report(
     |sum of terms| / sum of |terms| over its nonzero coefficients.
     """
     sites = _sites(sd.model, window)
-    if field is None:
-        field = build_field(sd, max((max(map(abs, s)) for s in sites), default=0)) if sites else None
+    field = build_field(sd, _radius_of(sites)) if field is None else field
     grid = _grid_for(sd, sites, probes, grid)
     entries = []
     failures = []
@@ -1151,14 +1232,14 @@ def nullspace_oracle(
             "cannot normalize to the canonical stencil"
         )
     unit_val = scaled_kernel[u_idx]
-    values = tuple(
+    values = ScaledArray.of(
         ScaledComplex.one() if j == u_idx else scaled_kernel[j].over(unit_val)
         for j in range(ncols)
     )
     terms = np.abs(matrix * kernel[None, :])
     sums = terms.sum(axis=1, keepdims=True)
     shares = np.divide(terms, sums, out=np.zeros_like(terms), where=sums > 0).max(axis=0)
-    return Stencil(model, unit, values), gap, shares
+    return Stencil(model, tuple(s_obj), values), gap, shares
 
 
 @dataclass(frozen=True)
@@ -1210,24 +1291,28 @@ def oracle_report(
     evaluated here when omitted.
     """
     sites = _sites(sd.model, window)
-    if field is None and sites:
-        field = build_field(sd, max(max(map(abs, s)) for s in sites))
+    field = build_field(sd, _radius_of(sites)) if field is None else field
     grid = _grid_for(sd, sites, probes, grid)
+    formula = _rows(field, sites)
     entries = []
     failures = []
     max_gap = 0.0
     max_mismatch = 0.0
     max_zero = 0.0
-    for site in sites:
-        formula = field.stencils[site]
+    for site, t_mantissas, t_scales in zip(sites, formula.mantissa.tolist(), formula.log_scale.tolist()):
         oracle, gap, shares = nullspace_oracle(sd, site, probes, grid)
         mismatch = 0.0
         zero_excess = 0.0
-        for t_val, o_val, share in zip(formula.values, oracle.values, shares):
-            if t_val.mantissa == 0:
+        # the oracle's mantissas stay numpy scalars (from the SVD), so each
+        # ratio is taken in numpy's complex arithmetic, as it always was
+        for t_m, t_s, o_m, o_s, share in zip(
+            t_mantissas, t_scales, oracle.values.mantissa, oracle.values.log_scale, shares
+        ):
+            if t_m == 0:
                 zero_excess = _worse(zero_excess, float(share))
                 continue
-            mismatch = _worse(mismatch, abs(o_val.over(t_val).as_complex() - 1.0))
+            ratio = ScaledComplex(o_m, o_s).over(ScaledComplex(t_m, t_s))
+            mismatch = _worse(mismatch, abs(ratio.as_complex() - 1.0))
         entries.append(OracleSiteResult(site, gap, mismatch, zero_excess))
         max_gap = _worse(max_gap, gap)
         max_mismatch = _worse(max_mismatch, mismatch)
@@ -1278,14 +1363,9 @@ def gauge_transform(field: StencilField, gauge: GaugeField) -> StencilField:
     The transformed operator annihilates the gauge-scaled function
     values exactly when the original annihilates the originals.
     """
-    out: dict[tuple, Stencil] = {}
-    for site, stencil in field.stencils.items():
-        new_values = tuple(
-            val.over(ScaledComplex.from_complex(gauge.at(nb)))
-            for val, nb in zip(stencil.values, stencil_offsets(field.model, site))
-        )
-        out[site] = replace(stencil, values=new_values)
-    return StencilField(field.model, field.radius, out)
+    gauges = [gauge.at(nb) for site in field.sites for nb in stencil_offsets(field.model, site)]
+    divisor = ScaledArray.from_complex(np.array(gauges, dtype=complex).reshape(field.coeffs.shape))
+    return replace(field, coeffs=field.coeffs.over(divisor))
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,33 @@ class ScaledArray:
         out[nonzero] = _log(a[nonzero]) + self.log_scale[nonzero]
         return out
 
+    def as_complex(self) -> np.ndarray:
+        """:meth:`ScaledComplex.as_complex` of every element, branch for branch."""
+        m, s = self.mantissa, self.log_scale
+        out = np.zeros(m.shape, dtype=complex)  # zero mantissas and totals below -745
+        nonzero = m != 0
+        exact = nonzero & (s == 0.0)
+        out[exact] = m[exact]
+        scaled = nonzero & (s != 0.0)
+        if scaled.any():
+            a = _abs(m[scaled])
+            log_total = _log(a) + s[scaled]
+            phase = _div(m[scaled], _complex(a, 0.0))
+            big = log_total > 709.0
+            mid = ~big & ~(log_total < -745.0)
+            value = np.zeros(a.shape, dtype=complex)
+            # componentwise: a plain phase*inf would turn exact zeros in the phase into NaNs
+            with np.errstate(invalid="ignore"):
+                sat = _complex(
+                    np.where(phase.real != 0.0, phase.real * math.inf, 0.0),
+                    np.where(phase.imag != 0.0, phase.imag * math.inf, 0.0),
+                )
+            value[big] = sat[big]
+            # CPython's complex * float goes through complex(exp(total), 0.0)
+            value[mid] = complex_mul(phase[mid], _complex(_exp(log_total[mid]), 0.0))
+            out[scaled] = value
+        return out
+
     def scalars(self) -> list[ScaledComplex]:
         """The elements, in C order, as plain ScaledComplex values."""
         return [

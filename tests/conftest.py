@@ -13,7 +13,8 @@ import math
 import pytest
 
 from crosshex.bafunc import _THETA_EPS, SpectralDataCross, SpectralDataHex
-from crosshex.operators import MODELS, sample_probes
+from crosshex.errors import SingularEvaluation
+from crosshex.operators import FIELD_DOC_FORMAT, MODELS, sample_probes
 from crosshex.surface import make_torus_curve
 from crosshex.theta import ScaledComplex, theta_eval_scaled
 
@@ -136,7 +137,54 @@ def one_site_stencil(sd, site, thetas=None):
     vals = {model.units[cls]: ScaledComplex.one(), **{k: ScaledComplex(0j, 0.0) for k in model.zeros[cls]}}
     for formula in model.formulas[cls]:
         vals[formula.coeff] = _one_label_ratio(sd, sd.site_label(s), formula, thetas)
-    return tuple(vals[k] for k in model.coeffs)
+    return [vals[k] for k in model.coeffs]
+
+
+def reference_as_dict(stencil) -> dict[str, complex]:
+    """A stencil's plain coefficients, one ScaledComplex at a time: the array writers' reference."""
+    out = {}
+    for key, val in zip(stencil.model.coeffs, stencil.values.scalars()):
+        c = val.as_complex()
+        if not (math.isfinite(c.real) and math.isfinite(c.imag)):
+            raise SingularEvaluation(
+                f"coefficient {key} exceeds double range (log magnitude "
+                f"{val.log_abs:.1f}); the window is too large for a plain-number export"
+            )
+        out[key] = c
+    return out
+
+
+def reference_document(field, *, spectral_data_ref="", seed=None, normalization=None) -> dict:
+    """The field document by the per-site walk: ``field_to_document``'s and the text writer's reference."""
+    sites_json = []
+    for site in sorted(field.stencils):
+        coeffs = reference_as_dict(field.stencils[site])
+        sites_json.append({"site": list(site), "coeffs": {k: [c.real, c.imag] for k, c in coeffs.items()}})
+    return {
+        "format": FIELD_DOC_FORMAT,
+        "model": field.model,
+        "window": {"radius": field.radius},
+        "sites": sites_json,
+        "normalization": normalization or {"kind": "constant", "value": [1.0, 0.0]},
+        "spectral_data_ref": spectral_data_ref,
+        "seed": seed,
+    }
+
+
+def reference_csv(field) -> str:
+    """The CSV by the per-site walk: ``field_to_csv``'s reference."""
+    model = MODELS[field.model]
+    header = list(model.index_names)
+    for k in model.coeffs:
+        header += [f"re_{k}", f"im_{k}"]
+    lines = [",".join(header)]
+    for site in sorted(field.stencils):
+        coeffs = reference_as_dict(field.stencils[site])
+        row = [str(x) for x in site]
+        for k in model.coeffs:
+            row += ["%.17g" % coeffs[k].real, "%.17g" % coeffs[k].imag]
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"
 
 
 def spectral_data(model, curve):

@@ -396,3 +396,25 @@ def test_a_denominator_below_the_floor_fails_build(workspace, tmp_path, capsys, 
     assert main(["build", "-i", str(spectral), "--window", "1", "-o", str(tmp_path / "f.json")]) == 1
     assert "theta denominator at" in capsys.readouterr().err
     assert not (tmp_path / "f.json").exists()
+
+
+@pytest.mark.parametrize("value", [[0, 0], [1e-13, 0.0]], ids=["zero", "below-floor"])
+def test_a_normalization_below_the_floor_is_a_malformed_document(workspace, tmp_path, capsys, value):
+    # both readers refuse it with exit 2, as every other malformed value
+    spectral, field = workspace["cross"]
+    normalization = {"kind": "constant", "value": value}
+    sdoc, fdoc = json.loads(spectral.read_text()), json.loads(field.read_text())
+    bad_spectral = spectral.parent / f"below-floor-{value[0]}.json"  # next to its curve document
+    bad_spectral.write_text(json.dumps({**sdoc, "normalization": normalization}))
+    bad_field = tmp_path / "field.json"
+    bad_field.write_text(json.dumps({**fdoc, "normalization": normalization}))
+    for argv in (
+        ["build", "-i", str(bad_spectral), "--window", "1", "-o", str(tmp_path / "f.json")],
+        ["export", "-i", str(bad_field), "--format", "json", "-o", str(tmp_path / "e.json")],
+        ["export", "-i", str(bad_field), "--format", "csv", "-o", str(tmp_path / "e.csv")],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad normalization: normalization constant" in err, err
+        assert "below the 1e-12 floor" in err

@@ -41,6 +41,7 @@ from crosshex.operators import (
     evaluate_ratio,
     field_document_text,
     field_from_document,
+    field_metadata,
     field_to_csv,
     field_to_document,
     gauge_transform,
@@ -55,7 +56,15 @@ from crosshex.operators import (
 from crosshex.surface import export_curve_document, load_tabulated_curve, make_torus_curve
 from crosshex.theta import ScaledArray
 
-from conftest import label_shift, one_site_stencil, one_value_phi, spectral_data
+from conftest import (
+    label_shift,
+    one_site_stencil,
+    one_value_phi,
+    reference_as_dict,
+    reference_csv,
+    reference_document,
+    spectral_data,
+)
 
 
 # -- windows -----------------------------------------------------------------
@@ -112,13 +121,13 @@ def test_window_table_build_matches_site_by_site_build(model, torus):
         for radius in range(7):
             for site, stencil in build_field(sd, radius).stencils.items():
                 want = one_site_stencil(sd, site, thetas)
-                assert repr(stencil.values) == repr(want), (curve.pm.B, radius, site)
+                assert repr(stencil.values.scalars()) == repr(want), (curve.pm.B, radius, site)
 
 
 def test_one_site_builders_match_the_reference(cross_data, hex_data):
     for sd, builder in ((cross_data, cross_coefficients), (hex_data, hex_coefficients)):
         for site in window_sites(sd.model, 1):
-            assert repr(builder(sd, site).values) == repr(one_site_stencil(sd, site)), site
+            assert repr(builder(sd, site).values.scalars()) == repr(one_site_stencil(sd, site)), site
 
 
 def test_a_denominator_below_the_floor_is_refused(cross_data, monkeypatch):
@@ -131,7 +140,7 @@ def _scalar_residual(sd, stencil, site, P):
     """The residual at one probe from the one-value phi formula and ScaledComplex sums."""
     terms = [
         c.times(one_value_phi(sd, sd.site_label(nb), P))
-        for c, nb in zip(stencil.values, stencil_offsets(sd.model, site))
+        for c, nb in zip(stencil.values.scalars(), stencil_offsets(sd.model, site))
         if c.mantissa != 0
     ]
     top = max(t.log_abs for t in terms)
@@ -325,15 +334,8 @@ def test_gauge_floor():
 def test_residual_invariant_under_per_site_rescaling(cross_data, cross_probes):
     field = build_field(cross_data, 1)
     rng = np.random.default_rng(29)
-    factors = {site: complex(rng.uniform(0.2, 5.0), rng.uniform(-1, 1)) for site in field.stencils}
-    rescaled = StencilField(
-        "cross",
-        1,
-        {
-            site: replace(st, values=tuple(v.times(factors[site]) for v in st.values))
-            for site, st in field.stencils.items()
-        },
-    )
+    factors = [complex(rng.uniform(0.2, 5.0), rng.uniform(-1, 1)) for _ in field.sites]
+    rescaled = replace(field, coeffs=field.coeffs.times(np.array(factors)[:, None]))
     base = residual_report(cross_data, 1, cross_probes[:6], field=field)
     other = residual_report(cross_data, 1, cross_probes[:6], field=rescaled)
     for e1, e2 in zip(base.entries, other.entries):
@@ -362,12 +364,9 @@ def test_constant_normalization_cancels_in_coefficients(torus, hex_data):
 def test_perturbed_coefficient_is_detected(cross_data):
     probes = sample_probes(cross_data, 20, seed=11)
     field = build_field(cross_data, 1)
-    st = field.stencils[(0, 0)]
-    bumped = list(st.values)
-    bumped[CROSS_COEFFS.index("v")] = bumped[CROSS_COEFFS.index("v")].times(1 + 1e-3)
-    perturbed = StencilField(
-        "cross", 1, {**field.stencils, (0, 0): replace(st, values=tuple(bumped))}
-    )
+    factors = np.ones(field.coeffs.shape, dtype=complex)
+    factors[field.rows[(0, 0)], CROSS_COEFFS.index("v")] = 1 + 1e-3
+    perturbed = replace(field, coeffs=field.coeffs.times(factors))
     rep = residual_report(cross_data, [(0, 0)], probes, field=perturbed)
     assert rep.max_residual >= 1e-4
     assert not rep.passed
@@ -457,6 +456,113 @@ def test_field_document_validation(cross_data):
         field_from_document(missing_coeff)
 
 
+def _entry(doc, i, **changes):
+    """``doc`` with entry ``i`` of its sites list updated (a ``coeffs`` dict merges into the entry's)."""
+    doc = json.loads(json.dumps(doc))
+    entry = doc["sites"][i]
+    if isinstance(changes.get("coeffs"), dict):
+        changes["coeffs"] = {**entry["coeffs"], **changes["coeffs"]}
+    entry.update(changes)
+    return doc
+
+
+def _dropped(doc, i, key):
+    """``doc`` without coefficient ``key`` of entry ``i``."""
+    doc = json.loads(json.dumps(doc))
+    del doc["sites"][i]["coeffs"][key]
+    return doc
+
+
+def _pair(doc, i, key, pair):
+    """``doc`` with coefficient ``key`` of entry ``i`` replaced by ``pair``."""
+    return _entry(doc, i, coeffs={key: pair})
+
+
+@pytest.fixture(scope="module")
+def cross_doc(cross_data):
+    """The document of the radius-1 cross field: entry 4 is site (0, 0)."""
+    return field_to_document(build_field(cross_data, 1))
+
+
+def _refusal(doc) -> str:
+    with pytest.raises(SchemaError) as refused:
+        field_from_document(doc)
+    return str(refused.value)
+
+
+_SITE_MESSAGE = "square-lattice site must be a pair of integers, got "
+_KEYS_MESSAGE = "site (0, 0): coefficients must be exactly ('a', 'b', 'c', 'd', 'v'), got "
+_PAIR_MESSAGE = "site (0, 0): coefficient a: expected a [re, im] pair of finite numbers, got "
+
+# malformed values of coefficient a at site (0, 0)
+BAD_PAIRS = {
+    "one-element-pair": [1.0],
+    "str-part": ["1", 0.0],
+    "bool-part": [0.5, True],
+    "null-part": [None, 0.0],
+    "nan-part": [0.0, math.nan],
+    "infinite-part": [-math.inf, 0.0],
+    "integer-beyond-double-range": [10**400, 0],
+    "non-list-pair": "1,0",
+    "object-pair": {"re": 1.0, "im": 0.0},
+}
+
+
+@pytest.mark.parametrize("case", BAD_PAIRS)
+def test_reader_refuses_a_malformed_pair_naming_its_site_and_coefficient(cross_doc, case):
+    assert _refusal(_pair(cross_doc, 4, "a", BAD_PAIRS[case])) == _PAIR_MESSAGE + repr(BAD_PAIRS[case])
+
+
+def _bad_a(doc):
+    return _pair(doc, 4, "a", [1.0])
+
+
+# each malformed entry or window, and the refusal it gets
+READER_REFUSALS = {
+    "bool-site-index": (lambda d: _entry(d, 4, site=[True, 0]), _SITE_MESSAGE + "(True, 0)"),
+    "float-site-index": (lambda d: _entry(d, 4, site=[0.0, 0]), _SITE_MESSAGE + "(0.0, 0)"),
+    "duplicate-site": (lambda d: _entry(d, 5, site=[0, 0]), "site (0, 0) is listed twice"),
+    "missing-site": (
+        lambda d: {**d, "sites": d["sites"][:4] + d["sites"][5:]},
+        "field is missing site (0, 0) inside its window",
+    ),
+    "site-outside-window": (
+        lambda d: {**d, "sites": d["sites"] + [{**d["sites"][4], "site": [2, 0]}]},
+        "field has sites outside its radius-1 window: [(2, 0)]",
+    ),
+    "missing-coefficient": (lambda d: _dropped(d, 4, "v"), _KEYS_MESSAGE + "['a', 'b', 'c', 'd']"),
+    "extra-coefficient": (
+        lambda d: _entry(d, 4, coeffs={"z": [1.0, 0.0]}), _KEYS_MESSAGE + "['a', 'b', 'c', 'd', 'v', 'z']"
+    ),
+    # two faults: the first in document order is named, and within one
+    # entry the site, its repeat, its keys and its values in that order
+    "value-before-later-site": (lambda d: _bad_a(_entry(d, 6, site=[0, 0.5])), _PAIR_MESSAGE + "[1.0]"),
+    "site-before-later-value": (lambda d: _bad_a(_entry(d, 2, site=[1, True])), _SITE_MESSAGE + "(1, True)"),
+    "repeat-before-its-values": (lambda d: _bad_a(_entry(d, 4, site=[-1, 0])), "site (-1, 0) is listed twice"),
+    "value-before-later-repeat": (lambda d: _bad_a(_entry(d, 6, site=[-1, 0])), _PAIR_MESSAGE + "[1.0]"),
+    "value-before-later-keys": (lambda d: _bad_a(_dropped(d, 6, "b")), _PAIR_MESSAGE + "[1.0]"),
+    "repeat-before-its-keys": (
+        lambda d: _dropped(_entry(d, 4, site=[-1, 0]), 4, "b"), "site (-1, 0) is listed twice"
+    ),
+    "keys-before-its-values": (lambda d: _bad_a(_dropped(d, 4, "b")), _KEYS_MESSAGE + "['a', 'c', 'd', 'v']"),
+    "coefficient-order-not-key-order": (  # "v" is listed first, "a" comes first
+        lambda d: _entry(d, 4, coeffs={"v": [None, 0.0], "a": [1.0]}), _PAIR_MESSAGE + "[1.0]"
+    ),
+    "value-before-missing-site": (lambda d: _bad_a({**d, "sites": d["sites"][:-1]}), _PAIR_MESSAGE + "[1.0]"),
+}
+
+
+@pytest.mark.parametrize("case", READER_REFUSALS)
+def test_reader_refusals_name_the_first_offending_site(cross_doc, case):
+    mutate, message = READER_REFUSALS[case]
+    assert _refusal(mutate(cross_doc)) == message
+
+
+def test_a_hex_site_off_the_plane_is_refused(hex_data):
+    doc = _entry(field_to_document(build_field(hex_data, 1)), 3, site=[1, 0, 0])
+    assert _refusal(doc) == "triangular-lattice site must satisfy k+l+m=0, got 1+0+0"
+
+
 def _json_reference(doc) -> str:
     """The field document text as the json encoder writes it."""
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -479,15 +585,48 @@ EDGE_PARTS = [
 HOSTILE_REFS = ['say "hi"', "back\\slash\\", "nön-ÄSCII 日本", '"sites": []', '\n  "sites": []', "100%r %s"]
 
 
+def _reversed_keys(node):
+    """``node`` with the members of every object in reverse order."""
+    if isinstance(node, dict):
+        return {k: _reversed_keys(node[k]) for k in reversed(node)}
+    return [_reversed_keys(x) for x in node] if isinstance(node, list) else node
+
+
+# a coefficient written in a valid but non-canonical way -> as it is exported
+NON_CANONICAL_PARTS = {
+    "integers": ([3, -2], [3.0, -2.0]),
+    "signed-zero-pair": ([-0.0, -0.0], [0.0, 0.0]),  # a zero coefficient is written as 0
+    "signed-zero-real": ([-0.0, 2.5], [-0.0, 2.5]),
+    "signed-zero-imag": ([2.5, -0.0], [2.5, -0.0]),
+    "integers-beyond-2**53": ([2**53 + 1, -(2**70) - 1], [float(2**53 + 1), float(-(2**70) - 1)]),
+}
+
+
+@pytest.mark.parametrize("case", NON_CANONICAL_PARTS)
+def test_non_canonical_values_export_as_the_floats_they_read_as(cross_data, case):
+    raw, want = NON_CANONICAL_PARTS[case]
+    doc = field_to_document(build_field(cross_data, 1), seed=3, spectral_data_ref="s.json")
+    read = field_from_document(_pair(doc, 4, "a", raw))
+    assert field_document_text(read, **field_metadata(doc)) == _json_reference(_pair(doc, 4, "a", want))
+
+
+def test_key_order_and_whitespace_do_not_change_the_export(cross_data, hex_data):
+    for sd in (cross_data, hex_data):
+        doc = field_to_document(build_field(sd, 1), seed=3, spectral_data_ref="s.json")
+        again = json.loads(json.dumps(_reversed_keys(doc), separators=(",", ":")))
+        text = field_document_text(field_from_document(again), **field_metadata(again))
+        assert text == _json_reference(doc)
+
 @pytest.mark.parametrize("radius", [0, 1])
 def test_field_document_text_is_the_json_encoding(cross_data, hex_data, radius):
     for sd in (cross_data, hex_data):
         # built fields hold the exact units 1 and the forced zeros 0
-        doc = field_to_document(build_field(sd, radius), seed=3, spectral_data_ref="s.json")
-        cases = [doc, _with_parts(doc, EDGE_PARTS)]
-        cases += [{**doc, "spectral_data_ref": ref} for ref in HOSTILE_REFS]
-        for case in cases:
-            assert field_document_text(case) == _json_reference(case)
+        field = build_field(sd, radius)
+        edge = field_from_document(_with_parts(field_to_document(field), EDGE_PARTS))
+        for case in (field, edge):
+            for ref in ("s.json", *HOSTILE_REFS):
+                doc = reference_document(case, seed=3, spectral_data_ref=ref)
+                assert field_document_text(case, seed=3, spectral_data_ref=ref) == _json_reference(doc)
 
 
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
@@ -496,16 +635,63 @@ def test_field_document_text_matches_json_on_any_finite_coefficients(cross_data,
     doc = field_to_document(build_field(cross_data if model == "cross" else hex_data, 1))
     count = 2 * sum(len(e["coeffs"]) for e in doc["sites"])
     finite = st.floats(allow_nan=False, allow_infinity=False)
-    doc = _with_parts(doc, data.draw(st.lists(finite, min_size=count, max_size=count)))
-    assert field_document_text(doc) == _json_reference(doc)
+    field = field_from_document(_with_parts(doc, data.draw(st.lists(finite, min_size=count, max_size=count))))
+    assert field_document_text(field) == _json_reference(reference_document(field))
+
+
+@pytest.mark.parametrize("radius", [0, 3, 12])
+@pytest.mark.parametrize("model", ["cross", "hex"])
+def test_writers_match_the_per_site_references(model, radius, request):
+    # the array writers against the per-site walk they replaced, on built
+    # fields and on their document-read copies (log scale 0)
+    built = build_field(request.getfixturevalue(f"{model}_data"), radius)
+    read = field_from_document(json.loads(field_document_text(built)))
+    for field in (built, read):
+        doc = reference_document(field, seed=3, spectral_data_ref="s.json")
+        assert field_document_text(field, seed=3, spectral_data_ref="s.json") == _json_reference(doc)
+        assert repr(field_to_document(field, seed=3, spectral_data_ref="s.json")) == repr(doc)
+        assert field_to_csv(field) == reference_csv(field)
+        for site, stencil in field.stencils.items():
+            assert repr(stencil.as_dict()) == repr(reference_as_dict(stencil)), site
+
+
+def test_a_coefficient_beyond_double_range_is_refused_where_it_was(cross_data):
+    # the first coefficient beyond double range in site order, then
+    # coefficient order, is named, as the per-site walk named it
+    field = build_field(cross_data, 1)
+    log_scale = field.coeffs.log_scale.copy()
+    log_scale[3, 4], log_scale[3, 1], log_scale[5, 0] = 800.0, 900.0, 1000.0
+    log_scale[2, 2] = -800.0  # far below range: collapses to 0, no refusal
+    huge = replace(field, coeffs=ScaledArray(field.coeffs.mantissa, log_scale))
+    with pytest.raises(SingularEvaluation) as want:
+        reference_document(huge)
+    assert str(want.value).startswith("coefficient b exceeds double range (log magnitude 900.")
+    for write in (field_to_document, field_document_text, field_to_csv):
+        with pytest.raises(SingularEvaluation) as got:
+            write(huge)
+        assert str(got.value) == str(want.value), write
+    with pytest.raises(SingularEvaluation) as got:
+        huge.stencils[huge.sites[3]].as_dict()
+    assert str(got.value) == str(want.value)
+
+
+def test_stencil_views_are_read_only(cross_data):
+    field = build_field(cross_data, 1)
+    view = field.stencils[(0, 0)]
+    assert view.site == (0, 0) and view.unit == "d"
+    with pytest.raises(ValueError, match="read-only"):
+        view.values.mantissa[0] = 2.0
+    with pytest.raises(KeyError):
+        field.stencils[(2, 0)]
 
 
 def test_window_completeness_enforced(cross_data):
     field = build_field(cross_data, 1)
-    partial = dict(field.stencils)
-    del partial[(0, 0)]
+    keep = [i for i, site in enumerate(field.sites) if site != (0, 0)]
     with pytest.raises(ValueError):
-        StencilField("cross", 1, partial)
+        StencilField("cross", 1, tuple(field.sites[i] for i in keep), field.coeffs[keep])
+    with pytest.raises(ValueError):
+        StencilField("cross", 1, field.sites, field.coeffs[keep])  # a row short
 
 
 def test_csv_shape_and_exact_round_trip(cross_data, hex_data):

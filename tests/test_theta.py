@@ -367,6 +367,55 @@ def test_scaled_array_zero_mantissas():
         ScaledArray.from_complex([1.0 + 0j]).over(a)
 
 
+def _as_complex_matches(a: ScaledArray) -> None:
+    """``a.as_complex()`` against ScaledComplex.as_complex, element by element, by repr."""
+    got = a.as_complex()
+    assert got.shape == a.shape
+    want = [x.as_complex() for x in a.scalars()]
+    assert [repr(g) for g in got.ravel().tolist()] == [repr(w) for w in want]
+
+
+SIGNED_ZEROS = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+# phases with a zero part, of either sign, and general ones
+PHASED = [complex(0.0, 2.0), complex(-0.0, -3.0), complex(5.0, 0.0), complex(-0.5, -0.0), 3 - 4j, 7e-7 - 1e-6j]
+
+
+def test_array_as_complex_on_signed_zeros_and_exact_scales():
+    mantissa = SIGNED_ZEROS + [complex(re, im) for re in (0.0, -0.0) for im in (1.5, -2.5)]
+    mantissa += [complex(re, im) for re in (1.5, -2.5) for im in (0.0, -0.0)]
+    for scale in (0.0, -0.0, 3.0, -3.0):
+        _as_complex_matches(ScaledArray(np.array(mantissa), np.full(len(mantissa), scale)))
+
+
+def test_array_as_complex_at_the_range_edges():
+    # totals just below -745 (0j) and on either side of 709 (saturated componentwise)
+    below, above = np.nextafter(-745.0, -np.inf), np.nextafter(709.0, np.inf)
+    totals = [-800.0, -745.1, below, -745.0, -744.99, 708.99, 709.0, above, 709.1, 1e4]
+    mantissa = np.array([m for m in PHASED for _ in totals])
+    log_scale = np.array([t - math.log(abs(m)) for m in PHASED for t in totals])
+    _as_complex_matches(ScaledArray(mantissa, log_scale))
+    _as_complex_matches(ScaledArray(mantissa.reshape(len(PHASED), -1), log_scale.reshape(len(PHASED), -1)))
+
+
+def test_array_as_complex_on_subnormals():
+    tiny = [5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 0.0, -0.0]
+    mantissa = np.array([complex(re, im) for re in tiny for im in tiny])
+    for scale in (0.0, 1.0, -1.0, 700.0, 740.0):  # totals from about -1400 to beyond 709
+        _as_complex_matches(ScaledArray(mantissa, np.full(mantissa.shape, scale)))
+    # results in the subnormal range
+    _as_complex_matches(ScaledArray(np.array(PHASED), np.array([-740.0 - math.log(abs(m)) for m in PHASED])))
+
+
+_PARTS = st.one_of(st.floats(-1e300, 1e300), st.sampled_from([0.0, -0.0, 5e-324, -1e-310]))
+_SCALES = st.one_of(st.just(0.0), st.floats(-2000.0, 2000.0))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(_PARTS, _PARTS, _SCALES), min_size=1, max_size=12))
+def test_array_as_complex_matches_the_scalar_on_any_pair(elements):
+    mantissa = np.array([complex(re, im) for re, im, _ in elements])
+    _as_complex_matches(ScaledArray(mantissa, np.array([s for _, _, s in elements])))
+
 def _cancellation_reference(terms):
     """The normalized-residual loop over ScaledComplex terms, zero terms skipped."""
     mags = [t.log_abs for t in terms if t.mantissa != 0]
