@@ -410,7 +410,7 @@ _PARTS = st.one_of(st.floats(-1e300, 1e300), st.sampled_from([0.0, -0.0, 5e-324,
 _SCALES = st.one_of(st.just(0.0), st.floats(-2000.0, 2000.0))
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(st.lists(st.tuples(_PARTS, _PARTS, _SCALES), min_size=1, max_size=12))
 def test_array_as_complex_matches_the_scalar_on_any_pair(elements):
     mantissa = np.array([complex(re, im) for re, im, _ in elements])
