@@ -30,35 +30,23 @@ About 50 s on a 2-core Xeon; this file sits outside the tier-1
 import pathlib
 import sys
 
-import numpy as np
 import pytest
 
-from crosshex.operators import MODELS, build_field
+from crosshex.operators import build_field
 from crosshex.surface import make_torus_curve
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
-from conftest import one_site_stencil  # noqa: E402
+from conftest import drawn_spectral_data, one_site_stencil  # noqa: E402
 
 RADIUS = 40
 PERIODS = [complex(re, im) for re in (-8.0, -4.25, -3.0) for im in (0.0, 3.0, -3.0)]
-
-
-def _spectral_data(model: str, curve):
-    """Spectral data with the points drawn as gen-spectral draws them (fixed seed)."""
-    cls = MODELS[model].spectral_class
-    names = cls.marked_names
-    points = curve.sample_points(
-        np.random.default_rng(4), len(names) + 1, avoid=[curve.point(curve.base_lift)],
-        min_avoid=0.1, min_pairwise=0.1, max_tries=1000,
-    )
-    return cls(curve, dict(zip(names, points)), points[len(names):])
 
 
 @pytest.mark.parametrize("B", PERIODS)
 def test_radius_40_build_matches_the_one_site_formulas(B):
     curve = make_torus_curve(B)
     for model in ("cross", "hex"):
-        sd = _spectral_data(model, curve)
+        sd = drawn_spectral_data(model, curve)
         field = build_field(sd, RADIUS)
         thetas = {}
         mismatched = [

@@ -78,7 +78,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
 
 

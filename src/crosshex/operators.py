@@ -9,11 +9,12 @@ those identities term by term; each table entry records its
 transcription status, and the single corrected index is documented in
 ERRATA.md with the numerical evidence.
 
-Verification is independent of the construction: ``nullspace_oracle``
-recovers the stencil at a site purely from function values (the kernel
-of a probes-by-coefficients matrix), so agreement between the two is a
-genuine cross-check, and the singular-value gap certifies that the
-kernel is one-dimensional (the uniqueness statement at desk scale).
+Verification is independent of the construction: the null-space oracle
+of ``oracle_report`` recovers the stencil at each site purely from
+function values (the kernel of a probes-by-coefficients matrix), so
+agreement between the two is a genuine cross-check, and the
+singular-value gap certifies that the kernel is one-dimensional (the
+uniqueness statement at desk scale).
 
 Every per-lattice fact (coefficient keys, site classes, unit, zero and
 formula tables, spectral-data class) lives in one :class:`Model` record
@@ -28,11 +29,10 @@ normalized residuals, ratios, gaps - is moderate.
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cache, cached_property
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from operator import attrgetter
 from typing import Callable, Iterator
 
@@ -48,7 +48,7 @@ from .errors import (
 )
 from .labels import CROSS_COEFFS, HEX_COEFFS, site_cross, site_hex, stencil_offsets
 from .surface import SurfacePoint, complex_array_from_json
-from .theta import ScaledArray, ScaledComplex
+from .theta import NumpyScaledArray, ScaledArray, ScaledComplex
 
 FIELD_DOC_FORMAT = "crosshex-field-v1"
 
@@ -1027,21 +1027,28 @@ def _rows(field: StencilField, sites) -> ScaledArray:
 
 @dataclass(frozen=True)
 class PsiGrid:
-    """psi at a set of sites (rows) and probe points (columns)."""
+    """psi at a set of sites (rows) and probe points (columns).
+
+    :func:`psi_grid` also stores the sites it was called for and the
+    rows of their stencil neighbours; a grid made without them looks the
+    rows up.
+    """
 
     probes: tuple[SurfacePoint, ...]
     rows: dict[tuple, int]
     values: ScaledArray  # (sites, probes)
-    # stencil neighbours of the window sites, in coefficient order
-    neighbors: dict[tuple, list[tuple]] = dc_field(default_factory=dict)
+    sites: tuple[tuple, ...] = ()
+    neighbor_rows: np.ndarray | None = None  # (len(sites), coefficients), coefficient order
 
     def index(self, sites) -> list[int]:
         return [self.rows[tuple(s)] for s in sites]
 
-    def neighbors_of(self, model: str, site) -> list[tuple]:
-        """The site's stencil neighbours: stored for the grid's window, computed for any other site."""
-        nbs = self.neighbors.get(tuple(site))
-        return stencil_offsets(model, site) if nbs is None else nbs
+    def neighbors(self, model: str, sites) -> np.ndarray:
+        """The rows of each site's stencil neighbours, in coefficient order: (len(sites), coefficients)."""
+        if self.neighbor_rows is not None and tuple(sites) == self.sites:
+            return self.neighbor_rows
+        rows = [self.index(stencil_offsets(model, site)) for site in sites]
+        return np.array(rows, dtype=int).reshape(len(sites), len(MODELS[model].coeffs))
 
     def at(self, sites) -> ScaledArray:
         """The rows of ``sites``, in order: shape (len(sites), probes)."""
@@ -1062,11 +1069,15 @@ def psi_grid(sd, window, probes) -> PsiGrid:
     ``window`` is a radius or an iterable of sites.  Each site is
     labelled once, and the whole grid is one :meth:`phi_scaled` call.
     """
-    neighbors = {site: stencil_offsets(sd.model, site) for site in _sites(sd.model, window)}
-    halo = list(dict.fromkeys(nb for nbs in neighbors.values() for nb in nbs))
+    sites = _sites(sd.model, window)
+    neighbors = [stencil_offsets(sd.model, site) for site in sites]
+    halo = list(dict.fromkeys(chain.from_iterable(neighbors)))
+    rows = {nb: i for i, nb in enumerate(halo)}
     probes = tuple(probes)
     values = sd.phi_scaled([sd.site_label(nb) for nb in halo], probes)
-    return PsiGrid(probes, {nb: i for i, nb in enumerate(halo)}, values, neighbors)
+    neighbor_rows = np.array([[rows[nb] for nb in nbs] for nbs in neighbors], dtype=int)
+    shape = (len(sites), len(MODELS[sd.model].coeffs))
+    return PsiGrid(probes, rows, values, tuple(sites), neighbor_rows.reshape(shape))
 
 
 def _grid_for(sd, sites, probes, grid: PsiGrid | None) -> PsiGrid:
@@ -1075,11 +1086,6 @@ def _grid_for(sd, sites, probes, grid: PsiGrid | None) -> PsiGrid:
     if grid.probes != tuple(probes):
         raise ValueError("the psi grid was evaluated at other probe points")
     return grid
-
-
-def _worse(a: float, b: float) -> float:
-    """``max(a, b)``, except that a NaN wins: a NaN measure is never within tolerance."""
-    return a if math.isnan(a) or b <= a else b
 
 
 @dataclass(frozen=True)
@@ -1103,24 +1109,27 @@ class ResidualReport:
         return not self.failures
 
 
-# sites whose residuals are computed together: bounds the temporaries to a
-# few hundred kB while keeping numpy calls few
-_RESIDUAL_CHUNK = 64
+# sites whose residuals or oracle matrices are computed together: bounds the
+# temporaries to a few hundred kB while keeping numpy calls few
+_SITE_CHUNK = 64
 
 
-def _site_residuals(sd, field: StencilField, grid: PsiGrid, sites, gauge) -> np.ndarray:
-    """Normalized residual of each site's stencil equation at each probe: (sites, probes)."""
-    ncoef = len(MODELS[sd.model].coeffs)
+def _site_residuals(sd, field: StencilField, grid: PsiGrid, sites, neighbors, gauge) -> np.ndarray:
+    """Normalized residual of each site's stencil equation at each probe: (sites, probes).
+
+    ``neighbors`` holds the grid rows of the sites' stencil neighbours
+    (see :meth:`PsiGrid.neighbors`).
+    """
+    ncoef = neighbors.shape[1]
     shape = (ncoef, len(sites), len(grid.probes))
-    # axis 0 runs over the coefficients, so the terms are summed in stencil order
-    neighbors = [grid.neighbors_of(sd.model, site) for site in sites]
-    flat = [nbs[k] for k in range(ncoef) for nbs in neighbors]
     rows = _rows(field, sites)
     coeffs = ScaledArray(np.ascontiguousarray(rows.mantissa.T), np.ascontiguousarray(rows.log_scale.T))
     coeffs = coeffs.reshape(ncoef, len(sites), 1)
-    terms = coeffs.times(grid.at(flat).reshape(*shape))
+    # axis 0 runs over the coefficients, so the terms are summed in stencil order
+    terms = coeffs.times(grid.values[neighbors.T])
     if gauge is not None:
-        gauges = np.array([gauge.at(nb) for nb in flat], dtype=complex)
+        offsets = [stencil_offsets(sd.model, site) for site in sites]
+        gauges = np.array([[gauge.at(nbs[k]) for nbs in offsets] for k in range(ncoef)], dtype=complex)
         terms = terms.times(gauges.reshape(ncoef, len(sites), 1))
     return terms.cancellation(np.broadcast_to(coeffs.mantissa != 0, shape))
 
@@ -1146,26 +1155,24 @@ def residual_report(
     sites = _sites(sd.model, window)
     field = build_field(sd, _radius_of(sites)) if field is None else field
     grid = _grid_for(sd, sites, probes, grid)
-    entries = []
-    failures = []
-    worst_overall = 0.0
-    for start in range(0, len(sites), _RESIDUAL_CHUNK):
-        chunk = sites[start : start + _RESIDUAL_CHUNK]
-        for site, row in zip(chunk, _site_residuals(sd, field, grid, chunk, gauge)):
-            # the first probe attaining the maximum; -1 when there are none
-            worst_probe = int(row.argmax()) if row.size else -1
-            worst = float(row[worst_probe]) if row.size else -1.0
-            entries.append(SiteResidual(site, worst, worst_probe))
-            worst_overall = _worse(worst_overall, worst)
-            if not worst <= tol:  # a NaN residual is a breach
-                failures.append(site)
+    neighbors = grid.neighbors(sd.model, sites)
+    residuals = np.empty((len(sites), len(grid.probes)))
+    for start in range(0, len(sites), _SITE_CHUNK):
+        chunk = slice(start, start + _SITE_CHUNK)
+        residuals[chunk] = _site_residuals(sd, field, grid, sites[chunk], neighbors[chunk], gauge)
+    if grid.probes:
+        # the first probe attaining the maximum; a NaN counts as the maximum
+        worst_probe = residuals.argmax(axis=1)
+        worst = residuals[np.arange(len(sites)), worst_probe]
+    else:
+        worst_probe, worst = np.full(len(sites), -1), np.full(len(sites), -1.0)
     return ResidualReport(
         model=sd.model,
         tolerance=tol,
         probe_count=len(probes),
-        max_residual=worst_overall,
-        entries=tuple(entries),
-        failures=tuple(failures),
+        max_residual=float(worst.max(initial=0.0)),  # a NaN wins
+        entries=tuple(map(SiteResidual, sites, worst.tolist(), worst_probe.tolist())),
+        failures=tuple(compress(sites, ~(worst <= tol))),  # a NaN residual is a breach
     )
 
 
@@ -1176,70 +1183,95 @@ def residual_report(
 MIN_ORACLE_PROBES = 8
 
 
-def nullspace_oracle(
-    sd, site, probes, grid: PsiGrid | None = None
-) -> tuple[Stencil, float, np.ndarray]:
-    """Recover the stencil at ``site`` from function values alone.
+def nullspace_oracle(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The singular values of one site's balanced matrix and its last right singular vector.
 
-    Builds the probes-by-coefficients matrix of neighbor function
-    values, balances it (per-column peak scale, then per-row peak, both
-    exact in log space; row scaling leaves the kernel unchanged and the
-    column scaling is inverted on the kernel vector), and takes the
-    right singular vector of the smallest singular value.  The returned
-    gap sigma_min / sigma_second certifies kernel dimension one when it
-    is small.  The third value holds, per coefficient j, the largest
-    share its term takes of the stencil equation over the probes i, in
-    the balanced frame: max_i |M_ij k_j| / sum_j |M_ij k_j| for the
-    balanced matrix M and kernel vector k.  Raises
-    :class:`RankDeficient` when the second-smallest singular value also
-    collapses (degenerate probes or data).  ``grid`` holds psi at these
-    probes and the site's neighbors (see :func:`psi_grid`); it is
-    evaluated here when omitted.
+    The conjugate of that vector is the oracle's kernel vector (see
+    :func:`_oracle_chunk`).
     """
-    if len(probes) < MIN_ORACLE_PROBES:
-        raise ValueError(f"nullspace_oracle needs at least {MIN_ORACLE_PROBES} probe points")
-    model = MODELS[sd.model]
-    s_obj = model.site(*site)
-    ncols = len(model.coeffs)
-    grid = _grid_for(sd, [tuple(s_obj)], probes, grid)
-    rows = grid.index(grid.neighbors_of(model.name, s_obj))
-    # probes by coefficients, C-ordered: numpy's elementwise kernels below
-    # round the same way only on the same memory layout
-    logs = np.ascontiguousarray(grid.log_abs[rows].T)
-    phases = np.ascontiguousarray(grid.phase[rows].T)
-    col_scale = logs.max(axis=0)
-    balanced = logs - col_scale[None, :]
-    row_scale = balanced.max(axis=1)
-    balanced = balanced - row_scale[:, None]
-    with np.errstate(under="ignore"):
-        matrix = phases * np.exp(balanced)
     _u, sing, vh = np.linalg.svd(matrix)
-    if sing[-2] < 1e-6 * sing[0]:
+    return sing, vh[-1]
+
+
+def _require_kernels(model: Model, sites, sing, kernels, units) -> None:
+    """Raise :class:`RankDeficient` at the first site without a usable one-dimensional kernel.
+
+    A site fails when its second-smallest singular value also collapses
+    (degenerate probes or data), or, checked after that, when its kernel
+    vector has a vanishing unit coefficient.
+    """
+    mags = np.abs(kernels)
+    rank = sing[:, -2] < 1e-6 * sing[:, 0]
+    vanishing = mags[np.arange(len(units)), units] < 1e-12 * mags.max(axis=1)
+    failing = np.flatnonzero(rank | vanishing)
+    if not failing.size:
+        return
+    i = failing[0]
+    if rank[i]:
         raise RankDeficient(
-            "null-space oracle found a kernel of dimension >= 2 "
-            f"(second singular value {sing[-2]:.3e} vs largest {sing[0]:.3e}); "
+            f"null-space oracle found a kernel of dimension >= 2 at site {sites[i]} "
+            f"(second singular value {sing[i, -2]:.3e} vs largest {sing[i, 0]:.3e}); "
             "probes are degenerate or the spectral data is non-generic"
         )
-    gap = float(sing[-1] / sing[-2])
-    kernel = vh[-1].conj()
-    scaled_kernel = [ScaledComplex(kernel[j], -float(col_scale[j])) for j in range(ncols)]
-    unit = model.units[model.site_class(s_obj)]
-    u_idx = model.coeffs.index(unit)
-    kernel_mags = np.abs(kernel)
-    if kernel_mags[u_idx] < 1e-12 * kernel_mags.max():
-        raise RankDeficient(
-            f"oracle kernel vector has a vanishing unit coefficient {unit!r}; "
-            "cannot normalize to the canonical stencil"
-        )
-    unit_val = scaled_kernel[u_idx]
-    values = ScaledArray.of(
-        ScaledComplex.one() if j == u_idx else scaled_kernel[j].over(unit_val)
-        for j in range(ncols)
+    raise RankDeficient(
+        f"oracle kernel vector at site {sites[i]} has a vanishing unit coefficient "
+        f"{model.coeffs[units[i]]!r}; cannot normalize to the canonical stencil"
     )
-    terms = np.abs(matrix * kernel[None, :])
-    sums = terms.sum(axis=1, keepdims=True)
-    shares = np.divide(terms, sums, out=np.zeros_like(terms), where=sums > 0).max(axis=0)
-    return Stencil(model, tuple(s_obj), values), gap, shares
+
+
+def _oracle_chunk(model: Model, grid: PsiGrid, sites, neighbors, units):
+    """The null-space oracle at ``sites``: their gaps, stencils and term shares, in array passes.
+
+    Each site's probes-by-coefficients matrix of neighbour function
+    values is balanced (per-column peak scale, then per-row peak, both
+    exact in log space; row scaling leaves the kernel unchanged and the
+    column scaling is inverted on the kernel vector); the kernel vector
+    is the right singular vector of the smallest singular value, and the
+    stencil is that vector over its unit coefficient (``units`` holds
+    each site's unit column).  The gap sigma_min / sigma_second
+    certifies kernel dimension one when it is small.  The shares hold,
+    per site and coefficient j, the largest share its term takes of the
+    stencil equation over the probes i, in the balanced frame:
+    max_i |M_ij k_j| / sum_j |M_ij k_j| for the balanced matrix M and
+    kernel vector k.  The first failing site raises what the one-site
+    computation raised there (see :func:`_require_kernels`).
+    """
+    n, ncoef = neighbors.shape
+    # a site's non-finite values reach only its own measures, and are reported there
+    with np.errstate(all="ignore"):
+        # (sites, probes, coefficients), C-ordered: each site's matrix is one block
+        logs = np.ascontiguousarray(grid.log_abs[neighbors].transpose(0, 2, 1))
+        phases = np.ascontiguousarray(grid.phase[neighbors].transpose(0, 2, 1))
+        col_scale = logs.max(axis=1)
+        balanced = logs - col_scale[:, None, :]
+        balanced = balanced - balanced.max(axis=2)[:, :, None]
+        matrices = phases * np.exp(balanced)
+    sing = np.empty((n, ncoef))
+    kernels = np.empty((n, ncoef), dtype=complex)
+    # One SVD per site, through the module global, because perfbench's tracer
+    # counts one nullspace_oracle call and one np.linalg.svd call per site
+    # (oracle_calls == svd_calls == 7).  One stacked SVD, which gave the same
+    # bits at every site of radius-20 windows, waits until the counters live
+    # in the package (ROADMAP item 1).
+    for i, matrix in enumerate(matrices):
+        try:
+            sing[i], kernels[i] = nullspace_oracle(matrix)
+        except np.linalg.LinAlgError:
+            _require_kernels(model, sites[:i], sing[:i], kernels[:i], units[:i])  # an earlier failure first
+            raise
+    _require_kernels(model, sites, sing, kernels, units)
+    kernels = kernels.conj()
+    rows = np.arange(n)
+    with np.errstate(all="ignore"):
+        terms = np.abs(matrices * kernels[:, None, :])
+        sums = terms.sum(axis=2, keepdims=True)
+        shares = np.divide(terms, sums, out=np.zeros_like(terms), where=sums > 0).max(axis=1)
+        # the kernel values are numpy scalars: the unit division takes numpy's arithmetic
+        scaled = NumpyScaledArray(kernels, -col_scale)
+        stencils = scaled.over(scaled[rows, units].reshape(n, 1))
+        gaps = sing[:, -1] / sing[:, -2]
+    stencils.mantissa[rows, units], stencils.log_scale[rows, units] = 1.0, 0.0
+    return gaps, stencils, shares
 
 
 @dataclass(frozen=True)
@@ -1261,6 +1293,8 @@ class OracleReport:
     max_forced_zero_excess: float
     entries: tuple[OracleSiteResult, ...]
     failures: tuple[tuple, ...]
+    # the oracle's stencil at each entry's site, one row each, in the model's coefficient order
+    coeffs: NumpyScaledArray = dc_field(repr=False)
 
     @property
     def passed(self) -> bool:
@@ -1279,14 +1313,19 @@ def oracle_report(
 ) -> OracleReport:
     """Compare the closed-form stencils against the null-space oracle sitewise.
 
-    For each site: the singular-value gap must certify a 1-dimensional
-    kernel (``gap_tol``); non-vanishing coefficients must match the
-    oracle relatively (``match_tol``); the term of a coefficient the
-    formulas force to zero must carry at most ``zero_tol`` of the
-    oracle's stencil equation at every probe (its share in the balanced
-    frame, see :func:`nullspace_oracle`).  Measured there, a forced
-    zero does not drift with the spread of neighbour magnitudes, which
-    grows with the window.
+    The oracle recovers each site's stencil from function values alone:
+    the kernel of a probes-by-coefficients matrix (at least
+    ``MIN_ORACLE_PROBES`` probes), so agreement with the closed form is
+    an independent check.  For each site: the singular-value gap must
+    certify a 1-dimensional kernel (``gap_tol``); non-vanishing
+    coefficients must match the oracle relatively (``match_tol``); the
+    term of a coefficient the formulas force to zero must carry at most
+    ``zero_tol`` of the oracle's stencil equation at every probe (its
+    share in the balanced frame, see :func:`_oracle_chunk`).  Measured
+    there, a forced zero does not drift with the spread of neighbour
+    magnitudes, which grows with the window.  A site whose kernel is not
+    one-dimensional, or has a vanishing unit coefficient, raises
+    :class:`RankDeficient` naming the first such site.
     ``grid`` holds psi at these probes (see :func:`psi_grid`); it is
     evaluated here when omitted.
     """
@@ -1294,41 +1333,43 @@ def oracle_report(
     field = build_field(sd, _radius_of(sites)) if field is None else field
     grid = _grid_for(sd, sites, probes, grid)
     formula = _rows(field, sites)
-    entries = []
-    failures = []
-    max_gap = 0.0
-    max_mismatch = 0.0
-    max_zero = 0.0
-    for site, t_mantissas, t_scales in zip(sites, formula.mantissa.tolist(), formula.log_scale.tolist()):
-        oracle, gap, shares = nullspace_oracle(sd, site, probes, grid)
-        mismatch = 0.0
-        zero_excess = 0.0
-        # the oracle's mantissas stay numpy scalars (from the SVD), so each
-        # ratio is taken in numpy's complex arithmetic, as it always was
-        for t_m, t_s, o_m, o_s, share in zip(
-            t_mantissas, t_scales, oracle.values.mantissa, oracle.values.log_scale, shares
-        ):
-            if t_m == 0:
-                zero_excess = _worse(zero_excess, float(share))
-                continue
-            ratio = ScaledComplex(o_m, o_s).over(ScaledComplex(t_m, t_s))
-            mismatch = _worse(mismatch, abs(ratio.as_complex() - 1.0))
-        entries.append(OracleSiteResult(site, gap, mismatch, zero_excess))
-        max_gap = _worse(max_gap, gap)
-        max_mismatch = _worse(max_mismatch, mismatch)
-        max_zero = _worse(max_zero, zero_excess)
-        if not (gap <= gap_tol and mismatch <= match_tol and zero_excess <= zero_tol):
-            failures.append(site)
+    if sites and len(probes) < MIN_ORACLE_PROBES:
+        raise ValueError(f"the null-space oracle needs at least {MIN_ORACLE_PROBES} probe points")
+    model = MODELS[sd.model]
+    neighbors = grid.neighbors(model.name, sites)
+    units = np.array(
+        [model.coeffs.index(model.units[model.site_class(model.site(*site))]) for site in sites], dtype=int
+    )
+    gaps = np.empty(len(sites))
+    shares = np.empty(formula.shape)
+    oracle = NumpyScaledArray(np.empty(formula.shape, dtype=complex), np.empty(formula.shape))
+    for start in range(0, len(sites), _SITE_CHUNK):
+        chunk = slice(start, start + _SITE_CHUNK)
+        gaps[chunk], stencils, shares[chunk] = _oracle_chunk(
+            model, grid, sites[chunk], neighbors[chunk], units[chunk]
+        )
+        oracle.mantissa[chunk], oracle.log_scale[chunk] = stencils.mantissa, stencils.log_scale
+    nonzero = formula.mantissa != 0
+    with np.errstate(all="ignore"):
+        # the oracle's mantissas are numpy scalars, so each ratio takes numpy's arithmetic
+        ratios = oracle[nonzero].over(formula[nonzero]).as_complex() - 1.0
+    errors = np.zeros(nonzero.shape)
+    errors[nonzero] = np.hypot(ratios.real, ratios.imag)
+    # maxima over coefficients and sites: a NaN wins
+    mismatch = errors.max(axis=1)
+    zero_excess = np.where(nonzero, 0.0, shares).max(axis=1)
+    passed = (gaps <= gap_tol) & (mismatch <= match_tol) & (zero_excess <= zero_tol)
     return OracleReport(
         model=sd.model,
         gap_tolerance=gap_tol,
         match_tolerance=match_tol,
         zero_tolerance=zero_tol,
-        max_gap=max_gap,
-        max_mismatch=max_mismatch,
-        max_forced_zero_excess=max_zero,
-        entries=tuple(entries),
-        failures=tuple(failures),
+        max_gap=float(gaps.max(initial=0.0)),
+        max_mismatch=float(mismatch.max(initial=0.0)),
+        max_forced_zero_excess=float(zero_excess.max(initial=0.0)),
+        entries=tuple(map(OracleSiteResult, sites, gaps.tolist(), mismatch.tolist(), zero_excess.tolist())),
+        failures=tuple(compress(sites, ~passed)),
+        coeffs=oracle,
     )
 
 

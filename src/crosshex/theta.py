@@ -213,15 +213,18 @@ class ScaledArray:
     mantissa: np.ndarray  # complex
     log_scale: np.ndarray  # float, same shape
 
+    # the complex quotient of two mantissas
+    _quotient = staticmethod(_div)
+
     def __getitem__(self, index) -> "ScaledArray":
-        return ScaledArray(self.mantissa[index], self.log_scale[index])
+        return type(self)(self.mantissa[index], self.log_scale[index])
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.mantissa.shape
 
     def reshape(self, *shape) -> "ScaledArray":
-        return ScaledArray(self.mantissa.reshape(shape), self.log_scale.reshape(shape))
+        return type(self)(self.mantissa.reshape(shape), self.log_scale.reshape(shape))
 
     def normalized(self) -> "ScaledArray":
         a = _abs(self.mantissa)
@@ -231,23 +234,23 @@ class ScaledArray:
         mantissa = self.mantissa.copy()
         log_scale = self.log_scale.copy()
         moved = a[move]
-        mantissa[move] = _div(mantissa[move], _complex(moved, 0.0))
+        mantissa[move] = self._quotient(mantissa[move], _complex(moved, 0.0))
         log_scale[move] = log_scale[move] + _log(moved)
-        return ScaledArray(mantissa, log_scale)
+        return type(self)(mantissa, log_scale)
 
     def times(self, other) -> "ScaledArray":
         """Elementwise product with a ScaledArray or a plain complex array."""
         if not isinstance(other, ScaledArray):
             other = ScaledArray.from_complex(other)
-        return ScaledArray(
+        return type(self)(
             complex_mul(self.mantissa, other.mantissa), self.log_scale + other.log_scale
         ).normalized()
 
     def over(self, other: "ScaledArray") -> "ScaledArray":
         if (other.mantissa == 0).any():
             raise ZeroDivisionError("division by zero ScaledArray")
-        return ScaledArray(
-            _div(self.mantissa, other.mantissa), self.log_scale - other.log_scale
+        return type(self)(
+            self._quotient(self.mantissa, other.mantissa), self.log_scale - other.log_scale
         ).normalized()
 
     def times_exp(self, w) -> "ScaledArray":
@@ -255,7 +258,7 @@ class ScaledArray:
         w = np.asarray(w, dtype=complex)
         # the parts of CPython's 1j * w.imag, then cmath.exp of it
         phase = np.exp(_complex(0.0 * w.imag - 0.0, 0.0 + w.imag))
-        return ScaledArray(
+        return type(self)(
             complex_mul(self.mantissa, phase), self.log_scale + w.real
         ).normalized()
 
@@ -268,17 +271,17 @@ class ScaledArray:
         diff = lo_s - hi_s
         # CPython's complex * float goes through complex(exp(diff), 0.0)
         small = np.where(diff > -745.0, complex_mul(lo_m, _complex(_exp(diff), 0.0)), 0j)
-        out = ScaledArray(hi_m + small, hi_s).normalized()
+        out = type(self)(hi_m + small, hi_s).normalized()
         # a zero term gives back the other term as it is, not normalized
         lo_zero, hi_zero = lo_m == 0, hi_m == 0
-        return ScaledArray(
+        return type(self)(
             np.where(lo_zero, hi_m, np.where(hi_zero, lo_m, out.mantissa)),
             np.where(lo_zero, hi_s, np.where(hi_zero, lo_s, out.log_scale)),
         )
 
     def negated(self, where=True) -> "ScaledArray":
         """The negated elements where ``where`` holds, the others as they are."""
-        return ScaledArray(np.where(where, -self.mantissa, self.mantissa), self.log_scale)
+        return type(self)(np.where(where, -self.mantissa, self.mantissa), self.log_scale)
 
     @property
     def phase(self) -> np.ndarray:
@@ -286,7 +289,7 @@ class ScaledArray:
         a = _abs(self.mantissa)
         nonzero = self.mantissa != 0
         out = np.zeros(a.shape, dtype=complex)
-        out[nonzero] = _div(self.mantissa[nonzero], _complex(a[nonzero], 0.0))
+        out[nonzero] = self._quotient(self.mantissa[nonzero], _complex(a[nonzero], 0.0))
         return out
 
     @property
@@ -308,7 +311,7 @@ class ScaledArray:
         if scaled.any():
             a = _abs(m[scaled])
             log_total = _log(a) + s[scaled]
-            phase = _div(m[scaled], _complex(a, 0.0))
+            phase = self._quotient(m[scaled], _complex(a, 0.0))
             big = log_total > 709.0
             mid = ~big & ~(log_total < -745.0)
             value = np.zeros(a.shape, dtype=complex)
@@ -368,6 +371,23 @@ class ScaledArray:
     def from_complex(w) -> "ScaledArray":
         w = np.asarray(w, dtype=complex)
         return ScaledArray(w, np.zeros(w.shape))
+
+
+class NumpyScaledArray(ScaledArray):
+    """A :class:`ScaledArray` of ScaledComplex values whose mantissas are ``np.complex128`` scalars.
+
+    That is the type an SVD's singular vectors come in.  numpy's scalar
+    complex quotient multiplies by a reciprocal where CPython's divides
+    (Smith's method in both), and numpy's array ``/`` has the scalar's
+    bits; numpy's scalar product and ``abs`` are CPython's, and ``math``
+    takes numpy floats as they are.  So the quotient is the one
+    operation that changes, and each element has the bits of the scalar
+    computation on numpy mantissas.  The other operand may hold plain
+    complex values, except in ``plus``: there a plain larger term past
+    the exp cutoff stays plain.
+    """
+
+    _quotient = staticmethod(np.divide)
 
 
 def _check_eps(eps: float) -> float:

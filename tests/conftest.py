@@ -10,11 +10,20 @@ import functools
 import json
 import math
 
+import numpy as np
 import pytest
 
 from crosshex.bafunc import _THETA_EPS, SpectralDataCross, SpectralDataHex
-from crosshex.errors import SingularEvaluation
-from crosshex.operators import FIELD_DOC_FORMAT, MODELS, sample_probes
+from crosshex.errors import RankDeficient, SingularEvaluation
+from crosshex.labels import stencil_offsets
+from crosshex.operators import (
+    FIELD_DOC_FORMAT,
+    MIN_ORACLE_PROBES,
+    MODELS,
+    oracle_report,
+    psi_grid,
+    sample_probes,
+)
 from crosshex.surface import make_torus_curve
 from crosshex.theta import ScaledComplex, theta_eval_scaled
 
@@ -194,6 +203,22 @@ def spectral_data(model, curve):
     return _spectral(SpectralDataHex, HEX_NAME_ORDER, curve)
 
 
+def drawn_spectral_data(model, curve):
+    """Spectral data with the marked and divisor points drawn as gen-spectral draws them (fixed seed).
+
+    The fixture's points sit at rational cell fractions, where at radius
+    40 some theta denominator of the window lands on the theta divisor
+    to within rounding.
+    """
+    cls = MODELS[model].spectral_class
+    names = cls.marked_names
+    points = curve.sample_points(
+        np.random.default_rng(4), len(names) + 1, avoid=[curve.point(curve.base_lift)],
+        min_avoid=0.1, min_pairwise=0.1, max_tries=1000,
+    )
+    return cls(curve, dict(zip(names, points)), points[len(names):])
+
+
 def genus_two_document(curve_doc: dict) -> dict:
     """A curve document reshaped as genus 2: a 2x2 B, every lift and period a list of 2 pairs."""
     doc = json.loads(json.dumps(curve_doc))
@@ -238,3 +263,111 @@ def cross_probes(cross_data):
 @pytest.fixture(scope="session")
 def hex_probes(hex_data):
     return sample_probes(hex_data, 12, seed=7)
+
+
+def reference_nullspace_oracle(sd, site, probes, grid=None):
+    """One site's null-space oracle, one site at a time: ``oracle_report``'s reference.
+
+    Returns the oracle's stencil, its gap and its term shares, or raises
+    what the one-site computation raises (``ValueError``,
+    ``RankDeficient``, ``LinAlgError``).  The kernel values are numpy
+    scalars, so the unit division takes numpy's complex arithmetic.
+    """
+    if len(probes) < MIN_ORACLE_PROBES:
+        raise ValueError(f"nullspace_oracle needs at least {MIN_ORACLE_PROBES} probe points")
+    model = MODELS[sd.model]
+    s_obj = model.site(*site)
+    ncols = len(model.coeffs)
+    if grid is None:
+        grid = psi_grid(sd, [tuple(s_obj)], probes)
+    if grid.probes != tuple(probes):
+        raise ValueError("the psi grid was evaluated at other probe points")
+    rows = grid.index(stencil_offsets(model.name, s_obj))
+    # probes by coefficients, C-ordered: numpy's elementwise kernels below
+    # round the same way only on the same memory layout
+    logs = np.ascontiguousarray(grid.log_abs[rows].T)
+    phases = np.ascontiguousarray(grid.phase[rows].T)
+    col_scale = logs.max(axis=0)
+    balanced = logs - col_scale[None, :]
+    row_scale = balanced.max(axis=1)
+    balanced = balanced - row_scale[:, None]
+    with np.errstate(under="ignore"):
+        matrix = phases * np.exp(balanced)
+    _u, sing, vh = np.linalg.svd(matrix)
+    if sing[-2] < 1e-6 * sing[0]:
+        raise RankDeficient(
+            "null-space oracle found a kernel of dimension >= 2 "
+            f"(second singular value {sing[-2]:.3e} vs largest {sing[0]:.3e}); "
+            "probes are degenerate or the spectral data is non-generic"
+        )
+    gap = float(sing[-1] / sing[-2])
+    kernel = vh[-1].conj()
+    scaled_kernel = [ScaledComplex(kernel[j], -float(col_scale[j])) for j in range(ncols)]
+    unit = model.units[model.site_class(s_obj)]
+    u_idx = model.coeffs.index(unit)
+    kernel_mags = np.abs(kernel)
+    if kernel_mags[u_idx] < 1e-12 * kernel_mags.max():
+        raise RankDeficient(
+            f"oracle kernel vector has a vanishing unit coefficient {unit!r}; "
+            "cannot normalize to the canonical stencil"
+        )
+    unit_val = scaled_kernel[u_idx]
+    values = [ScaledComplex.one() if j == u_idx else scaled_kernel[j].over(unit_val) for j in range(ncols)]
+    terms = np.abs(matrix * kernel[None, :])
+    sums = terms.sum(axis=1, keepdims=True)
+    shares = np.divide(terms, sums, out=np.zeros_like(terms), where=sums > 0).max(axis=0)
+    return values, gap, shares
+
+
+def _worse(a, b):
+    """``max(a, b)``, except that a NaN wins."""
+    return a if math.isnan(a) or b <= a else b
+
+
+def reference_oracle_report(sd, sites, probes, field, grid):
+    """``oracle_report``'s measures, one site and one coefficient at a time.
+
+    Returns ``(entries, maxima, failures, stencils)``: per site its
+    ``(site, gap, mismatch, forced-zero excess)``, then the three maxima,
+    the failing sites at the default tolerances, and each site's oracle
+    values.  Each ratio's mantissa is a numpy scalar, so it is taken in
+    numpy's complex arithmetic.
+    """
+    entries, failures, stencils = [], [], []
+    max_gap = max_mismatch = max_zero = 0.0
+    for site in sites:
+        t_row = field.stencils[site].values
+        values, gap, shares = reference_nullspace_oracle(sd, site, probes, grid)
+        o_mantissa = np.array([v.mantissa for v in values], dtype=complex)
+        o_scale = np.array([v.log_scale for v in values], dtype=float)
+        mismatch = 0.0
+        zero_excess = 0.0
+        for t_m, t_s, o_m, o_s, share in zip(
+            t_row.mantissa.tolist(), t_row.log_scale.tolist(), o_mantissa, o_scale, shares
+        ):
+            if t_m == 0:
+                zero_excess = _worse(zero_excess, float(share))
+                continue
+            ratio = ScaledComplex(o_m, o_s).over(ScaledComplex(t_m, t_s))
+            mismatch = _worse(mismatch, abs(ratio.as_complex() - 1.0))
+        entries.append((site, gap, float(mismatch), float(zero_excess)))
+        stencils.append(values)
+        max_gap = _worse(max_gap, gap)
+        max_mismatch = _worse(max_mismatch, mismatch)
+        max_zero = _worse(max_zero, zero_excess)
+        if not (gap <= 1e-6 and mismatch <= 1e-6 and zero_excess <= 1e-8):
+            failures.append(site)
+    return entries, (max_gap, float(max_mismatch), float(max_zero)), failures, stencils
+
+
+def assert_oracle_matches_reference(sd, sites, probes, field, grid):
+    """``oracle_report`` and :func:`reference_oracle_report` agree by ``repr``; returns the report."""
+    report = oracle_report(sd, sites, probes, field=field, grid=grid)
+    entries, maxima, failures, stencils = reference_oracle_report(sd, sites, probes, field, grid)
+    got = [(e.site, e.gap, e.max_mismatch, e.forced_zero_excess) for e in report.entries]
+    got_maxima = (report.max_gap, report.max_mismatch, report.max_forced_zero_excess)
+    assert repr((got, got_maxima, list(report.failures))) == repr((entries, maxima, failures))
+    want = [[(complex(v.mantissa), float(v.log_scale)) for v in row] for row in stencils]
+    rows = [[(v.mantissa, v.log_scale) for v in report.coeffs[i].scalars()] for i in range(len(sites))]
+    assert repr(rows) == repr(want)
+    return report

@@ -1,4 +1,4 @@
-"""Hostile documents: mutated spectral, curve and field documents never crash the CLI.
+"""Hostile documents and argument vectors never crash the CLI.
 
 Each example takes a valid document, mutates one place in it (drops a
 key or list entry, wraps a value in another type, or puts in a huge or
@@ -6,8 +6,11 @@ non-finite number or nested junk) and runs the commands that read it.
 Every run must end with exit 0, 1 or 2; an exception escaping ``main``
 fails the test.  Field metadata that ``export`` would copy into its
 output (a NaN normalization, a non-integer seed, a non-string ref) must
-exit 2.  Hypothesis runs derandomized, so the examples are the
-same on every run.
+exit 2.  Argument vectors are each command's valid vector with a few
+edits (a value swapped for a bad or edge one, a token dropped, an option
+or a junk token added), run in a fresh directory holding good, empty,
+non-UTF-8 and missing files.  Hypothesis runs derandomized, so the
+examples are the same on every run.
 """
 
 import contextlib
@@ -15,6 +18,9 @@ import copy
 import io
 import json
 import math
+import os
+import shutil
+import tempfile
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -136,3 +142,107 @@ def test_field_metadata_is_checked_before_export(documents, metadata):
     field.write_text(json.dumps({**docs["cross"][2], **metadata}))
     for fmt in ("csv", "json"):
         assert _run(["export", "-i", str(field), "--format", fmt, "-o", str(root / "out")]) == 2
+
+
+# -- argument vectors ------------------------------------------------------------
+
+# every file name an argument vector may give; "dir" is a directory, the
+# nested path and "missing.json" do not exist
+NAMES = (
+    "spec.json", "hex.json", "spec.curve.json", "field.json", "empty.json", "junk.bin",
+    "missing.json", "dir", "dir/nested/out.json", "out.json", "out.csv", "out",
+)
+TOLERANCES = ("1e-8", "1e-300", "0", "-1", "nan", "inf", "x")
+OPTION_VALUES = {
+    "--model": ("cross", "hex", "square", ""),
+    "--seed": ("0", "1", "9", "-1", "1.5", "x", ""),
+    "--b-re": ("-3.5", "-7", "-3", "-2.99", "-40", "-9000", "-2e4", "nan", "-inf", "x"),
+    "--b-im": ("0", "2.5", "-4999", "6000", "nan", "x"),
+    "--window": ("0", "1", "2", "-1", "1.0", "x"),
+    "--probes": ("8", "9", "7", "0", "x"),
+    "--tol": TOLERANCES,
+    "--gap-tol": TOLERANCES,
+    "--match-tol": TOLERANCES,
+    "--format": ("csv", "json", "xml"),
+    "-i": NAMES,
+    "--input": NAMES,
+    "-o": NAMES,
+    "--output": NAMES,
+}
+# one valid vector per command, which the drawn edits then break or vary
+VALID = {
+    "gen-spectral": ["--model", "hex", "--seed", "1", "-o", "out.json"],
+    "build": ["-i", "spec.json", "--window", "1", "-o", "out.json"],
+    "verify": ["-i", "spec.json", "--window", "0", "--probes", "8"],
+    "export": ["-i", "field.json", "--format", "csv", "-o", "out.csv"],
+}
+TOKENS = ("--help", "-h", "--", "-", "spec.json", "--verbose", "=", "", "verify")
+
+# sized so that the test adds about 1.5 s to tier-1 (2-core Xeon)
+ARGV = settings(
+    max_examples=200,
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@st.composite
+def argument_vectors(draw):
+    """A command's valid vector with up to three edits: a value swapped, a token dropped, an option or junk added."""
+    command = draw(st.sampled_from((*VALID, "no-such-command")))
+    argv = list(VALID.get(command, []))
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(("swap", "swap", "drop", "add", "junk")))
+        at = draw(st.integers(0, len(argv)))
+        if edit == "swap" and 0 < at < len(argv) and argv[at - 1] in OPTION_VALUES:
+            argv[at] = draw(st.sampled_from(OPTION_VALUES[argv[at - 1]]))
+        elif edit == "drop" and at < len(argv):
+            del argv[at]
+        elif edit == "add":
+            option = draw(st.sampled_from(tuple(OPTION_VALUES)))
+            argv[at:at] = [option, draw(st.sampled_from(OPTION_VALUES[option]))]
+        elif edit == "junk":
+            argv.insert(at, draw(st.sampled_from(TOKENS)))
+    return [command, *argv]
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """The files of ``NAMES`` that exist, made once and copied into a fresh directory per example."""
+    root = tmp_path_factory.mktemp("argv")
+    with _cwd(root):
+        assert _run(["gen-spectral", "--model", "cross", "--seed", "1", "-o", "spec.json"]) == 0
+        assert _run(["gen-spectral", "--model", "hex", "--seed", "2", "-o", "hex.json"]) == 0
+        assert _run(["build", "-i", "spec.json", "--window", "1", "-o", "field.json"]) == 0
+    (root / "empty.json").write_text("")
+    (root / "junk.bin").write_bytes(bytes(range(256)))
+    (root / "dir").mkdir()
+    return root
+
+
+@contextlib.contextmanager
+def _cwd(path):
+    """Run the block in ``path`` (``contextlib.chdir`` needs Python 3.11)."""
+    before = os.getcwd()
+    os.chdir(path)
+    try:
+        yield
+    finally:
+        os.chdir(before)
+
+
+@ARGV
+@given(argv=argument_vectors())
+def test_argument_vectors_exit_cleanly(argv_files, argv):
+    with tempfile.TemporaryDirectory() as work, _cwd(work):
+        shutil.copytree(argv_files, work, dirs_exist_ok=True)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: usage errors and --help
+                code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

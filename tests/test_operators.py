@@ -46,7 +46,6 @@ from crosshex.operators import (
     field_to_document,
     gauge_transform,
     hex_coefficients,
-    nullspace_oracle,
     oracle_report,
     psi_grid,
     residual_report,
@@ -182,7 +181,7 @@ def test_grid_must_hold_the_probes(cross_data, cross_probes):
     with pytest.raises(ValueError):
         residual_report(cross_data, 1, cross_probes[1:9], grid=grid)
     with pytest.raises(ValueError):
-        nullspace_oracle(cross_data, site_cross(0, 0), cross_probes[1:9], grid)
+        oracle_report(cross_data, 1, cross_probes[1:9], grid=grid)
 
 
 def test_unit_and_zero_coefficients_by_class(cross_data, hex_data):
@@ -233,9 +232,9 @@ def test_formula_tables_align_with_shifts(name, request):
 def test_ratio_formula_reproduces_oracle_coefficient(cross_data, cross_probes):
     v = relabel_cross(site_cross(0, 0))
     formula = next(f for f in CROSS_EVEN_FORMULAS if f.coeff == "a")
-    stencil, gap, _ = nullspace_oracle(cross_data, site_cross(0, 0), cross_probes)
-    assert gap <= 1e-6
-    want = stencil.as_dict()["a"]
+    rep = oracle_report(cross_data, [(0, 0)], cross_probes)
+    assert rep.entries[0].gap <= 1e-6
+    want = rep.coeffs.as_complex()[0, CROSS_COEFFS.index("a")]
     got = evaluate_ratio(cross_data, v, formula).as_complex()
     assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
@@ -247,8 +246,7 @@ def test_printed_residue0_formula_fails_and_correction_holds(hex_data, hex_probe
     corrected = next(f for f in HEX_FORMULAS_BY_RESIDUE[0] if f.coeff == "f")
     assert "corrected-index" in corrected.transcription
     assert "as-printed" in HEX_CASE0_F_AS_PRINTED.transcription
-    stencil, _, _ = nullspace_oracle(hex_data, site_hex(0, 0, 0), hex_probes)
-    want = stencil.as_dict()["f"]
+    want = oracle_report(hex_data, [(0, 0, 0)], hex_probes).coeffs.as_complex()[0, HEX_COEFFS.index("f")]
     good = evaluate_ratio(hex_data, v, corrected).as_complex()
     bad = evaluate_ratio(hex_data, v, HEX_CASE0_F_AS_PRINTED).as_complex()
     assert abs(good - want) <= 1e-10 * abs(want)
@@ -393,9 +391,9 @@ def test_forced_zero_measure_reads_a_real_term(hex_data, hex_probes):
 
 def test_oracle_needs_independent_probes(cross_data, cross_probes):
     with pytest.raises(RankDeficient):
-        nullspace_oracle(cross_data, site_cross(0, 0), [cross_probes[0]] * 8)
+        oracle_report(cross_data, [(0, 0)], [cross_probes[0]] * 8)
     with pytest.raises(ValueError):
-        nullspace_oracle(cross_data, site_cross(0, 0), cross_probes[:5])
+        oracle_report(cross_data, [(0, 0)], cross_probes[:5])
 
 
 # -- documents and CSV ---------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from crosshex.errors import NonConvergent
 from crosshex.theta import (
+    NumpyScaledArray,
     PeriodMatrix,
     ScaledArray,
     ScaledComplex,
@@ -357,6 +358,37 @@ def test_scaled_array_ops_match_scaled_complex_bit_for_bit():
     assert (diff <= -745).sum() > 100 and (diff >= 745).sum() > 100
     assert same(left.plus(right).scalars(), [x.plus(y) for x, y in zip(left.scalars(), right.scalars())])
     assert same(right.plus(left).scalars(), [y.plus(x) for x, y in zip(left.scalars(), right.scalars())])
+
+
+def test_numpy_scaled_array_has_the_bits_of_scaled_complex_on_numpy_mantissas():
+    # an SVD's kernel values are np.complex128 scalars: ScaledComplex arithmetic on
+    # them takes numpy's scalar operations, and NumpyScaledArray repeats those
+    rng = np.random.default_rng(31)
+    a, b = _scaled_draws(rng, 5000), _scaled_draws(rng, 5000)
+    w = rng.normal(0.0, 50.0, 5000) + 1j * rng.normal(0.0, 50.0, 5000)
+    b.log_scale[:500] = a.log_scale[:500] - rng.uniform(700.0, 800.0, 500)  # around the plus cutoff
+    na = NumpyScaledArray(a.mantissa, a.log_scale)
+    scalars = [ScaledComplex(m, s) for m, s in zip(na.mantissa, na.log_scale)]  # numpy scalars
+    others = b.scalars()
+
+    def same(got, want):
+        return repr(got.scalars()) == repr([ScaledComplex(complex(x.mantissa), float(x.log_scale)) for x in want])
+
+    quotients = [x.over(y) for x, y in zip(scalars, others)]
+    assert isinstance(quotients[0].mantissa, np.complex128)
+    assert type(na.over(b)) is NumpyScaledArray and same(na.over(b), quotients)
+    assert repr(na.over(b).as_complex().tolist()) == repr([complex(x.as_complex()) for x in quotients])
+    assert same(na.normalized(), [x.normalized() for x in scalars])
+    assert same(na.times(b), [x.times(y) for x, y in zip(scalars, others)])
+    assert same(na.times_exp(w), [x.times_exp(v) for x, v in zip(scalars, w.tolist())])
+    # a plain larger term stays plain past the exp cutoff: plus takes numpy terms on both sides
+    nb = NumpyScaledArray(b.mantissa, b.log_scale)
+    numpy_others = [ScaledComplex(m, s) for m, s in zip(nb.mantissa, nb.log_scale)]
+    assert same(na.plus(nb), [x.plus(y) for x, y in zip(scalars, numpy_others)])
+    assert same(nb.plus(na), [y.plus(x) for x, y in zip(scalars, numpy_others)])
+    assert same(na[::7], scalars[::7]) and type(na[::7]) is NumpyScaledArray
+    # the quotient is the operation that differs from CPython's
+    assert repr(na.over(b).scalars()) != repr(a.over(b).scalars())
 
 
 def test_scaled_array_zero_mantissas():
