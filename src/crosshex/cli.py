@@ -78,7 +78,8 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the decoder's recursion limit
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
 
 

@@ -1050,10 +1050,6 @@ class PsiGrid:
         rows = [self.index(stencil_offsets(model, site)) for site in sites]
         return np.array(rows, dtype=int).reshape(len(sites), len(MODELS[model].coeffs))
 
-    def at(self, sites) -> ScaledArray:
-        """The rows of ``sites``, in order: shape (len(sites), probes)."""
-        return self.values[self.index(sites)]
-
     @cached_property
     def log_abs(self) -> np.ndarray:
         return self.values.log_abs

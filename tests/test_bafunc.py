@@ -127,7 +127,8 @@ def test_psi_is_phi_at_the_site_label(cross_data, hex_data, cross_probes, hex_pr
         (hex_data, hex_probes[:2], (1, 1, -2), relabel_hex),
     ):
         neighbors = stencil_offsets(sd.model, site)
-        psi = psi_grid(sd, [site], probes).at(neighbors)
+        grid = psi_grid(sd, [site], probes)
+        psi = grid.values[grid.neighbor_rows[0]]  # the site's stored neighbour rows
         phi = sd.phi_scaled([relabel(nb) for nb in neighbors], probes)
         assert repr(psi.scalars()) == repr(phi.scalars())
 

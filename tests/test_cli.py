@@ -230,6 +230,17 @@ def test_corrupt_documents_exit_2(workspace, tmp_path, capsys):
         capsys.readouterr()
         return main(argv) == 2 and capsys.readouterr().err.startswith("error: ")
 
+    # undecodable bytes, and nesting deeper than the JSON decoder recurses
+    for i, content in enumerate([bytes(range(256)), b"[" * 100_000 + b"]" * 100_000]):
+        unreadable = tmp_path / f"unreadable-{i}.json"
+        unreadable.write_bytes(content)
+        for argv in (
+            ["build", "-i", str(unreadable), "-o", str(tmp_path / "u.json")],
+            ["verify", "-i", str(unreadable)],
+            ["export", "-i", str(unreadable), "-o", str(tmp_path / "u.csv")],
+        ):
+            assert exits_2_with_error_line(argv), (i, argv[0])
+
     good = json.loads(field.read_text())
     sites, first = good["sites"], good["sites"][0]
     for i, change in enumerate(

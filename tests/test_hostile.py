@@ -9,8 +9,8 @@ output (a NaN normalization, a non-integer seed, a non-string ref) must
 exit 2.  Argument vectors are each command's valid vector with a few
 edits (a value swapped for a bad or edge one, a token dropped, an option
 or a junk token added), run in a fresh directory holding good, empty,
-non-UTF-8 and missing files.  Hypothesis runs derandomized, so the
-examples are the same on every run.
+non-UTF-8, too deeply nested and missing files.  Hypothesis runs
+derandomized, so the examples are the same on every run.
 """
 
 import contextlib
@@ -149,7 +149,7 @@ def test_field_metadata_is_checked_before_export(documents, metadata):
 # every file name an argument vector may give; "dir" is a directory, the
 # nested path and "missing.json" do not exist
 NAMES = (
-    "spec.json", "hex.json", "spec.curve.json", "field.json", "empty.json", "junk.bin",
+    "spec.json", "hex.json", "spec.curve.json", "field.json", "empty.json", "junk.bin", "deep.json",
     "missing.json", "dir", "dir/nested/out.json", "out.json", "out.csv", "out",
 )
 TOLERANCES = ("1e-8", "1e-300", "0", "-1", "nan", "inf", "x")
@@ -218,6 +218,7 @@ def argv_files(tmp_path_factory):
         assert _run(["build", "-i", "spec.json", "--window", "1", "-o", "field.json"]) == 0
     (root / "empty.json").write_text("")
     (root / "junk.bin").write_bytes(bytes(range(256)))
+    (root / "deep.json").write_text("[" * 100_000 + "]" * 100_000)  # deeper than the decoder recurses
     (root / "dir").mkdir()
     return root
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from crosshex.errors import RankDeficient
-from crosshex.labels import CROSS_COEFFS, HEX_COEFFS, stencil_offsets
+from crosshex.labels import HEX_COEFFS, stencil_offsets
 from crosshex.operators import PsiGrid, build_field, oracle_report, psi_grid, residual_report, sample_probes
 from crosshex.surface import make_torus_curve
 from crosshex.theta import ScaledArray
@@ -143,14 +143,3 @@ def test_too_few_or_other_probes_raise_valueerror_first(cross_data, cross_probes
         oracle_report(cross_data, 1, [cross_probes[0]] * 8)
     # an empty window checks nothing
     assert oracle_report(cross_data, [], cross_probes[:5]).entries == ()
-
-
-def test_the_oracle_stencil_is_the_field_at_a_clean_site(cross_data, cross_probes):
-    report = oracle_report(cross_data, [(0, 0), (1, 0)], cross_probes)
-    field = build_field(cross_data, 1)
-    oracle = report.coeffs.as_complex()
-    for i, site in enumerate([(0, 0), (1, 0)]):
-        want = field.stencils[site].as_dict()
-        assert oracle[i, CROSS_COEFFS.index(field.stencils[site].unit)] == 1.0
-        for k, key in enumerate(CROSS_COEFFS):
-            assert abs(oracle[i, k] - want[key]) <= 1e-8 * abs(want[key])
