@@ -130,8 +130,16 @@ def cmd_gen_spectral(config) -> int:
         "divisor": [complex_to_json(p.lift) for p in divisor],
         "normalization": normalization.to_json(),
     }
-    _dump_json(curve_doc, curve_path)
-    _dump_json(spectral_doc, out)
+    written = []
+    try:
+        for doc, path in ((curve_doc, curve_path), (spectral_doc, out)):
+            _dump_json(doc, path)
+            written.append(path)
+    except OSError:
+        # a failed write leaves neither document behind
+        for path in written:
+            os.remove(path)
+        raise
     print(f"wrote {out} and {curve_path} (model {model.name}, seed {config.seed})")
     return 0
 

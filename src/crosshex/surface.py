@@ -246,10 +246,15 @@ class TorusCurve(SpectralCurve):
         Each segment is subdivided depth-first until every step changes
         the argument by at most ~1 radian and the log-magnitude by at
         most 1.5, which pins the branch of the logarithm, and its steps
-        are summed from a to b.  All segments advance in lockstep: each
-        round evaluates the next point of every unfinished segment with
-        one :func:`theta_eval_batch` call.  A segment takes the same
-        steps as it would alone, so its increment has the bits of a
+        are summed from a to b.  All segments advance in lockstep, and
+        each point reaches the kernel once: the first
+        :func:`theta_eval_batch` call evaluates both ends of every
+        segment, and each later round evaluates only the midpoints the
+        last round pushed.  A right end waits on its segment's stack
+        with its value, so after an accepted step the segment tests the
+        next end at once, and keeps stepping until a test fails (which
+        pushes a midpoint) or its stack is empty.  A segment takes the
+        same steps as it would alone, so its increment has the bits of a
         one-segment call; equal segments are tracked once, and
         ``a == b`` gives 0j.  A segment that passes within 1e-8 of a
         lattice translate of its pole, or whose subdivision stack
@@ -266,29 +271,39 @@ class TorusCurve(SpectralCurve):
             out[seg] = PoleOnPath(f"integration segment passes within {_POLE_TOL:g} of a pole lift")
         work = list(itertools.compress(work, ~near))
         pole = [p for p, _, _ in work]
-        u0 = [a for _, a, _ in work]
-        m0, la0 = self._primes([a - p for p, a, _ in work])
-        pending = [[b] for _, _, b in work]  # right ends still to reach; the last is next
+        ends = [a for _, a, _ in work] + [b for _, _, b in work]
+        points = list(zip(ends, *self._primes([u - p for u, p in zip(ends, pole * 2)])))
+        # (u, mantissa, log-magnitude): the point each segment has reached, and
+        # the right ends it has still to reach, the last next
+        left = points[: len(work)]
+        pending = [[end] for end in points[len(work) :]]
         total = [0j] * len(work)
-        live = list(range(len(work)))
+        live = range(len(work))
         while live:
-            m1, la1 = self._primes([pending[i][-1] - pole[i] for i in live])
-            still = []
-            for i, m, la in zip(live, m1, la1):
-                d_arg = cmath.phase(m / m0[i])
-                d_logabs = la - la0[i]
-                if abs(d_arg) > 1.0 or abs(d_logabs) > 1.5:
-                    if len(pending[i]) >= _CONTINUATION_STACK_CAP:
-                        out[work[i]] = PoleOnPath("branch tracking could not resolve the path")
-                        continue
-                    pending[i].append(0.5 * (u0[i] + pending[i][-1]))
-                else:
+            still, mids = [], []
+            for i in live:
+                stack = pending[i]
+                u0, m0, la0 = left[i]
+                while stack:
+                    u1, m1, la1 = stack[-1]
+                    d_arg = cmath.phase(m1 / m0)
+                    d_logabs = la1 - la0
+                    if abs(d_arg) > 1.0 or abs(d_logabs) > 1.5:
+                        break
                     total[i] += complex(d_logabs, d_arg)
-                    u0[i], m0[i], la0[i] = pending[i].pop(), m, la
-                    if not pending[i]:
-                        out[work[i]] = total[i]
-                        continue
-                still.append(i)
+                    u0, m0, la0 = stack.pop()
+                left[i] = (u0, m0, la0)
+                if not stack:
+                    out[work[i]] = total[i]
+                elif len(stack) >= _CONTINUATION_STACK_CAP:
+                    out[work[i]] = PoleOnPath("branch tracking could not resolve the path")
+                else:
+                    still.append(i)
+                    mids.append(0.5 * (u0 + u1))
+            if still:
+                m, la = self._primes([u - pole[i] for i, u in zip(still, mids)])
+                for i, point in zip(still, zip(mids, m, la)):
+                    pending[i].append(point)
             live = still
         return [out[seg] for seg in segments]
 

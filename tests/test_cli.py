@@ -205,6 +205,21 @@ def test_a_period_beyond_the_im_bound_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_failed_write_leaves_neither_document(tmp_path, capsys):
+    # the spectral path is a directory: the curve document is written first, then removed
+    spectral = tmp_path / "d"
+    spectral.mkdir()
+    assert main(["gen-spectral", "--model", "cross", "-o", str(spectral)]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d"] and not any(spectral.iterdir())
+    # the curve path is a directory: nothing is written
+    (tmp_path / "e.curve.json").mkdir()
+    assert main(["gen-spectral", "--model", "hex", "-o", str(tmp_path / "e.json")]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "e.curve.json"]
+    assert not any((tmp_path / "e.curve.json").iterdir())
+
+
 def test_corrupt_documents_exit_2(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ not json")

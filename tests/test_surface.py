@@ -112,8 +112,12 @@ def _segment_pole_distance_loop(curve, pole: complex, a: complex, b: complex) ->
     return best
 
 
-def _log_prime_delta_dfs(curve, pole: complex, a: complex, b: complex) -> complex:
-    """Reference: one segment's branch tracking as a scalar depth-first loop."""
+def _log_prime_delta_dfs(curve, pole: complex, a: complex, b: complex, visits=None) -> complex:
+    """Reference: one segment's branch tracking as a scalar depth-first loop.
+
+    ``visits``, if given, receives ``(u, stack depth)`` for every right
+    end the loop evaluates, in order.
+    """
     if a == b:
         return 0j
     if _segment_pole_distance_loop(curve, pole, a, b) < surface._POLE_TOL:
@@ -128,6 +132,8 @@ def _log_prime_delta_dfs(curve, pole: complex, a: complex, b: complex) -> comple
     pending = [b]
     while pending:
         u1 = pending[-1]
+        if visits is not None:
+            visits.append((u1, len(pending)))
         f1 = prime(u1 - pole)
         d_arg = cmath.phase(f1.mantissa / f0.mantissa)
         d_logabs = f1.log_abs - f0.log_abs
@@ -222,6 +228,36 @@ def test_stack_cap_refuses_where_the_scalar_dfs_raises(monkeypatch):
         assert all(_same_outcome(g, w) for g, w in zip(got, want))
         assert all(_same_outcome(curve._log_prime_deltas([seg])[0], w) for seg, w in zip(segments, want))
     assert refused >= 10
+
+
+def test_lockstep_tracking_evaluates_each_point_once(monkeypatch):
+    kernel = surface.theta_eval_batch
+    evaluated = []
+
+    def recording(pm, z, eps):
+        evaluated.extend(np.asarray(z).tolist())
+        return kernel(pm, z, eps)
+
+    monkeypatch.setattr(surface, "theta_eval_batch", recording)
+    rng = np.random.default_rng(43)
+    tracked, deepest = 0, 0
+    for curve, segments in _tracking_cases(rng, 3):
+        for seg in segments:
+            visits = []
+            try:
+                _log_prime_delta_dfs(curve, *seg, visits=visits)
+            except PoleOnPath:
+                continue
+            if not visits:  # a == b
+                continue
+            evaluated.clear()
+            curve._log_prime_deltas([seg])
+            # every point once: the start, then each right end the scalar loop visits
+            assert len(set(evaluated)) == len(evaluated) == len({u for u, _ in visits}) + 1
+            tracked += 1
+            deepest = max(deepest, max(depth for _, depth in visits) - 1)
+    assert tracked >= 80
+    assert deepest >= 4  # some segment nests four midpoints and unwinds them in one round
 
 
 def test_array_pole_distance_matches_the_scalar_loop():
