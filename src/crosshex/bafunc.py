@@ -126,16 +126,17 @@ class _SpectralDataBase:
         self._integral_cache: dict[tuple, complex] = {}
 
     def _check_separation(self) -> None:
-        named = list(self.marked.items())
-        for i, (name_a, pa) in enumerate(named):
-            for name_b, pb in named[i + 1 :]:
-                d = self.curve.cover_distance(pa.lift, pb.lift)
+        names = list(self.marked)
+        lifts = [p.lift for p in self.marked.values()]
+        # row i, column j: from marked point i (the divisor point last) to marked point j
+        table = self.curve.cover_distance(lifts + [self.divisor[0].lift], lifts).tolist()
+        for i, name_a in enumerate(names):
+            for name_b, d in zip(names[i + 1 :], table[i][i + 1 :]):
                 if d < _MIN_POINT_SEPARATION:
                     raise ConsistencyFailure(
                         f"marked points {name_a} and {name_b} are only {d:.3e} apart on the curve"
                     )
-        for name_a, pa in named:
-            d = self.curve.cover_distance(self.divisor[0].lift, pa.lift)
+        for name_a, d in zip(names, table[-1]):
             if d < _MIN_POINT_SEPARATION:
                 raise ConsistencyFailure(
                     f"the divisor point collides with marked point {name_a} ({d:.3e})"

@@ -99,23 +99,35 @@ class SpectralCurve:
         s = (delta.imag - B.imag * t) / (2.0 * math.pi)
         return s, t
 
-    def cover_distance(self, lift: complex, others) -> float | np.ndarray:
+    def cover_distance(self, lift, others) -> float | np.ndarray:
         """Distance between lifts as curve points: min over lattice translates.
 
-        For a complex ``others`` the result is a ``float``; for a 1-D
-        array of N lifts it is an array of the N distances.  Either way
-        one vectorised pass tries the 9 translates around the nearest
-        lattice vector of each difference.
+        For a complex ``lift`` and a complex ``others`` the result is a
+        ``float``; for a 1-D array of N lifts in ``others`` it is an array
+        of the N distances; for a 1-D array of L lifts in ``lift`` it
+        gains a leading axis, one row per lift (an (L, N) table).  Each
+        of the 9 translates around the nearest lattice vector of every
+        difference takes one vectorised pass, and a running minimum keeps
+        every temporary the size of the result.
         """
-        delta = lift - np.asarray(others, dtype=complex)
-        if delta.ndim > 1:
-            raise DimensionMismatch(f"others must be one lift or a 1-D array, got shape {delta.shape}")
+        lift = np.asarray(lift, dtype=complex)
+        others = np.asarray(others, dtype=complex)
+        if others.ndim > 1 or lift.ndim > 1:
+            raise DimensionMismatch(
+                f"lift and others must each be one lift or a 1-D array, got shapes {lift.shape}, {others.shape}"
+            )
+        delta = np.subtract.outer(lift, others)
         s, t = self.lattice_coords(delta)
-        m = np.rint(s)[..., None] + _OFFSET_M
-        n = np.rint(t)[..., None] + _OFFSET_N
-        diff = delta[..., None] - (2j * math.pi * m + self.pm.B * n)
-        # sqrt(re*re + im*im), not abs(): hypot rounds differently in the last bit
-        dist = np.sqrt(diff.real * diff.real + diff.imag * diff.imag).min(-1)
+        m, n = np.rint(s), np.rint(t)
+        least = None
+        for dm, dn in zip(_OFFSET_M, _OFFSET_N):
+            diff = delta - (2j * math.pi * (m + dm) + self.pm.B * (n + dn))
+            square = diff.real * diff.real + diff.imag * diff.imag
+            least = square if least is None else np.minimum(least, square)
+        # sqrt(re*re + im*im), not abs(): hypot rounds differently in the last
+        # bit; sqrt rounds monotonically, so the root of the least square is
+        # the least root
+        dist = np.sqrt(least)
         return dist if delta.ndim else float(dist)
 
     def third_kind_integrals(self, requests) -> list[complex]:
@@ -137,13 +149,19 @@ class SpectralCurve:
 
         Each draw is ``base + 2*pi*i*rng.random() + B*rng.random()``.
         It is rejected within ``min_avoid`` cover distance of a point of
-        the non-empty ``avoid``, within ``min_pairwise`` of a lift kept, and,
-        when ``poles`` are given, if its base-to-lift path passes within
-        1e-3 of a pole translate.  Raises :class:`SeparationFailure`
-        after ``max_tries`` draws.
+        the non-empty ``avoid``, within ``min_pairwise`` of a lift kept
+        (an earlier draw of the same batch included), and, when ``poles``
+        are given, if its base-to-lift path passes within 1e-3 of a pole
+        translate.  Each batch of draws is screened in two
+        :meth:`cover_distance` tables, draws against ``avoid`` and draws
+        against the lifts kept and the batch itself; the draws are then
+        accepted in order.  Raises :class:`SeparationFailure` after
+        ``max_tries`` draws, and ``ValueError`` for an empty ``avoid``.
         """
         B = self.pm.B
         avoid = np.array([p.lift for p in avoid], dtype=complex)
+        if not avoid.size:
+            raise ValueError("sample_points needs a non-empty avoid")
         kept: list[complex] = []
         tries = 0
         while len(kept) < count and tries < max_tries:
@@ -154,13 +172,17 @@ class SpectralCurve:
             lifts = [
                 self.base_lift + 2j * math.pi * rng.random() + B * rng.random() for _ in range(draws)
             ]
-            blocked = self._path_clearances(lifts, poles) < _PATH_CLEARANCE if poles else [False] * draws
-            for lift, block in zip(lifts, blocked):
-                if block or self.cover_distance(lift, avoid).min() < min_avoid:
-                    continue
-                if kept and self.cover_distance(lift, np.array(kept)).min() < min_pairwise:
-                    continue
-                kept.append(lift)
+            accept = ~(self.cover_distance(lifts, avoid).min(axis=1) < min_avoid)
+            if poles:
+                accept &= ~(self._path_clearances(lifts, poles) < _PATH_CLEARANCE)
+            near = self.cover_distance(lifts, kept + lifts) < min_pairwise
+            accept &= ~near[:, : len(kept)].any(axis=1)
+            # draw i against the earlier draws of the batch, which are settled
+            # by the time it is reached
+            near = np.tril(near[:, len(kept) :], -1)
+            for i in np.flatnonzero(near.any(axis=1)):
+                accept[i] &= not (near[i] & accept).any()
+            kept += itertools.compress(lifts, accept.tolist())
         if len(kept) < count:
             raise SeparationFailure(f"placed {len(kept)} of {count} points in {max_tries} draws")
         return [SurfacePoint(lift) for lift in kept]

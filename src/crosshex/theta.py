@@ -28,6 +28,7 @@ bit-identical results.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,10 +38,16 @@ from .errors import NonConvergent
 
 _SHELL_CAP = 60
 _MAX_EPS = 1.0e-3
-# below this many arguments theta_eval_batch runs the scalar kernel element by
-# element: a numpy pass costs about 250 us whatever its size, one scalar call
-# about 13 us (2-core Xeon, Python 3.11, numpy 2.4)
-_BATCH_CROSSOVER = 20
+# theta_eval_batch runs the scalar kernel element by element while the
+# arguments times (head depth + 2) number fewer than this: a batched call costs
+# about 50-100 us up to a few dozen arguments, a scalar call about 2 us plus
+# 1.2 us per shell (2-core Xeon, Python 3.11, numpy 2.4).  The batched kernel
+# then takes 8 arguments and more at Re B -4.25, 10 at -6.75 and 13 at -40.
+_BATCH_CROSSOVER = 64
+# from this many arguments on, _lattice_sum_batch runs its shell loop alone: a
+# one-pass head evaluates shells the loop would already have dropped, and at
+# Re B -4.25 the loop is as fast from about 1,500 arguments on
+_HEAD_LIMIT = 1536
 
 
 @dataclass(frozen=True)
@@ -467,76 +474,120 @@ def theta_eval_scaled(pm: PeriodMatrix, z: complex, eps: float = 1e-12) -> Scale
     return _lattice_sum_1d(pm.B, complex(z), _check_eps(eps))
 
 
+def _head_depth(b: complex, eps: float) -> int:
+    """How many shells past the centre the one-pass head of :func:`_lattice_sum_batch` evaluates.
+
+    The terms r shells from the Gaussian peak fall off as
+    exp(Re B r^2 / 2), so past this depth they are below ``eps * exp(-8)``
+    with a shell to spare for the peak's offset from its integer centre,
+    and nearly every element stops inside the head.
+    """
+    return min(_SHELL_CAP, math.ceil(math.sqrt(2.0 * (8.0 - math.log(eps)) / -b.real)) + 1)
+
+
+@functools.lru_cache(maxsize=16)
+def _batch_crossover(b: complex, eps: float) -> int:
+    """The fewest arguments :func:`theta_eval_batch` hands to the batched kernel at this period and eps."""
+    return -(-_BATCH_CROSSOVER // (_head_depth(b, eps) + 2))
+
+
 def _lattice_sum_batch(b: complex, z: np.ndarray, eps: float) -> ScaledArray:
     """:func:`_lattice_sum_1d` over an array of arguments.
 
     Every element follows the scalar kernel step for step: the same
     Gaussian-peak centre and scale, the same shell order, the same
     two-quiet-shells stop, each element stopping at its own shell, so
-    each result has the scalar kernel's bits.  Finished elements leave
-    the working set; a non-finite argument or term anywhere raises
-    :class:`NonConvergent`, as does a shell cap reached by any element.
+    each result has the scalar kernel's bits.  A one-pass head
+    evaluates shells 0..depth of every element at once (one ``np.exp``
+    over a table of (2 depth + 1) rows, then a running sum down its
+    shells) and finds each element's stop there; the elements it leaves
+    unfinished continue shell by shell, leaving the working set as they
+    finish.  A non-finite argument, or a non-finite
+    term in a shell an element uses, raises :class:`NonConvergent`, as
+    does a shell cap reached by any element.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     if not np.isfinite(flat).all():
         raise NonConvergent("theta argument is not finite")
-    mantissa = np.empty(flat.shape, dtype=complex)
-    log_scale = np.empty(flat.shape)
+    depth = _head_depth(b, eps) if flat.size < _HEAD_LIMIT else 0
     with np.errstate(all="ignore"):
         n0 = np.rint(-flat.real / b.real)
         # n0 == 0 gives exactly 0.0, as in the scalar kernel
         scale = np.where(n0 != 0, (0.5 * (n0 * b * n0) + n0 * flat).real, 0.0)
 
         def term(N, zs, sc):
-            t = np.exp(0.5 * (b * N * N) + N * zs - sc)
-            if not np.isfinite(t).all():
-                raise NonConvergent("theta lattice sum overflowed")
-            return t
+            return np.exp(0.5 * (b * N * N) + N * zs - sc)
+
+        # the head: row depth + k holds the term of index n0 + k, |k| <= depth
+        offsets = np.arange(-depth, depth + 1)[:, None]
+        t = term(n0 + offsets, flat, scale)
+        finite = np.isfinite(t)
+        # row r: |t(n0 - r)| + |t(n0 + r)|, the loop's shell magnitude
+        mags = _abs(t)
+        mags[depth + 1 :] += mags[:depth][::-1]
+        mags = mags[depth:]
+        # in place: row r becomes the running sum after shell r; adding 0j to
+        # the centre turns a -0.0 part into +0.0, as the loop's sum from zeros does
+        sums = t[depth:]
+        sums[1:] += t[:depth][::-1]
+        sums[0] += 0j
+        for r in range(1, depth + 1):
+            sums[r] += sums[r - 1]
+        calm = mags < eps * np.fmax(_abs(sums), 1.0)
+        # an element stops at the first radius r >= 1 quiet after a quiet r - 1
+        pairs = calm[1:] & calm[:-1]
+        done = pairs.any(axis=0)
+        last = np.full(flat.size, depth)  # the last shell an element sums in the head
+        if done.any():
+            last[done] = pairs[:, done].argmax(axis=0) + 1
+            # the loop reads every element's sum from the last row
+            sums[depth, done] = sums[last[done], np.flatnonzero(done)]
+        if not finite.all() and not finite[np.abs(offsets) <= last].all():
+            raise NonConvergent("theta lattice sum overflowed")
 
         live = np.arange(flat.size)
-        n0_l, z_l, sc_l = n0, flat, scale
-        acc = np.zeros(flat.shape, dtype=complex)
-        quiet = np.zeros(flat.shape, dtype=int)
-        for radius in range(_SHELL_CAP + 1):
-            if not live.size:
-                break
-            if radius == 0:
-                shell_sum = term(n0_l, z_l, sc_l)
-                shell_mag = _abs(shell_sum)
-            else:
-                t0 = term(n0_l - radius, z_l, sc_l)
-                t1 = term(n0_l + radius, z_l, sc_l)
-                shell_sum = t0 + t1
-                shell_mag = _abs(t0) + _abs(t1)
-            acc = acc + shell_sum
-            size = _abs(acc)
-            calm = shell_mag < eps * np.where(size > 1.0, size, 1.0)
-            quiet = np.where(calm, quiet + 1, 0)
-            done = quiet >= 2  # two quiet shells need radius >= 1
+        n0_l, z_l, sc_l, acc = n0, flat, scale, sums[depth]
+        quiet = calm[depth].astype(int)
+        mantissa = np.empty(flat.shape, dtype=complex)
+        for radius in range(depth + 1, _SHELL_CAP + 2):
             if done.any():
                 mantissa[live[done]] = acc[done]
-                log_scale[live[done]] = sc_l[done]
                 keep = ~done
                 live, n0_l, z_l, sc_l = live[keep], n0_l[keep], z_l[keep], sc_l[keep]
                 acc, quiet = acc[keep], quiet[keep]
+            if not live.size or radius > _SHELL_CAP:
+                break
+            t0 = term(n0_l - radius, z_l, sc_l)
+            t1 = term(n0_l + radius, z_l, sc_l)
+            if not (np.isfinite(t0).all() and np.isfinite(t1).all()):
+                raise NonConvergent("theta lattice sum overflowed")
+            acc = acc + (t0 + t1)
+            calm = (_abs(t0) + _abs(t1)) < eps * np.fmax(_abs(acc), 1.0)
+            quiet = np.where(calm, quiet + 1, 0)
+            done = quiet >= 2
     if live.size:
         raise NonConvergent(
             f"lattice sum did not reach relative tail {eps:g} within {_SHELL_CAP} shells"
         )
-    return ScaledArray(mantissa.reshape(z.shape), log_scale.reshape(z.shape))
+    return ScaledArray(mantissa.reshape(z.shape), scale.reshape(z.shape))
 
 
 def theta_eval_batch(pm: PeriodMatrix, z, eps: float = 1e-12) -> ScaledArray:
     """Theta at every element of the complex array ``z``, as a :class:`ScaledArray`.
 
     Element ``i`` has the bits of ``theta_eval_scaled(pm, z[i], eps)``.
-    Arrays of fewer than ``_BATCH_CROSSOVER`` elements are evaluated
-    element by element with the scalar kernel, which is faster there.
+    Arrays shorter than the crossover (8 elements at Re B -4.25, more at
+    deeper periods, where a scalar call sums fewer shells) are evaluated
+    element by element with the scalar kernel, which is faster there;
+    longer ones take the batched kernel, whose one-pass head sums the
+    first shells of up to ``_HEAD_LIMIT`` elements in one numpy pass.
     """
     eps = _check_eps(eps)
     z = np.asarray(z, dtype=complex)
-    if z.size < _BATCH_CROSSOVER:
+    # the crossover is never below 2 (64 over _SHELL_CAP + 2, rounded up), so
+    # a lone argument skips the lookup
+    if z.size < 2 or z.size < _batch_crossover(pm.B, eps):
         values = [_lattice_sum_1d(pm.B, w, eps) for w in z.ravel().tolist()]
         return ScaledArray(
             np.array([v.mantissa for v in values], dtype=complex).reshape(z.shape),

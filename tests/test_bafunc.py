@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -161,9 +163,14 @@ def test_marked_point_collision_is_detected(torus):
         name: cell_point(torus, fs, ft)
         for name, (fs, ft) in zip(CROSS_NAME_ORDER, CELL_FRACTIONS)
     }
-    marked["P1-"] = torus.point(marked["P1+"].lift + 1e-8)
-    with pytest.raises(ConsistencyFailure):
-        SpectralDataCross(torus, marked, [cell_point(torus, *DIVISOR_FRACTION)])
+    divisor = [cell_point(torus, *DIVISOR_FRACTION)]
+    near = dict(marked, **{"P1-": torus.point(marked["P1+"].lift + 1e-8)})
+    with pytest.raises(ConsistencyFailure, match=r"marked points P1\+ and P1- are only 1\.000e-08 apart"):
+        SpectralDataCross(torus, near, divisor)
+    # the divisor point on a lattice translate of a marked point
+    on_p3 = [torus.point(marked["P3+"].lift + 2j * math.pi - torus.pm.B)]
+    with pytest.raises(ConsistencyFailure, match=r"divisor point collides with marked point P3\+"):
+        SpectralDataCross(torus, marked, on_p3)
 
 
 def test_divisor_length_must_match_genus(torus, cross_data):

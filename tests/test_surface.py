@@ -23,7 +23,7 @@ from crosshex.surface import (
 )
 from crosshex.theta import theta_eval_scaled
 
-from conftest import CELL_FRACTIONS, CROSS_NAME_ORDER, cell_point, genus_two_document
+from conftest import CELL_FRACTIONS, CROSS_NAME_ORDER, cell_point, drawn_spectral_data, genus_two_document
 
 
 def test_abel_map_is_lift_minus_base(torus):
@@ -84,6 +84,16 @@ def test_stacked_cover_distance_matches_the_per_offset_loop():
             assert d == single == _per_offset_cover_distance(curve, lift, other)
         with pytest.raises(DimensionMismatch):
             curve.cover_distance(lift, np.array(others).reshape(25, 2))
+        # the lifts x others table: one row per lift, each row that lift's distances
+        lifts = np.array(others[:7])
+        table = curve.cover_distance(lifts, np.array(others))
+        assert table.shape == (7, len(others))
+        for row, a in zip(table, lifts.tolist()):
+            assert row.tolist() == curve.cover_distance(a, np.array(others)).tolist()
+            assert row[:3].tolist() == [_per_offset_cover_distance(curve, a, b) for b in others[:3]]
+        assert curve.cover_distance(lifts, lift).tolist() == [curve.cover_distance(a, lift) for a in lifts.tolist()]
+        with pytest.raises(DimensionMismatch):
+            curve.cover_distance(lifts.reshape(7, 1), np.array(others))
         shifts = rng.integers(-3, 4, size=(20, 2))
         translates = np.array([lift + 2j * math.pi * int(m) + B * int(n) for m, n in shifts])
         assert curve.cover_distance(lift, translates).max() <= 1e-12
@@ -460,45 +470,84 @@ def test_sample_points_keeps_its_separations(torus):
         draw(0, min_pairwise=50.0, max_tries=60)
 
 
+def test_sample_points_refuses_an_empty_avoid(torus):
+    with pytest.raises(ValueError, match="non-empty avoid"):
+        torus.sample_points(np.random.default_rng(0), 4, [], 0.05, 0.02, 100)
+
+
 def _sample_points_one_at_a_time(curve, rng, count, avoid, min_avoid, min_pairwise, max_tries, poles):
-    """Reference: one draw, then its three checks, at a time; also counts the refusals by check."""
-    kept, refused = [], [0, 0, 0]
-    for _ in range(max_tries):
+    """Reference: one draw, then its three checks, at a time.
+
+    Returns the lifts kept (or the ``SeparationFailure`` message) and the
+    refusals by check: near ``avoid``, near a lift kept, path too close to
+    a pole, and, of the second, those among the first ``count`` draws,
+    which a lift of the same batch refused.
+    """
+    kept, refused = [], [0, 0, 0, 0]
+    avoid_lifts = np.array([p.lift for p in avoid], dtype=complex)
+    pole_lifts = np.array([p.lift for p in poles], dtype=complex)
+    for draw in range(max_tries):
         if len(kept) == count:
             break
         lift = curve.base_lift + 2j * math.pi * rng.random() + curve.pm.B * rng.random()
-        if min(curve.cover_distance(lift, p.lift) for p in avoid) < min_avoid:
+        if curve.cover_distance(lift, avoid_lifts).min() < min_avoid:
             refused[0] += 1
-        elif any(curve.cover_distance(lift, k) < min_pairwise for k in kept):
+        elif kept and curve.cover_distance(lift, np.array(kept)).min() < min_pairwise:
             refused[1] += 1
-        elif min(
-            _segment_pole_distance_loop(curve, p.lift, curve.base_lift, lift) for p in poles
-        ) < surface._PATH_CLEARANCE:
+            refused[3] += draw < count
+        elif poles and curve._segment_pole_distance(pole_lifts, curve.base_lift, lift).min() < surface._PATH_CLEARANCE:
             refused[2] += 1
         else:
             kept.append(lift)
-    return kept, refused
+    if len(kept) < count:
+        return f"placed {len(kept)} of {count} points in {max_tries} draws", refused
+    return [repr(lift) for lift in kept], refused
+
+
+def _sample_points_batched(curve, rng, *args, poles):
+    try:
+        return [repr(p.lift) for p in curve.sample_points(rng, *args, poles=poles)]
+    except SeparationFailure as exc:
+        return str(exc)
 
 
 def test_sample_points_draws_what_one_draw_at_a_time_draws(monkeypatch):
-    """Drawing the missing lifts together keeps the draws, their order and the rng stream."""
+    """Screening each batch of draws in two tables keeps the draws, their order, the rng stream and the failures."""
+    rng = np.random.default_rng(43)
+    refused = np.zeros(4, dtype=int)
+    failures = 0
+
+    def compare(curve, args, poles):
+        nonlocal refused, failures
+        seed = int(rng.integers(1 << 30))
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _sample_points_batched(curve, got_rng, *args, poles=poles)
+        want, counts = _sample_points_one_at_a_time(curve, want_rng, *args, poles)
+        assert got == want, (curve.pm.B, args[0])
+        assert got_rng.random() == want_rng.random()
+        refused += counts
+        failures += isinstance(got, str)
+
+    # probes as verify places them, on both models' marked and divisor points
+    for model in ("cross", "hex"):
+        for re_b in (-3.0, -40.0):
+            curve = make_torus_curve(complex(re_b, rng.uniform(-3, 3)))
+            sd = drawn_spectral_data(model, curve)
+            marked = list(sd.marked.values())
+            for count in (8, 20, 60, 300):
+                compare(curve, (count, marked + list(sd.divisor), 0.05, 0.02, 1000), marked)
+            # tight: draws of the first batch refuse each other, and some runs fail
+            for count, pairwise in ((60, 0.6), (20, 1.5)):
+                compare(curve, (count, marked + list(sd.divisor), 0.05, pairwise, 2 * count), marked)
+    assert refused[3] > 0 and failures > 0, (refused, failures)
     # a wide path clearance, so that every check refuses some draws
     monkeypatch.setattr(surface, "_PATH_CLEARANCE", 0.2)
-    rng = np.random.default_rng(43)
-    refused = np.zeros(3, dtype=int)
+    refused[:] = 0
     for _ in range(6):
         curve = make_torus_curve(complex(rng.uniform(-8, -3), rng.uniform(-3, 3)))
         poles = [cell_point(curve, *rng.uniform(0, 1, 2)) for _ in range(6)]
-        avoid = [curve.point(curve.base_lift)] + poles
-        args = (30, avoid, 0.3, 0.4, 500)
-        seed = int(rng.integers(1 << 30))
-        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = curve.sample_points(got_rng, *args, poles=poles)
-        want, counts = _sample_points_one_at_a_time(curve, want_rng, *args, poles)
-        assert [p.lift for p in got] == want
-        assert got_rng.random() == want_rng.random()
-        refused += counts
-    assert refused.min() > 0, refused
+        compare(curve, (30, [curve.point(curve.base_lift)] + poles, 0.3, 0.4, 500), poles)
+    assert refused[:3].min() > 0, refused
 
 
 # ---------------------------------------------------------------------------

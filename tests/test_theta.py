@@ -6,17 +6,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crosshex import theta
 from crosshex.errors import NonConvergent
 from crosshex.theta import (
     NumpyScaledArray,
     PeriodMatrix,
     ScaledArray,
     ScaledComplex,
-    _BATCH_CROSSOVER,
+    _HEAD_LIMIT,
+    _batch_crossover,
     _lattice_sum_1d,
     theta_eval_batch,
     theta_eval_scaled,
 )
+
+
+def _path_sizes(pm, eps=1e-12):
+    """A size on each side of every path boundary of theta_eval_batch.
+
+    The scalar kernel runs below the crossover, the batched kernel's
+    one-pass head (with the shell loop behind it) below the head limit,
+    its shell loop alone from there on.
+    """
+    first = _batch_crossover(pm.B, eps)
+    return (1, first - 1, first, first + 1, _HEAD_LIMIT - 1, _HEAD_LIMIT, _HEAD_LIMIT + 1, 4096)
 
 
 def _random_pm(rng):
@@ -230,11 +243,12 @@ def test_genus_one_overflow_raises_nonconvergent(bad):
 def test_infinite_exponent_raises_nonconvergent_in_both_kernels(count):
     # N * z overflows to an infinite imaginary part: cmath.exp raises
     # ValueError there, numpy returns NaN; both must become NonConvergent,
-    # below the batch crossover (scalar kernel) and above it
+    # below the batch crossover (scalar kernel) and on every batched path
     pm = PeriodMatrix(-4.25)
-    assert count < _BATCH_CROSSOVER or count > _BATCH_CROSSOVER
-    with pytest.raises(NonConvergent):
-        theta_eval_batch(pm, [1e308j] * count)
+    assert count != _batch_crossover(pm.B, 1e-12)
+    for size in (count, _HEAD_LIMIT - 1, _HEAD_LIMIT + 1):
+        with pytest.raises(NonConvergent):
+            theta_eval_batch(pm, [1e308j] * size)
     with pytest.raises(NonConvergent):
         theta_eval_scaled(pm, 1e308j)
 
@@ -280,31 +294,89 @@ def test_batch_kernel_raises_nonconvergent_where_the_scalar_kernel_does(bad):
     pm = PeriodMatrix(complex(-5.0, 1.0))
     with pytest.raises(NonConvergent):
         theta_eval_scaled(pm, bad)
-    # one bad element fails the whole batch, on both sides of the crossover
-    for size in (3, 3 + _BATCH_CROSSOVER):
+    # one bad element fails the whole batch, on every path
+    for size in _path_sizes(pm):
         z = np.full(size, 0.5 + 0.25j)
-        z[1] = bad
+        z[size // 2] = bad
         with pytest.raises(NonConvergent):
             theta_eval_batch(pm, z)
 
 
+def test_batch_kernel_ignores_a_term_past_an_elements_stop():
+    """N * z overflows only past shell 5, where these elements stop; the head still evaluates shell 6."""
+    pm = PeriodMatrix(-4.25)
+    assert theta._head_depth(pm.B, 1e-12) == 6
+    for size in (20, _HEAD_LIMIT - 1, _HEAD_LIMIT + 1):
+        z = np.full(size, 3.2e307j)
+        z[1::2] += 0.3
+        got = theta_eval_batch(pm, z)
+        assert [repr(v) for v in got.scalars()] == [repr(theta_eval_scaled(pm, w)) for w in z.tolist()]
+
+
 def test_batch_kernel_shell_cap_raises_nonconvergent():
-    for size in (1, _BATCH_CROSSOVER):
-        with pytest.raises(NonConvergent):
-            theta_eval_batch(PeriodMatrix(-1e-8), np.full(size, 30.0 + 0j))
+    # at Re B -1e-8 the head runs to the cap itself, and the shell loop reaches it
+    pm = PeriodMatrix(-1e-8)
+    for size in _path_sizes(pm):
+        with pytest.raises(NonConvergent, match="within 60 shells"):
+            theta_eval_batch(pm, np.full(size, 30.0 + 0j))
 
 
 def test_batch_kernel_matches_the_scalar_kernel_across_the_crossover():
-    """Short arrays take the scalar kernel element by element, longer ones the numpy pass: same bits."""
+    """Every path, from shallow to the deepest period, at every eps the package uses: same bits."""
     rng = np.random.default_rng(29)
-    for size in (1, 2, _BATCH_CROSSOVER - 1, _BATCH_CROSSOVER, _BATCH_CROSSOVER + 1, 60):
-        pm = PeriodMatrix(complex(rng.uniform(-8.0, -3.0), rng.uniform(-3.0, 3.0)))
-        z = _batch_draws(rng, size)
-        got = theta_eval_batch(pm, z, 1e-13)
-        assert got.shape == (size,)
-        want = [theta_eval_scaled(pm, w, 1e-13) for w in z.tolist()]
-        assert [repr(v) for v in got.scalars()] == [repr(v) for v in want]
+    for re_b in (-3.0, -40.0, -1000.0, -10000.0):
+        for i in range(8):
+            # |Im B| up to the 5,000 the curve reader accepts on every other size
+            pm = PeriodMatrix(complex(re_b, rng.uniform(-1.0, 1.0) * (3.0, 5000.0)[i % 2]))
+            eps = (1e-6, 1e-12, 1e-13, 1e-14)[i % 4]
+            size = _path_sizes(pm, eps)[i]
+            z = _batch_draws(rng, size)
+            # half of them within a few lattice cells of the origin
+            cells = rng.uniform(-3.0, 3.0, (2, size // 2))
+            z[: size // 2] = 2j * math.pi * cells[0] + pm.B * cells[1]
+            got = theta_eval_batch(pm, z, eps)
+            assert got.shape == (size,)
+            want = [theta_eval_scaled(pm, w, eps) for w in z.tolist()]
+            assert [repr(v) for v in got.scalars()] == [repr(v) for v in want], (pm.B, eps, size)
     assert theta_eval_batch(PeriodMatrix(-4.0), 0.5 + 0.5j).shape == ()
+
+
+def test_batch_kernel_finishes_in_the_head_and_in_the_shell_loop_in_one_batch(monkeypatch):
+    """At Re B -1000 the head sums shells 0..2; a peak half-way between two indices needs shell 3."""
+    pm = PeriodMatrix(complex(-1000.0, 0.7))
+    size = 40
+    depth = theta._head_depth(pm.B, 1e-13)
+    # peak offsets from 0 (one index dominates) to 1/2 (two indices tie)
+    offset = np.linspace(0.0, 0.5, size)
+    z = -(3.0 + offset) * pm.B.real + 1j * np.linspace(-20.0, 20.0, size)
+    got = theta_eval_batch(pm, z, 1e-13)
+    want = [theta_eval_scaled(pm, w, 1e-13) for w in z.tolist()]
+    assert [repr(v) for v in got.scalars()] == [repr(v) for v in want]
+    # with the scalar kernel capped at the head's depth, some elements still
+    # finish and the others run out of shells
+    monkeypatch.setattr(theta, "_SHELL_CAP", depth)
+    finished = 0
+    for w in z.tolist():
+        try:
+            theta_eval_scaled(pm, w, 1e-13)
+            finished += 1
+        except NonConvergent:
+            pass
+    assert 0 < finished < size, (depth, finished)
+
+
+def test_batch_kernel_hands_any_head_depth_over_to_the_shell_loop(monkeypatch):
+    """Whatever shell the head stops at, the loop carries on with the elements' sums and quiet counts.
+
+    At Re B -1 and eps 1e-3 the terms decay slowly, so a shell summed
+    too many or too few changes the bits.
+    """
+    pm = PeriodMatrix(complex(-1.0, 0.3))
+    z = _batch_draws(np.random.default_rng(31), 60)
+    want = [repr(theta_eval_scaled(pm, w, 1e-3)) for w in z.tolist()]
+    for depth in range(theta._head_depth(pm.B, 1e-3) + 1):
+        monkeypatch.setattr(theta, "_head_depth", lambda b, eps: depth)
+        assert [repr(v) for v in theta._lattice_sum_batch(pm.B, z, 1e-3).scalars()] == want, depth
 
 
 def _scaled_draws(rng, count):
