@@ -36,7 +36,7 @@ from crosshex.operators import build_field
 from crosshex.surface import make_torus_curve
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
-from conftest import drawn_spectral_data, one_site_stencil  # noqa: E402
+from conftest import drawn_spectral_data, one_site_stencil, scalars  # noqa: E402
 
 RADIUS = 40
 PERIODS = [complex(re, im) for re in (-8.0, -4.25, -3.0) for im in (0.0, 3.0, -3.0)]
@@ -52,7 +52,7 @@ def test_radius_40_build_matches_the_one_site_formulas(B):
         mismatched = [
             site
             for site, stencil in field.stencils.items()
-            if repr(stencil.values.scalars()) != repr(one_site_stencil(sd, site, thetas))
+            if repr(scalars(stencil.values)) != repr(one_site_stencil(sd, site, thetas))
         ]
         assert not mismatched, (model, len(mismatched), mismatched[:5])
         # the theta values the window divides by are far outside double range

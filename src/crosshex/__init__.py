@@ -89,7 +89,7 @@ from .surface import (
     load_torus_curve,
     make_torus_curve,
 )
-from .theta import PeriodMatrix, ScaledComplex, theta_eval_scaled
+from .theta import PeriodMatrix, theta_eval_scaled
 
 __version__ = "0.1.0"
 

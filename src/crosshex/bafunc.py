@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConsistencyFailure, DimensionMismatch, SchemaError, SingularEvaluation
 from .labels import Label3, Label6, SiteCross, SiteHex, relabel_cross, relabel_hex
 from .surface import SpectralCurve, SurfacePoint, complex_from_json
-from .theta import ScaledArray, ScaledComplex, complex_mul, theta_eval_batch, theta_eval_scaled
+from .theta import ScaledArray, complex_mul, theta_eval_batch, theta_eval_scaled
 
 _MIN_POINT_SEPARATION = 1e-6
 _GENERICITY_FLOOR = 1e-10
@@ -112,7 +112,7 @@ class _SpectralDataBase:
         self.normalization = normalization or ConstantNormalization()
         self._check_separation()
 
-        # one numpy dot pairs a label with U (see marked_thetas)
+        # one numpy dot pairs a label with U (see _label_thetas)
         self._U = np.array(
             curve.b_period_vectors([(self.marked[a], self.marked[b]) for a, b in self.basis_pairs])
         )
@@ -122,7 +122,7 @@ class _SpectralDataBase:
         # their local Gaussian-peak scale, which stays meaningful for the
         # astronomically large arguments reached at big labels.
         theta0 = theta_eval_scaled(curve.pm, 0j, _THETA_EPS)
-        self._mantissa_floor = _GENERICITY_FLOOR * abs(theta0.mantissa)
+        self._mantissa_floor = _GENERICITY_FLOOR * abs(complex(theta0.mantissa))
         self._integral_cache: dict[tuple, complex] = {}
 
     def _check_separation(self) -> None:
@@ -153,35 +153,41 @@ class _SpectralDataBase:
 
     # -- evaluation primitives -------------------------------------------------
 
+    def _label_thetas(self, abel, coeffs, rows) -> ScaledArray:
+        """Theta at ``(abel + c . U) + W`` for the label coefficients ``c = coeffs[rows]``, in one kernel call.
+
+        ``abel`` and ``rows`` broadcast to the shape of the result.  Each
+        label's coefficients are paired with the b-periods ``U`` by one
+        numpy dot, not a Python sum: the dot accumulates with fused
+        multiply-adds, and the documents hold its bits, as they hold the
+        order of the two additions.  Each element has the bits of
+        ``theta_eval_scaled`` at its argument.
+        """
+        dots = np.array([complex(c @ self._U) for c in coeffs], dtype=complex)
+        return theta_eval_batch(self.curve.pm, (abel + dots[rows]) + self._W, _THETA_EPS)
+
     def marked_thetas(self, labels, points, rows) -> ScaledArray:
         """Theta at marked point ``points[i]`` and label ``labels[rows[i]]`` for each i, in one kernel call.
 
         ``labels`` holds one label per row and ``points`` indexes
-        ``marked_names``.  Each label is paired with the b-periods ``U``
-        by one numpy dot, not a Python sum: the dot accumulates with fused
-        multiply-adds, and the documents hold its bits.  Each argument is
-        ``(abel + dot) + W``, and each element has the bits of
-        ``theta_eval_scaled`` at that argument.
+        ``marked_names``.
         """
-        dots = np.array([complex(self.label_coeffs(label) @ self._U) for label in labels], dtype=complex)
         abel = np.array([self.curve.abel(self.marked[name]) for name in self.marked_names], dtype=complex)
-        return theta_eval_batch(
-            self.curve.pm, (abel[points] + dots[rows]) + self._W, _THETA_EPS
-        )
+        return self._label_thetas(abel[points], [self.label_coeffs(label) for label in labels], rows)
 
-    def denominator_scaled(self, P: SurfacePoint) -> ScaledComplex:
-        """The label-independent theta denominator, guarded by the genericity floor."""
+    def denominator_scaled(self, P: SurfacePoint) -> ScaledArray:
+        """The label-independent theta denominator at P, a 0-d ScaledArray guarded by the genericity floor."""
         return self.require_generic(
             theta_eval_scaled(self.curve.pm, self.curve.abel(P) + self._W, _THETA_EPS),
             f"theta denominator at lift {P.lift}",
         )
 
-    def require_generic(self, theta_value, what: str):
+    def require_generic(self, theta_value: ScaledArray, what: str) -> ScaledArray:
         """Raise :class:`SingularEvaluation` if a theta value sits on the divisor.
 
-        ``theta_value`` is a ScaledComplex, or a ScaledArray whose every
-        element is checked, and must come straight from the theta kernel
-        (mantissa relative to the peak scale, not renormalized).
+        Every element of ``theta_value`` is checked; it must come straight
+        from the theta kernel (mantissa relative to the peak scale, not
+        renormalized).
         """
         size = np.hypot(np.real(theta_value.mantissa), np.imag(theta_value.mantissa))
         if (size < self._mantissa_floor).any():
@@ -220,14 +226,14 @@ class _SpectralDataBase:
         raises :class:`SingularEvaluation`.
         """
         labels = [self.validate_label(label) for label in labels]
-        den = ScaledArray.of(self.denominator_scaled(P) for P in probes)
-        coeffs = [self.label_coeffs(label) for label in labels]
-        # marked_thetas' per-label dot, then its two additions, in order
-        shift = np.array([complex(c @ self._U) for c in coeffs], dtype=complex)
-        abel = np.array([self.curve.abel(P) for P in probes], dtype=complex)
-        num = theta_eval_batch(
-            self.curve.pm, (abel[None, :] + shift[:, None]) + self._W, _THETA_EPS
+        dens = [self.denominator_scaled(P) for P in probes]
+        den = ScaledArray(
+            np.array([d.mantissa for d in dens], dtype=complex),
+            np.array([d.log_scale for d in dens], dtype=float),
         )
+        coeffs = [self.label_coeffs(label) for label in labels]
+        abel = np.array([self.curve.abel(P) for P in probes], dtype=complex)
+        num = self._label_thetas(abel[None, :], coeffs, np.arange(len(coeffs))[:, None])
         coeffs = np.array(coeffs, dtype=int).reshape(len(labels), len(self.basis_pairs))
         used = [(c, pair) for c, pair in zip(coeffs.T, self.basis_pairs) if c.any()]
         integrals = np.array(

@@ -48,7 +48,7 @@ from .errors import (
 )
 from .labels import CROSS_COEFFS, HEX_COEFFS, site_cross, site_hex, stencil_offsets
 from .surface import SurfacePoint, complex_array_from_json
-from .theta import NumpyScaledArray, ScaledArray, ScaledComplex
+from .theta import NumpyScaledArray, ScaledArray
 
 FIELD_DOC_FORMAT = "crosshex-field-v1"
 
@@ -603,8 +603,8 @@ def _ratios(sd, blocks) -> ScaledArray:
     sign flip.  Brackets of one length take one ``plus`` per further term
     and one product with their main terms; then all ratios take one
     normalization product and one sign flip.  Each element goes through
-    the ScaledComplex operations of the one-label formula in their
-    order, so it has those bits.
+    the scaled operations of the one-label formula in their order, so it
+    has the bits of that formula evaluated one value at a time.
     """
     integrals = _marked_integrals(sd, [formula for _, formula in blocks])
     terms = [(b, term) for b, (_, f) in enumerate(blocks) for term in (f.main, *f.bracket)]
@@ -649,10 +649,9 @@ def _ratios(sd, blocks) -> ScaledArray:
     return out.times(sd.normalization.ratio()).negated(np.repeat([f.sign < 0 for _, f in blocks], sizes))
 
 
-def evaluate_ratio(sd, v, formula: RatioFormula) -> ScaledComplex:
-    """One coefficient ratio at label v: the one-label case of :func:`_ratios`."""
-    (value,) = _ratios(sd, [(np.array([sd.validate_label(v)], dtype=int), formula)]).scalars()
-    return value
+def evaluate_ratio(sd, v, formula: RatioFormula) -> ScaledArray:
+    """One coefficient ratio at label v, a 0-d ScaledArray: the one-label case of :func:`_ratios`."""
+    return _ratios(sd, [(np.array([sd.validate_label(v)], dtype=int), formula)])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -463,8 +463,8 @@ def _validate_constants(curve: SpectralCurve, K: complex) -> None:
     Re B is deep.
     """
     pm = curve.pm
-    theta0_log = theta_eval_scaled(pm, 0j, 1e-13).log_abs
-    resid_log = theta_eval_scaled(pm, -K, 1e-13).log_abs
+    theta0_log = theta_eval_scaled(pm, 0j, _THETA_EPS).log_abs
+    resid_log = theta_eval_scaled(pm, -K, _THETA_EPS).log_abs
     if not (resid_log - theta0_log <= math.log(_KCHECK_REL)):
         raise ConsistencyFailure(
             "Riemann constants failed the vanishing check: "
@@ -479,7 +479,7 @@ def _validate_constants(curve: SpectralCurve, K: complex) -> None:
         for j in range(10)
         for k in range(10)
     ]
-    mantissa = theta_eval_batch(pm, np.array([(u - u1) - K for u in nodes]), 1e-13).mantissa
+    mantissa = theta_eval_batch(pm, np.array([(u - u1) - K for u in nodes]), _THETA_EPS).mantissa
     sizes = np.hypot(mantissa.real, mantissa.imag).tolist()
     median = float(np.median(sizes))
     cell = min(2.0 * math.pi, abs(B))

@@ -13,12 +13,13 @@ Z}``, and the quasi-periodicity law reads
     Theta(z + 2*pi*i*m + B*n) = exp( -(1/2) B n^2 - n z ) * Theta(z).
 
 Values of the series span an enormous dynamic range once ``|z|`` grows
-(the function is entire of order two), so the workhorse evaluator
-:func:`theta_eval_scaled` returns a mantissa/log-scale pair that never
-overflows (``.as_complex()`` collapses it to a plain complex).
-:func:`theta_eval_batch` evaluates a whole array of arguments in one
-numpy pass and returns a :class:`ScaledArray`, whose elements carry the
-same bits as :func:`theta_eval_scaled` on each argument.
+(the function is entire of order two), so every value is kept as a
+:class:`ScaledArray`, a mantissa and a log scale that never overflow
+(``.as_complex()`` collapses it to plain complex values).
+:func:`theta_eval_scaled` evaluates one argument and returns a 0-d
+:class:`ScaledArray`; :func:`theta_eval_batch` evaluates a whole array of
+arguments in one numpy pass, and its elements carry the same bits as
+:func:`theta_eval_scaled` on each argument.
 
 All evaluations are deterministic: the lattice is enumerated shell by
 shell in a fixed order, so repeated calls with identical inputs return
@@ -68,96 +69,6 @@ class PeriodMatrix:
         if B.real >= 0.0:
             raise ValueError(f"period real part must be negative, got {B.real!r}")
         object.__setattr__(self, "B", B)
-
-
-@dataclass(frozen=True)
-class ScaledComplex:
-    """A complex number stored as ``mantissa * exp(log_scale)``.
-
-    The representation survives magnitudes far outside double range,
-    which theta values reach for the large arguments generated by
-    lattice-label combinations.  Only the handful of operations the
-    package needs are provided.
-    """
-
-    mantissa: complex
-    log_scale: float
-
-    def normalized(self) -> "ScaledComplex":
-        a = abs(self.mantissa)
-        if a == 0.0 or 1e-8 < a < 1e8:
-            return self
-        shift = math.log(a)
-        return ScaledComplex(self.mantissa / a, self.log_scale + shift)
-
-    def times(self, other) -> "ScaledComplex":
-        if not isinstance(other, ScaledComplex):
-            other = ScaledComplex.from_complex(other)
-        return ScaledComplex(
-            self.mantissa * other.mantissa, self.log_scale + other.log_scale
-        ).normalized()
-
-    def over(self, other: "ScaledComplex") -> "ScaledComplex":
-        if other.mantissa == 0:
-            raise ZeroDivisionError("division by zero ScaledComplex")
-        return ScaledComplex(
-            self.mantissa / other.mantissa, self.log_scale - other.log_scale
-        ).normalized()
-
-    def times_exp(self, w: complex) -> "ScaledComplex":
-        """Multiply by exp(w) without forming exp(w)."""
-        w = complex(w)
-        phase = cmath.exp(1j * w.imag)
-        return ScaledComplex(self.mantissa * phase, self.log_scale + w.real).normalized()
-
-    def plus(self, other: "ScaledComplex") -> "ScaledComplex":
-        hi, lo = (self, other) if self.log_scale >= other.log_scale else (other, self)
-        if lo.mantissa == 0:
-            return hi
-        if hi.mantissa == 0:
-            return lo
-        diff = lo.log_scale - hi.log_scale
-        small = lo.mantissa * math.exp(diff) if diff > -745.0 else 0.0
-        return ScaledComplex(hi.mantissa + small, hi.log_scale).normalized()
-
-    def negated(self) -> "ScaledComplex":
-        return ScaledComplex(-self.mantissa, self.log_scale)
-
-    @property
-    def log_abs(self) -> float:
-        if self.mantissa == 0:
-            return -math.inf
-        return math.log(abs(self.mantissa)) + self.log_scale
-
-    def as_complex(self) -> complex:
-        """Collapse to a plain complex; saturates to inf for huge values."""
-        if self.mantissa == 0:
-            return 0j
-        if self.log_scale == 0.0:
-            # exact: values stored straight from documents round-trip
-            return complex(self.mantissa)
-        log_total = math.log(abs(self.mantissa)) + self.log_scale
-        if log_total < -745.0:
-            return 0j
-        phase = self.mantissa / abs(self.mantissa)
-        if log_total > 709.0:
-            # componentwise: a plain phase*inf would turn exact zeros
-            # in the phase into NaNs
-            return complex(
-                phase.real * math.inf if phase.real != 0.0 else 0.0,
-                phase.imag * math.inf if phase.imag != 0.0 else 0.0,
-            )
-        return phase * math.exp(log_total)
-
-    @staticmethod
-    def one() -> "ScaledComplex":
-        return ScaledComplex(1.0 + 0j, 0.0)
-
-    @staticmethod
-    def from_complex(w: complex) -> "ScaledComplex":
-        # no normalization: keeps as_complex() an exact inverse, which the
-        # document and CSV round-trips rely on
-        return ScaledComplex(complex(w), 0.0)
 
 
 # Elementwise helpers that round exactly as CPython's complex and math
@@ -210,11 +121,16 @@ def _div(a, b) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ScaledArray:
-    """An array of :class:`ScaledComplex` values: a mantissa array and a log-scale array.
+    """Complex numbers stored as ``mantissa * exp(log_scale)``: a mantissa array and a log-scale array.
 
-    Each operation repeats, element by element, the IEEE operations of the
-    :class:`ScaledComplex` method of the same name in the same order, so
-    every element has the bits the scalar computation would give.
+    The representation survives magnitudes far outside double range,
+    which theta values reach for the large arguments generated by
+    lattice-label combinations.  A single value is a 0-d ScaledArray
+    (indexing one element out gives numpy scalars as its fields, which
+    every operation takes as well).  Each operation rounds each element
+    as CPython's complex and ``math`` operations would (the helpers
+    above), so an element has the same bits whatever array it sits in
+    and whatever shape it is broadcast to.
     """
 
     mantissa: np.ndarray  # complex
@@ -238,8 +154,9 @@ class ScaledArray:
         move = (a != 0.0) & ~((1e-8 < a) & (a < 1e8))
         if not move.any():
             return self
-        mantissa = self.mantissa.copy()
-        log_scale = self.log_scale.copy()
+        # copies that take item assignment: arithmetic on 0-d arrays gives numpy scalars
+        mantissa = np.array(self.mantissa)
+        log_scale = np.array(self.log_scale)
         moved = a[move]
         mantissa[move] = self._quotient(mantissa[move], _complex(moved, 0.0))
         log_scale[move] = log_scale[move] + _log(moved)
@@ -308,7 +225,11 @@ class ScaledArray:
         return out
 
     def as_complex(self) -> np.ndarray:
-        """:meth:`ScaledComplex.as_complex` of every element, branch for branch."""
+        """Collapse to plain complex values; saturates to inf for huge values, never raises.
+
+        A zero log scale gives the mantissa back exactly, so values stored
+        straight from documents round-trip.
+        """
         m, s = self.mantissa, self.log_scale
         out = np.zeros(m.shape, dtype=complex)  # zero mantissas and totals below -745
         nonzero = m != 0
@@ -334,20 +255,13 @@ class ScaledArray:
             out[scaled] = value
         return out
 
-    def scalars(self) -> list[ScaledComplex]:
-        """The elements, in C order, as plain ScaledComplex values."""
-        return [
-            ScaledComplex(m, s)
-            for m, s in zip(self.mantissa.ravel().tolist(), self.log_scale.ravel().tolist())
-        ]
-
     def cancellation(self, used) -> np.ndarray:
         """``|sum| / sum(|.|)`` along axis 0, over the elements where ``used`` holds.
 
         Computed at a common scale, so nothing overflows; 0 where no
         element is used or all used ones are 0.  Elements are summed in
-        index order, so the result has the bits of the same sum over
-        ScaledComplex terms.
+        index order, so the result has the bits of the same sum taken
+        term by term in CPython complex arithmetic.
         """
         used = used & (self.mantissa != 0)
         logs = self.log_abs
@@ -366,32 +280,25 @@ class ScaledArray:
             return np.where(used.any(axis=0), _abs(total) / denom, 0.0)
 
     @staticmethod
-    def of(values) -> "ScaledArray":
-        """A 1-D ScaledArray holding the given ScaledComplex values."""
-        values = list(values)
-        return ScaledArray(
-            np.array([v.mantissa for v in values], dtype=complex),
-            np.array([v.log_scale for v in values], dtype=float),
-        )
-
-    @staticmethod
     def from_complex(w) -> "ScaledArray":
+        # no normalization: keeps as_complex() an exact inverse, which the
+        # document and CSV round-trips rely on
         w = np.asarray(w, dtype=complex)
         return ScaledArray(w, np.zeros(w.shape))
 
 
 class NumpyScaledArray(ScaledArray):
-    """A :class:`ScaledArray` of ScaledComplex values whose mantissas are ``np.complex128`` scalars.
+    """A :class:`ScaledArray` with the bits of scalar code on ``np.complex128`` mantissas.
 
     That is the type an SVD's singular vectors come in.  numpy's scalar
     complex quotient multiplies by a reciprocal where CPython's divides
     (Smith's method in both), and numpy's array ``/`` has the scalar's
     bits; numpy's scalar product and ``abs`` are CPython's, and ``math``
     takes numpy floats as they are.  So the quotient is the one
-    operation that changes, and each element has the bits of the scalar
-    computation on numpy mantissas.  The other operand may hold plain
-    complex values, except in ``plus``: there a plain larger term past
-    the exp cutoff stays plain.
+    operation that changes, and each element has the bits of the
+    one-value computation on numpy mantissas.  The other operand may hold
+    plain complex values, except in ``plus``: there a plain larger term
+    past the exp cutoff stays plain.
     """
 
     _quotient = staticmethod(np.divide)
@@ -404,8 +311,8 @@ def _check_eps(eps: float) -> float:
     return eps
 
 
-def _lattice_sum_1d(b: complex, z: complex, eps: float) -> ScaledComplex:
-    """The shell sum of the theta series.
+def _lattice_sum_1d(b: complex, z: complex, eps: float) -> tuple[complex, float]:
+    """The shell sum of the theta series, as a (mantissa, log scale) pair.
 
     Shells are centered on the integer nearest the maximum of the real
     part of the exponent (the Gaussian peak), so the shell count stays
@@ -453,7 +360,7 @@ def _lattice_sum_1d(b: complex, z: complex, eps: float) -> ScaledComplex:
                     # quantity genericity floors must inspect (a near-divisor
                     # hit shows up as a tiny mantissa regardless of how large
                     # the overall magnitude is)
-                    return ScaledComplex(acc, scale)
+                    return acc, scale
             else:
                 quiet = 0
     except (OverflowError, ValueError) as exc:
@@ -464,14 +371,15 @@ def _lattice_sum_1d(b: complex, z: complex, eps: float) -> ScaledComplex:
     )
 
 
-def theta_eval_scaled(pm: PeriodMatrix, z: complex, eps: float = 1e-12) -> ScaledComplex:
-    """Theta(z) as a :class:`ScaledComplex`; never overflows.
+def theta_eval_scaled(pm: PeriodMatrix, z: complex, eps: float = 1e-12) -> ScaledArray:
+    """Theta(z) as a 0-d :class:`ScaledArray`; never overflows.
 
     Deterministic for fixed inputs.  Raises :class:`NonConvergent` if the
     adaptive shell radius hits its cap (60) or ``z`` is not finite, and
     ``ValueError`` for ``eps`` outside (0, 1e-3].
     """
-    return _lattice_sum_1d(pm.B, complex(z), _check_eps(eps))
+    mantissa, scale = _lattice_sum_1d(pm.B, complex(z), _check_eps(eps))
+    return ScaledArray(np.array(mantissa), np.array(scale))
 
 
 def _head_depth(b: complex, eps: float) -> int:
@@ -588,9 +496,9 @@ def theta_eval_batch(pm: PeriodMatrix, z, eps: float = 1e-12) -> ScaledArray:
     # the crossover is never below 2 (64 over _SHELL_CAP + 2, rounded up), so
     # a lone argument skips the lookup
     if z.size < 2 or z.size < _batch_crossover(pm.B, eps):
-        values = [_lattice_sum_1d(pm.B, w, eps) for w in z.ravel().tolist()]
+        pairs = [_lattice_sum_1d(pm.B, w, eps) for w in z.ravel().tolist()]
         return ScaledArray(
-            np.array([v.mantissa for v in values], dtype=complex).reshape(z.shape),
-            np.array([v.log_scale for v in values], dtype=float).reshape(z.shape),
+            np.array([m for m, _ in pairs], dtype=complex).reshape(z.shape),
+            np.array([s for _, s in pairs], dtype=float).reshape(z.shape),
         )
     return _lattice_sum_batch(pm.B, z, eps)

@@ -6,15 +6,17 @@ them across test modules keeps the whole suite fast without any
 cross-test state leaking — the caches are value caches only.
 """
 
+import cmath
 import functools
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from crosshex.bafunc import _THETA_EPS, SpectralDataCross, SpectralDataHex
-from crosshex.errors import RankDeficient, SingularEvaluation
+from crosshex.errors import NonConvergent, RankDeficient, SingularEvaluation
 from crosshex.labels import stencil_offsets
 from crosshex.operators import (
     FIELD_DOC_FORMAT,
@@ -25,9 +27,142 @@ from crosshex.operators import (
     sample_probes,
 )
 from crosshex.surface import make_torus_curve
-from crosshex.theta import ScaledComplex, theta_eval_scaled
+from crosshex.theta import theta_eval_scaled
 
 B_FIXTURE = -6.0
+
+
+# One scaled value in plain CPython arithmetic: the bit-for-bit reference of
+# crosshex.theta.ScaledArray and of the one-value references below.
+@dataclass(frozen=True)
+class ScaledComplex:
+    """A complex number stored as ``mantissa * exp(log_scale)``.
+
+    The representation survives magnitudes far outside double range,
+    which theta values reach for the large arguments generated by
+    lattice-label combinations.  Only the handful of operations the
+    package needs are provided.
+    """
+
+    mantissa: complex
+    log_scale: float
+
+    def normalized(self) -> "ScaledComplex":
+        a = abs(self.mantissa)
+        if a == 0.0 or 1e-8 < a < 1e8:
+            return self
+        shift = math.log(a)
+        return ScaledComplex(self.mantissa / a, self.log_scale + shift)
+
+    def times(self, other) -> "ScaledComplex":
+        if not isinstance(other, ScaledComplex):
+            other = ScaledComplex.from_complex(other)
+        return ScaledComplex(
+            self.mantissa * other.mantissa, self.log_scale + other.log_scale
+        ).normalized()
+
+    def over(self, other: "ScaledComplex") -> "ScaledComplex":
+        if other.mantissa == 0:
+            raise ZeroDivisionError("division by zero ScaledComplex")
+        return ScaledComplex(
+            self.mantissa / other.mantissa, self.log_scale - other.log_scale
+        ).normalized()
+
+    def times_exp(self, w: complex) -> "ScaledComplex":
+        """Multiply by exp(w) without forming exp(w)."""
+        w = complex(w)
+        phase = cmath.exp(1j * w.imag)
+        return ScaledComplex(self.mantissa * phase, self.log_scale + w.real).normalized()
+
+    def plus(self, other: "ScaledComplex") -> "ScaledComplex":
+        hi, lo = (self, other) if self.log_scale >= other.log_scale else (other, self)
+        if lo.mantissa == 0:
+            return hi
+        if hi.mantissa == 0:
+            return lo
+        diff = lo.log_scale - hi.log_scale
+        small = lo.mantissa * math.exp(diff) if diff > -745.0 else 0.0
+        return ScaledComplex(hi.mantissa + small, hi.log_scale).normalized()
+
+    def negated(self) -> "ScaledComplex":
+        return ScaledComplex(-self.mantissa, self.log_scale)
+
+    @property
+    def log_abs(self) -> float:
+        if self.mantissa == 0:
+            return -math.inf
+        return math.log(abs(self.mantissa)) + self.log_scale
+
+    def as_complex(self) -> complex:
+        """Collapse to a plain complex; saturates to inf for huge values."""
+        if self.mantissa == 0:
+            return 0j
+        if self.log_scale == 0.0:
+            # exact: values stored straight from documents round-trip
+            return complex(self.mantissa)
+        log_total = math.log(abs(self.mantissa)) + self.log_scale
+        if log_total < -745.0:
+            return 0j
+        phase = self.mantissa / abs(self.mantissa)
+        if log_total > 709.0:
+            # componentwise: a plain phase*inf would turn exact zeros
+            # in the phase into NaNs
+            return complex(
+                phase.real * math.inf if phase.real != 0.0 else 0.0,
+                phase.imag * math.inf if phase.imag != 0.0 else 0.0,
+            )
+        return phase * math.exp(log_total)
+
+    @staticmethod
+    def one() -> "ScaledComplex":
+        return ScaledComplex(1.0 + 0j, 0.0)
+
+    @staticmethod
+    def from_complex(w: complex) -> "ScaledComplex":
+        # no normalization: keeps as_complex() an exact inverse, which the
+        # document and CSV round-trips rely on
+        return ScaledComplex(complex(w), 0.0)
+
+
+def scalars(values) -> list[ScaledComplex]:
+    """The elements of a ScaledArray, in C order, as ScaledComplex values with plain complex and float parts."""
+    return [
+        ScaledComplex(m, s)
+        for m, s in zip(values.mantissa.ravel().tolist(), values.log_scale.ravel().tolist())
+    ]
+
+
+def scalar(value) -> ScaledComplex:
+    """The one element of a 0-d ScaledArray, as a ScaledComplex."""
+    (out,) = scalars(value)
+    return out
+
+
+def reference_theta(pm, z, eps, min_shells=0) -> ScaledComplex:
+    """Reference: the theta shell sum in numpy array arithmetic.
+
+    This is the general-genus formulation (solve for the peak, einsum for
+    the quadratic form, one numpy sum per shell) run on the 1x1 period
+    and the genus-1 shells ``[[0]]`` and ``[[-r], [r]]``.
+    """
+    B = np.array([[pm.B]])
+    zv = np.array([z])
+    n0 = np.asarray(np.rint(np.linalg.solve(B.real, -zv.real)), dtype=np.int64)
+    scale = float((0.5 * (n0 @ B @ n0) + n0 @ zv).real)
+    acc = 0.0 + 0.0j
+    quiet = 0
+    for radius in range(61):
+        offsets = np.array([[-radius], [radius]] if radius else [[0]], dtype=np.int64)
+        Nf = (offsets + n0).astype(float)
+        terms = np.exp(0.5 * np.einsum("ij,ni,nj->n", B, Nf, Nf) + Nf @ zv - scale)
+        acc += complex(terms.sum())
+        if float(np.abs(terms).sum()) < eps * max(1.0, abs(acc)):
+            quiet += 1
+            if radius >= max(1, min_shells) and quiet >= 2:
+                return ScaledComplex(acc, scale)
+        else:
+            quiet = 0
+    raise NonConvergent("reference shell sum hit the shell cap")
 
 # fundamental-cell fractions (s, t): lift = 2*pi*i*s + B*t
 CELL_FRACTIONS = (
@@ -77,10 +212,10 @@ def one_value_phi(sd, label, P):
     every grid element.
     """
     label = sd.validate_label(label)
-    den = sd.require_generic(
+    den = scalar(sd.require_generic(
         theta_eval_scaled(sd.curve.pm, sd.curve.abel(P) + sd._W, _THETA_EPS), "denominator"
-    )
-    num = theta_eval_scaled(sd.curve.pm, _theta_argument(sd, P, label), _THETA_EPS)
+    ))
+    num = scalar(theta_eval_scaled(sd.curve.pm, _theta_argument(sd, P, label), _THETA_EPS))
     w = 0j
     for c, (plus, minus) in zip(sd.label_coeffs(label), sd.basis_pairs):
         if c != 0:
@@ -91,13 +226,13 @@ def one_value_phi(sd, label, P):
 def _one_label_product(sd, v, term, thetas):
     out = ScaledComplex.one()
     for factor in term.theta_num:
-        out = out.times(_marked_theta(sd, factor, v, thetas))
+        out = out.times(scalar(_marked_theta(sd, factor, v, thetas)))
     for factor in term.theta_den:
         den = sd.require_generic(
             _marked_theta(sd, factor, v, thetas),
             f"theta denominator at {factor.point} with shift {factor.shift}",
         )
-        out = out.over(den)
+        out = out.over(scalar(den))
     w = 0j
     for it in term.integrals:
         a, b = it.pair
@@ -152,7 +287,7 @@ def one_site_stencil(sd, site, thetas=None):
 def reference_as_dict(stencil) -> dict[str, complex]:
     """A stencil's plain coefficients, one ScaledComplex at a time: the array writers' reference."""
     out = {}
-    for key, val in zip(stencil.model.coeffs, stencil.values.scalars()):
+    for key, val in zip(stencil.model.coeffs, scalars(stencil.values)):
         c = val.as_complex()
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise SingularEvaluation(
@@ -368,6 +503,6 @@ def assert_oracle_matches_reference(sd, sites, probes, field, grid):
     got_maxima = (report.max_gap, report.max_mismatch, report.max_forced_zero_excess)
     assert repr((got, got_maxima, list(report.failures))) == repr((entries, maxima, failures))
     want = [[(complex(v.mantissa), float(v.log_scale)) for v in row] for row in stencils]
-    rows = [[(v.mantissa, v.log_scale) for v in report.coeffs[i].scalars()] for i in range(len(sites))]
+    rows = [[(v.mantissa, v.log_scale) for v in scalars(report.coeffs[i])] for i in range(len(sites))]
     assert repr(rows) == repr(want)
     return report

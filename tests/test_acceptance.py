@@ -45,7 +45,7 @@ from crosshex.operators import (
 from crosshex.surface import make_torus_curve
 from crosshex.theta import PeriodMatrix, theta_eval_scaled
 
-from conftest import translated
+from conftest import scalars, translated
 
 ERRATA_PATH = Path(__file__).resolve().parents[1] / "ERRATA.md"
 
@@ -233,7 +233,7 @@ def test_criterion_3_relift_invariance(announce, generated):
                 labels = [sd.site_label(make(*raw)) for raw in sites]
                 grid = sd.phi_scaled(labels, probes + moved)
                 n = len(probes)
-                for a, bb in zip(grid[:, :n].scalars(), grid[:, n:].scalars()):
+                for a, bb in zip(scalars(grid[:, :n]), scalars(grid[:, n:])):
                     worst = max(worst, abs(bb.over(a).as_complex() - 1.0))
                     checked += 1
         ok = worst <= 1e-8

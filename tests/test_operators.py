@@ -62,6 +62,7 @@ from conftest import (
     reference_as_dict,
     reference_csv,
     reference_document,
+    scalars,
     spectral_data,
 )
 
@@ -120,13 +121,13 @@ def test_window_table_build_matches_site_by_site_build(model, torus):
         for radius in range(7):
             for site, stencil in build_field(sd, radius).stencils.items():
                 want = one_site_stencil(sd, site, thetas)
-                assert repr(stencil.values.scalars()) == repr(want), (curve.pm.B, radius, site)
+                assert repr(scalars(stencil.values)) == repr(want), (curve.pm.B, radius, site)
 
 
 def test_one_site_builders_match_the_reference(cross_data, hex_data):
     for sd, builder in ((cross_data, cross_coefficients), (hex_data, hex_coefficients)):
         for site in window_sites(sd.model, 1):
-            assert repr(builder(sd, site).values.scalars()) == repr(one_site_stencil(sd, site)), site
+            assert repr(scalars(builder(sd, site).values)) == repr(one_site_stencil(sd, site)), site
 
 
 def test_a_denominator_below_the_floor_is_refused(cross_data, monkeypatch):
@@ -139,7 +140,7 @@ def _scalar_residual(sd, stencil, site, P):
     """The residual at one probe from the one-value phi formula and ScaledComplex sums."""
     terms = [
         c.times(one_value_phi(sd, sd.site_label(nb), P))
-        for c, nb in zip(stencil.values.scalars(), stencil_offsets(sd.model, site))
+        for c, nb in zip(scalars(stencil.values), stencil_offsets(sd.model, site))
         if c.mantissa != 0
     ]
     top = max(t.log_abs for t in terms)

@@ -23,7 +23,14 @@ from crosshex.surface import (
 )
 from crosshex.theta import theta_eval_scaled
 
-from conftest import CELL_FRACTIONS, CROSS_NAME_ORDER, cell_point, drawn_spectral_data, genus_two_document
+from conftest import (
+    CELL_FRACTIONS,
+    CROSS_NAME_ORDER,
+    cell_point,
+    drawn_spectral_data,
+    genus_two_document,
+    scalar,
+)
 
 
 def test_abel_map_is_lift_minus_base(torus):
@@ -134,7 +141,7 @@ def _log_prime_delta_dfs(curve, pole: complex, a: complex, b: complex, visits=No
         raise PoleOnPath("integration segment passes within 1e-08 of a pole lift")
 
     def prime(w):
-        return theta_eval_scaled(curve.pm, w - curve._z0, surface._THETA_EPS)
+        return scalar(theta_eval_scaled(curve.pm, w - curve._z0, surface._THETA_EPS))
 
     total = 0j
     u0 = a
