@@ -37,7 +37,8 @@ def _random_pm(rng):
     return PeriodMatrix(complex(-rng.uniform(3.0, 8.0), rng.uniform(-2.0, 2.0)))
 
 
-def _rel_diff(a: ScaledArray, b: ScaledArray) -> float:
+def _rel_diff(a, b) -> float:
+    """``|a / b - 1|`` of two ScaledArray values or two ScaledComplex values."""
     return abs(a.over(b).as_complex() - 1.0)
 
 
