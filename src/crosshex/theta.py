@@ -111,8 +111,10 @@ def _div(a, b) -> np.ndarray:
     """CPython's complex quotient ``a / b`` (Smith's method); ``b`` must be nonzero."""
     ar, ai, br, bi = a.real, a.imag, b.real, b.imag
     by_real = np.abs(br) >= np.abs(bi)
+    # only the quotient Smith's method picks is formed (|ratio| <= 1): the
+    # other one overflows when the smaller part of b is tiny
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(by_real, bi / br, br / bi)
+        ratio = np.where(by_real, bi, br) / np.where(by_real, br, bi)
         denom = np.where(by_real, br + bi * ratio, br * ratio + bi)
         re = np.where(by_real, ar + ai * ratio, ar * ratio + ai) / denom
         im = np.where(by_real, ai - ar * ratio, ai * ratio - ar) / denom

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crosshex import theta
@@ -129,6 +129,7 @@ def test_eps_bounds():
     zr=st.floats(min_value=-3, max_value=3),
     zi=st.floats(min_value=-3, max_value=3),
 )
+@example(n=0, m=0, zr=1.0, zi=2.225073858507203e-309)  # a subnormal part in a mantissa quotient
 def test_quasi_periodicity_is_exact_in_the_exponent(n, m, zr, zi):
     pm = PeriodMatrix(-4.7)
     z = complex(zr, zi)
