@@ -11,11 +11,12 @@ periods and theta arguments are plain complex numbers.
 
 Layers, bottom up: ``theta`` (the genus-one Riemann theta with scaled
 arithmetic), ``surface`` (the analytic torus backend plus a tabulated
-backend and curve documents), ``labels`` (lattice-site relabelling and
-stencil geometry), ``bafunc`` (the function families on a labels x
-probes grid), ``operators`` (stencil formulas, the ``MODELS`` registry of
-per-lattice facts, fields, residuals, oracle, gauge, documents),
-``cli`` (the four-command pipeline).
+backend and curve documents), ``labels`` (one integer table per
+lattice: stencil neighbours, site classes, labels), ``bafunc`` (the
+function families on a labels x probes grid), ``operators`` (stencil
+formulas, the ``MODELS`` registry of per-lattice facts, fields,
+residuals, oracle, gauge, documents), ``cli`` (the four-command
+pipeline).
 """
 
 from .bafunc import (

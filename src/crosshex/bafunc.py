@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyFailure, DimensionMismatch, SchemaError, SingularEvaluation
-from .labels import Label3, Label6, SiteCross, SiteHex, relabel_cross, relabel_hex
+from .labels import Label3, Label6
 from .surface import SpectralCurve, SurfacePoint, complex_from_json
 from .theta import ScaledArray, complex_mul, theta_eval_batch, theta_eval_scaled
 
@@ -97,6 +97,7 @@ class _SpectralDataBase:
     model: str
     marked_names: tuple[str, ...]
     basis_pairs: tuple[tuple[str, str], ...]
+    label_columns: tuple[int, ...]  # the label components paired with the basis pairs, in order
 
     def __init__(self, curve: SpectralCurve, marked: dict[str, SurfacePoint], divisor, normalization=None):
         if set(marked) != set(self.marked_names):
@@ -145,8 +146,8 @@ class _SpectralDataBase:
     # -- label plumbing (model-specific) --------------------------------------
 
     def label_coeffs(self, label) -> np.ndarray:
-        """Integer coefficients pairing the label with the basis pairs."""
-        raise NotImplementedError
+        """Integer coefficients pairing the label with the basis pairs: its ``label_columns``."""
+        return np.asarray(label, dtype=int)[list(self.label_columns)]
 
     def validate_label(self, label):
         raise NotImplementedError
@@ -249,9 +250,6 @@ class _SpectralDataBase:
             raise SingularEvaluation("phi left double range: the normalization or a label is too large")
         return out
 
-    def site_label(self, site):
-        raise NotImplementedError
-
 
 class SpectralDataCross(_SpectralDataBase):
     """Spectral data for the 5-point square-lattice operator family."""
@@ -259,9 +257,7 @@ class SpectralDataCross(_SpectralDataBase):
     model = "cross"
     marked_names = CROSS_MARKED_NAMES
     basis_pairs = CROSS_PAIRS
-
-    def label_coeffs(self, label) -> np.ndarray:
-        return np.asarray(label, dtype=int)
+    label_columns = (0, 1, 2)
 
     def validate_label(self, label) -> Label3:
         if isinstance(label, Label3):
@@ -271,9 +267,6 @@ class SpectralDataCross(_SpectralDataBase):
             raise DimensionMismatch(f"square-lattice label must have 3 components, got {label!r}")
         return Label3(*t)
 
-    def site_label(self, site: SiteCross) -> Label3:
-        return relabel_cross(site)
-
 
 class SpectralDataHex(_SpectralDataBase):
     """Spectral data for the 6-point triangular-lattice operator family."""
@@ -281,11 +274,9 @@ class SpectralDataHex(_SpectralDataBase):
     model = "hex"
     marked_names = HEX_MARKED_NAMES
     basis_pairs = HEX_PAIRS
-
-    def label_coeffs(self, label) -> np.ndarray:
-        # independent exponents: the first two of each zero-sum block,
-        # paired with the four basis differentials anchored at Q3 / R3
-        return np.array([label[0], label[1], label[3], label[4]], dtype=int)
+    # independent exponents: the first two of each zero-sum block, paired
+    # with the four basis differentials anchored at Q3 / R3
+    label_columns = (0, 1, 3, 4)
 
     def validate_label(self, label) -> Label6:
         if not isinstance(label, Label6):
@@ -296,6 +287,3 @@ class SpectralDataHex(_SpectralDataBase):
                 )
             label = Label6(*t)
         return label.check_blocks()
-
-    def site_label(self, site: SiteHex) -> Label6:
-        return relabel_hex(site)

@@ -4,10 +4,13 @@ The function families evaluated by this package are indexed by integer
 *labels* - exponent vectors that count how many copies of each
 marked-point pair enter a function's exponential factor and divisor
 shift.  Sites of the square lattice map to 3-component labels, sites of
-the triangular lattice to 6-component labels, and the map depends on
-the parity class of the site (two classes on the square lattice, three
-on the triangular one).  Everything downstream works with labels; the
-relabelling below is the only place lattice coordinates enter.
+the triangular lattice to 6-component labels.  Within each class of
+sites (the parity of n + m on the square lattice, the residue of k - l
+mod 3 on the triangular one) the label is an affine function of the
+site, so one integer table per lattice (:class:`Lattice`) holds the
+whole site geometry: stencil neighbours, classes and labels, for any
+array of sites at once.  Everything downstream works with labels; these
+tables are the only place lattice coordinates enter.
 
 Coefficient keys follow the fixed export order: ``a, b, c, d, v`` for
 the 5-point cross stencil (``v`` multiplies the center site) and
@@ -16,7 +19,10 @@ the 5-point cross stencil (``v`` multiplies the center site) and
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import InvalidSite
 
@@ -25,24 +31,59 @@ from .errors import InvalidSite
 CROSS_COEFFS: tuple[str, ...] = ("a", "b", "c", "d", "v")
 HEX_COEFFS: tuple[str, ...] = ("a", "b", "c", "d", "f", "g")
 
-# -- neighbor each coefficient multiplies ------------------------------------
 
-CROSS_NEIGHBOR_OFFSETS: dict[str, tuple[int, int]] = {
-    "a": (-1, 0),
-    "b": (1, 0),
-    "c": (0, -1),
-    "d": (0, 1),
-    "v": (0, 0),
-}
+def _table(rows) -> np.ndarray:
+    table = np.array(rows, dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
-HEX_NEIGHBOR_OFFSETS: dict[str, tuple[int, int, int]] = {
-    "a": (0, 1, -1),
-    "b": (0, -1, 1),
-    "c": (1, -1, 0),
-    "d": (-1, 1, 0),
-    "f": (1, 0, -1),
-    "g": (-1, 0, 1),
-}
+
+@dataclass(frozen=True, eq=False)
+class Lattice:
+    """One lattice's site geometry as an integer table.
+
+    Sites are integer arrays whose last axis holds the d coordinates.  A
+    site's neighbours are the site plus the rows of ``offsets``, one per
+    coefficient in coefficient order; its class is ``(site @ w) % q``
+    and its label ``(site @ M + C[class]) // q``.  numpy's integer
+    ``//`` and ``%`` floor as Python's do, and the division is exact
+    within each class.
+    """
+
+    offsets: np.ndarray  # (coefficients, d)
+    q: int  # number of site classes
+    w: np.ndarray  # (d,)
+    M: np.ndarray  # (d, label length)
+    C: np.ndarray  # (q, label length)
+
+    def classes(self, sites) -> np.ndarray:
+        return (np.asarray(sites) @ self.w) % self.q
+
+    def labels(self, sites) -> np.ndarray:
+        sites = np.asarray(sites)
+        return (sites @ self.M + self.C[self.classes(sites)]) // self.q
+
+
+# Even sites (n + m even) get ((2-n-m)/2, (n-m)/2, (n-m)/2), odd sites
+# ((3-n-m)/2, (n-m-1)/2, (n-m+1)/2).
+CROSS_LATTICE = Lattice(
+    offsets=_table([(-1, 0), (1, 0), (0, -1), (0, 1), (0, 0)]),
+    q=2,
+    w=_table((1, 1)),
+    M=_table([(-1, 1, 1), (-1, -1, -1)]),
+    C=_table([(2, 0, 0), (3, -1, 1)]),
+)
+
+# Residue 0 gets ((k-l)/3, (l-m)/3, (m-k)/3) in both blocks, residue 1
+# ((k-l-1)/3, (l-m+2)/3, (m-k-1)/3, (k-l+2)/3, (l-m-1)/3, (m-k-1)/3) and
+# residue 2 ((k-l+1)/3, (l-m+1)/3, (m-k-2)/3, (k-l+1)/3, (l-m-2)/3, (m-k+1)/3).
+HEX_LATTICE = Lattice(
+    offsets=_table([(0, 1, -1), (0, -1, 1), (1, -1, 0), (-1, 1, 0), (1, 0, -1), (-1, 0, 1)]),
+    q=3,
+    w=_table((1, -1, 0)),
+    M=_table([(1, 0, -1, 1, 0, -1), (-1, 1, 0, -1, 1, 0), (0, -1, 1, 0, -1, 1)]),
+    C=_table([(0, 0, 0, 0, 0, 0), (-1, 2, -1, 2, -1, -1), (1, 1, -2, 1, -2, 1)]),
+)
 
 
 class SiteCross(NamedTuple):
@@ -51,15 +92,6 @@ class SiteCross(NamedTuple):
     n: int
     m: int
 
-    @property
-    def parity(self) -> int:
-        """0 for even sites (n + m even), 1 for odd sites."""
-        return (self.n + self.m) % 2
-
-    def neighbor(self, key: str) -> "SiteCross":
-        dn, dm = CROSS_NEIGHBOR_OFFSETS[key]
-        return SiteCross(self.n + dn, self.m + dm)
-
 
 class SiteHex(NamedTuple):
     """A site (k, l, m) of the triangular lattice; requires k + l + m = 0."""
@@ -67,15 +99,6 @@ class SiteHex(NamedTuple):
     k: int
     l: int
     m: int
-
-    @property
-    def residue(self) -> int:
-        """The class (k - l) mod 3 selecting the coefficient formulas."""
-        return (self.k - self.l) % 3
-
-    def neighbor(self, key: str) -> "SiteHex":
-        dk, dl, dm = HEX_NEIGHBOR_OFFSETS[key]
-        return SiteHex(self.k + dk, self.l + dl, self.m + dm)
 
 
 def _integers(coords, count: int) -> bool:
@@ -130,44 +153,19 @@ class Label6(NamedTuple):
         return self
 
 
-def relabel_cross(site: SiteCross) -> Label3:
-    """Exponent label of a square-lattice site.
+def relabel_cross(site) -> Label3:
+    """Exponent label of one square-lattice site, read from ``CROSS_LATTICE``.
 
-    Even sites (n + m even) get ((2-n-m)/2, (n-m)/2, (n-m)/2); odd
-    sites get ((3-n-m)/2, (n-m-1)/2, (n-m+1)/2).  Both are integral in
-    their parity class, and stepping to any stencil neighbor changes
-    the label by one of a fixed set of integer shifts.
+    Both parity classes give integral labels, and stepping to any
+    stencil neighbor changes the label by one of a fixed set of integer
+    shifts.
     """
-    n, m = site.n, site.m
-    if (n + m) % 2 == 0:
-        return Label3((2 - n - m) // 2, (n - m) // 2, (n - m) // 2)
-    return Label3((3 - n - m) // 2, (n - m - 1) // 2, (n - m + 1) // 2)
+    return Label3(*CROSS_LATTICE.labels(site).tolist())
 
 
-def relabel_hex(site: SiteHex) -> Label6:
-    """Exponent label of a triangular-lattice site, by (k - l) mod 3."""
-    k, l, m = site.k, site.l, site.m
-    r = (k - l) % 3
-    if r == 0:
-        t = ((k - l) // 3, (l - m) // 3, (m - k) // 3)
-        return Label6(*t, *t).check_blocks()
-    if r == 1:
-        return Label6(
-            (k - l - 1) // 3,
-            (l - m + 2) // 3,
-            (m - k - 1) // 3,
-            (k - l + 2) // 3,
-            (l - m - 1) // 3,
-            (m - k - 1) // 3,
-        ).check_blocks()
-    return Label6(
-        (k - l + 1) // 3,
-        (l - m + 1) // 3,
-        (m - k - 2) // 3,
-        (k - l + 1) // 3,
-        (l - m - 2) // 3,
-        (m - k + 1) // 3,
-    ).check_blocks()
+def relabel_hex(site) -> Label6:
+    """Exponent label of one triangular-lattice site, read from ``HEX_LATTICE``."""
+    return Label6(*HEX_LATTICE.labels(site).tolist()).check_blocks()
 
 
 def stencil_offsets(model: str, site) -> list[tuple]:
@@ -181,4 +179,4 @@ def stencil_offsets(model: str, site) -> list[tuple]:
 
     m = model_named(model)
     s = m.site(*site)
-    return [s.neighbor(key) for key in m.coeffs]
+    return [type(s)._make(nb) for nb in (np.asarray(s) + m.lattice.offsets).tolist()]

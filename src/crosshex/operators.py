@@ -16,7 +16,7 @@ agreement between the two is a genuine cross-check, and the
 singular-value gap certifies that the kernel is one-dimensional (the
 uniqueness statement at desk scale).
 
-Every per-lattice fact (coefficient keys, site classes, unit, zero and
+Every per-lattice fact (coefficient keys, lattice table, unit, zero and
 formula tables, spectral-data class) lives in one :class:`Model` record
 per lattice, looked up by name in ``MODELS``.
 
@@ -33,7 +33,6 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cache, cached_property
 from itertools import chain, compress, islice
-from operator import attrgetter
 from typing import Callable, Iterator
 
 import numpy as np
@@ -46,7 +45,8 @@ from .errors import (
     SchemaError,
     SingularEvaluation,
 )
-from .labels import CROSS_COEFFS, HEX_COEFFS, site_cross, site_hex, stencil_offsets
+from .labels import CROSS_COEFFS, CROSS_LATTICE, HEX_COEFFS, HEX_LATTICE, Lattice
+from .labels import site_cross, site_hex, stencil_offsets
 from .surface import SurfacePoint, complex_array_from_json
 from .theta import NumpyScaledArray, ScaledArray
 
@@ -464,16 +464,17 @@ HEX_FORMULAS_BY_RESIDUE: tuple[tuple[RatioFormula, ...], ...] = (_HEX_CASE0, _HE
 class Model:
     """Every per-lattice fact of one operator family.
 
-    A site's class (``site_class``: parity on the square lattice, residue
-    on the triangular one) indexes ``units``, ``zeros`` and ``formulas``.
-    Marked-point names and basis pairs live on ``spectral_class``.
+    A site's class (parity on the square lattice, residue on the
+    triangular one; ``lattice`` holds classes, labels and neighbours)
+    indexes ``units``, ``zeros`` and ``formulas``.  Marked-point names
+    and basis pairs live on ``spectral_class``.
     """
 
     name: str
     coeffs: tuple[str, ...]  # coefficient keys, also the export column order
     index_names: tuple[str, ...]  # CSV site-index columns
     site: Callable[..., tuple]  # validating site constructor (raises InvalidSite)
-    site_class: Callable[[tuple], int]
+    lattice: Lattice
     window: Callable[[int], Iterator[tuple]]  # sites of max-norm <= radius, lexicographic
     units: tuple[str, ...]  # unit coefficient per class
     zeros: tuple[tuple[str, ...], ...]  # coefficients forced to zero per class
@@ -485,6 +486,15 @@ class Model:
         """Every (endpoint, pole pair) integral of the formulas: what a tabulated curve must store."""
         return tuple(dict.fromkeys(_integral_keys(f for table in self.formulas for f in table)))
 
+    @property
+    def unit_columns(self) -> np.ndarray:
+        """The column of each class's unit coefficient."""
+        return np.array([self.coeffs.index(unit) for unit in self.units])
+
+    def coords(self, sites) -> np.ndarray:
+        """Validated ``sites`` as one (sites, d) integer array."""
+        return np.array(sites, dtype=np.int64).reshape(len(sites), len(self.index_names))
+
     def __repr__(self) -> str:
         return f"Model({self.name!r})"
 
@@ -494,7 +504,7 @@ CROSS = Model(
     coeffs=CROSS_COEFFS,
     index_names=("n", "m"),
     site=site_cross,
-    site_class=attrgetter("parity"),
+    lattice=CROSS_LATTICE,
     window=lambda r: ((n, m) for n in range(-r, r + 1) for m in range(-r, r + 1)),
     units=("d", "c"),
     zeros=((), ()),
@@ -507,7 +517,7 @@ HEX = Model(
     coeffs=HEX_COEFFS,
     index_names=("k", "l", "m"),
     site=site_hex,
-    site_class=attrgetter("residue"),
+    lattice=HEX_LATTICE,
     window=lambda r: (
         (k, l, -k - l) for k in range(-r, r + 1) for l in range(max(-r, -r - k), min(r, r - k) + 1)
     ),
@@ -674,7 +684,7 @@ class Stencil:
     @property
     def unit(self) -> str:
         """The coefficient that is 1 at this site's class."""
-        return self.model.units[self.model.site_class(self.model.site(*self.site))]
+        return self.model.units[self.model.lattice.classes(self.site)]
 
     def as_dict(self) -> dict[str, complex]:
         return dict(zip(self.model.coeffs, _plain(self.model, self.values).tolist()))
@@ -694,20 +704,21 @@ def _plain(model: Model, coeffs: ScaledArray) -> np.ndarray:
 
 
 def _stencil_table(model: Model, sd, sites) -> ScaledArray:
-    """The stencils at ``sites``, one row each: each class's unit exactly 1, its forced zeros exactly 0.
+    """The stencils at valid ``sites``, one row each: each class's unit exactly 1, its forced zeros exactly 0.
 
-    Each site is labelled once, and every formula of every class present
-    is evaluated at its sites in one :func:`_ratios` call.
+    The sites' classes and labels come from the lattice table in one
+    pass, and every formula of every class present is evaluated at its
+    sites in one :func:`_ratios` call.
     """
-    sites = [model.site(*site) for site in sites]
-    classes = np.array([model.site_class(s) for s in sites], dtype=int)
-    labels = np.array([sd.site_label(s) for s in sites], dtype=int)
+    coords = model.coords(sites)
+    classes = model.lattice.classes(coords)
+    labels = model.lattice.labels(coords)
     present = np.unique(classes).tolist()
     blocks = [(labels[classes == c], f) for c in present for f in model.formulas[c]]
     ratios = _ratios(sd, blocks) if blocks else None
     mantissa = np.zeros((len(sites), len(model.coeffs)), dtype=complex)
     log_scale = np.zeros(mantissa.shape)
-    mantissa[np.arange(len(sites)), [model.coeffs.index(model.units[c]) for c in classes]] = 1.0
+    mantissa[np.arange(len(sites)), model.unit_columns[classes]] = 1.0
     start = 0
     for c in present:
         rows = np.flatnonzero(classes == c)
@@ -1009,9 +1020,11 @@ def field_to_csv(field: StencilField) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sites(model: str, window) -> list[tuple]:
-    """A radius's window, or an explicit iterable of site tuples."""
-    return window_sites(model, window) if isinstance(window, int) else [tuple(s) for s in window]
+def _sites(model: Model, window) -> list[tuple]:
+    """A radius's window, or an explicit iterable of sites, each validated (:class:`InvalidSite`)."""
+    if isinstance(window, int):
+        return window_sites(model.name, window)
+    return [tuple(model.site(*site)) for site in window]
 
 
 def _radius_of(sites) -> int:
@@ -1019,35 +1032,29 @@ def _radius_of(sites) -> int:
     return max((max(map(abs, s)) for s in sites), default=0)
 
 
-def _rows(field: StencilField, sites) -> ScaledArray:
-    """The field's coefficients at ``sites``: shape (len(sites), coefficients)."""
-    return field.coeffs[[field.rows[site] for site in sites]]
+def _rows(sd, sites, field: StencilField | None) -> ScaledArray:
+    """The stencils at ``sites``, a row each, from ``field`` (which must hold them) or a window built here."""
+    field = build_field(sd, _radius_of(sites)) if field is None else field
+    rows = [field.rows.get(site) for site in sites]
+    if None in rows:
+        raise ValueError(f"the field has no stencil at site {sites[rows.index(None)]}")
+    return field.coeffs[rows]
 
 
 @dataclass(frozen=True)
 class PsiGrid:
-    """psi at a set of sites (rows) and probe points (columns).
+    """psi at the stencil neighbours of a list of sites (rows) and at probe points (columns).
 
-    :func:`psi_grid` also stores the sites it was called for and the
-    rows of their stencil neighbours; a grid made without them looks the
-    rows up.
+    ``halo`` holds the distinct neighbour sites, one (d,) row per row of
+    ``values``, and ``neighbor_rows`` the row of each site's neighbours
+    in coefficient order.
     """
 
     probes: tuple[SurfacePoint, ...]
-    rows: dict[tuple, int]
-    values: ScaledArray  # (sites, probes)
-    sites: tuple[tuple, ...] = ()
-    neighbor_rows: np.ndarray | None = None  # (len(sites), coefficients), coefficient order
-
-    def index(self, sites) -> list[int]:
-        return [self.rows[tuple(s)] for s in sites]
-
-    def neighbors(self, model: str, sites) -> np.ndarray:
-        """The rows of each site's stencil neighbours, in coefficient order: (len(sites), coefficients)."""
-        if self.neighbor_rows is not None and tuple(sites) == self.sites:
-            return self.neighbor_rows
-        rows = [self.index(stencil_offsets(model, site)) for site in sites]
-        return np.array(rows, dtype=int).reshape(len(sites), len(MODELS[model].coeffs))
+    sites: tuple[tuple, ...]
+    halo: np.ndarray  # (halo sites, d)
+    neighbor_rows: np.ndarray  # (len(sites), coefficients)
+    values: ScaledArray  # (halo sites, probes)
 
     @cached_property
     def log_abs(self) -> np.ndarray:
@@ -1061,25 +1068,32 @@ class PsiGrid:
 def psi_grid(sd, window, probes) -> PsiGrid:
     """psi at every site of ``window`` and its one-site halo, at every probe.
 
-    ``window`` is a radius or an iterable of sites.  Each site is
-    labelled once, and the whole grid is one :meth:`phi_scaled` call.
+    ``window`` is a radius or an iterable of sites.  The neighbours are
+    the sites plus the lattice offsets; the distinct ones, the halo, are
+    labelled by the lattice table in one pass, and the whole grid is one
+    :meth:`phi_scaled` call.
     """
-    sites = _sites(sd.model, window)
-    neighbors = [stencil_offsets(sd.model, site) for site in sites]
-    halo = list(dict.fromkeys(chain.from_iterable(neighbors)))
-    rows = {nb: i for i, nb in enumerate(halo)}
+    return _psi_grid(sd, _sites(MODELS[sd.model], window), probes)
+
+
+def _psi_grid(sd, sites, probes) -> PsiGrid:
+    model = MODELS[sd.model]
+    coords = model.coords(sites)
+    neighbors = coords[:, None, :] + model.lattice.offsets
+    halo, rows = _unique_rows(neighbors.reshape(-1, coords.shape[1]))
     probes = tuple(probes)
-    values = sd.phi_scaled([sd.site_label(nb) for nb in halo], probes)
-    neighbor_rows = np.array([[rows[nb] for nb in nbs] for nbs in neighbors], dtype=int)
-    shape = (len(sites), len(MODELS[sd.model].coeffs))
-    return PsiGrid(probes, rows, values, tuple(sites), neighbor_rows.reshape(shape))
+    values = sd.phi_scaled(model.lattice.labels(halo).tolist(), probes)
+    return PsiGrid(probes, tuple(sites), halo, rows.reshape(neighbors.shape[:2]), values)
 
 
 def _grid_for(sd, sites, probes, grid: PsiGrid | None) -> PsiGrid:
+    """``grid``, which must be for these sites and probes, or psi at them, evaluated."""
     if grid is None:
-        return psi_grid(sd, sites, probes)
+        return _psi_grid(sd, sites, probes)
     if grid.probes != tuple(probes):
         raise ValueError("the psi grid was evaluated at other probe points")
+    if grid.sites != tuple(sites):
+        raise ValueError("the psi grid was evaluated for other sites")
     return grid
 
 
@@ -1109,23 +1123,21 @@ class ResidualReport:
 _SITE_CHUNK = 64
 
 
-def _site_residuals(sd, field: StencilField, grid: PsiGrid, sites, neighbors, gauge) -> np.ndarray:
+def _site_residuals(rows: ScaledArray, grid: PsiGrid, neighbors, gauges) -> np.ndarray:
     """Normalized residual of each site's stencil equation at each probe: (sites, probes).
 
-    ``neighbors`` holds the grid rows of the sites' stencil neighbours
-    (see :meth:`PsiGrid.neighbors`).
+    ``rows`` holds the sites' stencils, ``neighbors`` the grid rows of
+    their stencil neighbours (see :class:`PsiGrid`), and ``gauges``, if
+    given, the gauge at each grid row.
     """
-    ncoef = neighbors.shape[1]
-    shape = (ncoef, len(sites), len(grid.probes))
-    rows = _rows(field, sites)
+    ncoef, n = neighbors.shape[1], len(neighbors)
+    shape = (ncoef, n, len(grid.probes))
     coeffs = ScaledArray(np.ascontiguousarray(rows.mantissa.T), np.ascontiguousarray(rows.log_scale.T))
-    coeffs = coeffs.reshape(ncoef, len(sites), 1)
+    coeffs = coeffs.reshape(ncoef, n, 1)
     # axis 0 runs over the coefficients, so the terms are summed in stencil order
     terms = coeffs.times(grid.values[neighbors.T])
-    if gauge is not None:
-        offsets = [stencil_offsets(sd.model, site) for site in sites]
-        gauges = np.array([[gauge.at(nbs[k]) for nbs in offsets] for k in range(ncoef)], dtype=complex)
-        terms = terms.times(gauges.reshape(ncoef, len(sites), 1))
+    if gauges is not None:
+        terms = terms.times(gauges[neighbors.T].reshape(ncoef, n, 1))
     return terms.cancellation(np.broadcast_to(coeffs.mantissa != 0, shape))
 
 
@@ -1147,14 +1159,15 @@ def residual_report(
     evaluated here when omitted.  Each site's residual at a probe is
     |sum of terms| / sum of |terms| over its nonzero coefficients.
     """
-    sites = _sites(sd.model, window)
-    field = build_field(sd, _radius_of(sites)) if field is None else field
+    sites = _sites(MODELS[sd.model], window)
+    rows = _rows(sd, sites, field)
     grid = _grid_for(sd, sites, probes, grid)
-    neighbors = grid.neighbors(sd.model, sites)
+    # the gauge at each grid row, looked up once per halo site
+    gauges = None if gauge is None else np.array([gauge.at(s) for s in grid.halo.tolist()], dtype=complex)
     residuals = np.empty((len(sites), len(grid.probes)))
     for start in range(0, len(sites), _SITE_CHUNK):
         chunk = slice(start, start + _SITE_CHUNK)
-        residuals[chunk] = _site_residuals(sd, field, grid, sites[chunk], neighbors[chunk], gauge)
+        residuals[chunk] = _site_residuals(rows[chunk], grid, grid.neighbor_rows[chunk], gauges)
     if grid.probes:
         # the first probe attaining the maximum; a NaN counts as the maximum
         worst_probe = residuals.argmax(axis=1)
@@ -1324,24 +1337,20 @@ def oracle_report(
     ``grid`` holds psi at these probes (see :func:`psi_grid`); it is
     evaluated here when omitted.
     """
-    sites = _sites(sd.model, window)
-    field = build_field(sd, _radius_of(sites)) if field is None else field
-    grid = _grid_for(sd, sites, probes, grid)
-    formula = _rows(field, sites)
+    model = MODELS[sd.model]
+    sites = _sites(model, window)
     if sites and len(probes) < MIN_ORACLE_PROBES:
         raise ValueError(f"the null-space oracle needs at least {MIN_ORACLE_PROBES} probe points")
-    model = MODELS[sd.model]
-    neighbors = grid.neighbors(model.name, sites)
-    units = np.array(
-        [model.coeffs.index(model.units[model.site_class(model.site(*site))]) for site in sites], dtype=int
-    )
+    formula = _rows(sd, sites, field)
+    grid = _grid_for(sd, sites, probes, grid)
+    units = model.unit_columns[model.lattice.classes(model.coords(sites))]
     gaps = np.empty(len(sites))
     shares = np.empty(formula.shape)
     oracle = NumpyScaledArray(np.empty(formula.shape, dtype=complex), np.empty(formula.shape))
     for start in range(0, len(sites), _SITE_CHUNK):
         chunk = slice(start, start + _SITE_CHUNK)
         gaps[chunk], stencils, shares[chunk] = _oracle_chunk(
-            model, grid, sites[chunk], neighbors[chunk], units[chunk]
+            model, grid, sites[chunk], grid.neighbor_rows[chunk], units[chunk]
         )
         oracle.mantissa[chunk], oracle.log_scale[chunk] = stencils.mantissa, stencils.log_scale
     nonzero = formula.mantissa != 0

@@ -17,7 +17,7 @@ import pytest
 
 from crosshex.bafunc import _THETA_EPS, SpectralDataCross, SpectralDataHex
 from crosshex.errors import NonConvergent, RankDeficient, SingularEvaluation
-from crosshex.labels import stencil_offsets
+from crosshex.labels import Label3, Label6, relabel_cross, relabel_hex, stencil_offsets
 from crosshex.operators import (
     FIELD_DOC_FORMAT,
     MIN_ORACLE_PROBES,
@@ -188,9 +188,74 @@ def translated(sd, P, m, n):
     return sd.curve.point(P.lift + (2j * math.pi * m + sd.curve.pm.B * n))
 
 
-def label_shift(relabel, site, key):
+# The per-class relabelling as the package wrote it before the lattice
+# tables: the reference of ``crosshex.labels.CROSS_LATTICE`` and ``HEX_LATTICE``.
+def reference_relabel_cross(site) -> Label3:
+    """Exponent label of a square-lattice site.
+
+    Even sites (n + m even) get ((2-n-m)/2, (n-m)/2, (n-m)/2); odd
+    sites get ((3-n-m)/2, (n-m-1)/2, (n-m+1)/2).  Both are integral in
+    their parity class, and stepping to any stencil neighbor changes
+    the label by one of a fixed set of integer shifts.
+    """
+    n, m = site.n, site.m
+    if (n + m) % 2 == 0:
+        return Label3((2 - n - m) // 2, (n - m) // 2, (n - m) // 2)
+    return Label3((3 - n - m) // 2, (n - m - 1) // 2, (n - m + 1) // 2)
+
+
+def reference_relabel_hex(site) -> Label6:
+    """Exponent label of a triangular-lattice site, by (k - l) mod 3."""
+    k, l, m = site.k, site.l, site.m
+    r = (k - l) % 3
+    if r == 0:
+        t = ((k - l) // 3, (l - m) // 3, (m - k) // 3)
+        return Label6(*t, *t).check_blocks()
+    if r == 1:
+        return Label6(
+            (k - l - 1) // 3,
+            (l - m + 2) // 3,
+            (m - k - 1) // 3,
+            (k - l + 2) // 3,
+            (l - m - 1) // 3,
+            (m - k - 1) // 3,
+        ).check_blocks()
+    return Label6(
+        (k - l + 1) // 3,
+        (l - m + 1) // 3,
+        (m - k - 2) // 3,
+        (k - l + 1) // 3,
+        (l - m - 2) // 3,
+        (m - k + 1) // 3,
+    ).check_blocks()
+
+
+REFERENCE_RELABEL = {"cross": reference_relabel_cross, "hex": reference_relabel_hex}
+
+# the neighbour each coefficient multiplies, as the package kept it before the lattice tables
+REFERENCE_NEIGHBOR_OFFSETS = {
+    "cross": {"a": (-1, 0), "b": (1, 0), "c": (0, -1), "d": (0, 1), "v": (0, 0)},
+    "hex": {
+        "a": (0, 1, -1),
+        "b": (0, -1, 1),
+        "c": (1, -1, 0),
+        "d": (-1, 1, 0),
+        "f": (1, 0, -1),
+        "g": (-1, 0, 1),
+    },
+}
+
+
+def label_shift(model, site, key):
     """relabel(neighbour) - relabel(site) for the neighbour of coefficient ``key``."""
-    return tuple(b - a for a, b in zip(relabel(site), relabel(site.neighbor(key))))
+    relabel = {"cross": relabel_cross, "hex": relabel_hex}[model]
+    neighbour = stencil_offsets(model, site)[MODELS[model].coeffs.index(key)]
+    return tuple(b - a for a, b in zip(relabel(site), relabel(neighbour)))
+
+
+def halo_rows(grid, sites) -> list[int]:
+    """The row of each of ``sites`` in ``grid.halo`` (and ``grid.values``)."""
+    return [int(np.flatnonzero((grid.halo == site).all(axis=1))[0]) for site in sites]
 
 
 def _theta_argument(sd, P, label):
@@ -277,10 +342,10 @@ def one_site_stencil(sd, site, thetas=None):
     thetas = {} if thetas is None else thetas
     model = MODELS[sd.model]
     s = model.site(*site)
-    cls = model.site_class(s)
+    cls = model.lattice.classes(s)
     vals = {model.units[cls]: ScaledComplex.one(), **{k: ScaledComplex(0j, 0.0) for k in model.zeros[cls]}}
     for formula in model.formulas[cls]:
-        vals[formula.coeff] = _one_label_ratio(sd, sd.site_label(s), formula, thetas)
+        vals[formula.coeff] = _one_label_ratio(sd, REFERENCE_RELABEL[sd.model](s), formula, thetas)
     return [vals[k] for k in model.coeffs]
 
 
@@ -417,7 +482,7 @@ def reference_nullspace_oracle(sd, site, probes, grid=None):
         grid = psi_grid(sd, [tuple(s_obj)], probes)
     if grid.probes != tuple(probes):
         raise ValueError("the psi grid was evaluated at other probe points")
-    rows = grid.index(stencil_offsets(model.name, s_obj))
+    rows = halo_rows(grid, stencil_offsets(model.name, s_obj))
     # probes by coefficients, C-ordered: numpy's elementwise kernels below
     # round the same way only on the same memory layout
     logs = np.ascontiguousarray(grid.log_abs[rows].T)
@@ -438,7 +503,7 @@ def reference_nullspace_oracle(sd, site, probes, grid=None):
     gap = float(sing[-1] / sing[-2])
     kernel = vh[-1].conj()
     scaled_kernel = [ScaledComplex(kernel[j], -float(col_scale[j])) for j in range(ncols)]
-    unit = model.units[model.site_class(s_obj)]
+    unit = model.units[model.lattice.classes(s_obj)]
     u_idx = model.coeffs.index(unit)
     kernel_mags = np.abs(kernel)
     if kernel_mags[u_idx] < 1e-12 * kernel_mags.max():

@@ -23,6 +23,7 @@ import pytest
 from crosshex.cli import load_spectral_document, main as cli_main
 from crosshex.labels import (
     HEX_COEFFS,
+    relabel_cross,
     relabel_hex,
     site_cross,
     site_hex,
@@ -214,6 +215,7 @@ def test_criterion_3_relift_invariance(announce, generated):
         for model in ("cross", "hex"):
             sites = window_sites(model, 4)
             make = site_cross if model == "cross" else site_hex
+            relabel = relabel_cross if model == "cross" else relabel_hex
             origin = make(*(0,) * len(sites[0]))
             for sd, doc in generated[model]:
                 probes = sample_probes(sd, 10, seed=doc["seed"] + 500)
@@ -222,7 +224,7 @@ def test_criterion_3_relift_invariance(announce, generated):
                     for offset in ((1, 1), (2, 1), (1, 2)):
                         try:
                             Q = translated(sd, P, *offset)
-                            sd.phi_scaled([sd.site_label(origin)], [Q])
+                            sd.phi_scaled([relabel(origin)], [Q])
                             moved.append(Q)
                             break
                         except Exception:
@@ -230,7 +232,7 @@ def test_criterion_3_relift_invariance(announce, generated):
                     else:
                         return False, f"no usable lattice translate for a probe ({model})"
                 # one grid: every site at the probes, then at their translates
-                labels = [sd.site_label(make(*raw)) for raw in sites]
+                labels = [relabel(make(*raw)) for raw in sites]
                 grid = sd.phi_scaled(labels, probes + moved)
                 n = len(probes)
                 for a, bb in zip(scalars(grid[:, :n]), scalars(grid[:, n:])):

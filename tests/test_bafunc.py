@@ -69,7 +69,8 @@ def test_relift_invariance(fixture, sites, cross_data, hex_data, cross_probes, h
     sd = cross_data if fixture == "cross" else hex_data
     make = site_cross if fixture == "cross" else site_hex
     probes = (cross_probes if fixture == "cross" else hex_probes)[:2]
-    labels = [sd.site_label(make(*raw)) for raw in sites]
+    relabel = relabel_cross if fixture == "cross" else relabel_hex
+    labels = [relabel(make(*raw)) for raw in sites]
     values = scalars(sd.phi_scaled(labels, probes))
     moved = scalars(sd.phi_scaled(labels, [translated(sd, P, 1, 1) for P in probes]))
     for val, other in zip(values, moved):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,6 +7,7 @@ from crosshex.errors import InvalidSite
 from crosshex.labels import (
     CROSS_COEFFS,
     HEX_COEFFS,
+    HEX_LATTICE,
     Label3,
     Label6,
     relabel_cross,
@@ -14,8 +16,9 @@ from crosshex.labels import (
     site_hex,
     stencil_offsets,
 )
+from crosshex.operators import MODELS, window_sites
 
-from conftest import label_shift
+from conftest import REFERENCE_NEIGHBOR_OFFSETS, REFERENCE_RELABEL, label_shift
 
 ints = st.integers(min_value=-50, max_value=50)
 
@@ -54,7 +57,8 @@ def test_relabel_hex_pins(site, label):
 def _cross_shifts(n, m):
     """Neighbor site -> label shift, in coefficient order."""
     site = site_cross(n, m)
-    return {tuple(site.neighbor(k)): label_shift(relabel_cross, site, k) for k in CROSS_COEFFS}
+    neighbors = stencil_offsets("cross", site)
+    return {tuple(nb): label_shift("cross", site, k) for nb, k in zip(neighbors, CROSS_COEFFS)}
 
 
 def test_cross_even_site_shifts():
@@ -85,6 +89,26 @@ def test_stencil_offsets_follow_coefficient_order():
     ]
 
 
+@pytest.mark.parametrize("model", ["cross", "hex"])
+def test_lattice_table_matches_the_reference_over_the_radius_40_window(model):
+    m, relabel = MODELS[model], REFERENCE_RELABEL[model]
+    one_site = {"cross": relabel_cross, "hex": relabel_hex}[model]
+    sites = [m.site(*s) for s in window_sites(model, 40)]
+    coords = np.array(sites)
+    # the reference's case selectors: the parity of n + m, the residue of k - l
+    classes = [(s[0] + s[1]) % 2 if model == "cross" else (s[0] - s[1]) % 3 for s in sites]
+    assert m.lattice.classes(coords).tolist() == classes
+    labels = [list(relabel(s)) for s in sites]
+    assert m.lattice.labels(coords).tolist() == labels
+    assert [list(one_site(s)) for s in sites] == labels
+    offsets = REFERENCE_NEIGHBOR_OFFSETS[model]
+    neighbours = [[m.site(*(x + d for x, d in zip(s, offsets[k]))) for k in m.coeffs] for s in sites]
+    table = coords[:, None, :] + m.lattice.offsets
+    assert table.tolist() == [[list(nb) for nb in row] for row in neighbours]
+    assert [stencil_offsets(model, s) for s in sites] == neighbours
+    assert m.lattice.labels(table).tolist() == [[list(relabel(nb)) for nb in row] for row in neighbours]
+
+
 # -- structural invariants ---------------------------------------------------
 
 
@@ -108,22 +132,23 @@ def test_hex_labels_have_zero_block_sums(site):
 @given(hex_sites())
 def test_hex_shifts_depend_only_on_residue(site):
     ref = {0: site_hex(0, 0, 0), 1: site_hex(1, 0, -1), 2: site_hex(2, 0, -2)}
-    expected = [label_shift(relabel_hex, ref[site.residue], key) for key in HEX_COEFFS]
-    assert [label_shift(relabel_hex, site, key) for key in HEX_COEFFS] == expected
+    expected = [label_shift("hex", ref[(site.k - site.l) % 3], key) for key in HEX_COEFFS]
+    assert [label_shift("hex", site, key) for key in HEX_COEFFS] == expected
 
 
 @given(ints, ints)
 def test_cross_shifts_depend_only_on_parity(n, m):
     ref = site_cross((n + m) % 2, 0)
     for key in CROSS_COEFFS:
-        assert label_shift(relabel_cross, site_cross(n, m), key) == label_shift(relabel_cross, ref, key)
+        assert label_shift("cross", site_cross(n, m), key) == label_shift("cross", ref, key)
 
 
 @given(hex_sites())
 def test_hex_neighbor_residues_rotate(site):
-    # each neighbor changes the residue class by (dk - dl) mod 3
-    for key, step in (("a", 2), ("b", 1), ("c", 2), ("d", 1), ("f", 1), ("g", 2)):
-        assert site.neighbor(key).residue == (site.residue + step) % 3
+    # each neighbor changes the residue class by (dk - dl) mod 3, in coefficient order
+    residue = HEX_LATTICE.classes(site)
+    for neighbor, step in zip(stencil_offsets("hex", site), (2, 1, 2, 1, 1, 2)):
+        assert HEX_LATTICE.classes(neighbor) == (residue + step) % 3
 
 
 # -- validation --------------------------------------------------------------

@@ -27,7 +27,6 @@ from crosshex.labels import (
 )
 from crosshex.operators import (
     CROSS,
-    PsiGrid,
     CROSS_EVEN_FORMULAS,
     CROSS_ODD_FORMULAS,
     HEX,
@@ -56,6 +55,8 @@ from crosshex.surface import export_curve_document, load_tabulated_curve, make_t
 from crosshex.theta import ScaledArray
 
 from conftest import (
+    REFERENCE_RELABEL,
+    halo_rows,
     label_shift,
     one_site_stencil,
     one_value_phi,
@@ -139,7 +140,7 @@ def test_a_denominator_below_the_floor_is_refused(cross_data, monkeypatch):
 def _scalar_residual(sd, stencil, site, P):
     """The residual at one probe from the one-value phi formula and ScaledComplex sums."""
     terms = [
-        c.times(one_value_phi(sd, sd.site_label(nb), P))
+        c.times(one_value_phi(sd, REFERENCE_RELABEL[sd.model](nb), P))
         for c, nb in zip(scalars(stencil.values), stencil_offsets(sd.model, site))
         if c.mantissa != 0
     ]
@@ -167,7 +168,7 @@ def test_grid_residuals_match_one_value_psi(model, cross_data, hex_data, cross_p
 def test_a_nan_residual_is_a_breach(cross_data, cross_probes):
     grid = psi_grid(cross_data, 1, cross_probes)
     mantissa = grid.values.mantissa.copy()
-    mantissa[grid.rows[(0, 0)], 3] = complex(math.nan, 0.0)
+    mantissa[halo_rows(grid, [(0, 0)]), 3] = complex(math.nan, 0.0)
     bad = replace(grid, values=ScaledArray(mantissa, grid.values.log_scale))
     rep = residual_report(cross_data, 1, cross_probes, grid=bad)
     # (0, 0) is its own centre and a neighbour of the four sites next to it
@@ -214,18 +215,17 @@ def test_formula_tables_align_with_shifts(name, request):
     model = MODELS[name]
     sd = request.getfixturevalue(f"{name}_data")
     assert model.spectral_class.model == name and type(sd) is model.spectral_class
-    relabel = {"cross": relabel_cross, "hex": relabel_hex}[name]
-    classes = {model.site_class(model.site(*s)): model.site(*s) for s in model.window(2)}
+    classes = {model.lattice.classes(s): model.site(*s) for s in model.window(2)}
     assert sorted(classes) == list(range(len(model.formulas)))
     assert len(model.units) == len(model.zeros) == len(model.formulas)
     for cls, site in sorted(classes.items()):
         unit, zeros, formulas = model.units[cls], model.zeros[cls], model.formulas[cls]
         # unit, forced zeros and formula keys split the coefficients, no key twice
         assert sorted([unit, *zeros, *(f.coeff for f in formulas)]) == sorted(model.coeffs)
-        num_shift = label_shift(relabel, site, unit)
+        num_shift = label_shift(name, site, unit)
         for f in formulas:
             assert f.r_num_shift == num_shift
-            assert f.r_den_shift == label_shift(relabel, site, f.coeff)
+            assert f.r_den_shift == label_shift(name, site, f.coeff)
             for shift in _theta_shifts(f):
                 sd.validate_label(shift)  # hex: both 3-blocks sum to zero
 
@@ -380,10 +380,10 @@ def test_forced_zero_measure_reads_a_real_term(hex_data, hex_probes):
     clean = oracle_report(hex_data, [site], hex_probes, grid=grid)
     assert clean.passed and clean.max_forced_zero_excess <= 1e-10
     nbs = stencil_offsets("hex", site)
-    b_row, c_row = grid.index([nbs[HEX_COEFFS.index("b")], nbs[HEX_COEFFS.index("c")]])
+    b_row, c_row = halo_rows(grid, [nbs[HEX_COEFFS.index("b")], nbs[HEX_COEFFS.index("c")]])
     mantissa, log_scale = grid.values.mantissa.copy(), grid.values.log_scale.copy()
     mantissa[b_row], log_scale[b_row] = mantissa[c_row], log_scale[c_row]
-    mutated = PsiGrid(grid.probes, grid.rows, ScaledArray(mantissa, log_scale))
+    mutated = replace(grid, values=ScaledArray(mantissa, log_scale))
     rep = oracle_report(hex_data, [site], hex_probes, grid=mutated)
     assert rep.entries[0].gap <= 1e-6  # a clean one-dimensional kernel
     assert rep.max_forced_zero_excess >= 0.1

@@ -16,11 +16,11 @@ import pytest
 
 from crosshex.errors import RankDeficient
 from crosshex.labels import HEX_COEFFS, stencil_offsets
-from crosshex.operators import PsiGrid, build_field, oracle_report, psi_grid, residual_report, sample_probes
+from crosshex.operators import build_field, oracle_report, psi_grid, residual_report, sample_probes
 from crosshex.surface import make_torus_curve
 from crosshex.theta import ScaledArray
 
-from conftest import assert_oracle_matches_reference, reference_nullspace_oracle, spectral_data
+from conftest import assert_oracle_matches_reference, halo_rows, reference_nullspace_oracle, spectral_data
 
 
 @pytest.mark.parametrize("b_re", [-3.5, -4.25, -7.9])
@@ -40,7 +40,7 @@ def test_a_mutated_grid_matches_the_reference(hex_data, hex_probes):
     grid = psi_grid(hex_data, 1, hex_probes)
     site = (0, 0, 0)
     nbs = stencil_offsets("hex", site)
-    b_row, c_row = grid.index([nbs[HEX_COEFFS.index("b")], nbs[HEX_COEFFS.index("c")]])
+    b_row, c_row = halo_rows(grid, [nbs[HEX_COEFFS.index("b")], nbs[HEX_COEFFS.index("c")]])
     mantissa, log_scale = grid.values.mantissa.copy(), grid.values.log_scale.copy()
     mantissa[b_row], log_scale[b_row] = mantissa[c_row], log_scale[c_row]
     mutated = replace(grid, values=ScaledArray(mantissa, log_scale))
@@ -49,22 +49,17 @@ def test_a_mutated_grid_matches_the_reference(hex_data, hex_probes):
 
 
 @pytest.mark.parametrize("model", ["cross", "hex"])
-def test_a_grid_without_stored_neighbours_gives_the_same_reports(model, request):
+def test_a_grid_is_refused_for_another_site_list(model, request):
     sd, probes = request.getfixturevalue(f"{model}_data"), request.getfixturevalue(f"{model}_probes")
     field = build_field(sd, 2)
     grid = psi_grid(sd, 2, probes)
-    bare = PsiGrid(grid.probes, grid.rows, grid.values)
-    assert bare.neighbor_rows is None
-    np.testing.assert_array_equal(bare.neighbors(model, field.sites), grid.neighbor_rows)
-    assert_oracle_matches_reference(sd, list(field.sites), probes, field, bare)
     for report in (oracle_report, residual_report):
+        # the window's sites listed one by one are the grid's sites
         full = report(sd, 2, probes, field=field, grid=grid)
-        assert repr(report(sd, 2, probes, field=field, grid=bare)) == repr(full)
-    # a site list other than the grid's window reads the rows up as well
-    sites = list(field.sites)[::-3]
-    assert repr(oracle_report(sd, sites, probes, field=field, grid=grid)) == repr(
-        oracle_report(sd, sites, probes, field=field, grid=bare)
-    )
+        assert repr(report(sd, list(field.sites), probes, field=field, grid=grid)) == repr(full)
+        for sites in (list(field.sites)[::-3], list(field.sites)[:-1], list(field.sites)[::-1]):
+            with pytest.raises(ValueError, match="other sites"):
+                report(sd, sites, probes, field=field, grid=grid)
 
 
 def _reference_failure(sd, sites, probes, grid):
@@ -80,13 +75,14 @@ def _reference_failure(sd, sites, probes, grid):
 def _with_rows(grid, changes):
     """``grid`` with the psi rows of some neighbour sites replaced: {site: (mantissas, log scales)}."""
     mantissa, log_scale = grid.values.mantissa.copy(), grid.values.log_scale.copy()
-    for site, (m, s) in changes.items():
-        mantissa[grid.rows[site]], log_scale[grid.rows[site]] = m, s
+    for row, (m, s) in zip(halo_rows(grid, changes), changes.values()):
+        mantissa[row], log_scale[row] = m, s
     return replace(grid, values=ScaledArray(mantissa, log_scale))
 
 
 def _row(grid, site):
-    return grid.values.mantissa[grid.rows[site]], grid.values.log_scale[grid.rows[site]]
+    (row,) = halo_rows(grid, [site])
+    return grid.values.mantissa[row], grid.values.log_scale[row]
 
 
 def _failure_cases(grid, probes):
@@ -143,3 +139,23 @@ def test_too_few_or_other_probes_raise_valueerror_first(cross_data, cross_probes
         oracle_report(cross_data, 1, [cross_probes[0]] * 8)
     # an empty window checks nothing
     assert oracle_report(cross_data, [], cross_probes[:5]).entries == ()
+
+
+def _no_evaluation(*args, **kwargs):
+    raise AssertionError("psi or a stencil was evaluated before the refusal")
+
+
+def test_too_few_probes_are_refused_before_any_evaluation(cross_data, cross_probes, monkeypatch):
+    monkeypatch.setattr(cross_data, "phi_scaled", _no_evaluation)
+    monkeypatch.setattr(cross_data, "marked_thetas", _no_evaluation)
+    with pytest.raises(ValueError, match="at least 8 probe points"):
+        oracle_report(cross_data, 10, cross_probes[:7])
+
+
+@pytest.mark.parametrize("report", [residual_report, oracle_report])
+def test_a_site_outside_the_field_is_refused_before_any_evaluation(report, cross_data, cross_probes, monkeypatch):
+    field = build_field(cross_data, 1)
+    monkeypatch.setattr(cross_data, "phi_scaled", _no_evaluation)
+    monkeypatch.setattr(cross_data, "marked_thetas", _no_evaluation)
+    with pytest.raises(ValueError, match=r"no stencil at site \(3, 3\)"):
+        report(cross_data, [(0, 0), (3, 3), (-4, 4)], cross_probes, field=field)
