@@ -17,7 +17,7 @@ import pytest
 
 from crosshex.bafunc import _THETA_EPS, SpectralDataCross, SpectralDataHex
 from crosshex.errors import NonConvergent, RankDeficient, SingularEvaluation
-from crosshex.labels import Label3, Label6, relabel_cross, relabel_hex, stencil_offsets
+from crosshex.labels import Label3, Label6, SiteCross, SiteHex, relabel_cross, relabel_hex, stencil_offsets
 from crosshex.operators import (
     FIELD_DOC_FORMAT,
     MIN_ORACLE_PROBES,
@@ -190,7 +190,7 @@ def translated(sd, P, m, n):
 
 # The per-class relabelling as the package wrote it before the lattice
 # tables: the reference of ``crosshex.labels.CROSS_LATTICE`` and ``HEX_LATTICE``.
-def reference_relabel_cross(site) -> Label3:
+def reference_relabel_cross(site: SiteCross) -> Label3:
     """Exponent label of a square-lattice site.
 
     Even sites (n + m even) get ((2-n-m)/2, (n-m)/2, (n-m)/2); odd
@@ -204,7 +204,7 @@ def reference_relabel_cross(site) -> Label3:
     return Label3((3 - n - m) // 2, (n - m - 1) // 2, (n - m + 1) // 2)
 
 
-def reference_relabel_hex(site) -> Label6:
+def reference_relabel_hex(site: SiteHex) -> Label6:
     """Exponent label of a triangular-lattice site, by (k - l) mod 3."""
     k, l, m = site.k, site.l, site.m
     r = (k - l) % 3
