@@ -97,7 +97,8 @@ class _SpectralDataBase:
     model: str
     marked_names: tuple[str, ...]
     basis_pairs: tuple[tuple[str, str], ...]
-    label_columns: tuple[int, ...]  # the label components paired with the basis pairs, in order
+    label_type: type  # Label3 or Label6
+    label_columns: list[int]  # the label components paired with the basis pairs, in order
 
     def __init__(self, curve: SpectralCurve, marked: dict[str, SurfacePoint], divisor, normalization=None):
         if set(marked) != set(self.marked_names):
@@ -145,9 +146,25 @@ class _SpectralDataBase:
 
     # -- label plumbing (model-specific) --------------------------------------
 
-    def label_coeffs(self, label) -> np.ndarray:
-        """Integer coefficients pairing the label with the basis pairs: its ``label_columns``."""
-        return np.asarray(label, dtype=int)[list(self.label_columns)]
+    def label_array(self, labels) -> np.ndarray:
+        """The labels as one (labels, components) int64 array, validated in one pass.
+
+        Input that numpy does not read as such an array, or that fails the
+        check, goes label by label through :meth:`validate_label`, which
+        refuses the first bad label with its error and message.
+        """
+        width = len(self.label_type._fields)
+        try:
+            a = np.asarray(labels)
+        except (ValueError, OverflowError):  # labels of different widths, or past int64
+            a = None
+        if a is None or a.dtype.kind != "i" or a.shape[1:] != (width,) or not self._valid_labels(a):
+            a = np.array([self.validate_label(label) for label in labels], dtype=np.int64).reshape(-1, width)
+        return a.astype(np.int64, copy=False)
+
+    def _valid_labels(self, labels: np.ndarray) -> bool:
+        """Whether every row of a (labels, width) integer array passes :meth:`validate_label`."""
+        return True
 
     def validate_label(self, label):
         raise NotImplementedError
@@ -155,7 +172,7 @@ class _SpectralDataBase:
     # -- evaluation primitives -------------------------------------------------
 
     def _label_thetas(self, abel, coeffs, rows) -> ScaledArray:
-        """Theta at ``(abel + c . U) + W`` for the label coefficients ``c = coeffs[rows]``, in one kernel call.
+        """Theta at ``(abel + c . U) + W`` for the label coefficient rows ``c = coeffs[rows]``, in one kernel call.
 
         ``abel`` and ``rows`` broadcast to the shape of the result.  Each
         label's coefficients are paired with the b-periods ``U`` by one
@@ -170,11 +187,12 @@ class _SpectralDataBase:
     def marked_thetas(self, labels, points, rows) -> ScaledArray:
         """Theta at marked point ``points[i]`` and label ``labels[rows[i]]`` for each i, in one kernel call.
 
-        ``labels`` holds one label per row and ``points`` indexes
-        ``marked_names``.
+        ``labels`` holds one label per row (see :meth:`label_array`) and
+        ``points`` indexes ``marked_names``.
         """
+        coeffs = self.label_array(labels)[:, self.label_columns]
         abel = np.array([self.curve.abel(self.marked[name]) for name in self.marked_names], dtype=complex)
-        return self._label_thetas(abel[points], [self.label_coeffs(label) for label in labels], rows)
+        return self._label_thetas(abel[points], coeffs, rows)
 
     def denominator_scaled(self, P: SurfacePoint) -> ScaledArray:
         """The label-independent theta denominator at P, a 0-d ScaledArray guarded by the genericity floor."""
@@ -221,21 +239,20 @@ class _SpectralDataBase:
     def phi_scaled(self, labels, probes) -> ScaledArray:
         """phi at every label and probe, with one theta kernel call for the grid.
 
-        ``labels`` is a sequence of labels and ``probes`` a sequence of
-        points; the result is a :class:`ScaledArray` of shape (labels,
-        probes).  A value outside double range (a mantissa that overflowed)
-        raises :class:`SingularEvaluation`.
+        ``labels`` holds one label per row (see :meth:`label_array`) and
+        ``probes`` is a sequence of points; the result is a
+        :class:`ScaledArray` of shape (labels, probes).  A value outside
+        double range (a mantissa that overflowed) raises
+        :class:`SingularEvaluation`.
         """
-        labels = [self.validate_label(label) for label in labels]
+        coeffs = self.label_array(labels)[:, self.label_columns]
         dens = [self.denominator_scaled(P) for P in probes]
         den = ScaledArray(
             np.array([d.mantissa for d in dens], dtype=complex),
             np.array([d.log_scale for d in dens], dtype=float),
         )
-        coeffs = [self.label_coeffs(label) for label in labels]
         abel = np.array([self.curve.abel(P) for P in probes], dtype=complex)
         num = self._label_thetas(abel[None, :], coeffs, np.arange(len(coeffs))[:, None])
-        coeffs = np.array(coeffs, dtype=int).reshape(len(labels), len(self.basis_pairs))
         used = [(c, pair) for c, pair in zip(coeffs.T, self.basis_pairs) if c.any()]
         integrals = np.array(
             self.integrals((P, pair) for _, pair in used for P in probes), dtype=complex
@@ -257,7 +274,8 @@ class SpectralDataCross(_SpectralDataBase):
     model = "cross"
     marked_names = CROSS_MARKED_NAMES
     basis_pairs = CROSS_PAIRS
-    label_columns = (0, 1, 2)
+    label_type = Label3
+    label_columns = [0, 1, 2]
 
     def validate_label(self, label) -> Label3:
         if isinstance(label, Label3):
@@ -276,7 +294,13 @@ class SpectralDataHex(_SpectralDataBase):
     basis_pairs = HEX_PAIRS
     # independent exponents: the first two of each zero-sum block, paired
     # with the four basis differentials anchored at Q3 / R3
-    label_columns = (0, 1, 3, 4)
+    label_type = Label6
+    label_columns = [0, 1, 3, 4]
+
+    def _valid_labels(self, labels: np.ndarray) -> bool:
+        # entries under 2**61 in size sum exactly in int64; larger ones take the one-label path
+        small = labels.size == 0 or (labels.min() > -(2**61) and labels.max() < 2**61)
+        return small and not labels.reshape(-1, 2, 3).sum(axis=2).any()
 
     def validate_label(self, label) -> Label6:
         if not isinstance(label, Label6):

@@ -23,6 +23,7 @@ Exit codes: 0 success, 1 verification breach or data-quality failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -327,7 +328,9 @@ _FINITE = _checked(float, math.isfinite, "a finite number")
 _TOLERANCE = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="crosshex",
         description="Build and verify lattice difference operators from curve data.",
@@ -346,13 +349,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"period imaginary part (in [-{MAX_ABS_IM_B:g}, {MAX_ABS_IM_B:g}]; default 0)",
     )
     g.add_argument("-o", "--output", required=True, help="spectral document path (.json)")
-    g.set_defaults(func=cmd_gen_spectral)
 
     b = sub.add_parser("build", help="evaluate the stencil field on a window")
     b.add_argument("-i", "--input", required=True, help="spectral document path")
     b.add_argument("--window", type=_NATURAL, default=3, help="window radius (default 3)")
     b.add_argument("-o", "--output", required=True, help="field document path (.json)")
-    b.set_defaults(func=cmd_build)
 
     v = sub.add_parser("verify", help="check residuals, kernel gap, and oracle match")
     v.add_argument("-i", "--input", required=True, help="spectral document path")
@@ -366,21 +367,20 @@ def _build_parser() -> argparse.ArgumentParser:
     v.add_argument("--gap-tol", type=_TOLERANCE, default=1e-6, help="kernel-gap tolerance")
     v.add_argument("--match-tol", type=_TOLERANCE, default=1e-6, help="oracle-match tolerance")
     v.add_argument("-o", "--output", default=None, help="optional JSON report path")
-    v.set_defaults(func=cmd_verify)
 
     e = sub.add_parser("export", help="convert a field document to CSV or JSON")
     e.add_argument("-i", "--input", required=True, help="field document path")
     e.add_argument("--format", choices=("json", "csv"), default="csv")
     e.add_argument("-o", "--output", required=True, help="output path")
-    e.set_defaults(func=cmd_export)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    config = parser.parse_args(argv)
+    config = _build_parser().parse_args(argv)
+    # looked up at call time, so a rebound ``cmd_*`` module global is the one called
+    command = globals()["cmd_" + config.command.replace("-", "_")]
     try:
-        return config.func(config)
+        return command(config)
     except (SchemaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

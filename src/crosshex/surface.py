@@ -271,8 +271,8 @@ class TorusCurve(SpectralCurve):
         are summed from a to b.  All segments advance in lockstep, and
         each point reaches the kernel once: the first
         :func:`theta_eval_batch` call evaluates both ends of every
-        segment, and each later round evaluates only the midpoints the
-        last round pushed.  A right end waits on its segment's stack
+        segment, each distinct ``u - pole`` once, and each later round
+        evaluates only the midpoints the last round pushed.  A right end waits on its segment's stack
         with its value, so after an accepted step the segment tests the
         next end at once, and keeps stepping until a test fails (which
         pushes a midpoint) or its stack is empty.  A segment takes the
@@ -294,7 +294,11 @@ class TorusCurve(SpectralCurve):
         work = list(itertools.compress(work, ~near))
         pole = [p for p, _, _ in work]
         ends = [a for _, a, _ in work] + [b for _, _, b in work]
-        points = list(zip(ends, *self._primes([u - p for u, p in zip(ends, pole * 2)])))
+        # the left ends of a pass share a few poles; keyed by bits, signed zeros stay apart
+        w = np.array(ends, dtype=complex) - np.array(pole * 2, dtype=complex)
+        distinct, inverse = np.unique(w.view(np.dtype((np.void, w.itemsize))), return_inverse=True)
+        m, la = self._primes(distinct.view(complex).tolist())
+        points = [(u, m[j], la[j]) for u, j in zip(ends, inverse.tolist())]
         # (u, mantissa, log-magnitude): the point each segment has reached, and
         # the right ends it has still to reach, the last next
         left = points[: len(work)]

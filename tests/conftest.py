@@ -258,9 +258,14 @@ def halo_rows(grid, sites) -> list[int]:
     return [int(np.flatnonzero((grid.halo == site).all(axis=1))[0]) for site in sites]
 
 
+def _label_coeffs(sd, label) -> np.ndarray:
+    """The label's components paired with the basis pairs (its ``label_columns``), as int64."""
+    return np.asarray(label, dtype=np.int64)[sd.label_columns]
+
+
 def _theta_argument(sd, P, label):
     """A(P) + c(label) . U - A(D) - K, with the dot taken by numpy as the package takes it."""
-    return sd.curve.abel(P) + complex(sd.label_coeffs(label) @ sd._U) + sd._W
+    return sd.curve.abel(P) + complex(_label_coeffs(sd, label) @ sd._U) + sd._W
 
 
 @functools.lru_cache(maxsize=None)
@@ -282,7 +287,7 @@ def one_value_phi(sd, label, P):
     ))
     num = scalar(theta_eval_scaled(sd.curve.pm, _theta_argument(sd, P, label), _THETA_EPS))
     w = 0j
-    for c, (plus, minus) in zip(sd.label_coeffs(label), sd.basis_pairs):
+    for c, (plus, minus) in zip(_label_coeffs(sd, label), sd.basis_pairs):
         if c != 0:
             w += complex(c) * _integral(sd.curve, P.lift, sd.marked[plus].lift, sd.marked[minus].lift)
     return num.over(den).times_exp(w).times(sd.normalization.value)

@@ -203,3 +203,94 @@ def test_hex_label_blocks_enforced(hex_data):
 def test_normalization_floor():
     with pytest.raises(SingularEvaluation):
         ConstantNormalization(1e-13)
+
+
+# -- labels as one integer array -------------------------------------------------
+
+
+def _label_inputs(labels, label_type):
+    """The same labels as a list of tuples, a list of lists, a tuple, a list of Label3/Label6 and an int array."""
+    return {
+        "tuples": [tuple(label) for label in labels],
+        "lists": [list(label) for label in labels],
+        "tuple": tuple(tuple(label) for label in labels),
+        "named": [label_type(*label) for label in labels],
+        "array": np.array(labels, dtype=np.int64).reshape(len(labels), len(label_type._fields)),
+    }
+
+
+def _refusal(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+GOOD_LABELS = {
+    "cross": [(2, -1, 1), (0, 0, 0), (-3, 4, 1)],
+    "hex": [(2, -1, -1, 1, -2, 1), (0,) * 6, (1, 1, -2, -3, 2, 1)],
+}
+
+
+@pytest.mark.parametrize("model", ["cross", "hex"])
+def test_label_array_reads_every_label_form_as_validate_label_does(model, cross_data, hex_data):
+    sd = cross_data if model == "cross" else hex_data
+    want = np.array([sd.validate_label(label) for label in GOOD_LABELS[model]], dtype=np.int64)
+    for form, labels in _label_inputs(GOOD_LABELS[model], sd.label_type).items():
+        got = sd.label_array(labels)
+        assert got.dtype == np.int64 and np.array_equal(got, want), form
+
+
+BAD_LABELS = {
+    # (labels with the first bad one at index 1, the error validate_label raises)
+    "cross-width": ("cross", [(2, -1, 1), (1, 0), (1, 0, 0, 0)], DimensionMismatch),
+    "hex-width": ("hex", [(0,) * 6, (1, -1, 0), (1,) * 7], DimensionMismatch),
+    "hex-blocks": ("hex", [(0,) * 6, (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)], ValueError),
+    # the first block sums to 2**64, which int64 arithmetic would read as 0
+    "hex-wrapping-sum": ("hex", [(0,) * 6, (2**63 - 1, 2**63 - 1, 2, 0, 0, 0)], ValueError),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_LABELS))
+def test_label_array_refuses_the_first_bad_label_as_validate_label_does(case, cross_data, hex_data, cross_probes):
+    model, labels, error = BAD_LABELS[case]
+    sd = cross_data if model == "cross" else hex_data
+    forms = {"tuples": [tuple(label) for label in labels], "lists": [list(label) for label in labels]}
+    forms["tuple"] = tuple(forms["tuples"])
+    if len({len(label) for label in labels}) == 1:
+        forms["array"] = np.array(labels, dtype=np.int64)
+        forms["named"] = [sd.label_type(*label) for label in labels]
+    for form, given in forms.items():
+        want = _refusal(lambda: sd.validate_label(given[1]))
+        assert want[0] is error
+        for call in (sd.label_array, lambda x: sd.phi_scaled(x, cross_probes[:2])):
+            assert _refusal(lambda: call(given)) == want, form
+        points = np.zeros(len(given), dtype=int)
+        assert _refusal(lambda: sd.marked_thetas(given, points, np.arange(len(given)))) == want, form
+
+
+@pytest.mark.parametrize("model", ["cross", "hex"])
+def test_an_int_array_of_the_wrong_width_is_refused_naming_its_first_row(model, cross_data, hex_data):
+    sd = cross_data if model == "cross" else hex_data
+    width = len(sd.label_type._fields)
+    for bad_width in (width - 1, width + 1):
+        labels = np.arange(2 * bad_width).reshape(2, bad_width)
+        got = _refusal(lambda: sd.label_array(labels))
+        assert got == _refusal(lambda: sd.validate_label(labels[0]))
+        assert got[0] is DimensionMismatch and "array([0, 1" in got[1]
+
+
+@pytest.mark.parametrize("model", ["cross", "hex"])
+def test_phi_grid_keeps_its_shapes_and_bits_for_every_label_form(model, cross_data, hex_data, cross_probes, hex_probes):
+    sd, probes = (cross_data, cross_probes[:3]) if model == "cross" else (hex_data, hex_probes[:3])
+    width = len(sd.label_type._fields)
+    forms = _label_inputs(GOOD_LABELS[model], sd.label_type)
+    want = sd.phi_scaled(forms.pop("array"), probes)
+    for form, labels in forms.items():
+        got = sd.phi_scaled(labels, probes)
+        assert repr((got.mantissa, got.log_scale)) == repr((want.mantissa, want.log_scale)), form
+    labels = GOOD_LABELS[model]
+    for no_labels in ([], (), np.zeros((0, width), dtype=np.int64)):
+        assert sd.label_array(no_labels).shape == (0, width)
+        assert sd.phi_scaled(no_labels, probes).shape == (0, len(probes))
+        assert sd.phi_scaled(no_labels, []).shape == (0, 0)
+    assert sd.phi_scaled(labels, []).shape == (len(labels), 0)

@@ -1,10 +1,16 @@
+import contextlib
 import filecmp
+import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
 import crosshex.bafunc
+import crosshex.cli
 from crosshex.cli import SPECTRAL_DOC_FORMAT, VERIFY_DOC_FORMAT, main
 from crosshex.operators import FIELD_DOC_FORMAT
 
@@ -444,3 +450,63 @@ def test_a_normalization_below_the_floor_is_a_malformed_document(workspace, tmp_
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "bad normalization: normalization constant" in err, err
         assert "below the 1e-12 floor" in err
+
+
+def _in_process(argv):
+    """Exit code, stdout and stderr of one ``main`` call in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors and --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def _alone(argv):
+    """Exit code, stdout and stderr of the same command in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(crosshex.cli.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys; from crosshex.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src, COLUMNS="80"),
+    )
+    return run.returncode, run.stdout, run.stderr
+
+
+def test_one_process_runs_commands_in_turn_as_each_runs_alone(workspace, tmp_path, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps at the terminal width
+    spectral, field = (str(p) for p in workspace["cross"])
+    out = str(tmp_path / "built.json")
+    commands = [
+        ["build", "-i", spectral, "--window", "-1", "-o", out],  # usage error: argparse exits 2
+        ["build", "-i", field, "-o", out],  # a field document is not spectral data: exit 2
+        ["build", "-i", spectral, "--window", "1", "-o", out],
+        ["--help"],
+        ["verify", "-i", spectral, "--window", "1", "--probes", "8"],
+    ]
+    together = [_in_process(argv) for argv in commands]
+    built = (tmp_path / "built.json").read_bytes()  # only the third command writes it
+    assert [code for code, _, _ in together] == [2, 2, 0, 0, 0]
+    for argv, seen in zip(commands, together):
+        assert _alone(argv) == seen, argv
+    assert (tmp_path / "built.json").read_bytes() == built
+
+
+@pytest.mark.parametrize("command", ["gen-spectral", "build", "verify", "export"])
+def test_main_calls_the_command_bound_in_the_module_at_call_time(command, monkeypatch):
+    calls = []
+
+    def replacement(config):
+        calls.append(config.command)
+        return 7
+
+    argv = {
+        "gen-spectral": ["gen-spectral", "--model", "hex", "-o", "never.json"],
+        "build": ["build", "-i", "never.json", "-o", "never-field.json"],
+        "verify": ["verify", "-i", "never.json"],
+        "export": ["export", "-i", "never.json", "-o", "never.csv"],
+    }[command]
+    monkeypatch.setattr(crosshex.cli, "cmd_" + command.replace("-", "_"), replacement)
+    assert main(argv) == 7 and calls == [command]

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -50,6 +51,7 @@ from crosshex.operators import (
     residual_report,
     sample_probes,
     window_sites,
+    _unique_rows,
 )
 from crosshex.surface import export_curve_document, load_tabulated_curve, make_torus_curve
 from crosshex.theta import ScaledArray
@@ -203,6 +205,40 @@ def test_unit_and_zero_coefficients_by_class(cross_data, hex_data):
 # -- formula tables stay glued to the lattice bookkeeping ---------------------
 
 
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    data=st.data(),
+    columns=st.integers(1, 4),
+    # small bounds give repeated rows; the largest make the column spans multiply past int64
+    bound=st.sampled_from([1, 3, 2**20, 2**40, 2**62, 2**63]),
+)
+def test_unique_rows_matches_numpy_unique(data, columns, bound):
+    entries = st.integers(-bound, bound - 1)
+    pool = data.draw(st.lists(st.tuples(*[entries] * columns), max_size=12))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=30) if pool else st.just([]))
+    a = np.array([pool[i] for i in picks], dtype=np.int64).reshape(len(picks), columns)
+    rows, inverse = _unique_rows(a)
+    assert rows.dtype == np.int64 and rows.shape[1:] == (columns,) and inverse.shape == (len(a),)
+    assert np.array_equal(rows[inverse], a)
+    distinct = [tuple(row) for row in rows.tolist()]
+    # distinct, in lexicographic order, and the same set numpy finds
+    assert distinct == sorted(set(distinct))
+    if len(a):
+        want, want_inverse = np.unique(a, axis=0, return_inverse=True)
+        assert set(distinct) == {tuple(row) for row in want.tolist()}
+        assert np.array_equal(want[want_inverse.ravel()], a)
+    else:
+        assert rows.shape == (0, columns)
+
+
+def test_unique_rows_stays_exact_past_int64_spans():
+    extreme = [-(2**63), 2**63 - 1]
+    a = np.array([[x, y] for x in extreme for y in extreme] * 2 + [[0, 0]], dtype=np.int64)
+    rows, inverse = _unique_rows(a)
+    assert list(map(tuple, rows.tolist())) == sorted({tuple(row) for row in a.tolist()}) and len(rows) == 5
+    assert np.array_equal(rows[inverse], a)
+
+
 def _theta_shifts(formula):
     terms = (formula.main,) + tuple(formula.bracket)
     for term in terms:
@@ -323,6 +359,17 @@ def test_gauge_requires_the_halo(cross_data):
     gauge = GaugeField({site: 1.0 + 0j for site in window_sites("cross", 1)})
     with pytest.raises(MissingGauge):
         gauge_transform(field, gauge)
+
+
+@pytest.mark.parametrize("model", ["cross", "hex"])
+def test_a_missing_gauge_is_named_in_halo_order(model, cross_data, hex_data, cross_probes, hex_probes):
+    sd, probes = (cross_data, cross_probes[:8]) if model == "cross" else (hex_data, hex_probes[:8])
+    window = window_sites(model, 2)
+    halo = {tuple(nb) for site in window for nb in stencil_offsets(model, site)}
+    gauge = GaugeField({site: 1.0 + 0j for site in window})
+    # the halo is held in lexicographic order, so the smallest missing site is named
+    with pytest.raises(MissingGauge, match=re.escape(f"at site {min(halo - set(window))}")):
+        residual_report(sd, 2, probes, gauge=gauge)
 
 
 def test_gauge_floor():

@@ -277,6 +277,33 @@ def test_lockstep_tracking_evaluates_each_point_once(monkeypatch):
     assert deepest >= 4  # some segment nests four midpoints and unwinds them in one round
 
 
+def test_first_round_evaluates_each_distinct_difference_once(monkeypatch, torus):
+    kernel = surface.theta_eval_batch
+    rounds = []
+
+    def recording(pm, z, eps):
+        rounds.append(np.asarray(z).tolist())
+        return kernel(pm, z, eps)
+
+    monkeypatch.setattr(surface, "theta_eval_batch", recording)
+    rng = np.random.default_rng(47)
+    poles = [cell_point(torus, *rng.uniform(0, 1, 2)).lift for _ in range(6)]
+    ends = [cell_point(torus, *rng.uniform(0, 1, 2)).lift for _ in range(20)]
+    # a probe pass: every path starts at the base, so its left ends repeat per pole
+    segments = [(pole, torus.base_lift, end) for end in ends for pole in poles]
+    got = torus._log_prime_deltas(segments)
+    assert len(rounds[0]) == len(poles) + len(segments)
+    # a - pole that differ only in the sign of a zero are evaluated apart
+    pole = complex(0.0, 1.3)
+    ends = [cell_point(torus, 0.4, t).lift for t in (0.5, 0.6, 0.7)]
+    signed = [(pole, start, end) for start, end in zip((0.2j, complex(-0.0, 0.2), 0.2j), ends)]
+    rounds.clear()
+    got += torus._log_prime_deltas(signed)
+    assert len(rounds[0]) == 2 + len(ends)
+    # each increment has the bits of its one-segment call
+    assert [repr(torus._log_prime_deltas([seg])[0]) for seg in segments + signed] == list(map(repr, got))
+
+
 def test_array_pole_distance_matches_the_scalar_loop():
     rng = np.random.default_rng(41)
     for _ in range(20):
