@@ -156,7 +156,7 @@ class _SpectralDataBase:
         width = len(self.label_type._fields)
         try:
             a = np.asarray(labels)
-        except (ValueError, OverflowError):  # labels of different widths, or past int64
+        except ValueError:  # labels of different widths
             a = None
         if a is None or a.dtype.kind != "i" or a.shape[1:] != (width,) or not self._valid_labels(a):
             a = np.array([self.validate_label(label) for label in labels], dtype=np.int64).reshape(-1, width)
