@@ -45,8 +45,6 @@ from .errors import (
 from .labels import (
     CROSS_COEFFS,
     HEX_COEFFS,
-    Label3,
-    Label6,
     SiteCross,
     SiteHex,
     relabel_cross,

@@ -30,14 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyFailure, DimensionMismatch, SchemaError, SingularEvaluation
-from .labels import Label3, Label6
 from .surface import SpectralCurve, SurfacePoint, complex_from_json
-from .theta import ScaledArray, complex_mul, theta_eval_batch, theta_eval_scaled
+from .theta import THETA_EPS, ScaledArray, complex_mul, theta_eval_batch, theta_eval_scaled
 
 _MIN_POINT_SEPARATION = 1e-6
 _GENERICITY_FLOOR = 1e-10
 _MIN_NORMALIZATION = 1e-12
-_THETA_EPS = 1e-13
 
 CROSS_MARKED_NAMES = ("P1+", "P1-", "P2+", "P2-", "P3+", "P3-")
 CROSS_PAIRS = (("P1+", "P1-"), ("P2+", "P2-"), ("P3+", "P3-"))
@@ -64,6 +62,8 @@ class ConstantNormalization:
             raise SingularEvaluation(
                 f"normalization constant {self.value!r} is below the {_MIN_NORMALIZATION:g} floor"
             )
+        if not np.isfinite(self.ratio()):
+            raise SingularEvaluation(f"normalization constant {self.value!r} has no finite ratio r_x / r_y")
 
     def ratio(self) -> complex:
         """r_x / r_y, one value for every pair of labels."""
@@ -75,7 +75,7 @@ class ConstantNormalization:
 
     @staticmethod
     def from_json(obj: dict) -> "ConstantNormalization":
-        """The normalization a document describes; a value below the floor is a malformed document."""
+        """The normalization a document describes; a value refused on construction is a malformed document."""
         if not isinstance(obj, dict) or obj.get("kind") != "constant":
             raise ValueError(f"unsupported normalization description: {obj!r}")
         try:
@@ -97,8 +97,10 @@ class _SpectralDataBase:
     model: str
     marked_names: tuple[str, ...]
     basis_pairs: tuple[tuple[str, str], ...]
-    label_type: type  # Label3 or Label6
+    label_width: int
+    label_blocks: int  # the 3-blocks a label splits into, each summing to zero (0: none)
     label_columns: list[int]  # the label components paired with the basis pairs, in order
+    lattice_name: str  # in label refusals
 
     def __init__(self, curve: SpectralCurve, marked: dict[str, SurfacePoint], divisor, normalization=None):
         if set(marked) != set(self.marked_names):
@@ -123,7 +125,7 @@ class _SpectralDataBase:
         # genericity floor compares mantissas, i.e. values relative to
         # their local Gaussian-peak scale, which stays meaningful for the
         # astronomically large arguments reached at big labels.
-        theta0 = theta_eval_scaled(curve.pm, 0j, _THETA_EPS)
+        theta0 = theta_eval_scaled(curve.pm, 0j, THETA_EPS)
         self._mantissa_floor = _GENERICITY_FLOOR * abs(complex(theta0.mantissa))
         self._integral_cache: dict[tuple, complex] = {}
 
@@ -144,30 +146,49 @@ class _SpectralDataBase:
                     f"the divisor point collides with marked point {name_a} ({d:.3e})"
                 )
 
-    # -- label plumbing (model-specific) --------------------------------------
+    # -- label plumbing ----------------------------------------------------
 
     def label_array(self, labels) -> np.ndarray:
-        """The labels as one (labels, components) int64 array, validated in one pass.
+        """The labels as one (labels, ``label_width``) int64 array.
 
-        Input that numpy does not read as such an array, or that fails the
-        check, goes label by label through :meth:`validate_label`, which
-        refuses the first bad label with its error and message.
+        Accepted is what numpy reads as such an integer array within int64
+        whose blocks each sum to zero; no labels, in any form, give shape
+        (0, ``label_width``).  Anything else is walked label by label, and
+        its first bad label refused (see :meth:`_label_row`).
         """
-        width = len(self.label_type._fields)
         try:
             a = np.asarray(labels)
         except ValueError:  # labels of different widths
             a = None
-        if a is None or a.dtype.kind != "i" or a.shape[1:] != (width,) or not self._valid_labels(a):
-            a = np.array([self.validate_label(label) for label in labels], dtype=np.int64).reshape(-1, width)
+        width, blocks = self.label_width, self.label_blocks
+        ok = a is not None and a.dtype.kind == "i" and a.shape[1:] == (width,)
+        if ok and blocks and a.size:
+            # entries under 2**61 in size sum exactly in int64; larger ones are summed as Python ints below
+            ok = a.min() > -(2**61) and a.max() < 2**61 and not a.reshape(-1, blocks, 3).sum(axis=2).any()
+        if not ok:
+            a = np.array([self._label_row(label) for label in labels], dtype=np.int64).reshape(-1, width)
         return a.astype(np.int64, copy=False)
 
-    def _valid_labels(self, labels: np.ndarray) -> bool:
-        """Whether every row of a (labels, width) integer array passes :meth:`validate_label`."""
-        return True
+    def _label_row(self, label) -> list[int]:
+        """One label's components as Python ints, or its refusal.
 
-    def validate_label(self, label):
-        raise NotImplementedError
+        A wrong width raises :class:`DimensionMismatch`; a component that
+        is not an integer within int64, or a block that does not sum to
+        zero, raises ``ValueError``.
+        """
+        row = np.asarray(label)
+        if row.shape != (self.label_width,):
+            raise DimensionMismatch(
+                f"{self.lattice_name}-lattice label must have {self.label_width} components, got {label!r}"
+            )
+        if row.dtype.kind != "i" and not (row.dtype.kind == "u" and row.max() < 2**63):
+            raise ValueError(
+                f"{self.lattice_name}-lattice label components must be integers within int64, got {label!r}"
+            )
+        row = row.tolist()
+        if any(sum(row[i : i + 3]) for i in range(0, 3 * self.label_blocks, 3)):
+            raise ValueError(f"label blocks must each sum to zero: {tuple(row)}")
+        return row
 
     # -- evaluation primitives -------------------------------------------------
 
@@ -182,7 +203,7 @@ class _SpectralDataBase:
         ``theta_eval_scaled`` at its argument.
         """
         dots = np.array([complex(c @ self._U) for c in coeffs], dtype=complex)
-        return theta_eval_batch(self.curve.pm, (abel + dots[rows]) + self._W, _THETA_EPS)
+        return theta_eval_batch(self.curve.pm, (abel + dots[rows]) + self._W, THETA_EPS)
 
     def marked_thetas(self, labels, points, rows) -> ScaledArray:
         """Theta at marked point ``points[i]`` and label ``labels[rows[i]]`` for each i, in one kernel call.
@@ -197,7 +218,7 @@ class _SpectralDataBase:
     def denominator_scaled(self, P: SurfacePoint) -> ScaledArray:
         """The label-independent theta denominator at P, a 0-d ScaledArray guarded by the genericity floor."""
         return self.require_generic(
-            theta_eval_scaled(self.curve.pm, self.curve.abel(P) + self._W, _THETA_EPS),
+            theta_eval_scaled(self.curve.pm, self.curve.abel(P) + self._W, THETA_EPS),
             f"theta denominator at lift {P.lift}",
         )
 
@@ -274,16 +295,10 @@ class SpectralDataCross(_SpectralDataBase):
     model = "cross"
     marked_names = CROSS_MARKED_NAMES
     basis_pairs = CROSS_PAIRS
-    label_type = Label3
+    label_width = 3
+    label_blocks = 0
     label_columns = [0, 1, 2]
-
-    def validate_label(self, label) -> Label3:
-        if isinstance(label, Label3):
-            return label
-        t = tuple(int(x) for x in label)
-        if len(t) != 3:
-            raise DimensionMismatch(f"square-lattice label must have 3 components, got {label!r}")
-        return Label3(*t)
+    lattice_name = "square"
 
 
 class SpectralDataHex(_SpectralDataBase):
@@ -292,22 +307,13 @@ class SpectralDataHex(_SpectralDataBase):
     model = "hex"
     marked_names = HEX_MARKED_NAMES
     basis_pairs = HEX_PAIRS
+    # Both 3-blocks of a label sum to zero: the first block counts one family
+    # of marked-point pairs, the second block the other, and each family is
+    # internally balanced (every pairing is a difference of two points of the
+    # family).  The relabelling and all stencil shifts preserve this.
+    label_width = 6
+    label_blocks = 2
     # independent exponents: the first two of each zero-sum block, paired
     # with the four basis differentials anchored at Q3 / R3
-    label_type = Label6
     label_columns = [0, 1, 3, 4]
-
-    def _valid_labels(self, labels: np.ndarray) -> bool:
-        # entries under 2**61 in size sum exactly in int64; larger ones take the one-label path
-        small = labels.size == 0 or (labels.min() > -(2**61) and labels.max() < 2**61)
-        return small and not labels.reshape(-1, 2, 3).sum(axis=2).any()
-
-    def validate_label(self, label) -> Label6:
-        if not isinstance(label, Label6):
-            t = tuple(int(x) for x in label)
-            if len(t) != 6:
-                raise DimensionMismatch(
-                    f"triangular-lattice label must have 6 components, got {label!r}"
-                )
-            label = Label6(*t)
-        return label.check_blocks()
+    lattice_name = "triangular"

@@ -123,49 +123,19 @@ def site_hex(*klm) -> SiteHex:
     return SiteHex(*klm)
 
 
-class Label3(NamedTuple):
-    """Integer exponent label for the square-lattice family."""
-
-    x1: int
-    x2: int
-    x3: int
-
-
-class Label6(NamedTuple):
-    """Integer exponent label for the triangular-lattice family.
-
-    Both 3-blocks sum to zero: the first block counts one family of
-    marked-point pairs, the second block the other, and each family is
-    internally balanced (every pairing is a difference of two points of
-    the family).  The relabelling and all stencil shifts preserve this.
-    """
-
-    x1: int
-    x2: int
-    x3: int
-    x4: int
-    x5: int
-    x6: int
-
-    def check_blocks(self) -> "Label6":
-        if self.x1 + self.x2 + self.x3 != 0 or self.x4 + self.x5 + self.x6 != 0:
-            raise ValueError(f"label blocks must each sum to zero: {tuple(self)}")
-        return self
-
-
-def relabel_cross(site) -> Label3:
+def relabel_cross(site) -> tuple[int, ...]:
     """Exponent label of one square-lattice site, read from ``CROSS_LATTICE``.
 
     Both parity classes give integral labels, and stepping to any
     stencil neighbor changes the label by one of a fixed set of integer
     shifts.
     """
-    return Label3(*CROSS_LATTICE.labels(site).tolist())
+    return tuple(CROSS_LATTICE.labels(site).tolist())
 
 
-def relabel_hex(site) -> Label6:
-    """Exponent label of one triangular-lattice site, read from ``HEX_LATTICE``."""
-    return Label6(*HEX_LATTICE.labels(site).tolist()).check_blocks()
+def relabel_hex(site) -> tuple[int, ...]:
+    """Exponent label of one triangular-lattice site, read from ``HEX_LATTICE``; both 3-blocks sum to zero."""
+    return tuple(HEX_LATTICE.labels(site).tolist())
 
 
 def stencil_offsets(model: str, site) -> list[tuple]:

@@ -1405,8 +1405,10 @@ class GaugeField:
 
     def __post_init__(self):
         for site, g in self.values.items():
-            if abs(g) < 1e-12:
-                raise ValueError(f"gauge value at site {site} is below the 1e-12 floor")
+            if not (np.isfinite(g) and abs(g) >= 1e-12):
+                raise ValueError(
+                    f"gauge value at site {site} must be finite and at least 1e-12 in size, got {g!r}"
+                )
 
     def at(self, site) -> complex:
         try:

@@ -42,16 +42,13 @@ from .errors import (
     SeparationFailure,
     UnknownPoint,
 )
-from .theta import PeriodMatrix, theta_eval_batch, theta_eval_scaled
+from .theta import THETA_EPS, PeriodMatrix, theta_eval_batch, theta_eval_scaled
 
 _POLE_TOL = 1e-8
 _PATH_CLEARANCE = 1e-3
 _BILINEAR_TOL = 1e-8
 _KCHECK_REL = 1e-10
 _CONTINUATION_STACK_CAP = 64
-# relative tolerance of the torus backend's theta evaluations, with headroom
-# under the package-level 1e-8..1e-10 checks
-_THETA_EPS = 1e-13
 # deterministic fractional (a, b)-cycle coordinates tried for the b-cycle start
 _BCYCLE_STARTS = ((0.317, 0.473), (0.137, 0.613), (0.791, 0.215), (0.057, 0.349), (0.503, 0.867))
 # (m, n) offsets of the 9 lattice translates cover_distance tries around the nearest one
@@ -338,7 +335,7 @@ class TorusCurve(SpectralCurve):
 
         E vanishes exactly on the period lattice.
         """
-        values = theta_eval_batch(self.pm, [x - self._z0 for x in w], _THETA_EPS)
+        values = theta_eval_batch(self.pm, [x - self._z0 for x in w], THETA_EPS)
         return values.mantissa.tolist(), values.log_abs.tolist()
 
     # -- public surface operations --------------------------------------------
@@ -467,8 +464,8 @@ def _validate_constants(curve: SpectralCurve, K: complex) -> None:
     Re B is deep.
     """
     pm = curve.pm
-    theta0_log = theta_eval_scaled(pm, 0j, _THETA_EPS).log_abs
-    resid_log = theta_eval_scaled(pm, -K, _THETA_EPS).log_abs
+    theta0_log = theta_eval_scaled(pm, 0j, THETA_EPS).log_abs
+    resid_log = theta_eval_scaled(pm, -K, THETA_EPS).log_abs
     if not (resid_log - theta0_log <= math.log(_KCHECK_REL)):
         raise ConsistencyFailure(
             "Riemann constants failed the vanishing check: "
@@ -483,7 +480,7 @@ def _validate_constants(curve: SpectralCurve, K: complex) -> None:
         for j in range(10)
         for k in range(10)
     ]
-    mantissa = theta_eval_batch(pm, np.array([(u - u1) - K for u in nodes]), _THETA_EPS).mantissa
+    mantissa = theta_eval_batch(pm, np.array([(u - u1) - K for u in nodes]), THETA_EPS).mantissa
     sizes = np.hypot(mantissa.real, mantissa.imag).tolist()
     median = float(np.median(sizes))
     cell = min(2.0 * math.pi, abs(B))

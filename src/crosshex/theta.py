@@ -39,6 +39,9 @@ from .errors import NonConvergent
 
 _SHELL_CAP = 60
 _MAX_EPS = 1.0e-3
+# the relative tolerance the curve backends and the function families evaluate
+# theta at, with headroom under the package-level 1e-8..1e-10 checks
+THETA_EPS = 1e-13
 # theta_eval_batch runs the scalar kernel element by element while the
 # arguments times (head depth + 2) number fewer than this: a batched call costs
 # about 50-100 us up to a few dozen arguments, a scalar call about 2 us plus

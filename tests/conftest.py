@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from crosshex.bafunc import _THETA_EPS, SpectralDataCross, SpectralDataHex
+from crosshex.bafunc import SpectralDataCross, SpectralDataHex
 from crosshex.errors import NonConvergent, RankDeficient, SingularEvaluation
-from crosshex.labels import Label3, Label6, SiteCross, SiteHex, relabel_cross, relabel_hex, stencil_offsets
+from crosshex.labels import SiteCross, SiteHex, relabel_cross, relabel_hex, stencil_offsets
 from crosshex.operators import (
     FIELD_DOC_FORMAT,
     MIN_ORACLE_PROBES,
@@ -27,7 +27,7 @@ from crosshex.operators import (
     sample_probes,
 )
 from crosshex.surface import make_torus_curve
-from crosshex.theta import theta_eval_scaled
+from crosshex.theta import THETA_EPS, theta_eval_scaled
 
 B_FIXTURE = -6.0
 
@@ -190,7 +190,7 @@ def translated(sd, P, m, n):
 
 # The per-class relabelling as the package wrote it before the lattice
 # tables: the reference of ``crosshex.labels.CROSS_LATTICE`` and ``HEX_LATTICE``.
-def reference_relabel_cross(site: SiteCross) -> Label3:
+def reference_relabel_cross(site: SiteCross) -> tuple[int, ...]:
     """Exponent label of a square-lattice site.
 
     Even sites (n + m even) get ((2-n-m)/2, (n-m)/2, (n-m)/2); odd
@@ -200,34 +200,37 @@ def reference_relabel_cross(site: SiteCross) -> Label3:
     """
     n, m = site.n, site.m
     if (n + m) % 2 == 0:
-        return Label3((2 - n - m) // 2, (n - m) // 2, (n - m) // 2)
-    return Label3((3 - n - m) // 2, (n - m - 1) // 2, (n - m + 1) // 2)
+        return ((2 - n - m) // 2, (n - m) // 2, (n - m) // 2)
+    return ((3 - n - m) // 2, (n - m - 1) // 2, (n - m + 1) // 2)
 
 
-def reference_relabel_hex(site: SiteHex) -> Label6:
+def reference_relabel_hex(site: SiteHex) -> tuple[int, ...]:
     """Exponent label of a triangular-lattice site, by (k - l) mod 3."""
     k, l, m = site.k, site.l, site.m
     r = (k - l) % 3
     if r == 0:
         t = ((k - l) // 3, (l - m) // 3, (m - k) // 3)
-        return Label6(*t, *t).check_blocks()
-    if r == 1:
-        return Label6(
+        label = t + t
+    elif r == 1:
+        label = (
             (k - l - 1) // 3,
             (l - m + 2) // 3,
             (m - k - 1) // 3,
             (k - l + 2) // 3,
             (l - m - 1) // 3,
             (m - k - 1) // 3,
-        ).check_blocks()
-    return Label6(
-        (k - l + 1) // 3,
-        (l - m + 1) // 3,
-        (m - k - 2) // 3,
-        (k - l + 1) // 3,
-        (l - m - 2) // 3,
-        (m - k + 1) // 3,
-    ).check_blocks()
+        )
+    else:
+        label = (
+            (k - l + 1) // 3,
+            (l - m + 1) // 3,
+            (m - k - 2) // 3,
+            (k - l + 1) // 3,
+            (l - m - 2) // 3,
+            (m - k + 1) // 3,
+        )
+    assert sum(label[:3]) == 0 and sum(label[3:]) == 0, label
+    return label
 
 
 REFERENCE_RELABEL = {"cross": reference_relabel_cross, "hex": reference_relabel_hex}
@@ -281,11 +284,10 @@ def one_value_phi(sd, label, P):
     ScaledComplex arithmetic; ``phi_scaled`` must give these bits at
     every grid element.
     """
-    label = sd.validate_label(label)
     den = scalar(sd.require_generic(
-        theta_eval_scaled(sd.curve.pm, sd.curve.abel(P) + sd._W, _THETA_EPS), "denominator"
+        theta_eval_scaled(sd.curve.pm, sd.curve.abel(P) + sd._W, THETA_EPS), "denominator"
     ))
-    num = scalar(theta_eval_scaled(sd.curve.pm, _theta_argument(sd, P, label), _THETA_EPS))
+    num = scalar(theta_eval_scaled(sd.curve.pm, _theta_argument(sd, P, label), THETA_EPS))
     w = 0j
     for c, (plus, minus) in zip(_label_coeffs(sd, label), sd.basis_pairs):
         if c != 0:
@@ -314,8 +316,8 @@ def _one_label_product(sd, v, term, thetas):
 def _marked_theta(sd, factor, v, thetas):
     key = factor.point, tuple(x + d for x, d in zip(v, factor.shift))
     if key not in thetas:
-        arg = _theta_argument(sd, sd.marked[factor.point], sd.validate_label(key[1]))
-        thetas[key] = theta_eval_scaled(sd.curve.pm, arg, _THETA_EPS)
+        arg = _theta_argument(sd, sd.marked[factor.point], key[1])
+        thetas[key] = theta_eval_scaled(sd.curve.pm, arg, THETA_EPS)
     return thetas[key]
 
 

@@ -1,7 +1,10 @@
+import collections
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from crosshex.bafunc import ConstantNormalization, SpectralDataCross, SpectralDataHex
 from crosshex.errors import (
@@ -10,7 +13,7 @@ from crosshex.errors import (
     SingularEvaluation,
 )
 from crosshex.labels import relabel_cross, relabel_hex, site_cross, site_hex, stencil_offsets
-from crosshex.operators import psi_grid
+from crosshex.operators import MODELS, evaluate_ratio, psi_grid
 
 from conftest import (
     CELL_FRACTIONS,
@@ -192,12 +195,12 @@ def test_wrong_marked_names_rejected(torus, cross_data):
 @pytest.mark.parametrize("bad", [(1, 0), (1, 0, 0, 0), "xyz"])
 def test_cross_label_validation(cross_data, bad):
     with pytest.raises((DimensionMismatch, ValueError)):
-        cross_data.validate_label(bad)
+        cross_data.label_array([bad])
 
 
 def test_hex_label_blocks_enforced(hex_data):
     with pytest.raises(ValueError):
-        hex_data.validate_label((1, 0, 0, 0, 0, 0))
+        hex_data.label_array([(1, 0, 0, 0, 0, 0)])
 
 
 def test_normalization_floor():
@@ -205,17 +208,34 @@ def test_normalization_floor():
         ConstantNormalization(1e-13)
 
 
+@pytest.mark.parametrize("value", [complex(math.nan, 0), complex(0, math.inf), -math.inf, 1e308 + 1e308j])
+def test_normalization_without_a_finite_ratio_is_refused(value):
+    # NaN and infinities pass the floor's comparison; (1e308 + 1e308j) / itself overflows
+    with pytest.raises(SingularEvaluation, match="has no finite ratio"):
+        ConstantNormalization(value)
+    assert ConstantNormalization(1e308).ratio() == 1
+
+
 # -- labels as one integer array -------------------------------------------------
 
 
-def _label_inputs(labels, label_type):
-    """The same labels as a list of tuples, a list of lists, a tuple, a list of Label3/Label6 and an int array."""
+WIDTH = {"cross": 3, "hex": 6}
+NOUN = {"cross": "square", "hex": "triangular"}
+
+
+def _named_label(width):
+    return collections.namedtuple("Label", [f"x{i}" for i in range(1, width + 1)])
+
+
+def _label_inputs(labels, width):
+    """The same labels as a list of tuples, a list of lists, a tuple, a list of named tuples and an int array."""
+    named = _named_label(width)
     return {
         "tuples": [tuple(label) for label in labels],
         "lists": [list(label) for label in labels],
         "tuple": tuple(tuple(label) for label in labels),
-        "named": [label_type(*label) for label in labels],
-        "array": np.array(labels, dtype=np.int64).reshape(len(labels), len(label_type._fields)),
+        "named": [named(*label) for label in labels],
+        "array": np.array(labels, dtype=np.int64).reshape(len(labels), width),
     }
 
 
@@ -234,56 +254,150 @@ GOOD_LABELS = {
 @pytest.mark.parametrize("model", ["cross", "hex"])
 def test_label_array_reads_every_label_form_as_validate_label_does(model, cross_data, hex_data):
     sd = cross_data if model == "cross" else hex_data
-    want = np.array([sd.validate_label(label) for label in GOOD_LABELS[model]], dtype=np.int64)
-    for form, labels in _label_inputs(GOOD_LABELS[model], sd.label_type).items():
+    want = np.array(GOOD_LABELS[model], dtype=np.int64)
+    for form, labels in _label_inputs(GOOD_LABELS[model], WIDTH[model]).items():
         got = sd.label_array(labels)
         assert got.dtype == np.int64 and np.array_equal(got, want), form
 
 
+NOT_INTEGER = "{}-lattice label components must be integers within int64, got {{!r}}"
 BAD_LABELS = {
-    # (labels with the first bad one at index 1, the error validate_label raises)
-    "cross-width": ("cross", [(2, -1, 1), (1, 0), (1, 0, 0, 0)], DimensionMismatch),
-    "hex-width": ("hex", [(0,) * 6, (1, -1, 0), (1,) * 7], DimensionMismatch),
-    "hex-blocks": ("hex", [(0,) * 6, (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)], ValueError),
+    # (model, labels, index of the first bad one, error type, its message with {!r} for that label)
+    "cross-width": (
+        "cross", [(2, -1, 1), (1, 0), (1, 0, 0, 0)], 1,
+        DimensionMismatch, "square-lattice label must have 3 components, got {!r}",
+    ),
+    "hex-width": (
+        "hex", [(0,) * 6, (1, -1, 0), (1,) * 7], 1,
+        DimensionMismatch, "triangular-lattice label must have 6 components, got {!r}",
+    ),
+    "hex-blocks": (
+        "hex", [(0,) * 6, (1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)], 1,
+        ValueError, "label blocks must each sum to zero: (1, 0, 0, 0, 0, 0)",
+    ),
     # the first block sums to 2**64, which int64 arithmetic would read as 0
-    "hex-wrapping-sum": ("hex", [(0,) * 6, (2**63 - 1, 2**63 - 1, 2, 0, 0, 0)], ValueError),
+    "hex-wrapping-sum": (
+        "hex", [(0,) * 6, (2**63 - 1, 2**63 - 1, 2, 0, 0, 0)], 1,
+        ValueError, "label blocks must each sum to zero: (9223372036854775807, 9223372036854775807, 2, 0, 0, 0)",
+    ),
+    # components that are not integers within int64 are refused, not truncated or parsed
+    "cross-float": ("cross", [(2, -1, 1), (1.5, 0, 0), (0, 0, 0)], 1, ValueError, NOT_INTEGER.format("square")),
+    "hex-float": ("hex", [(0,) * 6, (0.5, -0.5, 0, 0, 0, 0)], 1, ValueError, NOT_INTEGER.format("triangular")),
+    "cross-string": ("cross", [(2, -1, 1), ("1", "0", "0")], 1, ValueError, NOT_INTEGER.format("square")),
+    "cross-bool-array": (
+        "cross", np.array([[True, False, False]] * 2), 0, ValueError, NOT_INTEGER.format("square")
+    ),
+    "cross-uint64-beyond-int64": (
+        "cross", np.array([[1, 0, 0], [2**63, 0, 0]], dtype=np.uint64), 1,
+        ValueError, NOT_INTEGER.format("square"),
+    ),
+    "cross-int-beyond-int64": ("cross", [(2, -1, 1), (2**63, 0, 0)], 1, ValueError, NOT_INTEGER.format("square")),
+    "hex-int-beyond-int64": (
+        "hex", [(0,) * 6, (2**63, -(2**63), 0, 0, 0, 0)], 1, ValueError, NOT_INTEGER.format("triangular")
+    ),
 }
+
+
+def _bad_label_forms(labels, width):
+    """The input forms of one ``BAD_LABELS`` case: an array as given, or a list in every form it has."""
+    if isinstance(labels, np.ndarray):
+        return {"array": labels}
+    forms = {"tuples": [tuple(label) for label in labels], "lists": [list(label) for label in labels]}
+    forms["tuple"] = tuple(forms["tuples"])
+    if all(len(label) == width for label in labels):
+        named = _named_label(width)
+        forms["named"] = [named(*label) for label in labels]
+        if all(type(x) is int and -(2**63) <= x < 2**63 for label in labels for x in label):
+            forms["array"] = np.array(labels, dtype=np.int64)
+    return forms
 
 
 @pytest.mark.parametrize("case", list(BAD_LABELS))
 def test_label_array_refuses_the_first_bad_label_as_validate_label_does(case, cross_data, hex_data, cross_probes):
-    model, labels, error = BAD_LABELS[case]
+    model, labels, first, error, message = BAD_LABELS[case]
     sd = cross_data if model == "cross" else hex_data
-    forms = {"tuples": [tuple(label) for label in labels], "lists": [list(label) for label in labels]}
-    forms["tuple"] = tuple(forms["tuples"])
-    if len({len(label) for label in labels}) == 1:
-        forms["array"] = np.array(labels, dtype=np.int64)
-        forms["named"] = [sd.label_type(*label) for label in labels]
-    for form, given in forms.items():
-        want = _refusal(lambda: sd.validate_label(given[1]))
-        assert want[0] is error
+    formula = MODELS[model].formulas[0][0]
+    for form, given in _bad_label_forms(labels, WIDTH[model]).items():
+        want = (error, message.format(given[first]))
         for call in (sd.label_array, lambda x: sd.phi_scaled(x, cross_probes[:2])):
             assert _refusal(lambda: call(given)) == want, form
         points = np.zeros(len(given), dtype=int)
         assert _refusal(lambda: sd.marked_thetas(given, points, np.arange(len(given)))) == want, form
+        assert _refusal(lambda: evaluate_ratio(sd, given[first], formula)) == want, form
 
 
 @pytest.mark.parametrize("model", ["cross", "hex"])
 def test_an_int_array_of_the_wrong_width_is_refused_naming_its_first_row(model, cross_data, hex_data):
     sd = cross_data if model == "cross" else hex_data
-    width = len(sd.label_type._fields)
+    width = WIDTH[model]
     for bad_width in (width - 1, width + 1):
         labels = np.arange(2 * bad_width).reshape(2, bad_width)
         got = _refusal(lambda: sd.label_array(labels))
-        assert got == _refusal(lambda: sd.validate_label(labels[0]))
-        assert got[0] is DimensionMismatch and "array([0, 1" in got[1]
+        message = f"{NOUN[model]}-lattice label must have {width} components, got {labels[0]!r}"
+        assert got == (DimensionMismatch, message)
+        assert "array([0, 1" in got[1]
+
+
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+@st.composite
+def _block(draw):
+    """Three int64 components summing to zero, to anything, or to +-2**64 (0 in int64 arithmetic)."""
+    kind = draw(st.sampled_from(["zero", "any", "wrap"]))
+    if kind == "any":
+        return draw(st.lists(INT64, min_size=3, max_size=3))
+    if kind == "zero":
+        a = draw(INT64)
+        b = draw(st.integers(max(-(2**63), -(2**63 - 1) - a), min(2**63 - 1, 2**63 - a)))
+        return [a, b, -(a + b)]
+    sign = draw(st.sampled_from([1, -1]))
+    a, b = (sign * draw(st.integers(2**62 + 1, 2**63 - 1)) for _ in range(2))
+    return [a, b, sign * 2**64 - a - b]
+
+
+@st.composite
+def _label_arrays(draw, model):
+    """An (n, w) int64 array, w one of the model's width and its neighbours; hex rows of the width by blocks."""
+    width = WIDTH[model]
+    w = draw(st.sampled_from([width - 1, width, width + 1]))
+    if model == "hex" and w == width:
+        row = st.tuples(_block(), _block()).map(lambda blocks: blocks[0] + blocks[1])
+    else:
+        row = st.lists(INT64, min_size=w, max_size=w)
+    rows = draw(st.lists(row, max_size=5))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), w)
+
+
+@pytest.mark.parametrize("model", ["cross", "hex"])
+@given(data=st.data())
+def test_label_array_accepts_exactly_the_right_width_with_zero_block_sums(model, data, cross_data, hex_data):
+    sd = cross_data if model == "cross" else hex_data
+    labels = data.draw(_label_arrays(model))
+    width = WIDTH[model]
+    blocks = 2 if model == "hex" else 0
+
+    def fault(row):
+        if len(row) != width:
+            return DimensionMismatch, f"{NOUN[model]}-lattice label must have {width} components, got {row!r}"
+        if any(sum(row[3 * b : 3 * b + 3].tolist()) for b in range(blocks)):  # Python-int sums
+            return ValueError, f"label blocks must each sum to zero: {tuple(row.tolist())}"
+        return None
+
+    faults = [f for f in map(fault, labels) if f is not None]
+    if faults:
+        assert _refusal(lambda: sd.label_array(labels)) == faults[0]
+    else:
+        got = sd.label_array(labels)
+        assert got.dtype == np.int64 and got.shape == (len(labels), width)
+        assert got.tolist() == labels.tolist()  # no labels: any width reads as (0, width)
 
 
 @pytest.mark.parametrize("model", ["cross", "hex"])
 def test_phi_grid_keeps_its_shapes_and_bits_for_every_label_form(model, cross_data, hex_data, cross_probes, hex_probes):
     sd, probes = (cross_data, cross_probes[:3]) if model == "cross" else (hex_data, hex_probes[:3])
-    width = len(sd.label_type._fields)
-    forms = _label_inputs(GOOD_LABELS[model], sd.label_type)
+    width = WIDTH[model]
+    forms = _label_inputs(GOOD_LABELS[model], width)
     want = sd.phi_scaled(forms.pop("array"), probes)
     for form, labels in forms.items():
         got = sd.phi_scaled(labels, probes)

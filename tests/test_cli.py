@@ -430,8 +430,17 @@ def test_a_denominator_below_the_floor_fails_build(workspace, tmp_path, capsys, 
     assert not (tmp_path / "f.json").exists()
 
 
-@pytest.mark.parametrize("value", [[0, 0], [1e-13, 0.0]], ids=["zero", "below-floor"])
-def test_a_normalization_below_the_floor_is_a_malformed_document(workspace, tmp_path, capsys, value):
+@pytest.mark.parametrize(
+    "value, reason",
+    [
+        ([0, 0], "below the 1e-12 floor"),
+        ([1e-13, 0.0], "below the 1e-12 floor"),
+        # finite, but (1e308 + 1e308j) / itself overflows
+        ([1e308, 1e308], "has no finite ratio"),
+    ],
+    ids=["zero", "below-floor", "no-finite-ratio"],
+)
+def test_a_normalization_below_the_floor_is_a_malformed_document(workspace, tmp_path, capsys, value, reason):
     # both readers refuse it with exit 2, as every other malformed value
     spectral, field = workspace["cross"]
     normalization = {"kind": "constant", "value": value}
@@ -442,6 +451,7 @@ def test_a_normalization_below_the_floor_is_a_malformed_document(workspace, tmp_
     bad_field.write_text(json.dumps({**fdoc, "normalization": normalization}))
     for argv in (
         ["build", "-i", str(bad_spectral), "--window", "1", "-o", str(tmp_path / "f.json")],
+        ["verify", "-i", str(bad_spectral), "--window", "1", "--probes", "8"],
         ["export", "-i", str(bad_field), "--format", "json", "-o", str(tmp_path / "e.json")],
         ["export", "-i", str(bad_field), "--format", "csv", "-o", str(tmp_path / "e.csv")],
     ):
@@ -449,7 +459,7 @@ def test_a_normalization_below_the_floor_is_a_malformed_document(workspace, tmp_
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "bad normalization: normalization constant" in err, err
-        assert "below the 1e-12 floor" in err
+        assert reason in err
 
 
 def _in_process(argv):

@@ -262,8 +262,7 @@ def test_formula_tables_align_with_shifts(name, request):
         for f in formulas:
             assert f.r_num_shift == num_shift
             assert f.r_den_shift == label_shift(name, site, f.coeff)
-            for shift in _theta_shifts(f):
-                sd.validate_label(shift)  # hex: both 3-blocks sum to zero
+            sd.label_array(list(_theta_shifts(f)))  # hex: both 3-blocks of each shift sum to zero
 
 
 def test_ratio_formula_reproduces_oracle_coefficient(cross_data, cross_probes):
@@ -375,6 +374,13 @@ def test_a_missing_gauge_is_named_in_halo_order(model, cross_data, hex_data, cro
 def test_gauge_floor():
     with pytest.raises(ValueError):
         GaugeField({(0, 0): 1e-13})
+
+
+@pytest.mark.parametrize("g", [math.nan, complex(1.0, math.nan), math.inf, complex(0.0, -math.inf)])
+def test_gauge_must_be_finite(g):
+    # NaN fails no comparison with the floor, and infinities pass it
+    with pytest.raises(ValueError, match="must be finite"):
+        GaugeField({(0, 0): 1.0, (1, 0): g})
 
 
 def test_residual_invariant_under_per_site_rescaling(cross_data, cross_probes):

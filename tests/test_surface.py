@@ -21,7 +21,7 @@ from crosshex.surface import (
     load_torus_curve,
     make_torus_curve,
 )
-from crosshex.theta import theta_eval_scaled
+from crosshex.theta import THETA_EPS, theta_eval_scaled
 
 from conftest import (
     CELL_FRACTIONS,
@@ -141,7 +141,7 @@ def _log_prime_delta_dfs(curve, pole: complex, a: complex, b: complex, visits=No
         raise PoleOnPath("integration segment passes within 1e-08 of a pole lift")
 
     def prime(w):
-        return scalar(theta_eval_scaled(curve.pm, w - curve._z0, surface._THETA_EPS))
+        return scalar(theta_eval_scaled(curve.pm, w - curve._z0, THETA_EPS))
 
     total = 0j
     u0 = a
