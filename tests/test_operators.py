@@ -378,7 +378,7 @@ def test_gauge_floor():
 
 @pytest.mark.parametrize("g", [math.nan, complex(1.0, math.nan), math.inf, complex(0.0, -math.inf)])
 def test_gauge_must_be_finite(g):
-    # NaN fails no comparison with the floor, and infinities pass it
+    # abs(g) < 1e-12 is False for NaN, and infinities clear the floor too
     with pytest.raises(ValueError, match="must be finite"):
         GaugeField({(0, 0): 1.0, (1, 0): g})
 
