@@ -33,5 +33,4 @@ from conftest import assert_oracle_matches_reference, drawn_spectral_data  # noq
 def test_wide_oracle_report_matches_the_per_site_reference(model, radius):
     sd = drawn_spectral_data(model, make_torus_curve(-4.25))
     probes = sample_probes(sd, 20, seed=radius)
-    field = build_field(sd, radius)
-    assert_oracle_matches_reference(sd, list(field.sites), probes, field, psi_grid(sd, radius, probes))
+    assert_oracle_matches_reference(build_field(sd, radius), psi_grid(sd, radius, probes))

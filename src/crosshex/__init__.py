@@ -75,6 +75,7 @@ from .operators import (
     model_named,
     nullspace_oracle,
     oracle_report,
+    psi_grid,
     residual_report,
     sample_probes,
     window_sites,

@@ -89,9 +89,8 @@ class _SpectralDataBase:
 
     ``phi_scaled`` is the one evaluator of phi: a labels x probes grid,
     one theta kernel call for its numerators and one curve call for the
-    third-kind integrals it has not seen before.  Immutable after
-    construction; the one memo holds pure values (integrals keyed by
-    (lift, pair)), so concurrent readers are safe.
+    third-kind integrals.  Immutable after construction, so concurrent
+    readers are safe.
     """
 
     model: str
@@ -116,7 +115,7 @@ class _SpectralDataBase:
         self.normalization = normalization or ConstantNormalization()
         self._check_separation()
 
-        # one numpy dot pairs a label with U (see _label_thetas)
+        # the labels are paired with U in one stacked product (see _label_thetas)
         self._U = np.array(
             curve.b_period_vectors([(self.marked[a], self.marked[b]) for a, b in self.basis_pairs])
         )
@@ -127,7 +126,6 @@ class _SpectralDataBase:
         # astronomically large arguments reached at big labels.
         theta0 = theta_eval_scaled(curve.pm, 0j, THETA_EPS)
         self._mantissa_floor = _GENERICITY_FLOOR * abs(complex(theta0.mantissa))
-        self._integral_cache: dict[tuple, complex] = {}
 
     def _check_separation(self) -> None:
         names = list(self.marked)
@@ -195,14 +193,16 @@ class _SpectralDataBase:
     def _label_thetas(self, abel, coeffs, rows) -> ScaledArray:
         """Theta at ``(abel + c . U) + W`` for the label coefficient rows ``c = coeffs[rows]``, in one kernel call.
 
-        ``abel`` and ``rows`` broadcast to the shape of the result.  Each
-        label's coefficients are paired with the b-periods ``U`` by one
-        numpy dot, not a Python sum: the dot accumulates with fused
-        multiply-adds, and the documents hold its bits, as they hold the
-        order of the two additions.  Each element has the bits of
+        ``abel`` and ``rows`` broadcast to the shape of the result.  The
+        labels' coefficients are paired with the b-periods ``U`` in one
+        stacked product of (1, k) @ (k, 1) items, which numpy takes with
+        the dot kernel of a one-label ``c @ U``: the dot accumulates with
+        fused multiply-adds, and the documents hold its bits, as they hold
+        the order of the two additions (a matrix-vector ``coeffs @ U``
+        does not give those bits).  Each element has the bits of
         ``theta_eval_scaled`` at its argument.
         """
-        dots = np.array([complex(c @ self._U) for c in coeffs], dtype=complex)
+        dots = (coeffs[:, None, :] @ self._U[:, None])[:, 0, 0]
         return theta_eval_batch(self.curve.pm, (abel + dots[rows]) + self._W, THETA_EPS)
 
     def marked_thetas(self, labels, points, rows) -> ScaledArray:
@@ -241,16 +241,9 @@ class _SpectralDataBase:
     def integrals(self, requests) -> list[complex]:
         """Third-kind integral from the base to P for each ``(P, pair)`` request, in order.
 
-        Values are memoized by (lift, pair); the ones not seen before are
-        tracked in one curve call, each with the bits of a one-request call.
+        One curve call tracks them all, each with the bits of a one-request call.
         """
-        keys = [((P.lift, pair), P) for P, pair in requests]
-        missing = {key: P for key, P in keys if key not in self._integral_cache}
-        values = self.curve.third_kind_integrals(
-            [(P, self.marked[a], self.marked[b]) for (_, (a, b)), P in missing.items()]
-        )
-        self._integral_cache.update(zip(missing, values))
-        return [self._integral_cache[key] for key, _ in keys]
+        return self.curve.third_kind_integrals([(P, self.marked[a], self.marked[b]) for P, (a, b) in requests])
 
     def integral(self, P: SurfacePoint, pair: tuple[str, str]) -> complex:
         """Third-kind integral from the base to P for a named pole pair (see :meth:`integrals`)."""

@@ -240,16 +240,8 @@ def cmd_verify(config) -> int:
     probes = sample_probes(sd, config.probes, seed=probe_seed)
     field = build_field(sd, config.window)
     grid = psi_grid(sd, config.window, probes)
-    rrep = residual_report(sd, config.window, probes, field=field, tol=config.tol, grid=grid)
-    orep = oracle_report(
-        sd,
-        config.window,
-        probes,
-        field=field,
-        gap_tol=config.gap_tol,
-        match_tol=config.match_tol,
-        grid=grid,
-    )
+    rrep = residual_report(field, grid, tol=config.tol)
+    orep = oracle_report(field, grid, gap_tol=config.gap_tol, match_tol=config.match_tol)
     _print_check("residual", rrep.max_residual, rrep.tolerance, not rrep.failures)
     _print_check("kernel gap", orep.max_gap, orep.gap_tolerance, orep.max_gap <= orep.gap_tolerance)
     _print_check(

@@ -1035,21 +1035,8 @@ def field_to_csv(field: StencilField) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _sites(model: Model, window) -> list[tuple]:
-    """A radius's window, or an explicit iterable of sites, each validated (:class:`InvalidSite`)."""
-    if isinstance(window, int):
-        return window_sites(model.name, window)
-    return [tuple(model.site(*site)) for site in window]
-
-
-def _radius_of(sites) -> int:
-    """The smallest window radius holding ``sites``."""
-    return max((max(map(abs, s)) for s in sites), default=0)
-
-
-def _rows(sd, sites, field: StencilField | None) -> ScaledArray:
-    """The stencils at ``sites``, a row each, from ``field`` (which must hold them) or a window built here."""
-    field = build_field(sd, _radius_of(sites)) if field is None else field
+def _rows(field: StencilField, sites) -> ScaledArray:
+    """The stencils of ``field`` at ``sites``, a row each; a site it does not hold is refused."""
     rows = [field.rows.get(site) for site in sites]
     if None in rows:
         raise ValueError(f"the field has no stencil at site {sites[rows.index(None)]}")
@@ -1083,33 +1070,22 @@ class PsiGrid:
 def psi_grid(sd, window, probes) -> PsiGrid:
     """psi at every site of ``window`` and its one-site halo, at every probe.
 
-    ``window`` is a radius or an iterable of sites.  The neighbours are
-    the sites plus the lattice offsets; the distinct ones, the halo, are
-    labelled by the lattice table in one pass, and the whole grid is one
-    :meth:`phi_scaled` call.
+    ``window`` is a radius or an iterable of sites, each validated.  The
+    neighbours are the sites plus the lattice offsets; the distinct
+    ones, the halo, are labelled by the lattice table in one pass, and
+    the whole grid is one :meth:`phi_scaled` call.
     """
-    return _psi_grid(sd, _sites(MODELS[sd.model], window), probes)
-
-
-def _psi_grid(sd, sites, probes) -> PsiGrid:
     model = MODELS[sd.model]
+    if isinstance(window, int):
+        sites = window_sites(model.name, window)
+    else:
+        sites = [tuple(model.site(*site)) for site in window]
     coords = model.coords(sites)
     neighbors = coords[:, None, :] + model.lattice.offsets
     halo, rows = _unique_rows(neighbors.reshape(-1, coords.shape[1]))
     probes = tuple(probes)
     values = sd.phi_scaled(model.lattice.labels(halo), probes)
     return PsiGrid(probes, tuple(sites), halo, rows.reshape(neighbors.shape[:2]), values)
-
-
-def _grid_for(sd, sites, probes, grid: PsiGrid | None) -> PsiGrid:
-    """``grid``, which must be for these sites and probes, or psi at them, evaluated."""
-    if grid is None:
-        return _psi_grid(sd, sites, probes)
-    if grid.probes != tuple(probes):
-        raise ValueError("the psi grid was evaluated at other probe points")
-    if grid.sites != tuple(sites):
-        raise ValueError("the psi grid was evaluated for other sites")
-    return grid
 
 
 @dataclass(frozen=True)
@@ -1157,26 +1133,19 @@ def _site_residuals(rows: ScaledArray, grid: PsiGrid, neighbors, gauges) -> np.n
 
 
 def residual_report(
-    sd,
-    window,
-    probes,
-    field: StencilField | None = None,
-    tol: float = 1e-8,
-    gauge: "GaugeField | None" = None,
-    grid: PsiGrid | None = None,
+    field: StencilField, grid: PsiGrid, tol: float = 1e-8, gauge: "GaugeField | None" = None
 ) -> ResidualReport:
-    """Max normalized residual of the stencil equation over a window.
+    """Max normalized residual of ``field``'s stencil equation at the sites and probes of ``grid``.
 
-    ``window`` is a radius or an explicit iterable of site tuples.  With
-    a ``gauge``, function values are multiplied by the gauge at their
-    own site, which is how a gauge-transformed ``field`` is verified.
-    ``grid`` holds psi at these probes (see :func:`psi_grid`); it is
-    evaluated here when omitted.  Each site's residual at a probe is
-    |sum of terms| / sum of |terms| over its nonzero coefficients.
+    ``grid`` holds psi at its sites' neighbours (see :func:`psi_grid`),
+    and ``field`` must hold a stencil at each of its sites.  With a
+    ``gauge``, function values are multiplied by the gauge at their own
+    site, which is how a gauge-transformed ``field`` is verified.  Each
+    site's residual at a probe is |sum of terms| / sum of |terms| over
+    its nonzero coefficients.
     """
-    sites = _sites(MODELS[sd.model], window)
-    rows = _rows(sd, sites, field)
-    grid = _grid_for(sd, sites, probes, grid)
+    sites = grid.sites
+    rows = _rows(field, sites)
     # the gauge at each grid row, looked up once per halo site
     gauges = None if gauge is None else np.array([gauge.at(s) for s in grid.halo.tolist()], dtype=complex)
     residuals = np.empty((len(sites), len(grid.probes)))
@@ -1190,9 +1159,9 @@ def residual_report(
     else:
         worst_probe, worst = np.full(len(sites), -1), np.full(len(sites), -1.0)
     return ResidualReport(
-        model=sd.model,
+        model=field.model,
         tolerance=tol,
-        probe_count=len(probes),
+        probe_count=len(grid.probes),
         max_residual=float(worst.max(initial=0.0)),  # a NaN wins
         entries=tuple(map(SiteResidual, sites, worst.tolist(), worst_probe.tolist())),
         failures=tuple(compress(sites, ~(worst <= tol))),  # a NaN residual is a breach
@@ -1325,39 +1294,30 @@ class OracleReport:
 
 
 def oracle_report(
-    sd,
-    window,
-    probes,
-    field: StencilField | None = None,
-    gap_tol: float = 1e-6,
-    match_tol: float = 1e-6,
-    zero_tol: float = 1e-8,
-    grid: PsiGrid | None = None,
+    field: StencilField, grid: PsiGrid, gap_tol: float = 1e-6, match_tol: float = 1e-6, zero_tol: float = 1e-8
 ) -> OracleReport:
-    """Compare the closed-form stencils against the null-space oracle sitewise.
+    """Compare ``field``'s closed-form stencils against the null-space oracle at the sites of ``grid``.
 
     The oracle recovers each site's stencil from function values alone:
     the kernel of a probes-by-coefficients matrix (at least
-    ``MIN_ORACLE_PROBES`` probes), so agreement with the closed form is
-    an independent check.  For each site: the singular-value gap must
-    certify a 1-dimensional kernel (``gap_tol``); non-vanishing
-    coefficients must match the oracle relatively (``match_tol``); the
-    term of a coefficient the formulas force to zero must carry at most
-    ``zero_tol`` of the oracle's stencil equation at every probe (its
-    share in the balanced frame, see :func:`_oracle_chunk`).  Measured
-    there, a forced zero does not drift with the spread of neighbour
-    magnitudes, which grows with the window.  A site whose kernel is not
-    one-dimensional, or has a vanishing unit coefficient, raises
-    :class:`RankDeficient` naming the first such site.
-    ``grid`` holds psi at these probes (see :func:`psi_grid`); it is
-    evaluated here when omitted.
+    ``MIN_ORACLE_PROBES`` probes in ``grid``, see :func:`psi_grid`), so
+    agreement with the closed form is an independent check.  For each
+    site: the singular-value gap must certify a 1-dimensional kernel
+    (``gap_tol``); non-vanishing coefficients must match the oracle
+    relatively (``match_tol``); the term of a coefficient the formulas
+    force to zero must carry at most ``zero_tol`` of the oracle's
+    stencil equation at every probe (its share in the balanced frame,
+    see :func:`_oracle_chunk`).  Measured there, a forced zero does not
+    drift with the spread of neighbour magnitudes, which grows with the
+    window.  A site whose kernel is not one-dimensional, or has a
+    vanishing unit coefficient, raises :class:`RankDeficient` naming the
+    first such site.
     """
-    model = MODELS[sd.model]
-    sites = _sites(model, window)
-    if sites and len(probes) < MIN_ORACLE_PROBES:
+    model = MODELS[field.model]
+    sites = grid.sites
+    if sites and len(grid.probes) < MIN_ORACLE_PROBES:
         raise ValueError(f"the null-space oracle needs at least {MIN_ORACLE_PROBES} probe points")
-    formula = _rows(sd, sites, field)
-    grid = _grid_for(sd, sites, probes, grid)
+    formula = _rows(field, sites)
     units = model.unit_columns[model.lattice.classes(model.coords(sites))]
     gaps = np.empty(len(sites))
     shares = np.empty(formula.shape)
@@ -1379,7 +1339,7 @@ def oracle_report(
     zero_excess = np.where(nonzero, 0.0, shares).max(axis=1)
     passed = (gaps <= gap_tol) & (mismatch <= match_tol) & (zero_excess <= zero_tol)
     return OracleReport(
-        model=sd.model,
+        model=field.model,
         gap_tolerance=gap_tol,
         match_tolerance=match_tol,
         zero_tolerance=zero_tol,

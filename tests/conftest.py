@@ -23,7 +23,6 @@ from crosshex.operators import (
     MIN_ORACLE_PROBES,
     MODELS,
     oracle_report,
-    psi_grid,
     sample_probes,
 )
 from crosshex.surface import make_torus_curve
@@ -472,23 +471,19 @@ def hex_probes(hex_data):
     return sample_probes(hex_data, 12, seed=7)
 
 
-def reference_nullspace_oracle(sd, site, probes, grid=None):
-    """One site's null-space oracle, one site at a time: ``oracle_report``'s reference.
+def reference_nullspace_oracle(model_name, site, grid):
+    """One site's null-space oracle from ``grid``, one site at a time: ``oracle_report``'s reference.
 
     Returns the oracle's stencil, its gap and its term shares, or raises
     what the one-site computation raises (``ValueError``,
     ``RankDeficient``, ``LinAlgError``).  The kernel values are numpy
     scalars, so the unit division takes numpy's complex arithmetic.
     """
-    if len(probes) < MIN_ORACLE_PROBES:
+    if len(grid.probes) < MIN_ORACLE_PROBES:
         raise ValueError(f"nullspace_oracle needs at least {MIN_ORACLE_PROBES} probe points")
-    model = MODELS[sd.model]
+    model = MODELS[model_name]
     s_obj = model.site(*site)
     ncols = len(model.coeffs)
-    if grid is None:
-        grid = psi_grid(sd, [tuple(s_obj)], probes)
-    if grid.probes != tuple(probes):
-        raise ValueError("the psi grid was evaluated at other probe points")
     rows = halo_rows(grid, stencil_offsets(model.name, s_obj))
     # probes by coefficients, C-ordered: numpy's elementwise kernels below
     # round the same way only on the same memory layout
@@ -531,8 +526,8 @@ def _worse(a, b):
     return a if math.isnan(a) or b <= a else b
 
 
-def reference_oracle_report(sd, sites, probes, field, grid):
-    """``oracle_report``'s measures, one site and one coefficient at a time.
+def reference_oracle_report(field, grid):
+    """``oracle_report``'s measures at the sites of ``grid``, one site and one coefficient at a time.
 
     Returns ``(entries, maxima, failures, stencils)``: per site its
     ``(site, gap, mismatch, forced-zero excess)``, then the three maxima,
@@ -542,9 +537,9 @@ def reference_oracle_report(sd, sites, probes, field, grid):
     """
     entries, failures, stencils = [], [], []
     max_gap = max_mismatch = max_zero = 0.0
-    for site in sites:
+    for site in grid.sites:
         t_row = field.stencils[site].values
-        values, gap, shares = reference_nullspace_oracle(sd, site, probes, grid)
+        values, gap, shares = reference_nullspace_oracle(field.model, site, grid)
         o_mantissa = np.array([v.mantissa for v in values], dtype=complex)
         o_scale = np.array([v.log_scale for v in values], dtype=float)
         mismatch = 0.0
@@ -567,14 +562,14 @@ def reference_oracle_report(sd, sites, probes, field, grid):
     return entries, (max_gap, float(max_mismatch), float(max_zero)), failures, stencils
 
 
-def assert_oracle_matches_reference(sd, sites, probes, field, grid):
+def assert_oracle_matches_reference(field, grid):
     """``oracle_report`` and :func:`reference_oracle_report` agree by ``repr``; returns the report."""
-    report = oracle_report(sd, sites, probes, field=field, grid=grid)
-    entries, maxima, failures, stencils = reference_oracle_report(sd, sites, probes, field, grid)
+    report = oracle_report(field, grid)
+    entries, maxima, failures, stencils = reference_oracle_report(field, grid)
     got = [(e.site, e.gap, e.max_mismatch, e.forced_zero_excess) for e in report.entries]
     got_maxima = (report.max_gap, report.max_mismatch, report.max_forced_zero_excess)
     assert repr((got, got_maxima, list(report.failures))) == repr((entries, maxima, failures))
     want = [[(complex(v.mantissa), float(v.log_scale)) for v in row] for row in stencils]
-    rows = [[(v.mantissa, v.log_scale) for v in scalars(report.coeffs[i])] for i in range(len(sites))]
+    rows = [[(v.mantissa, v.log_scale) for v in scalars(report.coeffs[i])] for i in range(len(grid.sites))]
     assert repr(rows) == repr(want)
     return report

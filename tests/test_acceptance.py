@@ -39,6 +39,7 @@ from crosshex.operators import (
     evaluate_ratio,
     gauge_transform,
     oracle_report,
+    psi_grid,
     residual_report,
     sample_probes,
     window_sites,
@@ -310,8 +311,10 @@ def _verify_model(generated, model, check_zeros):
     for sd, doc in generated[model]:
         t0 = time.perf_counter()
         probes = sample_probes(sd, 20, seed=doc["seed"] + 1000)
-        res = residual_report(sd, 3, probes)
-        orc = oracle_report(sd, 3, probes)
+        field = build_field(sd, 3)
+        grid = psi_grid(sd, 3, probes)
+        res = residual_report(field, grid)
+        orc = oracle_report(field, grid)
         slowest = max(slowest, time.perf_counter() - t0)
         worst_res = max(worst_res, res.max_residual)
         worst_gap = max(worst_gap, orc.max_gap)
@@ -367,12 +370,13 @@ def test_criterion_7_gauge_covariance(announce, generated):
                 }
             )
             transformed = gauge_transform(field, gauge)
-            rep = residual_report(sd, 2, probes, field=transformed, gauge=gauge)
+            grid = psi_grid(sd, 2, probes)
+            rep = residual_report(transformed, grid, gauge=gauge)
             worst_res = max(worst_res, rep.max_residual)
             factors = [complex(rng.uniform(0.2, 5.0), rng.uniform(-2.0, 2.0)) for _ in field.sites]
             rescaled = replace(field, coeffs=field.coeffs.times(np.array(factors)[:, None]))
-            base = residual_report(sd, 2, probes, field=field)
-            moved = residual_report(sd, 2, probes, field=rescaled)
+            base = residual_report(field, grid)
+            moved = residual_report(rescaled, grid)
             for e1, e2 in zip(base.entries, moved.entries):
                 worst_drift = max(worst_drift, abs(e1.residual - e2.residual))
         ok = worst_res <= 1e-8 and worst_drift <= 1e-10
@@ -434,7 +438,7 @@ def test_criterion_8_errata_accounting(announce, generated):
         # reproduce the recorded evidence against the null-space oracle
         sd, doc = generated["hex"][0]
         probes = sample_probes(sd, 12, seed=doc["seed"] + 3000)
-        rep = oracle_report(sd, [(0, 0, 0)], probes)
+        rep = oracle_report(build_field(sd, 0), psi_grid(sd, [(0, 0, 0)], probes))
         want = rep.coeffs.as_complex()[0, HEX_COEFFS.index("f")]
         v = relabel_hex(site_hex(0, 0, 0))
         corrected_err = abs(

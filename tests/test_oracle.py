@@ -9,6 +9,7 @@ measure, maximum, failing site and oracle coefficient must agree by
 failing site in site order.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -29,8 +30,7 @@ def test_oracle_report_matches_the_per_site_reference(model, b_re):
     sd = spectral_data(model, make_torus_curve(b_re))
     for radius, count in ((0, 8), (0, 60), (3, 20), (3, 60), (10, 8)):
         probes = sample_probes(sd, count, seed=count)
-        field = build_field(sd, radius)
-        assert_oracle_matches_reference(sd, list(field.sites), probes, field, psi_grid(sd, radius, probes))
+        assert_oracle_matches_reference(build_field(sd, radius), psi_grid(sd, radius, probes))
 
 
 def test_a_mutated_grid_matches_the_reference(hex_data, hex_probes):
@@ -44,29 +44,15 @@ def test_a_mutated_grid_matches_the_reference(hex_data, hex_probes):
     mantissa, log_scale = grid.values.mantissa.copy(), grid.values.log_scale.copy()
     mantissa[b_row], log_scale[b_row] = mantissa[c_row], log_scale[c_row]
     mutated = replace(grid, values=ScaledArray(mantissa, log_scale))
-    report = assert_oracle_matches_reference(hex_data, list(field.sites), hex_probes, field, mutated)
+    report = assert_oracle_matches_reference(field, mutated)
     assert report.max_forced_zero_excess >= 0.1 and site in report.failures
 
 
-@pytest.mark.parametrize("model", ["cross", "hex"])
-def test_a_grid_is_refused_for_another_site_list(model, request):
-    sd, probes = request.getfixturevalue(f"{model}_data"), request.getfixturevalue(f"{model}_probes")
-    field = build_field(sd, 2)
-    grid = psi_grid(sd, 2, probes)
-    for report in (oracle_report, residual_report):
-        # the window's sites listed one by one are the grid's sites
-        full = report(sd, 2, probes, field=field, grid=grid)
-        assert repr(report(sd, list(field.sites), probes, field=field, grid=grid)) == repr(full)
-        for sites in (list(field.sites)[::-3], list(field.sites)[:-1], list(field.sites)[::-1]):
-            with pytest.raises(ValueError, match="other sites"):
-                report(sd, sites, probes, field=field, grid=grid)
-
-
-def _reference_failure(sd, sites, probes, grid):
-    """The first site at which the per-site reference raises, and what it raises."""
-    for site in sites:
+def _reference_failure(model, grid):
+    """The first site of ``grid`` at which the per-site reference raises, and what it raises."""
+    for site in grid.sites:
         try:
-            reference_nullspace_oracle(sd, site, probes, grid)
+            reference_nullspace_oracle(model, site, grid)
         except Exception as exc:  # noqa: BLE001 - the failure's class is what is compared
             return site, exc
     raise AssertionError("the reference passes every site")
@@ -112,13 +98,12 @@ def _failure_cases(grid, probes):
 )
 def test_a_failure_raises_what_the_reference_raises_at_its_first_failing_site(case, cross_data, cross_probes):
     field = build_field(cross_data, 2)
-    sites = list(field.sites)
     grid = psi_grid(cross_data, 2, cross_probes)
     mutated = _with_rows(grid, _failure_cases(grid, cross_probes)[case])
-    site, expected = _reference_failure(cross_data, sites, cross_probes, mutated)
-    assert site != sites[0]
+    site, expected = _reference_failure("cross", mutated)
+    assert site != field.sites[0]
     with pytest.raises(type(expected)) as raised:
-        oracle_report(cross_data, 2, cross_probes, field=field, grid=mutated)
+        oracle_report(field, mutated)
     if isinstance(expected, RankDeficient):
         # the message names the site; the rest is the reference's
         assert f" at site {site}" in str(raised.value)
@@ -128,34 +113,49 @@ def test_a_failure_raises_what_the_reference_raises_at_its_first_failing_site(ca
 
 
 def test_too_few_or_other_probes_raise_valueerror_first(cross_data, cross_probes):
-    grid = psi_grid(cross_data, 1, cross_probes[:8])
-    twin = _with_rows(grid, {(1, 1): _row(grid, (1, 0))})
-    with pytest.raises(ValueError):
-        oracle_report(cross_data, 1, cross_probes[1:9], grid=twin)
-    with pytest.raises(ValueError):
-        oracle_report(cross_data, 1, [cross_probes[0]] * 7)
+    field = build_field(cross_data, 1)
+    with pytest.raises(ValueError, match="at least 8 probe points"):
+        oracle_report(field, psi_grid(cross_data, 1, [cross_probes[0]] * 7))
     # the first probes repeated: every site's kernel has dimension >= 2
     with pytest.raises(RankDeficient, match=r"at site \(-1, -1\)"):
-        oracle_report(cross_data, 1, [cross_probes[0]] * 8)
+        oracle_report(field, psi_grid(cross_data, 1, [cross_probes[0]] * 8))
     # an empty window checks nothing
-    assert oracle_report(cross_data, [], cross_probes[:5]).entries == ()
+    assert oracle_report(field, psi_grid(cross_data, [], cross_probes[:5])).entries == ()
 
 
-def _no_evaluation(*args, **kwargs):
-    raise AssertionError("psi or a stencil was evaluated before the refusal")
+def _refuse_passes(monkeypatch, sd):
+    """Make every evaluation a report could start fail: psi, a stencil, an SVD or a residual pass."""
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("an evaluation, an SVD or a residual pass ran before the refusal")
+
+    for target in ("phi_scaled", "marked_thetas"):
+        monkeypatch.setattr(sd, target, evaluated)
+    for target in ("nullspace_oracle", "_site_residuals"):
+        monkeypatch.setattr(f"crosshex.operators.{target}", evaluated)
 
 
 def test_too_few_probes_are_refused_before_any_evaluation(cross_data, cross_probes, monkeypatch):
-    monkeypatch.setattr(cross_data, "phi_scaled", _no_evaluation)
-    monkeypatch.setattr(cross_data, "marked_thetas", _no_evaluation)
+    field = build_field(cross_data, 3)
+    grid = psi_grid(cross_data, 3, cross_probes[:7])
+    _refuse_passes(monkeypatch, cross_data)
     with pytest.raises(ValueError, match="at least 8 probe points"):
-        oracle_report(cross_data, 10, cross_probes[:7])
+        oracle_report(field, grid)
 
 
 @pytest.mark.parametrize("report", [residual_report, oracle_report])
 def test_a_site_outside_the_field_is_refused_before_any_evaluation(report, cross_data, cross_probes, monkeypatch):
     field = build_field(cross_data, 1)
-    monkeypatch.setattr(cross_data, "phi_scaled", _no_evaluation)
-    monkeypatch.setattr(cross_data, "marked_thetas", _no_evaluation)
+    grid = psi_grid(cross_data, [(0, 0), (3, 3), (-4, 4)], cross_probes)
+    _refuse_passes(monkeypatch, cross_data)
     with pytest.raises(ValueError, match=r"no stencil at site \(3, 3\)"):
-        report(cross_data, [(0, 0), (3, 3), (-4, 4)], cross_probes, field=field)
+        report(field, grid)
+
+
+@pytest.mark.parametrize("report", [residual_report, oracle_report])
+def test_a_field_of_the_other_model_is_refused(report, cross_data, hex_data, cross_probes, hex_probes):
+    # a cross field holds pairs and a hex field triples: no grid site of the other model matches
+    for sd, other, probes in ((cross_data, hex_data, cross_probes), (hex_data, cross_data, hex_probes)):
+        grid = psi_grid(sd, 1, probes)
+        with pytest.raises(ValueError, match=re.escape(f"no stencil at site {grid.sites[0]}")):
+            report(build_field(other, 1), grid)
