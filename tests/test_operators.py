@@ -160,6 +160,8 @@ def test_grid_residuals_match_one_value_psi(model, cross_data, hex_data, cross_p
     sd, probes = (cross_data, cross_probes) if model == "cross" else (hex_data, hex_probes)
     field = build_field(sd, 2)
     rep = residual_report(field, psi_grid(sd, 2, probes))
+    # the window's sites listed one by one make the radius's grid
+    assert repr(residual_report(field, psi_grid(sd, list(field.sites), probes))) == repr(rep)
     for entry in rep.entries:
         stencil = field.stencils[entry.site]
         per_probe = [_scalar_residual(sd, stencil, entry.site, P) for P in probes]
