@@ -12,7 +12,7 @@ periods and theta arguments are plain complex numbers.
 Layers, bottom up: ``theta`` (the genus-one Riemann theta with scaled
 arithmetic), ``surface`` (the analytic torus backend plus a tabulated
 backend and curve documents), ``labels`` (one integer table per
-lattice: stencil neighbours, site classes, labels), ``bafunc`` (the
+lattice: site rule, stencil neighbours, site classes, labels), ``bafunc`` (the
 function families on a labels x probes grid), ``operators`` (stencil
 formulas, the ``MODELS`` registry of per-lattice facts, fields,
 residuals, oracle, gauge, documents), ``cli`` (the four-command
@@ -45,12 +45,8 @@ from .errors import (
 from .labels import (
     CROSS_COEFFS,
     HEX_COEFFS,
-    SiteCross,
-    SiteHex,
     relabel_cross,
     relabel_hex,
-    site_cross,
-    site_hex,
     stencil_offsets,
 )
 from .operators import (

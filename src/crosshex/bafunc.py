@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyFailure, DimensionMismatch, SchemaError, SingularEvaluation
+from .labels import CROSS_LATTICE, HEX_LATTICE, Lattice
 from .surface import SpectralCurve, SurfacePoint, complex_from_json
 from .theta import THETA_EPS, ScaledArray, complex_mul, theta_eval_batch, theta_eval_scaled
 
@@ -96,10 +97,8 @@ class _SpectralDataBase:
     model: str
     marked_names: tuple[str, ...]
     basis_pairs: tuple[tuple[str, str], ...]
-    label_width: int
-    label_blocks: int  # the 3-blocks a label splits into, each summing to zero (0: none)
+    lattice: Lattice  # the label width, blocks and name in refusals
     label_columns: list[int]  # the label components paired with the basis pairs, in order
-    lattice_name: str  # in label refusals
 
     def __init__(self, curve: SpectralCurve, marked: dict[str, SurfacePoint], divisor, normalization=None):
         if set(marked) != set(self.marked_names):
@@ -147,18 +146,18 @@ class _SpectralDataBase:
     # -- label plumbing ----------------------------------------------------
 
     def label_array(self, labels) -> np.ndarray:
-        """The labels as one (labels, ``label_width``) int64 array.
+        """The labels as one (labels, width) int64 array, the width being ``lattice.M.shape[1]``.
 
         Accepted is what numpy reads as such an integer array within int64
         whose blocks each sum to zero; no labels, in any form, give shape
-        (0, ``label_width``).  Anything else is walked label by label, and
+        (0, width).  Anything else is walked label by label, and
         its first bad label refused (see :meth:`_label_row`).
         """
         try:
             a = np.asarray(labels)
         except ValueError:  # labels of different widths
             a = None
-        width, blocks = self.label_width, self.label_blocks
+        width, blocks = self.lattice.M.shape[1], self.lattice.label_blocks
         ok = a is not None and a.dtype.kind == "i" and a.shape[1:] == (width,)
         if ok and blocks and a.size:
             # entries under 2**61 in size sum exactly in int64; larger ones are summed as Python ints below
@@ -174,46 +173,46 @@ class _SpectralDataBase:
         is not an integer within int64, or a block that does not sum to
         zero, raises ``ValueError``.
         """
-        row = np.asarray(label)
-        if row.shape != (self.label_width,):
+        lattice, row = self.lattice, np.asarray(label)
+        if row.shape != (lattice.M.shape[1],):
             raise DimensionMismatch(
-                f"{self.lattice_name}-lattice label must have {self.label_width} components, got {label!r}"
+                f"{lattice.name}-lattice label must have {lattice.M.shape[1]} components, got {label!r}"
             )
         if row.dtype.kind != "i" and not (row.dtype.kind == "u" and row.max() < 2**63):
             raise ValueError(
-                f"{self.lattice_name}-lattice label components must be integers within int64, got {label!r}"
+                f"{lattice.name}-lattice label components must be integers within int64, got {label!r}"
             )
         row = row.tolist()
-        if any(sum(row[i : i + 3]) for i in range(0, 3 * self.label_blocks, 3)):
+        if any(sum(row[i : i + 3]) for i in range(0, 3 * lattice.label_blocks, 3)):
             raise ValueError(f"label blocks must each sum to zero: {tuple(row)}")
         return row
 
     # -- evaluation primitives -------------------------------------------------
 
-    def _label_thetas(self, abel, coeffs, rows) -> ScaledArray:
-        """Theta at ``(abel + c . U) + W`` for the label coefficient rows ``c = coeffs[rows]``, in one kernel call.
+    def _label_thetas(self, abel, coeffs) -> ScaledArray:
+        """Theta at ``(abel + c . U) + W`` for each label coefficient row ``c`` of ``coeffs``, in one kernel call.
 
-        ``abel`` and ``rows`` broadcast to the shape of the result.  The
-        labels' coefficients are paired with the b-periods ``U`` in one
-        stacked product of (1, k) @ (k, 1) items, which numpy takes with
-        the dot kernel of a one-label ``c @ U``: the dot accumulates with
-        fused multiply-adds, and the documents hold its bits, as they hold
-        the order of the two additions (a matrix-vector ``coeffs @ U``
-        does not give those bits).  Each element has the bits of
-        ``theta_eval_scaled`` at its argument.
+        ``abel`` and ``coeffs[..., 0]`` broadcast to the shape of the
+        result.  The labels' coefficients are paired with the b-periods
+        ``U`` in one stacked product of (1, k) @ (k, 1) items, which numpy
+        takes with the dot kernel of a one-label ``c @ U``: the dot
+        accumulates with fused multiply-adds, and the documents hold its
+        bits, as they hold the order of the two additions (a
+        matrix-vector ``coeffs @ U`` does not give those bits).  Each
+        element has the bits of ``theta_eval_scaled`` at its argument.
         """
-        dots = (coeffs[:, None, :] @ self._U[:, None])[:, 0, 0]
-        return theta_eval_batch(self.curve.pm, (abel + dots[rows]) + self._W, THETA_EPS)
+        dots = (coeffs[..., None, :] @ self._U[:, None])[..., 0, 0]
+        return theta_eval_batch(self.curve.pm, (abel + dots) + self._W, THETA_EPS)
 
-    def marked_thetas(self, labels, points, rows) -> ScaledArray:
-        """Theta at marked point ``points[i]`` and label ``labels[rows[i]]`` for each i, in one kernel call.
+    def marked_thetas(self, labels, points) -> ScaledArray:
+        """Theta at marked point ``points[i]`` and label ``labels[i]`` for each i, in one kernel call.
 
         ``labels`` holds one label per row (see :meth:`label_array`) and
         ``points`` indexes ``marked_names``.
         """
         coeffs = self.label_array(labels)[:, self.label_columns]
         abel = np.array([self.curve.abel(self.marked[name]) for name in self.marked_names], dtype=complex)
-        return self._label_thetas(abel[points], coeffs, rows)
+        return self._label_thetas(abel[points], coeffs)
 
     def denominator_scaled(self, P: SurfacePoint) -> ScaledArray:
         """The label-independent theta denominator at P, a 0-d ScaledArray guarded by the genericity floor."""
@@ -266,7 +265,7 @@ class _SpectralDataBase:
             np.array([d.log_scale for d in dens], dtype=float),
         )
         abel = np.array([self.curve.abel(P) for P in probes], dtype=complex)
-        num = self._label_thetas(abel[None, :], coeffs, np.arange(len(coeffs))[:, None])
+        num = self._label_thetas(abel, coeffs[:, None, :])
         used = [(c, pair) for c, pair in zip(coeffs.T, self.basis_pairs) if c.any()]
         integrals = np.array(
             self.integrals((P, pair) for _, pair in used for P in probes), dtype=complex
@@ -288,10 +287,8 @@ class SpectralDataCross(_SpectralDataBase):
     model = "cross"
     marked_names = CROSS_MARKED_NAMES
     basis_pairs = CROSS_PAIRS
-    label_width = 3
-    label_blocks = 0
+    lattice = CROSS_LATTICE
     label_columns = [0, 1, 2]
-    lattice_name = "square"
 
 
 class SpectralDataHex(_SpectralDataBase):
@@ -300,13 +297,7 @@ class SpectralDataHex(_SpectralDataBase):
     model = "hex"
     marked_names = HEX_MARKED_NAMES
     basis_pairs = HEX_PAIRS
-    # Both 3-blocks of a label sum to zero: the first block counts one family
-    # of marked-point pairs, the second block the other, and each family is
-    # internally balanced (every pairing is a difference of two points of the
-    # family).  The relabelling and all stencil shifts preserve this.
-    label_width = 6
-    label_blocks = 2
+    lattice = HEX_LATTICE
     # independent exponents: the first two of each zero-sum block, paired
     # with the four basis differentials anchored at Q3 / R3
     label_columns = [0, 1, 3, 4]
-    lattice_name = "triangular"

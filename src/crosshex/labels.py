@@ -7,10 +7,11 @@ shift.  Sites of the square lattice map to 3-component labels, sites of
 the triangular lattice to 6-component labels.  Within each class of
 sites (the parity of n + m on the square lattice, the residue of k - l
 mod 3 on the triangular one) the label is an affine function of the
-site, so one integer table per lattice (:class:`Lattice`) holds the
-whole site geometry: stencil neighbours, classes and labels, for any
-array of sites at once.  Everything downstream works with labels; these
-tables are the only place lattice coordinates enter.
+site, so one integer table per lattice (:class:`Lattice`) holds all
+of its site and label rules: coordinate names, site validation, stencil
+neighbours, classes and labels (for any array of sites at once), label
+width and zero-sum blocks.  Everything downstream works with labels;
+these tables are the only place lattice coordinates enter.
 
 Coefficient keys follow the fixed export order: ``a, b, c, d, v`` for
 the 5-point cross stencil (``v`` multiplies the center site) and
@@ -20,7 +21,6 @@ the 5-point cross stencil (``v`` multiplies the center site) and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -40,21 +40,43 @@ def _table(rows) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Lattice:
-    """One lattice's site geometry as an integer table.
+    """One lattice's site and label rules as an integer table.
 
-    Sites are integer arrays whose last axis holds the d coordinates.  A
-    site's neighbours are the site plus the rows of ``offsets``, one per
-    coefficient in coefficient order; its class is ``(site @ w) % q``
-    and its label ``(site @ M + C[class]) // q``.  numpy's integer
-    ``//`` and ``%`` floor as Python's do, and the division is exact
-    within each class.
+    Sites are integer arrays whose last axis holds the d coordinates
+    named by ``index_names``.  A site's neighbours are the site plus the
+    rows of ``offsets``, one per coefficient in coefficient order; its
+    class is ``(site @ w) % q`` and its label ``(site @ M + C[class]) // q``,
+    ``M.shape[1]`` components long.  numpy's integer ``//`` and ``%``
+    floor as Python's do, and the division is exact within each class.
     """
 
+    name: str  # in site and label refusals
+    index_names: tuple[str, ...]  # the site coordinates, also the CSV index columns
+    zero_sum: bool  # a site's coordinates must sum to zero
+    label_blocks: int  # the 3-blocks a label splits into, each summing to zero (0: none)
     offsets: np.ndarray  # (coefficients, d)
     q: int  # number of site classes
     w: np.ndarray  # (d,)
     M: np.ndarray  # (d, label length)
     C: np.ndarray  # (q, label length)
+
+    def site(self, *coords) -> tuple[int, ...]:
+        """The site ``coords`` as a plain tuple of ints, or :class:`InvalidSite`.
+
+        A site is ``len(index_names)`` ints (not bools) that sum to zero
+        where ``zero_sum`` requires it.
+        """
+        if len(coords) != len(self.index_names) or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in coords
+        ):
+            arity = {2: "pair", 3: "triple"}[len(self.index_names)]
+            raise InvalidSite(f"{self.name}-lattice site must be a {arity} of integers, got {coords!r}")
+        if self.zero_sum and sum(coords) != 0:
+            raise InvalidSite(
+                f"{self.name}-lattice site must satisfy {'+'.join(self.index_names)}=0, "
+                f"got {'+'.join(map(format, coords))}"
+            )
+        return coords
 
     def classes(self, sites) -> np.ndarray:
         return (np.asarray(sites) @ self.w) % self.q
@@ -67,6 +89,10 @@ class Lattice:
 # Even sites (n + m even) get ((2-n-m)/2, (n-m)/2, (n-m)/2), odd sites
 # ((3-n-m)/2, (n-m-1)/2, (n-m+1)/2).
 CROSS_LATTICE = Lattice(
+    name="square",
+    index_names=("n", "m"),
+    zero_sum=False,
+    label_blocks=0,
     offsets=_table([(-1, 0), (1, 0), (0, -1), (0, 1), (0, 0)]),
     q=2,
     w=_table((1, 1)),
@@ -77,50 +103,21 @@ CROSS_LATTICE = Lattice(
 # Residue 0 gets ((k-l)/3, (l-m)/3, (m-k)/3) in both blocks, residue 1
 # ((k-l-1)/3, (l-m+2)/3, (m-k-1)/3, (k-l+2)/3, (l-m-1)/3, (m-k-1)/3) and
 # residue 2 ((k-l+1)/3, (l-m+1)/3, (m-k-2)/3, (k-l+1)/3, (l-m-2)/3, (m-k+1)/3).
+# Both 3-blocks of a label sum to zero: the first block counts one family
+# of marked-point pairs, the second block the other, and each family is
+# internally balanced (every pairing is a difference of two points of the
+# family).  The relabelling and all stencil shifts preserve this.
 HEX_LATTICE = Lattice(
+    name="triangular",
+    index_names=("k", "l", "m"),
+    zero_sum=True,
+    label_blocks=2,
     offsets=_table([(0, 1, -1), (0, -1, 1), (1, -1, 0), (-1, 1, 0), (1, 0, -1), (-1, 0, 1)]),
     q=3,
     w=_table((1, -1, 0)),
     M=_table([(1, 0, -1, 1, 0, -1), (-1, 1, 0, -1, 1, 0), (0, -1, 1, 0, -1, 1)]),
     C=_table([(0, 0, 0, 0, 0, 0), (-1, 2, -1, 2, -1, -1), (1, 1, -2, 1, -2, 1)]),
 )
-
-
-class SiteCross(NamedTuple):
-    """A site (n, m) of the square lattice."""
-
-    n: int
-    m: int
-
-
-class SiteHex(NamedTuple):
-    """A site (k, l, m) of the triangular lattice; requires k + l + m = 0."""
-
-    k: int
-    l: int
-    m: int
-
-
-def _integers(coords, count: int) -> bool:
-    return len(coords) == count and all(
-        isinstance(x, int) and not isinstance(x, bool) for x in coords
-    )
-
-
-def site_cross(*nm) -> SiteCross:
-    """Validated square-lattice site; any other arity or type raises InvalidSite."""
-    if not _integers(nm, 2):
-        raise InvalidSite(f"square-lattice site must be a pair of integers, got {nm!r}")
-    return SiteCross(*nm)
-
-
-def site_hex(*klm) -> SiteHex:
-    """Validated triangular-lattice site; also requires k + l + m = 0."""
-    if not _integers(klm, 3):
-        raise InvalidSite(f"triangular-lattice site must be a triple of integers, got {klm!r}")
-    if sum(klm) != 0:
-        raise InvalidSite("triangular-lattice site must satisfy k+l+m=0, got {}+{}+{}".format(*klm))
-    return SiteHex(*klm)
 
 
 def relabel_cross(site) -> tuple[int, ...]:
@@ -147,6 +144,5 @@ def stencil_offsets(model: str, site) -> list[tuple]:
     """
     from .operators import model_named  # deferred: operators depends on this module
 
-    m = model_named(model)
-    s = m.site(*site)
-    return [type(s)._make(nb) for nb in (np.asarray(s) + m.lattice.offsets).tolist()]
+    lattice = model_named(model).lattice
+    return [tuple(nb) for nb in (np.asarray(lattice.site(*site)) + lattice.offsets).tolist()]

@@ -46,8 +46,7 @@ from .errors import (
     SchemaError,
     SingularEvaluation,
 )
-from .labels import CROSS_COEFFS, CROSS_LATTICE, HEX_COEFFS, HEX_LATTICE, Lattice
-from .labels import site_cross, site_hex, stencil_offsets
+from .labels import CROSS_COEFFS, HEX_COEFFS, Lattice, stencil_offsets
 from .surface import SurfacePoint, complex_array_from_json
 from .theta import NumpyScaledArray, ScaledArray
 
@@ -466,21 +465,22 @@ class Model:
     """Every per-lattice fact of one operator family.
 
     A site's class (parity on the square lattice, residue on the
-    triangular one; ``lattice`` holds classes, labels and neighbours)
-    indexes ``units``, ``zeros`` and ``formulas``.  Marked-point names
-    and basis pairs live on ``spectral_class``.
+    triangular one; ``lattice`` holds the site and label rules) indexes
+    ``units``, ``zeros`` and ``formulas``.  Marked-point names, basis
+    pairs and the lattice live on ``spectral_class``.
     """
 
     name: str
     coeffs: tuple[str, ...]  # coefficient keys, also the export column order
-    index_names: tuple[str, ...]  # CSV site-index columns
-    site: Callable[..., tuple]  # validating site constructor (raises InvalidSite)
-    lattice: Lattice
     window: Callable[[int], Iterator[tuple]]  # sites of max-norm <= radius, lexicographic
     units: tuple[str, ...]  # unit coefficient per class
     zeros: tuple[tuple[str, ...], ...]  # coefficients forced to zero per class
     formulas: tuple[tuple[RatioFormula, ...], ...]  # ratio formulas per class
     spectral_class: type
+
+    @property
+    def lattice(self) -> Lattice:
+        return self.spectral_class.lattice
 
     @property
     def curve_integrals(self) -> tuple[tuple[str, tuple[str, str]], ...]:
@@ -494,7 +494,7 @@ class Model:
 
     def coords(self, sites) -> np.ndarray:
         """Validated ``sites`` as one (sites, d) integer array."""
-        return np.array(sites, dtype=np.int64).reshape(len(sites), len(self.index_names))
+        return np.array(sites, dtype=np.int64).reshape(len(sites), len(self.lattice.index_names))
 
     def __repr__(self) -> str:
         return f"Model({self.name!r})"
@@ -503,9 +503,6 @@ class Model:
 CROSS = Model(
     name="cross",
     coeffs=CROSS_COEFFS,
-    index_names=("n", "m"),
-    site=site_cross,
-    lattice=CROSS_LATTICE,
     window=lambda r: ((n, m) for n in range(-r, r + 1) for m in range(-r, r + 1)),
     units=("d", "c"),
     zeros=((), ()),
@@ -516,9 +513,6 @@ CROSS = Model(
 HEX = Model(
     name="hex",
     coeffs=HEX_COEFFS,
-    index_names=("k", "l", "m"),
-    site=site_hex,
-    lattice=HEX_LATTICE,
     window=lambda r: (
         (k, l, -k - l) for k in range(-r, r + 1) for l in range(max(-r, -r - k), min(r, r - k) + 1)
     ),
@@ -595,10 +589,9 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _theta_table(sd, blocks, terms) -> tuple[ScaledArray, list[list[np.ndarray]]]:
     """The thetas of ``terms`` at their blocks' labels, one per distinct key, in one kernel call.
 
-    A key is a (marked point, shifted label) pair; each distinct label
-    takes one dot with U.  Returned with the table: for each term, the
-    table index of each of its factors (numerators, then denominators)
-    at each row of its block.  Every denominator is held to the
+    A key is a (marked point, shifted label) pair.  Returned with the
+    table: for each term, the table index of each of its factors
+    (numerators, then denominators) at each row of its block.  Every denominator is held to the
     genericity floor here.
     """
     sizes = [len(labels) for labels, _ in blocks]
@@ -606,8 +599,7 @@ def _theta_table(sd, blocks, terms) -> tuple[ScaledArray, list[list[np.ndarray]]
     shifted = np.concatenate([blocks[b][0] + np.array(factor.shift, dtype=int) for b, factor in factors])
     points = np.repeat([sd.marked_names.index(f.point) for _, f in factors], [sizes[b] for b, _ in factors])
     keys, key_of = _unique_rows(np.column_stack([points, shifted]))
-    labels, label_of = _unique_rows(keys[:, 1:])
-    table = sd.marked_thetas(labels, keys[:, 0], label_of)
+    table = sd.marked_thetas(keys[:, 1:], keys[:, 0])
     starts = np.cumsum([0] + [sizes[b] for b, _ in factors]).tolist()
     pieces = iter(key_of[start:end] for start, end in zip(starts, starts[1:]))
     index = [[next(pieces) for _ in term.theta_num + term.theta_den] for _, term in terms]
@@ -749,8 +741,8 @@ def _site_stencil(model: Model, sd, site, field: "StencilField | None") -> Stenc
     if field is not None:
         # a site outside the field, or of the other model (pairs against triples): KeyError
         return field.stencils[site]
-    site = model.site(*site)
-    return Stencil(model, tuple(site), _stencil_table(model, sd, [site])[0])
+    site = model.lattice.site(*site)
+    return Stencil(model, site, _stencil_table(model, sd, [site])[0])
 
 
 def cross_coefficients(sd: SpectralDataCross, site, field: "StencilField | None" = None) -> Stencil:
@@ -772,9 +764,16 @@ def hex_coefficients(sd: SpectralDataHex, site, field: "StencilField | None" = N
 # ---------------------------------------------------------------------------
 
 
+def _radius(radius) -> int:
+    """``radius`` if it is a non-negative int (a bool is not); anything else raises ``ValueError``."""
+    if not (isinstance(radius, int) and not isinstance(radius, bool) and radius >= 0):
+        raise ValueError(f"window radius must be a non-negative integer, got {radius!r}")
+    return radius
+
+
 def window_sites(model: str, radius: int) -> list[tuple]:
     """All sites with max-norm at most ``radius``, in lexicographic order."""
-    return list(model_named(model).window(int(radius)))
+    return list(model_named(model).window(_radius(radius)))
 
 
 @dataclass(frozen=True)
@@ -793,7 +792,7 @@ class StencilField:
 
     def __post_init__(self):
         # walked lazily, so a huge radius stops one site past the field's
-        window = tuple(islice(MODELS[self.model].window(self.radius), len(self.sites) + 1))
+        window = tuple(islice(MODELS[self.model].window(_radius(self.radius)), len(self.sites) + 1))
         if tuple(self.sites) != window:
             raise ValueError(f"field sites are not the radius-{self.radius} window in lexicographic order")
         if self.coeffs.shape != (len(self.sites), len(MODELS[self.model].coeffs)):
@@ -832,7 +831,7 @@ def build_field(sd, radius: int) -> StencilField:
     """Evaluate the closed-form stencils on the whole window, stacked over all its sites."""
     model = MODELS[sd.model]
     sites = window_sites(model.name, radius)
-    field = StencilField(model.name, int(radius), tuple(sites), _stencil_table(model, sd, sites))
+    field = StencilField(model.name, radius, tuple(sites), _stencil_table(model, sd, sites))
     # This loop exists only because perfbench's tracer counts one call of the
     # model's per-site builder per site (coeff_calls == 14); the tracer rebinds
     # the module globals, so the builder is read from them at call time.  Each
@@ -899,7 +898,7 @@ def field_document_text(field: StencilField, **metadata) -> str:
     columns = [2 * model.coeffs.index(k) + part for k in keys for part in (0, 1)]
     parts = _plain(model, field.coeffs).view(float)[:, columns].tolist()
     values = [x for row, site in zip(parts, field.sites) for x in (*row, *site)]
-    template = ",\n".join([_site_template(keys, len(model.index_names))] * len(field.sites))
+    template = ",\n".join([_site_template(keys, len(model.lattice.index_names))] * len(field.sites))
     # a newline and a two-space indent start a top-level member: no JSON string holds a raw newline
     sites = '\n  "sites": [\n' + template % tuple(values) + "\n  ]"
     return head.replace('\n  "sites": []', sites, 1) + "\n"
@@ -932,7 +931,7 @@ def _site_refusal(model: Model, raw_sites) -> tuple | None:
     seen = set()
     for i, raw in enumerate(raw_sites):
         try:
-            site = tuple(model.site(*raw))
+            site = model.lattice.site(*raw)
         except InvalidSite as exc:
             return i, 0, str(exc)
         if site in seen:
@@ -1023,10 +1022,10 @@ def field_to_csv(field: StencilField) -> str:
     arrays.
     """
     model = MODELS[field.model]
-    header = [*model.index_names, *(f"{part}_{k}" for k in model.coeffs for part in ("re", "im"))]
+    header = [*model.lattice.index_names, *(f"{part}_{k}" for k in model.coeffs for part in ("re", "im"))]
     parts = _plain(model, field.coeffs).view(float).tolist()
     values = [x for site, row in zip(field.sites, parts) for x in (*site, *row)]
-    row = ",".join(["%d"] * len(model.index_names) + ["%.17g"] * (2 * len(model.coeffs)))
+    row = ",".join(["%d"] * len(model.lattice.index_names) + ["%.17g"] * (2 * len(model.coeffs)))
     return ",".join(header) + "\n" + "\n".join([row] * len(field.sites)) % tuple(values) + "\n"
 
 
@@ -1079,7 +1078,7 @@ def psi_grid(sd, window, probes) -> PsiGrid:
     if isinstance(window, int):
         sites = window_sites(model.name, window)
     else:
-        sites = [tuple(model.site(*site)) for site in window]
+        sites = [model.lattice.site(*site) for site in window]
     coords = model.coords(sites)
     neighbors = coords[:, None, :] + model.lattice.offsets
     halo, rows = _unique_rows(neighbors.reshape(-1, coords.shape[1]))
@@ -1114,12 +1113,11 @@ class ResidualReport:
 _SITE_CHUNK = 64
 
 
-def _site_residuals(rows: ScaledArray, grid: PsiGrid, neighbors, gauges) -> np.ndarray:
+def _site_residuals(rows: ScaledArray, grid: PsiGrid, neighbors) -> np.ndarray:
     """Normalized residual of each site's stencil equation at each probe: (sites, probes).
 
-    ``rows`` holds the sites' stencils, ``neighbors`` the grid rows of
-    their stencil neighbours (see :class:`PsiGrid`), and ``gauges``, if
-    given, the gauge at each grid row.
+    ``rows`` holds the sites' stencils and ``neighbors`` the grid rows
+    of their stencil neighbours (see :class:`PsiGrid`).
     """
     ncoef, n = neighbors.shape[1], len(neighbors)
     shape = (ncoef, n, len(grid.probes))
@@ -1127,31 +1125,25 @@ def _site_residuals(rows: ScaledArray, grid: PsiGrid, neighbors, gauges) -> np.n
     coeffs = coeffs.reshape(ncoef, n, 1)
     # axis 0 runs over the coefficients, so the terms are summed in stencil order
     terms = coeffs.times(grid.values[neighbors.T])
-    if gauges is not None:
-        terms = terms.times(gauges[neighbors.T].reshape(ncoef, n, 1))
     return terms.cancellation(np.broadcast_to(coeffs.mantissa != 0, shape))
 
 
-def residual_report(
-    field: StencilField, grid: PsiGrid, tol: float = 1e-8, gauge: "GaugeField | None" = None
-) -> ResidualReport:
+def residual_report(field: StencilField, grid: PsiGrid, tol: float = 1e-8) -> ResidualReport:
     """Max normalized residual of ``field``'s stencil equation at the sites and probes of ``grid``.
 
     ``grid`` holds psi at its sites' neighbours (see :func:`psi_grid`),
-    and ``field`` must hold a stencil at each of its sites.  With a
-    ``gauge``, function values are multiplied by the gauge at their own
-    site, which is how a gauge-transformed ``field`` is verified.  Each
-    site's residual at a probe is |sum of terms| / sum of |terms| over
-    its nonzero coefficients.
+    and ``field`` must hold a stencil at each of its sites.  A
+    gauge-transformed ``field`` is verified on a grid whose values are
+    scaled by the gauge at their own site.  Each site's residual at a
+    probe is |sum of terms| / sum of |terms| over its nonzero
+    coefficients.
     """
     sites = grid.sites
     rows = _rows(field, sites)
-    # the gauge at each grid row, looked up once per halo site
-    gauges = None if gauge is None else np.array([gauge.at(s) for s in grid.halo.tolist()], dtype=complex)
     residuals = np.empty((len(sites), len(grid.probes)))
     for start in range(0, len(sites), _SITE_CHUNK):
         chunk = slice(start, start + _SITE_CHUNK)
-        residuals[chunk] = _site_residuals(rows[chunk], grid, grid.neighbor_rows[chunk], gauges)
+        residuals[chunk] = _site_residuals(rows[chunk], grid, grid.neighbor_rows[chunk])
     if grid.probes:
         # the first probe attaining the maximum; a NaN counts as the maximum
         worst_probe = residuals.argmax(axis=1)
@@ -1395,14 +1387,14 @@ def gauge_transform(field: StencilField, gauge: GaugeField) -> StencilField:
 # ---------------------------------------------------------------------------
 
 
-def sample_probes(
-    sd,
-    count: int,
-    seed: int,
-    min_avoid: float = 0.05,
-    min_pairwise: float = 0.02,
-    max_tries: int = 1000,
-) -> list[SurfacePoint]:
+# a probe's least distance from the marked and divisor points and from the
+# other probes, and the draws allowed to place them all
+_PROBE_MIN_AVOID = 0.05
+_PROBE_MIN_PAIRWISE = 0.02
+_PROBE_MAX_TRIES = 1000
+
+
+def sample_probes(sd, count: int, seed: int) -> list[SurfacePoint]:
     """Deterministic quasi-uniform probe points on the curve.
 
     Draws with :meth:`SpectralCurve.sample_points`, clear of the marked
@@ -1413,5 +1405,5 @@ def sample_probes(
     marked = list(sd.marked.values())
     return sd.curve.sample_points(
         np.random.default_rng(seed), count, marked + list(sd.divisor),
-        min_avoid, min_pairwise, max_tries, poles=marked,
+        _PROBE_MIN_AVOID, _PROBE_MIN_PAIRWISE, _PROBE_MAX_TRIES, poles=marked,
     )

@@ -10,14 +10,14 @@ import cmath
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from crosshex.bafunc import SpectralDataCross, SpectralDataHex
 from crosshex.errors import NonConvergent, RankDeficient, SingularEvaluation
-from crosshex.labels import SiteCross, SiteHex, relabel_cross, relabel_hex, stencil_offsets
+from crosshex.labels import relabel_cross, relabel_hex, stencil_offsets
 from crosshex.operators import (
     FIELD_DOC_FORMAT,
     MIN_ORACLE_PROBES,
@@ -189,7 +189,7 @@ def translated(sd, P, m, n):
 
 # The per-class relabelling as the package wrote it before the lattice
 # tables: the reference of ``crosshex.labels.CROSS_LATTICE`` and ``HEX_LATTICE``.
-def reference_relabel_cross(site: SiteCross) -> tuple[int, ...]:
+def reference_relabel_cross(site: tuple[int, int]) -> tuple[int, ...]:
     """Exponent label of a square-lattice site.
 
     Even sites (n + m even) get ((2-n-m)/2, (n-m)/2, (n-m)/2); odd
@@ -197,15 +197,15 @@ def reference_relabel_cross(site: SiteCross) -> tuple[int, ...]:
     their parity class, and stepping to any stencil neighbor changes
     the label by one of a fixed set of integer shifts.
     """
-    n, m = site.n, site.m
+    n, m = site
     if (n + m) % 2 == 0:
         return ((2 - n - m) // 2, (n - m) // 2, (n - m) // 2)
     return ((3 - n - m) // 2, (n - m - 1) // 2, (n - m + 1) // 2)
 
 
-def reference_relabel_hex(site: SiteHex) -> tuple[int, ...]:
+def reference_relabel_hex(site: tuple[int, int, int]) -> tuple[int, ...]:
     """Exponent label of a triangular-lattice site, by (k - l) mod 3."""
-    k, l, m = site.k, site.l, site.m
+    k, l, m = site
     r = (k - l) % 3
     if r == 0:
         t = ((k - l) // 3, (l - m) // 3, (m - k) // 3)
@@ -253,6 +253,12 @@ def label_shift(model, site, key):
     relabel = {"cross": relabel_cross, "hex": relabel_hex}[model]
     neighbour = stencil_offsets(model, site)[MODELS[model].coeffs.index(key)]
     return tuple(b - a for a, b in zip(relabel(site), relabel(neighbour)))
+
+
+def gauged_grid(grid, gauge):
+    """``grid`` with each value scaled by the gauge at its own site: what a gauge-transformed field annihilates."""
+    g = np.array([gauge.at(site) for site in grid.halo.tolist()], dtype=complex)
+    return replace(grid, values=grid.values.times(g[:, None]))
 
 
 def halo_rows(grid, sites) -> list[int]:
@@ -347,7 +353,7 @@ def one_site_stencil(sd, site, thetas=None):
     """
     thetas = {} if thetas is None else thetas
     model = MODELS[sd.model]
-    s = model.site(*site)
+    s = model.lattice.site(*site)
     cls = model.lattice.classes(s)
     vals = {model.units[cls]: ScaledComplex.one(), **{k: ScaledComplex(0j, 0.0) for k in model.zeros[cls]}}
     for formula in model.formulas[cls]:
@@ -389,7 +395,7 @@ def reference_document(field, *, spectral_data_ref="", seed=None, normalization=
 def reference_csv(field) -> str:
     """The CSV by the per-site walk: ``field_to_csv``'s reference."""
     model = MODELS[field.model]
-    header = list(model.index_names)
+    header = list(model.lattice.index_names)
     for k in model.coeffs:
         header += [f"re_{k}", f"im_{k}"]
     lines = [",".join(header)]
@@ -482,7 +488,7 @@ def reference_nullspace_oracle(model_name, site, grid):
     if len(grid.probes) < MIN_ORACLE_PROBES:
         raise ValueError(f"nullspace_oracle needs at least {MIN_ORACLE_PROBES} probe points")
     model = MODELS[model_name]
-    s_obj = model.site(*site)
+    s_obj = model.lattice.site(*site)
     ncols = len(model.coeffs)
     rows = halo_rows(grid, stencil_offsets(model.name, s_obj))
     # probes by coefficients, C-ordered: numpy's elementwise kernels below

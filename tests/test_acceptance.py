@@ -22,11 +22,11 @@ import pytest
 
 from crosshex.cli import load_spectral_document, main as cli_main
 from crosshex.labels import (
+    CROSS_LATTICE,
     HEX_COEFFS,
+    HEX_LATTICE,
     relabel_cross,
     relabel_hex,
-    site_cross,
-    site_hex,
     stencil_offsets,
 )
 from crosshex.operators import (
@@ -47,7 +47,7 @@ from crosshex.operators import (
 from crosshex.surface import make_torus_curve
 from crosshex.theta import PeriodMatrix, theta_eval_scaled
 
-from conftest import scalars, translated
+from conftest import gauged_grid, scalars, translated
 
 ERRATA_PATH = Path(__file__).resolve().parents[1] / "ERRATA.md"
 
@@ -215,7 +215,7 @@ def test_criterion_3_relift_invariance(announce, generated):
         checked = 0
         for model in ("cross", "hex"):
             sites = window_sites(model, 4)
-            make = site_cross if model == "cross" else site_hex
+            make = CROSS_LATTICE.site if model == "cross" else HEX_LATTICE.site
             relabel = relabel_cross if model == "cross" else relabel_hex
             origin = make(*(0,) * len(sites[0]))
             for sd, doc in generated[model]:
@@ -371,7 +371,7 @@ def test_criterion_7_gauge_covariance(announce, generated):
             )
             transformed = gauge_transform(field, gauge)
             grid = psi_grid(sd, 2, probes)
-            rep = residual_report(transformed, grid, gauge=gauge)
+            rep = residual_report(transformed, gauged_grid(grid, gauge))
             worst_res = max(worst_res, rep.max_residual)
             factors = [complex(rng.uniform(0.2, 5.0), rng.uniform(-2.0, 2.0)) for _ in field.sites]
             rescaled = replace(field, coeffs=field.coeffs.times(np.array(factors)[:, None]))
@@ -440,7 +440,7 @@ def test_criterion_8_errata_accounting(announce, generated):
         probes = sample_probes(sd, 12, seed=doc["seed"] + 3000)
         rep = oracle_report(build_field(sd, 0), psi_grid(sd, [(0, 0, 0)], probes))
         want = rep.coeffs.as_complex()[0, HEX_COEFFS.index("f")]
-        v = relabel_hex(site_hex(0, 0, 0))
+        v = relabel_hex(HEX_LATTICE.site(0, 0, 0))
         corrected_err = abs(
             evaluate_ratio(sd, v, corrected[0][1]).as_complex() - want
         ) / abs(want)

@@ -12,7 +12,7 @@ from crosshex.errors import (
     DimensionMismatch,
     SingularEvaluation,
 )
-from crosshex.labels import relabel_cross, relabel_hex, site_cross, site_hex, stencil_offsets
+from crosshex.labels import CROSS_LATTICE, HEX_LATTICE, relabel_cross, relabel_hex, stencil_offsets
 from crosshex.operators import MODELS, evaluate_ratio, psi_grid
 
 from conftest import (
@@ -43,7 +43,7 @@ def test_zero_label_value_is_one_at_the_base(cross_data, hex_data, cross_probes,
 def test_phi_grid_matches_one_value_phi_bit_for_bit(model, cross_data, hex_data, cross_probes, hex_probes):
     sd, probes = (cross_data, cross_probes) if model == "cross" else (hex_data, hex_probes)
     relabel = relabel_cross if model == "cross" else relabel_hex
-    make = site_cross if model == "cross" else site_hex
+    make = CROSS_LATTICE.site if model == "cross" else HEX_LATTICE.site
     sites = [(n, m) for n in range(-5, 6) for m in range(-5, 6)]
     if model == "hex":
         sites = [(k, l, -k - l) for k, l in sites]
@@ -70,7 +70,7 @@ def test_phi_depends_on_the_point(cross_data, cross_probes):
 )
 def test_relift_invariance(fixture, sites, cross_data, hex_data, cross_probes, hex_probes):
     sd = cross_data if fixture == "cross" else hex_data
-    make = site_cross if fixture == "cross" else site_hex
+    make = CROSS_LATTICE.site if fixture == "cross" else HEX_LATTICE.site
     probes = (cross_probes if fixture == "cross" else hex_probes)[:2]
     relabel = relabel_cross if fixture == "cross" else relabel_hex
     labels = [relabel(make(*raw)) for raw in sites]
@@ -158,7 +158,7 @@ def test_non_finite_phi_is_refused(torus, cross_data, cross_probes):
     huge = SpectralDataCross(
         torus, dict(cross_data.marked), cross_data.divisor, ConstantNormalization(1e308)
     )
-    labels = [relabel_cross(site_cross(n, m)) for n in range(-1, 2) for m in range(-1, 2)]
+    labels = [relabel_cross(CROSS_LATTICE.site(n, m)) for n in range(-1, 2) for m in range(-1, 2)]
     with pytest.raises(SingularEvaluation, match="left double range"):
         huge.phi_scaled(labels, cross_probes)
 
@@ -322,7 +322,7 @@ def test_label_array_refuses_the_first_bad_label_as_validate_label_does(case, cr
         for call in (sd.label_array, lambda x: sd.phi_scaled(x, cross_probes[:2])):
             assert _refusal(lambda: call(given)) == want, form
         points = np.zeros(len(given), dtype=int)
-        assert _refusal(lambda: sd.marked_thetas(given, points, np.arange(len(given)))) == want, form
+        assert _refusal(lambda: sd.marked_thetas(given, points)) == want, form
         assert _refusal(lambda: evaluate_ratio(sd, given[first], formula)) == want, form
 
 

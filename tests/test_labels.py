@@ -6,15 +6,14 @@ from hypothesis import strategies as st
 from crosshex.errors import InvalidSite
 from crosshex.labels import (
     CROSS_COEFFS,
+    CROSS_LATTICE,
     HEX_COEFFS,
     HEX_LATTICE,
     relabel_cross,
     relabel_hex,
-    site_cross,
-    site_hex,
     stencil_offsets,
 )
-from crosshex.operators import MODELS, window_sites
+from crosshex.operators import MODELS, psi_grid, window_sites
 
 from conftest import REFERENCE_NEIGHBOR_OFFSETS, REFERENCE_RELABEL, label_shift
 
@@ -22,7 +21,7 @@ ints = st.integers(min_value=-50, max_value=50)
 
 
 def hex_sites():
-    return st.tuples(ints, ints).map(lambda kl: site_hex(kl[0], kl[1], -kl[0] - kl[1]))
+    return st.tuples(ints, ints).map(lambda kl: HEX_LATTICE.site(kl[0], kl[1], -kl[0] - kl[1]))
 
 
 # -- pinned values -----------------------------------------------------------
@@ -37,7 +36,7 @@ def hex_sites():
     ],
 )
 def test_relabel_cross_pins(site, label):
-    assert relabel_cross(site_cross(*site)) == label
+    assert relabel_cross(CROSS_LATTICE.site(*site)) == label
 
 
 @pytest.mark.parametrize(
@@ -49,12 +48,12 @@ def test_relabel_cross_pins(site, label):
     ],
 )
 def test_relabel_hex_pins(site, label):
-    assert relabel_hex(site_hex(*site)) == label
+    assert relabel_hex(HEX_LATTICE.site(*site)) == label
 
 
 def _cross_shifts(n, m):
     """Neighbor site -> label shift, in coefficient order."""
-    site = site_cross(n, m)
+    site = CROSS_LATTICE.site(n, m)
     neighbors = stencil_offsets("cross", site)
     return {tuple(nb): label_shift("cross", site, k) for nb, k in zip(neighbors, CROSS_COEFFS)}
 
@@ -91,7 +90,7 @@ def test_stencil_offsets_follow_coefficient_order():
 def test_lattice_table_matches_the_reference_over_the_radius_40_window(model):
     m, relabel = MODELS[model], REFERENCE_RELABEL[model]
     one_site = {"cross": relabel_cross, "hex": relabel_hex}[model]
-    sites = [m.site(*s) for s in window_sites(model, 40)]
+    sites = [m.lattice.site(*s) for s in window_sites(model, 40)]
     coords = np.array(sites)
     # the reference's case selectors: the parity of n + m, the residue of k - l
     classes = [(s[0] + s[1]) % 2 if model == "cross" else (s[0] - s[1]) % 3 for s in sites]
@@ -100,7 +99,7 @@ def test_lattice_table_matches_the_reference_over_the_radius_40_window(model):
     assert m.lattice.labels(coords).tolist() == labels
     assert [list(one_site(s)) for s in sites] == labels
     offsets = REFERENCE_NEIGHBOR_OFFSETS[model]
-    neighbours = [[m.site(*(x + d for x, d in zip(s, offsets[k]))) for k in m.coeffs] for s in sites]
+    neighbours = [[m.lattice.site(*(x + d for x, d in zip(s, offsets[k]))) for k in m.coeffs] for s in sites]
     table = coords[:, None, :] + m.lattice.offsets
     assert table.tolist() == [[list(nb) for nb in row] for row in neighbours]
     assert [stencil_offsets(model, s) for s in sites] == neighbours
@@ -112,9 +111,9 @@ def test_lattice_table_matches_the_reference_over_the_radius_40_window(model):
 
 @given(ints, ints)
 def test_cross_translation_invariants(n, m):
-    base = relabel_cross(site_cross(n, m))
-    two_right = relabel_cross(site_cross(n + 2, m))
-    two_up = relabel_cross(site_cross(n, m + 2))
+    base = relabel_cross(CROSS_LATTICE.site(n, m))
+    two_right = relabel_cross(CROSS_LATTICE.site(n + 2, m))
+    two_up = relabel_cross(CROSS_LATTICE.site(n, m + 2))
     assert tuple(r - b for b, r in zip(base, two_right)) == (-1, 1, 1)
     assert tuple(u - b for b, u in zip(base, two_up)) == (-1, -1, -1)
 
@@ -129,16 +128,16 @@ def test_hex_labels_have_zero_block_sums(site):
 
 @given(hex_sites())
 def test_hex_shifts_depend_only_on_residue(site):
-    ref = {0: site_hex(0, 0, 0), 1: site_hex(1, 0, -1), 2: site_hex(2, 0, -2)}
-    expected = [label_shift("hex", ref[(site.k - site.l) % 3], key) for key in HEX_COEFFS]
+    ref = {0: HEX_LATTICE.site(0, 0, 0), 1: HEX_LATTICE.site(1, 0, -1), 2: HEX_LATTICE.site(2, 0, -2)}
+    expected = [label_shift("hex", ref[(site[0] - site[1]) % 3], key) for key in HEX_COEFFS]
     assert [label_shift("hex", site, key) for key in HEX_COEFFS] == expected
 
 
 @given(ints, ints)
 def test_cross_shifts_depend_only_on_parity(n, m):
-    ref = site_cross((n + m) % 2, 0)
+    ref = CROSS_LATTICE.site((n + m) % 2, 0)
     for key in CROSS_COEFFS:
-        assert label_shift("cross", site_cross(n, m), key) == label_shift("cross", ref, key)
+        assert label_shift("cross", CROSS_LATTICE.site(n, m), key) == label_shift("cross", ref, key)
 
 
 @given(hex_sites())
@@ -154,18 +153,39 @@ def test_hex_neighbor_residues_rotate(site):
 
 def test_site_hex_rejects_nonzero_coordinate_sum():
     with pytest.raises(InvalidSite):
-        site_hex(1, 0, 0)
+        HEX_LATTICE.site(1, 0, 0)
 
 
 @pytest.mark.parametrize("bad", [(0.5, 0), (1, "2"), (True is None, 1.0)])
 def test_site_cross_rejects_non_integers(bad):
     with pytest.raises(InvalidSite):
-        site_cross(*bad)
+        CROSS_LATTICE.site(*bad)
 
 
 def test_site_hex_rejects_non_integers():
     with pytest.raises(InvalidSite):
-        site_hex(1.0, 0, -1)
+        HEX_LATTICE.site(1.0, 0, -1)
+
+
+SITE_REFUSALS = {
+    "cross-arity": ("cross", (0, 0, 0), "square-lattice site must be a pair of integers, got (0, 0, 0)"),
+    "cross-bool": ("cross", (True, 0), "square-lattice site must be a pair of integers, got (True, 0)"),
+    "cross-float": ("cross", (0, 1.0), "square-lattice site must be a pair of integers, got (0, 1.0)"),
+    "hex-arity": ("hex", (0, 0), "triangular-lattice site must be a triple of integers, got (0, 0)"),
+    "hex-bool": ("hex", (1, False, -1), "triangular-lattice site must be a triple of integers, got (1, False, -1)"),
+    "hex-float": ("hex", (1.0, 0, -1), "triangular-lattice site must be a triple of integers, got (1.0, 0, -1)"),
+    "hex-sum": ("hex", (1, 0, 0), "triangular-lattice site must satisfy k+l+m=0, got 1+0+0"),
+}
+
+
+@pytest.mark.parametrize("case", list(SITE_REFUSALS))
+def test_a_bad_site_is_refused_with_its_lattice_text(case, cross_data, hex_data, cross_probes, hex_probes):
+    model, site, want = SITE_REFUSALS[case]
+    sd, probes = (cross_data, cross_probes) if model == "cross" else (hex_data, hex_probes)
+    for call in (lambda: stencil_offsets(model, site), lambda: psi_grid(sd, [site], probes)):
+        with pytest.raises(InvalidSite) as info:
+            call()
+        assert str(info.value) == want
 
 
 def test_stencil_offsets_unknown_model():

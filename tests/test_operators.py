@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-import re
 from dataclasses import replace
 
 import numpy as np
@@ -19,11 +18,11 @@ from crosshex.errors import (
 )
 from crosshex.labels import (
     CROSS_COEFFS,
+    CROSS_LATTICE,
     HEX_COEFFS,
+    HEX_LATTICE,
     relabel_cross,
     relabel_hex,
-    site_cross,
-    site_hex,
     stencil_offsets,
 )
 from crosshex.operators import (
@@ -58,6 +57,7 @@ from crosshex.theta import ScaledArray
 
 from conftest import (
     REFERENCE_RELABEL,
+    gauged_grid,
     halo_rows,
     label_shift,
     one_site_stencil,
@@ -80,7 +80,23 @@ def test_window_sites_counts_and_order():
     assert len(hex2) == 19 and hex2 == sorted(hex2)
     assert all(k + l + m == 0 for k, l, m in hex2)
     assert window_sites("cross", 0) == [(0, 0)]
-    assert window_sites("hex", -1) == []
+
+
+@pytest.mark.parametrize("radius", [1.9, -1, True, "1"])
+def test_a_radius_that_is_not_a_non_negative_int_is_refused(radius, cross_data, hex_data):
+    want = f"window radius must be a non-negative integer, got {radius!r}"
+    for sd in (cross_data, hex_data):
+        width = len(MODELS[sd.model].coeffs)
+        empty = ScaledArray(np.zeros((0, width), dtype=complex), np.zeros((0, width)))
+        calls = (
+            lambda: window_sites(sd.model, radius),
+            lambda: build_field(sd, radius),
+            lambda: StencilField(sd.model, radius, (), empty),
+        )
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == want
 
 
 # -- the headline checks: residual, oracle, zero pattern ----------------------
@@ -245,7 +261,7 @@ def test_formula_tables_align_with_shifts(name, request):
     model = MODELS[name]
     sd = request.getfixturevalue(f"{name}_data")
     assert model.spectral_class.model == name and type(sd) is model.spectral_class
-    classes = {model.lattice.classes(s): model.site(*s) for s in model.window(2)}
+    classes = {model.lattice.classes(s): model.lattice.site(*s) for s in model.window(2)}
     assert sorted(classes) == list(range(len(model.formulas)))
     assert len(model.units) == len(model.zeros) == len(model.formulas)
     for cls, site in sorted(classes.items()):
@@ -260,7 +276,7 @@ def test_formula_tables_align_with_shifts(name, request):
 
 
 def test_ratio_formula_reproduces_oracle_coefficient(cross_data, cross_probes):
-    v = relabel_cross(site_cross(0, 0))
+    v = relabel_cross(CROSS_LATTICE.site(0, 0))
     formula = next(f for f in CROSS_EVEN_FORMULAS if f.coeff == "a")
     rep = oracle_report(build_field(cross_data, 0), psi_grid(cross_data, [(0, 0)], cross_probes))
     assert rep.entries[0].gap <= 1e-6
@@ -272,7 +288,7 @@ def test_ratio_formula_reproduces_oracle_coefficient(cross_data, cross_probes):
 def test_printed_residue0_formula_fails_and_correction_holds(hex_data, hex_probes):
     # the as-printed denominator theta point is off by one marked point;
     # ERRATA.md records the printed and corrected readings with evidence
-    v = relabel_hex(site_hex(0, 0, 0))
+    v = relabel_hex(HEX_LATTICE.site(0, 0, 0))
     corrected = next(f for f in HEX_FORMULAS_BY_RESIDUE[0] if f.coeff == "f")
     assert "corrected-index" in corrected.transcription
     assert "as-printed" in HEX_CASE0_F_AS_PRINTED.transcription
@@ -344,7 +360,7 @@ def test_gauge_transformed_field_annihilates_scaled_psi(
     probes = (cross_probes if fixture == "cross" else hex_probes)[:8]
     gauge = _random_gauge(sd.model, 1, seed=13)
     transformed = gauge_transform(build_field(sd, 1), gauge)
-    rep = residual_report(transformed, psi_grid(sd, 1, probes), gauge=gauge)
+    rep = residual_report(transformed, gauged_grid(psi_grid(sd, 1, probes), gauge))
     assert rep.passed and rep.max_residual <= 1e-8
 
 
@@ -353,17 +369,6 @@ def test_gauge_requires_the_halo(cross_data):
     gauge = GaugeField({site: 1.0 + 0j for site in window_sites("cross", 1)})
     with pytest.raises(MissingGauge):
         gauge_transform(field, gauge)
-
-
-@pytest.mark.parametrize("model", ["cross", "hex"])
-def test_a_missing_gauge_is_named_in_halo_order(model, cross_data, hex_data, cross_probes, hex_probes):
-    sd, probes = (cross_data, cross_probes[:8]) if model == "cross" else (hex_data, hex_probes[:8])
-    window = window_sites(model, 2)
-    halo = {tuple(nb) for site in window for nb in stencil_offsets(model, site)}
-    gauge = GaugeField({site: 1.0 + 0j for site in window})
-    # the halo is held in lexicographic order, so the smallest missing site is named
-    with pytest.raises(MissingGauge, match=re.escape(f"at site {min(halo - set(window))}")):
-        residual_report(build_field(sd, 2), psi_grid(sd, 2, probes), gauge=gauge)
 
 
 def test_gauge_floor():
@@ -424,7 +429,7 @@ def test_forced_zero_measure_reads_a_real_term(hex_data, hex_probes):
     # residue-0 site: b is the unit, c and g are forced to zero.  Copying the
     # c-neighbour's psi over the b-neighbour's leaves e_b - e_c as the only
     # kernel, so the forced-zero term carries half of the equation
-    site = site_hex(0, 0, 0)
+    site = HEX_LATTICE.site(0, 0, 0)
     field = build_field(hex_data, 0)
     grid = psi_grid(hex_data, [site], hex_probes)
     clean = oracle_report(field, grid)
@@ -787,5 +792,6 @@ def test_sample_probes_deterministic_and_separated(cross_data):
 
 
 def test_sample_probes_raises_when_separation_impossible(cross_data):
-    with pytest.raises(SeparationFailure):
-        sample_probes(cross_data, 5, seed=0, min_pairwise=50.0, max_tries=60)
+    # each draw places at most one probe
+    with pytest.raises(SeparationFailure, match="of 1001 points in 1000 draws"):
+        sample_probes(cross_data, 1001, seed=0)
