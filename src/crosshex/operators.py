@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cache, cached_property
@@ -1069,13 +1070,15 @@ class PsiGrid:
 def psi_grid(sd, window, probes) -> PsiGrid:
     """psi at every site of ``window`` and its one-site halo, at every probe.
 
-    ``window`` is a radius or an iterable of sites, each validated.  The
-    neighbours are the sites plus the lattice offsets; the distinct
-    ones, the halo, are labelled by the lattice table in one pass, and
-    the whole grid is one :meth:`phi_scaled` call.
+    ``window`` is a radius or an iterable of sites, each validated; a
+    number or a string is read as a radius, so a bad one is refused as
+    :func:`window_sites` refuses it.  The neighbours are the sites plus
+    the lattice offsets; the distinct ones, the halo, are labelled by
+    the lattice table in one pass, and the whole grid is one
+    :meth:`phi_scaled` call.
     """
     model = MODELS[sd.model]
-    if isinstance(window, int):
+    if isinstance(window, (numbers.Number, str)):
         sites = window_sites(model.name, window)
     else:
         sites = [model.lattice.site(*site) for site in window]
@@ -1171,9 +1174,11 @@ def nullspace_oracle(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The singular values of one site's balanced matrix and its last right singular vector.
 
     The conjugate of that vector is the oracle's kernel vector (see
-    :func:`_oracle_chunk`).
+    :func:`_oracle_chunk`).  The matrix has at least as many rows
+    (probes) as columns, so the reduced SVD, which forms no full U, has
+    every singular value and the whole of ``vh``.
     """
-    _u, sing, vh = np.linalg.svd(matrix)
+    _u, sing, vh = np.linalg.svd(matrix, full_matrices=False)
     return sing, vh[-1]
 
 

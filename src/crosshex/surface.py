@@ -56,7 +56,7 @@ _OFFSET_M, _OFFSET_N = np.indices((3, 3)).reshape(2, -1) - 1
 # CPython's float ** 2 is libm pow, which rounds differently from x * x for some x
 _square = np.frompyfunc(lambda x: x**2, 1, 1)
 # (segment, translate) pairs TorusCurve._segment_pole_distance handles at once
-_DISTANCE_BLOCK = 2048
+_DISTANCE_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -300,29 +300,33 @@ class TorusCurve(SpectralCurve):
         # the right ends it has still to reach, the last next
         left = points[: len(work)]
         pending = [[end] for end in points[len(work) :]]
-        total = [0j] * len(work)
+        # each total as its real and imaginary sums: complex addition is componentwise
+        total = [(0.0, 0.0)] * len(work)
         live = range(len(work))
+        phase, cap = cmath.phase, _CONTINUATION_STACK_CAP
         while live:
             still, mids = [], []
             for i in live:
                 stack = pending[i]
                 u0, m0, la0 = left[i]
+                re, im = total[i]
                 while stack:
-                    u1, m1, la1 = stack[-1]
-                    d_arg = cmath.phase(m1 / m0)
-                    d_logabs = la1 - la0
+                    top = stack[-1]
+                    d_arg = phase(top[1] / m0)
+                    d_logabs = top[2] - la0
                     if abs(d_arg) > 1.0 or abs(d_logabs) > 1.5:
                         break
-                    total[i] += complex(d_logabs, d_arg)
+                    re += d_logabs
+                    im += d_arg
                     u0, m0, la0 = stack.pop()
-                left[i] = (u0, m0, la0)
                 if not stack:
-                    out[work[i]] = total[i]
-                elif len(stack) >= _CONTINUATION_STACK_CAP:
+                    out[work[i]] = complex(re, im)
+                elif len(stack) >= cap:
                     out[work[i]] = PoleOnPath("branch tracking could not resolve the path")
                 else:
+                    left[i], total[i] = (u0, m0, la0), (re, im)
                     still.append(i)
-                    mids.append(0.5 * (u0 + u1))
+                    mids.append(0.5 * (u0 + top[0]))
             if still:
                 m, la = self._primes([u - pole[i] for i, u in zip(still, mids)])
                 for i, point in zip(still, zip(mids, m, la)):
@@ -336,7 +340,9 @@ class TorusCurve(SpectralCurve):
         E vanishes exactly on the period lattice.
         """
         values = theta_eval_batch(self.pm, [x - self._z0 for x in w], THETA_EPS)
-        return values.mantissa.tolist(), values.log_abs.tolist()
+        m = values.mantissa.tolist()
+        # ScaledArray.log_abs from the Python mantissas: abs(complex) is hypot, as _abs is
+        return m, [math.log(abs(x)) + s if x else -math.inf for x, s in zip(m, values.log_scale.tolist())]
 
     # -- public surface operations --------------------------------------------
 

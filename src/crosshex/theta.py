@@ -224,8 +224,11 @@ class ScaledArray:
     @property
     def log_abs(self) -> np.ndarray:
         a = _abs(self.mantissa)
-        out = np.full(a.shape, -math.inf)
         nonzero = self.mantissa != 0
+        # a 0-d array takes the masked form: _log of it gives a Python float
+        if a.ndim and nonzero.all():
+            return _log(a) + self.log_scale
+        out = np.full(a.shape, -math.inf)
         out[nonzero] = _log(a[nonzero]) + self.log_scale[nonzero]
         return out
 
@@ -413,11 +416,12 @@ def _lattice_sum_batch(b: complex, z: np.ndarray, eps: float) -> ScaledArray:
     each result has the scalar kernel's bits.  A one-pass head
     evaluates shells 0..depth of every element at once (one ``np.exp``
     over a table of (2 depth + 1) rows, then a running sum down its
-    shells) and finds each element's stop there; the elements it leaves
-    unfinished continue shell by shell, leaving the working set as they
-    finish.  A non-finite argument, or a non-finite
-    term in a shell an element uses, raises :class:`NonConvergent`, as
-    does a shell cap reached by any element.
+    shells) and finds each element's stop there, returning at once when
+    every element stops in it; the elements it leaves unfinished
+    continue shell by shell, leaving the working set as they finish.  A
+    non-finite argument, or a non-finite term in a shell an element
+    uses, raises :class:`NonConvergent`, as does a shell cap reached by
+    any element.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
@@ -440,13 +444,13 @@ def _lattice_sum_batch(b: complex, z: np.ndarray, eps: float) -> ScaledArray:
         mags = _abs(t)
         mags[depth + 1 :] += mags[:depth][::-1]
         mags = mags[depth:]
-        # in place: row r becomes the running sum after shell r; adding 0j to
-        # the centre turns a -0.0 part into +0.0, as the loop's sum from zeros does
+        # row r: shell r's sum, then the running sum after shell r (cumsum adds
+        # row after row, as the loop does); adding 0j to the centre turns a
+        # -0.0 part into +0.0, as the loop's sum from zeros does
         sums = t[depth:]
         sums[1:] += t[:depth][::-1]
         sums[0] += 0j
-        for r in range(1, depth + 1):
-            sums[r] += sums[r - 1]
+        sums = np.cumsum(sums, axis=0)
         calm = mags < eps * np.fmax(_abs(sums), 1.0)
         # an element stops at the first radius r >= 1 quiet after a quiet r - 1
         pairs = calm[1:] & calm[:-1]
@@ -454,10 +458,13 @@ def _lattice_sum_batch(b: complex, z: np.ndarray, eps: float) -> ScaledArray:
         last = np.full(flat.size, depth)  # the last shell an element sums in the head
         if done.any():
             last[done] = pairs[:, done].argmax(axis=0) + 1
-            # the loop reads every element's sum from the last row
-            sums[depth, done] = sums[last[done], np.flatnonzero(done)]
         if not finite.all() and not finite[np.abs(offsets) <= last].all():
             raise NonConvergent("theta lattice sum overflowed")
+        if done.all():
+            # the common case: every element stops in the head
+            return ScaledArray(sums[last, np.arange(flat.size)].reshape(z.shape), scale.reshape(z.shape))
+        # the loop reads every element's sum from the last row
+        sums[depth, done] = sums[last[done], np.flatnonzero(done)]
 
         live = np.arange(flat.size)
         n0_l, z_l, sc_l, acc = n0, flat, scale, sums[depth]

@@ -99,6 +99,20 @@ def test_a_radius_that_is_not_a_non_negative_int_is_refused(radius, cross_data, 
             assert str(info.value) == want
 
 
+@pytest.mark.parametrize("window", [1.9, np.int64(1), "1", -1, True, "list", "tuple"])
+def test_psi_grid_reads_a_number_or_string_as_a_radius_and_a_list_or_tuple_as_sites(window, cross_data, cross_probes):
+    if window in ("list", "tuple"):
+        sites = window_sites("cross", 1)
+        grid = psi_grid(cross_data, list(sites) if window == "list" else tuple(sites), cross_probes)
+        want = psi_grid(cross_data, 1, cross_probes)
+        assert grid.sites == want.sites
+        assert np.array_equal(grid.values.mantissa, want.values.mantissa)
+        return
+    with pytest.raises(ValueError) as info:
+        psi_grid(cross_data, window, cross_probes)
+    assert str(info.value) == f"window radius must be a non-negative integer, got {window!r}"
+
+
 # -- the headline checks: residual, oracle, zero pattern ----------------------
 
 

@@ -21,7 +21,7 @@ from crosshex.surface import (
     load_torus_curve,
     make_torus_curve,
 )
-from crosshex.theta import THETA_EPS, theta_eval_scaled
+from crosshex.theta import THETA_EPS, theta_eval_batch, theta_eval_scaled
 
 from conftest import (
     CELL_FRACTIONS,
@@ -317,6 +317,47 @@ def test_array_pole_distance_matches_the_scalar_loop():
         segments = zip(pole.tolist(), a.tolist(), b.tolist())
         want = [_segment_pole_distance_loop(curve, *seg) for seg in segments]
         assert got.tolist() == want
+
+
+@pytest.mark.parametrize("block", [1, 7, 2048, 16384, 10**6])
+def test_pole_distance_does_not_depend_on_the_block_size(monkeypatch, block):
+    """The distance is a running fmin over the same values, however the offsets are blocked."""
+    rng = np.random.default_rng(43)
+    curve = make_torus_curve(-4.25 + 1.1j)
+    B = curve.pm.B
+    segment_sets = []
+    for count in (1, 6, 480):
+        pole = rng.uniform(-30, 30, count) + 1j * rng.uniform(-30, 30, count)
+        a = pole + 2j * math.pi * rng.uniform(-2, 2, count) + B * rng.uniform(-2, 2, count)
+        # boxes from a point (a == b) to several cells wide
+        reach = rng.choice([0.0, 0.05, 1.0, 3.0], count)
+        reach[0] = 0.0
+        b = a + (2j * math.pi * rng.uniform(-1, 1, count) + B * rng.uniform(-1, 1, count)) * reach
+        segment_sets.append((pole, a, b))
+    want = [curve._segment_pole_distance(*segments) for segments in segment_sets]
+    monkeypatch.setattr(surface, "_DISTANCE_BLOCK", block)
+    for segments, distance in zip(segment_sets, want):
+        assert np.array_equal(curve._segment_pole_distance(*segments), distance)
+
+
+def test_lockstep_log_magnitudes_are_the_kernel_log_abs(monkeypatch, torus):
+    """``_primes`` takes each log-magnitude from the mantissas with the bits of ``ScaledArray.log_abs``, -inf at a zero."""
+    values = []
+
+    def one_zero(pm, z, eps):
+        v = theta_eval_batch(pm, z, eps)
+        v.mantissa[0] = 0j
+        values.append(v)
+        return v
+
+    monkeypatch.setattr(surface, "theta_eval_batch", one_zero)
+    rng = np.random.default_rng(47)
+    for size in (1, 5, 40):
+        w = (rng.uniform(-9, 9, size) + 1j * rng.uniform(-9, 9, size)).tolist()
+        m, la = torus._primes(w)
+        assert m == values[-1].mantissa.tolist()
+        assert list(map(repr, la)) == list(map(repr, values[-1].log_abs.tolist()))
+        assert la[0] == -math.inf
 
 
 def test_segment_pole_distance_is_the_nearest_translate():
