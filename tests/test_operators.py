@@ -82,35 +82,23 @@ def test_window_sites_counts_and_order():
     assert window_sites("cross", 0) == [(0, 0)]
 
 
-@pytest.mark.parametrize("radius", [1.9, -1, True, "1"])
-def test_a_radius_that_is_not_a_non_negative_int_is_refused(radius, cross_data, hex_data):
+@pytest.mark.parametrize("radius", [1.9, np.int64(1), -1, True, "1"])
+def test_a_radius_that_is_not_a_non_negative_int_is_refused(radius, cross_data, hex_data, cross_probes, hex_probes):
     want = f"window radius must be a non-negative integer, got {radius!r}"
-    for sd in (cross_data, hex_data):
+    for sd, probes in ((cross_data, cross_probes), (hex_data, hex_probes)):
         width = len(MODELS[sd.model].coeffs)
         empty = ScaledArray(np.zeros((0, width), dtype=complex), np.zeros((0, width)))
         calls = (
             lambda: window_sites(sd.model, radius),
             lambda: build_field(sd, radius),
             lambda: StencilField(sd.model, radius, (), empty),
+            # a number or a string is a radius to psi_grid, never a site list
+            lambda: psi_grid(sd, radius, probes),
         )
         for call in calls:
             with pytest.raises(ValueError) as info:
                 call()
             assert str(info.value) == want
-
-
-@pytest.mark.parametrize("window", [1.9, np.int64(1), "1", -1, True, "list", "tuple"])
-def test_psi_grid_reads_a_number_or_string_as_a_radius_and_a_list_or_tuple_as_sites(window, cross_data, cross_probes):
-    if window in ("list", "tuple"):
-        sites = window_sites("cross", 1)
-        grid = psi_grid(cross_data, list(sites) if window == "list" else tuple(sites), cross_probes)
-        want = psi_grid(cross_data, 1, cross_probes)
-        assert grid.sites == want.sites
-        assert np.array_equal(grid.values.mantissa, want.values.mantissa)
-        return
-    with pytest.raises(ValueError) as info:
-        psi_grid(cross_data, window, cross_probes)
-    assert str(info.value) == f"window radius must be a non-negative integer, got {window!r}"
 
 
 # -- the headline checks: residual, oracle, zero pattern ----------------------
@@ -190,8 +178,9 @@ def test_grid_residuals_match_one_value_psi(model, cross_data, hex_data, cross_p
     sd, probes = (cross_data, cross_probes) if model == "cross" else (hex_data, hex_probes)
     field = build_field(sd, 2)
     rep = residual_report(field, psi_grid(sd, 2, probes))
-    # the window's sites listed one by one make the radius's grid
-    assert repr(residual_report(field, psi_grid(sd, list(field.sites), probes))) == repr(rep)
+    # the window's sites listed one by one, in a list or a tuple, make the radius's grid
+    for sites in (list(field.sites), tuple(field.sites)):
+        assert repr(residual_report(field, psi_grid(sd, sites, probes))) == repr(rep)
     for entry in rep.entries:
         stencil = field.stencils[entry.site]
         per_probe = [_scalar_residual(sd, stencil, entry.site, P) for P in probes]

@@ -296,33 +296,14 @@ def test_batch_kernel_ignores_a_term_past_an_elements_stop(monkeypatch):
     for size in (20, _HEAD_LIMIT - 1, _HEAD_LIMIT + 1):
         z = np.full(size, 3.2e307j)
         z[1::2] += 0.3
-        got = theta_eval_batch(pm, z)
-        assert [repr(v) for v in scalars(got)] == [repr(scalar(theta_eval_scaled(pm, w))) for w in z.tolist()]
-    # with the shell cap at the head's depth, a shell past the head would
-    # refuse: the head sees the overflow and returns every element itself
-    monkeypatch.setattr(theta, "_SHELL_CAP", 6)
-    for size in (20, _HEAD_LIMIT - 1):
-        z = np.full(size, 3.2e307j)
-        z[1::2] += 0.3
-        assert [repr(v) for v in scalars(theta_eval_batch(pm, z))] == [repr(v) for v in scalars(got)][:size]
-
-
-@pytest.mark.parametrize("shape", [(), (5,), (3, 4)])
-@pytest.mark.parametrize("zero", [False, True])
-def test_log_abs_is_math_log_of_abs_plus_the_scale(shape, zero):
-    """Every shape, with and without a zero mantissa, has the bits of the one-element form, -inf at a zero."""
-    rng = np.random.default_rng(53)
-    mantissa = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    if zero:
-        mantissa.flat[0] = 0j
-    log_scale = rng.normal(size=shape) * 300.0
-    got = ScaledArray(mantissa, log_scale).log_abs
-    assert got.shape == shape
-    want = [
-        math.log(abs(m)) + s if m else -math.inf
-        for m, s in zip(mantissa.ravel().tolist(), log_scale.ravel().tolist())
-    ]
-    assert list(map(repr, got.ravel().tolist())) == list(map(repr, want))
+        want = [repr(scalar(theta_eval_scaled(pm, w))) for w in z.tolist()]
+        assert [repr(v) for v in scalars(theta_eval_batch(pm, z))] == want
+        if size < _HEAD_LIMIT:
+            # with the shell cap at the head's depth a shell past the head would
+            # refuse: the head sees the overflow and returns every element itself
+            with monkeypatch.context() as patch:
+                patch.setattr(theta, "_SHELL_CAP", 6)
+                assert [repr(v) for v in scalars(theta_eval_batch(pm, z))] == want
 
 
 def test_batch_kernel_shell_cap_raises_nonconvergent():
@@ -459,6 +440,7 @@ def _assert_ops_match_scaled_complex(a, b, w) -> None:
 def test_scaled_array_ops_match_scaled_complex_bit_for_bit():
     rng = np.random.default_rng(29)
     a, b = _scaled_draws(rng, 5000), _scaled_draws(rng, 5000)
+    a.mantissa[7] = 0j  # a zero in every shape below: log_abs -inf, phase 0
     w = rng.normal(0.0, 50.0, 5000) + 1j * rng.normal(0.0, 50.0, 5000)
     _assert_ops_match_scaled_complex(a, b, w)
     # a single value: 0-d arrays (what theta_eval_scaled gives) and the numpy
