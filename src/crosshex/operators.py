@@ -1174,10 +1174,13 @@ def nullspace_oracle(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The singular values of one site's balanced matrix and its last right singular vector.
 
     The conjugate of that vector is the oracle's kernel vector (see
-    :func:`_oracle_chunk`).  The matrix has at least as many rows
-    (probes) as columns, so the reduced SVD, which forms no full U, has
-    every singular value and the whole of ``vh``.
+    :func:`_oracle_chunk`).  The matrix must have at least as many rows
+    (probes) as columns, so that the reduced SVD, which forms no full U,
+    has every singular value and the whole of ``vh``; a wider one is
+    refused, since its last right singular vector is not a kernel vector.
     """
+    if matrix.shape[0] < matrix.shape[1]:
+        raise ValueError(f"the null-space oracle needs at least as many rows as columns, got {matrix.shape}")
     _u, sing, vh = np.linalg.svd(matrix, full_matrices=False)
     return sing, vh[-1]
 

@@ -224,11 +224,8 @@ class ScaledArray:
     @property
     def log_abs(self) -> np.ndarray:
         a = _abs(self.mantissa)
-        nonzero = self.mantissa != 0
-        # a 0-d array takes the masked form: _log of it gives a Python float
-        if a.ndim and nonzero.all():
-            return _log(a) + self.log_scale
         out = np.full(a.shape, -math.inf)
+        nonzero = self.mantissa != 0
         out[nonzero] = _log(a[nonzero]) + self.log_scale[nonzero]
         return out
 

@@ -17,7 +17,7 @@ import pytest
 
 from crosshex.errors import RankDeficient
 from crosshex.labels import HEX_COEFFS, stencil_offsets
-from crosshex.operators import build_field, oracle_report, psi_grid, residual_report, sample_probes
+from crosshex.operators import build_field, nullspace_oracle, oracle_report, psi_grid, residual_report, sample_probes
 from crosshex.surface import make_torus_curve
 from crosshex.theta import ScaledArray
 
@@ -141,6 +141,12 @@ def test_too_few_probes_are_refused_before_any_evaluation(cross_data, cross_prob
     _refuse_passes(monkeypatch, cross_data)
     with pytest.raises(ValueError, match="at least 8 probe points"):
         oracle_report(field, grid)
+
+
+def test_a_matrix_wider_than_tall_is_refused():
+    # its reduced SVD has fewer right singular vectors than columns, so vh[-1] is no kernel vector
+    with pytest.raises(ValueError, match=re.escape("at least as many rows as columns, got (5, 7)")):
+        nullspace_oracle(np.ones((5, 7), dtype=complex))
 
 
 @pytest.mark.parametrize("report", [residual_report, oracle_report])

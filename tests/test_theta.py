@@ -289,21 +289,15 @@ def test_batch_kernel_raises_nonconvergent_where_the_scalar_kernel_does(bad):
             theta_eval_batch(pm, z)
 
 
-def test_batch_kernel_ignores_a_term_past_an_elements_stop(monkeypatch):
+def test_batch_kernel_ignores_a_term_past_an_elements_stop():
     """N * z overflows only past shell 5, where these elements stop; the head still evaluates shell 6."""
     pm = PeriodMatrix(-4.25)
     assert theta._head_depth(pm.B, 1e-12) == 6
     for size in (20, _HEAD_LIMIT - 1, _HEAD_LIMIT + 1):
         z = np.full(size, 3.2e307j)
         z[1::2] += 0.3
-        want = [repr(scalar(theta_eval_scaled(pm, w))) for w in z.tolist()]
-        assert [repr(v) for v in scalars(theta_eval_batch(pm, z))] == want
-        if size < _HEAD_LIMIT:
-            # with the shell cap at the head's depth a shell past the head would
-            # refuse: the head sees the overflow and returns every element itself
-            with monkeypatch.context() as patch:
-                patch.setattr(theta, "_SHELL_CAP", 6)
-                assert [repr(v) for v in scalars(theta_eval_batch(pm, z))] == want
+        got = theta_eval_batch(pm, z)
+        assert [repr(v) for v in scalars(got)] == [repr(scalar(theta_eval_scaled(pm, w))) for w in z.tolist()]
 
 
 def test_batch_kernel_shell_cap_raises_nonconvergent():
@@ -440,7 +434,6 @@ def _assert_ops_match_scaled_complex(a, b, w) -> None:
 def test_scaled_array_ops_match_scaled_complex_bit_for_bit():
     rng = np.random.default_rng(29)
     a, b = _scaled_draws(rng, 5000), _scaled_draws(rng, 5000)
-    a.mantissa[7] = 0j  # a zero in every shape below: log_abs -inf, phase 0
     w = rng.normal(0.0, 50.0, 5000) + 1j * rng.normal(0.0, 50.0, 5000)
     _assert_ops_match_scaled_complex(a, b, w)
     # a single value: 0-d arrays (what theta_eval_scaled gives) and the numpy
@@ -454,6 +447,14 @@ def test_scaled_array_ops_match_scaled_complex_bit_for_bit():
     # an outer grid, as phi_scaled's numerators over its per-probe denominators
     _assert_ops_match_scaled_complex(a[:40].reshape(40, 1), b[:50].reshape(1, 50), w[:50].reshape(1, 50))
     _assert_ops_match_scaled_complex(a[:40].reshape(40, 1), b[:50].reshape(1, 50), w[:2000].reshape(40, 50))
+    # the same with a zero mantissa (log_abs -inf, phase 0), on 0-d, 1-d and 2-d arrays
+    z = ScaledArray(a.mantissa.copy(), a.log_scale.copy())
+    z.mantissa[7] = 0j
+    _assert_ops_match_scaled_complex(z, b, w)
+    _assert_ops_match_scaled_complex(_one(z.mantissa[7], z.log_scale[7]), _one(b.mantissa[7], b.log_scale[7]), w[7])
+    _assert_ops_match_scaled_complex(z[7], b[7], w[7])
+    _assert_ops_match_scaled_complex(z[7:8], b[7:8], w[7:8])
+    _assert_ops_match_scaled_complex(z[:40].reshape(40, 1), b[:50].reshape(1, 50), w[:2000].reshape(40, 50))
 
     # plus: a zero mantissa on either side and on both, equal log scales (the
     # tie keeps self as the larger term), and gaps past the exp cutoff
