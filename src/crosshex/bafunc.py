@@ -32,7 +32,7 @@ import numpy as np
 from .errors import ConsistencyFailure, DimensionMismatch, SchemaError, SingularEvaluation
 from .labels import CROSS_LATTICE, HEX_LATTICE, Lattice
 from .surface import SpectralCurve, SurfacePoint, complex_from_json
-from .theta import THETA_EPS, ScaledArray, complex_mul, theta_eval_batch, theta_eval_scaled
+from .theta import ScaledArray, complex_mul, theta_eval_batch, theta_eval_scaled
 
 _MIN_POINT_SEPARATION = 1e-6
 _GENERICITY_FLOOR = 1e-10
@@ -123,7 +123,7 @@ class _SpectralDataBase:
         # genericity floor compares mantissas, i.e. values relative to
         # their local Gaussian-peak scale, which stays meaningful for the
         # astronomically large arguments reached at big labels.
-        theta0 = theta_eval_scaled(curve.pm, 0j, THETA_EPS)
+        theta0 = theta_eval_scaled(curve.pm, 0j)
         self._mantissa_floor = _GENERICITY_FLOOR * abs(complex(theta0.mantissa))
 
     def _check_separation(self) -> None:
@@ -202,7 +202,7 @@ class _SpectralDataBase:
         element has the bits of ``theta_eval_scaled`` at its argument.
         """
         dots = (coeffs[..., None, :] @ self._U[:, None])[..., 0, 0]
-        return theta_eval_batch(self.curve.pm, (abel + dots) + self._W, THETA_EPS)
+        return theta_eval_batch(self.curve.pm, (abel + dots) + self._W)
 
     def marked_thetas(self, labels, points) -> ScaledArray:
         """Theta at marked point ``points[i]`` and label ``labels[i]`` for each i, in one kernel call.
@@ -217,7 +217,7 @@ class _SpectralDataBase:
     def denominator_scaled(self, P: SurfacePoint) -> ScaledArray:
         """The label-independent theta denominator at P, a 0-d ScaledArray guarded by the genericity floor."""
         return self.require_generic(
-            theta_eval_scaled(self.curve.pm, self.curve.abel(P) + self._W, THETA_EPS),
+            theta_eval_scaled(self.curve.pm, self.curve.abel(P) + self._W),
             f"theta denominator at lift {P.lift}",
         )
 

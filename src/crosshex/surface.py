@@ -42,7 +42,7 @@ from .errors import (
     SeparationFailure,
     UnknownPoint,
 )
-from .theta import THETA_EPS, PeriodMatrix, theta_eval_batch, theta_eval_scaled
+from .theta import PeriodMatrix, theta_eval_batch, theta_eval_scaled
 
 _POLE_TOL = 1e-8
 _PATH_CLEARANCE = 1e-3
@@ -339,7 +339,7 @@ class TorusCurve(SpectralCurve):
 
         E vanishes exactly on the period lattice.
         """
-        values = theta_eval_batch(self.pm, [x - self._z0 for x in w], THETA_EPS)
+        values = theta_eval_batch(self.pm, [x - self._z0 for x in w])
         m = values.mantissa.tolist()
         # ScaledArray.log_abs from the Python mantissas: abs(complex) is hypot, as _abs is
         return m, [math.log(abs(x)) + s if x else -math.inf for x, s in zip(m, values.log_scale.tolist())]
@@ -470,8 +470,8 @@ def _validate_constants(curve: SpectralCurve, K: complex) -> None:
     Re B is deep.
     """
     pm = curve.pm
-    theta0_log = theta_eval_scaled(pm, 0j, THETA_EPS).log_abs
-    resid_log = theta_eval_scaled(pm, -K, THETA_EPS).log_abs
+    theta0_log = theta_eval_scaled(pm, 0j).log_abs
+    resid_log = theta_eval_scaled(pm, -K).log_abs
     if not (resid_log - theta0_log <= math.log(_KCHECK_REL)):
         raise ConsistencyFailure(
             "Riemann constants failed the vanishing check: "
@@ -486,7 +486,7 @@ def _validate_constants(curve: SpectralCurve, K: complex) -> None:
         for j in range(10)
         for k in range(10)
     ]
-    mantissa = theta_eval_batch(pm, np.array([(u - u1) - K for u in nodes]), THETA_EPS).mantissa
+    mantissa = theta_eval_batch(pm, np.array([(u - u1) - K for u in nodes])).mantissa
     sizes = np.hypot(mantissa.real, mantissa.imag).tolist()
     median = float(np.median(sizes))
     cell = min(2.0 * math.pi, abs(B))

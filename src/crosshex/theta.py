@@ -18,8 +18,9 @@ Values of the series span an enormous dynamic range once ``|z|`` grows
 (``.as_complex()`` collapses it to plain complex values).
 :func:`theta_eval_scaled` evaluates one argument and returns a 0-d
 :class:`ScaledArray`; :func:`theta_eval_batch` evaluates a whole array of
-arguments in one numpy pass, and its elements carry the same bits as
-:func:`theta_eval_scaled` on each argument.
+arguments in numpy tables, and its elements carry the same bits as
+:func:`theta_eval_scaled` on each argument.  Both stop summing after two
+shells in a row fall below ``THETA_EPS`` (1e-13) relative to the sum.
 
 All evaluations are deterministic: the lattice is enumerated shell by
 shell in a fixed order, so repeated calls with identical inputs return
@@ -38,9 +39,8 @@ import numpy as np
 from .errors import NonConvergent
 
 _SHELL_CAP = 60
-_MAX_EPS = 1.0e-3
-# the relative tolerance the curve backends and the function families evaluate
-# theta at, with headroom under the package-level 1e-8..1e-10 checks
+# the one relative tolerance theta is summed to, with headroom under the
+# package-level 1e-8..1e-10 checks
 THETA_EPS = 1e-13
 # theta_eval_batch runs the scalar kernel element by element while the
 # arguments times (head depth + 2) number fewer than this: a batched call costs
@@ -48,9 +48,9 @@ THETA_EPS = 1e-13
 # 1.2 us per shell (2-core Xeon, Python 3.11, numpy 2.4).  The batched kernel
 # then takes 8 arguments and more at Re B -4.25, 10 at -6.75 and 13 at -40.
 _BATCH_CROSSOVER = 64
-# from this many arguments on, _lattice_sum_batch runs its shell loop alone: a
-# one-pass head evaluates shells the loop would already have dropped, and at
-# Re B -4.25 the loop is as fast from about 1,500 arguments on
+# _lattice_sum_batch sums its arguments in chunks of this many, one head table
+# each: (2 depth + 1) rows of complex terms, about 320 kB at Re B -4.25 and
+# 3 MB at the shell cap, where one table over a whole array could be tens of MB
 _HEAD_LIMIT = 1536
 
 
@@ -309,14 +309,7 @@ class NumpyScaledArray(ScaledArray):
     _quotient = staticmethod(np.divide)
 
 
-def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if not (0.0 < eps <= _MAX_EPS):
-        raise ValueError(f"eps must lie in (0, {_MAX_EPS}], got {eps!r}")
-    return eps
-
-
-def _lattice_sum_1d(b: complex, z: complex, eps: float) -> tuple[complex, float]:
+def _lattice_sum_1d(b: complex, z: complex) -> tuple[complex, float]:
     """The shell sum of the theta series, as a (mantissa, log scale) pair.
 
     Shells are centered on the integer nearest the maximum of the real
@@ -357,7 +350,7 @@ def _lattice_sum_1d(b: complex, z: complex, eps: float) -> tuple[complex, float]
             # weight.  Two consecutive quiet shells are required because the
             # asymmetric shell layout around the peak makes the per-shell
             # decay non-monotone.
-            if shell_mag < eps * max(1.0, abs(acc)):
+            if shell_mag < THETA_EPS * max(1.0, abs(acc)):
                 quiet += 1
                 if quiet >= 2:  # two quiet shells need radius >= 1
                     # deliberately NOT normalized: the mantissa is the value
@@ -372,142 +365,126 @@ def _lattice_sum_1d(b: complex, z: complex, eps: float) -> tuple[complex, float]
         # cmath.exp raises ValueError where the result has an infinite part
         raise NonConvergent(f"theta lattice sum overflowed at argument {z}") from exc
     raise NonConvergent(
-        f"lattice sum did not reach relative tail {eps:g} within {_SHELL_CAP} shells"
+        f"lattice sum did not reach relative tail {THETA_EPS:g} within {_SHELL_CAP} shells"
     )
 
 
-def theta_eval_scaled(pm: PeriodMatrix, z: complex, eps: float = 1e-12) -> ScaledArray:
+def theta_eval_scaled(pm: PeriodMatrix, z: complex) -> ScaledArray:
     """Theta(z) as a 0-d :class:`ScaledArray`; never overflows.
 
     Deterministic for fixed inputs.  Raises :class:`NonConvergent` if the
-    adaptive shell radius hits its cap (60) or ``z`` is not finite, and
-    ``ValueError`` for ``eps`` outside (0, 1e-3].
+    adaptive shell radius hits its cap (60) or ``z`` is not finite.
     """
-    mantissa, scale = _lattice_sum_1d(pm.B, complex(z), _check_eps(eps))
+    mantissa, scale = _lattice_sum_1d(pm.B, complex(z))
     return ScaledArray(np.array(mantissa), np.array(scale))
 
 
-def _head_depth(b: complex, eps: float) -> int:
-    """How many shells past the centre the one-pass head of :func:`_lattice_sum_batch` evaluates.
+def _head_depth(b: complex) -> int:
+    """How many shells past the centre the first head of :func:`_lattice_sum_batch` evaluates.
 
-    The terms r shells from the Gaussian peak fall off as
-    exp(Re B r^2 / 2), so past this depth they are below ``eps * exp(-8)``
-    with a shell to spare for the peak's offset from its integer centre,
-    and nearly every element stops inside the head.
+    The terms r shells from the Gaussian peak fall off as exp(Re B r^2 / 2),
+    so past this depth they are below ``THETA_EPS * exp(-8)`` with a shell
+    to spare for the peak's offset from its integer centre, and nearly
+    every element stops inside the head.
     """
-    return min(_SHELL_CAP, math.ceil(math.sqrt(2.0 * (8.0 - math.log(eps)) / -b.real)) + 1)
+    return min(_SHELL_CAP, math.ceil(math.sqrt(2.0 * (8.0 - math.log(THETA_EPS)) / -b.real)) + 1)
 
 
 @functools.lru_cache(maxsize=16)
-def _batch_crossover(b: complex, eps: float) -> int:
-    """The fewest arguments :func:`theta_eval_batch` hands to the batched kernel at this period and eps."""
-    return -(-_BATCH_CROSSOVER // (_head_depth(b, eps) + 2))
+def _batch_crossover(b: complex) -> int:
+    """The fewest arguments :func:`theta_eval_batch` hands to the batched kernel at this period."""
+    return -(-_BATCH_CROSSOVER // (_head_depth(b) + 2))
 
 
-def _lattice_sum_batch(b: complex, z: np.ndarray, eps: float) -> ScaledArray:
-    """:func:`_lattice_sum_1d` over an array of arguments.
+def _head(b: complex, z, n0, scale, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shells 0..depth of every element in one table: each element's sum at its stop, and whether it stopped.
 
-    Every element follows the scalar kernel step for step: the same
-    Gaussian-peak centre and scale, the same shell order, the same
-    two-quiet-shells stop, each element stopping at its own shell, so
-    each result has the scalar kernel's bits.  A one-pass head
-    evaluates shells 0..depth of every element at once (one ``np.exp``
-    over a table of (2 depth + 1) rows, then a running sum down its
-    shells) and finds each element's stop there, returning at once when
-    every element stops in it; the elements it leaves unfinished
-    continue shell by shell, leaving the working set as they finish.  A
-    non-finite argument, or a non-finite term in a shell an element
-    uses, raises :class:`NonConvergent`, as does a shell cap reached by
-    any element.
+    An element that does not stop in the table comes back with its sum
+    after shell ``depth``.  A non-finite term in a shell an element uses
+    raises :class:`NonConvergent`.
+    """
+    # row depth + k holds the term of index n0 + k, |k| <= depth
+    offsets = np.arange(-depth, depth + 1)[:, None]
+    N = n0 + offsets
+    t = np.exp(0.5 * (b * N * N) + N * z - scale)
+    finite = np.isfinite(t)
+    # row r: |t(n0 - r)| + |t(n0 + r)|, the scalar kernel's shell magnitude
+    mags = _abs(t)
+    mags[depth + 1 :] += mags[:depth][::-1]
+    mags = mags[depth:]
+    # row r: shell r's sum, then the running sum after shell r (cumsum adds
+    # row after row, as the scalar kernel does); adding 0j to the centre turns
+    # a -0.0 part into +0.0, as the scalar kernel's sum from zeros does
+    sums = t[depth:]
+    sums[1:] += t[:depth][::-1]
+    sums[0] += 0j
+    sums = np.cumsum(sums, axis=0)
+    calm = mags < THETA_EPS * np.fmax(_abs(sums), 1.0)
+    # an element stops at the first radius r >= 1 quiet after a quiet r - 1
+    pairs = calm[1:] & calm[:-1]
+    done = pairs.any(axis=0)
+    last = np.full(z.size, depth)  # the last shell an element sums here
+    if done.any():
+        last[done] = pairs[:, done].argmax(axis=0) + 1
+    if not finite.all() and not finite[np.abs(offsets) <= last].all():
+        raise NonConvergent("theta lattice sum overflowed")
+    return sums[last, np.arange(z.size)], done
+
+
+def _lattice_sum_batch(b: complex, z: np.ndarray) -> ScaledArray:
+    """:func:`_lattice_sum_1d` over an array of arguments, with its bits element for element.
+
+    The same centre, scale, shell order and two-quiet-shells stop, each
+    element stopping at its own shell.  Each chunk of ``_HEAD_LIMIT``
+    arguments goes through one :func:`_head` to :func:`_head_depth`; its
+    elements that do not stop there go through a deeper head, 2 depth + 1,
+    and so on to the shell cap, which raises :class:`NonConvergent`.
     """
     z = np.asarray(z, dtype=complex)
     flat = z.ravel()
     if not np.isfinite(flat).all():
         raise NonConvergent("theta argument is not finite")
-    depth = _head_depth(b, eps) if flat.size < _HEAD_LIMIT else 0
+    mantissa = np.empty(flat.shape, dtype=complex)
     with np.errstate(all="ignore"):
         n0 = np.rint(-flat.real / b.real)
         # n0 == 0 gives exactly 0.0, as in the scalar kernel
         scale = np.where(n0 != 0, (0.5 * (n0 * b * n0) + n0 * flat).real, 0.0)
-
-        def term(N, zs, sc):
-            return np.exp(0.5 * (b * N * N) + N * zs - sc)
-
-        # the head: row depth + k holds the term of index n0 + k, |k| <= depth
-        offsets = np.arange(-depth, depth + 1)[:, None]
-        t = term(n0 + offsets, flat, scale)
-        finite = np.isfinite(t)
-        # row r: |t(n0 - r)| + |t(n0 + r)|, the loop's shell magnitude
-        mags = _abs(t)
-        mags[depth + 1 :] += mags[:depth][::-1]
-        mags = mags[depth:]
-        # row r: shell r's sum, then the running sum after shell r (cumsum adds
-        # row after row, as the loop does); adding 0j to the centre turns a
-        # -0.0 part into +0.0, as the loop's sum from zeros does
-        sums = t[depth:]
-        sums[1:] += t[:depth][::-1]
-        sums[0] += 0j
-        sums = np.cumsum(sums, axis=0)
-        calm = mags < eps * np.fmax(_abs(sums), 1.0)
-        # an element stops at the first radius r >= 1 quiet after a quiet r - 1
-        pairs = calm[1:] & calm[:-1]
-        done = pairs.any(axis=0)
-        last = np.full(flat.size, depth)  # the last shell an element sums in the head
-        if done.any():
-            last[done] = pairs[:, done].argmax(axis=0) + 1
-        if not finite.all() and not finite[np.abs(offsets) <= last].all():
-            raise NonConvergent("theta lattice sum overflowed")
-        if done.all():
-            # the common case: every element stops in the head
-            return ScaledArray(sums[last, np.arange(flat.size)].reshape(z.shape), scale.reshape(z.shape))
-        # the loop reads every element's sum from the last row
-        sums[depth, done] = sums[last[done], np.flatnonzero(done)]
-
-        live = np.arange(flat.size)
-        n0_l, z_l, sc_l, acc = n0, flat, scale, sums[depth]
-        quiet = calm[depth].astype(int)
-        mantissa = np.empty(flat.shape, dtype=complex)
-        for radius in range(depth + 1, _SHELL_CAP + 2):
-            if done.any():
-                mantissa[live[done]] = acc[done]
-                keep = ~done
-                live, n0_l, z_l, sc_l = live[keep], n0_l[keep], z_l[keep], sc_l[keep]
-                acc, quiet = acc[keep], quiet[keep]
-            if not live.size or radius > _SHELL_CAP:
-                break
-            t0 = term(n0_l - radius, z_l, sc_l)
-            t1 = term(n0_l + radius, z_l, sc_l)
-            if not (np.isfinite(t0).all() and np.isfinite(t1).all()):
-                raise NonConvergent("theta lattice sum overflowed")
-            acc = acc + (t0 + t1)
-            calm = (_abs(t0) + _abs(t1)) < eps * np.fmax(_abs(acc), 1.0)
-            quiet = np.where(calm, quiet + 1, 0)
-            done = quiet >= 2
-    if live.size:
-        raise NonConvergent(
-            f"lattice sum did not reach relative tail {eps:g} within {_SHELL_CAP} shells"
-        )
+        for start in range(0, flat.size, _HEAD_LIMIT):
+            # the first head takes views of the chunk; only its leftovers are gathered
+            chunk = slice(start, start + _HEAD_LIMIT)
+            z_c, n0_c, scale_c, out = flat[chunk], n0[chunk], scale[chunk], mantissa[chunk]
+            left, depth = slice(None), _head_depth(b)
+            while True:
+                out[left], done = _head(b, z_c[left], n0_c[left], scale_c[left], depth)
+                if done.all():
+                    break
+                if depth == _SHELL_CAP:
+                    raise NonConvergent(
+                        f"lattice sum did not reach relative tail {THETA_EPS:g} within {_SHELL_CAP} shells"
+                    )
+                # step by step: at Re B -1000 a leftover summed straight to the
+                # cap takes 121 rows, the next step 11
+                left, depth = np.arange(out.size)[left][~done], min(_SHELL_CAP, 2 * depth + 1)
     return ScaledArray(mantissa.reshape(z.shape), scale.reshape(z.shape))
 
 
-def theta_eval_batch(pm: PeriodMatrix, z, eps: float = 1e-12) -> ScaledArray:
+def theta_eval_batch(pm: PeriodMatrix, z) -> ScaledArray:
     """Theta at every element of the complex array ``z``, as a :class:`ScaledArray`.
 
-    Element ``i`` has the bits of ``theta_eval_scaled(pm, z[i], eps)``.
+    Element ``i`` has the bits of ``theta_eval_scaled(pm, z[i])``.
     Arrays shorter than the crossover (8 elements at Re B -4.25, more at
     deeper periods, where a scalar call sums fewer shells) are evaluated
     element by element with the scalar kernel, which is faster there;
-    longer ones take the batched kernel, whose one-pass head sums the
-    first shells of up to ``_HEAD_LIMIT`` elements in one numpy pass.
+    longer ones take the batched kernel, which sums the first shells of
+    up to ``_HEAD_LIMIT`` elements in one numpy table.
     """
-    eps = _check_eps(eps)
     z = np.asarray(z, dtype=complex)
     # the crossover is never below 2 (64 over _SHELL_CAP + 2, rounded up), so
     # a lone argument skips the lookup
-    if z.size < 2 or z.size < _batch_crossover(pm.B, eps):
-        pairs = [_lattice_sum_1d(pm.B, w, eps) for w in z.ravel().tolist()]
+    if z.size < 2 or z.size < _batch_crossover(pm.B):
+        pairs = [_lattice_sum_1d(pm.B, w) for w in z.ravel().tolist()]
         return ScaledArray(
             np.array([m for m, _ in pairs], dtype=complex).reshape(z.shape),
             np.array([s for _, s in pairs], dtype=float).reshape(z.shape),
         )
-    return _lattice_sum_batch(pm.B, z, eps)
+    return _lattice_sum_batch(pm.B, z)

@@ -137,12 +137,13 @@ def scalar(value) -> ScaledComplex:
     return out
 
 
-def reference_theta(pm, z, eps, min_shells=0) -> ScaledComplex:
+def reference_theta(pm, z, eps=THETA_EPS, min_shells=0) -> ScaledComplex:
     """Reference: the theta shell sum in numpy array arithmetic.
 
     This is the general-genus formulation (solve for the peak, einsum for
     the quadratic form, one numpy sum per shell) run on the 1x1 period
-    and the genus-1 shells ``[[0]]`` and ``[[-r], [r]]``.
+    and the genus-1 shells ``[[0]]`` and ``[[-r], [r]]``, to the kernel's
+    tolerance unless told otherwise.
     """
     B = np.array([[pm.B]])
     zv = np.array([z])
@@ -290,9 +291,9 @@ def one_value_phi(sd, label, P):
     every grid element.
     """
     den = scalar(sd.require_generic(
-        theta_eval_scaled(sd.curve.pm, sd.curve.abel(P) + sd._W, THETA_EPS), "denominator"
+        theta_eval_scaled(sd.curve.pm, sd.curve.abel(P) + sd._W), "denominator"
     ))
-    num = scalar(theta_eval_scaled(sd.curve.pm, _theta_argument(sd, P, label), THETA_EPS))
+    num = scalar(theta_eval_scaled(sd.curve.pm, _theta_argument(sd, P, label)))
     w = 0j
     for c, (plus, minus) in zip(_label_coeffs(sd, label), sd.basis_pairs):
         if c != 0:
@@ -322,7 +323,7 @@ def _marked_theta(sd, factor, v, thetas):
     key = factor.point, tuple(x + d for x, d in zip(v, factor.shift))
     if key not in thetas:
         arg = _theta_argument(sd, sd.marked[factor.point], key[1])
-        thetas[key] = theta_eval_scaled(sd.curve.pm, arg, THETA_EPS)
+        thetas[key] = theta_eval_scaled(sd.curve.pm, arg)
     return thetas[key]
 
 

@@ -21,7 +21,7 @@ from crosshex.surface import (
     load_torus_curve,
     make_torus_curve,
 )
-from crosshex.theta import THETA_EPS, theta_eval_batch, theta_eval_scaled
+from crosshex.theta import theta_eval_batch, theta_eval_scaled
 
 from conftest import (
     CELL_FRACTIONS,
@@ -141,7 +141,7 @@ def _log_prime_delta_dfs(curve, pole: complex, a: complex, b: complex, visits=No
         raise PoleOnPath("integration segment passes within 1e-08 of a pole lift")
 
     def prime(w):
-        return scalar(theta_eval_scaled(curve.pm, w - curve._z0, THETA_EPS))
+        return scalar(theta_eval_scaled(curve.pm, w - curve._z0))
 
     total = 0j
     u0 = a
@@ -251,9 +251,9 @@ def test_lockstep_tracking_evaluates_each_point_once(monkeypatch):
     kernel = surface.theta_eval_batch
     evaluated = []
 
-    def recording(pm, z, eps):
+    def recording(pm, z):
         evaluated.extend(np.asarray(z).tolist())
-        return kernel(pm, z, eps)
+        return kernel(pm, z)
 
     monkeypatch.setattr(surface, "theta_eval_batch", recording)
     rng = np.random.default_rng(43)
@@ -281,9 +281,9 @@ def test_first_round_evaluates_each_distinct_difference_once(monkeypatch, torus)
     kernel = surface.theta_eval_batch
     rounds = []
 
-    def recording(pm, z, eps):
+    def recording(pm, z):
         rounds.append(np.asarray(z).tolist())
-        return kernel(pm, z, eps)
+        return kernel(pm, z)
 
     monkeypatch.setattr(surface, "theta_eval_batch", recording)
     rng = np.random.default_rng(47)
@@ -344,8 +344,8 @@ def test_lockstep_log_magnitudes_are_the_kernel_log_abs(monkeypatch, torus):
     """``_primes`` takes each log-magnitude from the mantissas with the bits of ``ScaledArray.log_abs``, -inf at a zero."""
     values = []
 
-    def one_zero(pm, z, eps):
-        v = theta_eval_batch(pm, z, eps)
+    def one_zero(pm, z):
+        v = theta_eval_batch(pm, z)
         v.mantissa[0] = 0j
         values.append(v)
         return v
@@ -497,8 +497,8 @@ def test_riemann_scan_refuses_a_far_node_near_zero(monkeypatch):
     surface._validate_constants(curve, K)
     kernel = surface.theta_eval_batch
 
-    def one_tiny_far_node(pm, z, eps):
-        values = kernel(pm, z, eps)
+    def one_tiny_far_node(pm, z):
+        values = kernel(pm, z)
         if values.shape == (100,):  # the grid scan; node 90 sits at cell fractions (0.95, 0.05)
             values.mantissa[90] *= 1e-4
         return values

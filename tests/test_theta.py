@@ -22,14 +22,13 @@ from crosshex.theta import (
 from conftest import ScaledComplex, reference_theta, scalar, scalars
 
 
-def _path_sizes(pm, eps=1e-12):
+def _path_sizes(pm):
     """A size on each side of every path boundary of theta_eval_batch.
 
-    The scalar kernel runs below the crossover, the batched kernel's
-    one-pass head (with the shell loop behind it) below the head limit,
-    its shell loop alone from there on.
+    The scalar kernel runs below the crossover, the batched kernel in one
+    chunk up to the head limit, in two from there on and in three at 4096.
     """
-    first = _batch_crossover(pm.B, eps)
+    first = _batch_crossover(pm.B)
     return (1, first - 1, first, first + 1, _HEAD_LIMIT - 1, _HEAD_LIMIT, _HEAD_LIMIT + 1, 4096)
 
 
@@ -114,14 +113,6 @@ def test_period_matrix_validation(bad):
         PeriodMatrix(complex(*bad))
 
 
-def test_eps_bounds():
-    pm = PeriodMatrix(-4.0)
-    with pytest.raises(ValueError):
-        theta_eval_scaled(pm, 0j, eps=0.0)
-    with pytest.raises(ValueError):
-        theta_eval_scaled(pm, 0j, eps=0.5)
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.integers(min_value=-4, max_value=4),
@@ -194,19 +185,20 @@ def test_shell_cap_raises_nonconvergent():
 
 def test_genus_one_kernel_matches_the_array_shell_sum_bit_for_bit():
     # the scalar loop must repeat the array loop's arithmetic exactly:
-    # same centre, scale, shell order and stopping decision
+    # same centre, scale, shell order and stopping decision, at periods
+    # where it stops late (Re B -0.5) and early (Re B -10,000)
     rng = np.random.default_rng(11)
     mismatches = []
     for i in range(5000):
-        pm = PeriodMatrix(complex(rng.uniform(-8.0, -3.0), rng.uniform(-3.0, 3.0)))
+        re_b = (rng.uniform(-8.0, -3.0), -0.5, -1.0, -1000.0, -10000.0)[i % 5]
+        pm = PeriodMatrix(complex(re_b, rng.uniform(-3.0, 3.0)))
         z = 500.0 ** rng.uniform(-1.0, 1.0) * cmath.exp(2j * math.pi * rng.uniform())
-        eps = (1e-12, 1e-14, 1e-6)[i % 3]
-        fast = _lattice_sum_1d(pm.B, z, eps)
-        ref = reference_theta(pm, z, eps)
+        fast = _lattice_sum_1d(pm.B, z)
+        ref = reference_theta(pm, z)
         ref = ref.mantissa, ref.log_scale
         # repr also tells +0.0 from -0.0, which == does not
         if fast != ref or repr(fast) != repr(ref):
-            mismatches.append((pm.B, z, eps))
+            mismatches.append((pm.B, z))
     assert not mismatches, mismatches[:5]
 
 
@@ -232,7 +224,7 @@ def test_infinite_exponent_raises_nonconvergent_in_both_kernels(count):
     # ValueError there, numpy returns NaN; both must become NonConvergent,
     # below the batch crossover (scalar kernel) and on every batched path
     pm = PeriodMatrix(-4.25)
-    assert count != _batch_crossover(pm.B, 1e-12)
+    assert count != _batch_crossover(pm.B)
     for size in (count, _HEAD_LIMIT - 1, _HEAD_LIMIT + 1):
         with pytest.raises(NonConvergent):
             theta_eval_batch(pm, [1e308j] * size)
@@ -257,10 +249,10 @@ def test_batch_kernel_matches_the_scalar_kernel_bit_for_bit():
     for _ in range(10):
         pm = PeriodMatrix(complex(rng.uniform(-8.0, -3.0), rng.uniform(-3.0, 3.0)))
         z = _batch_draws(rng, 600)
-        batch = theta_eval_batch(pm, z.reshape(20, 30), 1e-13)
+        batch = theta_eval_batch(pm, z.reshape(20, 30))
         assert batch.shape == (20, 30)
         for zi, got in zip(z.tolist(), scalars(batch)):
-            want = scalar(theta_eval_scaled(pm, zi, 1e-13))
+            want = scalar(theta_eval_scaled(pm, zi))
             checked += 1
             if repr(got) != repr(want):
                 mismatches.append((pm.B, zi))
@@ -292,7 +284,7 @@ def test_batch_kernel_raises_nonconvergent_where_the_scalar_kernel_does(bad):
 def test_batch_kernel_ignores_a_term_past_an_elements_stop():
     """N * z overflows only past shell 5, where these elements stop; the head still evaluates shell 6."""
     pm = PeriodMatrix(-4.25)
-    assert theta._head_depth(pm.B, 1e-12) == 6
+    assert theta._head_depth(pm.B) == 6
     for size in (20, _HEAD_LIMIT - 1, _HEAD_LIMIT + 1):
         z = np.full(size, 3.2e307j)
         z[1::2] += 0.3
@@ -300,64 +292,66 @@ def test_batch_kernel_ignores_a_term_past_an_elements_stop():
         assert [repr(v) for v in scalars(got)] == [repr(scalar(theta_eval_scaled(pm, w))) for w in z.tolist()]
 
 
-def test_batch_kernel_shell_cap_raises_nonconvergent():
-    # at Re B -1e-8 the head runs to the cap itself, and the shell loop reaches it
+def test_batch_kernel_shell_cap_raises_nonconvergent(monkeypatch):
+    # at Re B -1e-8 the first head runs to the cap itself; from a first head
+    # one shell deep, the deeper heads reach it step by step
     pm = PeriodMatrix(-1e-8)
     for size in _path_sizes(pm):
         with pytest.raises(NonConvergent, match="within 60 shells"):
             theta_eval_batch(pm, np.full(size, 30.0 + 0j))
+    monkeypatch.setattr(theta, "_head_depth", lambda b: 1)
+    with pytest.raises(NonConvergent, match="relative tail 1e-13 within 60 shells"):
+        theta._lattice_sum_batch(pm.B, np.full(_HEAD_LIMIT + 1, 30.0 + 0j))
 
 
 def test_batch_kernel_matches_the_scalar_kernel_across_the_crossover():
-    """Every path, from a shallow to the deepest accepted period, at eps from 1e-6 to 1e-14: same bits."""
+    """Every path, at periods from Re B -0.5 (late stops) to -10,000 (early stops): same bits."""
     rng = np.random.default_rng(29)
-    for re_b in (-3.0, -40.0, -1000.0, -10000.0):
+    for re_b in (-0.5, -1.0, -3.0, -40.0, -1000.0, -10000.0):
         for i in range(8):
             # |Im B| up to the 5,000 the curve reader accepts on every other size
             pm = PeriodMatrix(complex(re_b, rng.uniform(-1.0, 1.0) * (3.0, 5000.0)[i % 2]))
-            eps = (1e-6, 1e-12, 1e-13, 1e-14)[i % 4]
-            size = _path_sizes(pm, eps)[i]
+            size = _path_sizes(pm)[i]
             z = _batch_draws(rng, size)
             # half of them within a few lattice cells of the origin
             cells = rng.uniform(-3.0, 3.0, (2, size // 2))
             z[: size // 2] = 2j * math.pi * cells[0] + pm.B * cells[1]
-            got = theta_eval_batch(pm, z, eps)
+            got = theta_eval_batch(pm, z)
             assert got.shape == (size,)
-            want = [scalar(theta_eval_scaled(pm, w, eps)) for w in z.tolist()]
-            assert [repr(v) for v in scalars(got)] == [repr(v) for v in want], (pm.B, eps, size)
+            want = [scalar(theta_eval_scaled(pm, w)) for w in z.tolist()]
+            assert [repr(v) for v in scalars(got)] == [repr(v) for v in want], (pm.B, size)
     assert theta_eval_batch(PeriodMatrix(-4.0), 0.5 + 0.5j).shape == ()
 
 
 def test_scalar_kernel_matches_the_reference_kernel_across_periods():
     """``theta_eval_scaled`` gives a 0-d value with the mantissa and scale of the reference shell sum.
 
-    The periods and eps of the crossover test above; compared by repr,
-    which tells +0.0 from -0.0.
+    The periods of the crossover test above; compared by repr, which
+    tells +0.0 from -0.0.
     """
     rng = np.random.default_rng(37)
-    for re_b in (-3.0, -40.0, -1000.0, -10000.0):
+    for re_b in (-0.5, -1.0, -3.0, -40.0, -1000.0, -10000.0):
         for i in range(8):
             pm = PeriodMatrix(complex(re_b, rng.uniform(-1.0, 1.0) * (3.0, 5000.0)[i % 2]))
-            eps = (1e-6, 1e-12, 1e-13, 1e-14)[i % 4]
             z = _batch_draws(rng, 40)
             cells = rng.uniform(-3.0, 3.0, (2, 20))
             z[:20] = 2j * math.pi * cells[0] + pm.B * cells[1]
             for w in z.tolist():
-                got = theta_eval_scaled(pm, w, eps)
+                got = theta_eval_scaled(pm, w)
                 assert got.shape == ()
-                assert repr(scalar(got)) == repr(reference_theta(pm, w, eps)), (pm.B, w, eps)
+                assert repr(scalar(got)) == repr(reference_theta(pm, w)), (pm.B, w)
 
 
-def test_batch_kernel_finishes_in_the_head_and_in_the_shell_loop_in_one_batch(monkeypatch):
-    """At Re B -1000 the head sums shells 0..2; a peak half-way between two indices needs shell 3."""
+def test_batch_kernel_finishes_in_the_first_and_in_a_deeper_head_in_one_batch(monkeypatch):
+    """At Re B -1000 the first head sums shells 0..2; a peak half-way between two indices needs shell 3."""
     pm = PeriodMatrix(complex(-1000.0, 0.7))
     size = 40
-    depth = theta._head_depth(pm.B, 1e-13)
+    depth = theta._head_depth(pm.B)
     # peak offsets from 0 (one index dominates) to 1/2 (two indices tie)
     offset = np.linspace(0.0, 0.5, size)
     z = -(3.0 + offset) * pm.B.real + 1j * np.linspace(-20.0, 20.0, size)
-    got = theta_eval_batch(pm, z, 1e-13)
-    want = [scalar(theta_eval_scaled(pm, w, 1e-13)) for w in z.tolist()]
+    got = theta_eval_batch(pm, z)
+    want = [scalar(theta_eval_scaled(pm, w)) for w in z.tolist()]
     assert [repr(v) for v in scalars(got)] == [repr(v) for v in want]
     # with the scalar kernel capped at the head's depth, some elements still
     # finish and the others run out of shells
@@ -365,25 +359,46 @@ def test_batch_kernel_finishes_in_the_head_and_in_the_shell_loop_in_one_batch(mo
     finished = 0
     for w in z.tolist():
         try:
-            theta_eval_scaled(pm, w, 1e-13)
+            theta_eval_scaled(pm, w)
             finished += 1
         except NonConvergent:
             pass
     assert 0 < finished < size, (depth, finished)
 
 
-def test_batch_kernel_hands_any_head_depth_over_to_the_shell_loop(monkeypatch):
-    """Whatever shell the head stops at, the loop carries on with the elements' sums and quiet counts.
+def test_batch_kernel_deepens_from_any_first_head_depth(monkeypatch):
+    """Whatever depth the first head has, the deeper heads give the elements it leaves their sums and stops.
 
-    At Re B -1 and eps 1e-3 the terms decay slowly, so a shell summed
-    too many or too few changes the bits.
+    At Re B -1 the terms decay slowly, so a shell summed too many or too
+    few changes the bits.
     """
     pm = PeriodMatrix(complex(-1.0, 0.3))
     z = _batch_draws(np.random.default_rng(31), 60)
-    want = [repr(scalar(theta_eval_scaled(pm, w, 1e-3))) for w in z.tolist()]
-    for depth in range(theta._head_depth(pm.B, 1e-3) + 1):
-        monkeypatch.setattr(theta, "_head_depth", lambda b, eps: depth)
-        assert [repr(v) for v in scalars(theta._lattice_sum_batch(pm.B, z, 1e-3))] == want, depth
+    want = [repr(scalar(theta_eval_scaled(pm, w))) for w in z.tolist()]
+    for depth in range(theta._head_depth(pm.B) + 1):
+        monkeypatch.setattr(theta, "_head_depth", lambda b: depth)
+        assert [repr(v) for v in scalars(theta._lattice_sum_batch(pm.B, z))] == want, depth
+
+
+def test_batch_kernel_deepens_the_leftovers_of_every_chunk_in_place(monkeypatch):
+    """A first head one shell deep stops no element, so every chunk hands all of its elements on.
+
+    Three chunks, the last of 7 arguments; each result must land where
+    its argument sits.
+    """
+    pm = PeriodMatrix(complex(-4.25, 0.6))
+    z = _batch_draws(np.random.default_rng(41), 2 * _HEAD_LIMIT + 7)
+    want = [repr(scalar(theta_eval_scaled(pm, w))) for w in z.tolist()]
+    head, calls = theta._head, []
+
+    def recording(b, z, n0, scale, depth):
+        calls.append((depth, z.size))
+        return head(b, z, n0, scale, depth)
+
+    monkeypatch.setattr(theta, "_head", recording)
+    monkeypatch.setattr(theta, "_head_depth", lambda b: 1)
+    assert [repr(v) for v in scalars(theta._lattice_sum_batch(pm.B, z))] == want
+    assert [size for depth, size in calls if depth == 3] == [_HEAD_LIMIT, _HEAD_LIMIT, 7]
 
 
 def _scaled_draws(rng, count):
