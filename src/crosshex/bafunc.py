@@ -56,8 +56,6 @@ class ConstantNormalization:
 
     value: complex = 1.0 + 0j
 
-    kind = "constant"
-
     def __post_init__(self):
         if abs(self.value) < _MIN_NORMALIZATION:
             raise SingularEvaluation(

@@ -67,8 +67,15 @@ _MIN_COVER_SEPARATION = 0.1
 
 
 def _write_text(text: str, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(text)
+    fh = open(path, "w")
+    try:
+        with fh:
+            fh.write(text)
+    except BaseException:
+        # a failed write or close leaves no partial document; a device such as /dev/full stays
+        if os.path.isfile(path):
+            os.remove(path)
+        raise
 
 
 def _dump_json(obj, path: str) -> None:

@@ -8,10 +8,11 @@ the triangular lattice to 6-component labels.  Within each class of
 sites (the parity of n + m on the square lattice, the residue of k - l
 mod 3 on the triangular one) the label is an affine function of the
 site, so one integer table per lattice (:class:`Lattice`) holds all
-of its site and label rules: coordinate names, site validation, stencil
-neighbours, classes and labels (for any array of sites at once), label
-width and zero-sum blocks.  Everything downstream works with labels;
-these tables are the only place lattice coordinates enter.
+of its site and label rules: coordinate names, site validation, the
+window of sites within a radius, stencil neighbours, classes and labels
+(for any array of sites at once), label width and zero-sum blocks.
+Everything downstream works with labels; these tables are the only
+place lattice coordinates enter.
 
 Coefficient keys follow the fixed export order: ``a, b, c, d, v`` for
 the 5-point cross stencil (``v`` multiplies the center site) and
@@ -21,6 +22,7 @@ the 5-point cross stencil (``v`` multiplies the center site) and
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -77,6 +79,21 @@ class Lattice:
                 f"got {'+'.join(map(format, coords))}"
             )
         return coords
+
+    def window(self, radius) -> Iterator[tuple[int, ...]]:
+        """The sites of max-norm at most ``radius``, in lexicographic order, walked lazily.
+
+        A radius that is not a non-negative int (a bool is not) raises
+        ``ValueError`` at once.  The nested ranges are never built, so
+        the first sites of a huge window come back at once.
+        """
+        if not (isinstance(radius, int) and not isinstance(radius, bool) and radius >= 0):
+            raise ValueError(f"window radius must be a non-negative integer, got {radius!r}")
+        r = radius
+        if not self.zero_sum:
+            return ((n, m) for n in range(-r, r + 1) for m in range(-r, r + 1))
+        # the third coordinate is -k-l: the inner range keeps it within the radius
+        return ((k, l, -k - l) for k in range(-r, r + 1) for l in range(max(-r, -r - k), min(r, r - k) + 1))
 
     def classes(self, sites) -> np.ndarray:
         return (np.asarray(sites) @ self.w) % self.q

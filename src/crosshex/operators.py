@@ -18,7 +18,10 @@ uniqueness statement at desk scale).
 
 Every per-lattice fact (coefficient keys, lattice table, unit, zero and
 formula tables, spectral-data class) lives in one :class:`Model` record
-per lattice, looked up by name in ``MODELS``.
+per lattice, looked up by name in ``MODELS``.  A window's stencils are
+one :class:`StencilField`: an array with a row per site, its sites
+read from the lattice (``Lattice.window``); ``field.stencil(site)``
+views one row.
 
 All internal values are carried as (mantissa, log-scale) pairs: at
 sites a few steps from the origin the individual theta and exponential
@@ -31,11 +34,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cache, cached_property
 from itertools import chain, compress, islice
-from typing import Callable, Iterator
 
 import numpy as np
 
@@ -473,7 +474,6 @@ class Model:
 
     name: str
     coeffs: tuple[str, ...]  # coefficient keys, also the export column order
-    window: Callable[[int], Iterator[tuple]]  # sites of max-norm <= radius, lexicographic
     units: tuple[str, ...]  # unit coefficient per class
     zeros: tuple[tuple[str, ...], ...]  # coefficients forced to zero per class
     formulas: tuple[tuple[RatioFormula, ...], ...]  # ratio formulas per class
@@ -504,7 +504,6 @@ class Model:
 CROSS = Model(
     name="cross",
     coeffs=CROSS_COEFFS,
-    window=lambda r: ((n, m) for n in range(-r, r + 1) for m in range(-r, r + 1)),
     units=("d", "c"),
     zeros=((), ()),
     formulas=(CROSS_EVEN_FORMULAS, CROSS_ODD_FORMULAS),
@@ -514,9 +513,6 @@ CROSS = Model(
 HEX = Model(
     name="hex",
     coeffs=HEX_COEFFS,
-    window=lambda r: (
-        (k, l, -k - l) for k in range(-r, r + 1) for l in range(max(-r, -r - k), min(r, r - k) + 1)
-    ),
     units=("b", "d", "f"),
     zeros=(("c", "g"), ("a", "g"), ("a", "c")),
     formulas=HEX_FORMULAS_BY_RESIDUE,
@@ -741,7 +737,7 @@ def _stencil_table(model: Model, sd, sites) -> ScaledArray:
 def _site_stencil(model: Model, sd, site, field: "StencilField | None") -> Stencil:
     if field is not None:
         # a site outside the field, or of the other model (pairs against triples): KeyError
-        return field.stencils[site]
+        return field.stencil(site)
     site = model.lattice.site(*site)
     return Stencil(model, site, _stencil_table(model, sd, [site])[0])
 
@@ -765,39 +761,33 @@ def hex_coefficients(sd: SpectralDataHex, site, field: "StencilField | None" = N
 # ---------------------------------------------------------------------------
 
 
-def _radius(radius) -> int:
-    """``radius`` if it is a non-negative int (a bool is not); anything else raises ``ValueError``."""
-    if not (isinstance(radius, int) and not isinstance(radius, bool) and radius >= 0):
-        raise ValueError(f"window radius must be a non-negative integer, got {radius!r}")
-    return radius
-
-
 def window_sites(model: str, radius: int) -> list[tuple]:
-    """All sites with max-norm at most ``radius``, in lexicographic order."""
-    return list(model_named(model).window(_radius(radius)))
+    """All sites with max-norm at most ``radius``, in lexicographic order (see ``Lattice.window``)."""
+    return list(model_named(model).lattice.window(radius))
 
 
 @dataclass(frozen=True)
 class StencilField:
-    """A window's stencils: its sites in lexicographic order and one (sites, coefficients) array.
+    """A window's stencils: one (sites, coefficients) array, a row per site of the window.
 
-    Row i of ``coeffs`` holds the coefficients of ``sites[i]`` in the
-    model's coefficient order; ``stencils[site]`` is a read-only
-    one-site :class:`Stencil` view of a row.
+    ``sites`` is the radius's window in lexicographic order, derived
+    from the lattice; row i of ``coeffs`` holds the coefficients of
+    ``sites[i]`` in the model's coefficient order, and
+    :meth:`stencil` gives a read-only one-site view of a row.
     """
 
     model: str
     radius: int
-    sites: tuple[tuple, ...]
     coeffs: ScaledArray = dc_field(repr=False)
+    sites: tuple[tuple, ...] = dc_field(init=False)
 
     def __post_init__(self):
-        # walked lazily, so a huge radius stops one site past the field's
-        window = tuple(islice(MODELS[self.model].window(_radius(self.radius)), len(self.sites) + 1))
-        if tuple(self.sites) != window:
-            raise ValueError(f"field sites are not the radius-{self.radius} window in lexicographic order")
-        if self.coeffs.shape != (len(self.sites), len(MODELS[self.model].coeffs)):
+        model = MODELS[self.model]
+        # walked lazily, so a huge radius stops one site past the rows given
+        sites = tuple(islice(model.lattice.window(self.radius), len(self.coeffs.mantissa) + 1))
+        if self.coeffs.shape != (len(sites), len(model.coeffs)):
             raise ValueError(f"field coefficients have shape {self.coeffs.shape}, not one row per site")
+        object.__setattr__(self, "sites", sites)
         # the stencil views share these arrays
         self.coeffs.mantissa.flags.writeable = self.coeffs.log_scale.flags.writeable = False
 
@@ -805,34 +795,17 @@ class StencilField:
     def rows(self) -> dict[tuple, int]:
         return {site: i for i, site in enumerate(self.sites)}
 
-    @cached_property
-    def stencils(self) -> Mapping[tuple, Stencil]:
-        return _FieldStencils(self)
-
-
-class _FieldStencils(Mapping):
-    """``StencilField.stencils``: a site's :class:`Stencil`, a view of its row made on lookup."""
-
-    def __init__(self, field: StencilField):
-        self._field = field
-
-    def __getitem__(self, site) -> Stencil:
-        field = self._field
-        row = field.rows[tuple(site)]
-        return Stencil(MODELS[field.model], field.sites[row], field.coeffs[row])
-
-    def __iter__(self):
-        return iter(self._field.sites)
-
-    def __len__(self) -> int:
-        return len(self._field.sites)
+    def stencil(self, site) -> Stencil:
+        """``site``'s :class:`Stencil`, a read-only view of its row; a site outside the field is a ``KeyError``."""
+        row = self.rows[tuple(site)]
+        return Stencil(MODELS[self.model], self.sites[row], self.coeffs[row])
 
 
 def build_field(sd, radius: int) -> StencilField:
     """Evaluate the closed-form stencils on the whole window, stacked over all its sites."""
     model = MODELS[sd.model]
     sites = window_sites(model.name, radius)
-    field = StencilField(model.name, radius, tuple(sites), _stencil_table(model, sd, sites))
+    field = StencilField(model.name, radius, _stencil_table(model, sd, sites))
     # This loop exists only because perfbench's tracer counts one call of the
     # model's per-site builder per site (coeff_calls == 14); the tracer rebinds
     # the module globals, so the builder is read from them at call time.  Each
@@ -992,7 +965,7 @@ def field_from_document(doc: dict) -> StencilField:
     types = set(map(type, chain.from_iterable(sites)))
     integers = all(issubclass(t, int) and not issubclass(t, bool) for t in types)
     order = sorted(range(len(sites)), key=sites.__getitem__) if integers else []
-    window = list(islice(model.window(radius), len(sites) + 1))  # walked lazily: a huge radius stops early
+    window = list(islice(model.lattice.window(radius), len(sites) + 1))  # walked lazily: a huge radius stops early
     in_window = integers and [sites[i] for i in order] == window
     if not in_window:
         refusal = min(filter(None, (refusal, _site_refusal(model, raw_sites))), default=None)
@@ -1005,13 +978,13 @@ def field_from_document(doc: dict) -> StencilField:
         raise SchemaError(refusal[2])
     if not in_window:
         present = set(sites)
-        for site in model.window(radius):
+        for site in model.lattice.window(radius):
             if site not in present:
                 raise SchemaError(f"field is missing site {site} inside its window")
-        outside = sorted(present - set(model.window(radius)))
+        outside = sorted(present - set(model.lattice.window(radius)))
         raise SchemaError(f"field has sites outside its radius-{radius} window: {outside}")
     mantissa = values.reshape(len(sites), len(keys))[order]
-    return StencilField(model.name, radius, tuple(window), ScaledArray(mantissa, np.zeros(mantissa.shape)))
+    return StencilField(model.name, radius, ScaledArray(mantissa, np.zeros(mantissa.shape)))
 
 
 def field_to_csv(field: StencilField) -> str:
@@ -1168,6 +1141,8 @@ def residual_report(field: StencilField, grid: PsiGrid, tol: float = 1e-8) -> Re
 # ---------------------------------------------------------------------------
 
 MIN_ORACLE_PROBES = 8
+# the largest share of the oracle's stencil equation a forced zero's term may carry
+FORCED_ZERO_TOL = 1e-8
 
 
 def nullspace_oracle(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -1294,7 +1269,7 @@ class OracleReport:
 
 
 def oracle_report(
-    field: StencilField, grid: PsiGrid, gap_tol: float = 1e-6, match_tol: float = 1e-6, zero_tol: float = 1e-8
+    field: StencilField, grid: PsiGrid, gap_tol: float = 1e-6, match_tol: float = 1e-6
 ) -> OracleReport:
     """Compare ``field``'s closed-form stencils against the null-space oracle at the sites of ``grid``.
 
@@ -1305,7 +1280,7 @@ def oracle_report(
     site: the singular-value gap must certify a 1-dimensional kernel
     (``gap_tol``); non-vanishing coefficients must match the oracle
     relatively (``match_tol``); the term of a coefficient the formulas
-    force to zero must carry at most ``zero_tol`` of the oracle's
+    force to zero must carry at most ``FORCED_ZERO_TOL`` of the oracle's
     stencil equation at every probe (its share in the balanced frame,
     see :func:`_oracle_chunk`).  Measured there, a forced zero does not
     drift with the spread of neighbour magnitudes, which grows with the
@@ -1337,12 +1312,12 @@ def oracle_report(
     # maxima over coefficients and sites: a NaN wins
     mismatch = errors.max(axis=1)
     zero_excess = np.where(nonzero, 0.0, shares).max(axis=1)
-    passed = (gaps <= gap_tol) & (mismatch <= match_tol) & (zero_excess <= zero_tol)
+    passed = (gaps <= gap_tol) & (mismatch <= match_tol) & (zero_excess <= FORCED_ZERO_TOL)
     return OracleReport(
         model=field.model,
         gap_tolerance=gap_tol,
         match_tolerance=match_tol,
-        zero_tolerance=zero_tol,
+        zero_tolerance=FORCED_ZERO_TOL,
         max_gap=float(gaps.max(initial=0.0)),
         max_mismatch=float(mismatch.max(initial=0.0)),
         max_forced_zero_excess=float(zero_excess.max(initial=0.0)),

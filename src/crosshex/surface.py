@@ -199,8 +199,8 @@ class TorusCurve(SpectralCurve):
     def __init__(self, pm: PeriodMatrix, base_lift: complex = 0.0):
         self.pm = pm
         self.base_lift = complex(base_lift)
-        # the theta zero in closed form: pairing the series terms N and
-        # -N-1 cancels Theta exactly at i*pi + B/2
+        # the theta zero in closed form, also the Riemann constant K:
+        # pairing the series terms N and -N-1 cancels Theta exactly at i*pi + B/2
         self._z0 = 1j * math.pi + pm.B / 2.0
         self._verified_pairs: set[tuple[complex, complex]] = set()
         self._constants_validated = False
@@ -448,11 +448,10 @@ class TorusCurve(SpectralCurve):
         a 100-point fundamental-domain grid (threshold 1e-3 of the
         median peak-relative |Theta| on the grid).
         """
-        K = 1j * math.pi + self.pm.B / 2.0
         if not self._constants_validated:
-            _validate_constants(self, K)
+            _validate_constants(self, self._z0)
             self._constants_validated = True
-        return K
+        return self._z0
 
 
 def _validate_constants(curve: SpectralCurve, K: complex) -> None:
@@ -558,9 +557,10 @@ class TabulatedCurve(SpectralCurve):
 
     The Abel map is still ``lift - base_lift`` (lifts ARE Abel-frame
     coordinates), but third-kind integrals and the Riemann constant come
-    from stored tables.  Integrals exist only for the stored
-    (endpoint | pair) combinations; anything else raises
-    :class:`UnknownPoint`.
+    from stored tables, keyed by marked-point names: ``(plus, minus)``
+    for a b-period and ``(endpoint, plus, minus)`` for an integral.
+    Integrals exist only for the stored combinations; anything else
+    raises :class:`UnknownPoint`.
     """
 
     def __init__(
@@ -569,8 +569,8 @@ class TabulatedCurve(SpectralCurve):
         base_lift: complex,
         marked: dict[str, SurfacePoint],
         constants: complex,
-        b_periods: dict[str, complex],
-        integrals: dict[str, complex],
+        b_periods: dict[tuple[str, str], complex],
+        integrals: dict[tuple[str, str, str], complex],
     ):
         self.pm = pm
         self.base_lift = base_lift
@@ -589,22 +589,16 @@ class TabulatedCurve(SpectralCurve):
         return name
 
     def third_kind_integral(self, P: SurfacePoint, Pplus: SurfacePoint, Pminus: SurfacePoint) -> complex:
-        key = (
-            f"{self._name_of(P, 'endpoint')}|{self._name_of(Pplus, 'pole')},"
-            f"{self._name_of(Pminus, 'pole')}"
-        )
-        try:
-            return self._integrals[key]
-        except KeyError:
-            raise UnknownPoint(f"tabulated curve has no stored integral for {key!r}") from None
+        key = (self._name_of(P, "endpoint"), self._name_of(Pplus, "pole"), self._name_of(Pminus, "pole"))
+        if key not in self._integrals:
+            raise UnknownPoint(f"tabulated curve has no stored integral for {_INTEGRAL_KEY.format(*key)!r}")
+        return self._integrals[key]
 
     def b_period_vector(self, Pplus: SurfacePoint, Pminus: SurfacePoint) -> complex:
-        plus_name = self._lift_to_name.get(Pplus.lift)
-        minus_name = self._lift_to_name.get(Pminus.lift)
-        if plus_name is not None and minus_name is not None:
-            stored = self._b_periods.get(f"{plus_name}/{minus_name}")
-            if stored is not None:
-                return stored
+        names = (self._lift_to_name.get(Pplus.lift), self._lift_to_name.get(Pminus.lift))
+        stored = self._b_periods.get(names)
+        if stored is not None:
+            return stored
         # the bilinear identity holds for any pair; loader verified stored rows
         return self.abel(Pplus) - self.abel(Pminus)
 
@@ -624,6 +618,11 @@ MIN_RE_B = -1e4
 # period with |Im B| above this bound (the seeded sweep behind the value is
 # recorded in CHANGES.md).
 MAX_ABS_IM_B = 5e3
+
+
+# the curve document's keys of a stored b-period ('A/B') and third-kind integral ('S|A,B')
+_B_PERIOD_KEY = "{}/{}"
+_INTEGRAL_KEY = "{}|{},{}"
 
 _CURVE_DOC_KEYS = {
     "genus", "B", "base_lift", "marked_points", "riemann_constants", "b_periods", "third_kind_integrals"
@@ -675,26 +674,25 @@ def _read_curve_document(document: dict) -> TabulatedCurve:
         for name, val in document["marked_points"].items()
     }
     constants = complex_from_json(document["riemann_constants"], "riemann_constants")
-    b_periods: dict[str, complex] = {}
+    b_periods = {}
     for key, val in document["b_periods"].items():
-        names = str(key).split("/")
+        names = tuple(str(key).split("/"))
         if len(names) != 2:
             raise SchemaError(f"b_periods key {key!r} must look like 'A/B'")
         if not set(names) <= marked.keys():
             raise SchemaError(f"b_periods key {key!r} names unknown marked points")
-        b_periods[str(key)] = complex_from_json(val, f"b_periods[{key}]")
+        b_periods[names] = complex_from_json(val, f"b_periods[{key}]")
 
-    integrals: dict[str, complex] = {}
+    integrals = {}
     for key, val in document["third_kind_integrals"].items():
-        skey = str(key)
-        head, sep, tail = skey.partition("|")
-        pair = tail.split(",")
-        if not sep or len(pair) != 2:
+        head, sep, tail = str(key).partition("|")
+        names = (head, *tail.split(","))
+        if not sep or len(names) != 3:
             raise SchemaError(f"third_kind_integrals key {key!r} must look like 'S|A,B'")
-        for nm in (head, *pair):
+        for nm in names:
             if nm not in marked:
                 raise SchemaError(f"third_kind_integrals key {key!r} names unknown point {nm!r}")
-        integrals[skey] = complex_from_json(val, f"third_kind_integrals[{key}]")
+        integrals[names] = complex_from_json(val, f"third_kind_integrals[{key}]")
 
     curve = TabulatedCurve(pm, base, marked, constants, b_periods, integrals)
     for name, point in marked.items():
@@ -726,24 +724,22 @@ def load_tabulated_curve(document: dict) -> TabulatedCurve:
     """
     curve = _read_curve_document(document)
     marked = curve.marked
-    for key, U in curve._b_periods.items():
-        a_name, b_name = key.split("/")
+    for (a_name, b_name), U in curve._b_periods.items():
         err = abs(U - (curve.abel(marked[a_name]) - curve.abel(marked[b_name])))
         if err > _BILINEAR_TOL:
             raise ConsistencyFailure(
-                f"stored b-period {key!r} disagrees with the Abel difference by {err:.3e}"
+                f"stored b-period {_B_PERIOD_KEY.format(a_name, b_name)!r} disagrees with the Abel difference "
+                f"by {err:.3e}"
             )
     integrals = curve._integrals
-    for key, value in integrals.items():
-        endpoint, _, tail = key.partition("|")
-        a_name, b_name = tail.split(",")
-        flipped = f"{endpoint}|{b_name},{a_name}"
+    for (endpoint, a_name, b_name), value in integrals.items():
+        flipped = (endpoint, b_name, a_name)
         if flipped in integrals:
             mismatch = abs(value + integrals[flipped])
             if mismatch > _BILINEAR_TOL * max(1.0, abs(value)):
                 raise ConsistencyFailure(
-                    f"stored integrals {key!r} and {flipped!r} are not negatives "
-                    f"(|sum| = {mismatch:.3e})"
+                    f"stored integrals {_INTEGRAL_KEY.format(endpoint, a_name, b_name)!r} and "
+                    f"{_INTEGRAL_KEY.format(*flipped)!r} are not negatives (|sum| = {mismatch:.3e})"
                 )
     _validate_constants(curve, curve.riemann_constants())
     return curve
@@ -768,12 +764,12 @@ def export_curve_document(
     b_periods = {}
     for plus_name, minus_name in b_period_pairs:
         U = curve.b_period_vector(marked[plus_name], marked[minus_name])
-        b_periods[f"{plus_name}/{minus_name}"] = complex_to_json(U)
+        b_periods[_B_PERIOD_KEY.format(plus_name, minus_name)] = complex_to_json(U)
     values = curve.third_kind_integrals(
         [(marked[endpoint], marked[plus], marked[minus]) for endpoint, (plus, minus) in integral_specs]
     )
     integrals = {
-        f"{endpoint}|{plus},{minus}": complex_to_json(val)
+        _INTEGRAL_KEY.format(endpoint, plus, minus): complex_to_json(val)
         for (endpoint, (plus, minus)), val in zip(integral_specs, values)
     }
     return {

@@ -379,8 +379,8 @@ def reference_as_dict(stencil) -> dict[str, complex]:
 def reference_document(field, *, spectral_data_ref="", seed=None, normalization=None) -> dict:
     """The field document by the per-site walk: ``field_to_document``'s and the text writer's reference."""
     sites_json = []
-    for site in sorted(field.stencils):
-        coeffs = reference_as_dict(field.stencils[site])
+    for site in sorted(field.sites):
+        coeffs = reference_as_dict(field.stencil(site))
         sites_json.append({"site": list(site), "coeffs": {k: [c.real, c.imag] for k, c in coeffs.items()}})
     return {
         "format": FIELD_DOC_FORMAT,
@@ -400,8 +400,8 @@ def reference_csv(field) -> str:
     for k in model.coeffs:
         header += [f"re_{k}", f"im_{k}"]
     lines = [",".join(header)]
-    for site in sorted(field.stencils):
-        coeffs = reference_as_dict(field.stencils[site])
+    for site in sorted(field.sites):
+        coeffs = reference_as_dict(field.stencil(site))
         row = [str(x) for x in site]
         for k in model.coeffs:
             row += ["%.17g" % coeffs[k].real, "%.17g" % coeffs[k].imag]
@@ -545,7 +545,7 @@ def reference_oracle_report(field, grid):
     entries, failures, stencils = [], [], []
     max_gap = max_mismatch = max_zero = 0.0
     for site in grid.sites:
-        t_row = field.stencils[site].values
+        t_row = field.stencil(site).values
         values, gap, shares = reference_nullspace_oracle(field.model, site, grid)
         o_mantissa = np.array([v.mantissa for v in values], dtype=complex)
         o_scale = np.array([v.log_scale for v in values], dtype=float)

@@ -1,9 +1,11 @@
 import contextlib
+import errno
 import filecmp
 import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 
@@ -224,6 +226,50 @@ def test_a_failed_write_leaves_neither_document(tmp_path, capsys):
     assert "Is a directory" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "e.curve.json"]
     assert not any((tmp_path / "e.curve.json").iterdir())
+
+
+def _fill_disk_on_write(monkeypatch, full):
+    """Make ``crosshex.cli``'s writes to ``full`` store 10 characters, then fail as a full disk does."""
+
+    def fake_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if os.fspath(path) == os.fspath(full):
+
+            def write(text):
+                type(fh).write(fh, text[:10])
+                fh.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(crosshex.cli, "open", fake_open, raising=False)
+
+
+def test_a_write_that_fails_midway_leaves_no_document(workspace, tmp_path, monkeypatch, capsys):
+    # gen-spectral: the curve document is written, then the spectral one fails part-way
+    _fill_disk_on_write(monkeypatch, tmp_path / "s.json")
+    assert main(["gen-spectral", "--model", "cross", "-o", str(tmp_path / "s.json")]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+    spectral, field = workspace["cross"]
+    for argv in (
+        ["build", "-i", str(spectral), "--window", "1", "-o", str(tmp_path / "out")],
+        ["verify", "-i", str(spectral), "--window", "0", "--probes", "8", "-o", str(tmp_path / "out")],
+        ["export", "-i", str(field), "-o", str(tmp_path / "out")],
+    ):
+        _fill_disk_on_write(monkeypatch, tmp_path / "out")
+        assert main(argv) == 2, argv[0]
+        assert "No space left on device" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir()), argv[0]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_write_to_a_full_device_exits_2_and_leaves_the_device(workspace, capsys):
+    spectral, _ = workspace["cross"]
+    assert main(["build", "-i", str(spectral), "--window", "1", "-o", "/dev/full"]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
 
 
 def test_corrupt_documents_exit_2(workspace, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -104,6 +106,21 @@ def test_lattice_table_matches_the_reference_over_the_radius_40_window(model):
     assert table.tolist() == [[list(nb) for nb in row] for row in neighbours]
     assert [stencil_offsets(model, s) for s in sites] == neighbours
     assert m.lattice.labels(table).tolist() == [[list(relabel(nb)) for nb in row] for row in neighbours]
+
+
+@pytest.mark.parametrize("lattice", [CROSS_LATTICE, HEX_LATTICE], ids=lambda lattice: lattice.name)
+def test_lattice_window_counts_order_and_laziness(lattice):
+    d = len(lattice.index_names)
+    for r in range(9):
+        sites = list(lattice.window(r))
+        assert len(sites) == ((2 * r + 1) ** 2 if d == 2 else 3 * r * (r + 1) + 1), r
+        # every site of the box with max-norm <= r that the lattice accepts, in lexicographic order
+        box = itertools.product(range(-r, r + 1), repeat=d)
+        assert sites == [s for s in box if not lattice.zero_sum or sum(s) == 0], r
+        assert sites == sorted(sites) and all(lattice.site(*s) == s for s in sites)
+    # a huge window hands out its first site at once: no range is built or walked
+    R = 2**70
+    assert next(lattice.window(R)) == ((-R, -R) if d == 2 else (-R, 0, R))
 
 
 # -- structural invariants ---------------------------------------------------

@@ -89,9 +89,10 @@ def test_a_radius_that_is_not_a_non_negative_int_is_refused(radius, cross_data, 
         width = len(MODELS[sd.model].coeffs)
         empty = ScaledArray(np.zeros((0, width), dtype=complex), np.zeros((0, width)))
         calls = (
+            lambda: MODELS[sd.model].lattice.window(radius),
             lambda: window_sites(sd.model, radius),
             lambda: build_field(sd, radius),
-            lambda: StencilField(sd.model, radius, (), empty),
+            lambda: StencilField(sd.model, radius, empty),
             # a number or a string is a radius to psi_grid, never a site list
             lambda: psi_grid(sd, radius, probes),
         )
@@ -140,9 +141,10 @@ def test_window_table_build_matches_site_by_site_build(model, torus):
         sd = spectral_data(model, curve)
         thetas = {}
         for radius in range(7):
-            for site, stencil in build_field(sd, radius).stencils.items():
+            field = build_field(sd, radius)
+            for site in field.sites:
                 want = one_site_stencil(sd, site, thetas)
-                assert repr(scalars(stencil.values)) == repr(want), (curve.pm.B, radius, site)
+                assert repr(scalars(field.stencil(site).values)) == repr(want), (curve.pm.B, radius, site)
 
 
 def test_one_site_builders_match_the_reference(cross_data, hex_data):
@@ -182,7 +184,7 @@ def test_grid_residuals_match_one_value_psi(model, cross_data, hex_data, cross_p
     for sites in (list(field.sites), tuple(field.sites)):
         assert repr(residual_report(field, psi_grid(sd, sites, probes))) == repr(rep)
     for entry in rep.entries:
-        stencil = field.stencils[entry.site]
+        stencil = field.stencil(entry.site)
         per_probe = [_scalar_residual(sd, stencil, entry.site, P) for P in probes]
         assert repr(entry.residual) == repr(max(per_probe))
         assert entry.worst_probe == per_probe.index(max(per_probe))
@@ -203,11 +205,13 @@ def test_a_nan_residual_is_a_breach(cross_data, cross_probes):
 
 def test_unit_and_zero_coefficients_by_class(cross_data, hex_data):
     cfield = build_field(cross_data, 1)
-    for site, st in cfield.stencils.items():
+    for site in cfield.sites:
+        st = cfield.stencil(site)
         unit = CROSS.units[(site[0] + site[1]) % 2]
         assert st.unit == unit and st.as_dict()[unit] == 1.0 + 0j
     hfield = build_field(hex_data, 1)
-    for site, st in hfield.stencils.items():
+    for site in hfield.sites:
+        st = hfield.stencil(site)
         r = (site[0] - site[1]) % 3
         assert st.unit == HEX.units[r]
         assert st.as_dict()[st.unit] == 1.0 + 0j
@@ -264,7 +268,7 @@ def test_formula_tables_align_with_shifts(name, request):
     model = MODELS[name]
     sd = request.getfixturevalue(f"{name}_data")
     assert model.spectral_class.model == name and type(sd) is model.spectral_class
-    classes = {model.lattice.classes(s): model.lattice.site(*s) for s in model.window(2)}
+    classes = {model.lattice.classes(s): model.lattice.site(*s) for s in model.lattice.window(2)}
     assert sorted(classes) == list(range(len(model.formulas)))
     assert len(model.units) == len(model.zeros) == len(model.formulas)
     for cls, site in sorted(classes.items()):
@@ -334,8 +338,8 @@ def test_tabulated_backend_builds_identical_field(torus, hex_data):
     sd_tab = SpectralDataHex(tab, tab.marked, [p.lift for p in hex_data.divisor])
     analytic = build_field(hex_data, 1)
     tabulated = build_field(sd_tab, 1)
-    for site, st in analytic.stencils.items():
-        other = tabulated.stencils[site]
+    for site in analytic.sites:
+        st, other = analytic.stencil(site), tabulated.stencil(site)
         for key in HEX_COEFFS:
             assert st.as_dict()[key] == other.as_dict()[key]
 
@@ -408,9 +412,9 @@ def test_constant_normalization_cancels_in_coefficients(torus, hex_data):
     )
     a = build_field(hex_data, 1)
     b = build_field(scaled, 1)
-    for site in a.stencils:
+    for site in a.sites:
         for key in HEX_COEFFS:
-            va, vb = a.stencils[site].as_dict()[key], b.stencils[site].as_dict()[key]
+            va, vb = a.stencil(site).as_dict()[key], b.stencil(site).as_dict()[key]
             assert va == pytest.approx(vb, rel=1e-12, abs=1e-15)
 
 
@@ -464,9 +468,9 @@ def test_field_document_round_trip_exact(cross_data):
     doc = json.loads(json.dumps(field_to_document(field, seed=0)))
     back = field_from_document(doc)
     assert back.model == field.model and back.radius == field.radius
-    for site, st in field.stencils.items():
+    for site in field.sites:
         for key in CROSS_COEFFS:
-            assert back.stencils[site].as_dict()[key] == st.as_dict()[key]
+            assert back.stencil(site).as_dict()[key] == field.stencil(site).as_dict()[key]
 
 
 def test_field_document_validation(cross_data):
@@ -709,7 +713,8 @@ def test_writers_match_the_per_site_references(model, radius, request):
         assert field_document_text(field, seed=3, spectral_data_ref="s.json") == _json_reference(doc)
         assert repr(field_to_document(field, seed=3, spectral_data_ref="s.json")) == repr(doc)
         assert field_to_csv(field) == reference_csv(field)
-        for site, stencil in field.stencils.items():
+        for site in field.sites:
+            stencil = field.stencil(site)
             assert repr(stencil.as_dict()) == repr(reference_as_dict(stencil)), site
 
 
@@ -729,38 +734,39 @@ def test_a_coefficient_beyond_double_range_is_refused_where_it_was(cross_data):
             write(huge)
         assert str(got.value) == str(want.value), write
     with pytest.raises(SingularEvaluation) as got:
-        huge.stencils[huge.sites[3]].as_dict()
+        huge.stencil(huge.sites[3]).as_dict()
     assert str(got.value) == str(want.value)
 
 
 def test_stencil_views_are_read_only(cross_data):
     field = build_field(cross_data, 1)
-    view = field.stencils[(0, 0)]
+    view = field.stencil((0, 0))
     assert view.site == (0, 0) and view.unit == "d"
     with pytest.raises(ValueError, match="read-only"):
         view.values.mantissa[0] = 2.0
     with pytest.raises(KeyError):
-        field.stencils[(2, 0)]
+        field.stencil((2, 0))
 
 
 def test_window_completeness_enforced(cross_data):
     field = build_field(cross_data, 1)
-    keep = [i for i, site in enumerate(field.sites) if site != (0, 0)]
-    with pytest.raises(ValueError):
-        StencilField("cross", 1, tuple(field.sites[i] for i in keep), field.coeffs[keep])
-    with pytest.raises(ValueError):
-        StencilField("cross", 1, field.sites, field.coeffs[keep])  # a row short
+    with pytest.raises(ValueError, match=r"field coefficients have shape \(8, 5\), not one row per site"):
+        StencilField("cross", 1, field.coeffs[:-1])  # a row short
+    # the window is walked one site past the rows given, never to its end
+    rows = ScaledArray(np.zeros((3, len(HEX_COEFFS)), dtype=complex), np.zeros((3, len(HEX_COEFFS))))
+    with pytest.raises(ValueError, match=r"field coefficients have shape \(3, 6\), not one row per site"):
+        StencilField("hex", 2**70, rows)
 
 
 def test_csv_shape_and_exact_round_trip(cross_data, hex_data):
     cfield = build_field(cross_data, 1)
     lines = field_to_csv(cfield).strip().splitlines()
     assert lines[0] == "n,m,re_a,im_a,re_b,im_b,re_c,im_c,re_d,im_d,re_v,im_v"
-    assert len(lines) == 1 + len(cfield.stencils)
+    assert len(lines) == 1 + len(cfield.sites)
     for row in lines[1:]:
         cells = row.split(",")
         site = (int(cells[0]), int(cells[1]))
-        st = cfield.stencils[site]
+        st = cfield.stencil(site)
         for i, key in enumerate(CROSS_COEFFS):
             want = st.as_dict()[key]
             assert complex(float(cells[2 + 2 * i]), float(cells[3 + 2 * i])) == want

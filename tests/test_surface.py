@@ -2,6 +2,7 @@ import cmath
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -712,8 +713,12 @@ def test_genus_one_only(curve_doc):
 
 def test_tabulated_lookup_of_unstored_combination(curve_doc):
     tab = load_tabulated_curve(curve_doc)
-    with pytest.raises(UnknownPoint):
+    with pytest.raises(UnknownPoint) as info:
         tab.third_kind_integral(tab.marked["P3+"], tab.marked["P1+"], tab.marked["P1-"])
+    assert str(info.value) == "tabulated curve has no stored integral for 'P3+|P1+,P1-'"
+    with pytest.raises(UnknownPoint) as info:
+        tab.third_kind_integral(tab.point(0.125 + 0.5j), tab.marked["P1+"], tab.marked["P1-"])
+    assert str(info.value) == "endpoint lift (0.125+0.5j) is not a stored marked point of the tabulated curve"
 
 
 def test_tabulated_rejects_missing_sections(curve_doc):
@@ -740,8 +745,10 @@ def test_tabulated_detects_tampered_integral(curve_doc):
         -broken["third_kind_integrals"][key][0] + 1e-3,
         -broken["third_kind_integrals"][key][1],
     ]
-    with pytest.raises(ConsistencyFailure):
+    with pytest.raises(ConsistencyFailure) as info:
         load_tabulated_curve(broken)
+    want = r"stored integrals 'P2\+\|P1\+,P1-' and 'P2\+\|P1-,P1\+' are not negatives \(\|sum\| = 1\.000e-03\)"
+    assert re.fullmatch(want, str(info.value)), str(info.value)
 
 
 def test_tabulated_detects_inconsistent_b_period(curve_doc):
@@ -750,5 +757,7 @@ def test_tabulated_detects_inconsistent_b_period(curve_doc):
         broken["b_periods"]["P1+/P1-"][0] + 1e-4,
         broken["b_periods"]["P1+/P1-"][1],
     ]
-    with pytest.raises(ConsistencyFailure):
+    with pytest.raises(ConsistencyFailure) as info:
         load_tabulated_curve(broken)
+    want = r"stored b-period 'P1\+/P1-' disagrees with the Abel difference by 1\.000e-04"
+    assert re.fullmatch(want, str(info.value)), str(info.value)
