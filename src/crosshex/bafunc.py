@@ -87,9 +87,11 @@ class _SpectralDataBase:
     """Shared machinery of the two spectral-data flavors.
 
     ``phi_scaled`` is the one evaluator of phi: a labels x probes grid,
-    one theta kernel call for its numerators and one curve call for the
-    third-kind integrals.  Immutable after construction, so concurrent
-    readers are safe.
+    one theta kernel call for its numerators and one :meth:`integrals`
+    call for the third-kind integrals.  The object holds a table of the
+    integrals it has tracked, keyed by (lift, pole names) and filled only
+    by :meth:`integrals`; everything else is fixed at construction.  Two
+    concurrent calls may track one integral twice, and store the same bits.
     """
 
     model: str
@@ -110,6 +112,7 @@ class _SpectralDataBase:
         self.marked = {name: curve.point(marked[name].lift) for name in self.marked_names}
         self.divisor = divisor
         self.normalization = normalization or ConstantNormalization()
+        self._integrals: dict[tuple[complex, str, str], complex] = {}
         self._check_separation()
 
         # the labels are paired with U in one stacked product (see _label_thetas)
@@ -238,9 +241,16 @@ class _SpectralDataBase:
     def integrals(self, requests) -> list[complex]:
         """Third-kind integral from the base to P for each ``(P, pair)`` request, in order.
 
-        One curve call tracks them all, each with the bits of a one-request call.
+        The requests not yet in the table are tracked in one curve call,
+        each with the bits of a one-request call, and kept in the table.
         """
-        return self.curve.third_kind_integrals([(P, self.marked[a], self.marked[b]) for P, (a, b) in requests])
+        keys = [(P.lift, a, b) for P, (a, b) in requests]
+        missing = [key for key in dict.fromkeys(keys) if key not in self._integrals]
+        values = self.curve.third_kind_integrals(
+            [(SurfacePoint(lift), self.marked[a], self.marked[b]) for lift, a, b in missing]
+        )
+        self._integrals.update(zip(missing, values))
+        return [self._integrals[key] for key in keys]
 
     def integral(self, P: SurfacePoint, pair: tuple[str, str]) -> complex:
         """Third-kind integral from the base to P for a named pole pair (see :meth:`integrals`)."""

@@ -119,16 +119,17 @@ def cmd_gen_spectral(config) -> int:
     marked = dict(zip(names, points))
     divisor = points[len(names):]
     normalization = ConstantNormalization()
-    # construct once now: separation and precomputation problems should
-    # surface at generation time, not at first use
+    # one lockstep pass checks the b-periods and computes the stored integrals
+    curve_doc = export_curve_document(
+        curve, marked, list(spectral_class.basis_pairs), list(model.curve_integrals)
+    )
+    # construct once now, reading the checked b-periods: separation and
+    # precomputation problems should surface at generation time, not at first use
     spectral_class(curve, marked, divisor, normalization)
 
     out = config.output
     stem = out[: -len(".json")] if out.endswith(".json") else out
     curve_path = stem + ".curve.json"
-    curve_doc = export_curve_document(
-        curve, marked, list(spectral_class.basis_pairs), list(model.curve_integrals)
-    )
     spectral_doc = {
         "format": SPECTRAL_DOC_FORMAT,
         "model": model.name,
@@ -245,6 +246,11 @@ def cmd_verify(config) -> int:
         return 2
     probe_seed = config.seed if config.seed is not None else doc.get("seed", 0) + 1000
     probes = sample_probes(sd, config.probes, seed=probe_seed)
+    # the field's marked-point integrals and psi's probe integrals, tracked in one pass
+    sd.integrals(
+        [(sd.marked[endpoint], pair) for endpoint, pair in MODELS[sd.model].curve_integrals]
+        + [(P, pair) for pair in sd.basis_pairs for P in probes]
+    )
     field = build_field(sd, config.window)
     grid = psi_grid(sd, config.window, probes)
     rrep = residual_report(field, grid, tol=config.tol)

@@ -127,13 +127,21 @@ class SpectralCurve:
         dist = np.sqrt(least)
         return dist if delta.ndim else float(dist)
 
+    def b_periods_and_integrals(self, pairs, requests) -> tuple[list[complex], list[complex]]:
+        """``b_period_vector`` of each ``(Pplus, Pminus)`` pair and ``third_kind_integral`` of each
+        ``(P, Pplus, Pminus)`` request, in order."""
+        return (
+            [self.b_period_vector(plus, minus) for plus, minus in pairs],
+            [self.third_kind_integral(*request) for request in requests],
+        )
+
     def third_kind_integrals(self, requests) -> list[complex]:
         """``third_kind_integral`` of each ``(P, Pplus, Pminus)`` request, in order."""
-        return [self.third_kind_integral(*request) for request in requests]
+        return self.b_periods_and_integrals([], requests)[1]
 
     def b_period_vectors(self, pairs) -> list[complex]:
         """``b_period_vector`` of each ``(Pplus, Pminus)`` pair, in order."""
-        return [self.b_period_vector(plus, minus) for plus, minus in pairs]
+        return self.b_periods_and_integrals(pairs, [])[0]
 
     def _path_clearances(self, lifts: list[complex], poles) -> np.ndarray:
         """Distance from each base-to-lift integration path to the poles (none for stored tables)."""
@@ -203,6 +211,8 @@ class TorusCurve(SpectralCurve):
         # pairing the series terms N and -N-1 cancels Theta exactly at i*pi + B/2
         self._z0 = 1j * math.pi + pm.B / 2.0
         self._verified_pairs: set[tuple[complex, complex]] = set()
+        # (pole, a, b) segments _path_clearances measured at least _PATH_CLEARANCE from the pole
+        self._clear_segments: set[tuple[complex, complex, complex]] = set()
         self._constants_validated = False
 
     # -- prime-form surrogate -------------------------------------------------
@@ -211,6 +221,8 @@ class TorusCurve(SpectralCurve):
         ends = np.repeat(np.array(lifts, dtype=complex), len(poles))
         pole = np.tile(np.array([p.lift for p in poles], dtype=complex), len(lifts))
         distance = self._segment_pole_distance(pole, self.base_lift, ends)
+        clear = distance >= _PATH_CLEARANCE
+        self._clear_segments.update(zip(pole[clear].tolist(), itertools.repeat(self.base_lift), ends[clear].tolist()))
         return distance.reshape(len(lifts), -1).min(axis=1)
 
     def _segment_pole_distance(self, pole, a, b) -> float | np.ndarray:
@@ -278,17 +290,19 @@ class TorusCurve(SpectralCurve):
         ``a == b`` gives 0j.  A segment that passes within 1e-8 of a
         lattice translate of its pole, or whose subdivision stack
         overruns, gets a :class:`PoleOnPath` in place of its increment
-        (returned, not raised).
+        (returned, not raised).  The 1e-8 guard skips the segments
+        :meth:`_path_clearances` already measured at least 1e-3 clear.
         """
         out: dict[tuple, complex | PoleOnPath] = dict.fromkeys(segments, 0j)
         work = [seg for seg in out if seg[1] != seg[2]]
+        guard = [seg for seg in work if seg not in self._clear_segments]
+        if guard:
+            pole, a, b = (np.array(col, dtype=complex) for col in zip(*guard))
+            for seg in itertools.compress(guard, self._segment_pole_distance(pole, a, b) < _POLE_TOL):
+                out[seg] = PoleOnPath(f"integration segment passes within {_POLE_TOL:g} of a pole lift")
+            work = [seg for seg in work if not isinstance(out[seg], PoleOnPath)]
         if not work:
             return [out[seg] for seg in segments]
-        pole, a, b = (np.array(col, dtype=complex) for col in zip(*work))
-        near = self._segment_pole_distance(pole, a, b) < _POLE_TOL
-        for seg in itertools.compress(work, near):
-            out[seg] = PoleOnPath(f"integration segment passes within {_POLE_TOL:g} of a pole lift")
-        work = list(itertools.compress(work, ~near))
         pole = [p for p, _, _ in work]
         ends = [a for _, a, _ in work] + [b for _, _, b in work]
         # the left ends of a pass share a few poles; keyed by bits, signed zeros stay apart
@@ -357,21 +371,6 @@ class TorusCurve(SpectralCurve):
         (value,) = self.third_kind_integrals([(P, Pplus, Pminus)])
         return value
 
-    def third_kind_integrals(self, requests) -> list[complex]:
-        """:meth:`third_kind_integral` of each ``(P, Pplus, Pminus)``, in one lockstep pass.
-
-        Each value has the bits of its one-request call.  A request
-        whose path runs into a pole makes the whole call raise
-        :class:`PoleOnPath`.
-        """
-        deltas = self._log_prime_deltas(
-            [(pole.lift, self.base_lift, P.lift) for P, *poles in requests for pole in poles]
-        )
-        for delta in deltas:
-            if isinstance(delta, PoleOnPath):
-                raise delta
-        return [plus - minus for plus, minus in zip(deltas[::2], deltas[1::2])]
-
     def b_period_vector(self, Pplus: SurfacePoint, Pminus: SurfacePoint) -> complex:
         """b-period of Omega_{Pplus,Pminus}: equals abel(Pplus) - abel(Pminus).
 
@@ -386,36 +385,38 @@ class TorusCurve(SpectralCurve):
         (U,) = self.b_period_vectors([(Pplus, Pminus)])
         return U
 
-    def b_period_vectors(self, pairs) -> list[complex]:
-        """:meth:`b_period_vector` of each ``(Pplus, Pminus)``; new pairs are verified together."""
+    def b_periods_and_integrals(self, pairs, requests) -> tuple[list[complex], list[complex]]:
+        """:meth:`b_period_vector` of each ``(Pplus, Pminus)`` and :meth:`third_kind_integral` of each
+        ``(P, Pplus, Pminus)``, in one lockstep pass.
+
+        The pass tracks every integral path and, from the first
+        deterministic start point, a b-cycle representative of each pair
+        not yet verified; a pair whose representative runs into a pole
+        retries from the next start points, in passes of its own.  Each
+        value has the bits of its one-item call.  A failed b-period
+        check raises first, then a request whose path runs into a pole
+        makes the call raise :class:`PoleOnPath`.
+        """
+        B = self.pm.B
         pairs = list(pairs)
         periods = [self.abel(plus) - self.abel(minus) for plus, minus in pairs]
-        new = {
+        expected = {
             (plus.lift, minus.lift): U
             for (plus, minus), U in zip(pairs, periods)
             if (plus.lift, minus.lift) not in self._verified_pairs
         }
-        self._verify_b_periods(new)
-        self._verified_pairs.update(new)
-        return periods
-
-    def _verify_b_periods(self, expected: dict[tuple[complex, complex], complex]) -> None:
-        """Check each (p, q) lift pair's b-period against continuation along a b-cycle.
-
-        The pairs are tracked together in one lockstep pass per start
-        point; a pair whose representative runs into a pole tries the
-        next deterministic start point.
-        """
-        B = self.pm.B
-        pending = list(expected)
-        last_error: Exception | None = None
+        pending, last_error = list(expected), None
+        # the integral paths ride in the first pass only
+        paths = [(pole.lift, self.base_lift, P.lift) for P, *poles in requests for pole in poles]
+        integrals = []
         for fs, ft in _BCYCLE_STARTS:
-            if not pending:
-                return
+            if not (pending or paths):
+                break
             start = self.base_lift + 2j * math.pi * fs + B * ft
-            deltas = self._log_prime_deltas(
-                [(pole, start, start + B) for pair in pending for pole in pair]
-            )
+            cycles = [(pole, start, start + B) for pair in pending for pole in pair]
+            deltas = self._log_prime_deltas(cycles + paths)
+            integrals += deltas[len(cycles) :]
+            paths = []
             retry = []
             for pair, plus, minus in zip(pending, deltas[::2], deltas[1::2]):
                 refused = [d for d in (plus, minus) if isinstance(d, PoleOnPath)]
@@ -438,6 +439,11 @@ class TorusCurve(SpectralCurve):
             raise ConsistencyFailure(
                 f"could not route a b-cycle representative clear of poles: {last_error}"
             )
+        self._verified_pairs.update(expected)
+        for delta in integrals:
+            if isinstance(delta, PoleOnPath):
+                raise delta
+        return periods, [plus - minus for plus, minus in zip(integrals[::2], integrals[1::2])]
 
     def riemann_constants(self) -> complex:
         """The Riemann constant K = i*pi + B/2.
@@ -759,15 +765,14 @@ def export_curve_document(
     poles at two same-family points) are computed directly on the
     analytic backend; every stored endpoint group shares the single
     straight base-to-endpoint path, which keeps linear combinations of
-    rows path-consistent.
+    rows path-consistent.  The b-periods and integrals come from one
+    :meth:`SpectralCurve.b_periods_and_integrals` call.
     """
-    b_periods = {}
-    for plus_name, minus_name in b_period_pairs:
-        U = curve.b_period_vector(marked[plus_name], marked[minus_name])
-        b_periods[_B_PERIOD_KEY.format(plus_name, minus_name)] = complex_to_json(U)
-    values = curve.third_kind_integrals(
-        [(marked[endpoint], marked[plus], marked[minus]) for endpoint, (plus, minus) in integral_specs]
+    periods, values = curve.b_periods_and_integrals(
+        [(marked[plus], marked[minus]) for plus, minus in b_period_pairs],
+        [(marked[endpoint], marked[plus], marked[minus]) for endpoint, (plus, minus) in integral_specs],
     )
+    b_periods = {_B_PERIOD_KEY.format(*pair): complex_to_json(U) for pair, U in zip(b_period_pairs, periods)}
     integrals = {
         _INTEGRAL_KEY.format(endpoint, plus, minus): complex_to_json(val)
         for (endpoint, (plus, minus)), val in zip(integral_specs, values)

@@ -13,8 +13,10 @@ import pytest
 
 import crosshex.bafunc
 import crosshex.cli
-from crosshex.cli import SPECTRAL_DOC_FORMAT, VERIFY_DOC_FORMAT, main
+from crosshex.cli import SPECTRAL_DOC_FORMAT, VERIFY_DOC_FORMAT, load_spectral_document, main
+from crosshex.errors import ConsistencyFailure, PoleOnPath
 from crosshex.operators import FIELD_DOC_FORMAT
+from crosshex.surface import TorusCurve
 
 from conftest import genus_two_document
 
@@ -226,6 +228,65 @@ def test_a_failed_write_leaves_neither_document(tmp_path, capsys):
     assert "Is a directory" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d", "e.curve.json"]
     assert not any((tmp_path / "e.curve.json").iterdir())
+
+
+def test_gen_spectral_writes_nothing_when_its_spectral_data_fails(tmp_path, monkeypatch, capsys):
+    track = TorusCurve._log_prime_deltas
+
+    def refusing(refused):
+        """The lockstep pass, with a pole refusal for each segment whose start ``refused(curve, a)`` picks."""
+
+        def deltas(curve, segments):
+            refusal = PoleOnPath("integration segment passes within 1e-08 of a pole lift")
+            return [refusal if refused(curve, a) else d for (_, a, _), d in zip(segments, track(curve, segments))]
+
+        return deltas
+
+    def separation(sd):
+        raise ConsistencyFailure("marked points P1+ and P1- are only 0.000e+00 apart on the curve")
+
+    for owner, name, failure, message in (
+        # the stored integrals run into a pole, the b-cycles do not
+        (TorusCurve, "_log_prime_deltas", refusing(lambda curve, a: a == curve.base_lift),
+         "integration segment passes within 1e-08 of a pole lift"),
+        # every path runs into a pole: no b-cycle can be routed
+        (TorusCurve, "_log_prime_deltas", refusing(lambda curve, a: True),
+         "could not route a b-cycle representative clear of poles"),
+        (crosshex.bafunc._SpectralDataBase, "_check_separation", separation, "marked points P1+ and P1- are only"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, failure)
+            for model in ("cross", "hex"):
+                assert main(["gen-spectral", "--model", model, "-o", str(tmp_path / "s.json")]) == 1
+                err = capsys.readouterr().err
+                assert err.startswith(f"verification-grade failure: {message}"), err
+                assert not any(tmp_path.iterdir())
+
+
+def test_each_command_tracks_its_paths_in_the_fewest_lockstep_passes(tmp_path, monkeypatch):
+    """gen-spectral checks its b-periods in the pass of its stored integrals; verify tracks its
+    marked-point and probe integrals together; loading and build keep their passes."""
+    track, passes = TorusCurve._log_prime_deltas, []
+
+    def counting(curve, segments):
+        passes.append(segments)
+        return track(curve, segments)
+
+    monkeypatch.setattr(TorusCurve, "_log_prime_deltas", counting)
+    for model in ("cross", "hex"):
+        spectral = str(tmp_path / f"{model}.json")
+        commands = {
+            "gen-spectral": lambda: main(["gen-spectral", "--model", model, "--seed", "2", "-o", spectral]),
+            "load": lambda: load_spectral_document(spectral) and 0,
+            "build": lambda: main(["build", "-i", spectral, "--window", "1", "-o", str(tmp_path / "field.json")]),
+            "verify": lambda: main(["verify", "-i", spectral, "--window", "1", "--probes", "8"]),
+        }
+        counts = {}
+        for name, command in commands.items():
+            passes.clear()
+            assert command() == 0, name
+            counts[name] = len(passes)
+        assert counts == {"gen-spectral": 1, "load": 1, "build": 2, "verify": 2}, model
 
 
 def _fill_disk_on_write(monkeypatch, full):

@@ -804,3 +804,42 @@ def test_sample_probes_raises_when_separation_impossible(cross_data):
     # each draw places at most one probe
     with pytest.raises(SeparationFailure, match="of 1001 points in 1000 draws"):
         sample_probes(cross_data, 1001, seed=0)
+
+
+@pytest.mark.parametrize("model", ["cross", "hex"])
+def test_the_pole_guard_skips_only_the_probe_paths_the_sampler_cleared(model, monkeypatch):
+    curve = make_torus_curve(-6.0)
+    sd = spectral_data(model, curve)
+    probes = sample_probes(sd, 12, seed=5)
+    measure, guarded = curve._segment_pole_distance, []
+
+    def recording(pole, a, b):
+        guarded.extend(zip(*(x.ravel().tolist() for x in np.broadcast_arrays(pole, a, b))))
+        return measure(pole, a, b)
+
+    def guarded_segments(requests):
+        guarded.clear()
+        curve.third_kind_integrals(requests)
+        return set(guarded)
+
+    def segments(requests):
+        return {(pole.lift, curve.base_lift, P.lift) for P, *poles in requests for pole in poles}
+
+    monkeypatch.setattr(curve, "_segment_pole_distance", recording)
+    pairs = [(sd.marked[a], sd.marked[b]) for a, b in sd.basis_pairs]
+    # every (pole, base, probe) segment the sampler measured is left out of the guard
+    assert guarded_segments([(P, *pair) for pair in pairs for P in probes]) == set()
+    # the marked-point integrals and a hand-built request still reach it
+    for requests in (
+        [(sd.marked[endpoint], sd.marked[a], sd.marked[b]) for endpoint, (a, b) in MODELS[model].curve_integrals],
+        [(curve.point(curve.base_lift + 2.0 + 1.5j), *pairs[0])],
+    ):
+        assert guarded_segments(requests) == segments(requests)
+    # a probe with a pole the sampler did not screen: that pole's segment reaches it
+    unscreened = [(probes[0], sd.divisor[0], pairs[0][1])]
+    assert guarded_segments(unscreened) == {(sd.divisor[0].lift, curve.base_lift, probes[0].lift)}
+    # and so do the b-cycles of pairs not yet checked (the basis pairs were, on construction)
+    guarded.clear()
+    curve.b_period_vectors([(minus, plus) for plus, minus in pairs])
+    assert {pole for pole, _, _ in guarded} == {p.lift for pair in pairs for p in pair}
+    assert all(a != curve.base_lift for _, a, _ in guarded)

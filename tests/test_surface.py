@@ -17,6 +17,7 @@ from crosshex.errors import (
     UnknownPoint,
 )
 from crosshex.surface import (
+    complex_to_json,
     export_curve_document,
     load_tabulated_curve,
     load_torus_curve,
@@ -470,6 +471,18 @@ def test_b_period_pair_refused_at_one_start_tries_the_next(monkeypatch):
         [on_first_cycle.lift, other.lift],
     ]
     assert tracked[1][0][1] != tracked[0][0][1]
+    # integrals sharing the first pass leave the refused pair its retry, and keep their bits
+    curve = make_torus_curve(-6.0)
+    requests = [(cell_point(curve, f, 0.5), *pair) for f in (0.1, 0.6) for pair in pairs]
+    monkeypatch.setattr(curve, "_log_prime_deltas", recording)
+    tracked.clear()
+    periods, integrals = curve.b_periods_and_integrals(pairs, requests)
+    assert periods == [curve.abel(p) - curve.abel(m) for p, m in pairs]
+    assert [[pole for pole, _, _ in segments] for segments in tracked] == [
+        [p.lift for pair in pairs for p in pair] + [p.lift for _, *poles in requests for p in poles],
+        [on_first_cycle.lift, other.lift],
+    ]
+    assert list(map(repr, integrals)) == list(map(repr, make_torus_curve(-6.0).third_kind_integrals(requests)))
     # with the first start point alone, the pair has nowhere to go
     monkeypatch.setattr(surface, "_BCYCLE_STARTS", surface._BCYCLE_STARTS[:1])
     with pytest.raises(ConsistencyFailure, match="could not route"):
@@ -645,6 +658,25 @@ def curve_doc(torus):
         ("P1-", ("P3+", "P3-")),
     ]
     return export_curve_document(torus, marked, pairs, integrals)
+
+
+def test_export_gives_the_bits_of_separate_b_period_and_integral_calls(torus, monkeypatch):
+    curve = make_torus_curve(torus.pm.B)
+    marked = {name: cell_point(curve, fs, ft) for name, (fs, ft) in zip(CROSS_NAME_ORDER, CELL_FRACTIONS)}
+    pairs = [("P1+", "P1-"), ("P2+", "P2-"), ("P3+", "P3-")]
+    specs = [("P2+", ("P1+", "P1-")), ("P2-", ("P1+", "P1-")), ("P1+", ("P2+", "P2-")), ("P1-", ("P3+", "P3-"))]
+    track, passes = curve._log_prime_deltas, []
+    monkeypatch.setattr(curve, "_log_prime_deltas", lambda segments: passes.append(segments) or track(segments))
+    doc = export_curve_document(curve, marked, pairs, specs)
+    assert len(passes) == 1
+    periods = make_torus_curve(torus.pm.B).b_period_vectors([(marked[a], marked[b]) for a, b in pairs])
+    integrals = make_torus_curve(torus.pm.B).third_kind_integrals(
+        [(marked[endpoint], marked[a], marked[b]) for endpoint, (a, b) in specs]
+    )
+    assert repr(doc["b_periods"]) == repr({f"{a}/{b}": complex_to_json(U) for (a, b), U in zip(pairs, periods)})
+    assert repr(doc["third_kind_integrals"]) == repr(
+        {f"{endpoint}|{a},{b}": complex_to_json(value) for (endpoint, (a, b)), value in zip(specs, integrals)}
+    )
 
 
 def test_document_json_round_trip_is_exact(curve_doc):
