@@ -66,20 +66,28 @@ VERIFY_DOC_FORMAT = "crosshex-verify-v2"
 _MIN_COVER_SEPARATION = 0.1
 
 
-def _write_text(text: str, path: str) -> None:
-    fh = open(path, "w")
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _write(*documents) -> None:
+    """Write each ``(text, path)`` pair in turn; on any exception, remove every regular file opened, then re-raise.
+
+    Paths are resolved through symlinks at cleanup: a failed write through a link removes the document it
+    truncated and keeps the link, and a device such as /dev/full stays.
+    """
+    opened = []
     try:
-        with fh:
-            fh.write(text)
+        for text, path in documents:
+            with open(path, "w") as fh:
+                opened.append(path)
+                fh.write(text)
     except BaseException:
-        # a failed write or close leaves no partial document; a device such as /dev/full stays
-        if os.path.isfile(path):
-            os.remove(path)
+        for path in opened:
+            target = os.path.realpath(path)
+            if os.path.isfile(target):
+                os.remove(target)
         raise
-
-
-def _dump_json(obj, path: str) -> None:
-    _write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", path)
 
 
 def _load_json(path: str) -> dict:
@@ -102,19 +110,11 @@ def cmd_gen_spectral(config) -> int:
     rng = np.random.default_rng(config.seed)
     # the default --b-im 0.0 gives complex(x, 0.0), which has the bits of complex(x)
     b = complex(rng.uniform(-8.0, -3.0) if config.b_re is None else config.b_re, config.b_im)
-    message = None
-    if not MIN_RE_B <= b.real <= -3.0:
-        message = f"the period's real part must lie in [{MIN_RE_B:g}, -3], got {b.real}"
-    elif abs(b.imag) > MAX_ABS_IM_B:
-        message = f"the period's imaginary part must lie in [-{MAX_ABS_IM_B:g}, {MAX_ABS_IM_B:g}], got {b.imag}"
-    if message:
-        print(f"error: {message}", file=sys.stderr)
-        return 2
     curve = make_torus_curve(b)
     names = spectral_class.marked_names
     points = curve.sample_points(
         rng, len(names) + 1, avoid=[curve.point(curve.base_lift)],
-        min_avoid=_MIN_COVER_SEPARATION, min_pairwise=_MIN_COVER_SEPARATION, max_tries=1000,
+        min_avoid=_MIN_COVER_SEPARATION, min_pairwise=_MIN_COVER_SEPARATION,
     )
     marked = dict(zip(names, points))
     divisor = points[len(names):]
@@ -139,16 +139,7 @@ def cmd_gen_spectral(config) -> int:
         "divisor": [complex_to_json(p.lift) for p in divisor],
         "normalization": normalization.to_json(),
     }
-    written = []
-    try:
-        for doc, path in ((curve_doc, curve_path), (spectral_doc, out)):
-            _dump_json(doc, path)
-            written.append(path)
-    except OSError:
-        # a failed write leaves neither document behind
-        for path in written:
-            os.remove(path)
-        raise
+    _write((_json(curve_doc), curve_path), (_json(spectral_doc), out))
     print(f"wrote {out} and {curve_path} (model {model.name}, seed {config.seed})")
     return 0
 
@@ -223,7 +214,7 @@ def cmd_build(config) -> int:
         seed=doc.get("seed"),
         normalization=sd.normalization.to_json(),
     )
-    _write_text(text, config.output)
+    _write((text, config.output))
     print(
         f"wrote {config.output}: {len(field.sites)} {sd.model} stencils, "
         f"window radius {config.window}"
@@ -293,7 +284,7 @@ def cmd_verify(config) -> int:
             "oracle_failures": [list(s) for s in orep.failures],
             "passed": passed,
         }
-        _dump_json(report, config.output)
+        _write((_json(report), config.output))
     print("verification PASSED" if passed else "verification FAILED")
     return 0 if passed else 1
 
@@ -301,10 +292,8 @@ def cmd_verify(config) -> int:
 def cmd_export(config) -> int:
     doc = _load_json(config.input)
     field = field_from_document(doc)
-    if config.format == "csv":
-        _write_text(field_to_csv(field), config.output)
-    else:
-        _write_text(field_document_text(field, **field_metadata(doc)), config.output)
+    text = field_to_csv(field) if config.format == "csv" else field_document_text(field, **field_metadata(doc))
+    _write((text, config.output))
     print(f"wrote {config.output} ({config.format}, {len(field.sites)} sites)")
     return 0
 
@@ -329,7 +318,8 @@ def _checked(convert, accept, rule: str):
 
 _NATURAL = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _PROBE_COUNT = _checked(int, lambda v: v >= MIN_ORACLE_PROBES, f"an integer >= {MIN_ORACLE_PROBES}")
-_FINITE = _checked(float, math.isfinite, "a finite number")
+_RE_B = _checked(float, lambda v: MIN_RE_B <= v <= -3.0, f"a number in [{MIN_RE_B:g}, -3]")
+_IM_B = _checked(float, lambda v: abs(v) <= MAX_ABS_IM_B, f"a number in [-{MAX_ABS_IM_B:g}, {MAX_ABS_IM_B:g}]")
 _TOLERANCE = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 
 
@@ -346,11 +336,11 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--model", choices=tuple(MODELS), required=True)
     g.add_argument("--seed", type=_NATURAL, default=0, help="RNG seed (default 0)")
     g.add_argument(
-        "--b-re", type=_FINITE, default=None,
+        "--b-re", type=_RE_B, default=None,
         help=f"period real part (in [{MIN_RE_B:g}, -3]); default: seeded draw from [-8, -3]",
     )
     g.add_argument(
-        "--b-im", type=_FINITE, default=0.0,
+        "--b-im", type=_IM_B, default=0.0,
         help=f"period imaginary part (in [-{MAX_ABS_IM_B:g}, {MAX_ABS_IM_B:g}]; default 0)",
     )
     g.add_argument("-o", "--output", required=True, help="spectral document path (.json)")

@@ -35,7 +35,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field as dc_field, replace
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from itertools import chain, compress, islice
 
 import numpy as np
@@ -614,8 +614,8 @@ def _ratios(sd, blocks) -> ScaledArray:
     block after block.  The product terms of all blocks are stacked by
     shape (numerator and denominator counts): each shape takes one
     ``times`` or ``over`` per factor position, one ``times_exp`` and one
-    sign flip.  Brackets of one length take one ``plus`` per further term
-    and one product with their main terms; then all ratios take one
+    sign flip.  Each bracket then takes one ``plus`` per further term and
+    one product with its main term; then all ratios take one
     normalization product and one sign flip.  Each element goes through
     the scaled operations of the one-label formula in their order, so it
     has the bits of that formula evaluated one value at a time.
@@ -628,7 +628,7 @@ def _ratios(sd, blocks) -> ScaledArray:
     shapes: dict[tuple, list[int]] = {}
     for i, (_, term) in enumerate(terms):
         shapes.setdefault((len(term.theta_num), len(term.theta_den)), []).append(i)
-    parts = []
+    products: list = [None] * len(terms)  # each term's slice of its shape's result
     for (num, den), group in shapes.items():
         counts = [sizes[terms[i][0]] for i in group]
         out = ScaledArray.from_complex(np.ones(sum(counts), dtype=complex))
@@ -636,30 +636,20 @@ def _ratios(sd, blocks) -> ScaledArray:
             theta = table[np.concatenate([index[i][k] for i in group])]
             out = out.times(theta) if k < num else out.over(theta)
         w = np.repeat(np.array([_exponent(terms[i][1], integrals) for i in group], dtype=complex), counts)
-        parts.append(out.times_exp(w).negated(np.repeat([terms[i][1].sign < 0 for i in group], counts)))
-    products = ScaledArray(
-        np.concatenate([p.mantissa for p in parts]), np.concatenate([p.log_scale for p in parts])
-    )
-    # the rows of each term in ``products``, and of each block in the result
-    order = [i for group in shapes.values() for i in group]
-    starts = np.cumsum([0] + [sizes[terms[i][0]] for i in order]).tolist()
-    term_rows = {i: np.arange(start, start + sizes[terms[i][0]]) for i, start in zip(order, starts)}
-    mains = np.cumsum([0] + [1 + len(f.bracket) for _, f in blocks]).tolist()  # term index of each main
-    starts = np.cumsum([0] + sizes).tolist()
+        out = out.times_exp(w).negated(np.repeat([terms[i][1].sign < 0 for i in group], counts))
+        ends = np.cumsum(counts).tolist()
+        for i, start, end in zip(group, [0] + ends, ends):
+            products[i] = out[start:end]
 
-    out = products[np.concatenate([term_rows[mains[b]] for b in range(len(blocks))])]
-    widths: dict[int, list[int]] = {}
-    for b, (_, f) in enumerate(blocks):
+    # each block's terms follow one another: its main product, then its bracket's
+    pending = iter(products)
+    ratios = []
+    for _, f in blocks:
+        ratio = next(pending)
         if f.bracket:
-            widths.setdefault(len(f.bracket), []).append(b)
-    for width, group in widths.items():
-        acc = products[np.concatenate([term_rows[mains[b] + 1] for b in group])]
-        for t in range(2, width + 1):
-            acc = acc.plus(products[np.concatenate([term_rows[mains[b] + t] for b in group])])
-        rows = np.concatenate([np.arange(starts[b], starts[b + 1]) for b in group])
-        # ``out`` owns its arrays (a gather), so the bracketed rows are replaced in place
-        bracketed = out[rows].times(acc)
-        out.mantissa[rows], out.log_scale[rows] = bracketed.mantissa, bracketed.log_scale
+            ratio = ratio.times(reduce(ScaledArray.plus, islice(pending, len(f.bracket))))
+        ratios.append(ratio)
+    out = ScaledArray(np.concatenate([r.mantissa for r in ratios]), np.concatenate([r.log_scale for r in ratios]))
     return out.times(sd.normalization.ratio()).negated(np.repeat([f.sign < 0 for _, f in blocks], sizes))
 
 
@@ -810,7 +800,7 @@ def build_field(sd, radius: int) -> StencilField:
     # model's per-site builder per site (coeff_calls == 14); the tracer rebinds
     # the module globals, so the builder is read from them at call time.  Each
     # call returns a view of its site's row, which is dropped.  The loop goes
-    # once the counters live in the package (ROADMAP item 1).
+    # once the benchmark no longer counts these calls.
     builder = cross_coefficients if sd.model == "cross" else hex_coefficients
     for site in sites:
         builder(sd, site, field)
@@ -1219,7 +1209,7 @@ def _oracle_chunk(model: Model, grid: PsiGrid, sites, neighbors, units):
     # counts one nullspace_oracle call and one np.linalg.svd call per site
     # (oracle_calls == svd_calls == 7).  One stacked SVD, which gave the same
     # bits at every site of radius-20 windows, waits until the counters live
-    # in the package (ROADMAP item 1).
+    # in the package and the benchmark no longer counts these calls.
     for i, matrix in enumerate(matrices):
         try:
             sing[i], kernels[i] = nullspace_oracle(matrix)
@@ -1371,16 +1361,15 @@ def gauge_transform(field: StencilField, gauge: GaugeField) -> StencilField:
 
 
 # a probe's least distance from the marked and divisor points and from the
-# other probes, and the draws allowed to place them all
+# other probes
 _PROBE_MIN_AVOID = 0.05
 _PROBE_MIN_PAIRWISE = 0.02
-_PROBE_MAX_TRIES = 1000
 
 
 def sample_probes(sd, count: int, seed: int) -> list[SurfacePoint]:
     """Deterministic quasi-uniform probe points on the curve.
 
-    Draws with :meth:`SpectralCurve.sample_points`, clear of the marked
+    Draws with :meth:`TorusCurve.sample_points`, clear of the marked
     and divisor points.  The marked points are the poles whose
     translates the base-to-probe path must clear, so downstream
     integrals never fight the pole guard.
@@ -1388,5 +1377,5 @@ def sample_probes(sd, count: int, seed: int) -> list[SurfacePoint]:
     marked = list(sd.marked.values())
     return sd.curve.sample_points(
         np.random.default_rng(seed), count, marked + list(sd.divisor),
-        _PROBE_MIN_AVOID, _PROBE_MIN_PAIRWISE, _PROBE_MAX_TRIES, poles=marked,
+        _PROBE_MIN_AVOID, _PROBE_MIN_PAIRWISE, poles=marked,
     )

@@ -46,6 +46,7 @@ from .theta import PeriodMatrix, theta_eval_batch, theta_eval_scaled
 
 _POLE_TOL = 1e-8
 _PATH_CLEARANCE = 1e-3
+_MAX_DRAWS = 1000
 _BILINEAR_TOL = 1e-8
 _KCHECK_REL = 1e-10
 _CONTINUATION_STACK_CAP = 64
@@ -143,55 +144,6 @@ class SpectralCurve:
         """``b_period_vector`` of each ``(Pplus, Pminus)`` pair, in order."""
         return self.b_periods_and_integrals(pairs, [])[0]
 
-    def _path_clearances(self, lifts: list[complex], poles) -> np.ndarray:
-        """Distance from each base-to-lift integration path to the poles (none for stored tables)."""
-        return np.full(len(lifts), math.inf)
-
-    def sample_points(
-        self, rng, count: int, avoid, min_avoid: float, min_pairwise: float, max_tries: int, poles=()
-    ) -> list[SurfacePoint]:
-        """Rejection-sample ``count`` lifts uniformly from the fundamental cell.
-
-        Each draw is ``base + 2*pi*i*rng.random() + B*rng.random()``.
-        It is rejected within ``min_avoid`` cover distance of a point of
-        the non-empty ``avoid``, within ``min_pairwise`` of a lift kept
-        (an earlier draw of the same batch included), and, when ``poles``
-        are given, if its base-to-lift path passes within 1e-3 of a pole
-        translate.  Each batch of draws is screened in two
-        :meth:`cover_distance` tables, draws against ``avoid`` and draws
-        against the lifts kept and the batch itself; the draws are then
-        accepted in order.  Raises :class:`SeparationFailure` after
-        ``max_tries`` draws, and ``ValueError`` for an empty ``avoid``.
-        """
-        B = self.pm.B
-        avoid = np.array([p.lift for p in avoid], dtype=complex)
-        if not avoid.size:
-            raise ValueError("sample_points needs a non-empty avoid")
-        kept: list[complex] = []
-        tries = 0
-        while len(kept) < count and tries < max_tries:
-            # each lift still missing takes a draw of its own, so drawing them
-            # together never takes more draws than drawing one at a time
-            draws = min(count - len(kept), max_tries - tries)
-            tries += draws
-            lifts = [
-                self.base_lift + 2j * math.pi * rng.random() + B * rng.random() for _ in range(draws)
-            ]
-            accept = ~(self.cover_distance(lifts, avoid).min(axis=1) < min_avoid)
-            if poles:
-                accept &= ~(self._path_clearances(lifts, poles) < _PATH_CLEARANCE)
-            near = self.cover_distance(lifts, kept + lifts) < min_pairwise
-            accept &= ~near[:, : len(kept)].any(axis=1)
-            # draw i against the earlier draws of the batch, which are settled
-            # by the time it is reached
-            near = np.tril(near[:, len(kept) :], -1)
-            for i in np.flatnonzero(near.any(axis=1)):
-                accept[i] &= not (near[i] & accept).any()
-            kept += itertools.compress(lifts, accept.tolist())
-        if len(kept) < count:
-            raise SeparationFailure(f"placed {len(kept)} of {count} points in {max_tries} draws")
-        return [SurfacePoint(lift) for lift in kept]
-
 
 class TorusCurve(SpectralCurve):
     """The curve with everything computed analytically.
@@ -214,6 +166,51 @@ class TorusCurve(SpectralCurve):
         # (pole, a, b) segments _path_clearances measured at least _PATH_CLEARANCE from the pole
         self._clear_segments: set[tuple[complex, complex, complex]] = set()
         self._constants_validated = False
+
+    def sample_points(
+        self, rng, count: int, avoid, min_avoid: float, min_pairwise: float, poles=()
+    ) -> list[SurfacePoint]:
+        """Rejection-sample ``count`` lifts uniformly from the fundamental cell.
+
+        Each draw is ``base + 2*pi*i*rng.random() + B*rng.random()``.
+        It is rejected within ``min_avoid`` cover distance of a point of
+        the non-empty ``avoid``, within ``min_pairwise`` of a lift kept
+        (an earlier draw of the same batch included), and, when ``poles``
+        are given, if its base-to-lift path passes within 1e-3 of a pole
+        translate.  Each batch of draws is screened in two
+        :meth:`cover_distance` tables, draws against ``avoid`` and draws
+        against the lifts kept and the batch itself; the draws are then
+        accepted in order.  Raises :class:`SeparationFailure` after
+        ``_MAX_DRAWS`` draws, and ``ValueError`` for an empty ``avoid``.
+        """
+        B = self.pm.B
+        avoid = np.array([p.lift for p in avoid], dtype=complex)
+        if not avoid.size:
+            raise ValueError("sample_points needs a non-empty avoid")
+        kept: list[complex] = []
+        tries = 0
+        while len(kept) < count and tries < _MAX_DRAWS:
+            # each lift still missing takes a draw of its own, so drawing them
+            # together never takes more draws than drawing one at a time
+            draws = min(count - len(kept), _MAX_DRAWS - tries)
+            tries += draws
+            lifts = [
+                self.base_lift + 2j * math.pi * rng.random() + B * rng.random() for _ in range(draws)
+            ]
+            accept = ~(self.cover_distance(lifts, avoid).min(axis=1) < min_avoid)
+            if poles:
+                accept &= ~(self._path_clearances(lifts, poles) < _PATH_CLEARANCE)
+            near = self.cover_distance(lifts, kept + lifts) < min_pairwise
+            accept &= ~near[:, : len(kept)].any(axis=1)
+            # draw i against the earlier draws of the batch, which are settled
+            # by the time it is reached
+            near = np.tril(near[:, len(kept) :], -1)
+            for i in np.flatnonzero(near.any(axis=1)):
+                accept[i] &= not (near[i] & accept).any()
+            kept += itertools.compress(lifts, accept.tolist())
+        if len(kept) < count:
+            raise SeparationFailure(f"placed {len(kept)} of {count} points in {_MAX_DRAWS} draws")
+        return [SurfacePoint(lift) for lift in kept]
 
     # -- prime-form surrogate -------------------------------------------------
 

@@ -427,7 +427,7 @@ def drawn_spectral_data(model, curve):
     names = cls.marked_names
     points = curve.sample_points(
         np.random.default_rng(4), len(names) + 1, avoid=[curve.point(curve.base_lift)],
-        min_avoid=0.1, min_pairwise=0.1, max_tries=1000,
+        min_avoid=0.1, min_pairwise=0.1,
     )
     return cls(curve, dict(zip(names, points)), points[len(names):])
 

@@ -170,27 +170,22 @@ def test_verify_rejects_tabulated_backend(workspace, tmp_path):
     assert main(["verify", "-i", str(moved), "--window", "1", "--probes", "12"]) == 2
 
 
-def test_shallow_curve_refusal(tmp_path):
+def test_shallow_curve_refusal(tmp_path, capsys):
     # Re(B) >= -3 has too little decay for reliable lattice sums
-    assert (
-        main(
-            [
-                "gen-spectral",
-                "--model", "cross",
-                "--b-re", "-2",
-                "-o", str(tmp_path / "bad.json"),
-            ]
-        )
-        == 2
-    )
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-spectral", "--model", "cross", "--b-re", "-2", "-o", str(tmp_path / "bad.json")])
+    assert exc.value.code == 2
+    assert "argument --b-re: expected a number in [-10000, -3], got '-2'" in capsys.readouterr().err
     assert not (tmp_path / "bad.json").exists()
 
 
 def test_a_period_below_the_reader_floor_is_refused(tmp_path, capsys):
     # a document gen-spectral writes must be one build and verify read back
     out = tmp_path / "deep.json"
-    assert main(["gen-spectral", "--model", "hex", "--b-re", "-20000", "-o", str(out)]) == 2
-    assert "must lie in [-10000, -3]" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["gen-spectral", "--model", "hex", "--b-re", "-20000", "-o", str(out)])
+    assert exc.value.code == 2
+    assert "argument --b-re: expected a number in [-10000, -3]" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -210,8 +205,10 @@ def test_b_im_applies_to_the_drawn_real_part(tmp_path):
 def test_a_period_beyond_the_im_bound_is_refused(tmp_path, capsys):
     out = tmp_path / "sheared.json"
     for b_im in ("1e5", "-1e5"):
-        assert main(["gen-spectral", "--model", "cross", f"--b-im={b_im}", "-o", str(out)]) == 2
-        assert "imaginary part must lie in [-5000, 5000]" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["gen-spectral", "--model", "cross", f"--b-im={b_im}", "-o", str(out)])
+        assert exc.value.code == 2
+        assert "argument --b-im: expected a number in [-5000, 5000]" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -323,6 +320,37 @@ def test_a_write_that_fails_midway_leaves_no_document(workspace, tmp_path, monke
         assert main(argv) == 2, argv[0]
         assert "No space left on device" in capsys.readouterr().err
         assert not any(tmp_path.iterdir()), argv[0]
+
+
+def test_a_write_through_a_link_that_fails_midway_removes_the_target_and_keeps_the_link(
+    workspace, tmp_path, monkeypatch, capsys
+):
+    spectral, _ = workspace["cross"]
+    link = tmp_path / "link.json"
+    link.symlink_to(tmp_path / "target.json")
+    _fill_disk_on_write(monkeypatch, link)
+    assert main(["build", "-i", str(spectral), "--window", "1", "-o", str(link)]) == 2
+    assert "No space left on device" in capsys.readouterr().err
+    assert link.is_symlink() and not (tmp_path / "target.json").exists()
+
+
+def test_an_interrupt_during_gen_spectral_leaves_neither_document(tmp_path, monkeypatch):
+    spectral = tmp_path / "s.json"
+
+    def interrupted_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if os.fspath(path) == os.fspath(spectral):
+
+            def write(text):
+                raise KeyboardInterrupt
+
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(crosshex.cli, "open", interrupted_open, raising=False)
+    with pytest.raises(KeyboardInterrupt):
+        main(["gen-spectral", "--model", "hex", "-o", str(spectral)])
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")

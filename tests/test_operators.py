@@ -34,7 +34,10 @@ from crosshex.operators import (
     HEX_FORMULAS_BY_RESIDUE,
     MODELS,
     GaugeField,
+    IntegralTerm,
+    ProductTerm,
     StencilField,
+    ThetaFactor,
     build_field,
     cross_coefficients,
     evaluate_ratio,
@@ -50,6 +53,7 @@ from crosshex.operators import (
     residual_report,
     sample_probes,
     window_sites,
+    _ratios,
     _unique_rows,
 )
 from crosshex.surface import export_curve_document, load_tabulated_curve, make_torus_curve
@@ -57,6 +61,7 @@ from crosshex.theta import ScaledArray
 
 from conftest import (
     REFERENCE_RELABEL,
+    _one_label_ratio,
     gauged_grid,
     halo_rows,
     label_shift,
@@ -305,6 +310,34 @@ def test_printed_residue0_formula_fails_and_correction_holds(hex_data, hex_probe
     bad = evaluate_ratio(hex_data, v, HEX_CASE0_F_AS_PRINTED).as_complex()
     assert abs(good - want) <= 1e-10 * abs(want)
     assert abs(bad - want) > 0.5 * abs(want)
+
+
+def _bracketed_formulas():
+    """Cross v (even class) with no bracket, its two-term bracket, and a three-term one no table has."""
+    v = next(f for f in CROSS_EVEN_FORMULAS if f.coeff == "v")
+    third = ProductTerm(
+        sign=-1,
+        theta_num=(ThetaFactor("P1-", (1, 0, 1)),),
+        theta_den=(ThetaFactor("P3-", (0, 0, 1)),),
+        integrals=(IntegralTerm(1, "P2-", ("P3+", "P3-")),),
+    )
+    return replace(v, bracket=()), v, replace(v, bracket=v.bracket + (third,))
+
+
+def test_a_three_term_bracket_matches_the_one_label_reference(cross_data):
+    *_, three = _bracketed_formulas()
+    for site in window_sites("cross", 2)[::3]:
+        v = relabel_cross(site)
+        got = scalars(evaluate_ratio(cross_data, v, three))
+        assert repr(got) == repr([_one_label_ratio(cross_data, v, three)]), site
+
+
+def test_one_ratios_call_over_any_bracket_lengths_matches_the_per_block_calls(cross_data):
+    labels = cross_data.label_array([relabel_cross(site) for site in window_sites("cross", 2)])
+    none, two, three = _bracketed_formulas()
+    blocks = [(labels[:7], two), (labels[7:9], none), (labels[9:16], three), (labels[16:], two), (labels[:5], three)]
+    want = [ratio for block in blocks for ratio in scalars(_ratios(cross_data, [block]))]
+    assert repr(scalars(_ratios(cross_data, blocks))) == repr(want)
 
 
 def test_every_formula_declares_its_transcription():

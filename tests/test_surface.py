@@ -540,12 +540,12 @@ def test_straight_path_through_pole_is_refused(torus):
         torus.third_kind_integral(torus.point(0.7 * b), plus, minus)
 
 
-def test_sample_points_keeps_its_separations(torus):
+def test_sample_points_keeps_its_separations(torus, monkeypatch):
     poles = [cell_point(torus, 0.2, 0.6), cell_point(torus, 0.7, 0.3)]
     avoid = [torus.point(torus.base_lift)] + poles
 
     def draw(seed, **changes):
-        kwargs = dict(avoid=avoid, min_avoid=0.3, min_pairwise=0.2, max_tries=1000, poles=poles)
+        kwargs = dict(avoid=avoid, min_avoid=0.3, min_pairwise=0.2, poles=poles)
         return torus.sample_points(np.random.default_rng(seed), 12, **{**kwargs, **changes})
 
     points = draw(3)
@@ -555,13 +555,14 @@ def test_sample_points_keeps_its_separations(torus):
         assert all(torus.cover_distance(p.lift, q.lift) >= 0.2 for q in points[:i])
         for pole in poles:
             assert torus._segment_pole_distance(pole.lift, torus.base_lift, p.lift) >= 1e-3
+    monkeypatch.setattr(surface, "_MAX_DRAWS", 60)
     with pytest.raises(SeparationFailure):
-        draw(0, min_pairwise=50.0, max_tries=60)
+        draw(0, min_pairwise=50.0)
 
 
 def test_sample_points_refuses_an_empty_avoid(torus):
     with pytest.raises(ValueError, match="non-empty avoid"):
-        torus.sample_points(np.random.default_rng(0), 4, [], 0.05, 0.02, 100)
+        torus.sample_points(np.random.default_rng(0), 4, [], 0.05, 0.02)
 
 
 def _sample_points_one_at_a_time(curve, rng, count, avoid, min_avoid, min_pairwise, max_tries, poles):
@@ -606,12 +607,13 @@ def test_sample_points_draws_what_one_draw_at_a_time_draws(monkeypatch):
     refused = np.zeros(4, dtype=int)
     failures = 0
 
-    def compare(curve, args, poles):
+    def compare(curve, args, draws, poles):
         nonlocal refused, failures
         seed = int(rng.integers(1 << 30))
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        monkeypatch.setattr(surface, "_MAX_DRAWS", draws)
         got = _sample_points_batched(curve, got_rng, *args, poles=poles)
-        want, counts = _sample_points_one_at_a_time(curve, want_rng, *args, poles)
+        want, counts = _sample_points_one_at_a_time(curve, want_rng, *args, draws, poles)
         assert got == want, (curve.pm.B, args[0])
         assert got_rng.random() == want_rng.random()
         refused += counts
@@ -624,10 +626,10 @@ def test_sample_points_draws_what_one_draw_at_a_time_draws(monkeypatch):
             sd = drawn_spectral_data(model, curve)
             marked = list(sd.marked.values())
             for count in (8, 20, 60, 300):
-                compare(curve, (count, marked + list(sd.divisor), 0.05, 0.02, 1000), marked)
+                compare(curve, (count, marked + list(sd.divisor), 0.05, 0.02), 1000, marked)
             # tight: draws of the first batch refuse each other, and some runs fail
             for count, pairwise in ((60, 0.6), (20, 1.5)):
-                compare(curve, (count, marked + list(sd.divisor), 0.05, pairwise, 2 * count), marked)
+                compare(curve, (count, marked + list(sd.divisor), 0.05, pairwise), 2 * count, marked)
     assert refused[3] > 0 and failures > 0, (refused, failures)
     # a wide path clearance, so that every check refuses some draws
     monkeypatch.setattr(surface, "_PATH_CLEARANCE", 0.2)
@@ -635,7 +637,7 @@ def test_sample_points_draws_what_one_draw_at_a_time_draws(monkeypatch):
     for _ in range(6):
         curve = make_torus_curve(complex(rng.uniform(-8, -3), rng.uniform(-3, 3)))
         poles = [cell_point(curve, *rng.uniform(0, 1, 2)) for _ in range(6)]
-        compare(curve, (30, [curve.point(curve.base_lift)] + poles, 0.3, 0.4, 500), poles)
+        compare(curve, (30, [curve.point(curve.base_lift)] + poles, 0.3, 0.4), 500, poles)
     assert refused[:3].min() > 0, refused
 
 
