@@ -54,6 +54,8 @@ _CONTINUATION_STACK_CAP = 64
 _BCYCLE_STARTS = ((0.317, 0.473), (0.137, 0.613), (0.791, 0.215), (0.057, 0.349), (0.503, 0.867))
 # (m, n) offsets of the 9 lattice translates cover_distance tries around the nearest one
 _OFFSET_M, _OFFSET_N = np.indices((3, 3)).reshape(2, -1) - 1
+# elements of (translate, distance) temporaries cover_distance takes in one group
+_COVER_BLOCK = 4096
 # CPython's float ** 2 is libm pow, which rounds differently from x * x for some x
 _square = np.frompyfunc(lambda x: x**2, 1, 1)
 # (segment, translate) pairs TorusCurve._segment_pole_distance handles at once
@@ -103,10 +105,11 @@ class SpectralCurve:
         For a complex ``lift`` and a complex ``others`` the result is a
         ``float``; for a 1-D array of N lifts in ``others`` it is an array
         of the N distances; for a 1-D array of L lifts in ``lift`` it
-        gains a leading axis, one row per lift (an (L, N) table).  Each
-        of the 9 translates around the nearest lattice vector of every
-        difference takes one vectorised pass, and a running minimum keeps
-        every temporary the size of the result.
+        gains a leading axis, one row per lift (an (L, N) table).  The 9
+        translates around the nearest lattice vector of every difference
+        are a leading axis, taken in groups whose temporaries hold at most
+        ``_COVER_BLOCK`` elements: all 9 in one pass for a table of up to
+        455 distances, one at a time with a running minimum from 2,049.
         """
         lift = np.asarray(lift, dtype=complex)
         others = np.asarray(others, dtype=complex)
@@ -117,10 +120,22 @@ class SpectralCurve:
         delta = np.subtract.outer(lift, others)
         s, t = self.lattice_coords(delta)
         m, n = np.rint(s), np.rint(t)
+        group = max(1, _COVER_BLOCK // max(1, delta.size))
+        if group == 1:
+            # scalar offsets keep every temporary the table's shape
+            offsets = zip(_OFFSET_M, _OFFSET_N)
+        else:
+            axes = (-1,) + (1,) * delta.ndim
+            offsets = [
+                (_OFFSET_M[i : i + group].reshape(axes), _OFFSET_N[i : i + group].reshape(axes))
+                for i in range(0, len(_OFFSET_M), group)
+            ]
         least = None
-        for dm, dn in zip(_OFFSET_M, _OFFSET_N):
+        for dm, dn in offsets:
             diff = delta - (2j * math.pi * (m + dm) + self.pm.B * (n + dn))
             square = diff.real * diff.real + diff.imag * diff.imag
+            if group > 1:
+                square = square.min(axis=0)
             least = square if least is None else np.minimum(least, square)
         # sqrt(re*re + im*im), not abs(): hypot rounds differently in the last
         # bit; sqrt rounds monotonically, so the root of the least square is
@@ -474,31 +489,30 @@ def _validate_constants(curve: SpectralCurve, K: complex) -> None:
     pm = curve.pm
     theta0_log = theta_eval_scaled(pm, 0j).log_abs
     resid_log = theta_eval_scaled(pm, -K).log_abs
+    # compared and reported as logs: the ratio itself overflows a float past e**709
     if not (resid_log - theta0_log <= math.log(_KCHECK_REL)):
         raise ConsistencyFailure(
             "Riemann constants failed the vanishing check: "
-            f"|Theta(-K)| / |Theta(0)| = {math.exp(resid_log - theta0_log):.3e}"
+            f"log10(|Theta(-K)| / |Theta(0)|) = {(resid_log - theta0_log) / math.log(10.0):.3f}"
         )
     B = pm.B
     base = curve.base_lift
     # probe 'divisor' point at fixed fractional coordinates
     u1 = base + 2j * math.pi * 0.37 + B * 0.61
-    nodes = [
-        base + 2j * math.pi * ((j + 0.5) / 10.0) + B * ((k + 0.5) / 10.0)
-        for j in range(10)
-        for k in range(10)
-    ]
-    mantissa = theta_eval_batch(pm, np.array([(u - u1) - K for u in nodes])).mantissa
-    sizes = np.hypot(mantissa.real, mantissa.imag).tolist()
-    median = float(np.median(sizes))
+    # node 10 j + k sits at cell fractions ((j + 0.5) / 10, (k + 0.5) / 10)
+    fractions = (np.arange(10) + 0.5) / 10.0
+    nodes = (base + 2j * math.pi * fractions[:, None] + B * fractions).ravel()
+    mantissa = theta_eval_batch(pm, (nodes - u1) - K).mantissa
+    sizes = np.hypot(mantissa.real, mantissa.imag)
+    ordered = np.sort(sizes)
+    median = float((ordered[49] + ordered[50]) / 2.0)  # the two middle ones of 100
     cell = min(2.0 * math.pi, abs(B))
-    for u, size in zip(nodes, sizes):
-        if size < 1e-3 * median:
-            if curve.cover_distance(u, u1) > 0.25 * cell:
-                raise ConsistencyFailure(
-                    "Riemann-constant grid scan found an unexpected theta zero away from the "
-                    f"probe point (peak-relative |Theta| = {size:.3e}, median {median:.3e})"
-                )
+    for i in np.flatnonzero(sizes < 1e-3 * median):
+        if curve.cover_distance(nodes[i], u1) > 0.25 * cell:
+            raise ConsistencyFailure(
+                "Riemann-constant grid scan found an unexpected theta zero away from the "
+                f"probe point (peak-relative |Theta| = {sizes[i]:.3e}, median {median:.3e})"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +737,8 @@ def load_tabulated_curve(document: dict) -> TabulatedCurve:
     Structural problems raise :class:`SchemaError`; well-formed data
     that fails a recomputable invariant (stored b-periods vs Abel
     differences to 1e-8, opposite-orientation integral pairs, the
-    Riemann-constant vanishing check) raises :class:`ConsistencyFailure`.
+    Riemann-constant vanishing check, each integral against its closed
+    form) raises :class:`ConsistencyFailure`.
     """
     curve = _read_curve_document(document)
     marked = curve.marked
@@ -744,7 +759,27 @@ def load_tabulated_curve(document: dict) -> TabulatedCurve:
                     f"stored integrals {_INTEGRAL_KEY.format(endpoint, a_name, b_name)!r} and "
                     f"{_INTEGRAL_KEY.format(*flipped)!r} are not negatives (|sum| = {mismatch:.3e})"
                 )
-    _validate_constants(curve, curve.riemann_constants())
+    K = curve.riemann_constants()
+    _validate_constants(curve, K)
+    # each integral against its closed form, modulo 2*pi*i: int_{P0}^{S} Omega_{A,B} is
+    # [log E(S - A) - log E(P0 - A)] - [log E(S - B) - log E(P0 - B)], with E(u) = Theta(u - K)
+    keys = list(integrals)
+    end, plus, minus = np.array([[marked[name].lift for name in key] for key in keys], dtype=complex).reshape(-1, 3).T
+    base = curve.base_lift
+    theta = theta_eval_batch(curve.pm, np.stack([end - plus, base - plus, end - minus, base - minus], axis=1) - K)
+    stored = np.array([integrals[key] for key in keys], dtype=complex)
+    # a zero theta value gives a NaN mismatch, which is refused; |value| may overflow to inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logs = np.log(theta.mantissa) + theta.log_scale
+        gap = stored - ((logs[:, 0] - logs[:, 1]) - (logs[:, 2] - logs[:, 3]))
+        mismatch = np.hypot(gap.real, gap.imag - 2.0 * math.pi * np.rint(gap.imag / (2.0 * math.pi)))
+        refused = np.flatnonzero(~(mismatch <= _BILINEAR_TOL * np.maximum(1.0, np.abs(stored))))
+    if refused.size:
+        i = refused[0]
+        raise ConsistencyFailure(
+            f"stored integral {_INTEGRAL_KEY.format(*keys[i])!r} disagrees with its closed form by "
+            f"{mismatch[i]:.3e} modulo 2*pi*i"
+        )
     return curve
 
 

@@ -158,6 +158,40 @@ def test_tabulated_backend_reproduces_the_build(workspace, tmp_path):
     assert built["sites"] == reference["sites"]
 
 
+def _tabulated_build(workspace, folder, change_curve) -> int:
+    """``build --window 1`` of the cross document on the tabulated backend, its curve document changed."""
+    spectral, _ = workspace["cross"]
+    sdoc = json.loads(spectral.read_text())
+    cdoc = json.loads((spectral.parent / sdoc["curve_ref"]).read_text())
+    change_curve(cdoc)
+    (folder / spectral.name).write_text(json.dumps({**sdoc, "backend": "tabulated"}))
+    (folder / sdoc["curve_ref"]).write_text(json.dumps(cdoc))
+    return main(["build", "-i", str(folder / spectral.name), "--window", "1", "-o", str(folder / "f.json")])
+
+
+def test_a_stored_integral_off_its_closed_form_fails_the_tabulated_build(workspace, tmp_path, capsys):
+    def shift(cdoc):
+        integrals = cdoc["third_kind_integrals"]
+        # no opposite-orientation partner is stored, so only the closed form can catch the change
+        assert "P1+|P2-,P2+" not in integrals
+        integrals["P1+|P2+,P2-"][0] += 0.5
+
+    capsys.readouterr()
+    assert _tabulated_build(workspace, tmp_path, shift) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification-grade failure: stored integral 'P1+|P2+,P2-' disagrees with its closed form")
+    assert not (tmp_path / "f.json").exists()
+
+
+def test_a_riemann_constant_far_from_the_theta_zero_fails_without_overflow(workspace, tmp_path, capsys):
+    # |Theta(-K)| / |Theta(0)| is beyond e**709 here, so the ratio itself would overflow
+    capsys.readouterr()
+    assert _tabulated_build(workspace, tmp_path, lambda cdoc: cdoc.update(riemann_constants=[1000.0, 0.0])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification-grade failure: Riemann constants failed the vanishing check: log10(")
+    assert "Traceback" not in err and not (tmp_path / "f.json").exists()
+
+
 def test_verify_rejects_tabulated_backend(workspace, tmp_path):
     spectral, _ = workspace["cross"]
     doc = json.loads(spectral.read_text())

@@ -90,7 +90,9 @@ def test_stacked_cover_distance_matches_the_per_offset_loop():
         for other, d in zip(others, stacked):
             single = curve.cover_distance(lift, other)
             assert type(single) is float
-            assert d == single == _per_offset_cover_distance(curve, lift, other)
+            assert d == single
+            assert np.array_equal(curve.cover_distance(np.array(lift), np.array(other)), single)
+            assert np.array_equal(single, _per_offset_cover_distance(curve, lift, other))
         with pytest.raises(DimensionMismatch):
             curve.cover_distance(lift, np.array(others).reshape(25, 2))
         # the lifts x others table: one row per lift, each row that lift's distances
@@ -106,6 +108,19 @@ def test_stacked_cover_distance_matches_the_per_offset_loop():
         shifts = rng.integers(-3, 4, size=(20, 2))
         translates = np.array([lift + 2j * math.pi * int(m) + B * int(n) for m, n in shifts])
         assert curve.cover_distance(lift, translates).max() <= 1e-12
+    # the tables sample_points and _check_separation take, verify's draw screen, and one
+    # table on each side of the size up to which the 9 translates go in one group
+    bound = surface._COVER_BLOCK // 9
+    for curve in curves[:2]:
+        B = curve.pm.B
+        for rows, cols in ((7, 1), (7, 6), (7, 7), (8, 8), (60, 7), (60, 60), (5, bound // 5), (1, bound + 1)):
+            lifts, others = (
+                curve.base_lift + 2j * math.pi * rng.uniform(-10, 10, size) + B * rng.uniform(-10, 10, size)
+                for size in (rows, cols)
+            )
+            table = curve.cover_distance(lifts, others)
+            reference = [[_per_offset_cover_distance(curve, a, b) for b in others.tolist()] for a in lifts.tolist()]
+            assert np.array_equal(table, reference), (rows, cols)
 
 
 def _point_segment_distance(q: complex, a: complex, b: complex) -> float:
@@ -520,6 +535,33 @@ def test_riemann_scan_refuses_a_far_node_near_zero(monkeypatch):
     monkeypatch.setattr(surface, "theta_eval_batch", one_tiny_far_node)
     with pytest.raises(ConsistencyFailure, match="unexpected theta zero"):
         surface._validate_constants(curve, K)
+
+
+def test_riemann_scan_takes_the_list_built_arguments_in_order(monkeypatch):
+    kernel = surface.theta_eval_batch
+    seen = []
+
+    def recording(pm, z):
+        seen.append(np.array(z))
+        return kernel(pm, z)
+
+    monkeypatch.setattr(surface, "theta_eval_batch", recording)
+    for B, base in ((-6.0, 0.0), (complex(-4.25, 3.0), 0.4 - 1.3j), (-1000.0, -2.5)):
+        curve = make_torus_curve(B, base_lift=base)
+        B = curve.pm.B
+        K = 1j * math.pi + B / 2.0
+        seen.clear()
+        surface._validate_constants(curve, K)
+        # the reference: the scan's nodes built one by one, row j of the cell's a-cycle fractions first
+        u1 = base + 2j * math.pi * 0.37 + B * 0.61
+        nodes = [
+            base + 2j * math.pi * ((j + 0.5) / 10.0) + B * ((k + 0.5) / 10.0)
+            for j in range(10)
+            for k in range(10)
+        ]
+        (scanned,) = seen
+        assert np.array_equal(scanned, [(u - u1) - K for u in nodes])
+        assert scanned[90] == ((base + 2j * math.pi * 0.95 + B * 0.05) - u1) - K
 
 
 def test_complex_period_backend():
