@@ -87,11 +87,14 @@ class _SpectralDataBase:
     """Shared machinery of the two spectral-data flavors.
 
     ``phi_scaled`` is the one evaluator of phi: a labels x probes grid,
-    one theta kernel call for its numerators and one :meth:`integrals`
-    call for the third-kind integrals.  The object holds a table of the
-    integrals it has tracked, keyed by (lift, pole names) and filled only
-    by :meth:`integrals`; everything else is fixed at construction.  Two
-    concurrent calls may track one integral twice, and store the same bits.
+    one theta kernel call for its numerators, one for the denominators
+    not yet tabled and one :meth:`integrals` call for the third-kind
+    integrals.  The object holds two tables: the integrals it has
+    tracked, keyed by (lift, pole names) and filled only by
+    :meth:`integrals`, and the theta denominators, keyed by lift and
+    filled only by :meth:`_table_denominators`; everything else is fixed
+    at construction.  Two concurrent calls may compute one entry twice,
+    and store the same bits.
     """
 
     model: str
@@ -113,6 +116,7 @@ class _SpectralDataBase:
         self.divisor = divisor
         self.normalization = normalization or ConstantNormalization()
         self._integrals: dict[tuple[complex, str, str], complex] = {}
+        self._denominators: dict[complex, ScaledArray] = {}
         self._check_separation()
 
         # the labels are paired with U in one stacked product (see _label_thetas)
@@ -217,10 +221,27 @@ class _SpectralDataBase:
 
     def denominator_scaled(self, P: SurfacePoint) -> ScaledArray:
         """The label-independent theta denominator at P, a 0-d ScaledArray guarded by the genericity floor."""
-        return self.require_generic(
-            theta_eval_scaled(self.curve.pm, self.curve.abel(P) + self._W),
-            f"theta denominator at lift {P.lift}",
-        )
+        if P.lift not in self._denominators:
+            self._table_denominators([P])
+        return self._denominators[P.lift]
+
+    def _table_denominators(self, points) -> None:
+        """Table the theta denominator at each point not yet tabled, from one kernel call.
+
+        Each value has the bits of ``theta_eval_scaled`` at the point's
+        ``abel + W``.  The first point whose value is below the genericity
+        floor, in the order given, is refused, and then nothing is tabled.
+        """
+        missing = {P.lift: P for P in points if P.lift not in self._denominators}
+        if not missing:
+            return
+        lifts = list(missing)
+        abel = np.array([self.curve.abel(P) for P in missing.values()], dtype=complex)
+        values = theta_eval_batch(self.curve.pm, abel + self._W)
+        low = np.flatnonzero(np.hypot(values.mantissa.real, values.mantissa.imag) < self._mantissa_floor)
+        if low.size:
+            self.require_generic(values[low[0]], f"theta denominator at lift {lifts[low[0]]}")
+        self._denominators.update((lift, values[k]) for k, lift in enumerate(lifts))
 
     def require_generic(self, theta_value: ScaledArray, what: str) -> ScaledArray:
         """Raise :class:`SingularEvaluation` if a theta value sits on the divisor.
@@ -258,7 +279,7 @@ class _SpectralDataBase:
         return value
 
     def phi_scaled(self, labels, probes) -> ScaledArray:
-        """phi at every label and probe, with one theta kernel call for the grid.
+        """phi at every label and probe, with one theta kernel call for the grid and one for its new denominators.
 
         ``labels`` holds one label per row (see :meth:`label_array`) and
         ``probes`` is a sequence of points; the result is a
@@ -267,6 +288,7 @@ class _SpectralDataBase:
         :class:`SingularEvaluation`.
         """
         coeffs = self.label_array(labels)[:, self.label_columns]
+        self._table_denominators(probes)
         dens = [self.denominator_scaled(P) for P in probes]
         den = ScaledArray(
             np.array([d.mantissa for d in dens], dtype=complex),

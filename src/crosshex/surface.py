@@ -749,31 +749,37 @@ def load_tabulated_curve(document: dict) -> TabulatedCurve:
                 f"stored b-period {_B_PERIOD_KEY.format(a_name, b_name)!r} disagrees with the Abel difference "
                 f"by {err:.3e}"
             )
-    integrals = curve._integrals
-    for (endpoint, a_name, b_name), value in integrals.items():
-        flipped = (endpoint, b_name, a_name)
-        if flipped in integrals:
-            mismatch = abs(value + integrals[flipped])
-            if mismatch > _BILINEAR_TOL * max(1.0, abs(value)):
-                raise ConsistencyFailure(
-                    f"stored integrals {_INTEGRAL_KEY.format(endpoint, a_name, b_name)!r} and "
-                    f"{_INTEGRAL_KEY.format(*flipped)!r} are not negatives (|sum| = {mismatch:.3e})"
-                )
     K = curve.riemann_constants()
     _validate_constants(curve, K)
-    # each integral against its closed form, modulo 2*pi*i: int_{P0}^{S} Omega_{A,B} is
+    # each integral's closed form, modulo 2*pi*i: int_{P0}^{S} Omega_{A,B} is
     # [log E(S - A) - log E(P0 - A)] - [log E(S - B) - log E(P0 - B)], with E(u) = Theta(u - K)
+    integrals = curve._integrals
     keys = list(integrals)
     end, plus, minus = np.array([[marked[name].lift for name in key] for key in keys], dtype=complex).reshape(-1, 3).T
     base = curve.base_lift
     theta = theta_eval_batch(curve.pm, np.stack([end - plus, base - plus, end - minus, base - minus], axis=1) - K)
     stored = np.array([integrals[key] for key in keys], dtype=complex)
-    # a zero theta value gives a NaN mismatch, which is refused; |value| may overflow to inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         logs = np.log(theta.mantissa) + theta.log_scale
-        gap = stored - ((logs[:, 0] - logs[:, 1]) - (logs[:, 2] - logs[:, 3]))
-        mismatch = np.hypot(gap.real, gap.imag - 2.0 * math.pi * np.rint(gap.imag / (2.0 * math.pi)))
-        refused = np.flatnonzero(~(mismatch <= _BILINEAR_TOL * np.maximum(1.0, np.abs(stored))))
+        closed = (logs[:, 0] - logs[:, 1]) - (logs[:, 2] - logs[:, 3])
+        # both checks scale with the closed form, so a stored value cannot widen its own
+        # tolerance; a zero theta value gives a closed form that is not finite, refused below
+        tolerance = np.where(np.isfinite(closed), _BILINEAR_TOL * np.maximum(1.0, np.abs(closed)), np.nan)
+        gap = stored - closed
+        # the subtraction and the reduction modulo 2*pi each round by up to about
+        # 2**-52 |Im gap|, which the mismatch counts in: past that it cannot tell 0 from pi
+        reduced = gap.imag - 2.0 * math.pi * np.rint(gap.imag / (2.0 * math.pi))
+        mismatch = np.hypot(gap.real, reduced) + 2.0**-51 * np.abs(gap.imag)
+        refused = np.flatnonzero(~(mismatch <= tolerance))
+    for (endpoint, a_name, b_name), value, tol in zip(keys, stored.tolist(), tolerance.tolist()):
+        flipped = (endpoint, b_name, a_name)
+        if flipped in integrals:
+            opposite = abs(value + integrals[flipped])
+            if opposite > tol:
+                raise ConsistencyFailure(
+                    f"stored integrals {_INTEGRAL_KEY.format(endpoint, a_name, b_name)!r} and "
+                    f"{_INTEGRAL_KEY.format(*flipped)!r} are not negatives (|sum| = {opposite:.3e})"
+                )
     if refused.size:
         i = refused[0]
         raise ConsistencyFailure(

@@ -44,14 +44,25 @@ _SHELL_CAP = 60
 THETA_EPS = 1e-13
 # theta_eval_batch runs the scalar kernel element by element while the
 # arguments times (head depth + 2) number fewer than this: a batched call costs
-# about 50-100 us up to a few dozen arguments, a scalar call about 2 us plus
-# 1.2 us per shell (2-core Xeon, Python 3.11, numpy 2.4).  The batched kernel
-# then takes 8 arguments and more at Re B -4.25, 10 at -6.75 and 13 at -40.
+# about 50-130 us up to a few dozen arguments, a scalar call about 1.1 us plus
+# 1.9 us per shell (2.4 us plus 1.9 us per shell with a closure per term, timed
+# side by side; 2-core Xeon, Python 3.11, numpy 2.4).  The batched kernel then
+# takes 8 arguments and more at Re B -4.25, 10 at -6.75 and 13 at -40, where
+# interleaved timings put the break-even at 9-10, 10 and about 15.
 _BATCH_CROSSOVER = 64
 # _lattice_sum_batch sums its arguments in chunks of this many, one head table
 # each: (2 depth + 1) rows of complex terms, about 320 kB at Re B -4.25 and
 # 3 MB at the shell cap, where one table over a whole array could be tens of MB
 _HEAD_LIMIT = 1536
+# _head decides stops from bounds on tables of this many terms and more, and
+# takes every magnitude with hypot on smaller ones: the bounds' dozen extra numpy
+# passes cost more than the hypot they save below about 1,650 terms at Re B -4.25,
+# where they leave a few pairs open, and below 1,000 at -6.75 (2-core Xeon,
+# Python 3.11, numpy 2.4; 1,000 interleaved pairs per size).  The 100-node
+# Riemann grid scan (1,300 terms at -4.25) keeps the hypot pass
+_BOUNDED_MIN = 1650
+# the relative slack of those bounds (see _bounded_stop)
+_BOUND_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -329,21 +340,20 @@ def _lattice_sum_1d(b: complex, z: complex) -> tuple[complex, float]:
         # where the scale has always started from +0.0
         scale = (0.5 * (n0 * b * n0) + n0 * z).real if n0 else 0.0
 
-        def term(N: int) -> complex:
-            return cmath.exp(0.5 * (b * N * N) + N * z - scale)
-
         acc = 0j
         quiet = 0
         for radius in range(_SHELL_CAP + 1):
             if radius == 0:
-                shell_sum = term(n0)
-                shell_mag = abs(shell_sum)
+                # 0j + the centre term: a -0.0 part of it becomes +0.0
+                acc += cmath.exp(0.5 * (b * n0 * n0) + n0 * z - scale)
+                shell_mag = abs(acc)
             else:
-                t0 = term(n0 - radius)
-                t1 = term(n0 + radius)
-                shell_sum = t0 + t1
+                N = n0 - radius
+                t0 = cmath.exp(0.5 * (b * N * N) + N * z - scale)
+                N = n0 + radius
+                t1 = cmath.exp(0.5 * (b * N * N) + N * z - scale)
+                acc += t0 + t1
                 shell_mag = abs(t0) + abs(t1)
-            acc += shell_sum
             # Stopping is gated on the magnitude sum, never the signed shell
             # sum: the terms of a single shell can hit a phase resonance and
             # cancel to machine noise while the next shell still carries real
@@ -396,30 +406,86 @@ def _batch_crossover(b: complex) -> int:
     return -(-_BATCH_CROSSOVER // (_head_depth(b) + 2))
 
 
+def _shells(x: np.ndarray, depth: int) -> np.ndarray:
+    """Row r: the entry of index n0 + r plus that of n0 - r (row 0: n0 alone), from a :func:`_head` table; in place."""
+    x[depth + 1 :] += x[:depth][::-1]
+    return x[depth:]
+
+
+def _bounded_stop(re_w: np.ndarray, depth: int) -> tuple[np.ndarray, tuple]:
+    """The shells of a :func:`_head` table quiet for certain, and the (row, element) pairs its bounds leave open.
+
+    ``re_w`` is the real part of each term's exponent ``w``, so
+    ``exp(re_w)`` bounds the term's magnitude ``|t|``, and a shell's
+    bound is the sum of its two terms' bounds.  On an open pair
+    :func:`_head` takes the exact test, ``|t(n0 - r)| + |t(n0 + r)| <
+    THETA_EPS * max(|S_r|, 1)`` with ``hypot`` magnitudes; elsewhere the
+    bounds give that test's answer:
+
+    - ``hypot`` of the two parts of the complex exp is within 4 ulps of
+      ``exp(re_w)`` (measured over 2e7 draws), apart from a few subnormal
+      ulps where a part underflows; a shell's two magnitudes and two
+      bounds are summed with one rounding each.  The running sum ``S_r``
+      of at most 121 terms is at most their magnitudes' sum times
+      ``(1 + 2**-53)**243``, within 3e-14 of the running sum of the
+      bounds.  ``_BOUND_SLACK`` (1e-12) covers each of the two, the
+      magnitudes and the sum, 30 times over.
+    - A shell is quiet for certain when its bound is below
+      ``THETA_EPS * (1 - slack)``: its magnitude is then below
+      ``THETA_EPS``, the least threshold there is.  It is loud for
+      certain when its bound is above ``THETA_EPS * (1 + slack)**2``
+      times the larger of 1 and the running bound, which bounds ``|S_r|``.
+    - A term whose exp underflows has a bound far below the quiet
+      threshold.  An overflowing exp or a NaN exponent gives an inf or
+      NaN bound, and so an inf or NaN running bound from there on, which
+      neither test takes.  Past an element's first non-finite term its
+      decisions do not matter: it sums that term whatever they are, and
+      :func:`_head` raises.
+    """
+    bound = _shells(np.exp(re_w), depth)
+    calm = bound < THETA_EPS * (1.0 - _BOUND_SLACK)
+    # the loud threshold, in place in the running bound
+    level = np.cumsum(bound, axis=0)
+    np.fmax(level, 1.0, out=level)
+    level *= THETA_EPS * (1.0 + _BOUND_SLACK) ** 2
+    decided = bound > level
+    decided |= calm
+    return calm, np.nonzero(~decided)
+
+
 def _head(b: complex, z, n0, scale, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Shells 0..depth of every element in one table: each element's sum at its stop, and whether it stopped.
 
     An element that does not stop in the table comes back with its sum
     after shell ``depth``.  A non-finite term in a shell an element uses
-    raises :class:`NonConvergent`.
+    raises :class:`NonConvergent`.  A table of ``_BOUNDED_MIN`` terms or
+    more takes ``hypot`` only where bounds cannot decide a stop (see
+    :func:`_bounded_stop`); a smaller one takes it everywhere, which
+    costs less there.
     """
     # row depth + k holds the term of index n0 + k, |k| <= depth
     offsets = np.arange(-depth, depth + 1)[:, None]
     N = n0 + offsets
-    t = np.exp(0.5 * (b * N * N) + N * z - scale)
+    w = 0.5 * (b * N * N) + N * z - scale
+    # the quiet shells the bounds decide, and the (row, element) pairs they leave open
+    calm, (r, i) = _bounded_stop(w.real, depth) if w.size >= _BOUNDED_MIN else (None, (None, None))
+    t = np.exp(w, out=w)
     finite = np.isfinite(t)
-    # row r: |t(n0 - r)| + |t(n0 + r)|, the scalar kernel's shell magnitude
-    mags = _abs(t)
-    mags[depth + 1 :] += mags[:depth][::-1]
-    mags = mags[depth:]
+    # row r: |t(n0 - r)| + |t(n0 + r)|, the scalar kernel's shell magnitude, where the bounds left it open
+    if calm is None:
+        mags = _shells(_abs(t), depth)
+    elif r.size:
+        mags = _abs(t[depth + r, i]) + np.where(r > 0, _abs(t[depth - r, i]), 0.0)
     # row r: shell r's sum, then the running sum after shell r (cumsum adds
     # row after row, as the scalar kernel does); adding 0j to the centre turns
     # a -0.0 part into +0.0, as the scalar kernel's sum from zeros does
-    sums = t[depth:]
-    sums[1:] += t[:depth][::-1]
+    sums = _shells(t, depth)
     sums[0] += 0j
     sums = np.cumsum(sums, axis=0)
-    calm = mags < THETA_EPS * np.fmax(_abs(sums), 1.0)
+    if calm is None:
+        calm = mags < THETA_EPS * np.fmax(_abs(sums), 1.0)
+    elif r.size:
+        calm[r, i] = mags < THETA_EPS * np.fmax(_abs(sums[r, i]), 1.0)
     # an element stops at the first radius r >= 1 quiet after a quiet r - 1
     pairs = calm[1:] & calm[:-1]
     done = pairs.any(axis=0)

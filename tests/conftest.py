@@ -164,6 +164,44 @@ def reference_theta(pm, z, eps=THETA_EPS, min_shells=0) -> ScaledComplex:
             quiet = 0
     raise NonConvergent("reference shell sum hit the shell cap")
 
+
+def reference_lattice_sum_1d(b: complex, z: complex) -> tuple[complex, float]:
+    """Reference: the scalar theta kernel with one closure call per term, as ``_lattice_sum_1d`` was written.
+
+    ``crosshex.theta._lattice_sum_1d`` must return its (mantissa, log
+    scale) pair, signed zeros included, and raise where it raises.
+    """
+    if not cmath.isfinite(z):
+        raise NonConvergent(f"theta argument is not finite: {z}")
+    try:
+        n0 = round(-z.real / b.real)
+        scale = (0.5 * (n0 * b * n0) + n0 * z).real if n0 else 0.0
+
+        def term(N: int) -> complex:
+            return cmath.exp(0.5 * (b * N * N) + N * z - scale)
+
+        acc = 0j
+        quiet = 0
+        for radius in range(61):
+            if radius == 0:
+                shell_sum = term(n0)
+                shell_mag = abs(shell_sum)
+            else:
+                t0 = term(n0 - radius)
+                t1 = term(n0 + radius)
+                shell_sum = t0 + t1
+                shell_mag = abs(t0) + abs(t1)
+            acc += shell_sum
+            if shell_mag < THETA_EPS * max(1.0, abs(acc)):
+                quiet += 1
+                if quiet >= 2:
+                    return acc, scale
+            else:
+                quiet = 0
+    except (OverflowError, ValueError) as exc:
+        raise NonConvergent(f"theta lattice sum overflowed at argument {z}") from exc
+    raise NonConvergent(f"lattice sum did not reach relative tail {THETA_EPS:g} within 60 shells")
+
 # fundamental-cell fractions (s, t): lift = 2*pi*i*s + B*t
 CELL_FRACTIONS = (
     (0.13, 0.71),

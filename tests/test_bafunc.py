@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from crosshex import bafunc
 from crosshex.bafunc import ConstantNormalization, SpectralDataCross, SpectralDataHex
 from crosshex.errors import (
     ConsistencyFailure,
@@ -14,6 +15,7 @@ from crosshex.errors import (
 )
 from crosshex.labels import CROSS_LATTICE, HEX_LATTICE, relabel_cross, relabel_hex, stencil_offsets
 from crosshex.operators import MODELS, evaluate_ratio, psi_grid
+from crosshex.theta import theta_eval_scaled
 
 from conftest import (
     CELL_FRACTIONS,
@@ -151,6 +153,71 @@ def test_singular_denominator_is_refused_on_every_call(cross_data):
     for _ in range(2):
         with pytest.raises(SingularEvaluation):
             cross_data.denominator_scaled(near)
+
+
+def _fresh(sd):
+    """A spectral-data object like ``sd`` with empty tables."""
+    return type(sd)(sd.curve, dict(sd.marked), sd.divisor)
+
+
+def test_phi_takes_its_denominators_from_one_kernel_call(cross_data, cross_probes, monkeypatch):
+    sd = _fresh(cross_data)
+    calls = []
+    batch = bafunc.theta_eval_batch
+
+    def recording(pm, z):
+        calls.append(np.shape(z))
+        return batch(pm, z)
+
+    def refused(*args):
+        raise AssertionError("phi_scaled made a scalar theta call")
+
+    monkeypatch.setattr(bafunc, "theta_eval_batch", recording)
+    monkeypatch.setattr(bafunc, "theta_eval_scaled", refused)
+    labels = [CROSS_LABEL, (0, 1, -1)]
+    # the probes once more, in another order: one kernel call still covers them
+    probes = list(cross_probes) + list(cross_probes[::-1])
+    first = sd.phi_scaled(labels, probes)
+    assert calls == [(len(cross_probes),), (2, len(probes))]
+    # a second grid on the same probes reads the table: its numerators are the one call
+    calls.clear()
+    again = sd.phi_scaled(labels, probes)
+    assert calls == [(2, len(probes))]
+    assert repr(scalars(again)) == repr(scalars(first)) == repr(scalars(cross_data.phi_scaled(labels, probes)))
+
+
+def test_a_direct_denominator_has_the_bits_of_the_scalar_kernel(cross_data, cross_probes):
+    sd = _fresh(cross_data)
+
+    def want(P):
+        return repr(scalars(theta_eval_scaled(sd.curve.pm, sd.curve.abel(P) + sd._W)))
+
+    # a miss evaluates the one point; then the batched kernel tables all twelve
+    assert repr(scalars(sd.denominator_scaled(cross_probes[0]))) == want(cross_probes[0])
+    sd.phi_scaled([CROSS_LABEL], cross_probes)
+    for P in cross_probes:
+        got = sd.denominator_scaled(P)
+        assert got.shape == () and repr(scalars(got)) == want(P)
+
+
+def test_the_first_denominator_below_the_floor_is_refused_in_probe_order(cross_data, cross_probes):
+    sd = _fresh(cross_data)
+    divisor = sd.divisor[0].lift
+    near = [sd.curve.point(divisor + d * (0.3 + 0.4j)) for d in (1e-12, 3e-13)]
+    for first, second in (near, near[::-1]):
+        size = abs(complex(theta_eval_scaled(sd.curve.pm, sd.curve.abel(first) + sd._W).mantissa))
+        message = (
+            f"theta denominator at lift {first.lift} is below the genericity floor "
+            f"(|mantissa| = {size:.3e}; data non-generic or evaluation point too close to the divisor)"
+        )
+        for _ in range(2):  # nothing is tabled, so each call refuses again
+            with pytest.raises(SingularEvaluation) as info:
+                sd.phi_scaled([CROSS_LABEL], [cross_probes[0], first, cross_probes[1], second])
+            assert str(info.value) == message
+        # one point alone: the same message as before the table
+        with pytest.raises(SingularEvaluation) as info:
+            sd.denominator_scaled(first)
+        assert str(info.value) == message
 
 
 def test_non_finite_phi_is_refused(torus, cross_data, cross_probes):

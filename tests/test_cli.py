@@ -183,6 +183,19 @@ def test_a_stored_integral_off_its_closed_form_fails_the_tabulated_build(workspa
     assert not (tmp_path / "f.json").exists()
 
 
+def test_a_stored_integral_with_a_huge_imaginary_part_fails_the_tabulated_build(workspace, tmp_path, capsys):
+    # the tolerance scales with the closed form: scaled with the stored value it
+    # would be 1e12 here, and the mismatch modulo 2*pi is at most pi
+    def inflate(cdoc):
+        cdoc["third_kind_integrals"]["P1+|P2+,P2-"][1] = 1e20
+
+    capsys.readouterr()
+    assert _tabulated_build(workspace, tmp_path, inflate) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verification-grade failure: stored integral 'P1+|P2+,P2-' disagrees with its closed form")
+    assert not (tmp_path / "f.json").exists()
+
+
 def test_a_riemann_constant_far_from_the_theta_zero_fails_without_overflow(workspace, tmp_path, capsys):
     # |Theta(-K)| / |Theta(0)| is beyond e**709 here, so the ratio itself would overflow
     capsys.readouterr()

@@ -19,7 +19,7 @@ from crosshex.theta import (
     theta_eval_scaled,
 )
 
-from conftest import ScaledComplex, reference_theta, scalar, scalars
+from conftest import ScaledComplex, reference_lattice_sum_1d, reference_theta, scalar, scalars
 
 
 def _path_sizes(pm):
@@ -399,6 +399,181 @@ def test_batch_kernel_deepens_the_leftovers_of_every_chunk_in_place(monkeypatch)
     monkeypatch.setattr(theta, "_head_depth", lambda b: 1)
     assert [repr(v) for v in scalars(theta._lattice_sum_batch(pm.B, z))] == want
     assert [size for depth, size in calls if depth == 3] == [_HEAD_LIMIT, _HEAD_LIMIT, 7]
+
+
+def _both_stops(monkeypatch, b, z, depth, lift=0.0):
+    """``_head`` on one table with its stops decided from bounds and with hypot everywhere, and the open pairs.
+
+    Each result is the (sums, done) pair as reprs, which tell +0.0 from
+    -0.0, or the NonConvergent message.  ``lift`` raises every scale
+    above the peak's, which scales every term by ``exp(-lift)``.
+    """
+    z = np.asarray(z, dtype=complex)
+    n0 = np.rint(-z.real / b.real)
+    with np.errstate(all="ignore"):
+        scale = np.where(n0 != 0, (0.5 * (n0 * b * n0) + n0 * z).real, 0.0) + lift
+    bounded_stop, opened = theta._bounded_stop, []
+
+    def recording(re_w, depth):
+        calm, pairs = bounded_stop(re_w, depth)
+        opened.append(pairs[0].size)
+        return calm, pairs
+
+    monkeypatch.setattr(theta, "_bounded_stop", recording)
+    out = []
+    for limit in (0, math.inf):  # every table bounded, then none
+        monkeypatch.setattr(theta, "_BOUNDED_MIN", limit)
+        try:
+            with np.errstate(all="ignore"):
+                sums, done = theta._head(b, z, n0, scale, depth)
+            out.append((repr(sums.tolist()), repr(done.tolist())))
+        except NonConvergent as exc:
+            out.append(str(exc))
+    assert len(opened) <= 1
+    return out[0], out[1], sum(opened)
+
+
+def _shell_is_quiet(b, z, radius):
+    """Whether shell ``radius`` of theta at z passes the stop test, rounded as the scalar kernel rounds it."""
+    n0 = round(-z.real / b.real)
+    scale = (0.5 * (n0 * b * n0) + n0 * z).real if n0 else 0.0
+    t = {N: cmath.exp(0.5 * (b * N * N) + N * z - scale) for N in range(n0 - radius, n0 + radius + 1)}
+    acc = 0j + t[n0]
+    for r in range(1, radius + 1):
+        acc += t[n0 - r] + t[n0 + r]
+    mag = abs(t[n0 - radius]) + abs(t[n0 + radius]) if radius else abs(t[n0])
+    return mag < theta.THETA_EPS * max(1.0, abs(acc))
+
+
+@pytest.mark.parametrize(
+    "b, fixed, scan",
+    [
+        # |S_r| near 1 after cancellation, far below the running bound
+        (complex(-0.05, 0.02), "re 0.01", np.linspace(0.0, 2.0 * math.pi, 61)),
+        # |S_r| far below 1, so the threshold is THETA_EPS itself
+        (complex(-0.0501, 0.0), "im pi", np.linspace(0.0, 0.024, 49)),
+        # every term in phase, so the running bound is |S_r| to rounding
+        (complex(-0.0491, 0.0), "im 0", np.linspace(0.0, 0.024, 49)),
+    ],
+)
+def test_bounded_stop_matches_the_exact_stop_at_the_quiet_threshold(monkeypatch, b, fixed, scan):
+    """Arguments within 40 ulps of where a shell turns quiet: the bounds leave them open, and each stop is exact.
+
+    At Re B -0.05 the shells decay slowly, so the shell after a stop
+    still moves the sum's bits and a stop one shell off would show.  A
+    shell's magnitude depends on Re z only, its threshold on Im z too.
+    """
+    part, value = fixed.split()
+    value = math.pi if value == "pi" else float(value)
+
+    def point(s):
+        return complex(value, s) if part == "re" else complex(s, value)
+
+    scan = scan.tolist()
+    for radius in range(30, 45):
+        quiet = [_shell_is_quiet(b, point(s), radius) for s in scan]
+        flip = next((k for k in range(len(scan) - 1) if quiet[k] != quiet[k + 1]), None)
+        if flip is not None:
+            break
+    lo, hi = scan[flip], scan[flip + 1]  # the test differs at lo and hi
+    while math.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        if _shell_is_quiet(b, point(mid), radius) == quiet[flip]:
+            lo = mid
+        else:
+            hi = mid
+    window = [hi]
+    for _ in range(40):
+        window = [math.nextafter(window[0], -math.inf), *window, math.nextafter(window[-1], math.inf)]
+    z = np.array([point(s) for s in window[:-1]])  # 40 floats below hi and 40 from hi on
+    assert {_shell_is_quiet(b, w, radius) for w in z.tolist()} == {True, False}
+    bounded, exact, opened = _both_stops(monkeypatch, b, z, theta._head_depth(b))
+    assert bounded == exact and opened >= z.size
+    monkeypatch.setattr(theta, "_BOUNDED_MIN", 0)
+    got = theta._lattice_sum_batch(b, z)
+    assert [repr(v) for v in scalars(got)] == [repr(scalar(theta_eval_scaled(PeriodMatrix(b), w))) for w in z.tolist()]
+
+
+def test_bounded_stop_matches_the_exact_stop_on_underflowing_and_unused_non_finite_terms(monkeypatch):
+    rng = np.random.default_rng(43)
+    # shells 2 and 3 of these periods hold subnormal terms, or terms that underflow to 0
+    for re_b in (-160.0, -360.0, -375.0, -1000.0):
+        b = complex(re_b, rng.uniform(-3.0, 3.0))
+        z = _batch_draws(rng, 300)
+        bounded, exact, _ = _both_stops(monkeypatch, b, z, theta._head_depth(b))
+        assert bounded == exact, re_b
+    # N * z overflows past shell 5, where these elements stop, so the terms there go unused
+    b = complex(-4.25, 0.0)
+    z = np.full(150, 3.2e307j)
+    z[1::2] += 0.3
+    bounded, exact, _ = _both_stops(monkeypatch, b, z, theta._head_depth(b))
+    assert bounded == exact and not bounded[0].count("nan")
+    # a term used before the stop is not finite: both raise
+    z[7] = 1e308j
+    bounded, exact, _ = _both_stops(monkeypatch, b, z, theta._head_depth(b))
+    assert bounded == exact == "theta lattice sum overflowed"
+
+
+def test_bounded_stop_matches_the_exact_stop_below_the_peak_scale(monkeypatch):
+    """Terms scaled far below 1: the running bound under 1, and centre terms at the quiet threshold itself.
+
+    The kernels never scale a table so, but ``_head`` takes any scale,
+    and its stop test must not lean on the centre term being near 1.
+    """
+    rng = np.random.default_rng(53)
+    b = complex(-4.25, 0.4)
+    for lift in (5.0, 20.0, -math.log(theta.THETA_EPS)):
+        z = _batch_draws(rng, 400)
+        bounded, exact, opened = _both_stops(monkeypatch, b, z, theta._head_depth(b), lift)
+        assert bounded == exact, lift
+    # at the last lift nearly every centre term is within a few ulps of THETA_EPS, and the bounds leave it open
+    assert opened >= 350
+
+
+def test_tables_either_side_of_the_bounded_size_take_each_stop_with_the_same_bits(monkeypatch):
+    """A table one term short of ``_BOUNDED_MIN`` takes hypot everywhere, one of that size the bounds."""
+
+    def shape(size):
+        return next((depth, size // (2 * depth + 1)) for depth in range(1, 61) if size % (2 * depth + 1) == 0)
+
+    rng = np.random.default_rng(47)
+    limit = theta._BOUNDED_MIN
+    for size, bounded_path in ((limit - 1, False), (limit, True)):
+        depth, count = shape(size)
+        b = complex(-4.25, 0.4)
+        z = _batch_draws(rng, count)
+        calls = []
+        bounded_stop = theta._bounded_stop
+        monkeypatch.setattr(theta, "_bounded_stop", lambda re_w, d: calls.append(re_w.size) or bounded_stop(re_w, d))
+        with np.errstate(all="ignore"):
+            n0 = np.rint(-z.real / b.real)
+            scale = np.where(n0 != 0, (0.5 * (n0 * b * n0) + n0 * z).real, 0.0)
+            sums, done = theta._head(b, z, n0, scale, depth)
+        assert calls == ([size] if bounded_path else [])
+        monkeypatch.undo()
+        bounded, exact, _ = _both_stops(monkeypatch, b, z, depth)
+        assert bounded == exact == (repr(sums.tolist()), repr(done.tolist())), size
+        monkeypatch.undo()
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(
+    re_b=st.floats(-2000.0, -0.05),
+    im_b=st.sampled_from([0.0, -0.0]) | st.floats(-50.0, 50.0),
+    zr=st.sampled_from([0.0, -0.0]) | st.floats(-1e4, 1e4) | st.floats(-1e16, 1e16),
+    zi=st.sampled_from([0.0, -0.0]) | st.floats(-1e4, 1e4) | st.floats(-1e308, 1e308),
+)
+@example(re_b=-4.25, im_b=-0.0, zr=-0.0, zi=-0.0)
+@example(re_b=-1e-8 if False else -0.05, im_b=0.0, zr=1e10, zi=0.0)
+def test_scalar_kernel_matches_the_reference_with_a_closure_per_term(re_b, im_b, zr, zi):
+    b, z = complex(re_b, im_b), complex(zr, zi)
+    results = []
+    for kernel in (theta._lattice_sum_1d, reference_lattice_sum_1d):
+        try:
+            results.append(repr(kernel(b, z)))
+        except NonConvergent as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
 
 
 def _scaled_draws(rng, count):
