@@ -564,7 +564,8 @@ def test_tables_either_side_of_the_bounded_size_take_each_stop_with_the_same_bit
     zi=st.sampled_from([0.0, -0.0]) | st.floats(-1e4, 1e4) | st.floats(-1e308, 1e308),
 )
 @example(re_b=-4.25, im_b=-0.0, zr=-0.0, zi=-0.0)
-@example(re_b=-1e-8 if False else -0.05, im_b=0.0, zr=1e10, zi=0.0)
+@example(re_b=-5.0, im_b=1.0, zr=1e10, zi=0.0)  # the sum overflows
+@example(re_b=-1e-8, im_b=0.0, zr=30.0, zi=0.0)  # the shell cap
 def test_scalar_kernel_matches_the_reference_with_a_closure_per_term(re_b, im_b, zr, zi):
     b, z = complex(re_b, im_b), complex(zr, zi)
     results = []
