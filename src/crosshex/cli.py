@@ -94,8 +94,10 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # RecursionError: nesting deeper than the decoder's recursion limit
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, undecodable bytes and an integer
+        # literal past the interpreter's digit limit; RecursionError, nesting
+        # deeper than the decoder's recursion limit
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -168,7 +170,7 @@ def load_spectral_document(path: str):
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise SchemaError(f"{path}: seed must be a non-negative integer, got {seed!r}")
     curve_ref = doc.get("curve_ref")
-    if not isinstance(curve_ref, str) or not curve_ref:
+    if not isinstance(curve_ref, str) or not curve_ref or "\0" in curve_ref:
         raise SchemaError(f"{path}: curve_ref must be a nonempty path string")
     backend = doc.get("backend")
     if backend not in ("torus-analytic", "tabulated"):

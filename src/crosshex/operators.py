@@ -37,6 +37,7 @@ import numbers
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cache, cached_property, reduce
 from itertools import chain, compress, islice
+from typing import NoReturn
 
 import numpy as np
 
@@ -49,7 +50,7 @@ from .errors import (
     SingularEvaluation,
 )
 from .labels import CROSS_COEFFS, HEX_COEFFS, Lattice, stencil_offsets
-from .surface import SurfacePoint, complex_array_from_json
+from .surface import SurfacePoint, complex_array_from_json, complex_from_json
 from .theta import NumpyScaledArray, ScaledArray
 
 FIELD_DOC_FORMAT = "crosshex-field-v1"
@@ -563,24 +564,18 @@ def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     What ``np.unique(a, axis=0, return_inverse=True)`` gives, from one
     sort of int64 codes (several times faster): a row's code is its
     offsets from the column minima read as a mixed-radix number, one
-    digit per column.  Rows whose column spans multiply past int64 are
-    sorted by ``np.lexsort`` instead, into the same order.
+    digit per column.  An empty array, and rows whose column spans
+    multiply past int64, go to ``np.unique`` itself.
     """
-    if not len(a):
-        return a[:0], np.zeros(0, dtype=np.intp)
-    # column by column (several times faster than along axis 0), as exact Python ints
-    lo = [int(column.min()) for column in a.T]
-    spans = [int(column.max()) - low + 1 for column, low in zip(a.T, lo)]
-    if math.prod(spans) < 2**63:
-        strides = [math.prod(spans[j + 1 :]) for j in range(len(spans))]
-        codes, inverse = np.unique((a - lo) @ np.array(strides, dtype=np.int64), return_inverse=True)
-        return (codes[:, None] // strides % spans + lo).astype(a.dtype), inverse
-    order = np.lexsort(a.T[::-1])
-    ordered = a[order]
-    first = np.concatenate([[True], (ordered[1:] != ordered[:-1]).any(axis=1)])
-    inverse = np.empty(len(a), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
+    if len(a):
+        # column by column (several times faster than along axis 0), as exact Python ints
+        lo = [int(column.min()) for column in a.T]
+        spans = [int(column.max()) - low + 1 for column, low in zip(a.T, lo)]
+        if math.prod(spans) < 2**63:
+            strides = [math.prod(spans[j + 1 :]) for j in range(len(spans))]
+            codes, inverse = np.unique((a - lo) @ np.array(strides, dtype=np.int64), return_inverse=True)
+            return (codes[:, None] // strides % spans + lo).astype(a.dtype), inverse
+    return np.unique(a, axis=0, return_inverse=True)
 
 
 def _theta_table(sd, blocks, terms) -> tuple[ScaledArray, list[list[np.ndarray]]]:
@@ -890,30 +885,52 @@ def field_metadata(doc: dict) -> dict:
     return {"spectral_data_ref": ref, "seed": seed, "normalization": normalization.to_json()}
 
 
-def _site_refusal(model: Model, raw_sites) -> tuple | None:
-    """The first entry whose site the lattice refuses (stage 0) or repeats one before it (stage 1)."""
-    seen = set()
-    for i, raw in enumerate(raw_sites):
+def _is_entry(entry) -> bool:
+    """Whether a ``sites`` entry is an object with a ``site`` list and a ``coeffs`` object."""
+    return (
+        isinstance(entry, dict) and isinstance(entry.get("site"), list) and isinstance(entry.get("coeffs"), dict)
+    )
+
+
+def _refuse(model: Model, radius: int, entries: list) -> NoReturn:
+    """Raise the first refusal of a field document's ``sites`` entries, in document order.
+
+    Within an entry: its shape, its site, the site's repeat, its keys,
+    then each value in coefficient order.  After the last entry: the
+    first window site missing, then the sites outside the window.
+    """
+    keys, seen = model.coeffs, set()
+    for entry in entries:
+        if not _is_entry(entry):
+            raise SchemaError("each site entry needs a 'site' list and a 'coeffs' object")
         try:
-            site = model.lattice.site(*raw)
+            site = model.lattice.site(*entry["site"])
         except InvalidSite as exc:
-            return i, 0, str(exc)
+            raise SchemaError(str(exc)) from None
         if site in seen:
-            return i, 1, f"site {site} is listed twice"
+            raise SchemaError(f"site {site} is listed twice")
         seen.add(site)
-    return None
+        coeffs = entry["coeffs"]
+        if coeffs.keys() != set(keys):
+            raise SchemaError(f"site {site}: coefficients must be exactly {keys}, got {sorted(coeffs)}")
+        for k in keys:
+            complex_from_json(coeffs[k], f"site {site}: coefficient {k}")
+    for site in model.lattice.window(radius):  # walked lazily: a huge radius stops at its first missing site
+        if site not in seen:
+            raise SchemaError(f"field is missing site {site} inside its window")
+    outside = sorted(seen - set(model.lattice.window(radius)))
+    raise SchemaError(f"field has sites outside its radius-{radius} window: {outside}")
 
 
 def field_from_document(doc: dict) -> StencilField:
     """The field a document holds; every refusal is a :class:`SchemaError`.
 
-    A refusal names the first offending site (and coefficient) in
-    document order; within an entry the site comes first, then its
-    repeat, its coefficient keys and its values.  One lean pass over the
-    entries checks their shape and keys and builds nothing per entry.
-    The sites are then checked at once by comparing them, sorted, with
-    the window, and the coefficient parts are checked and converted in
-    bulk; an entry-by-entry walk runs only to name a refusal.
+    A valid document takes one lean pass over the entries that checks
+    their shape and keys and builds nothing per entry; the sites are
+    then checked at once by comparing them, sorted, with the window, and
+    the coefficient parts are checked and converted in bulk.  Any
+    failure hands the entries to one walk (:func:`_refuse`) that names
+    the first offending site (and coefficient) in document order.
     """
     if not isinstance(doc, dict):
         raise SchemaError("field document must be a JSON object")
@@ -928,51 +945,25 @@ def field_from_document(doc: dict) -> StencilField:
     radius = window.get("radius") if isinstance(window, dict) else None
     if type(radius) is not int or radius < 0:
         raise SchemaError("window must be an object with an integer 'radius' >= 0")
-    sites_raw = doc.get("sites")
-    if not isinstance(sites_raw, list):
+    entries = doc.get("sites")
+    if not isinstance(entries, list):
         raise SchemaError("sites must be a list")
     keys, keyset = model.coeffs, set(model.coeffs)
-    raw_sites, pairs = [], []
-    refusal = None  # (entry, stage, message) of the first refusal
-    for i, entry in enumerate(sites_raw):
-        if not (
-            isinstance(entry, dict)
-            and isinstance(entry.get("site"), list)
-            and isinstance(entry.get("coeffs"), dict)
-        ):
-            refusal = i, 0, "each site entry needs a 'site' list and a 'coeffs' object"
-            break
-        raw_sites.append(entry["site"])
-        coeffs = entry["coeffs"]
-        if coeffs.keys() != keyset:
-            site = tuple(entry["site"])
-            refusal = i, 2, f"site {site}: coefficients must be exactly {keys}, got {sorted(coeffs)}"
-            break
-        pairs += map(coeffs.__getitem__, keys)
-    sites = [tuple(raw) for raw in raw_sites]
+    sites, pairs = [], []
+    for entry in entries:
+        if not (_is_entry(entry) and entry["coeffs"].keys() == keyset):
+            _refuse(model, radius, entries)
+        sites.append(tuple(entry["site"]))
+        pairs += map(entry["coeffs"].__getitem__, keys)
     # integer sites (bools excluded, as labels has it) that sort into the
     # window are valid, distinct and complete
     types = set(map(type, chain.from_iterable(sites)))
     integers = all(issubclass(t, int) and not issubclass(t, bool) for t in types)
     order = sorted(range(len(sites)), key=sites.__getitem__) if integers else []
     window = list(islice(model.lattice.window(radius), len(sites) + 1))  # walked lazily: a huge radius stops early
-    in_window = integers and [sites[i] for i in order] == window
-    if not in_window:
-        refusal = min(filter(None, (refusal, _site_refusal(model, raw_sites))), default=None)
-    # the parts of the entries before a refusal come before it in document order
-    values = complex_array_from_json(
-        pairs[: len(keys) * refusal[0]] if refusal else pairs,
-        lambda i: f"site {sites[i // len(keys)]}: coefficient {keys[i % len(keys)]}",
-    )
-    if refusal:
-        raise SchemaError(refusal[2])
-    if not in_window:
-        present = set(sites)
-        for site in model.lattice.window(radius):
-            if site not in present:
-                raise SchemaError(f"field is missing site {site} inside its window")
-        outside = sorted(present - set(model.lattice.window(radius)))
-        raise SchemaError(f"field has sites outside its radius-{radius} window: {outside}")
+    values = complex_array_from_json(pairs) if integers and [sites[i] for i in order] == window else None
+    if values is None:
+        _refuse(model, radius, entries)
     mantissa = values.reshape(len(sites), len(keys))[order]
     return StencilField(model.name, radius, ScaledArray(mantissa, np.zeros(mantissa.shape)))
 

@@ -533,7 +533,6 @@ def complex_to_json(z: complex) -> list[float]:
 
 def complex_from_json(obj, where: str) -> complex:
     """Read a ``[re, im]`` pair of finite numbers (see :func:`complex_to_json`)."""
-    # field documents call this once per coefficient: the message is built only on failure
     try:
         re, im = obj
         if type(re) in _REAL_TYPES and type(im) in _REAL_TYPES and type(obj) in _PAIR_TYPES:
@@ -545,28 +544,24 @@ def complex_from_json(obj, where: str) -> complex:
     raise SchemaError(f"{where}: expected a [re, im] pair of finite numbers, got {obj!r}")
 
 
-def complex_array_from_json(pairs: list, where) -> np.ndarray:
-    """:func:`complex_from_json` of every pair, as one complex array.
+def complex_array_from_json(pairs: list) -> np.ndarray | None:
+    """:func:`complex_from_json` of every pair, as one complex array, or ``None`` if it refuses any.
 
     The exact types of the pairs and their parts, the conversion and the
-    finiteness are each checked in one pass over all pairs.  Only when a
-    pass fails are the pairs read one by one, so that the first refused
-    pair raises, with ``where(i)`` naming the i-th.
+    finiteness are each checked in one pass over all pairs.
     """
     parts = itertools.chain.from_iterable
-    if (
+    if not (
         set(map(type, pairs)) <= set(_PAIR_TYPES)
         and set(map(len, pairs)) <= {2}
         and set(map(type, parts(pairs))) <= set(_REAL_TYPES)
     ):
-        try:
-            values = np.fromiter(parts(pairs), dtype=float, count=2 * len(pairs))
-        except OverflowError:  # an integer beyond double range
-            pass
-        else:
-            if np.isfinite(values).all():
-                return values.view(complex)
-    return np.array([complex_from_json(pair, where(i)) for i, pair in enumerate(pairs)], dtype=complex)
+        return None
+    try:
+        values = np.fromiter(parts(pairs), dtype=float, count=2 * len(pairs))
+    except OverflowError:  # an integer beyond double range
+        return None
+    return values.view(complex) if np.isfinite(values).all() else None
 
 
 class TabulatedCurve(SpectralCurve):

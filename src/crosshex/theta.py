@@ -30,7 +30,6 @@ bit-identical results.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 from dataclasses import dataclass
 
@@ -400,7 +399,6 @@ def _head_depth(b: complex) -> int:
     return min(_SHELL_CAP, math.ceil(math.sqrt(2.0 * (8.0 - math.log(THETA_EPS)) / -b.real)) + 1)
 
 
-@functools.lru_cache(maxsize=16)
 def _batch_crossover(b: complex) -> int:
     """The fewest arguments :func:`theta_eval_batch` hands to the batched kernel at this period."""
     return -(-_BATCH_CROSSOVER // (_head_depth(b) + 2))
@@ -545,9 +543,7 @@ def theta_eval_batch(pm: PeriodMatrix, z) -> ScaledArray:
     up to ``_HEAD_LIMIT`` elements in one numpy table.
     """
     z = np.asarray(z, dtype=complex)
-    # the crossover is never below 2 (64 over _SHELL_CAP + 2, rounded up), so
-    # a lone argument skips the lookup
-    if z.size < 2 or z.size < _batch_crossover(pm.B):
+    if z.size < _batch_crossover(pm.B):
         pairs = [_lattice_sum_1d(pm.B, w) for w in z.ravel().tolist()]
         return ScaledArray(
             np.array([m for m, _ in pairs], dtype=complex).reshape(z.shape),

@@ -144,6 +144,58 @@ def test_field_metadata_is_checked_before_export(documents, metadata):
         assert _run(["export", "-i", str(field), "--format", fmt, "-o", str(root / "out")]) == 2
 
 
+def _errors(argv) -> tuple[int, str]:
+    """``main(argv)``'s exit code and what it printed to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        return main(argv), err.getvalue()
+
+
+@pytest.mark.parametrize("document", ["spectral", "curve", "field"])
+def test_an_integer_literal_past_the_digit_limit_exits_2(documents, document):
+    # 5,000 digits: past the digit limit of an interpreter that has one
+    # (json.load raises ValueError), beyond double range on one that has not
+    root, docs = documents
+    sdoc, cdoc, fdoc = copy.deepcopy(docs["cross"])
+    # json.dumps cannot write the literal, so a placeholder's text is replaced
+    placeholder = ["LONG", 0.0]
+    if document == "spectral":
+        sdoc["divisor"] = [placeholder]
+    elif document == "curve":
+        cdoc["base_lift"] = placeholder
+    else:
+        fdoc["sites"][0]["coeffs"]["a"] = placeholder
+    work = root / f"long-{document}"
+    work.mkdir()
+    for name, doc in (("s.json", sdoc), (sdoc["curve_ref"], cdoc), ("f.json", fdoc)):
+        (work / name).write_text(json.dumps(doc).replace('"LONG"', "9" * 5000))
+    if document == "field":
+        field = str(work / "f.json")
+        argvs = [["export", "-i", field, "--format", fmt, "-o", str(work / "out")] for fmt in ("csv", "json")]
+    else:
+        spectral = str(work / "s.json")
+        argvs = [
+            ["build", "-i", spectral, "--window", "0", "-o", str(work / "out")],
+            ["verify", "-i", spectral, "--window", "0", "--probes", "8"],
+        ]
+    for argv in argvs:
+        code, err = _errors(argv)
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err, argv[0]
+
+
+def test_a_curve_ref_holding_a_nul_exits_2(documents):
+    # open() raises ValueError on a path with a NUL
+    root, docs = documents
+    spectral = root / "nul-ref.json"
+    spectral.write_text(json.dumps({**docs["cross"][0], "curve_ref": "curve\0.json"}))
+    for argv in (
+        ["build", "-i", str(spectral), "--window", "0", "-o", str(root / "out")],
+        ["verify", "-i", str(spectral), "--window", "0", "--probes", "8"],
+    ):
+        code, err = _errors(argv)
+        assert code == 2 and err.startswith("error: ") and "Traceback" not in err, argv[0]
+
+
 # -- argument vectors ------------------------------------------------------------
 
 # every file name an argument vector may give; "dir" is a directory, the

@@ -568,6 +568,13 @@ def _dropped(doc, i, key):
     return doc
 
 
+def _junk(doc, i):
+    """``doc`` with entry ``i`` of its sites list replaced by a string."""
+    doc = json.loads(json.dumps(doc))
+    doc["sites"][i] = "junk"
+    return doc
+
+
 def _pair(doc, i, key, pair):
     """``doc`` with coefficient ``key`` of entry ``i`` replaced by ``pair``."""
     return _entry(doc, i, coeffs={key: pair})
@@ -588,6 +595,7 @@ def _refusal(doc) -> str:
 _SITE_MESSAGE = "square-lattice site must be a pair of integers, got "
 _KEYS_MESSAGE = "site (0, 0): coefficients must be exactly ('a', 'b', 'c', 'd', 'v'), got "
 _PAIR_MESSAGE = "site (0, 0): coefficient a: expected a [re, im] pair of finite numbers, got "
+_SHAPE_MESSAGE = "each site entry needs a 'site' list and a 'coeffs' object"
 
 # malformed values of coefficient a at site (0, 0)
 BAD_PAIRS = {
@@ -644,6 +652,8 @@ READER_REFUSALS = {
         lambda d: _entry(d, 4, coeffs={"v": [None, 0.0], "a": [1.0]}), _PAIR_MESSAGE + "[1.0]"
     ),
     "value-before-missing-site": (lambda d: _bad_a({**d, "sites": d["sites"][:-1]}), _PAIR_MESSAGE + "[1.0]"),
+    "value-before-later-shape": (lambda d: _bad_a(_junk(d, 6)), _PAIR_MESSAGE + "[1.0]"),
+    "shape-before-later-value": (lambda d: _bad_a(_junk(d, 2)), _SHAPE_MESSAGE),
 }
 
 
