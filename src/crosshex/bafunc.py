@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConsistencyFailure, DimensionMismatch, SchemaError, SingularEvaluation
 from .labels import CROSS_LATTICE, HEX_LATTICE, Lattice
-from .surface import SpectralCurve, SurfacePoint, complex_from_json
+from .surface import SpectralCurve, SurfacePoint, complex_from_json, complex_to_json
 from .theta import ScaledArray, complex_mul, theta_eval_batch, theta_eval_scaled
 
 _MIN_POINT_SEPARATION = 1e-6
@@ -70,13 +70,13 @@ class ConstantNormalization:
         return complex(value / value)
 
     def to_json(self) -> dict:
-        return {"kind": "constant", "value": [self.value.real, self.value.imag]}
+        return {"kind": "constant", "value": complex_to_json(self.value)}
 
     @staticmethod
     def from_json(obj: dict) -> "ConstantNormalization":
-        """The normalization a document describes; a value refused on construction is a malformed document."""
+        """The normalization a document describes; it refuses anything else with :class:`SchemaError` only."""
         if not isinstance(obj, dict) or obj.get("kind") != "constant":
-            raise ValueError(f"unsupported normalization description: {obj!r}")
+            raise SchemaError(f"unsupported normalization description: {obj!r}")
         try:
             return ConstantNormalization(complex_from_json(obj.get("value", [1.0, 0.0]), "value"))
         except SingularEvaluation as exc:
@@ -120,9 +120,8 @@ class _SpectralDataBase:
         self._check_separation()
 
         # the labels are paired with U in one stacked product (see _label_thetas)
-        self._U = np.array(
-            curve.b_period_vectors([(self.marked[a], self.marked[b]) for a, b in self.basis_pairs])
-        )
+        periods, _ = curve.b_periods_and_integrals([(self.marked[a], self.marked[b]) for a, b in self.basis_pairs], [])
+        self._U = np.array(periods)
         self._W = -curve.abel(self.divisor[0]) - curve.riemann_constants()
         # Theta(0) has zero peak scale, so its mantissa IS its value; the
         # genericity floor compares mantissas, i.e. values relative to
@@ -267,8 +266,8 @@ class _SpectralDataBase:
         """
         keys = [(P.lift, a, b) for P, (a, b) in requests]
         missing = [key for key in dict.fromkeys(keys) if key not in self._integrals]
-        values = self.curve.third_kind_integrals(
-            [(SurfacePoint(lift), self.marked[a], self.marked[b]) for lift, a, b in missing]
+        _, values = self.curve.b_periods_and_integrals(
+            [], [(SurfacePoint(lift), self.marked[a], self.marked[b]) for lift, a, b in missing]
         )
         self._integrals.update(zip(missing, values))
         return [self._integrals[key] for key in keys]

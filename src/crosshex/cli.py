@@ -196,7 +196,7 @@ def load_spectral_document(path: str):
     norm_raw = doc.get("normalization")
     try:
         normalization = ConstantNormalization.from_json(norm_raw)
-    except (ValueError, SchemaError) as exc:
+    except SchemaError as exc:
         raise SchemaError(f"{path}: bad normalization: {exc}") from None
     sd = spectral_class(curve, marked, divisor, normalization)
     return sd, doc
@@ -231,12 +231,10 @@ def _print_check(name: str, value: float, tol: float, ok: bool) -> None:
 def cmd_verify(config) -> int:
     sd, doc = load_spectral_document(config.input)
     if not isinstance(sd.curve, TorusCurve):
-        print(
-            "error: verification needs the analytic backend (fresh probe points); "
-            "tabulated curve documents only support build and export",
-            file=sys.stderr,
+        raise SchemaError(
+            "verification needs the analytic backend (fresh probe points); "
+            "tabulated curve documents only support build and export"
         )
-        return 2
     probe_seed = config.seed if config.seed is not None else doc.get("seed", 0) + 1000
     probes = sample_probes(sd, config.probes, seed=probe_seed)
     # the field's marked-point integrals and psi's probe integrals, tracked in one pass

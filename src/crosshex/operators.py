@@ -50,7 +50,7 @@ from .errors import (
     SingularEvaluation,
 )
 from .labels import CROSS_COEFFS, HEX_COEFFS, Lattice, stencil_offsets
-from .surface import SurfacePoint, complex_array_from_json, complex_from_json
+from .surface import SurfacePoint, complex_array_from_json, complex_from_json, complex_to_json
 from .theta import NumpyScaledArray, ScaledArray
 
 FIELD_DOC_FORMAT = "crosshex-field-v1"
@@ -823,7 +823,7 @@ def field_to_document(field: StencilField, **metadata) -> dict:
     """
     model = MODELS[field.model]
     sites = [
-        {"site": list(site), "coeffs": {k: [c.real, c.imag] for k, c in zip(model.coeffs, row)}}
+        {"site": list(site), "coeffs": {k: complex_to_json(c) for k, c in zip(model.coeffs, row)}}
         for site, row in zip(field.sites, _plain(model, field.coeffs).tolist())
     ]
     return _document(field, sites, **metadata)
@@ -880,7 +880,7 @@ def field_metadata(doc: dict) -> dict:
         raise SchemaError(f"seed must be a non-negative integer or null, got {seed!r}")
     try:
         normalization = ConstantNormalization.from_json(doc.get("normalization"))
-    except (ValueError, SchemaError) as exc:
+    except SchemaError as exc:
         raise SchemaError(f"bad normalization: {exc}") from None
     return {"spectral_data_ref": ref, "seed": seed, "normalization": normalization.to_json()}
 

@@ -75,7 +75,7 @@ class SurfacePoint:
 
 
 class SpectralCurve:
-    """Shared behaviour of the two curve backends."""
+    """The geometry both backends share; each answers its curve queries in ``b_periods_and_integrals``."""
 
     pm: PeriodMatrix
     base_lift: complex
@@ -142,22 +142,6 @@ class SpectralCurve:
         # the least root
         dist = np.sqrt(least)
         return dist if delta.ndim else float(dist)
-
-    def b_periods_and_integrals(self, pairs, requests) -> tuple[list[complex], list[complex]]:
-        """``b_period_vector`` of each ``(Pplus, Pminus)`` pair and ``third_kind_integral`` of each
-        ``(P, Pplus, Pminus)`` request, in order."""
-        return (
-            [self.b_period_vector(plus, minus) for plus, minus in pairs],
-            [self.third_kind_integral(*request) for request in requests],
-        )
-
-    def third_kind_integrals(self, requests) -> list[complex]:
-        """``third_kind_integral`` of each ``(P, Pplus, Pminus)`` request, in order."""
-        return self.b_periods_and_integrals([], requests)[1]
-
-    def b_period_vectors(self, pairs) -> list[complex]:
-        """``b_period_vector`` of each ``(Pplus, Pminus)`` pair, in order."""
-        return self.b_periods_and_integrals(pairs, [])[0]
 
 
 class TorusCurve(SpectralCurve):
@@ -380,7 +364,7 @@ class TorusCurve(SpectralCurve):
         to ``P.lift``; the value depends on the lift (as it must - it is
         what multiplies exponentials that see the same lift).
         """
-        (value,) = self.third_kind_integrals([(P, Pplus, Pminus)])
+        (value,) = self.b_periods_and_integrals([], [(P, Pplus, Pminus)])[1]
         return value
 
     def b_period_vector(self, Pplus: SurfacePoint, Pminus: SurfacePoint) -> complex:
@@ -394,7 +378,7 @@ class TorusCurve(SpectralCurve):
         translates.  A mismatch beyond 1e-8 raises
         :class:`ConsistencyFailure`.
         """
-        (U,) = self.b_period_vectors([(Pplus, Pminus)])
+        (U,) = self.b_periods_and_integrals([(Pplus, Pminus)], [])[0]
         return U
 
     def b_periods_and_integrals(self, pairs, requests) -> tuple[list[complex], list[complex]]:
@@ -405,7 +389,7 @@ class TorusCurve(SpectralCurve):
         deterministic start point, a b-cycle representative of each pair
         not yet verified; a pair whose representative runs into a pole
         retries from the next start points, in passes of its own.  Each
-        value has the bits of its one-item call.  A failed b-period
+        value has the bits it has when asked for alone.  A failed b-period
         check raises first, then a request whose path runs into a pole
         makes the call raise :class:`PoleOnPath`.
         """
@@ -614,6 +598,13 @@ class TabulatedCurve(SpectralCurve):
         # the bilinear identity holds for any pair; loader verified stored rows
         return self.abel(Pplus) - self.abel(Pminus)
 
+    def b_periods_and_integrals(self, pairs, requests) -> tuple[list[complex], list[complex]]:
+        """Each pair's :meth:`b_period_vector` and each request's :meth:`third_kind_integral`, in order."""
+        return (
+            [self.b_period_vector(plus, minus) for plus, minus in pairs],
+            [self.third_kind_integral(*request) for request in requests],
+        )
+
     def riemann_constants(self) -> complex:
         return self._constants
 
@@ -799,7 +790,7 @@ def export_curve_document(
     analytic backend; every stored endpoint group shares the single
     straight base-to-endpoint path, which keeps linear combinations of
     rows path-consistent.  The b-periods and integrals come from one
-    :meth:`SpectralCurve.b_periods_and_integrals` call.
+    ``b_periods_and_integrals`` call of the curve's backend.
     """
     periods, values = curve.b_periods_and_integrals(
         [(marked[plus], marked[minus]) for plus, minus in b_period_pairs],
@@ -822,7 +813,6 @@ def export_curve_document(
     }
 
 
-def make_torus_curve(B, base_lift: complex = 0.0) -> TorusCurve:
-    """Convenience constructor: accepts a complex period or a PeriodMatrix."""
-    pm = B if isinstance(B, PeriodMatrix) else PeriodMatrix(B)
-    return TorusCurve(pm, base_lift)
+def make_torus_curve(B: complex, base_lift: complex = 0.0) -> TorusCurve:
+    """The analytic curve of the complex period ``B``."""
+    return TorusCurve(PeriodMatrix(B), base_lift)

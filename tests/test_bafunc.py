@@ -11,6 +11,7 @@ from crosshex.bafunc import ConstantNormalization, SpectralDataCross, SpectralDa
 from crosshex.errors import (
     ConsistencyFailure,
     DimensionMismatch,
+    SchemaError,
     SingularEvaluation,
 )
 from crosshex.labels import CROSS_LATTICE, HEX_LATTICE, relabel_cross, relabel_hex, stencil_offsets
@@ -273,6 +274,12 @@ def test_hex_label_blocks_enforced(hex_data):
 def test_normalization_floor():
     with pytest.raises(SingularEvaluation):
         ConstantNormalization(1e-13)
+
+
+@pytest.mark.parametrize("description", [None, {"kind": "linear"}, [1.0, 0.0]])
+def test_an_unsupported_normalization_description_is_a_schema_error(description):
+    with pytest.raises(SchemaError, match="unsupported normalization description"):
+        ConstantNormalization.from_json(description)
 
 
 @pytest.mark.parametrize("value", [complex(math.nan, 0), complex(0, math.inf), -math.inf, 1e308 + 1e308j])

@@ -205,7 +205,7 @@ def test_a_riemann_constant_far_from_the_theta_zero_fails_without_overflow(works
     assert "Traceback" not in err and not (tmp_path / "f.json").exists()
 
 
-def test_verify_rejects_tabulated_backend(workspace, tmp_path):
+def test_verify_rejects_tabulated_backend(workspace, tmp_path, capsys):
     spectral, _ = workspace["cross"]
     doc = json.loads(spectral.read_text())
     doc["backend"] = "tabulated"
@@ -214,7 +214,15 @@ def test_verify_rejects_tabulated_backend(workspace, tmp_path):
     (tmp_path / "cross.curve.json").write_text(
         (spectral.parent / "cross.curve.json").read_text()
     )
-    assert main(["verify", "-i", str(moved), "--window", "1", "--probes", "12"]) == 2
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert main(["verify", "-i", str(moved), "--window", "1", "--probes", "12", "-o", str(report)]) == 2
+    # the one refusal line and no traceback
+    assert capsys.readouterr().err == (
+        "error: verification needs the analytic backend (fresh probe points); "
+        "tabulated curve documents only support build and export\n"
+    )
+    assert not report.exists()
 
 
 def test_shallow_curve_refusal(tmp_path, capsys):
@@ -642,6 +650,24 @@ def test_a_normalization_below_the_floor_is_a_malformed_document(workspace, tmp_
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "bad normalization: normalization constant" in err, err
         assert reason in err
+
+
+def test_an_unsupported_normalization_description_is_a_malformed_document(workspace, tmp_path, capsys):
+    spectral, field = workspace["hex"]
+    normalization = {"kind": "linear"}
+    bad_spectral = spectral.parent / "linear-normalization.json"  # next to its curve document
+    bad_spectral.write_text(json.dumps({**json.loads(spectral.read_text()), "normalization": normalization}))
+    bad_field = tmp_path / "field.json"
+    bad_field.write_text(json.dumps({**json.loads(field.read_text()), "normalization": normalization}))
+    for argv in (
+        ["build", "-i", str(bad_spectral), "--window", "1", "-o", str(tmp_path / "f.json")],
+        ["export", "-i", str(bad_field), "--format", "json", "-o", str(tmp_path / "e.json")],
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad normalization: unsupported normalization description" in err, err
+        assert not (tmp_path / argv[-1]).exists()
 
 
 def _in_process(argv):

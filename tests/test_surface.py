@@ -242,11 +242,11 @@ def test_pole_on_a_chord_is_refused_inside_a_batch(torus):
     minus = cell_point(torus, 0.5, 0.9)
     clear = [torus.point(cell_point(torus, f, 0.5).lift) for f in (0.1, 0.4)]
     requests = [(P, cell_point(torus, 0.2, 0.6), minus) for P in clear]
-    assert len(torus.third_kind_integrals(requests)) == 2
+    assert len(torus.b_periods_and_integrals([], requests)[1]) == 2
     on_chord = (torus.point(0.7 * b), plus, minus)
     for batch in ([on_chord], requests + [on_chord], [on_chord] + requests):
         with pytest.raises(PoleOnPath):
-            torus.third_kind_integrals(batch)
+            torus.b_periods_and_integrals([], batch)
     deltas = torus._log_prime_deltas([(pole.lift, torus.base_lift, 0.7 * b) for pole in (plus, minus)])
     assert isinstance(deltas[0], PoleOnPath) and isinstance(deltas[1], complex)
 
@@ -478,7 +478,7 @@ def test_b_period_pair_refused_at_one_start_tries_the_next(monkeypatch):
         return track(segments)
 
     monkeypatch.setattr(curve, "_log_prime_deltas", recording)
-    assert curve.b_period_vectors(pairs) == [curve.abel(p) - curve.abel(m) for p, m in pairs]
+    assert curve.b_periods_and_integrals(pairs, [])[0] == [curve.abel(p) - curve.abel(m) for p, m in pairs]
     assert curve._verified_pairs == {(p.lift, m.lift) for p, m in pairs}
     # both pairs from the first start, then the refused one alone from the second
     assert [[pole for pole, _, _ in segments] for segments in tracked] == [
@@ -497,7 +497,7 @@ def test_b_period_pair_refused_at_one_start_tries_the_next(monkeypatch):
         [p.lift for pair in pairs for p in pair] + [p.lift for _, *poles in requests for p in poles],
         [on_first_cycle.lift, other.lift],
     ]
-    assert list(map(repr, integrals)) == list(map(repr, make_torus_curve(-6.0).third_kind_integrals(requests)))
+    assert list(map(repr, integrals)) == list(map(repr, make_torus_curve(-6.0).b_periods_and_integrals([], requests)[1]))
     # with the first start point alone, the pair has nowhere to go
     monkeypatch.setattr(surface, "_BCYCLE_STARTS", surface._BCYCLE_STARTS[:1])
     with pytest.raises(ConsistencyFailure, match="could not route"):
@@ -713,9 +713,9 @@ def test_export_gives_the_bits_of_separate_b_period_and_integral_calls(torus, mo
     monkeypatch.setattr(curve, "_log_prime_deltas", lambda segments: passes.append(segments) or track(segments))
     doc = export_curve_document(curve, marked, pairs, specs)
     assert len(passes) == 1
-    periods = make_torus_curve(torus.pm.B).b_period_vectors([(marked[a], marked[b]) for a, b in pairs])
-    integrals = make_torus_curve(torus.pm.B).third_kind_integrals(
-        [(marked[endpoint], marked[a], marked[b]) for endpoint, (a, b) in specs]
+    periods, _ = make_torus_curve(torus.pm.B).b_periods_and_integrals([(marked[a], marked[b]) for a, b in pairs], [])
+    _, integrals = make_torus_curve(torus.pm.B).b_periods_and_integrals(
+        [], [(marked[endpoint], marked[a], marked[b]) for endpoint, (a, b) in specs]
     )
     assert repr(doc["b_periods"]) == repr({f"{a}/{b}": complex_to_json(U) for (a, b), U in zip(pairs, periods)})
     assert repr(doc["third_kind_integrals"]) == repr(
@@ -741,6 +741,34 @@ def test_tabulated_backend_serves_stored_values(torus, curve_doc):
     U_dir = torus.b_period_vector(torus.point(plus.lift), torus.point(minus.lift))
     assert U_tab == U_dir
     assert tab.riemann_constants() == torus.riemann_constants()
+
+
+@pytest.mark.parametrize("backend", ["analytic", "tabulated"])
+def test_one_item_queries_have_the_bits_of_the_batch_query(torus, curve_doc, backend):
+    lifts = {name: complex(*lift) for name, lift in curve_doc["marked_points"].items()}
+    pairs = [key.split("/") for key in curve_doc["b_periods"]]
+    # 'S|A,B' names the endpoint S and the poles A, B
+    requests = [key.replace("|", ",").split(",") for key in curve_doc["third_kind_integrals"]]
+
+    def fresh():
+        # a TorusCurve checks each b-period pair only once, so each side gets its own
+        if backend == "analytic":
+            return make_torus_curve(torus.pm.B)
+        return load_tabulated_curve(json.loads(json.dumps(curve_doc)))
+
+    def points(curve, names):
+        return [curve.point(lifts[name]) for name in names]
+
+    def single(method, names):
+        curve = fresh()
+        return repr(getattr(curve, method)(*points(curve, names)))
+
+    curve = fresh()
+    periods, integrals = curve.b_periods_and_integrals(
+        [points(curve, pair) for pair in pairs], [points(curve, request) for request in requests]
+    )
+    assert [single("b_period_vector", pair) for pair in pairs] == list(map(repr, periods))
+    assert [single("third_kind_integral", request) for request in requests] == list(map(repr, integrals))
 
 
 def test_analytic_reader_rebuilds_the_curve_from_the_document(torus, curve_doc):
