@@ -9,10 +9,13 @@ Four subcommands cover the whole workflow:
 ``build``
     Evaluate the stencil field on a window and write the field document.
 ``verify``
-    Rebuild the field, then check it three ways at fresh probe points:
-    normalized residuals of the stencil equation, the singular-value gap
-    of the independent null-space oracle, and the componentwise match
-    between oracle and construction.  Exit status 1 on any breach.
+    Rebuild the field, then make four checks at fresh probe points, each
+    against a fixed tolerance: the residual (normalized residuals of the
+    stencil equation), the kernel gap (the singular-value gap of the
+    independent null-space oracle), the oracle match (the componentwise
+    match between oracle and construction) and, for a model with forced
+    zeros, the forced zeros (the share a forced zero's term carries of
+    the oracle's stencil equation).  Exit status 1 on any breach.
 ``export``
     Convert a field document to CSV (default) or canonical JSON.
 
@@ -25,7 +28,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -34,8 +36,12 @@ import numpy as np
 from .bafunc import ConstantNormalization
 from .errors import CrosshexError, SchemaError
 from .operators import (
+    FORCED_ZERO_TOL,
+    GAP_TOL,
+    MATCH_TOL,
     MIN_ORACLE_PROBES,
     MODELS,
+    RESIDUAL_TOL,
     build_field,
     field_document_text,
     field_from_document,
@@ -64,6 +70,17 @@ VERIFY_DOC_FORMAT = "crosshex-verify-v2"
 
 # marked and divisor points keep this cover distance from the base and each other
 _MIN_COVER_SEPARATION = 0.1
+
+# verify's checks: the printed name, the report key of the maximum (an attribute of
+# the residual or the oracle report), the key in the report's tolerances and the
+# tolerance.  A site fails a check when its measure exceeds the tolerance, so a check
+# passes exactly when its maximum, in which a NaN wins, is within it.
+_CHECKS = (
+    ("residual", "max_residual", "residual", RESIDUAL_TOL),
+    ("kernel gap", "max_gap", "gap", GAP_TOL),
+    ("oracle match", "max_mismatch", "match", MATCH_TOL),
+    ("forced zeros", "max_forced_zero_excess", "forced_zero", FORCED_ZERO_TOL),
+)
 
 
 def _json(obj) -> str:
@@ -224,10 +241,6 @@ def cmd_build(config) -> int:
     return 0
 
 
-def _print_check(name: str, value: float, tol: float, ok: bool) -> None:
-    print(f"{name:<14} max {value:.3e}  tol {tol:.1e}  {'PASS' if ok else 'FAIL'}")
-
-
 def cmd_verify(config) -> int:
     sd, doc = load_spectral_document(config.input)
     if not isinstance(sd.curve, TorusCurve):
@@ -244,20 +257,12 @@ def cmd_verify(config) -> int:
     )
     field = build_field(sd, config.window)
     grid = psi_grid(sd, config.window, probes)
-    rrep = residual_report(field, grid, tol=config.tol)
-    orep = oracle_report(field, grid, gap_tol=config.gap_tol, match_tol=config.match_tol)
-    _print_check("residual", rrep.max_residual, rrep.tolerance, not rrep.failures)
-    _print_check("kernel gap", orep.max_gap, orep.gap_tolerance, orep.max_gap <= orep.gap_tolerance)
-    _print_check(
-        "oracle match", orep.max_mismatch, orep.match_tolerance, orep.max_mismatch <= orep.match_tolerance
-    )
-    if any(MODELS[sd.model].zeros):
-        _print_check(
-            "forced zeros",
-            orep.max_forced_zero_excess,
-            orep.zero_tolerance,
-            orep.max_forced_zero_excess <= orep.zero_tolerance,
-        )
+    rrep = residual_report(field, grid)
+    orep = oracle_report(field, grid)
+    maxima = {key: getattr(rrep if hasattr(rrep, key) else orep, key) for _, key, _, _ in _CHECKS}
+    # the forced-zero line only for a model whose formulas force zeros
+    for name, key, _, tol in _CHECKS if any(MODELS[sd.model].zeros) else _CHECKS[:-1]:
+        print(f"{name:<14} max {maxima[key]:.3e}  tol {tol:.1e}  {'PASS' if maxima[key] <= tol else 'FAIL'}")
     passed = rrep.passed and orep.passed
     for site in rrep.failures:
         print(f"  residual breach at site {site}")
@@ -270,16 +275,8 @@ def cmd_verify(config) -> int:
             "window": {"radius": config.window},
             "probes": config.probes,
             "probe_seed": probe_seed,
-            "tolerances": {
-                "residual": config.tol,
-                "gap": config.gap_tol,
-                "match": config.match_tol,
-                "forced_zero": orep.zero_tolerance,
-            },
-            "max_residual": rrep.max_residual,
-            "max_gap": orep.max_gap,
-            "max_mismatch": orep.max_mismatch,
-            "max_forced_zero_excess": orep.max_forced_zero_excess,
+            "tolerances": {tol_key: tol for _, _, tol_key, tol in _CHECKS},
+            **maxima,
             "residual_failures": [list(s) for s in rrep.failures],
             "oracle_failures": [list(s) for s in orep.failures],
             "passed": passed,
@@ -320,7 +317,6 @@ _NATURAL = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _PROBE_COUNT = _checked(int, lambda v: v >= MIN_ORACLE_PROBES, f"an integer >= {MIN_ORACLE_PROBES}")
 _RE_B = _checked(float, lambda v: MIN_RE_B <= v <= -3.0, f"a number in [{MIN_RE_B:g}, -3]")
 _IM_B = _checked(float, lambda v: abs(v) <= MAX_ABS_IM_B, f"a number in [-{MAX_ABS_IM_B:g}, {MAX_ABS_IM_B:g}]")
-_TOLERANCE = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 
 
 @functools.cache
@@ -358,9 +354,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=_NATURAL, default=None,
         help="probe seed (default: spectral seed + 1000)",
     )
-    v.add_argument("--tol", type=_TOLERANCE, default=1e-8, help="residual tolerance")
-    v.add_argument("--gap-tol", type=_TOLERANCE, default=1e-6, help="kernel-gap tolerance")
-    v.add_argument("--match-tol", type=_TOLERANCE, default=1e-6, help="oracle-match tolerance")
     v.add_argument("-o", "--output", default=None, help="optional JSON report path")
 
     e = sub.add_parser("export", help="convert a field document to CSV or JSON")

@@ -1054,8 +1054,6 @@ class SiteResidual:
 @dataclass(frozen=True)
 class ResidualReport:
     model: str
-    tolerance: float
-    probe_count: int
     max_residual: float
     entries: tuple[SiteResidual, ...]
     failures: tuple[tuple, ...]
@@ -1085,7 +1083,7 @@ def _site_residuals(rows: ScaledArray, grid: PsiGrid, neighbors) -> np.ndarray:
     return terms.cancellation(np.broadcast_to(coeffs.mantissa != 0, shape))
 
 
-def residual_report(field: StencilField, grid: PsiGrid, tol: float = 1e-8) -> ResidualReport:
+def residual_report(field: StencilField, grid: PsiGrid) -> ResidualReport:
     """Max normalized residual of ``field``'s stencil equation at the sites and probes of ``grid``.
 
     ``grid`` holds psi at its sites' neighbours (see :func:`psi_grid`),
@@ -1093,7 +1091,8 @@ def residual_report(field: StencilField, grid: PsiGrid, tol: float = 1e-8) -> Re
     gauge-transformed ``field`` is verified on a grid whose values are
     scaled by the gauge at their own site.  Each site's residual at a
     probe is |sum of terms| / sum of |terms| over its nonzero
-    coefficients.
+    coefficients, and a site fails when its largest over the probes
+    exceeds ``RESIDUAL_TOL``.
     """
     sites = grid.sites
     rows = _rows(field, sites)
@@ -1109,11 +1108,9 @@ def residual_report(field: StencilField, grid: PsiGrid, tol: float = 1e-8) -> Re
         worst_probe, worst = np.full(len(sites), -1), np.full(len(sites), -1.0)
     return ResidualReport(
         model=field.model,
-        tolerance=tol,
-        probe_count=len(grid.probes),
         max_residual=float(worst.max(initial=0.0)),  # a NaN wins
         entries=tuple(map(SiteResidual, sites, worst.tolist(), worst_probe.tolist())),
-        failures=tuple(compress(sites, ~(worst <= tol))),  # a NaN residual is a breach
+        failures=tuple(compress(sites, ~(worst <= RESIDUAL_TOL))),  # a NaN residual is a breach
     )
 
 
@@ -1122,7 +1119,13 @@ def residual_report(field: StencilField, grid: PsiGrid, tol: float = 1e-8) -> Re
 # ---------------------------------------------------------------------------
 
 MIN_ORACLE_PROBES = 8
-# the largest share of the oracle's stencil equation a forced zero's term may carry
+# The verify tolerances, fixed so that a check means the same on every run:
+# the largest normalized residual, oracle gap sigma_min / sigma_second and
+# relative oracle mismatch a site may show, and the largest share of the
+# oracle's stencil equation a forced zero's term may carry.
+RESIDUAL_TOL = 1e-8
+GAP_TOL = 1e-6
+MATCH_TOL = 1e-6
 FORCED_ZERO_TOL = 1e-8
 
 
@@ -1233,9 +1236,6 @@ class OracleSiteResult:
 @dataclass(frozen=True)
 class OracleReport:
     model: str
-    gap_tolerance: float
-    match_tolerance: float
-    zero_tolerance: float
     max_gap: float
     max_mismatch: float
     max_forced_zero_excess: float
@@ -1249,9 +1249,7 @@ class OracleReport:
         return not self.failures
 
 
-def oracle_report(
-    field: StencilField, grid: PsiGrid, gap_tol: float = 1e-6, match_tol: float = 1e-6
-) -> OracleReport:
+def oracle_report(field: StencilField, grid: PsiGrid) -> OracleReport:
     """Compare ``field``'s closed-form stencils against the null-space oracle at the sites of ``grid``.
 
     The oracle recovers each site's stencil from function values alone:
@@ -1259,8 +1257,8 @@ def oracle_report(
     ``MIN_ORACLE_PROBES`` probes in ``grid``, see :func:`psi_grid`), so
     agreement with the closed form is an independent check.  For each
     site: the singular-value gap must certify a 1-dimensional kernel
-    (``gap_tol``); non-vanishing coefficients must match the oracle
-    relatively (``match_tol``); the term of a coefficient the formulas
+    (``GAP_TOL``); non-vanishing coefficients must match the oracle
+    relatively (``MATCH_TOL``); the term of a coefficient the formulas
     force to zero must carry at most ``FORCED_ZERO_TOL`` of the oracle's
     stencil equation at every probe (its share in the balanced frame,
     see :func:`_oracle_chunk`).  Measured there, a forced zero does not
@@ -1293,12 +1291,9 @@ def oracle_report(
     # maxima over coefficients and sites: a NaN wins
     mismatch = errors.max(axis=1)
     zero_excess = np.where(nonzero, 0.0, shares).max(axis=1)
-    passed = (gaps <= gap_tol) & (mismatch <= match_tol) & (zero_excess <= FORCED_ZERO_TOL)
+    passed = (gaps <= GAP_TOL) & (mismatch <= MATCH_TOL) & (zero_excess <= FORCED_ZERO_TOL)
     return OracleReport(
         model=field.model,
-        gap_tolerance=gap_tol,
-        match_tolerance=match_tol,
-        zero_tolerance=FORCED_ZERO_TOL,
         max_gap=float(gaps.max(initial=0.0)),
         max_mismatch=float(mismatch.max(initial=0.0)),
         max_forced_zero_excess=float(zero_excess.max(initial=0.0)),

@@ -576,7 +576,7 @@ def reference_oracle_report(field, grid):
 
     Returns ``(entries, maxima, failures, stencils)``: per site its
     ``(site, gap, mismatch, forced-zero excess)``, then the three maxima,
-    the failing sites at the default tolerances, and each site's oracle
+    the failing sites at the fixed tolerances, and each site's oracle
     values.  Each ratio's mantissa is a numpy scalar, so it is taken in
     numpy's complex arithmetic.
     """

@@ -5,17 +5,28 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import crosshex.bafunc
 import crosshex.cli
 from crosshex.cli import SPECTRAL_DOC_FORMAT, VERIFY_DOC_FORMAT, load_spectral_document, main
 from crosshex.errors import ConsistencyFailure, PoleOnPath
-from crosshex.operators import FIELD_DOC_FORMAT
+from crosshex.operators import (
+    FIELD_DOC_FORMAT,
+    FORCED_ZERO_TOL,
+    GAP_TOL,
+    MATCH_TOL,
+    MODELS,
+    RESIDUAL_TOL,
+    build_field,
+)
 from crosshex.surface import TorusCurve
 
 from conftest import genus_two_document
@@ -71,18 +82,38 @@ def test_verify_passes_and_writes_report(workspace, tmp_path, capsys):
         out = capsys.readouterr().out
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
+        # one line per check, the forced-zero line only for hex, whose formulas force zeros
+        checks = [line for line in out.splitlines() if "  tol " in line]
+        assert len(checks) == (4 if model == "hex" else 3)
+        assert all(line.endswith("  PASS") for line in checks)
         rep = json.loads(report.read_text())
         assert rep["format"] == VERIFY_DOC_FORMAT
         assert rep["passed"] is True
+        assert rep["tolerances"] == {
+            "residual": RESIDUAL_TOL, "gap": GAP_TOL, "match": MATCH_TOL, "forced_zero": FORCED_ZERO_TOL
+        }
 
 
-def test_verify_reports_breach_with_impossible_tolerance(workspace, capsys):
+def test_verify_reports_breach_of_a_perturbed_coefficient(workspace, tmp_path, monkeypatch, capsys):
+    # the tolerances are fixed, so a breach comes from a field whose stencil at
+    # (0, 0) no longer annihilates psi: its v coefficient is off by 1e-3
     spectral, _ = workspace["cross"]
-    code = main(
-        ["verify", "-i", str(spectral), "--window", "1", "--probes", "12", "--tol", "1e-20"]
-    )
+
+    def perturbed_field(sd, radius):
+        field = build_field(sd, radius)
+        factors = np.ones(field.coeffs.shape, dtype=complex)
+        factors[field.rows[(0, 0)], MODELS["cross"].coeffs.index("v")] = 1 + 1e-3
+        return replace(field, coeffs=field.coeffs.times(factors))
+
+    monkeypatch.setattr(crosshex.cli, "build_field", perturbed_field)
+    report = tmp_path / "breach.json"
+    code = main(["verify", "-i", str(spectral), "--window", "1", "--probes", "12", "-o", str(report)])
+    out = capsys.readouterr().out
     assert code == 1
-    assert "FAIL" in capsys.readouterr().out
+    assert re.search(r"^residual .*  FAIL$", out, re.M) and "residual breach at site (0, 0)" in out
+    assert out.endswith("verification FAILED\n")
+    rep = json.loads(report.read_text())
+    assert rep["passed"] is False and rep["residual_failures"] == [[0, 0]]
 
 
 def test_hex_verify_passes_on_a_wide_window(workspace, tmp_path, capsys):
@@ -576,12 +607,10 @@ def test_usage_errors_raise_systemexit_2(tmp_path, capsys):
         verify + ["--seed", "-1"],
         verify + ["--probes", "7"],
         verify + ["--window", "-1"],
-        verify + ["--tol", "nan"],
-        verify + ["--tol", "0"],
-        verify + ["--gap-tol", "nan"],
-        verify + ["--gap-tol", "-1e-6"],
-        verify + ["--match-tol", "nan"],
-        verify + ["--match-tol", "inf"],
+        # the tolerances are fixed: a tolerance flag is refused, even at its fixed value
+        verify + ["--tol", "1e-8"],
+        verify + ["--gap-tol", "1e-6"],
+        verify + ["--match-tol", "1e-6"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -204,6 +204,7 @@ NAMES = (
     "spec.json", "hex.json", "spec.curve.json", "field.json", "empty.json", "junk.bin", "deep.json",
     "missing.json", "dir", "dir/nested/out.json", "out.json", "out.csv", "out",
 )
+# the tolerance flags were removed; they stay here as probes of unknown options
 TOLERANCES = ("1e-8", "1e-300", "0", "-1", "nan", "inf", "x")
 OPTION_VALUES = {
     "--model": ("cross", "hex", "square", ""),
