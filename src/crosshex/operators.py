@@ -97,7 +97,7 @@ class ProductTerm:
 
 @dataclass(frozen=True)
 class RatioFormula:
-    """One coefficient ratio: sign * r-ratio * main-product * [sum of terms].
+    """One coefficient ratio: sign · normalization ratio · main product · [sum of the bracket terms].
 
     ``transcription`` records whether the entry follows the source
     identity letter for letter or carries the documented index
@@ -106,19 +106,13 @@ class RatioFormula:
 
     coeff: str
     sign: int
-    r_num_shift: tuple[int, ...]
-    r_den_shift: tuple[int, ...]
     main: ProductTerm = ProductTerm()
     bracket: tuple[ProductTerm, ...] = ()
     transcription: str = "as-printed"
 
 
-def _tf(point: str, shift) -> ThetaFactor:
-    return ThetaFactor(point, tuple(shift))
-
-
-def _it(sign: int, endpoint: str, pair) -> IntegralTerm:
-    return IntegralTerm(sign, endpoint, tuple(pair))
+_tf = ThetaFactor
+_it = IntegralTerm
 
 
 # -- square lattice, even parity (unit coefficient d) ------------------------
@@ -133,8 +127,6 @@ CROSS_EVEN_FORMULAS: tuple[RatioFormula, ...] = (
     RatioFormula(
         "a",
         -1,
-        _SJ,
-        _SIJ,
         ProductTerm(
             theta_num=(_tf("P2+", _SJ),),
             theta_den=(_tf("P2+", _SIJ),),
@@ -144,8 +136,6 @@ CROSS_EVEN_FORMULAS: tuple[RatioFormula, ...] = (
     RatioFormula(
         "b",
         -1,
-        _SJ,
-        _SK,
         ProductTerm(
             theta_num=(_tf("P2+", _SJ), _tf("P1-", _SIJ), _tf("P3-", _SIK)),
             theta_den=(_tf("P2+", _SIJ), _tf("P1-", _SIK), _tf("P3-", _SK)),
@@ -160,8 +150,6 @@ CROSS_EVEN_FORMULAS: tuple[RatioFormula, ...] = (
     RatioFormula(
         "c",
         1,
-        _SJ,
-        _SIK,
         ProductTerm(
             theta_num=(_tf("P2+", _SJ), _tf("P1-", _SIJ)),
             theta_den=(_tf("P2+", _SIJ), _tf("P1-", _SIK)),
@@ -171,8 +159,6 @@ CROSS_EVEN_FORMULAS: tuple[RatioFormula, ...] = (
     RatioFormula(
         "v",
         1,
-        _SJ,
-        _Z3,
         ProductTerm(
             theta_num=(_tf("P2+", _SJ), _tf("P1-", _SIJ)),
             theta_den=(_tf("P2+", _SIJ), _tf("P1-", _SIK)),
@@ -211,8 +197,6 @@ CROSS_ODD_FORMULAS: tuple[RatioFormula, ...] = (
     RatioFormula(
         "a",
         -1,
-        _OJ,
-        _OK,
         ProductTerm(
             theta_num=(_tf("P2-", _OJ), _tf("P1+", _OIJ), _tf("P3+", _OIK)),
             theta_den=(_tf("P2-", _OIJ), _tf("P1+", _OIK), _tf("P3+", _OK)),
@@ -227,8 +211,6 @@ CROSS_ODD_FORMULAS: tuple[RatioFormula, ...] = (
     RatioFormula(
         "b",
         -1,
-        _OJ,
-        _OIJ,
         ProductTerm(
             theta_num=(_tf("P2-", _OJ),),
             theta_den=(_tf("P2-", _OIJ),),
@@ -238,8 +220,6 @@ CROSS_ODD_FORMULAS: tuple[RatioFormula, ...] = (
     RatioFormula(
         "d",
         1,
-        _OJ,
-        _OIK,
         ProductTerm(
             theta_num=(_tf("P2-", _OJ), _tf("P1+", _OIJ)),
             theta_den=(_tf("P2-", _OIJ), _tf("P1+", _OIK)),
@@ -249,8 +229,6 @@ CROSS_ODD_FORMULAS: tuple[RatioFormula, ...] = (
     RatioFormula(
         "v",
         1,
-        _OJ,
-        _Z3,
         ProductTerm(
             theta_num=(_tf("P2-", _OJ), _tf("P1+", _OIJ)),
             theta_den=(_tf("P2-", _OIJ), _tf("P1+", _OIK)),
@@ -294,8 +272,6 @@ _HEX_CASE0: tuple[RatioFormula, ...] = (
     RatioFormula(
         "a",
         1,
-        _B0,
-        _A0,
         bracket=(
             ProductTerm(
                 sign=1,
@@ -314,8 +290,6 @@ _HEX_CASE0: tuple[RatioFormula, ...] = (
     RatioFormula(
         "d",
         -1,
-        _B0,
-        _D0,
         ProductTerm(
             theta_num=(_tf("Q3", _B0),),
             theta_den=(_tf("Q3", _D0),),
@@ -325,8 +299,6 @@ _HEX_CASE0: tuple[RatioFormula, ...] = (
     RatioFormula(
         "f",
         -1,
-        _B0,
-        _F0,
         ProductTerm(
             theta_num=(_tf("R1", _B0),),
             theta_den=(_tf("R1", _F0),),
@@ -337,17 +309,11 @@ _HEX_CASE0: tuple[RatioFormula, ...] = (
 )
 
 # the uncorrected reading of the residue-0 f-coefficient, kept importable so
-# the errata evidence is reproducible from the shipped package
-HEX_CASE0_F_AS_PRINTED = RatioFormula(
-    "f",
-    -1,
-    _B0,
-    _F0,
-    ProductTerm(
-        theta_num=(_tf("R1", _B0),),
-        theta_den=(_tf("Q3", _F0),),
-        integrals=(_it(-1, "R1", _Q32), _it(-1, "R1", _R32)),
-    ),
+# the errata evidence is reproducible from the shipped package: the printed
+# denominator theta is taken at Q3 instead of R1
+HEX_CASE0_F_AS_PRINTED = replace(
+    _HEX_CASE0[2],
+    main=replace(_HEX_CASE0[2].main, theta_den=(_tf("Q3", _F0),)),
     transcription="as-printed (fails the null-space oracle; see ERRATA.md)",
 )
 
@@ -362,8 +328,6 @@ _HEX_CASE1: tuple[RatioFormula, ...] = (
     RatioFormula(
         "b",
         -1,
-        _D1,
-        _B1,
         ProductTerm(
             theta_num=(_tf("R3", _D1),),
             theta_den=(_tf("R3", _B1),),
@@ -373,8 +337,6 @@ _HEX_CASE1: tuple[RatioFormula, ...] = (
     RatioFormula(
         "c",
         1,
-        _D1,
-        _C1,
         bracket=(
             ProductTerm(
                 sign=1,
@@ -393,8 +355,6 @@ _HEX_CASE1: tuple[RatioFormula, ...] = (
     RatioFormula(
         "f",
         -1,
-        _D1,
-        _F1,
         ProductTerm(
             theta_num=(_tf("Q2", _D1),),
             theta_den=(_tf("Q2", _F1),),
@@ -414,8 +374,6 @@ _HEX_CASE2: tuple[RatioFormula, ...] = (
     RatioFormula(
         "b",
         -1,
-        _F2,
-        _B2,
         ProductTerm(
             theta_num=(_tf("Q1", _F2),),
             theta_den=(_tf("Q1", _B2),),
@@ -425,8 +383,6 @@ _HEX_CASE2: tuple[RatioFormula, ...] = (
     RatioFormula(
         "d",
         -1,
-        _F2,
-        _D2,
         ProductTerm(
             theta_num=(_tf("R2", _F2),),
             theta_den=(_tf("R2", _D2),),
@@ -436,8 +392,6 @@ _HEX_CASE2: tuple[RatioFormula, ...] = (
     RatioFormula(
         "g",
         1,
-        _F2,
-        _G2,
         bracket=(
             ProductTerm(
                 sign=1,

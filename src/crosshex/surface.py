@@ -31,6 +31,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,8 +53,8 @@ _KCHECK_REL = 1e-10
 _CONTINUATION_STACK_CAP = 64
 # deterministic fractional (a, b)-cycle coordinates tried for the b-cycle start
 _BCYCLE_STARTS = ((0.317, 0.473), (0.137, 0.613), (0.791, 0.215), (0.057, 0.349), (0.503, 0.867))
-# (m, n) offsets of the 9 lattice translates cover_distance tries around the nearest one
-_OFFSET_M, _OFFSET_N = np.indices((3, 3)).reshape(2, -1) - 1
+# offsets, in a curve's reduced period basis, of the 9 lattice translates cover_distance tries around the nearest one
+_OFFSET_P, _OFFSET_Q = np.indices((3, 3)).reshape(2, -1) - 1
 # elements of (translate, distance) temporaries cover_distance takes in one group
 _COVER_BLOCK = 4096
 # CPython's float ** 2 is libm pow, which rounds differently from x * x for some x
@@ -99,17 +100,46 @@ class SpectralCurve:
         s = (delta.imag - B.imag * t) / (2.0 * math.pi)
         return s, t
 
+    @cached_property
+    def _reduced_basis(self):
+        """A Lagrange-reduced basis of the period lattice, its integer inverse, and the 9 translate offsets in it.
+
+        Each basis vector is an integer row ``(m, n)``, the lattice vector
+        ``2*pi*i*m + B*n``, and the offsets are (m, n) arrays; the inverse
+        takes (s, t) lattice coordinates to coordinates in the basis.
+        Rounding a difference's coordinates in this basis leaves its
+        nearest lattice vector among the 9 around the rounded one, however
+        sheared ``B`` is.  A real ``B`` gives (2*pi*i, B) in one order or
+        the other.
+        """
+
+        def vector(row):
+            return 2j * math.pi * row[0] + self.pm.B * row[1]
+
+        u, v = sorted(((1, 0), (0, 1)), key=lambda row: abs(vector(row)))
+        while True:
+            mu = round((vector(v) * vector(u).conjugate()).real / abs(vector(u)) ** 2)
+            v = (v[0] - mu * u[0], v[1] - mu * u[1])
+            if abs(vector(v)) >= abs(vector(u)):
+                break
+            u, v = v, u
+        (a, b), (c, d) = u, v
+        det = a * d - b * c  # +-1
+        inverse = (det * d, -det * c, -det * b, det * a)
+        return (u, v), inverse, (a * _OFFSET_P + c * _OFFSET_Q, b * _OFFSET_P + d * _OFFSET_Q)
+
     def cover_distance(self, lift, others) -> float | np.ndarray:
         """Distance between lifts as curve points: min over lattice translates.
 
         For a complex ``lift`` and a complex ``others`` the result is a
         ``float``; for a 1-D array of N lifts in ``others`` it is an array
         of the N distances; for a 1-D array of L lifts in ``lift`` it
-        gains a leading axis, one row per lift (an (L, N) table).  The 9
-        translates around the nearest lattice vector of every difference
-        are a leading axis, taken in groups whose temporaries hold at most
-        ``_COVER_BLOCK`` elements: all 9 in one pass for a table of up to
-        455 distances, one at a time with a running minimum from 2,049.
+        gains a leading axis, one row per lift (an (L, N) table).  Every
+        difference is rounded in the curve's reduced period basis, and the
+        9 translates around that lattice vector are a leading axis, taken
+        in groups whose temporaries hold at most ``_COVER_BLOCK`` elements:
+        all 9 in one pass for a table of up to 455 distances, one at a
+        time with a running minimum from 2,049.
         """
         lift = np.asarray(lift, dtype=complex)
         others = np.asarray(others, dtype=complex)
@@ -118,17 +148,20 @@ class SpectralCurve:
                 f"lift and others must each be one lift or a 1-D array, got shapes {lift.shape}, {others.shape}"
             )
         delta = np.subtract.outer(lift, others)
+        ((a, b), (c, d)), (ps, pt, qs, qt), (offset_m, offset_n) = self._reduced_basis
         s, t = self.lattice_coords(delta)
-        m, n = np.rint(s), np.rint(t)
+        # the rounded coordinates in the reduced basis, back in (m, n)
+        p, q = np.rint(ps * s + pt * t), np.rint(qs * s + qt * t)
+        m, n = a * p + c * q, b * p + d * q
         group = max(1, _COVER_BLOCK // max(1, delta.size))
         if group == 1:
             # scalar offsets keep every temporary the table's shape
-            offsets = zip(_OFFSET_M, _OFFSET_N)
+            offsets = zip(offset_m, offset_n)
         else:
             axes = (-1,) + (1,) * delta.ndim
             offsets = [
-                (_OFFSET_M[i : i + group].reshape(axes), _OFFSET_N[i : i + group].reshape(axes))
-                for i in range(0, len(_OFFSET_M), group)
+                (offset_m[i : i + group].reshape(axes), offset_n[i : i + group].reshape(axes))
+                for i in range(0, len(offset_m), group)
             ]
         least = None
         for dm, dn in offsets:

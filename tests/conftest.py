@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from crosshex.bafunc import SpectralDataCross, SpectralDataHex
 from crosshex.errors import NonConvergent, RankDeficient, SingularEvaluation
@@ -27,6 +28,10 @@ from crosshex.operators import (
 )
 from crosshex.surface import make_torus_curve
 from crosshex.theta import THETA_EPS, theta_eval_scaled
+
+# every property test draws the same examples on every run, whatever it has drawn before
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.load_profile("reproducible")
 
 B_FIXTURE = -6.0
 
@@ -224,6 +229,23 @@ def cell_point(curve, fs, ft):
 def translated(sd, P, m, n):
     """The same curve point on a lift moved by the lattice vector 2*pi*i*m + B*n."""
     return sd.curve.point(P.lift + (2j * math.pi * m + sd.curve.pm.B * n))
+
+
+def brute_cover_distance(B: complex, lift_a: complex, lift_b: complex) -> float:
+    """Reference cover distance: the least |delta - w| over every lattice vector w = 2*pi*i*m + B*n near delta.
+
+    The nearest translate is no farther from delta than 0 is, so |w| <= 2|delta|:
+    every such w is enumerated, row n by row n, whatever the shear of B.
+    """
+    delta = complex(lift_a - lift_b)
+    reach = 2.0 * abs(delta) + 1.0
+    rows = math.floor(reach / -B.real)
+    best = abs(delta)
+    for n in range(-rows, rows + 1):
+        centre = -B.imag * n / (2.0 * math.pi)
+        m = np.arange(math.floor(centre - reach / (2.0 * math.pi)), math.ceil(centre + reach / (2.0 * math.pi)) + 1)
+        best = min(best, float(np.abs(delta - (2j * math.pi * m + B * n)).min()))
+    return best
 
 
 # The per-class relabelling as the package wrote it before the lattice

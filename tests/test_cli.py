@@ -29,7 +29,7 @@ from crosshex.operators import (
 )
 from crosshex.surface import TorusCurve
 
-from conftest import genus_two_document
+from conftest import brute_cover_distance, genus_two_document
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +286,19 @@ def test_b_im_applies_to_the_drawn_real_part(tmp_path):
     # an explicit zero writes the default documents byte for byte
     for doc in ("spec.json", "spec.curve.json"):
         assert filecmp.cmp(tmp_path / "none" / doc, tmp_path / "zero" / doc, shallow=False)
+
+
+def test_a_sheared_period_keeps_its_points_apart(tmp_path):
+    # at Im B = 3000 the nearest translate of a difference is far from its rounded
+    # (2*pi*i, B) coordinates; every pair of points must still be 0.1 apart on the curve
+    out = tmp_path / "sheared.json"
+    assert main(["gen-spectral", "--model", "cross", "--seed", "62", "--b-re", "-3", "--b-im", "3000", "-o", str(out)]) == 0
+    sd, _ = load_spectral_document(str(out))
+    lifts = [sd.curve.base_lift] + [p.lift for p in (*sd.marked.values(), *sd.divisor)]
+    assert len(lifts) == 8
+    for i, a in enumerate(lifts):
+        for b in lifts[:i]:
+            assert brute_cover_distance(sd.curve.pm.B, a, b) >= 0.1, (a, b)
 
 
 def test_a_period_beyond_the_im_bound_is_refused(tmp_path, capsys):

@@ -28,6 +28,7 @@ from crosshex.theta import theta_eval_batch, theta_eval_scaled
 from conftest import (
     CELL_FRACTIONS,
     CROSS_NAME_ORDER,
+    brute_cover_distance,
     cell_point,
     drawn_spectral_data,
     genus_two_document,
@@ -48,6 +49,19 @@ def test_cover_distance_vanishes_on_lattice_translates(torus):
     for translate in (2j * math.pi, b, -2 * b + 4j * math.pi):
         assert torus.cover_distance(u, u + translate) <= 1e-12
     assert torus.cover_distance(u, u + 0.05) == pytest.approx(0.05, rel=1e-9)
+
+
+def test_cover_distance_is_the_least_translate_distance_on_sheared_periods():
+    """Rounding in a reduced period basis keeps the nearest translate among the 9 tried, at any |Im B|."""
+    rng = np.random.default_rng(33)
+    for B in (-3 + 5000j, -3 - 4999j, -100 + 2500j, -3 + 100j, -3 + 20j):
+        curve = make_torus_curve(B)
+        # 12 + 12 lifts uniform in the disc of radius 20 about the origin
+        lifts, others = 20.0 * np.sqrt(rng.random((2, 12))) * np.exp(2j * math.pi * rng.random((2, 12)))
+        table = curve.cover_distance(lifts, others)
+        want = [[brute_cover_distance(B, a, b) for b in others.tolist()] for a in lifts.tolist()]
+        np.testing.assert_allclose(table, want, rtol=1e-12, atol=0, err_msg=str(B))
+        assert curve.cover_distance(lifts[0], others[0]) == table[0, 0]
 
 
 def test_cover_distance_rejects_wrong_length_lifts(torus):
