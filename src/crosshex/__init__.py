@@ -10,10 +10,10 @@ Everything is built on genus-one (torus) spectral data, so lifts,
 periods and theta arguments are plain complex numbers.
 
 Layers, bottom up: ``theta`` (the genus-one Riemann theta with scaled
-arithmetic), ``surface`` (the analytic torus backend plus a tabulated
-backend and curve documents), ``labels`` (one integer table per
-lattice: site rule, stencil neighbours, site classes, labels), ``bafunc`` (the
-function families on a labels x probes grid), ``operators`` (stencil
+arithmetic), ``surface`` (the analytic torus curve and its curve
+documents), ``labels`` (one integer table per lattice: site rule,
+stencil neighbours, site classes, labels), ``bafunc`` (the function
+families on a labels x probes grid), ``operators`` (stencil
 formulas, the ``MODELS`` registry of per-lattice facts, fields,
 residuals, oracle, gauge, documents), ``cli`` (the four-command
 pipeline).
@@ -40,7 +40,6 @@ from .errors import (
     SchemaError,
     SeparationFailure,
     SingularEvaluation,
-    UnknownPoint,
 )
 from .labels import (
     CROSS_COEFFS,
@@ -78,10 +77,8 @@ from .operators import (
 )
 from .surface import (
     SurfacePoint,
-    TabulatedCurve,
     TorusCurve,
     export_curve_document,
-    load_tabulated_curve,
     load_torus_curve,
     make_torus_curve,
 )

@@ -56,13 +56,12 @@ from .operators import (
 from .surface import (
     MAX_ABS_IM_B,
     MIN_RE_B,
-    TorusCurve,
     complex_from_json,
     complex_to_json,
     export_curve_document,
-    load_tabulated_curve,
     load_torus_curve,
     make_torus_curve,
+    require_near_base,
 )
 
 SPECTRAL_DOC_FORMAT = "crosshex-spectral-v1"
@@ -171,10 +170,11 @@ def cmd_gen_spectral(config) -> int:
 def load_spectral_document(path: str):
     """Reconstruct spectral data from a document written by gen-spectral.
 
-    Returns ``(spectral_data, document)``.  The ``backend`` field picks
-    the curve engine: ``torus-analytic`` rebuilds the genus-one curve
-    from its period, ``tabulated`` serves every curve quantity from the
-    stored tables (enough to build and export, not to verify).
+    Returns ``(spectral_data, document)``.  The ``backend`` field is
+    ``torus-analytic`` or ``tabulated``; both rebuild the genus-one curve
+    from its period and lifts, and read the curve document's stored
+    tables for format only.  A divisor lift far from the base is refused
+    as a marked point is (:func:`~crosshex.surface.require_near_base`).
     """
     doc = _load_json(path)
     if not isinstance(doc, dict) or doc.get("format") != SPECTRAL_DOC_FORMAT:
@@ -195,11 +195,7 @@ def load_spectral_document(path: str):
     curve_path = os.path.join(os.path.dirname(path) or ".", curve_ref)
     curve_doc = _load_json(curve_path)
     try:
-        if backend == "tabulated":
-            curve = load_tabulated_curve(curve_doc)
-            marked = curve.marked
-        else:
-            curve, marked = load_torus_curve(curve_doc)
+        curve, marked = load_torus_curve(curve_doc)
     except SchemaError as exc:
         raise SchemaError(f"{curve_path}: {exc}") from None
     if set(marked) != set(spectral_class.marked_names):
@@ -210,6 +206,7 @@ def load_spectral_document(path: str):
     if not isinstance(divisor_raw, list) or len(divisor_raw) != 1:
         raise SchemaError(f"{path}: divisor must list exactly one point")
     divisor = [curve.point(complex_from_json(divisor_raw[0], f"{path}: divisor[0]"))]
+    require_near_base(curve, divisor[0].lift, f"{path}: divisor[0]")
     norm_raw = doc.get("normalization")
     try:
         normalization = ConstantNormalization.from_json(norm_raw)
@@ -243,11 +240,6 @@ def cmd_build(config) -> int:
 
 def cmd_verify(config) -> int:
     sd, doc = load_spectral_document(config.input)
-    if not isinstance(sd.curve, TorusCurve):
-        raise SchemaError(
-            "verification needs the analytic backend (fresh probe points); "
-            "tabulated curve documents only support build and export"
-        )
     probe_seed = config.seed if config.seed is not None else doc.get("seed", 0) + 1000
     probes = sample_probes(sd, config.probes, seed=probe_seed)
     # the field's marked-point integrals and psi's probe integrals, tracked in one pass

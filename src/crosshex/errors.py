@@ -48,7 +48,3 @@ class MissingGauge(CrosshexError):
 
 class SeparationFailure(CrosshexError):
     """Rejection sampling could not achieve the required point separation."""
-
-
-class UnknownPoint(CrosshexError):
-    """A tabulated curve has no stored data for the requested point or pair."""

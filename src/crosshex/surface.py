@@ -1,4 +1,4 @@
-"""Spectral curves: the analytic torus backend and the tabulated backend.
+"""Spectral curves: the analytic torus and its curve-data document.
 
 A *curve* here is the bundle of data the Baker-Akhiezer construction
 consumes: a period ``B``, a base point, an Abel map, normalized
@@ -21,8 +21,9 @@ exactly on the lattice, so
     int_{P0}^{P} Omega_{A,B} = [log E(u - a) - log E(u - b)]
 
 evaluated between the lifts with a continuously tracked logarithm.
-:class:`TabulatedCurve` replays the values a curve document stores and
-re-checks every cross-checkable invariant at load time.
+A curve document records the period, the lifts and those values;
+:func:`load_torus_curve` rebuilds the curve from the period and the
+lifts, and checks the stored values for format only.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .errors import (
     PoleOnPath,
     SchemaError,
     SeparationFailure,
-    UnknownPoint,
 )
 from .theta import PeriodMatrix, theta_eval_batch, theta_eval_scaled
 
@@ -76,7 +76,7 @@ class SurfacePoint:
 
 
 class SpectralCurve:
-    """The geometry both backends share; each answers its curve queries in ``b_periods_and_integrals``."""
+    """The lattice geometry of a curve: its points, Abel map, lattice coordinates and cover distance."""
 
     pm: PeriodMatrix
     base_lift: complex
@@ -490,7 +490,7 @@ class TorusCurve(SpectralCurve):
 
 
 def _validate_constants(curve: SpectralCurve, K: complex) -> None:
-    """Shared Riemann-constant validation (both backends).
+    """Validate ``K`` as the Riemann constant of ``curve``.
 
     The point residual checks Theta(-K) ~ 0, which holds exactly for the
     constant of a based Abel map (the classical vanishing property asks
@@ -533,7 +533,7 @@ def _validate_constants(curve: SpectralCurve, K: complex) -> None:
 
 
 # ---------------------------------------------------------------------------
-# tabulated backend and the curve-data document
+# the curve-data document
 # ---------------------------------------------------------------------------
 
 CURVE_DOC_FORMAT = "crosshex-curve-v1"
@@ -581,73 +581,13 @@ def complex_array_from_json(pairs: list) -> np.ndarray | None:
     return values.view(complex) if np.isfinite(values).all() else None
 
 
-class TabulatedCurve(SpectralCurve):
-    """A curve served from a precomputed-data document.
-
-    The Abel map is still ``lift - base_lift`` (lifts ARE Abel-frame
-    coordinates), but third-kind integrals and the Riemann constant come
-    from stored tables, keyed by marked-point names: ``(plus, minus)``
-    for a b-period and ``(endpoint, plus, minus)`` for an integral.
-    Integrals exist only for the stored combinations; anything else
-    raises :class:`UnknownPoint`.
-    """
-
-    def __init__(
-        self,
-        pm: PeriodMatrix,
-        base_lift: complex,
-        marked: dict[str, SurfacePoint],
-        constants: complex,
-        b_periods: dict[tuple[str, str], complex],
-        integrals: dict[tuple[str, str, str], complex],
-    ):
-        self.pm = pm
-        self.base_lift = base_lift
-        self.marked = dict(marked)
-        self._constants = constants
-        self._b_periods = dict(b_periods)
-        self._integrals = dict(integrals)
-        self._lift_to_name = {pt.lift: name for name, pt in marked.items()}
-
-    def _name_of(self, P: SurfacePoint, role: str) -> str:
-        name = self._lift_to_name.get(P.lift)
-        if name is None:
-            raise UnknownPoint(
-                f"{role} lift {P.lift} is not a stored marked point of the tabulated curve"
-            )
-        return name
-
-    def third_kind_integral(self, P: SurfacePoint, Pplus: SurfacePoint, Pminus: SurfacePoint) -> complex:
-        key = (self._name_of(P, "endpoint"), self._name_of(Pplus, "pole"), self._name_of(Pminus, "pole"))
-        if key not in self._integrals:
-            raise UnknownPoint(f"tabulated curve has no stored integral for {_INTEGRAL_KEY.format(*key)!r}")
-        return self._integrals[key]
-
-    def b_period_vector(self, Pplus: SurfacePoint, Pminus: SurfacePoint) -> complex:
-        names = (self._lift_to_name.get(Pplus.lift), self._lift_to_name.get(Pminus.lift))
-        stored = self._b_periods.get(names)
-        if stored is not None:
-            return stored
-        # the bilinear identity holds for any pair; loader verified stored rows
-        return self.abel(Pplus) - self.abel(Pminus)
-
-    def b_periods_and_integrals(self, pairs, requests) -> tuple[list[complex], list[complex]]:
-        """Each pair's :meth:`b_period_vector` and each request's :meth:`third_kind_integral`, in order."""
-        return (
-            [self.b_period_vector(plus, minus) for plus, minus in pairs],
-            [self.third_kind_integral(*request) for request in requests],
-        )
-
-    def riemann_constants(self) -> complex:
-        return self._constants
-
-
 # Paths start at the base lift and b-period checks track a path of length |B|;
-# the steps grow with path length, so a curve document keeps its marked points
-# this many lattice cells from the base (gen-spectral draws them in the base
-# cell) and Re B above this floor, which gen-spectral also enforces so that
-# every document it writes can be read back.
-_MAX_LIFT_CELLS = 16
+# the steps grow with path length, and a far lift's theta arguments lose digits.
+# So the documents keep their marked points and divisor this many lattice cells
+# from the base (gen-spectral draws them in the base cell) and Re B above this
+# floor, which gen-spectral also enforces so that every document it writes can
+# be read back.
+MAX_LIFT_CELLS = 16
 MIN_RE_B = -1e4
 # In a strongly sheared cell the probe screen rejects nearly every draw, and
 # verify cannot place its probes; gen-spectral and the reader both refuse a
@@ -665,16 +605,19 @@ _CURVE_DOC_KEYS = {
 }
 
 
-def _read_curve_document(document: dict) -> TabulatedCurve:
-    """Read a curve-data document into its tables, checking its structure only.
+def load_torus_curve(document: dict) -> tuple[TorusCurve, dict[str, SurfacePoint]]:
+    """The analytic curve and its marked points, from a curve-data document.
 
-    Both backends start here.  Any structural problem raises
+    Only the structure is checked.  Any structural problem raises
     :class:`SchemaError`: a wrong ``format``, a missing section, a genus
     other than 1, a ``B`` that is not a 1x1 nested list holding a valid
     period (with ``Re B >= MIN_RE_B`` and ``|Im B| <= MAX_ABS_IM_B``), a
     malformed or non-finite number or pair, a key naming an unknown marked
-    point, or a marked point more than ``_MAX_LIFT_CELLS`` lattice cells
-    from the base.
+    point, or a marked point more than ``MAX_LIFT_CELLS`` lattice cells
+    from the base.  The stored Riemann constant, b-periods and integrals
+    are a record: checked for format, then not read, since the
+    :class:`TorusCurve` computes each of them (and validates its own
+    Riemann constant and b-periods when first asked for them).
     """
     if not isinstance(document, dict):
         raise SchemaError("curve document must be a JSON object")
@@ -704,22 +647,20 @@ def _read_curve_document(document: dict) -> TabulatedCurve:
     if not document["marked_points"]:
         raise SchemaError("marked_points must not be empty")
 
-    base = complex_from_json(document["base_lift"], "base_lift")
+    curve = TorusCurve(pm, complex_from_json(document["base_lift"], "base_lift"))
     marked = {
         str(name): SurfacePoint(complex_from_json(val, f"marked_points[{name}]"))
         for name, val in document["marked_points"].items()
     }
-    constants = complex_from_json(document["riemann_constants"], "riemann_constants")
-    b_periods = {}
+    complex_from_json(document["riemann_constants"], "riemann_constants")
     for key, val in document["b_periods"].items():
-        names = tuple(str(key).split("/"))
+        names = str(key).split("/")
         if len(names) != 2:
             raise SchemaError(f"b_periods key {key!r} must look like 'A/B'")
         if not set(names) <= marked.keys():
             raise SchemaError(f"b_periods key {key!r} names unknown marked points")
-        b_periods[names] = complex_from_json(val, f"b_periods[{key}]")
+        complex_from_json(val, f"b_periods[{key}]")
 
-    integrals = {}
     for key, val in document["third_kind_integrals"].items():
         head, sep, tail = str(key).partition("|")
         names = (head, *tail.split(","))
@@ -728,88 +669,22 @@ def _read_curve_document(document: dict) -> TabulatedCurve:
         for nm in names:
             if nm not in marked:
                 raise SchemaError(f"third_kind_integrals key {key!r} names unknown point {nm!r}")
-        integrals[names] = complex_from_json(val, f"third_kind_integrals[{key}]")
+        complex_from_json(val, f"third_kind_integrals[{key}]")
 
-    curve = TabulatedCurve(pm, base, marked, constants, b_periods, integrals)
     for name, point in marked.items():
-        cells = curve.lattice_coords(point.lift - base)
-        if not all(abs(c) <= _MAX_LIFT_CELLS for c in cells):
-            raise SchemaError(
-                f"marked point {name} is {cells} lattice cells from the base (max {_MAX_LIFT_CELLS})"
-            )
-    return curve
+        require_near_base(curve, point.lift, f"marked point {name}")
+    return curve, marked
 
 
-def load_torus_curve(document: dict) -> tuple[TorusCurve, dict[str, SurfacePoint]]:
-    """The analytic curve and its marked points, from a curve document.
-
-    Only the structure is checked: a :class:`TorusCurve` validates its
-    own Riemann constant and b-periods when first asked for them.
-    """
-    tables = _read_curve_document(document)
-    return TorusCurve(tables.pm, tables.base_lift), tables.marked
-
-
-def load_tabulated_curve(document: dict) -> TabulatedCurve:
-    """Build a :class:`TabulatedCurve` from a curve-data document.
-
-    Structural problems raise :class:`SchemaError`; well-formed data
-    that fails a recomputable invariant (stored b-periods vs Abel
-    differences to 1e-8, opposite-orientation integral pairs, the
-    Riemann-constant vanishing check, each integral against its closed
-    form) raises :class:`ConsistencyFailure`.
-    """
-    curve = _read_curve_document(document)
-    marked = curve.marked
-    for (a_name, b_name), U in curve._b_periods.items():
-        err = abs(U - (curve.abel(marked[a_name]) - curve.abel(marked[b_name])))
-        if err > _BILINEAR_TOL:
-            raise ConsistencyFailure(
-                f"stored b-period {_B_PERIOD_KEY.format(a_name, b_name)!r} disagrees with the Abel difference "
-                f"by {err:.3e}"
-            )
-    K = curve.riemann_constants()
-    _validate_constants(curve, K)
-    # each integral's closed form, modulo 2*pi*i: int_{P0}^{S} Omega_{A,B} is
-    # [log E(S - A) - log E(P0 - A)] - [log E(S - B) - log E(P0 - B)], with E(u) = Theta(u - K)
-    integrals = curve._integrals
-    keys = list(integrals)
-    end, plus, minus = np.array([[marked[name].lift for name in key] for key in keys], dtype=complex).reshape(-1, 3).T
-    base = curve.base_lift
-    theta = theta_eval_batch(curve.pm, np.stack([end - plus, base - plus, end - minus, base - minus], axis=1) - K)
-    stored = np.array([integrals[key] for key in keys], dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logs = np.log(theta.mantissa) + theta.log_scale
-        closed = (logs[:, 0] - logs[:, 1]) - (logs[:, 2] - logs[:, 3])
-        # both checks scale with the closed form, so a stored value cannot widen its own
-        # tolerance; a zero theta value gives a closed form that is not finite, refused below
-        tolerance = np.where(np.isfinite(closed), _BILINEAR_TOL * np.maximum(1.0, np.abs(closed)), np.nan)
-        gap = stored - closed
-        # the subtraction and the reduction modulo 2*pi each round by up to about
-        # 2**-52 |Im gap|, which the mismatch counts in: past that it cannot tell 0 from pi
-        reduced = gap.imag - 2.0 * math.pi * np.rint(gap.imag / (2.0 * math.pi))
-        mismatch = np.hypot(gap.real, reduced) + 2.0**-51 * np.abs(gap.imag)
-        refused = np.flatnonzero(~(mismatch <= tolerance))
-    for (endpoint, a_name, b_name), value, tol in zip(keys, stored.tolist(), tolerance.tolist()):
-        flipped = (endpoint, b_name, a_name)
-        if flipped in integrals:
-            opposite = abs(value + integrals[flipped])
-            if opposite > tol:
-                raise ConsistencyFailure(
-                    f"stored integrals {_INTEGRAL_KEY.format(endpoint, a_name, b_name)!r} and "
-                    f"{_INTEGRAL_KEY.format(*flipped)!r} are not negatives (|sum| = {opposite:.3e})"
-                )
-    if refused.size:
-        i = refused[0]
-        raise ConsistencyFailure(
-            f"stored integral {_INTEGRAL_KEY.format(*keys[i])!r} disagrees with its closed form by "
-            f"{mismatch[i]:.3e} modulo 2*pi*i"
-        )
-    return curve
+def require_near_base(curve: SpectralCurve, lift: complex, what: str) -> None:
+    """Refuse a document's lift more than ``MAX_LIFT_CELLS`` lattice cells from the base (:class:`SchemaError`)."""
+    cells = curve.lattice_coords(lift - curve.base_lift)
+    if not all(abs(c) <= MAX_LIFT_CELLS for c in cells):
+        raise SchemaError(f"{what} is {cells} lattice cells from the base (max {MAX_LIFT_CELLS})")
 
 
 def export_curve_document(
-    curve: SpectralCurve,
+    curve: TorusCurve,
     marked: dict[str, SurfacePoint],
     b_period_pairs: list[tuple[str, str]],
     integral_specs: list[tuple[str, tuple[str, str]]],
@@ -819,11 +694,11 @@ def export_curve_document(
     ``b_period_pairs`` lists named (plus, minus) pairs to store;
     ``integral_specs`` lists (endpoint, (plus, minus)) combinations.
     Composite pole pairs (for example the difference differential with
-    poles at two same-family points) are computed directly on the
-    analytic backend; every stored endpoint group shares the single
-    straight base-to-endpoint path, which keeps linear combinations of
-    rows path-consistent.  The b-periods and integrals come from one
-    ``b_periods_and_integrals`` call of the curve's backend.
+    poles at two same-family points) are computed directly; every
+    stored endpoint group shares the single straight base-to-endpoint
+    path, which keeps linear combinations of rows path-consistent.  The
+    b-periods and integrals come from one ``b_periods_and_integrals``
+    call.
     """
     periods, values = curve.b_periods_and_integrals(
         [(marked[plus], marked[minus]) for plus, minus in b_period_pairs],

@@ -27,7 +27,7 @@ from crosshex.operators import (
     RESIDUAL_TOL,
     build_field,
 )
-from crosshex.surface import TorusCurve
+from crosshex.surface import MAX_LIFT_CELLS, TorusCurve
 
 from conftest import brute_cover_distance, genus_two_document
 
@@ -172,88 +172,63 @@ def test_pipeline_is_deterministic(workspace, tmp_path):
     assert filecmp.cmp(field, field2, shallow=False)
 
 
-def test_tabulated_backend_reproduces_the_build(workspace, tmp_path):
-    spectral, field = workspace["cross"]
-    tab_dir = tmp_path / "tab"
-    tab_dir.mkdir()
-    doc = json.loads(spectral.read_text())
-    doc["backend"] = "tabulated"
-    (tab_dir / spectral.name).write_text(json.dumps(doc))
-    (tab_dir / "cross.curve.json").write_text(
-        (spectral.parent / "cross.curve.json").read_text()
-    )
-    out = tab_dir / "field.json"
-    assert main(["build", "-i", str(tab_dir / spectral.name), "--window", "2", "-o", str(out)]) == 0
-    built = json.loads(out.read_text())
-    reference = json.loads(field.read_text())
-    assert built["sites"] == reference["sites"]
+def _tabulated_copy(workspace, model, folder, change_curve=None):
+    """The model's spectral document with ``backend`` set to ``tabulated``, under its own name in ``folder``.
 
-
-def _tabulated_build(workspace, folder, change_curve) -> int:
-    """``build --window 1`` of the cross document on the tabulated backend, its curve document changed."""
-    spectral, _ = workspace["cross"]
+    Its curve document is copied next to it, changed by ``change_curve`` if given.
+    """
+    spectral, _ = workspace[model]
     sdoc = json.loads(spectral.read_text())
-    cdoc = json.loads((spectral.parent / sdoc["curve_ref"]).read_text())
-    change_curve(cdoc)
+    curve = spectral.parent / sdoc["curve_ref"]
+    folder.mkdir()
+    if change_curve is None:
+        (folder / curve.name).write_bytes(curve.read_bytes())
+    else:
+        cdoc = json.loads(curve.read_text())
+        change_curve(cdoc)
+        (folder / curve.name).write_text(json.dumps(cdoc))
     (folder / spectral.name).write_text(json.dumps({**sdoc, "backend": "tabulated"}))
-    (folder / sdoc["curve_ref"]).write_text(json.dumps(cdoc))
-    return main(["build", "-i", str(folder / spectral.name), "--window", "1", "-o", str(folder / "f.json")])
+    return folder / spectral.name
 
 
-def test_a_stored_integral_off_its_closed_form_fails_the_tabulated_build(workspace, tmp_path, capsys):
-    def shift(cdoc):
+def test_tabulated_backend_reproduces_the_build(workspace, tmp_path):
+    for model in ("cross", "hex"):
+        spectral, field = workspace[model]
+        copy = _tabulated_copy(workspace, model, tmp_path / model)
+        out = copy.parent / field.name
+        assert main(["build", "-i", str(copy), "--window", "2", "-o", str(out)]) == 0
+        assert filecmp.cmp(field, out, shallow=False)
+
+
+def test_a_tabulated_build_does_not_read_the_stored_tables(workspace, tmp_path):
+    # each of these values was once read (and refused, or replayed); the curve is rebuilt from its period and lifts
+    def change(cdoc):
         integrals = cdoc["third_kind_integrals"]
-        # no opposite-orientation partner is stored, so only the closed form can catch the change
-        assert "P1+|P2-,P2+" not in integrals
         integrals["P1+|P2+,P2-"][0] += 0.5
+        integrals["P2+|P1+,P1-"][1] = 1e20
+        cdoc["riemann_constants"] = [1000.0, 0.0]
+        cdoc["b_periods"]["P1+/P1-"][0] += 1e-4
 
-    capsys.readouterr()
-    assert _tabulated_build(workspace, tmp_path, shift) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("verification-grade failure: stored integral 'P1+|P2+,P2-' disagrees with its closed form")
-    assert not (tmp_path / "f.json").exists()
-
-
-def test_a_stored_integral_with_a_huge_imaginary_part_fails_the_tabulated_build(workspace, tmp_path, capsys):
-    # the tolerance scales with the closed form: scaled with the stored value it
-    # would be 1e12 here, and the mismatch modulo 2*pi is at most pi
-    def inflate(cdoc):
-        cdoc["third_kind_integrals"]["P1+|P2+,P2-"][1] = 1e20
-
-    capsys.readouterr()
-    assert _tabulated_build(workspace, tmp_path, inflate) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("verification-grade failure: stored integral 'P1+|P2+,P2-' disagrees with its closed form")
-    assert not (tmp_path / "f.json").exists()
+    spectral, field = workspace["cross"]
+    copy = _tabulated_copy(workspace, "cross", tmp_path / "changed", change)
+    out = copy.parent / field.name
+    assert main(["build", "-i", str(copy), "--window", "2", "-o", str(out)]) == 0
+    assert filecmp.cmp(field, out, shallow=False)
 
 
-def test_a_riemann_constant_far_from_the_theta_zero_fails_without_overflow(workspace, tmp_path, capsys):
-    # |Theta(-K)| / |Theta(0)| is beyond e**709 here, so the ratio itself would overflow
-    capsys.readouterr()
-    assert _tabulated_build(workspace, tmp_path, lambda cdoc: cdoc.update(riemann_constants=[1000.0, 0.0])) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("verification-grade failure: Riemann constants failed the vanishing check: log10(")
-    assert "Traceback" not in err and not (tmp_path / "f.json").exists()
-
-
-def test_verify_rejects_tabulated_backend(workspace, tmp_path, capsys):
-    spectral, _ = workspace["cross"]
-    doc = json.loads(spectral.read_text())
-    doc["backend"] = "tabulated"
-    moved = tmp_path / spectral.name
-    moved.write_text(json.dumps(doc))
-    (tmp_path / "cross.curve.json").write_text(
-        (spectral.parent / "cross.curve.json").read_text()
-    )
-    report = tmp_path / "report.json"
-    capsys.readouterr()
-    assert main(["verify", "-i", str(moved), "--window", "1", "--probes", "12", "-o", str(report)]) == 2
-    # the one refusal line and no traceback
-    assert capsys.readouterr().err == (
-        "error: verification needs the analytic backend (fresh probe points); "
-        "tabulated curve documents only support build and export\n"
-    )
-    assert not report.exists()
+def test_verify_on_a_tabulated_copy_matches_the_analytic_run(workspace, tmp_path, capsys):
+    for model in ("cross", "hex"):
+        spectral, _ = workspace[model]
+        copy = _tabulated_copy(workspace, model, tmp_path / model)
+        runs = []
+        for source, folder in ((spectral, tmp_path / f"{model}-analytic"), (copy, copy.parent)):
+            folder.mkdir(exist_ok=True)
+            report = folder / "report.json"
+            capsys.readouterr()
+            code = main(["verify", "-i", str(source), "--window", "1", "--probes", "12", "-o", str(report)])
+            runs.append((code, capsys.readouterr(), report.read_bytes()))
+        assert runs[0][0] == 0 and runs[0][1].err == ""
+        assert runs[1] == runs[0]
 
 
 def test_shallow_curve_refusal(tmp_path, capsys):
@@ -632,25 +607,47 @@ def test_usage_errors_raise_systemexit_2(tmp_path, capsys):
 
 
 def test_out_of_range_values_exit_1(tmp_path, capsys):
-    """Finite values whose evaluation leaves double range: a failure line, exit 1, never an exception."""
+    """A finite value whose evaluation leaves double range: a failure line, exit 1, never an exception."""
     spectral = tmp_path / "hex.json"
     assert main(["gen-spectral", "--model", "hex", "--seed", "1", "-o", str(spectral)]) == 0
     sdoc = json.loads(spectral.read_text())
-    for i, change in enumerate(
-        [
-            # the theta series at this divisor overflows the shell sum
-            {"divisor": [[0.0, -1e308]]},
-            # phi at the probes leaves double range ([1e300, 0] does not)
-            {"normalization": {"kind": "constant", "value": [1e308, 0.0]}},
-        ]
-    ):
-        path = tmp_path / f"{i}.json"
-        path.write_text(json.dumps({**sdoc, **change}))
-        capsys.readouterr()
-        assert main(["verify", "-i", str(path), "--window", "0", "--probes", "8"]) == 1, change
-        assert capsys.readouterr().err.startswith("verification-grade failure: ")
-    assert main(["build", "-i", str(tmp_path / "0.json"), "--window", "1", "-o", str(tmp_path / "f.json")]) == 1
-    assert main(["build", "-i", str(tmp_path / "1.json"), "--window", "1", "-o", str(tmp_path / "f.json")]) == 0
+    # phi at the probes leaves double range ([1e300, 0] does not)
+    path = tmp_path / "0.json"
+    path.write_text(json.dumps({**sdoc, "normalization": {"kind": "constant", "value": [1e308, 0.0]}}))
+    capsys.readouterr()
+    assert main(["verify", "-i", str(path), "--window", "0", "--probes", "8"]) == 1
+    assert capsys.readouterr().err.startswith("verification-grade failure: ")
+    assert main(["build", "-i", str(path), "--window", "1", "-o", str(tmp_path / "f.json")]) == 0
+
+
+def test_a_divisor_lift_far_from_the_base_is_refused(workspace, tmp_path, capsys):
+    # the same curve point, but a far lift's theta arguments lose digits: at
+    # 2*pi*i*1e7 build once exited 0 and verify failed; at 1e308 theta overflowed
+    spectral, _ = workspace["cross"]
+    sdoc = json.loads(spectral.read_text())
+    B = complex(*json.loads((spectral.parent / sdoc["curve_ref"]).read_text())["B"][0][0])
+    divisor = complex(*sdoc["divisor"][0])
+    far = [divisor + 2j * math.pi * 1e7, divisor + (MAX_LIFT_CELLS + 1) * B, complex(0.0, -1e308)]
+    for i, lift in enumerate(far + [divisor + (MAX_LIFT_CELLS - 1) * B]):
+        folder = tmp_path / str(i)
+        folder.mkdir()
+        (folder / sdoc["curve_ref"]).write_bytes((spectral.parent / sdoc["curve_ref"]).read_bytes())
+        path = folder / spectral.name
+        path.write_text(json.dumps({**sdoc, "divisor": [[lift.real, lift.imag]]}))
+        for argv in (
+            ["build", "-i", str(path), "--window", "1", "-o", str(folder / "f.json")],
+            ["verify", "-i", str(path), "--window", "1", "--probes", "8", "-o", str(folder / "v.json")],
+        ):
+            capsys.readouterr()
+            code = main(argv)
+            err = capsys.readouterr().err
+            if i < len(far):
+                assert code == 2 and err.count("\n") == 1, (i, argv[0], err)
+                assert err.startswith(f"error: {path}: divisor[0] is ")
+                assert err.endswith(f"lattice cells from the base (max {MAX_LIFT_CELLS})\n")
+                assert not os.path.exists(argv[-1])
+            else:
+                assert code == 0 and err == "", (argv[0], err)
 
 
 def test_a_denominator_below_the_floor_fails_build(workspace, tmp_path, capsys, monkeypatch):

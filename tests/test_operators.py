@@ -56,7 +56,7 @@ from crosshex.operators import (
     _ratios,
     _unique_rows,
 )
-from crosshex.surface import export_curve_document, load_tabulated_curve, make_torus_curve
+from crosshex.surface import make_torus_curve
 from crosshex.theta import ScaledArray
 
 from conftest import (
@@ -356,26 +356,6 @@ def test_every_formula_declares_its_transcription():
     )
     corrected = [f for f in tagged if f.transcription.startswith("corrected-index")]
     assert [(f.coeff,) for f in corrected] == [("f",)]
-
-
-# -- backends agree ------------------------------------------------------------
-
-
-def test_tabulated_backend_builds_identical_field(torus, hex_data):
-    doc = export_curve_document(
-        torus,
-        dict(hex_data.marked),
-        list(hex_data.basis_pairs),
-        list(HEX.curve_integrals),
-    )
-    tab = load_tabulated_curve(json.loads(json.dumps(doc)))
-    sd_tab = SpectralDataHex(tab, tab.marked, [p.lift for p in hex_data.divisor])
-    analytic = build_field(hex_data, 1)
-    tabulated = build_field(sd_tab, 1)
-    for site in analytic.sites:
-        st, other = analytic.stencil(site), tabulated.stencil(site)
-        for key in HEX_COEFFS:
-            assert st.as_dict()[key] == other.as_dict()[key]
 
 
 # -- gauge and rescaling covariance -------------------------------------------

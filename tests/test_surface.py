@@ -2,7 +2,6 @@ import cmath
 import itertools
 import json
 import math
-import re
 
 import numpy as np
 import pytest
@@ -14,12 +13,10 @@ from crosshex.errors import (
     PoleOnPath,
     SchemaError,
     SeparationFailure,
-    UnknownPoint,
 )
 from crosshex.surface import (
     complex_to_json,
     export_curve_document,
-    load_tabulated_curve,
     load_torus_curve,
     make_torus_curve,
 )
@@ -411,6 +408,30 @@ def test_segment_pole_distance_is_the_nearest_translate():
             assert curve._segment_pole_distance(pole, a, b) == brute
 
 
+def test_segment_pole_distance_sees_a_planted_pole_at_sheared_periods():
+    """A pole planted within eps of a base-to-cell or b-cycle segment, then moved by a lattice vector, is seen.
+
+    The translates tried are those within one cell of the segment's
+    unreduced (s, t) box; at |Im B| up to 5000 they must still include the
+    planted one, so the distance reported is at most eps.
+    """
+    rng = np.random.default_rng(34)
+    for B in (-3 + 5000j, -3 - 4999j, -100 + 2500j, -3 + 100j, -3 + 20j):
+        curve = make_torus_curve(B)
+        size = 300
+        start = curve.base_lift + 2j * math.pi * rng.random(size) + B * rng.random(size)
+        # base-to-cell segments (the paths of the integrals), then b-cycle segments
+        a = np.concatenate([np.full(size, curve.base_lift), start])
+        b = np.concatenate([start, start + B])
+        eps = 10.0 ** rng.uniform(-9, math.log10(6e-4), 2 * size)
+        near = a + rng.random(2 * size) * (b - a) + eps * np.exp(2j * math.pi * rng.random(2 * size))
+        m, n = rng.integers(-3, 4, (2, 2 * size))
+        pole = near + 2j * math.pi * m + B * n
+        distance = curve._segment_pole_distance(pole, a, b)
+        missed = np.flatnonzero(~(distance <= eps * (1 + 1e-6) + 1e-12))
+        assert not missed.size, (B, [(pole[i], a[i], b[i], eps[i], distance[i]) for i in missed[:3]])
+
+
 def test_third_kind_pole_orders_by_log_fit(torus):
     """Re(integral) grows like +log eps at the plus pole, -log eps at minus.
 
@@ -532,6 +553,15 @@ def test_riemann_scan_accepts_the_true_constant_at_deep_periods(B):
     # reads each node's peak-relative value, which does not
     curve = make_torus_curve(B)
     assert curve.riemann_constants() == 1j * math.pi + curve.pm.B / 2.0
+
+
+def test_a_riemann_constant_far_from_the_theta_zero_fails_without_overflow(torus):
+    # |Theta(-K)| / |Theta(0)| is beyond e**709 here, so the ratio itself would overflow
+    with pytest.raises(ConsistencyFailure) as info:
+        surface._validate_constants(torus, 1000 + 0j)
+    head = "Riemann constants failed the vanishing check: log10(|Theta(-K)| / |Theta(0)|) = "
+    message = str(info.value)
+    assert message.startswith(head) and 308 < float(message[len(head) :]) < math.inf, message
 
 
 def test_riemann_scan_refuses_a_far_node_near_zero(monkeypatch):
@@ -698,7 +728,7 @@ def test_sample_points_draws_what_one_draw_at_a_time_draws(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# curve documents / tabulated backend
+# curve documents
 # ---------------------------------------------------------------------------
 
 
@@ -742,23 +772,7 @@ def test_document_json_round_trip_is_exact(curve_doc):
     assert json.loads(text) == curve_doc
 
 
-def test_tabulated_backend_serves_stored_values(torus, curve_doc):
-    tab = load_tabulated_curve(json.loads(json.dumps(curve_doc)))
-    p2p = tab.marked["P2+"]
-    plus, minus = tab.marked["P1+"], tab.marked["P1-"]
-    stored = tab.third_kind_integral(p2p, plus, minus)
-    direct = torus.third_kind_integral(
-        torus.point(p2p.lift), torus.point(plus.lift), torus.point(minus.lift)
-    )
-    assert stored == direct  # the document stores full doubles
-    U_tab = tab.b_period_vector(plus, minus)
-    U_dir = torus.b_period_vector(torus.point(plus.lift), torus.point(minus.lift))
-    assert U_tab == U_dir
-    assert tab.riemann_constants() == torus.riemann_constants()
-
-
-@pytest.mark.parametrize("backend", ["analytic", "tabulated"])
-def test_one_item_queries_have_the_bits_of_the_batch_query(torus, curve_doc, backend):
+def test_one_item_queries_have_the_bits_of_the_batch_query(torus, curve_doc):
     lifts = {name: complex(*lift) for name, lift in curve_doc["marked_points"].items()}
     pairs = [key.split("/") for key in curve_doc["b_periods"]]
     # 'S|A,B' names the endpoint S and the poles A, B
@@ -766,9 +780,7 @@ def test_one_item_queries_have_the_bits_of_the_batch_query(torus, curve_doc, bac
 
     def fresh():
         # a TorusCurve checks each b-period pair only once, so each side gets its own
-        if backend == "analytic":
-            return make_torus_curve(torus.pm.B)
-        return load_tabulated_curve(json.loads(json.dumps(curve_doc)))
+        return make_torus_curve(torus.pm.B)
 
     def points(curve, names):
         return [curve.point(lifts[name]) for name in names]
@@ -795,27 +807,25 @@ def test_analytic_reader_rebuilds_the_curve_from_the_document(torus, curve_doc):
     tampered = json.loads(json.dumps(curve_doc))
     tampered["riemann_constants"] = [0.0, 0.0]
     load_torus_curve(tampered)
-    # both backends share one reader, so they refuse the same documents
+    # both backend values of a spectral document read the curve here, so they refuse the same documents
     for change in ({"format": "crosshex-curve-v0"}, {"B": [[[0.5, 0.0]]]}):
-        for load in (load_torus_curve, load_tabulated_curve):
-            with pytest.raises(SchemaError):
-                load({**curve_doc, **change})
+        with pytest.raises(SchemaError):
+            load_torus_curve({**curve_doc, **change})
 
 
 def test_reader_refuses_periods_outside_the_accepted_range(curve_doc):
-    """Both backends refuse a period that gen-spectral would not write."""
+    """The reader refuses a period that gen-spectral would not write."""
     for B in (
         [surface.MIN_RE_B - 1.0, 0.0],
         [-6.0, surface.MAX_ABS_IM_B * 1.5],
         [-6.0, -surface.MAX_ABS_IM_B * 1.5],
     ):
-        for load in (load_torus_curve, load_tabulated_curve):
-            with pytest.raises(SchemaError, match="B: "):
-                load({**curve_doc, "B": [[B]]})
+        with pytest.raises(SchemaError, match="B: "):
+            load_torus_curve({**curve_doc, "B": [[B]]})
 
 
 def test_genus_one_only(curve_doc):
-    """Both backends refuse a genus other than 1 and a B other than 1x1 at the reader."""
+    """The reader refuses a genus other than 1 and a B other than 1x1."""
     entry = curve_doc["B"][0][0]
     for broken in (
         genus_two_document(curve_doc),
@@ -824,58 +834,23 @@ def test_genus_one_only(curve_doc):
         {**curve_doc, "B": [[entry, [0.0, 0.0]]]},
         {**curve_doc, "B": [[entry], [entry]]},
     ):
-        for load in (load_torus_curve, load_tabulated_curve):
-            with pytest.raises(SchemaError):
-                load(broken)
-
-
-def test_tabulated_lookup_of_unstored_combination(curve_doc):
-    tab = load_tabulated_curve(curve_doc)
-    with pytest.raises(UnknownPoint) as info:
-        tab.third_kind_integral(tab.marked["P3+"], tab.marked["P1+"], tab.marked["P1-"])
-    assert str(info.value) == "tabulated curve has no stored integral for 'P3+|P1+,P1-'"
-    with pytest.raises(UnknownPoint) as info:
-        tab.third_kind_integral(tab.point(0.125 + 0.5j), tab.marked["P1+"], tab.marked["P1-"])
-    assert str(info.value) == "endpoint lift (0.125+0.5j) is not a stored marked point of the tabulated curve"
+        with pytest.raises(SchemaError):
+            load_torus_curve(broken)
 
 
 def test_tabulated_rejects_missing_sections(curve_doc):
+    """A ``tabulated`` spectral document's curve is read by load_torus_curve too, which refuses a missing section."""
     for key in ("format", "genus", "B", "marked_points", "third_kind_integrals"):
         broken = json.loads(json.dumps(curve_doc))
         del broken[key]
         with pytest.raises(SchemaError):
-            load_tabulated_curve(broken)
+            load_torus_curve(broken)
 
 
 def test_tabulated_rejects_unknown_point_in_integral_key(curve_doc):
+    """The stored tables are checked for format, though not read: a key must name marked points."""
     broken = json.loads(json.dumps(curve_doc))
     val = next(iter(broken["third_kind_integrals"].values()))
     broken["third_kind_integrals"]["Nope|P1+,P1-"] = val
     with pytest.raises(SchemaError):
-        load_tabulated_curve(broken)
-
-
-def test_tabulated_detects_tampered_integral(curve_doc):
-    broken = json.loads(json.dumps(curve_doc))
-    key = "P2+|P1+,P1-"
-    flipped = "P2+|P1-,P1+"
-    broken["third_kind_integrals"][flipped] = [
-        -broken["third_kind_integrals"][key][0] + 1e-3,
-        -broken["third_kind_integrals"][key][1],
-    ]
-    with pytest.raises(ConsistencyFailure) as info:
-        load_tabulated_curve(broken)
-    want = r"stored integrals 'P2\+\|P1\+,P1-' and 'P2\+\|P1-,P1\+' are not negatives \(\|sum\| = 1\.000e-03\)"
-    assert re.fullmatch(want, str(info.value)), str(info.value)
-
-
-def test_tabulated_detects_inconsistent_b_period(curve_doc):
-    broken = json.loads(json.dumps(curve_doc))
-    broken["b_periods"]["P1+/P1-"] = [
-        broken["b_periods"]["P1+/P1-"][0] + 1e-4,
-        broken["b_periods"]["P1+/P1-"][1],
-    ]
-    with pytest.raises(ConsistencyFailure) as info:
-        load_tabulated_curve(broken)
-    want = r"stored b-period 'P1\+/P1-' disagrees with the Abel difference by 1\.000e-04"
-    assert re.fullmatch(want, str(info.value)), str(info.value)
+        load_torus_curve(broken)
