@@ -200,20 +200,38 @@ def test_tabulated_backend_reproduces_the_build(workspace, tmp_path):
         assert filecmp.cmp(field, out, shallow=False)
 
 
-def test_a_tabulated_build_does_not_read_the_stored_tables(workspace, tmp_path):
-    # each of these values was once read (and refused, or replayed); the curve is rebuilt from its period and lifts
-    def change(cdoc):
-        integrals = cdoc["third_kind_integrals"]
-        integrals["P1+|P2+,P2-"][0] += 0.5
-        integrals["P2+|P1+,P1-"][1] = 1e20
-        cdoc["riemann_constants"] = [1000.0, 0.0]
-        cdoc["b_periods"]["P1+/P1-"][0] += 1e-4
-
-    spectral, field = workspace["cross"]
-    copy = _tabulated_copy(workspace, "cross", tmp_path / "changed", change)
+def _assert_tabulated_build_is_analytic(workspace, folder, change_curve):
+    """A tabulated copy of the cross document, its curve document changed, builds the analytic field byte for byte."""
+    _, field = workspace["cross"]
+    copy = _tabulated_copy(workspace, "cross", folder, change_curve)
     out = copy.parent / field.name
     assert main(["build", "-i", str(copy), "--window", "2", "-o", str(out)]) == 0
     assert filecmp.cmp(field, out, shallow=False)
+
+
+# each stored value changed below was once read (and refused, or replayed); the curve is rebuilt from its period and lifts
+
+
+def test_a_shifted_stored_integral_does_not_change_the_tabulated_build(workspace, tmp_path):
+    def shift(cdoc):
+        cdoc["third_kind_integrals"]["P1+|P2+,P2-"][0] += 0.5
+
+    _assert_tabulated_build_is_analytic(workspace, tmp_path / "shifted", shift)
+
+
+def test_a_stored_integral_with_a_huge_imaginary_part_does_not_change_the_tabulated_build(workspace, tmp_path):
+    def inflate(cdoc):
+        cdoc["third_kind_integrals"]["P2+|P1+,P1-"][1] = 1e20
+
+    _assert_tabulated_build_is_analytic(workspace, tmp_path / "inflated", inflate)
+
+
+def test_a_tabulated_build_does_not_read_the_stored_tables(workspace, tmp_path):
+    def change(cdoc):
+        cdoc["riemann_constants"] = [1000.0, 0.0]
+        cdoc["b_periods"]["P1+/P1-"][0] += 1e-4
+
+    _assert_tabulated_build_is_analytic(workspace, tmp_path / "changed", change)
 
 
 def test_verify_on_a_tabulated_copy_matches_the_analytic_run(workspace, tmp_path, capsys):
