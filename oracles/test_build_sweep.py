@@ -33,7 +33,7 @@ import sys
 import pytest
 
 from crosshex.operators import build_field
-from crosshex.surface import make_torus_curve
+from crosshex.surface import TorusCurve
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
 from conftest import drawn_spectral_data, one_site_stencil, scalars  # noqa: E402
@@ -44,7 +44,7 @@ PERIODS = [complex(re, im) for re in (-8.0, -4.25, -3.0) for im in (0.0, 3.0, -3
 
 @pytest.mark.parametrize("B", PERIODS)
 def test_radius_40_build_matches_the_one_site_formulas(B):
-    curve = make_torus_curve(B)
+    curve = TorusCurve(B)
     for model in ("cross", "hex"):
         sd = drawn_spectral_data(model, curve)
         field = build_field(sd, RADIUS)

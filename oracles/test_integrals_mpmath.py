@@ -21,7 +21,7 @@ import pytest
 
 mp = pytest.importorskip("mpmath")
 
-from crosshex.surface import make_torus_curve  # noqa: E402
+from crosshex.surface import SurfacePoint, TorusCurve  # noqa: E402
 
 TOL = 1e-10
 
@@ -59,10 +59,10 @@ def _quadrature_integral(B: complex, pole_a: complex, pole_b: complex, base: com
 
 @pytest.mark.parametrize("B, frac_a, frac_b, frac_end", CASES)
 def test_third_kind_integral_matches_quadrature(B, frac_a, frac_b, frac_end):
-    curve = make_torus_curve(B, base_lift=0.15 - 0.2j)
+    curve = TorusCurve(B, base_lift=0.15 - 0.2j)
 
     def cell(fs, ft):
-        return curve.point(curve.base_lift + 2j * math.pi * fs + B * ft)
+        return SurfacePoint(complex(curve.base_lift + 2j * math.pi * fs + B * ft))
 
     plus, minus, P = cell(*frac_a), cell(*frac_b), cell(*frac_end)
     tracked = curve.third_kind_integral(P, plus, minus)

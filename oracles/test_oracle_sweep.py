@@ -22,7 +22,7 @@ import sys
 import pytest
 
 from crosshex.operators import build_field, psi_grid, sample_probes
-from crosshex.surface import make_torus_curve
+from crosshex.surface import TorusCurve
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
 from conftest import assert_oracle_matches_reference, drawn_spectral_data  # noqa: E402
@@ -31,6 +31,6 @@ from conftest import assert_oracle_matches_reference, drawn_spectral_data  # noq
 @pytest.mark.parametrize("radius", [20, 40])
 @pytest.mark.parametrize("model", ["cross", "hex"])
 def test_wide_oracle_report_matches_the_per_site_reference(model, radius):
-    sd = drawn_spectral_data(model, make_torus_curve(-4.25))
+    sd = drawn_spectral_data(model, TorusCurve(-4.25))
     probes = sample_probes(sd, 20, seed=radius)
     assert_oracle_matches_reference(build_field(sd, radius), psi_grid(sd, radius, probes))

@@ -19,15 +19,7 @@ residuals, oracle, gauge, documents), ``cli`` (the four-command
 pipeline).
 """
 
-from .bafunc import (
-    CROSS_MARKED_NAMES,
-    CROSS_PAIRS,
-    HEX_MARKED_NAMES,
-    HEX_PAIRS,
-    ConstantNormalization,
-    SpectralDataCross,
-    SpectralDataHex,
-)
+from .bafunc import ConstantNormalization, SpectralDataCross, SpectralDataHex
 from .errors import (
     ConsistencyFailure,
     CrosshexError,
@@ -80,7 +72,6 @@ from .surface import (
     TorusCurve,
     export_curve_document,
     load_torus_curve,
-    make_torus_curve,
 )
 from .theta import PeriodMatrix, theta_eval_scaled
 

@@ -38,12 +38,6 @@ _MIN_POINT_SEPARATION = 1e-6
 _GENERICITY_FLOOR = 1e-10
 _MIN_NORMALIZATION = 1e-12
 
-CROSS_MARKED_NAMES = ("P1+", "P1-", "P2+", "P2-", "P3+", "P3-")
-CROSS_PAIRS = (("P1+", "P1-"), ("P2+", "P2-"), ("P3+", "P3-"))
-
-HEX_MARKED_NAMES = ("Q1", "Q2", "Q3", "R1", "R2", "R3")
-HEX_PAIRS = (("Q3", "Q1"), ("Q3", "Q2"), ("R3", "R1"), ("R3", "R2"))
-
 
 @dataclass(frozen=True)
 class ConstantNormalization:
@@ -108,11 +102,11 @@ class _SpectralDataBase:
             raise ValueError(
                 f"{type(self).__name__} needs marked points {self.marked_names}, got {sorted(marked)}"
             )
-        divisor = tuple(curve.point(p.lift if isinstance(p, SurfacePoint) else p) for p in divisor)
+        divisor = tuple(divisor)
         if len(divisor) != 1:
             raise DimensionMismatch(f"the divisor must be exactly one point, got {len(divisor)}")
         self.curve = curve
-        self.marked = {name: curve.point(marked[name].lift) for name in self.marked_names}
+        self.marked = {name: marked[name] for name in self.marked_names}
         self.divisor = divisor
         self.normalization = normalization or ConstantNormalization()
         self._integrals: dict[tuple[complex, str, str], complex] = {}
@@ -314,8 +308,8 @@ class SpectralDataCross(_SpectralDataBase):
     """Spectral data for the 5-point square-lattice operator family."""
 
     model = "cross"
-    marked_names = CROSS_MARKED_NAMES
-    basis_pairs = CROSS_PAIRS
+    marked_names = ("P1+", "P1-", "P2+", "P2-", "P3+", "P3-")
+    basis_pairs = (("P1+", "P1-"), ("P2+", "P2-"), ("P3+", "P3-"))
     lattice = CROSS_LATTICE
     label_columns = [0, 1, 2]
 
@@ -324,8 +318,8 @@ class SpectralDataHex(_SpectralDataBase):
     """Spectral data for the 6-point triangular-lattice operator family."""
 
     model = "hex"
-    marked_names = HEX_MARKED_NAMES
-    basis_pairs = HEX_PAIRS
+    marked_names = ("Q1", "Q2", "Q3", "R1", "R2", "R3")
+    basis_pairs = (("Q3", "Q1"), ("Q3", "Q2"), ("R3", "R1"), ("R3", "R2"))
     lattice = HEX_LATTICE
     # independent exponents: the first two of each zero-sum block, paired
     # with the four basis differentials anchored at Q3 / R3

@@ -55,12 +55,14 @@ from .operators import (
 )
 from .surface import (
     MAX_ABS_IM_B,
+    MAX_RE_B,
     MIN_RE_B,
+    SurfacePoint,
+    TorusCurve,
     complex_from_json,
     complex_to_json,
     export_curve_document,
     load_torus_curve,
-    make_torus_curve,
     require_near_base,
 )
 
@@ -127,11 +129,11 @@ def cmd_gen_spectral(config) -> int:
     spectral_class = model.spectral_class
     rng = np.random.default_rng(config.seed)
     # the default --b-im 0.0 gives complex(x, 0.0), which has the bits of complex(x)
-    b = complex(rng.uniform(-8.0, -3.0) if config.b_re is None else config.b_re, config.b_im)
-    curve = make_torus_curve(b)
+    b = complex(rng.uniform(-8.0, MAX_RE_B) if config.b_re is None else config.b_re, config.b_im)
+    curve = TorusCurve(b)
     names = spectral_class.marked_names
     points = curve.sample_points(
-        rng, len(names) + 1, avoid=[curve.point(curve.base_lift)],
+        rng, len(names) + 1, avoid=[SurfacePoint(curve.base_lift)],
         min_avoid=_MIN_COVER_SEPARATION, min_pairwise=_MIN_COVER_SEPARATION,
     )
     marked = dict(zip(names, points))
@@ -174,7 +176,8 @@ def load_spectral_document(path: str):
     ``torus-analytic`` or ``tabulated``; both rebuild the genus-one curve
     from its period and lifts, and read the curve document's stored
     tables for format only.  A divisor lift far from the base is refused
-    as a marked point is (:func:`~crosshex.surface.require_near_base`).
+    as a marked point is (:func:`~crosshex.surface.require_near_base`),
+    and so is a ``seed`` that is absent, null or not a non-negative int.
     """
     doc = _load_json(path)
     if not isinstance(doc, dict) or doc.get("format") != SPECTRAL_DOC_FORMAT:
@@ -183,7 +186,7 @@ def load_spectral_document(path: str):
         spectral_class = model_named(doc.get("model")).spectral_class
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
-    seed = doc.get("seed", 0)
+    seed = doc.get("seed")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise SchemaError(f"{path}: seed must be a non-negative integer, got {seed!r}")
     curve_ref = doc.get("curve_ref")
@@ -205,7 +208,7 @@ def load_spectral_document(path: str):
     divisor_raw = doc.get("divisor")
     if not isinstance(divisor_raw, list) or len(divisor_raw) != 1:
         raise SchemaError(f"{path}: divisor must list exactly one point")
-    divisor = [curve.point(complex_from_json(divisor_raw[0], f"{path}: divisor[0]"))]
+    divisor = [SurfacePoint(complex_from_json(divisor_raw[0], f"{path}: divisor[0]"))]
     require_near_base(curve, divisor[0].lift, f"{path}: divisor[0]")
     norm_raw = doc.get("normalization")
     try:
@@ -227,7 +230,7 @@ def cmd_build(config) -> int:
     text = field_document_text(
         field,
         spectral_data_ref=os.path.basename(config.input),
-        seed=doc.get("seed"),
+        seed=doc["seed"],
         normalization=sd.normalization.to_json(),
     )
     _write((text, config.output))
@@ -240,7 +243,7 @@ def cmd_build(config) -> int:
 
 def cmd_verify(config) -> int:
     sd, doc = load_spectral_document(config.input)
-    probe_seed = config.seed if config.seed is not None else doc.get("seed", 0) + 1000
+    probe_seed = config.seed if config.seed is not None else doc["seed"] + 1000
     probes = sample_probes(sd, config.probes, seed=probe_seed)
     # the field's marked-point integrals and psi's probe integrals, tracked in one pass
     sd.integrals(
@@ -307,7 +310,7 @@ def _checked(convert, accept, rule: str):
 
 _NATURAL = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _PROBE_COUNT = _checked(int, lambda v: v >= MIN_ORACLE_PROBES, f"an integer >= {MIN_ORACLE_PROBES}")
-_RE_B = _checked(float, lambda v: MIN_RE_B <= v <= -3.0, f"a number in [{MIN_RE_B:g}, -3]")
+_RE_B = _checked(float, lambda v: MIN_RE_B <= v <= MAX_RE_B, f"a number in [{MIN_RE_B:g}, {MAX_RE_B:g}]")
 _IM_B = _checked(float, lambda v: abs(v) <= MAX_ABS_IM_B, f"a number in [-{MAX_ABS_IM_B:g}, {MAX_ABS_IM_B:g}]")
 
 
@@ -325,7 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--seed", type=_NATURAL, default=0, help="RNG seed (default 0)")
     g.add_argument(
         "--b-re", type=_RE_B, default=None,
-        help=f"period real part (in [{MIN_RE_B:g}, -3]); default: seeded draw from [-8, -3]",
+        help=f"period real part (in [{MIN_RE_B:g}, {MAX_RE_B:g}]); default: seeded draw from [-8, {MAX_RE_B:g}]",
     )
     g.add_argument(
         "--b-im", type=_IM_B, default=0.0,

@@ -822,9 +822,11 @@ def field_metadata(doc: dict) -> dict:
 
     The result holds the keyword arguments of :func:`field_to_document`;
     the normalization comes back in its canonical ``to_json`` form.  The
-    rules are the spectral document's: a string ref (absent reads as
-    ``""``), a non-negative integer seed or null, and a normalization
-    that ``ConstantNormalization.from_json`` accepts.
+    rules: a string ref (absent reads as ``""``), a non-negative integer
+    seed or null (``build`` writes its spectral document's seed, which the
+    spectral reader requires, but the field reader also reads null), and a
+    normalization that ``ConstantNormalization.from_json`` accepts, as the
+    spectral reader does.
     """
     ref = doc.get("spectral_data_ref", "")
     if not isinstance(ref, str):

@@ -4,15 +4,18 @@ A *curve* here is the bundle of data the Baker-Akhiezer construction
 consumes: a period ``B``, a base point, an Abel map, normalized
 third-kind integrals ``int_{P0}^{P} Omega_{A,B}`` (residue +1 at ``A``,
 -1 at ``B``, vanishing a-periods), the b-periods of those differentials,
-and the Riemann constant ``K``.  Every curve is a torus (genus one).
+and the Riemann constant ``K``.  Every curve is a torus (genus one), built
+by the one constructor ``TorusCurve(B, base_lift)``, which is also the
+one place that decides which periods are valid (``MIN_RE_B <= Re B <=
+MAX_RE_B``, ``|Im B| <= MAX_ABS_IM_B``).
 
-Points are represented by *lifts*: a point ``P`` is a complex number, a
-chosen preimage in the universal cover (the curve and its Jacobian
-coincide).  The lift fixes the integration path - every integral runs
-along straight segments between lifts - so the same lift must be shared
-between the Abel map and the exponential factors built on it.  Two lifts
-describe the same curve point iff they differ by a lattice vector
-``2*pi*i*m + B*n``.
+Points are represented by *lifts*: a point ``P``, ``SurfacePoint(lift)``,
+carries a complex number, a chosen preimage in the universal cover (the
+curve and its Jacobian coincide).  The lift fixes the integration path -
+every integral runs along straight segments between lifts - so the same
+lift must be shared between the Abel map and the exponential factors
+built on it.  Two lifts describe the same curve point iff they differ by
+a lattice vector ``2*pi*i*m + B*n``.
 
 :class:`TorusCurve` computes everything analytically: the prime-form
 surrogate ``E(u) = Theta(u - z0)``, with ``z0`` the theta zero, vanishes
@@ -23,7 +26,8 @@ exactly on the lattice, so
 evaluated between the lifts with a continuously tracked logarithm.
 A curve document records the period, the lifts and those values;
 :func:`load_torus_curve` rebuilds the curve from the period and the
-lifts, and checks the stored values for format only.
+lifts, refusing what ``TorusCurve`` refuses and any lift far from the
+base, and checks the stored values for format only.
 """
 
 from __future__ import annotations
@@ -63,6 +67,21 @@ _square = np.frompyfunc(lambda x: x**2, 1, 1)
 _DISTANCE_BLOCK = 16384
 
 
+# The period domain, decided by TorusCurve alone.  Above MAX_RE_B the lattice
+# sums decay too slowly; b-period checks track a path of length |B|, whose steps
+# grow with it, below MIN_RE_B; and in a cell sheared past MAX_ABS_IM_B the probe
+# screen rejects nearly every draw, so verify cannot place its probes (the seeded
+# sweep behind that value is recorded in CHANGES.md).
+MIN_RE_B = -1e4
+MAX_RE_B = -3.0
+MAX_ABS_IM_B = 5e3
+# Paths start at the base lift, and a far lift's theta arguments lose digits, so
+# the documents keep their base lift this many lattice cells from 0, and their
+# marked points and divisor this many from the base (gen-spectral writes base 0
+# and draws the points in the base cell).
+MAX_LIFT_CELLS = 16
+
+
 @dataclass(frozen=True)
 class SurfacePoint:
     """A point of the curve, carried by its lift.
@@ -80,9 +99,6 @@ class SpectralCurve:
 
     pm: PeriodMatrix
     base_lift: complex
-
-    def point(self, value) -> SurfacePoint:
-        return SurfacePoint(complex(value))
 
     def abel(self, P: SurfacePoint) -> complex:
         """Abel map based at P0: the lift minus the base lift."""
@@ -178,22 +194,31 @@ class SpectralCurve:
 
 
 class TorusCurve(SpectralCurve):
-    """The curve with everything computed analytically.
+    """The curve with everything computed analytically, the one curve constructor.
 
     Parameters
     ----------
-    pm : PeriodMatrix
-        The period ``B``.
+    B : complex
+        The period, with ``MIN_RE_B <= Re B <= MAX_RE_B`` and
+        ``|Im B| <= MAX_ABS_IM_B``; any other value (NaN and infinities
+        included) raises ``ValueError``.  ``pm`` is its
+        :class:`~crosshex.theta.PeriodMatrix`.
     base_lift : complex
         Lift of the base point P0 of the Abel map and of all integrals.
     """
 
-    def __init__(self, pm: PeriodMatrix, base_lift: complex = 0.0):
-        self.pm = pm
+    def __init__(self, B: complex, base_lift: complex = 0.0):
+        B = complex(B)
+        if not (MIN_RE_B <= B.real <= MAX_RE_B and abs(B.imag) <= MAX_ABS_IM_B):
+            raise ValueError(
+                f"period must have real part in [{MIN_RE_B:g}, {MAX_RE_B:g}] and imaginary part "
+                f"in [-{MAX_ABS_IM_B:g}, {MAX_ABS_IM_B:g}], got {B!r}"
+            )
+        self.pm = PeriodMatrix(B)
         self.base_lift = complex(base_lift)
         # the theta zero in closed form, also the Riemann constant K:
         # pairing the series terms N and -N-1 cancels Theta exactly at i*pi + B/2
-        self._z0 = 1j * math.pi + pm.B / 2.0
+        self._z0 = 1j * math.pi + B / 2.0
         self._verified_pairs: set[tuple[complex, complex]] = set()
         # (pole, a, b) segments _path_clearances measured at least _PATH_CLEARANCE from the pole
         self._clear_segments: set[tuple[complex, complex, complex]] = set()
@@ -581,21 +606,6 @@ def complex_array_from_json(pairs: list) -> np.ndarray | None:
     return values.view(complex) if np.isfinite(values).all() else None
 
 
-# Paths start at the base lift and b-period checks track a path of length |B|;
-# the steps grow with path length, and a far lift's theta arguments lose digits.
-# So the documents keep their marked points and divisor this many lattice cells
-# from the base (gen-spectral draws them in the base cell) and Re B above this
-# floor, which gen-spectral also enforces so that every document it writes can
-# be read back.
-MAX_LIFT_CELLS = 16
-MIN_RE_B = -1e4
-# In a strongly sheared cell the probe screen rejects nearly every draw, and
-# verify cannot place its probes; gen-spectral and the reader both refuse a
-# period with |Im B| above this bound (the seeded sweep behind the value is
-# recorded in CHANGES.md).
-MAX_ABS_IM_B = 5e3
-
-
 # the curve document's keys of a stored b-period ('A/B') and third-kind integral ('S|A,B')
 _B_PERIOD_KEY = "{}/{}"
 _INTEGRAL_KEY = "{}|{},{}"
@@ -610,14 +620,15 @@ def load_torus_curve(document: dict) -> tuple[TorusCurve, dict[str, SurfacePoint
 
     Only the structure is checked.  Any structural problem raises
     :class:`SchemaError`: a wrong ``format``, a missing section, a genus
-    other than 1, a ``B`` that is not a 1x1 nested list holding a valid
-    period (with ``Re B >= MIN_RE_B`` and ``|Im B| <= MAX_ABS_IM_B``), a
-    malformed or non-finite number or pair, a key naming an unknown marked
-    point, or a marked point more than ``MAX_LIFT_CELLS`` lattice cells
-    from the base.  The stored Riemann constant, b-periods and integrals
-    are a record: checked for format, then not read, since the
-    :class:`TorusCurve` computes each of them (and validates its own
-    Riemann constant and b-periods when first asked for them).
+    other than 1, a ``B`` that is not a 1x1 nested list holding a period
+    :class:`TorusCurve` accepts (``"B: ..."``), a malformed or non-finite
+    number or pair, a key naming an unknown marked point, a base lift more
+    than ``MAX_LIFT_CELLS`` lattice cells from 0, or a marked point more
+    than ``MAX_LIFT_CELLS`` lattice cells from the base.  The stored
+    Riemann constant, b-periods and integrals are a record: checked for
+    format, then not read, since the :class:`TorusCurve` computes each of
+    them (and validates its own Riemann constant and b-periods when first
+    asked for them).
     """
     if not isinstance(document, dict):
         raise SchemaError("curve document must be a JSON object")
@@ -632,14 +643,11 @@ def load_torus_curve(document: dict) -> tuple[TorusCurve, dict[str, SurfacePoint
     braw = document["B"]
     if not (isinstance(braw, list) and len(braw) == 1 and isinstance(braw[0], list) and len(braw[0]) == 1):
         raise SchemaError("B must be a 1x1 nested list holding one [re, im] pair")
+    B = complex_from_json(braw[0][0], "B[0][0]")
     try:
-        pm = PeriodMatrix(complex_from_json(braw[0][0], "B[0][0]"))
+        curve = TorusCurve(B, complex_from_json(document["base_lift"], "base_lift"))
     except ValueError as exc:
         raise SchemaError(f"B: {exc}") from None
-    if pm.B.real < MIN_RE_B:
-        raise SchemaError(f"B: real part must be at least {MIN_RE_B:g}, got {pm.B.real!r}")
-    if abs(pm.B.imag) > MAX_ABS_IM_B:
-        raise SchemaError(f"B: imaginary part must be at most {MAX_ABS_IM_B:g} in size, got {pm.B.imag!r}")
 
     for section in ("marked_points", "b_periods", "third_kind_integrals"):
         if not isinstance(document[section], dict):
@@ -647,7 +655,6 @@ def load_torus_curve(document: dict) -> tuple[TorusCurve, dict[str, SurfacePoint
     if not document["marked_points"]:
         raise SchemaError("marked_points must not be empty")
 
-    curve = TorusCurve(pm, complex_from_json(document["base_lift"], "base_lift"))
     marked = {
         str(name): SurfacePoint(complex_from_json(val, f"marked_points[{name}]"))
         for name, val in document["marked_points"].items()
@@ -671,6 +678,9 @@ def load_torus_curve(document: dict) -> tuple[TorusCurve, dict[str, SurfacePoint
                 raise SchemaError(f"third_kind_integrals key {key!r} names unknown point {nm!r}")
         complex_from_json(val, f"third_kind_integrals[{key}]")
 
+    cells = curve.lattice_coords(curve.base_lift)
+    if not all(abs(c) <= MAX_LIFT_CELLS for c in cells):
+        raise SchemaError(f"base_lift is {cells} lattice cells from 0 (max {MAX_LIFT_CELLS})")
     for name, point in marked.items():
         require_near_base(curve, point.lift, f"marked point {name}")
     return curve, marked
@@ -720,7 +730,3 @@ def export_curve_document(
         "third_kind_integrals": integrals,
     }
 
-
-def make_torus_curve(B: complex, base_lift: complex = 0.0) -> TorusCurve:
-    """The analytic curve of the complex period ``B``."""
-    return TorusCurve(PeriodMatrix(B), base_lift)

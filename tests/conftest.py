@@ -26,7 +26,7 @@ from crosshex.operators import (
     oracle_report,
     sample_probes,
 )
-from crosshex.surface import make_torus_curve
+from crosshex.surface import SurfacePoint, TorusCurve
 from crosshex.theta import THETA_EPS, theta_eval_scaled
 
 # every property test draws the same examples on every run, whatever it has drawn before
@@ -223,12 +223,12 @@ HEX_NAME_ORDER = ("Q1", "Q2", "Q3", "R1", "R2", "R3")
 
 
 def cell_point(curve, fs, ft):
-    return curve.point(2j * math.pi * fs + curve.pm.B * ft)
+    return SurfacePoint(complex(2j * math.pi * fs + curve.pm.B * ft))
 
 
 def translated(sd, P, m, n):
     """The same curve point on a lift moved by the lattice vector 2*pi*i*m + B*n."""
-    return sd.curve.point(P.lift + (2j * math.pi * m + sd.curve.pm.B * n))
+    return SurfacePoint(complex(P.lift + (2j * math.pi * m + sd.curve.pm.B * n)))
 
 
 def brute_cover_distance(B: complex, lift_a: complex, lift_b: complex) -> float:
@@ -339,7 +339,7 @@ def _theta_argument(sd, P, label):
 
 @functools.lru_cache(maxsize=None)
 def _integral(curve, lift, plus, minus):
-    return curve.third_kind_integral(curve.point(lift), curve.point(plus), curve.point(minus))
+    return curve.third_kind_integral(SurfacePoint(complex(lift)), SurfacePoint(complex(plus)), SurfacePoint(complex(minus)))
 
 
 def one_value_phi(sd, label, P):
@@ -486,7 +486,7 @@ def drawn_spectral_data(model, curve):
     cls = MODELS[model].spectral_class
     names = cls.marked_names
     points = curve.sample_points(
-        np.random.default_rng(4), len(names) + 1, avoid=[curve.point(curve.base_lift)],
+        np.random.default_rng(4), len(names) + 1, avoid=[SurfacePoint(curve.base_lift)],
         min_avoid=0.1, min_pairwise=0.1,
     )
     return cls(curve, dict(zip(names, points)), points[len(names):])
@@ -506,7 +506,7 @@ def genus_two_document(curve_doc: dict) -> dict:
 
 @pytest.fixture(scope="session")
 def torus():
-    return make_torus_curve(B_FIXTURE)
+    return TorusCurve(B_FIXTURE)
 
 
 def _spectral(cls, names, curve):

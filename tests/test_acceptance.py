@@ -44,7 +44,7 @@ from crosshex.operators import (
     sample_probes,
     window_sites,
 )
-from crosshex.surface import make_torus_curve
+from crosshex.surface import SurfacePoint, TorusCurve
 from crosshex.theta import PeriodMatrix, theta_eval_scaled
 
 from conftest import gauged_grid, scalars, translated
@@ -136,13 +136,13 @@ def test_criterion_1_theta_identities(announce):
 
 def _draw_curve_points(rng, count):
     B = complex(-rng.uniform(3.0, 8.0), rng.uniform(-1.5, 1.5) if rng.random() < 0.5 else 0.0)
-    curve = make_torus_curve(B)
+    curve = TorusCurve(B)
     pts = []
     tries = 0
     while len(pts) < count and tries < 200:
         tries += 1
         lift = 2j * math.pi * rng.uniform(0.05, 0.95) + B * rng.uniform(0.05, 0.95)
-        p = curve.point(lift)
+        p = SurfacePoint(complex(lift))
         if all(curve.cover_distance(p.lift, q.lift) > 0.4 for q in pts):
             pts.append(p)
     if len(pts) < count:
@@ -163,7 +163,7 @@ def test_criterion_2_curve_integrals(announce):
                 curve, (plus, minus, probe) = _draw_curve_points(rng, 3)
                 b = curve.pm.B
                 base_val = curve.third_kind_integral(probe, plus, minus)
-                moved = curve.third_kind_integral(curve.point(probe.lift + b), plus, minus)
+                moved = curve.third_kind_integral(SurfacePoint(complex(probe.lift + b)), plus, minus)
                 U = curve.b_period_vector(plus, minus)
                 diff = moved - base_val - U
                 k = round(diff.imag / (2.0 * math.pi))
@@ -176,7 +176,7 @@ def test_criterion_2_curve_integrals(announce):
                 for target, order in ((plus, 1.0), (minus, -1.0)):
                     vals = [
                         curve.third_kind_integral(
-                            curve.point(target.lift + eps * direction),
+                            SurfacePoint(complex(target.lift + eps * direction)),
                             plus,
                             minus,
                         ).real
@@ -254,7 +254,7 @@ def test_criterion_3_relift_invariance(announce, generated):
 def _fitted_vanishing_order(sd, label, point):
     direction = 0.6 + 0.8j
     ladder = [10.0 ** (-k) for k in (3.0, 3.5, 4.0, 4.5)]
-    points = [sd.curve.point(point.lift + eps * direction) for eps in ladder]
+    points = [SurfacePoint(complex(point.lift + eps * direction)) for eps in ladder]
     return np.polyfit(np.log(ladder), sd.phi_scaled([label], points).log_abs[0], 1)[0]
 
 

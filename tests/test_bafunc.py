@@ -16,6 +16,7 @@ from crosshex.errors import (
 )
 from crosshex.labels import CROSS_LATTICE, HEX_LATTICE, relabel_cross, relabel_hex, stencil_offsets
 from crosshex.operators import MODELS, evaluate_ratio, psi_grid
+from crosshex.surface import SurfacePoint
 from crosshex.theta import theta_eval_scaled
 
 from conftest import (
@@ -34,7 +35,7 @@ HEX_LABEL = (2, -1, -1, 1, -2, 1)
 
 def test_zero_label_value_is_one_at_the_base(cross_data, hex_data, cross_probes, hex_probes):
     for sd, label, probes in ((cross_data, (0, 0, 0), cross_probes), (hex_data, (0,) * 6, hex_probes)):
-        base = sd.curve.point(sd.curve.base_lift)
+        base = SurfacePoint(sd.curve.base_lift)
         (value,) = scalars(sd.phi_scaled([label], [base]))
         assert value.as_complex() == pytest.approx(1.0, abs=1e-14)
         # the zero label's numerator is the denominator at every point
@@ -92,7 +93,7 @@ def _fitted_vanishing_order(sd, label, point):
     """
     direction = 0.6 + 0.8j
     ladder = [10.0 ** (-k) for k in (3.0, 3.5, 4.0, 4.5)]
-    points = [sd.curve.point(point.lift + eps * direction) for eps in ladder]
+    points = [SurfacePoint(complex(point.lift + eps * direction)) for eps in ladder]
     return np.polyfit(np.log(ladder), sd.phi_scaled([label], points).log_abs[0], 1)[0]
 
 
@@ -144,13 +145,13 @@ def test_psi_is_phi_at_the_site_label(cross_data, hex_data, cross_probes, hex_pr
 
 
 def test_evaluation_on_the_divisor_is_refused(cross_data):
-    near = cross_data.curve.point(cross_data.divisor[0].lift + 1e-12 * (0.3 + 0.4j))
+    near = SurfacePoint(cross_data.divisor[0].lift + 1e-12 * (0.3 + 0.4j))
     with pytest.raises(SingularEvaluation):
         cross_data.phi_scaled([CROSS_LABEL], [near])
 
 
 def test_singular_denominator_is_refused_on_every_call(cross_data):
-    near = cross_data.curve.point(cross_data.divisor[0].lift + 1e-12 * (0.3 + 0.4j))
+    near = SurfacePoint(cross_data.divisor[0].lift + 1e-12 * (0.3 + 0.4j))
     for _ in range(2):
         with pytest.raises(SingularEvaluation):
             cross_data.denominator_scaled(near)
@@ -204,7 +205,7 @@ def test_a_direct_denominator_has_the_bits_of_the_scalar_kernel(cross_data, cros
 def test_the_first_denominator_below_the_floor_is_refused_in_probe_order(cross_data, cross_probes):
     sd = _fresh(cross_data)
     divisor = sd.divisor[0].lift
-    near = [sd.curve.point(divisor + d * (0.3 + 0.4j)) for d in (1e-12, 3e-13)]
+    near = [SurfacePoint(complex(divisor + d * (0.3 + 0.4j))) for d in (1e-12, 3e-13)]
     for first, second in (near, near[::-1]):
         size = abs(complex(theta_eval_scaled(sd.curve.pm, sd.curve.abel(first) + sd._W).mantissa))
         message = (
@@ -237,11 +238,11 @@ def test_marked_point_collision_is_detected(torus):
         for name, (fs, ft) in zip(CROSS_NAME_ORDER, CELL_FRACTIONS)
     }
     divisor = [cell_point(torus, *DIVISOR_FRACTION)]
-    near = dict(marked, **{"P1-": torus.point(marked["P1+"].lift + 1e-8)})
+    near = dict(marked, **{"P1-": SurfacePoint(marked["P1+"].lift + 1e-8)})
     with pytest.raises(ConsistencyFailure, match=r"marked points P1\+ and P1- are only 1\.000e-08 apart"):
         SpectralDataCross(torus, near, divisor)
     # the divisor point on a lattice translate of a marked point
-    on_p3 = [torus.point(marked["P3+"].lift + 2j * math.pi - torus.pm.B)]
+    on_p3 = [SurfacePoint(marked["P3+"].lift + 2j * math.pi - torus.pm.B)]
     with pytest.raises(ConsistencyFailure, match=r"divisor point collides with marked point P3\+"):
         SpectralDataCross(torus, marked, on_p3)
 

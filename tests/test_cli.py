@@ -668,6 +668,77 @@ def test_a_divisor_lift_far_from_the_base_is_refused(workspace, tmp_path, capsys
                 assert code == 0 and err == "", (argv[0], err)
 
 
+def _refused_copies(spectral, tmp_path, capsys, copies, error) -> None:
+    """Each ``(spectral change, curve change)`` copy makes build and verify exit 2 with one error line, writing nothing.
+
+    A change maps a key to its new value, or to ``None`` to drop the key;
+    ``error(spectral_path, curve_path)`` is a regex the line must match.
+    """
+    sdoc = json.loads(spectral.read_text())
+    cdoc = json.loads((spectral.parent / sdoc["curve_ref"]).read_text())
+    for i, (spectral_change, curve_change) in enumerate(copies):
+        folder = tmp_path / str(i)
+        folder.mkdir()
+        path, curve_path = folder / spectral.name, folder / sdoc["curve_ref"]
+        for target, doc, change in ((path, sdoc, spectral_change), (curve_path, cdoc, curve_change)):
+            target.write_text(json.dumps({k: v for k, v in {**doc, **change}.items() if v is not None}))
+        for argv in (
+            ["build", "-i", str(path), "--window", "1", "-o", str(folder / "f.json")],
+            ["verify", "-i", str(path), "--window", "1", "--probes", "8", "-o", str(folder / "v.json")],
+        ):
+            capsys.readouterr()
+            code = main(argv)
+            err = capsys.readouterr().err
+            assert code == 2 and err.count("\n") == 1, (i, argv[0], err)
+            assert re.fullmatch(error(path, curve_path), err), (i, argv[0], err)
+            assert not os.path.exists(argv[-1])
+
+
+def test_a_period_above_the_domain_is_refused(workspace, tmp_path, capsys):
+    # gen-spectral writes Re B <= -3; above it the curve once built (-1.0),
+    # failed the Riemann-constant grid scan (-0.3) or was refused for a marked point (-0.05)
+    spectral, _ = workspace["cross"]
+    copies = [({}, {"B": [[[re_b, 0.0]]]}) for re_b in (-1.0, -0.3, -0.05)]
+    _refused_copies(spectral, tmp_path, capsys, copies, lambda _, curve: re.escape(f"error: {curve}: B: ") + ".*\n")
+
+
+def test_a_document_translated_far_from_0_is_refused(workspace, tmp_path, capsys):
+    # base, marked points and divisor moved together: the same curve, but the
+    # theta arguments lose digits (at 1e9j build and verify once passed)
+    spectral, _ = workspace["hex"]
+    sdoc = json.loads(spectral.read_text())
+    cdoc = json.loads((spectral.parent / sdoc["curve_ref"]).read_text())
+    B = complex(*cdoc["B"][0][0])
+
+    def moved(shift: complex) -> tuple[dict, dict]:
+        def move(pair):
+            z = complex(*pair) + shift
+            return [z.real, z.imag]
+
+        marked = {name: move(lift) for name, lift in cdoc["marked_points"].items()}
+        return {"divisor": [move(sdoc["divisor"][0])]}, {"base_lift": move(cdoc["base_lift"]), "marked_points": marked}
+
+    cells = re.escape(f" lattice cells from 0 (max {MAX_LIFT_CELLS})")
+    copies = [moved(shift) for shift in (1e9j, 1e9, 2j * math.pi * (MAX_LIFT_CELLS + 1), (MAX_LIFT_CELLS + 1) * B)]
+    _refused_copies(spectral, tmp_path, capsys, copies, lambda _, curve: re.escape(f"error: {curve}: base_lift is ") + ".*" + cells + "\n")
+    # within the bound the document still builds
+    near = tmp_path / "near"
+    near.mkdir()
+    sdoc_near, cdoc_near = moved(2j * math.pi * (MAX_LIFT_CELLS - 1) + (MAX_LIFT_CELLS - 1) * B)
+    (near / spectral.name).write_text(json.dumps({**sdoc, **sdoc_near}))
+    (near / sdoc["curve_ref"]).write_text(json.dumps({**cdoc, **cdoc_near}))
+    assert main(["build", "-i", str(near / spectral.name), "--window", "1", "-o", str(near / "f.json")]) == 0
+
+
+def test_a_spectral_document_without_a_seed_is_refused(workspace, tmp_path, capsys):
+    # it was once read as seed 0, and build wrote "seed": null into the field
+    spectral, _ = workspace["cross"]
+    copies = [({"seed": None}, {})]
+    _refused_copies(
+        spectral, tmp_path, capsys, copies, lambda path, _: re.escape(f"error: {path}: seed must be a non-negative integer, got None\n")
+    )
+
+
 def test_a_denominator_below_the_floor_fails_build(workspace, tmp_path, capsys, monkeypatch):
     spectral, _ = workspace["hex"]
     monkeypatch.setattr(crosshex.bafunc, "_GENERICITY_FLOOR", math.inf)

@@ -56,7 +56,7 @@ from crosshex.operators import (
     _ratios,
     _unique_rows,
 )
-from crosshex.surface import make_torus_curve
+from crosshex.surface import SurfacePoint, TorusCurve
 from crosshex.theta import ScaledArray
 
 from conftest import (
@@ -141,7 +141,7 @@ def test_window_table_build_matches_site_by_site_build(model, torus):
     # build_field evaluates every stencil of the window in stacked array
     # passes; the one-formula-at-a-time ScaledComplex reference gives the
     # same bits at every site, whatever the window
-    for curve in (torus, make_torus_curve(complex(-4.25, 3.0))):
+    for curve in (torus, TorusCurve(complex(-4.25, 3.0))):
         sd = spectral_data(model, curve)
         thetas = {}
         for radius in range(7):
@@ -832,7 +832,7 @@ def test_sample_probes_raises_when_separation_impossible(cross_data):
 
 @pytest.mark.parametrize("model", ["cross", "hex"])
 def test_the_pole_guard_skips_only_the_probe_paths_the_sampler_cleared(model, monkeypatch):
-    curve = make_torus_curve(-6.0)
+    curve = TorusCurve(-6.0)
     sd = spectral_data(model, curve)
     probes = sample_probes(sd, 12, seed=5)
     measure, guarded = curve._segment_pole_distance, []
@@ -856,7 +856,7 @@ def test_the_pole_guard_skips_only_the_probe_paths_the_sampler_cleared(model, mo
     # the marked-point integrals and a hand-built request still reach it
     for requests in (
         [(sd.marked[endpoint], sd.marked[a], sd.marked[b]) for endpoint, (a, b) in MODELS[model].curve_integrals],
-        [(curve.point(curve.base_lift + 2.0 + 1.5j), *pairs[0])],
+        [(SurfacePoint(curve.base_lift + 2.0 + 1.5j), *pairs[0])],
     ):
         assert guarded_segments(requests) == segments(requests)
     # a probe with a pole the sampler did not screen: that pole's segment reaches it

@@ -18,7 +18,7 @@ import pytest
 from crosshex.errors import RankDeficient
 from crosshex.labels import HEX_COEFFS, stencil_offsets
 from crosshex.operators import build_field, nullspace_oracle, oracle_report, psi_grid, residual_report, sample_probes
-from crosshex.surface import make_torus_curve
+from crosshex.surface import TorusCurve
 from crosshex.theta import ScaledArray
 
 from conftest import assert_oracle_matches_reference, halo_rows, reference_nullspace_oracle, spectral_data
@@ -27,7 +27,7 @@ from conftest import assert_oracle_matches_reference, halo_rows, reference_nulls
 @pytest.mark.parametrize("b_re", [-3.5, -4.25, -7.9])
 @pytest.mark.parametrize("model", ["cross", "hex"])
 def test_oracle_report_matches_the_per_site_reference(model, b_re):
-    sd = spectral_data(model, make_torus_curve(b_re))
+    sd = spectral_data(model, TorusCurve(b_re))
     for radius, count in ((0, 8), (0, 60), (3, 20), (3, 60), (10, 8)):
         probes = sample_probes(sd, count, seed=count)
         assert_oracle_matches_reference(build_field(sd, radius), psi_grid(sd, radius, probes))

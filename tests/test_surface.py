@@ -15,10 +15,11 @@ from crosshex.errors import (
     SeparationFailure,
 )
 from crosshex.surface import (
+    SurfacePoint,
+    TorusCurve,
     complex_to_json,
     export_curve_document,
     load_torus_curve,
-    make_torus_curve,
 )
 from crosshex.theta import theta_eval_batch, theta_eval_scaled
 
@@ -35,9 +36,9 @@ from conftest import (
 
 def test_abel_map_is_lift_minus_base(torus):
     lift = 0.4 + 1.1j
-    assert torus.abel(torus.point(lift)) == lift
-    shifted = make_torus_curve(-6.0, base_lift=0.25)
-    assert shifted.abel(shifted.point(lift)) == lift - 0.25
+    assert torus.abel(SurfacePoint(lift)) == lift
+    shifted = TorusCurve(-6.0, base_lift=0.25)
+    assert shifted.abel(SurfacePoint(lift)) == lift - 0.25
 
 
 def test_cover_distance_vanishes_on_lattice_translates(torus):
@@ -52,7 +53,7 @@ def test_cover_distance_is_the_least_translate_distance_on_sheared_periods():
     """Rounding in a reduced period basis keeps the nearest translate among the 9 tried, at any |Im B|."""
     rng = np.random.default_rng(33)
     for B in (-3 + 5000j, -3 - 4999j, -100 + 2500j, -3 + 100j, -3 + 20j):
-        curve = make_torus_curve(B)
+        curve = TorusCurve(B)
         # 12 + 12 lifts uniform in the disc of radius 20 about the origin
         lifts, others = 20.0 * np.sqrt(rng.random((2, 12))) * np.exp(2j * math.pi * rng.random((2, 12)))
         table = curve.cover_distance(lifts, others)
@@ -86,7 +87,7 @@ def _per_offset_cover_distance(curve, lift_a, lift_b):
 def test_stacked_cover_distance_matches_the_per_offset_loop():
     rng = np.random.default_rng(20)
     curves = [
-        make_torus_curve(complex(rng.uniform(-8, -3), rng.uniform(-3, 3)), base_lift=rng.normal())
+        TorusCurve(complex(rng.uniform(-8, -3), rng.uniform(-3, 3)), base_lift=rng.normal())
         for _ in range(40)
     ]
     for curve in curves:
@@ -201,7 +202,7 @@ def _tracking_cases(rng, count):
     and a == b, with poles anywhere.
     """
     for _ in range(count):
-        curve = make_torus_curve(complex(rng.uniform(-8, -3), rng.uniform(-3, 3)), base_lift=rng.normal())
+        curve = TorusCurve(complex(rng.uniform(-8, -3), rng.uniform(-3, 3)), base_lift=rng.normal())
         B = curve.pm.B
 
         def cell(s, t):
@@ -249,12 +250,12 @@ def test_lockstep_tracking_matches_the_scalar_dfs_bit_for_bit():
 
 def test_pole_on_a_chord_is_refused_inside_a_batch(torus):
     b = torus.pm.B
-    plus = torus.point(0.35 * b)  # directly on the base-to-endpoint chord
+    plus = SurfacePoint(0.35 * b)  # directly on the base-to-endpoint chord
     minus = cell_point(torus, 0.5, 0.9)
-    clear = [torus.point(cell_point(torus, f, 0.5).lift) for f in (0.1, 0.4)]
+    clear = [SurfacePoint(cell_point(torus, f, 0.5).lift) for f in (0.1, 0.4)]
     requests = [(P, cell_point(torus, 0.2, 0.6), minus) for P in clear]
     assert len(torus.b_periods_and_integrals([], requests)[1]) == 2
-    on_chord = (torus.point(0.7 * b), plus, minus)
+    on_chord = (SurfacePoint(0.7 * b), plus, minus)
     for batch in ([on_chord], requests + [on_chord], [on_chord] + requests):
         with pytest.raises(PoleOnPath):
             torus.b_periods_and_integrals([], batch)
@@ -335,7 +336,7 @@ def test_first_round_evaluates_each_distinct_difference_once(monkeypatch, torus)
 def test_array_pole_distance_matches_the_scalar_loop():
     rng = np.random.default_rng(41)
     for _ in range(20):
-        curve = make_torus_curve(complex(rng.uniform(-8, -3), rng.uniform(-3, 3)))
+        curve = TorusCurve(complex(rng.uniform(-8, -3), rng.uniform(-3, 3)))
         B = curve.pm.B
         pole = rng.uniform(-30, 30, 1000) + 1j * rng.uniform(-30, 30, 1000)
         a = pole + 2j * math.pi * rng.uniform(-2, 2, 1000) + B * rng.uniform(-2, 2, 1000)
@@ -351,7 +352,7 @@ def test_array_pole_distance_matches_the_scalar_loop():
 def test_pole_distance_does_not_depend_on_the_block_size(monkeypatch, block):
     """The distance is a running fmin over the same values, however the offsets are blocked."""
     rng = np.random.default_rng(43)
-    curve = make_torus_curve(-4.25 + 1.1j)
+    curve = TorusCurve(-4.25 + 1.1j)
     B = curve.pm.B
     segment_sets = []
     for count in (1, 6, 480):
@@ -396,7 +397,7 @@ def test_segment_pole_distance_is_the_nearest_translate():
     ]
     grid = [(m, n) for m in range(-8, 9) for n in range(-8, 9)]
     for B in periods:
-        curve = make_torus_curve(B)
+        curve = TorusCurve(B)
         for _ in range(50):
             (s, t), (ds, dt) = rng.uniform(-3, 3, 2), rng.uniform(-4, 4, 2) * rng.random() ** 2
             pole = complex(*rng.uniform(-40, 40, 2))
@@ -417,7 +418,7 @@ def test_segment_pole_distance_sees_a_planted_pole_at_sheared_periods():
     """
     rng = np.random.default_rng(34)
     for B in (-3 + 5000j, -3 - 4999j, -100 + 2500j, -3 + 100j, -3 + 20j):
-        curve = make_torus_curve(B)
+        curve = TorusCurve(B)
         size = 300
         start = curve.base_lift + 2j * math.pi * rng.random(size) + B * rng.random(size)
         # base-to-cell segments (the paths of the integrals), then b-cycle segments
@@ -445,7 +446,7 @@ def test_third_kind_pole_orders_by_log_fit(torus):
     for target, expected in ((plus, 1.0), (minus, -1.0)):
         vals = [
             torus.third_kind_integral(
-                torus.point(target.lift + eps * direction), plus, minus
+                SurfacePoint(complex(target.lift + eps * direction)), plus, minus
             ).real
             for eps in ladder
         ]
@@ -467,7 +468,7 @@ def test_integral_exponential_matches_theta_quotient(torus):
     base = torus.base_lift
     for _ in range(5):
         u = 2j * math.pi * rng.random() + torus.pm.B * rng.random()
-        val = torus.third_kind_integral(torus.point(u), plus, minus)
+        val = torus.third_kind_integral(SurfacePoint(u), plus, minus)
         lhs = prime(u - plus.lift).times(prime(base - minus.lift))
         rhs = prime(base - plus.lift).times(prime(u - minus.lift))
         ratio = lhs.over(rhs).times_exp(complex(-val))
@@ -481,8 +482,8 @@ def test_b_period_agrees_with_endpoint_translation(torus):
     minus = cell_point(torus, 0.71, 0.83)
     u = 0.9 + 0.4j
     b = torus.pm.B
-    base_val = torus.third_kind_integral(torus.point(u), plus, minus)
-    moved_val = torus.third_kind_integral(torus.point(u + b), plus, minus)
+    base_val = torus.third_kind_integral(SurfacePoint(u), plus, minus)
+    moved_val = torus.third_kind_integral(SurfacePoint(u + b), plus, minus)
     period = torus.b_period_vector(plus, minus)
     diff = moved_val - base_val - period
     k = round(diff.imag / (2.0 * math.pi))
@@ -499,10 +500,10 @@ def test_b_period_is_abel_difference(torus):
 
 def test_b_period_pair_refused_at_one_start_tries_the_next(monkeypatch):
     """Pairs are checked together; one whose b-cycle runs into a pole moves on alone."""
-    curve = make_torus_curve(-6.0)
+    curve = TorusCurve(-6.0)
     B = curve.pm.B
     fs, ft = surface._BCYCLE_STARTS[0]
-    on_first_cycle = curve.point(curve.base_lift + 2j * math.pi * fs + B * (ft + 0.5))
+    on_first_cycle = SurfacePoint(curve.base_lift + 2j * math.pi * fs + B * (ft + 0.5))
     other = cell_point(curve, 0.71, 0.83)
     pairs = [(cell_point(curve, 0.23, 0.41), other), (on_first_cycle, other)]
     tracked = []
@@ -522,7 +523,7 @@ def test_b_period_pair_refused_at_one_start_tries_the_next(monkeypatch):
     ]
     assert tracked[1][0][1] != tracked[0][0][1]
     # integrals sharing the first pass leave the refused pair its retry, and keep their bits
-    curve = make_torus_curve(-6.0)
+    curve = TorusCurve(-6.0)
     requests = [(cell_point(curve, f, 0.5), *pair) for f in (0.1, 0.6) for pair in pairs]
     monkeypatch.setattr(curve, "_log_prime_deltas", recording)
     tracked.clear()
@@ -532,11 +533,11 @@ def test_b_period_pair_refused_at_one_start_tries_the_next(monkeypatch):
         [p.lift for pair in pairs for p in pair] + [p.lift for _, *poles in requests for p in poles],
         [on_first_cycle.lift, other.lift],
     ]
-    assert list(map(repr, integrals)) == list(map(repr, make_torus_curve(-6.0).b_periods_and_integrals([], requests)[1]))
+    assert list(map(repr, integrals)) == list(map(repr, TorusCurve(-6.0).b_periods_and_integrals([], requests)[1]))
     # with the first start point alone, the pair has nowhere to go
     monkeypatch.setattr(surface, "_BCYCLE_STARTS", surface._BCYCLE_STARTS[:1])
     with pytest.raises(ConsistencyFailure, match="could not route"):
-        make_torus_curve(-6.0).b_period_vector(on_first_cycle, other)
+        TorusCurve(-6.0).b_period_vector(on_first_cycle, other)
 
 
 def test_riemann_constants_value_and_divisor_check(torus):
@@ -551,7 +552,7 @@ def test_riemann_constants_value_and_divisor_check(torus):
 def test_riemann_scan_accepts_the_true_constant_at_deep_periods(B):
     # log|Theta| spreads across the cell in proportion to |Re B|; the scan
     # reads each node's peak-relative value, which does not
-    curve = make_torus_curve(B)
+    curve = TorusCurve(B)
     assert curve.riemann_constants() == 1j * math.pi + curve.pm.B / 2.0
 
 
@@ -565,7 +566,7 @@ def test_a_riemann_constant_far_from_the_theta_zero_fails_without_overflow(torus
 
 
 def test_riemann_scan_refuses_a_far_node_near_zero(monkeypatch):
-    curve = make_torus_curve(-6.0)
+    curve = TorusCurve(-6.0)
     K = 1j * math.pi + curve.pm.B / 2.0
     surface._validate_constants(curve, K)
     kernel = surface.theta_eval_batch
@@ -591,7 +592,7 @@ def test_riemann_scan_takes_the_list_built_arguments_in_order(monkeypatch):
 
     monkeypatch.setattr(surface, "theta_eval_batch", recording)
     for B, base in ((-6.0, 0.0), (complex(-4.25, 3.0), 0.4 - 1.3j), (-1000.0, -2.5)):
-        curve = make_torus_curve(B, base_lift=base)
+        curve = TorusCurve(B, base_lift=base)
         B = curve.pm.B
         K = 1j * math.pi + B / 2.0
         seen.clear()
@@ -609,7 +610,7 @@ def test_riemann_scan_takes_the_list_built_arguments_in_order(monkeypatch):
 
 
 def test_complex_period_backend():
-    curve = make_torus_curve(complex(-5.0, 1.3))
+    curve = TorusCurve(complex(-5.0, 1.3))
     plus = cell_point(curve, 0.2, 0.4)
     minus = cell_point(curve, 0.7, 0.8)
     val = curve.third_kind_integral(cell_point(curve, 0.45, 0.1), plus, minus)
@@ -620,15 +621,15 @@ def test_complex_period_backend():
 
 def test_straight_path_through_pole_is_refused(torus):
     b = torus.pm.B
-    plus = torus.point(0.35 * b)  # directly on the base-to-endpoint chord
+    plus = SurfacePoint(0.35 * b)  # directly on the base-to-endpoint chord
     minus = cell_point(torus, 0.5, 0.9)
     with pytest.raises(PoleOnPath):
-        torus.third_kind_integral(torus.point(0.7 * b), plus, minus)
+        torus.third_kind_integral(SurfacePoint(0.7 * b), plus, minus)
 
 
 def test_sample_points_keeps_its_separations(torus, monkeypatch):
     poles = [cell_point(torus, 0.2, 0.6), cell_point(torus, 0.7, 0.3)]
-    avoid = [torus.point(torus.base_lift)] + poles
+    avoid = [SurfacePoint(torus.base_lift)] + poles
 
     def draw(seed, **changes):
         kwargs = dict(avoid=avoid, min_avoid=0.3, min_pairwise=0.2, poles=poles)
@@ -708,7 +709,7 @@ def test_sample_points_draws_what_one_draw_at_a_time_draws(monkeypatch):
     # probes as verify places them, on both models' marked and divisor points
     for model in ("cross", "hex"):
         for re_b in (-3.0, -40.0):
-            curve = make_torus_curve(complex(re_b, rng.uniform(-3, 3)))
+            curve = TorusCurve(complex(re_b, rng.uniform(-3, 3)))
             sd = drawn_spectral_data(model, curve)
             marked = list(sd.marked.values())
             for count in (8, 20, 60, 300):
@@ -721,9 +722,9 @@ def test_sample_points_draws_what_one_draw_at_a_time_draws(monkeypatch):
     monkeypatch.setattr(surface, "_PATH_CLEARANCE", 0.2)
     refused[:] = 0
     for _ in range(6):
-        curve = make_torus_curve(complex(rng.uniform(-8, -3), rng.uniform(-3, 3)))
+        curve = TorusCurve(complex(rng.uniform(-8, -3), rng.uniform(-3, 3)))
         poles = [cell_point(curve, *rng.uniform(0, 1, 2)) for _ in range(6)]
-        compare(curve, (30, [curve.point(curve.base_lift)] + poles, 0.3, 0.4), 500, poles)
+        compare(curve, (30, [SurfacePoint(curve.base_lift)] + poles, 0.3, 0.4), 500, poles)
     assert refused[:3].min() > 0, refused
 
 
@@ -749,7 +750,7 @@ def curve_doc(torus):
 
 
 def test_export_gives_the_bits_of_separate_b_period_and_integral_calls(torus, monkeypatch):
-    curve = make_torus_curve(torus.pm.B)
+    curve = TorusCurve(torus.pm.B)
     marked = {name: cell_point(curve, fs, ft) for name, (fs, ft) in zip(CROSS_NAME_ORDER, CELL_FRACTIONS)}
     pairs = [("P1+", "P1-"), ("P2+", "P2-"), ("P3+", "P3-")]
     specs = [("P2+", ("P1+", "P1-")), ("P2-", ("P1+", "P1-")), ("P1+", ("P2+", "P2-")), ("P1-", ("P3+", "P3-"))]
@@ -757,8 +758,8 @@ def test_export_gives_the_bits_of_separate_b_period_and_integral_calls(torus, mo
     monkeypatch.setattr(curve, "_log_prime_deltas", lambda segments: passes.append(segments) or track(segments))
     doc = export_curve_document(curve, marked, pairs, specs)
     assert len(passes) == 1
-    periods, _ = make_torus_curve(torus.pm.B).b_periods_and_integrals([(marked[a], marked[b]) for a, b in pairs], [])
-    _, integrals = make_torus_curve(torus.pm.B).b_periods_and_integrals(
+    periods, _ = TorusCurve(torus.pm.B).b_periods_and_integrals([(marked[a], marked[b]) for a, b in pairs], [])
+    _, integrals = TorusCurve(torus.pm.B).b_periods_and_integrals(
         [], [(marked[endpoint], marked[a], marked[b]) for endpoint, (a, b) in specs]
     )
     assert repr(doc["b_periods"]) == repr({f"{a}/{b}": complex_to_json(U) for (a, b), U in zip(pairs, periods)})
@@ -780,10 +781,10 @@ def test_one_item_queries_have_the_bits_of_the_batch_query(torus, curve_doc):
 
     def fresh():
         # a TorusCurve checks each b-period pair only once, so each side gets its own
-        return make_torus_curve(torus.pm.B)
+        return TorusCurve(torus.pm.B)
 
     def points(curve, names):
-        return [curve.point(lifts[name]) for name in names]
+        return [SurfacePoint(complex(lifts[name])) for name in names]
 
     def single(method, names):
         curve = fresh()
@@ -822,6 +823,16 @@ def test_reader_refuses_periods_outside_the_accepted_range(curve_doc):
     ):
         with pytest.raises(SchemaError, match="B: "):
             load_torus_curve({**curve_doc, "B": [[B]]})
+
+
+def test_torus_curve_is_the_one_place_that_decides_the_period_domain():
+    for B in (-2.9, -10000.5, complex(-3.0, 5000.5), complex(-3.0, -5000.5), complex(math.nan, 0.0), -math.inf):
+        with pytest.raises(ValueError, match="period must have real part in"):
+            TorusCurve(B)
+    for B in (-3.0, -1e4, complex(-3.0, 5000.0), complex(-3.0, -5000.0)):
+        curve = TorusCurve(B, base_lift=0.25)
+        assert curve.pm.B == B and curve.base_lift == 0.25
+    assert (surface.MIN_RE_B, surface.MAX_RE_B, surface.MAX_ABS_IM_B) == (-1e4, -3.0, 5e3)
 
 
 def test_genus_one_only(curve_doc):
