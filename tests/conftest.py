@@ -339,7 +339,7 @@ def _theta_argument(sd, P, label):
 
 @functools.lru_cache(maxsize=None)
 def _integral(curve, lift, plus, minus):
-    return curve.third_kind_integral(SurfacePoint(complex(lift)), SurfacePoint(complex(plus)), SurfacePoint(complex(minus)))
+    return curve.third_kind_integral(SurfacePoint(lift), SurfacePoint(plus), SurfacePoint(minus))
 
 
 def one_value_phi(sd, label, P):

@@ -668,11 +668,12 @@ def test_a_divisor_lift_far_from_the_base_is_refused(workspace, tmp_path, capsys
                 assert code == 0 and err == "", (argv[0], err)
 
 
-def _refused_copies(spectral, tmp_path, capsys, copies, error) -> None:
+def _refused_copies(spectral, tmp_path, capsys, copies, document: str, message: str) -> None:
     """Each ``(spectral change, curve change)`` copy makes build and verify exit 2 with one error line, writing nothing.
 
-    A change maps a key to its new value, or to ``None`` to drop the key;
-    ``error(spectral_path, curve_path)`` is a regex the line must match.
+    A change maps a key to its new value, or to ``None`` to drop the key.
+    The line names the copy's ``document`` (``"spectral"`` or ``"curve"``)
+    and then matches the regex ``message``.
     """
     sdoc = json.loads(spectral.read_text())
     cdoc = json.loads((spectral.parent / sdoc["curve_ref"]).read_text())
@@ -690,7 +691,8 @@ def _refused_copies(spectral, tmp_path, capsys, copies, error) -> None:
             code = main(argv)
             err = capsys.readouterr().err
             assert code == 2 and err.count("\n") == 1, (i, argv[0], err)
-            assert re.fullmatch(error(path, curve_path), err), (i, argv[0], err)
+            named = path if document == "spectral" else curve_path
+            assert re.fullmatch(re.escape(f"error: {named}: ") + message + "\n", err), (i, argv[0], err)
             assert not os.path.exists(argv[-1])
 
 
@@ -699,7 +701,7 @@ def test_a_period_above_the_domain_is_refused(workspace, tmp_path, capsys):
     # failed the Riemann-constant grid scan (-0.3) or was refused for a marked point (-0.05)
     spectral, _ = workspace["cross"]
     copies = [({}, {"B": [[[re_b, 0.0]]]}) for re_b in (-1.0, -0.3, -0.05)]
-    _refused_copies(spectral, tmp_path, capsys, copies, lambda _, curve: re.escape(f"error: {curve}: B: ") + ".*\n")
+    _refused_copies(spectral, tmp_path, capsys, copies, "curve", "B: .*")
 
 
 def test_a_document_translated_far_from_0_is_refused(workspace, tmp_path, capsys):
@@ -718,9 +720,9 @@ def test_a_document_translated_far_from_0_is_refused(workspace, tmp_path, capsys
         marked = {name: move(lift) for name, lift in cdoc["marked_points"].items()}
         return {"divisor": [move(sdoc["divisor"][0])]}, {"base_lift": move(cdoc["base_lift"]), "marked_points": marked}
 
-    cells = re.escape(f" lattice cells from 0 (max {MAX_LIFT_CELLS})")
     copies = [moved(shift) for shift in (1e9j, 1e9, 2j * math.pi * (MAX_LIFT_CELLS + 1), (MAX_LIFT_CELLS + 1) * B)]
-    _refused_copies(spectral, tmp_path, capsys, copies, lambda _, curve: re.escape(f"error: {curve}: base_lift is ") + ".*" + cells + "\n")
+    message = "base_lift is .*" + re.escape(f" lattice cells from 0 (max {MAX_LIFT_CELLS})")
+    _refused_copies(spectral, tmp_path, capsys, copies, "curve", message)
     # within the bound the document still builds
     near = tmp_path / "near"
     near.mkdir()
@@ -733,10 +735,8 @@ def test_a_document_translated_far_from_0_is_refused(workspace, tmp_path, capsys
 def test_a_spectral_document_without_a_seed_is_refused(workspace, tmp_path, capsys):
     # it was once read as seed 0, and build wrote "seed": null into the field
     spectral, _ = workspace["cross"]
-    copies = [({"seed": None}, {})]
-    _refused_copies(
-        spectral, tmp_path, capsys, copies, lambda path, _: re.escape(f"error: {path}: seed must be a non-negative integer, got None\n")
-    )
+    message = "seed must be a non-negative integer, got None"
+    _refused_copies(spectral, tmp_path, capsys, [({"seed": None}, {})], "spectral", message)
 
 
 def test_a_denominator_below_the_floor_fails_build(workspace, tmp_path, capsys, monkeypatch):

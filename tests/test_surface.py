@@ -826,7 +826,7 @@ def test_reader_refuses_periods_outside_the_accepted_range(curve_doc):
 
 
 def test_torus_curve_is_the_one_place_that_decides_the_period_domain():
-    for B in (-2.9, -10000.5, complex(-3.0, 5000.5), complex(-3.0, -5000.5), complex(math.nan, 0.0), -math.inf):
+    for B in (-2.9, -10000.5, complex(-3.0, 5000.5), complex(-3.0, -5000.5), complex(math.nan, 0.0), math.inf, -math.inf):
         with pytest.raises(ValueError, match="period must have real part in"):
             TorusCurve(B)
     for B in (-3.0, -1e4, complex(-3.0, 5000.0), complex(-3.0, -5000.0)):
