@@ -114,8 +114,7 @@ class _SpectralDataBase:
         self._check_separation()
 
         # the labels are paired with U in one stacked product (see _label_thetas)
-        periods, _ = curve.b_periods_and_integrals([(self.marked[a], self.marked[b]) for a, b in self.basis_pairs], [])
-        self._U = np.array(periods)
+        self._U = np.array(curve.b_periods([(self.marked[a], self.marked[b]) for a, b in self.basis_pairs]))
         self._W = -curve.abel(self.divisor[0]) - curve.riemann_constants()
         # Theta(0) has zero peak scale, so its mantissa IS its value; the
         # genericity floor compares mantissas, i.e. values relative to
@@ -260,9 +259,7 @@ class _SpectralDataBase:
         """
         keys = [(P.lift, a, b) for P, (a, b) in requests]
         missing = [key for key in dict.fromkeys(keys) if key not in self._integrals]
-        _, values = self.curve.b_periods_and_integrals(
-            [], [(SurfacePoint(lift), self.marked[a], self.marked[b]) for lift, a, b in missing]
-        )
+        values = self.curve.integrals([(SurfacePoint(lift), self.marked[a], self.marked[b]) for lift, a, b in missing])
         self._integrals.update(zip(missing, values))
         return [self._integrals[key] for key in keys]
 

@@ -139,11 +139,7 @@ def cmd_gen_spectral(config) -> int:
     marked = dict(zip(names, points))
     divisor = points[len(names):]
     normalization = ConstantNormalization()
-    # one lockstep pass checks the b-periods and computes the stored integrals
-    curve_doc = export_curve_document(
-        curve, marked, list(spectral_class.basis_pairs), list(model.curve_integrals)
-    )
-    # construct once now, reading the checked b-periods: separation and
+    # construct once now, which checks the b-periods: separation and
     # precomputation problems should surface at generation time, not at first use
     spectral_class(curve, marked, divisor, normalization)
 
@@ -159,7 +155,7 @@ def cmd_gen_spectral(config) -> int:
         "divisor": [complex_to_json(p.lift) for p in divisor],
         "normalization": normalization.to_json(),
     }
-    _write((_json(curve_doc), curve_path), (_json(spectral_doc), out))
+    _write((_json(export_curve_document(curve, marked)), curve_path), (_json(spectral_doc), out))
     print(f"wrote {out} and {curve_path} (model {model.name}, seed {config.seed})")
     return 0
 
@@ -174,10 +170,10 @@ def load_spectral_document(path: str):
 
     Returns ``(spectral_data, document)``.  The ``backend`` field is
     ``torus-analytic`` or ``tabulated``; both rebuild the genus-one curve
-    from its period and lifts, and read the curve document's stored
-    tables for format only.  A divisor lift far from the base is refused
-    as a marked point is (:func:`~crosshex.surface.require_near_base`),
-    and so is a ``seed`` that is absent, null or not a non-negative int.
+    from the period and lifts that the curve document holds.  A divisor
+    lift far from the base is refused as a marked point is
+    (:func:`~crosshex.surface.require_near_base`), and so is a ``seed``
+    that is absent, null or not a non-negative int.
     """
     doc = _load_json(path)
     if not isinstance(doc, dict) or doc.get("format") != SPECTRAL_DOC_FORMAT:

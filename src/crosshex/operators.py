@@ -440,7 +440,7 @@ class Model:
 
     @property
     def curve_integrals(self) -> tuple[tuple[str, tuple[str, str]], ...]:
-        """Every (endpoint, pole pair) integral of the formulas: what a curve document records."""
+        """Every (endpoint, pole pair) integral of the formulas, each between marked points."""
         return tuple(dict.fromkeys(_integral_keys(f for table in self.formulas for f in table)))
 
     @property

@@ -24,10 +24,9 @@ exactly on the lattice, so
     int_{P0}^{P} Omega_{A,B} = [log E(u - a) - log E(u - b)]
 
 evaluated between the lifts with a continuously tracked logarithm.
-A curve document records the period, the lifts and those values;
-:func:`load_torus_curve` rebuilds the curve from the period and the
-lifts, refusing what ``TorusCurve`` refuses and any lift far from the
-base, and checks the stored values for format only.
+A curve document records only the period, the base lift and the marked
+lifts, from which :func:`load_torus_curve` rebuilds the curve, refusing
+what ``TorusCurve`` refuses and any lift far from the base.
 """
 
 from __future__ import annotations
@@ -422,7 +421,7 @@ class TorusCurve(SpectralCurve):
         to ``P.lift``; the value depends on the lift (as it must - it is
         what multiplies exponentials that see the same lift).
         """
-        (value,) = self.b_periods_and_integrals([], [(P, Pplus, Pminus)])[1]
+        (value,) = self.integrals([(P, Pplus, Pminus)])
         return value
 
     def b_period_vector(self, Pplus: SurfacePoint, Pminus: SurfacePoint) -> complex:
@@ -436,20 +435,17 @@ class TorusCurve(SpectralCurve):
         translates.  A mismatch beyond 1e-8 raises
         :class:`ConsistencyFailure`.
         """
-        (U,) = self.b_periods_and_integrals([(Pplus, Pminus)], [])[0]
+        (U,) = self.b_periods([(Pplus, Pminus)])
         return U
 
-    def b_periods_and_integrals(self, pairs, requests) -> tuple[list[complex], list[complex]]:
-        """:meth:`b_period_vector` of each ``(Pplus, Pminus)`` and :meth:`third_kind_integral` of each
-        ``(P, Pplus, Pminus)``, in one lockstep pass.
+    def b_periods(self, pairs) -> list[complex]:
+        """:meth:`b_period_vector` of each ``(Pplus, Pminus)``, the pairs not yet verified checked together.
 
-        The pass tracks every integral path and, from the first
-        deterministic start point, a b-cycle representative of each pair
-        not yet verified; a pair whose representative runs into a pole
-        retries from the next start points, in passes of its own.  Each
-        value has the bits it has when asked for alone.  A failed b-period
-        check raises first, then a request whose path runs into a pole
-        makes the call raise :class:`PoleOnPath`.
+        One lockstep pass tracks, from the first deterministic start
+        point, a b-cycle representative of each pair not yet verified; a
+        pair whose representative runs into a pole retries from the next
+        start points, in passes of its own.  Each value has the bits it
+        has when asked for alone.  Pairs all verified make no pass.
         """
         B = self.pm.B
         pairs = list(pairs)
@@ -460,17 +456,11 @@ class TorusCurve(SpectralCurve):
             if (plus.lift, minus.lift) not in self._verified_pairs
         }
         pending, last_error = list(expected), None
-        # the integral paths ride in the first pass only
-        paths = [(pole.lift, self.base_lift, P.lift) for P, *poles in requests for pole in poles]
-        integrals = []
         for fs, ft in _BCYCLE_STARTS:
-            if not (pending or paths):
+            if not pending:
                 break
             start = self.base_lift + 2j * math.pi * fs + B * ft
-            cycles = [(pole, start, start + B) for pair in pending for pole in pair]
-            deltas = self._log_prime_deltas(cycles + paths)
-            integrals += deltas[len(cycles) :]
-            paths = []
+            deltas = self._log_prime_deltas([(pole, start, start + B) for pair in pending for pole in pair])
             retry = []
             for pair, plus, minus in zip(pending, deltas[::2], deltas[1::2]):
                 refused = [d for d in (plus, minus) if isinstance(d, PoleOnPath)]
@@ -494,10 +484,23 @@ class TorusCurve(SpectralCurve):
                 f"could not route a b-cycle representative clear of poles: {last_error}"
             )
         self._verified_pairs.update(expected)
-        for delta in integrals:
+        return periods
+
+    def integrals(self, requests) -> list[complex]:
+        """:meth:`third_kind_integral` of each ``(P, Pplus, Pminus)``, in one lockstep pass.
+
+        Each value has the bits it has when asked for alone.  A request
+        whose path runs into a pole makes the call raise the first
+        :class:`PoleOnPath`; no requests make no pass.
+        """
+        paths = [(pole.lift, self.base_lift, P.lift) for P, *poles in requests for pole in poles]
+        if not paths:
+            return []
+        deltas = self._log_prime_deltas(paths)
+        for delta in deltas:
             if isinstance(delta, PoleOnPath):
                 raise delta
-        return periods, [plus - minus for plus, minus in zip(integrals[::2], integrals[1::2])]
+        return [plus - minus for plus, minus in zip(deltas[::2], deltas[1::2])]
 
     def riemann_constants(self) -> complex:
         """The Riemann constant K = i*pi + B/2.
@@ -561,7 +564,7 @@ def _validate_constants(curve: SpectralCurve, K: complex) -> None:
 # the curve-data document
 # ---------------------------------------------------------------------------
 
-CURVE_DOC_FORMAT = "crosshex-curve-v1"
+CURVE_DOC_FORMAT = "crosshex-curve-v2"
 
 _PAIR_TYPES = (list, tuple)
 _REAL_TYPES = (float, int)  # compared as exact types: a bool is an int subclass, not a number
@@ -606,29 +609,22 @@ def complex_array_from_json(pairs: list) -> np.ndarray | None:
     return values.view(complex) if np.isfinite(values).all() else None
 
 
-# the curve document's keys of a stored b-period ('A/B') and third-kind integral ('S|A,B')
-_B_PERIOD_KEY = "{}/{}"
-_INTEGRAL_KEY = "{}|{},{}"
-
-_CURVE_DOC_KEYS = {
-    "genus", "B", "base_lift", "marked_points", "riemann_constants", "b_periods", "third_kind_integrals"
-}
+_CURVE_DOC_KEYS = {"genus", "B", "base_lift", "marked_points"}
 
 
 def load_torus_curve(document: dict) -> tuple[TorusCurve, dict[str, SurfacePoint]]:
     """The analytic curve and its marked points, from a curve-data document.
 
-    Only the structure is checked.  Any structural problem raises
-    :class:`SchemaError`: a wrong ``format``, a missing section, a genus
-    other than 1, a ``B`` that is not a 1x1 nested list holding a period
-    :class:`TorusCurve` accepts (``"B: ..."``), a malformed or non-finite
-    number or pair, a key naming an unknown marked point, a base lift more
-    than ``MAX_LIFT_CELLS`` lattice cells from 0, or a marked point more
-    than ``MAX_LIFT_CELLS`` lattice cells from the base.  The stored
-    Riemann constant, b-periods and integrals are a record: checked for
-    format, then not read, since the :class:`TorusCurve` computes each of
-    them (and validates its own Riemann constant and b-periods when first
-    asked for them).
+    Any structural problem raises :class:`SchemaError`: a ``format`` other
+    than ``CURVE_DOC_FORMAT``, a missing key, a genus other than 1, a ``B``
+    that is not a 1x1 nested list holding a period :class:`TorusCurve`
+    accepts (``"B: ..."``), a malformed or non-finite pair, an empty
+    ``marked_points`` mapping, a base lift more than ``MAX_LIFT_CELLS``
+    lattice cells from 0, or a marked point more than ``MAX_LIFT_CELLS``
+    lattice cells from the base.  Other keys are ignored: the
+    :class:`TorusCurve` computes every integral, b-period and Riemann
+    constant from the period and the lifts (and validates its own
+    b-periods and Riemann constant when first asked for them).
     """
     if not isinstance(document, dict):
         raise SchemaError("curve document must be a JSON object")
@@ -649,34 +645,14 @@ def load_torus_curve(document: dict) -> tuple[TorusCurve, dict[str, SurfacePoint
     except ValueError as exc:
         raise SchemaError(f"B: {exc}") from None
 
-    for section in ("marked_points", "b_periods", "third_kind_integrals"):
-        if not isinstance(document[section], dict):
-            raise SchemaError(f"{section} must be a mapping")
+    if not isinstance(document["marked_points"], dict):
+        raise SchemaError("marked_points must be a mapping")
     if not document["marked_points"]:
         raise SchemaError("marked_points must not be empty")
-
     marked = {
         str(name): SurfacePoint(complex_from_json(val, f"marked_points[{name}]"))
         for name, val in document["marked_points"].items()
     }
-    complex_from_json(document["riemann_constants"], "riemann_constants")
-    for key, val in document["b_periods"].items():
-        names = str(key).split("/")
-        if len(names) != 2:
-            raise SchemaError(f"b_periods key {key!r} must look like 'A/B'")
-        if not set(names) <= marked.keys():
-            raise SchemaError(f"b_periods key {key!r} names unknown marked points")
-        complex_from_json(val, f"b_periods[{key}]")
-
-    for key, val in document["third_kind_integrals"].items():
-        head, sep, tail = str(key).partition("|")
-        names = (head, *tail.split(","))
-        if not sep or len(names) != 3:
-            raise SchemaError(f"third_kind_integrals key {key!r} must look like 'S|A,B'")
-        for nm in names:
-            if nm not in marked:
-                raise SchemaError(f"third_kind_integrals key {key!r} names unknown point {nm!r}")
-        complex_from_json(val, f"third_kind_integrals[{key}]")
 
     cells = curve.lattice_coords(curve.base_lift)
     if not all(abs(c) <= MAX_LIFT_CELLS for c in cells):
@@ -693,40 +669,12 @@ def require_near_base(curve: SpectralCurve, lift: complex, what: str) -> None:
         raise SchemaError(f"{what} is {cells} lattice cells from the base (max {MAX_LIFT_CELLS})")
 
 
-def export_curve_document(
-    curve: TorusCurve,
-    marked: dict[str, SurfacePoint],
-    b_period_pairs: list[tuple[str, str]],
-    integral_specs: list[tuple[str, tuple[str, str]]],
-) -> dict:
-    """Serialize a curve to the curve-data document.
-
-    ``b_period_pairs`` lists named (plus, minus) pairs to store;
-    ``integral_specs`` lists (endpoint, (plus, minus)) combinations.
-    Composite pole pairs (for example the difference differential with
-    poles at two same-family points) are computed directly; every
-    stored endpoint group shares the single straight base-to-endpoint
-    path, which keeps linear combinations of rows path-consistent.  The
-    b-periods and integrals come from one ``b_periods_and_integrals``
-    call.
-    """
-    periods, values = curve.b_periods_and_integrals(
-        [(marked[plus], marked[minus]) for plus, minus in b_period_pairs],
-        [(marked[endpoint], marked[plus], marked[minus]) for endpoint, (plus, minus) in integral_specs],
-    )
-    b_periods = {_B_PERIOD_KEY.format(*pair): complex_to_json(U) for pair, U in zip(b_period_pairs, periods)}
-    integrals = {
-        _INTEGRAL_KEY.format(endpoint, plus, minus): complex_to_json(val)
-        for (endpoint, (plus, minus)), val in zip(integral_specs, values)
-    }
+def export_curve_document(curve: TorusCurve, marked: dict[str, SurfacePoint]) -> dict:
+    """The curve-data document of a curve and its marked points: the period, the base lift and the marked lifts."""
     return {
         "format": CURVE_DOC_FORMAT,
         "genus": 1,
         "B": [[complex_to_json(curve.pm.B)]],
         "base_lift": complex_to_json(curve.base_lift),
         "marked_points": {name: complex_to_json(pt.lift) for name, pt in marked.items()},
-        "riemann_constants": complex_to_json(curve.riemann_constants()),
-        "b_periods": b_periods,
-        "third_kind_integrals": integrals,
     }
-

@@ -493,14 +493,12 @@ def drawn_spectral_data(model, curve):
 
 
 def genus_two_document(curve_doc: dict) -> dict:
-    """A curve document reshaped as genus 2: a 2x2 B, every lift and period a list of 2 pairs."""
+    """A curve document reshaped as genus 2: a 2x2 B, every lift a list of 2 pairs."""
     doc = json.loads(json.dumps(curve_doc))
     doc["genus"] = 2
     doc["B"] = [[[-5.0, 0.7], [1.2, -0.4]], [[1.2, -0.4], [-4.2, 1.1]]]
-    for key in ("base_lift", "riemann_constants"):
-        doc[key] = [doc[key], [0.0, 0.0]]
-    for section in ("marked_points", "b_periods"):
-        doc[section] = {name: [pair, [0.0, 0.0]] for name, pair in doc[section].items()}
+    doc["base_lift"] = [doc["base_lift"], [0.0, 0.0]]
+    doc["marked_points"] = {name: [pair, [0.0, 0.0]] for name, pair in doc["marked_points"].items()}
     return doc
 
 

@@ -27,7 +27,7 @@ from crosshex.operators import (
     RESIDUAL_TOL,
     build_field,
 )
-from crosshex.surface import MAX_LIFT_CELLS, TorusCurve
+from crosshex.surface import MAX_LIFT_CELLS, TorusCurve, complex_to_json, load_torus_curve
 
 from conftest import brute_cover_distance, genus_two_document
 
@@ -209,29 +209,41 @@ def _assert_tabulated_build_is_analytic(workspace, folder, change_curve):
     assert filecmp.cmp(field, out, shallow=False)
 
 
-# each stored value changed below was once read (and refused, or replayed); the curve is rebuilt from its period and lifts
-
-
-def test_a_shifted_stored_integral_does_not_change_the_tabulated_build(workspace, tmp_path):
-    def shift(cdoc):
-        cdoc["third_kind_integrals"]["P1+|P2+,P2-"][0] += 0.5
-
-    _assert_tabulated_build_is_analytic(workspace, tmp_path / "shifted", shift)
-
-
-def test_a_stored_integral_with_a_huge_imaginary_part_does_not_change_the_tabulated_build(workspace, tmp_path):
-    def inflate(cdoc):
-        cdoc["third_kind_integrals"]["P2+|P1+,P1-"][1] = 1e20
-
-    _assert_tabulated_build_is_analytic(workspace, tmp_path / "inflated", inflate)
-
-
 def test_a_tabulated_build_does_not_read_the_stored_tables(workspace, tmp_path):
-    def change(cdoc):
-        cdoc["riemann_constants"] = [1000.0, 0.0]
-        cdoc["b_periods"]["P1+/P1-"][0] += 1e-4
+    """A v2 curve document carrying v1's stored tables, each value changed, builds the analytic field.
 
-    _assert_tabulated_build_is_analytic(workspace, tmp_path / "changed", change)
+    Each changed value was once read (and refused, or replayed); the reader now ignores
+    the three sections as unknown keys and rebuilds the curve from its period and lifts.
+    """
+    spectral, _ = workspace["cross"]
+    cdoc = json.loads((spectral.parent / json.loads(spectral.read_text())["curve_ref"]).read_text())
+    curve, marked = load_torus_curve(cdoc)
+    tables = {
+        "riemann_constants": complex_to_json(curve.riemann_constants()),
+        "b_periods": {
+            f"{a}/{b}": complex_to_json(curve.b_period_vector(marked[a], marked[b]))
+            for a, b in MODELS["cross"].spectral_class.basis_pairs
+        },
+        "third_kind_integrals": {
+            f"{endpoint}|{a},{b}": complex_to_json(curve.third_kind_integral(marked[endpoint], marked[a], marked[b]))
+            for endpoint, (a, b) in MODELS["cross"].curve_integrals
+        },
+    }
+
+    def shift(tables):
+        tables["third_kind_integrals"]["P1+|P2+,P2-"][0] += 0.5
+
+    def inflate(tables):
+        tables["third_kind_integrals"]["P2+|P1+,P1-"][1] = 1e20
+
+    def change(tables):
+        tables["riemann_constants"] = [1000.0, 0.0]
+        tables["b_periods"]["P1+/P1-"][0] += 1e-4
+
+    for tamper in (shift, inflate, change):
+        changed = json.loads(json.dumps(tables))
+        tamper(changed)
+        _assert_tabulated_build_is_analytic(workspace, tmp_path / tamper.__name__, lambda cdoc: cdoc.update(changed))
 
 
 def test_verify_on_a_tabulated_copy_matches_the_analytic_run(workspace, tmp_path, capsys):
@@ -319,27 +331,24 @@ def test_a_failed_write_leaves_neither_document(tmp_path, capsys):
     assert not any((tmp_path / "e.curve.json").iterdir())
 
 
-def test_gen_spectral_writes_nothing_when_its_spectral_data_fails(tmp_path, monkeypatch, capsys):
+def _refusing(refused):
+    """The lockstep pass, with a pole refusal for each segment whose start ``refused(curve, a)`` picks."""
     track = TorusCurve._log_prime_deltas
 
-    def refusing(refused):
-        """The lockstep pass, with a pole refusal for each segment whose start ``refused(curve, a)`` picks."""
+    def deltas(curve, segments):
+        refusal = PoleOnPath("integration segment passes within 1e-08 of a pole lift")
+        return [refusal if refused(curve, a) else d for (_, a, _), d in zip(segments, track(curve, segments))]
 
-        def deltas(curve, segments):
-            refusal = PoleOnPath("integration segment passes within 1e-08 of a pole lift")
-            return [refusal if refused(curve, a) else d for (_, a, _), d in zip(segments, track(curve, segments))]
+    return deltas
 
-        return deltas
 
+def test_gen_spectral_writes_nothing_when_its_spectral_data_fails(tmp_path, monkeypatch, capsys):
     def separation(sd):
         raise ConsistencyFailure("marked points P1+ and P1- are only 0.000e+00 apart on the curve")
 
     for owner, name, failure, message in (
-        # the stored integrals run into a pole, the b-cycles do not
-        (TorusCurve, "_log_prime_deltas", refusing(lambda curve, a: a == curve.base_lift),
-         "integration segment passes within 1e-08 of a pole lift"),
         # every path runs into a pole: no b-cycle can be routed
-        (TorusCurve, "_log_prime_deltas", refusing(lambda curve, a: True),
+        (TorusCurve, "_log_prime_deltas", _refusing(lambda curve, a: True),
          "could not route a b-cycle representative clear of poles"),
         (crosshex.bafunc._SpectralDataBase, "_check_separation", separation, "marked points P1+ and P1- are only"),
     ):
@@ -352,9 +361,28 @@ def test_gen_spectral_writes_nothing_when_its_spectral_data_fails(tmp_path, monk
                 assert not any(tmp_path.iterdir())
 
 
+def test_build_and_verify_refuse_an_integral_path_into_a_pole(workspace, tmp_path, monkeypatch, capsys):
+    """The formulas' integrals run into a pole, the b-cycles do not: build and verify exit 1 and write nothing.
+
+    gen-spectral tracks no integral path, so this is where such a path is refused.
+    """
+    monkeypatch.setattr(TorusCurve, "_log_prime_deltas", _refusing(lambda curve, a: a == curve.base_lift))
+    for model in ("cross", "hex"):
+        spectral, _ = workspace[model]
+        for argv in (
+            ["build", "-i", str(spectral), "--window", "1", "-o", str(tmp_path / "field.json")],
+            ["verify", "-i", str(spectral), "--window", "1", "--probes", "8", "-o", str(tmp_path / "report.json")],
+        ):
+            assert main(argv) == 1, (model, argv[0])
+            err = capsys.readouterr().err
+            assert err.startswith("verification-grade failure: integration segment passes within 1e-08 of a pole lift"), err
+            assert not any(tmp_path.iterdir())
+
+
 def test_each_command_tracks_its_paths_in_the_fewest_lockstep_passes(tmp_path, monkeypatch):
-    """gen-spectral checks its b-periods in the pass of its stored integrals; verify tracks its
-    marked-point and probe integrals together; loading and build keep their passes."""
+    """gen-spectral and loading each check the basis pairs' b-periods in one pass, and track no
+    integral path; build tracks the formulas' integrals in one more pass, and verify tracks its
+    marked-point and probe integrals together in one."""
     track, passes = TorusCurve._log_prime_deltas, []
 
     def counting(curve, segments):
@@ -535,8 +563,9 @@ def test_corrupt_documents_exit_2(workspace, tmp_path, capsys):
             ({}, {"format": "nonsense"}),
             (tabulated, {"format": "nonsense"}),
             ({}, {"format": drop}),
-            ({}, {"riemann_constants": drop}),
-            ({}, {"third_kind_integrals": drop}),
+            # the stored-table format the reader no longer takes
+            ({}, {"format": "crosshex-curve-v1"}),
+            (tabulated, {"format": "crosshex-curve-v1"}),
             # paths and b-cycle checks would take steps in proportion to these lengths
             ({}, {"B": [[[-1e308, 0.0]]]}),
             (tabulated, {"B": [[[-2.0**70, 0.0]]]}),
@@ -564,13 +593,10 @@ def test_corrupt_documents_exit_2(workspace, tmp_path, capsys):
 def _non_finite_changes(cdoc: dict, bad: float) -> list[tuple[dict, dict]]:
     """(spectral, curve) document changes that each put ``bad`` into one number."""
     point = next(iter(cdoc["marked_points"]))
-    integral = next(iter(cdoc["third_kind_integrals"]))
     return [
         ({}, {"B": [[[bad, 0.0]]]}),
         ({}, {"base_lift": [0.0, bad]}),
         ({}, {"marked_points": {**cdoc["marked_points"], point: [bad, 0.0]}}),
-        ({}, {"riemann_constants": [bad, 0.0]}),
-        ({}, {"third_kind_integrals": {**cdoc["third_kind_integrals"], integral: [0.0, bad]}}),
         ({"divisor": [[bad, 0.0]]}, {}),
         ({"normalization": {"kind": "constant", "value": [1.0, bad]}}, {}),
     ]

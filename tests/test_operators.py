@@ -843,7 +843,7 @@ def test_the_pole_guard_skips_only_the_probe_paths_the_sampler_cleared(model, mo
 
     def guarded_segments(requests):
         guarded.clear()
-        curve.b_periods_and_integrals([], requests)
+        curve.integrals(requests)
         return set(guarded)
 
     def segments(requests):
@@ -864,6 +864,6 @@ def test_the_pole_guard_skips_only_the_probe_paths_the_sampler_cleared(model, mo
     assert guarded_segments(unscreened) == {(sd.divisor[0].lift, curve.base_lift, probes[0].lift)}
     # and so do the b-cycles of pairs not yet checked (the basis pairs were, on construction)
     guarded.clear()
-    curve.b_periods_and_integrals([(minus, plus) for plus, minus in pairs], [])
+    curve.b_periods([(minus, plus) for plus, minus in pairs])
     assert {pole for pole, _, _ in guarded} == {p.lift for pair in pairs for p in pair}
     assert all(a != curve.base_lift for _, a, _ in guarded)

@@ -254,11 +254,11 @@ def test_pole_on_a_chord_is_refused_inside_a_batch(torus):
     minus = cell_point(torus, 0.5, 0.9)
     clear = [SurfacePoint(cell_point(torus, f, 0.5).lift) for f in (0.1, 0.4)]
     requests = [(P, cell_point(torus, 0.2, 0.6), minus) for P in clear]
-    assert len(torus.b_periods_and_integrals([], requests)[1]) == 2
+    assert len(torus.integrals(requests)) == 2
     on_chord = (SurfacePoint(0.7 * b), plus, minus)
     for batch in ([on_chord], requests + [on_chord], [on_chord] + requests):
         with pytest.raises(PoleOnPath):
-            torus.b_periods_and_integrals([], batch)
+            torus.integrals(batch)
     deltas = torus._log_prime_deltas([(pole.lift, torus.base_lift, 0.7 * b) for pole in (plus, minus)])
     assert isinstance(deltas[0], PoleOnPath) and isinstance(deltas[1], complex)
 
@@ -514,7 +514,7 @@ def test_b_period_pair_refused_at_one_start_tries_the_next(monkeypatch):
         return track(segments)
 
     monkeypatch.setattr(curve, "_log_prime_deltas", recording)
-    assert curve.b_periods_and_integrals(pairs, [])[0] == [curve.abel(p) - curve.abel(m) for p, m in pairs]
+    assert curve.b_periods(pairs) == [curve.abel(p) - curve.abel(m) for p, m in pairs]
     assert curve._verified_pairs == {(p.lift, m.lift) for p, m in pairs}
     # both pairs from the first start, then the refused one alone from the second
     assert [[pole for pole, _, _ in segments] for segments in tracked] == [
@@ -522,18 +522,11 @@ def test_b_period_pair_refused_at_one_start_tries_the_next(monkeypatch):
         [on_first_cycle.lift, other.lift],
     ]
     assert tracked[1][0][1] != tracked[0][0][1]
-    # integrals sharing the first pass leave the refused pair its retry, and keep their bits
-    curve = TorusCurve(-6.0)
-    requests = [(cell_point(curve, f, 0.5), *pair) for f in (0.1, 0.6) for pair in pairs]
-    monkeypatch.setattr(curve, "_log_prime_deltas", recording)
+    # verified pairs make no pass, and neither do empty lists
     tracked.clear()
-    periods, integrals = curve.b_periods_and_integrals(pairs, requests)
-    assert periods == [curve.abel(p) - curve.abel(m) for p, m in pairs]
-    assert [[pole for pole, _, _ in segments] for segments in tracked] == [
-        [p.lift for pair in pairs for p in pair] + [p.lift for _, *poles in requests for p in poles],
-        [on_first_cycle.lift, other.lift],
-    ]
-    assert list(map(repr, integrals)) == list(map(repr, TorusCurve(-6.0).b_periods_and_integrals([], requests)[1]))
+    assert curve.b_periods(pairs) == [curve.abel(p) - curve.abel(m) for p, m in pairs]
+    assert curve.b_periods([]) == [] and curve.integrals([]) == []
+    assert tracked == []
     # with the first start point alone, the pair has nowhere to go
     monkeypatch.setattr(surface, "_BCYCLE_STARTS", surface._BCYCLE_STARTS[:1])
     with pytest.raises(ConsistencyFailure, match="could not route"):
@@ -739,33 +732,23 @@ def curve_doc(torus):
         name: cell_point(torus, fs, ft)
         for name, (fs, ft) in zip(CROSS_NAME_ORDER, CELL_FRACTIONS)
     }
-    pairs = [("P1+", "P1-"), ("P2+", "P2-"), ("P3+", "P3-")]
-    integrals = [
-        ("P2+", ("P1+", "P1-")),
-        ("P2-", ("P1+", "P1-")),
-        ("P1+", ("P2+", "P2-")),
-        ("P1-", ("P3+", "P3-")),
-    ]
-    return export_curve_document(torus, marked, pairs, integrals)
+    return export_curve_document(torus, marked)
 
 
-def test_export_gives_the_bits_of_separate_b_period_and_integral_calls(torus, monkeypatch):
-    curve = TorusCurve(torus.pm.B)
+def test_export_writes_the_v2_keys_and_tracks_no_path(torus, monkeypatch):
+    curve = TorusCurve(torus.pm.B, base_lift=0.25)
     marked = {name: cell_point(curve, fs, ft) for name, (fs, ft) in zip(CROSS_NAME_ORDER, CELL_FRACTIONS)}
-    pairs = [("P1+", "P1-"), ("P2+", "P2-"), ("P3+", "P3-")]
-    specs = [("P2+", ("P1+", "P1-")), ("P2-", ("P1+", "P1-")), ("P1+", ("P2+", "P2-")), ("P1-", ("P3+", "P3-"))]
     track, passes = curve._log_prime_deltas, []
     monkeypatch.setattr(curve, "_log_prime_deltas", lambda segments: passes.append(segments) or track(segments))
-    doc = export_curve_document(curve, marked, pairs, specs)
-    assert len(passes) == 1
-    periods, _ = TorusCurve(torus.pm.B).b_periods_and_integrals([(marked[a], marked[b]) for a, b in pairs], [])
-    _, integrals = TorusCurve(torus.pm.B).b_periods_and_integrals(
-        [], [(marked[endpoint], marked[a], marked[b]) for endpoint, (a, b) in specs]
-    )
-    assert repr(doc["b_periods"]) == repr({f"{a}/{b}": complex_to_json(U) for (a, b), U in zip(pairs, periods)})
-    assert repr(doc["third_kind_integrals"]) == repr(
-        {f"{endpoint}|{a},{b}": complex_to_json(value) for (endpoint, (a, b)), value in zip(specs, integrals)}
-    )
+    doc = export_curve_document(curve, marked)
+    assert passes == [] and not curve._constants_validated
+    assert doc == {
+        "format": "crosshex-curve-v2",
+        "genus": 1,
+        "B": [[complex_to_json(curve.pm.B)]],
+        "base_lift": [0.25, 0.0],
+        "marked_points": {name: complex_to_json(p.lift) for name, p in marked.items()},
+    }
 
 
 def test_document_json_round_trip_is_exact(curve_doc):
@@ -773,27 +756,24 @@ def test_document_json_round_trip_is_exact(curve_doc):
     assert json.loads(text) == curve_doc
 
 
-def test_one_item_queries_have_the_bits_of_the_batch_query(torus, curve_doc):
-    lifts = {name: complex(*lift) for name, lift in curve_doc["marked_points"].items()}
-    pairs = [key.split("/") for key in curve_doc["b_periods"]]
-    # 'S|A,B' names the endpoint S and the poles A, B
-    requests = [key.replace("|", ",").split(",") for key in curve_doc["third_kind_integrals"]]
+def test_one_item_queries_have_the_bits_of_the_batch_query(torus):
+    lifts = {name: cell_point(torus, fs, ft).lift for name, (fs, ft) in zip(CROSS_NAME_ORDER, CELL_FRACTIONS)}
+    pairs = [("P1+", "P1-"), ("P2+", "P2-"), ("P3+", "P3-")]
+    # each request names the endpoint and the two poles
+    requests = [("P2+", "P1+", "P1-"), ("P2-", "P1+", "P1-"), ("P1+", "P2+", "P2-"), ("P1-", "P3+", "P3-")]
 
     def fresh():
         # a TorusCurve checks each b-period pair only once, so each side gets its own
         return TorusCurve(torus.pm.B)
 
-    def points(curve, names):
-        return [SurfacePoint(complex(lifts[name])) for name in names]
+    def points(names):
+        return [SurfacePoint(lifts[name]) for name in names]
 
     def single(method, names):
-        curve = fresh()
-        return repr(getattr(curve, method)(*points(curve, names)))
+        return repr(getattr(fresh(), method)(*points(names)))
 
-    curve = fresh()
-    periods, integrals = curve.b_periods_and_integrals(
-        [points(curve, pair) for pair in pairs], [points(curve, request) for request in requests]
-    )
+    periods = fresh().b_periods([points(pair) for pair in pairs])
+    integrals = fresh().integrals([points(request) for request in requests])
     assert [single("b_period_vector", pair) for pair in pairs] == list(map(repr, periods))
     assert [single("third_kind_integral", request) for request in requests] == list(map(repr, integrals))
 
@@ -804,12 +784,10 @@ def test_analytic_reader_rebuilds_the_curve_from_the_document(torus, curve_doc):
     assert {name: p.lift for name, p in marked.items()} == {
         name: complex(*lift) for name, lift in curve_doc["marked_points"].items()
     }
-    # the stored tables are read for structure only, not replayed
-    tampered = json.loads(json.dumps(curve_doc))
-    tampered["riemann_constants"] = [0.0, 0.0]
-    load_torus_curve(tampered)
+    # a key the reader does not know is ignored, however its value looks
+    load_torus_curve({**curve_doc, "riemann_constants": [0.0, 0.0], "b_periods": None})
     # both backend values of a spectral document read the curve here, so they refuse the same documents
-    for change in ({"format": "crosshex-curve-v0"}, {"B": [[[0.5, 0.0]]]}):
+    for change in ({"format": "crosshex-curve-v0"}, {"format": "crosshex-curve-v1"}, {"B": [[[0.5, 0.0]]]}):
         with pytest.raises(SchemaError):
             load_torus_curve({**curve_doc, **change})
 
@@ -850,18 +828,10 @@ def test_genus_one_only(curve_doc):
 
 
 def test_tabulated_rejects_missing_sections(curve_doc):
-    """A ``tabulated`` spectral document's curve is read by load_torus_curve too, which refuses a missing section."""
-    for key in ("format", "genus", "B", "marked_points", "third_kind_integrals"):
+    """A ``tabulated`` spectral document's curve is read by load_torus_curve too, which refuses a missing key."""
+    assert set(curve_doc) == {"format", "genus", "B", "base_lift", "marked_points"}
+    for key in curve_doc:
         broken = json.loads(json.dumps(curve_doc))
         del broken[key]
         with pytest.raises(SchemaError):
             load_torus_curve(broken)
-
-
-def test_tabulated_rejects_unknown_point_in_integral_key(curve_doc):
-    """The stored tables are checked for format, though not read: a key must name marked points."""
-    broken = json.loads(json.dumps(curve_doc))
-    val = next(iter(broken["third_kind_integrals"].values()))
-    broken["third_kind_integrals"]["Nope|P1+,P1-"] = val
-    with pytest.raises(SchemaError):
-        load_torus_curve(broken)
