@@ -2,7 +2,7 @@
 
 ``build_field`` evaluates every stencil of a window in a fixed number of
 array passes (the ratio arithmetic of all sites and formulas stacked by
-term shape).  ``tests/conftest.one_site_stencil`` evaluates the same
+term shape).  ``tests/crosshex_testlib.one_site_stencil`` evaluates the same
 closed-form ratios one site and one formula at a time, in ScaledComplex
 arithmetic with scalar theta calls and one-path third-kind integrals.
 Every coefficient of every site must agree by ``repr``.
@@ -36,7 +36,7 @@ from crosshex.operators import build_field
 from crosshex.surface import TorusCurve
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
-from conftest import drawn_spectral_data, one_site_stencil, scalars  # noqa: E402
+from crosshex_testlib import drawn_spectral_data, one_site_stencil, scalars  # noqa: E402
 
 RADIUS = 40
 PERIODS = [complex(re, im) for re in (-8.0, -4.25, -3.0) for im in (0.0, 3.0, -3.0)]

@@ -2,7 +2,7 @@
 
 ``oracle_report`` balances every site's probes-by-coefficients matrix in
 array passes and forms gaps, stencils, mismatches and forced-zero shares
-as arrays; ``tests/conftest.reference_oracle_report`` is the
+as arrays; ``tests/crosshex_testlib.reference_oracle_report`` is the
 one-site-at-a-time computation it replaced.  Every measure, maximum,
 failing site and oracle coefficient must agree by ``repr`` on windows of
 1,681 and 6,561 (cross) or 1,261 and 4,921 (hex) sites, at 20 probes
@@ -25,7 +25,7 @@ from crosshex.operators import build_field, psi_grid, sample_probes
 from crosshex.surface import TorusCurve
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "tests"))
-from conftest import assert_oracle_matches_reference, drawn_spectral_data  # noqa: E402
+from crosshex_testlib import assert_oracle_matches_reference, drawn_spectral_data  # noqa: E402
 
 
 @pytest.mark.parametrize("radius", [20, 40])

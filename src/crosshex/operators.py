@@ -969,12 +969,8 @@ class PsiGrid:
     values: ScaledArray  # (halo sites, probes)
 
     @cached_property
-    def log_abs(self) -> np.ndarray:
-        return self.values.log_abs
-
-    @cached_property
-    def phase(self) -> np.ndarray:
-        return self.values.phase
+    def polar(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.values.polar()
 
 
 def psi_grid(sd, window, probes) -> PsiGrid:
@@ -1147,8 +1143,7 @@ def _oracle_chunk(model: Model, grid: PsiGrid, sites, neighbors, units):
     # a site's non-finite values reach only its own measures, and are reported there
     with np.errstate(all="ignore"):
         # (sites, probes, coefficients), C-ordered: each site's matrix is one block
-        logs = np.ascontiguousarray(grid.log_abs[neighbors].transpose(0, 2, 1))
-        phases = np.ascontiguousarray(grid.phase[neighbors].transpose(0, 2, 1))
+        logs, phases = (np.ascontiguousarray(x[neighbors].transpose(0, 2, 1)) for x in grid.polar)
         col_scale = logs.max(axis=1)
         balanced = logs - col_scale[:, None, :]
         balanced = balanced - balanced.max(axis=2)[:, :, None]

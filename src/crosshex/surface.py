@@ -121,7 +121,7 @@ class SpectralCurve:
 
         Each basis vector is an integer row ``(m, n)``, the lattice vector
         ``2*pi*i*m + B*n``, and the offsets are (m, n) arrays; the inverse
-        takes (s, t) lattice coordinates to coordinates in the basis.
+        takes (s, t) to basis coordinates (p, q) = s * inverse[0] + t * inverse[1].
         Rounding a difference's coordinates in this basis leaves its
         nearest lattice vector among the 9 around the rounded one, however
         sheared ``B`` is.  A real ``B`` gives (2*pi*i, B) in one order or
@@ -140,8 +140,14 @@ class SpectralCurve:
             u, v = v, u
         (a, b), (c, d) = u, v
         det = a * d - b * c  # +-1
-        inverse = (det * d, -det * c, -det * b, det * a)
+        inverse = (np.array([det * d, -det * b]), np.array([-det * c, det * a]))
         return (u, v), inverse, (a * _OFFSET_P + c * _OFFSET_Q, b * _OFFSET_P + d * _OFFSET_Q)
+
+    def _reduced_round(self, delta) -> np.ndarray:
+        """The rounded coordinates (p, q) of ``delta`` in the reduced basis (u, v), stacked: p*u + q*v is near it."""
+        s, t = self.lattice_coords(delta)
+        by_s, by_t = self._reduced_basis[1]
+        return np.rint(np.multiply.outer(by_s, s) + np.multiply.outer(by_t, t))
 
     def cover_distance(self, lift, others) -> float | np.ndarray:
         """Distance between lifts as curve points: min over lattice translates.
@@ -163,10 +169,9 @@ class SpectralCurve:
                 f"lift and others must each be one lift or a 1-D array, got shapes {lift.shape}, {others.shape}"
             )
         delta = np.subtract.outer(lift, others)
-        ((a, b), (c, d)), (ps, pt, qs, qt), (offset_m, offset_n) = self._reduced_basis
-        s, t = self.lattice_coords(delta)
+        ((a, b), (c, d)), _, (offset_m, offset_n) = self._reduced_basis
         # the rounded coordinates in the reduced basis, back in (m, n)
-        p, q = np.rint(ps * s + pt * t), np.rint(qs * s + qt * t)
+        p, q = self._reduced_round(delta)
         m, n = a * p + c * q, b * p + d * q
         group = max(1, _COVER_BLOCK // max(1, delta.size))
         if group == 1:
@@ -283,44 +288,48 @@ class TorusCurve(SpectralCurve):
 
         Complex arguments give a ``float``; arrays (broadcast together)
         give the distance of each segment to the translates of its own
-        pole.  The translates tried are those whose lattice coordinates
-        lie within one cell of the segment's coordinate box.  The
-        translate offsets are taken in blocks of at most
-        ``_DISTANCE_BLOCK`` (segment, translate) pairs, so memory stays
-        O(segments) however many segments and translates there are.
+        pole.  The translates tried lie within one of the box that the
+        ends' offsets from the pole span once rounded in the reduced period
+        basis, so every point's nearest one is tried and the distance is
+        exact at any shear.  When some box spans more than one both ways,
+        most of its translates are far, so each segment is cut into that
+        many pieces, a box each; all are padded to the widest.  Translates
+        go in blocks of about ``_DISTANCE_BLOCK`` (piece, translate) pairs.
         """
         B = self.pm.B
         pole, a, b = np.broadcast_arrays(*(np.asarray(x, dtype=complex) for x in (pole, a, b)))
         shape = pole.shape
-        pole, a, b = (x.reshape(-1, 1) for x in (pole, a, b))
-        sa, ta = self.lattice_coords(a - pole)
-        sb, tb = self.lattice_coords(b - pole)
-        m_lo = np.floor(np.minimum(sa, sb)) - 1
-        m_hi = np.ceil(np.maximum(sa, sb)) + 1
-        n_lo = np.floor(np.minimum(ta, tb)) - 1
-        n_hi = np.ceil(np.maximum(ta, tb)) + 1
+        # axes: segment, piece, translate
+        pole, a, b = (x.reshape(-1, 1, 1) for x in (pole, a, b))
         ab = b - a
+        # the rounded coordinates of the piece ends, (p or q, segment, end, 1), and each piece's spans
+        ends = self._reduced_round(np.concatenate((a, b), axis=1) - pole)
+        spans = np.abs(ends[:, :, 1:] - ends[:, :, :-1])
+        cuts = int(spans.min(axis=0).max(initial=0))
+        if cuts > 1:
+            ends = self._reduced_round(a + ab * (np.arange(cuts + 1) / cuts)[:, None] - pole)
+            spans = np.abs(ends[:, :, 1:] - ends[:, :, :-1])
+        p_lo, q_lo = np.minimum(ends[:, :, :-1], ends[:, :, 1:]) - 1
+        p_width, q_width = (int(w) + 3 for w in spans.max(axis=(1, 2, 3), initial=0))
+        offsets = p_width * q_width
+        (u_m, u_n), (v_m, v_n) = self._reduced_basis[0]
         denom = np.array(_square(np.hypot(ab.real, ab.imag)), dtype=float).reshape(ab.shape)
         denom[denom == 0.0] = math.inf  # a point segment: t = 0, the distance to a
-        n_width = int((n_hi - n_lo).max(initial=0)) + 1
-        offsets = (int((m_hi - m_lo).max(initial=0)) + 1) * n_width
-        best = np.full(pole.shape, math.inf)
-        block = max(1, _DISTANCE_BLOCK // max(1, pole.size))
+        best = math.inf  # a (segment, 1, 1) array after the first block
+        block = max(1, _DISTANCE_BLOCK // max(1, p_lo.size))
         for k in range(0, offsets, block):
-            dm, dn = np.divmod(np.arange(k, min(k + block, offsets)), n_width)
-            # an offset past a segment's own box repeats its last translate
-            m = np.minimum(m_lo + dm, m_hi)
-            n = np.minimum(n_lo + dn, n_hi)
-            # the parts of pole + 2*pi*i*m + B*n; CPython's zero cross terms
-            # only change the sign of a zero, which the distance ignores
-            q_re = pole.real + B.real * n
-            q_im = (pole.imag + 2.0 * math.pi * m) + B.imag * n
-            # ((q - a) * conj(ab)).real / abs(ab)**2, then min(1.0, max(0.0, t))
-            t = ((q_re - a.real) * ab.real - (q_im - a.imag) * -ab.imag) / denom
-            t = np.where(t > 0.0, t, 0.0)
-            t = np.where(t < 1.0, t, 1.0)
-            dist = np.hypot(q_re - (a.real + t * ab.real), q_im - (a.imag + t * ab.imag))
-            best = np.fmin(best, np.fmin.reduce(dist, axis=1, keepdims=True))
+            dp, dq = np.divmod(np.arange(k, min(k + block, offsets)), q_width)
+            p, q = p_lo + dp, q_lo + dq
+            m, n = u_m * p + v_m * q, u_n * p + v_n * q
+            # the parts of the translate x = pole + 2*pi*i*m + B*n; CPython's zero
+            # cross terms only change the sign of a zero, which the distance ignores
+            x_re = pole.real + B.real * n
+            x_im = (pole.imag + 2.0 * math.pi * m) + B.imag * n
+            # ((x - a) * conj(ab)).real / abs(ab)**2, then min(1.0, max(0.0, t)):
+            # u - v * -w is u + v * w exactly, and the clamp's zero signs are lost in hypot
+            t = np.fmin(np.fmax(((x_re - a.real) * ab.real + (x_im - a.imag) * ab.imag) / denom, 0.0), 1.0)
+            dist = np.hypot(x_re - (a.real + t * ab.real), x_im - (a.imag + t * ab.imag))
+            best = np.fmin(best, np.fmin.reduce(dist, axis=(1, 2), keepdims=True))
         best = best.reshape(shape)
         return best if best.ndim else float(best)
 

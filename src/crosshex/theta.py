@@ -222,22 +222,20 @@ class ScaledArray:
         """The negated elements where ``where`` holds, the others as they are."""
         return type(self)(np.where(where, -self.mantissa, self.mantissa), self.log_scale)
 
-    @property
-    def phase(self) -> np.ndarray:
-        """``mantissa / abs(mantissa)``, and 0 where the mantissa is 0."""
+    def polar(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(log|value|, mantissa / abs(mantissa))`` in one pass; -inf and 0 where the mantissa is 0."""
         a = _abs(self.mantissa)
         nonzero = self.mantissa != 0
-        out = np.zeros(a.shape, dtype=complex)
-        out[nonzero] = self._quotient(self.mantissa[nonzero], _complex(a[nonzero], 0.0))
-        return out
+        log_abs = np.full(a.shape, -math.inf)
+        phase = np.zeros(a.shape, dtype=complex)
+        a = a[nonzero]
+        log_abs[nonzero] = _log(a) + self.log_scale[nonzero]
+        phase[nonzero] = self._quotient(self.mantissa[nonzero], _complex(a, 0.0))
+        return log_abs, phase
 
     @property
     def log_abs(self) -> np.ndarray:
-        a = _abs(self.mantissa)
-        out = np.full(a.shape, -math.inf)
-        nonzero = self.mantissa != 0
-        out[nonzero] = _log(a[nonzero]) + self.log_scale[nonzero]
-        return out
+        return self.polar()[0]
 
     def as_complex(self) -> np.ndarray:
         """Collapse to plain complex values; saturates to inf for huge values, never raises.
@@ -252,12 +250,10 @@ class ScaledArray:
         out[exact] = m[exact]
         scaled = nonzero & (s != 0.0)
         if scaled.any():
-            a = _abs(m[scaled])
-            log_total = _log(a) + s[scaled]
-            phase = self._quotient(m[scaled], _complex(a, 0.0))
+            log_total, phase = type(self)(m[scaled], s[scaled]).polar()
             big = log_total > 709.0
             mid = ~big & ~(log_total < -745.0)
-            value = np.zeros(a.shape, dtype=complex)
+            value = np.zeros(phase.shape, dtype=complex)
             # componentwise: a plain phase*inf would turn exact zeros in the phase into NaNs
             with np.errstate(invalid="ignore"):
                 sat = _complex(
@@ -279,19 +275,17 @@ class ScaledArray:
         term by term in CPython complex arithmetic.
         """
         used = used & (self.mantissa != 0)
-        logs = self.log_abs
+        logs, phase = self.polar()
         top = np.where(used, logs, -math.inf).max(axis=0)
-        phase = self.phase
-        total = np.zeros(top.shape, dtype=complex)
-        denom = np.zeros(top.shape)
-        # unused elements may overflow or be NaN; np.where drops them
+        # unused elements may overflow or be NaN; np.where makes them zero terms,
+        # which change a running sum only in the sign of a zero part
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(self.shape[0]):
-                mag = _exp(logs[k] - top)
-                # CPython's complex * float goes through complex(mag, 0.0)
-                val = complex_mul(phase[k], _complex(mag, 0.0))
-                total = np.where(used[k], total + val, total)
-                denom = np.where(used[k], denom + mag, denom)
+            mag = np.where(used, _exp(logs - top), 0.0)
+            # CPython's complex * float goes through complex(mag, 0.0)
+            val = np.where(used, complex_mul(phase, _complex(mag, 0.0)), 0j)
+            # cumulative sums add in index order, one term at a time
+            total = np.cumsum(val, axis=0)[-1]
+            denom = np.cumsum(mag, axis=0)[-1]
             return np.where(used.any(axis=0), _abs(total) / denom, 0.0)
 
     @staticmethod

@@ -47,7 +47,7 @@ from crosshex.operators import (
 from crosshex.surface import SurfacePoint, TorusCurve
 from crosshex.theta import PeriodMatrix, theta_eval_scaled
 
-from conftest import gauged_grid, scalars, translated
+from crosshex_testlib import gauged_grid, scalars, translated
 
 ERRATA_PATH = Path(__file__).resolve().parents[1] / "ERRATA.md"
 

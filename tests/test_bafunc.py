@@ -19,7 +19,7 @@ from crosshex.operators import MODELS, evaluate_ratio, psi_grid
 from crosshex.surface import SurfacePoint
 from crosshex.theta import theta_eval_scaled
 
-from conftest import (
+from crosshex_testlib import (
     CELL_FRACTIONS,
     CROSS_NAME_ORDER,
     DIVISOR_FRACTION,

@@ -29,7 +29,7 @@ from crosshex.operators import (
 )
 from crosshex.surface import MAX_LIFT_CELLS, TorusCurve, complex_to_json, load_torus_curve
 
-from conftest import brute_cover_distance, genus_two_document
+from crosshex_testlib import brute_cover_distance, genus_two_document
 
 
 @pytest.fixture(scope="module")

@@ -17,7 +17,7 @@ from crosshex.labels import (
 )
 from crosshex.operators import MODELS, psi_grid, window_sites
 
-from conftest import REFERENCE_NEIGHBOR_OFFSETS, REFERENCE_RELABEL, label_shift
+from crosshex_testlib import REFERENCE_NEIGHBOR_OFFSETS, REFERENCE_RELABEL, label_shift
 
 ints = st.integers(min_value=-50, max_value=50)
 

@@ -59,7 +59,7 @@ from crosshex.operators import (
 from crosshex.surface import SurfacePoint, TorusCurve
 from crosshex.theta import ScaledArray
 
-from conftest import (
+from crosshex_testlib import (
     REFERENCE_RELABEL,
     _one_label_ratio,
     gauged_grid,

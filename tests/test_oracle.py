@@ -2,7 +2,7 @@
 
 ``oracle_report`` balances every site's matrix in array passes, takes one
 SVD per site and forms gaps, stencils, mismatches and forced-zero shares
-as arrays.  ``conftest.reference_oracle_report`` is the one-site-at-a-time
+as arrays.  ``crosshex_testlib.reference_oracle_report`` is the one-site-at-a-time
 computation it replaced, whose kernel values are numpy scalars.  Every
 measure, maximum, failing site and oracle coefficient must agree by
 ``repr``, and a failure must raise what the reference raises at the first
@@ -21,7 +21,7 @@ from crosshex.operators import build_field, nullspace_oracle, oracle_report, psi
 from crosshex.surface import TorusCurve
 from crosshex.theta import ScaledArray
 
-from conftest import assert_oracle_matches_reference, halo_rows, reference_nullspace_oracle, spectral_data
+from crosshex_testlib import assert_oracle_matches_reference, halo_rows, reference_nullspace_oracle, spectral_data
 
 
 @pytest.mark.parametrize("b_re", [-3.5, -4.25, -7.9])

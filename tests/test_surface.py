@@ -23,7 +23,7 @@ from crosshex.surface import (
 )
 from crosshex.theta import theta_eval_batch, theta_eval_scaled
 
-from conftest import (
+from crosshex_testlib import (
     CELL_FRACTIONS,
     CROSS_NAME_ORDER,
     brute_cover_distance,
@@ -412,9 +412,10 @@ def test_segment_pole_distance_is_the_nearest_translate():
 def test_segment_pole_distance_sees_a_planted_pole_at_sheared_periods():
     """A pole planted within eps of a base-to-cell or b-cycle segment, then moved by a lattice vector, is seen.
 
-    The translates tried are those within one cell of the segment's
-    unreduced (s, t) box; at |Im B| up to 5000 they must still include the
-    planted one, so the distance reported is at most eps.
+    The translates tried are those within one of the boxes that the
+    rounded ends of the segment, or of its pieces, span in the curve's
+    reduced period basis; at |Im B| up to 5000 they must still include
+    the planted one, so the distance reported is at most eps.
     """
     rng = np.random.default_rng(34)
     for B in (-3 + 5000j, -3 - 4999j, -100 + 2500j, -3 + 100j, -3 + 20j):
@@ -431,6 +432,28 @@ def test_segment_pole_distance_sees_a_planted_pole_at_sheared_periods():
         distance = curve._segment_pole_distance(pole, a, b)
         missed = np.flatnonzero(~(distance <= eps * (1 + 1e-6) + 1e-12))
         assert not missed.size, (B, [(pole[i], a[i], b[i], eps[i], distance[i]) for i in missed[:3]])
+
+
+def test_segment_pole_distance_is_exact_at_sheared_periods():
+    """Base-to-cell segments against ``cover_distance``, which is exact at each point, on points of the segment.
+
+    The least distance over points at most h apart bounds the segment's
+    distance from above, and from below up to h / 2: a point's distance
+    to the translates moves by at most the step.  Translates tried within
+    one cell of the segment's unreduced (s, t) box miss the nearest one
+    for many of these segments, by up to three decades at |Im B| = 3000.
+    """
+    rng = np.random.default_rng(38)
+    h = 0.05
+    for B in (-3 + 50j, -7.5 - 1234.5j, -3 + 3000j):
+        curve = TorusCurve(B)
+        base = curve.base_lift
+        ends, poles = base + 2j * math.pi * rng.random((2, 20)) + B * rng.random((2, 20))
+        got = curve._segment_pole_distance(poles, base, ends)
+        for pole, end, distance in zip(poles.tolist(), ends.tolist(), got.tolist()):
+            points = base + (end - base) * np.linspace(0.0, 1.0, math.ceil(abs(end - base) / h) + 1)
+            sampled = float(curve.cover_distance(points, pole).min())
+            assert sampled - h / 2 <= distance <= sampled * (1 + 1e-12), (B, pole, end, distance, sampled)
 
 
 def test_third_kind_pole_orders_by_log_fit(torus):

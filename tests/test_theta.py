@@ -19,7 +19,7 @@ from crosshex.theta import (
     theta_eval_scaled,
 )
 
-from conftest import ScaledComplex, reference_lattice_sum_1d, reference_theta, scalar, scalars
+from crosshex_testlib import ScaledComplex, reference_lattice_sum_1d, reference_theta, scalar, scalars
 
 
 def _path_sizes(pm):
@@ -617,8 +617,9 @@ def _assert_ops_match_scaled_complex(a, b, w) -> None:
     assert same(a.normalized(), [x.normalized() for x in own], a.shape)
     assert same(a.negated(), [x.negated() for x in own], a.shape)
     assert same(a.negated(flip), [x.negated() if f else x for x, f in zip(own, np.ravel(flip))], a.shape)
-    assert same_plain(a.log_abs, [x.log_abs for x in own])
-    assert same_plain(a.phase, [x.mantissa / abs(x.mantissa) if x.mantissa else 0j for x in own])
+    log_abs, phase = a.polar()
+    assert same_plain(log_abs, [x.log_abs for x in own])
+    assert same_plain(phase, [x.mantissa / abs(x.mantissa) if x.mantissa else 0j for x in own])
     assert same_plain(a.as_complex(), [x.as_complex() for x in own])
 
 
@@ -710,7 +711,7 @@ def test_numpy_scaled_array_has_the_bits_of_scaled_complex_on_numpy_mantissas():
 
 def test_scaled_array_zero_mantissas():
     a = ScaledArray(np.array([0j, 1.0 + 1.0j]), np.array([3.0, 2.0]))
-    assert a.log_abs[0] == -math.inf and a.phase[0] == 0
+    assert a.log_abs[0] == -math.inf and a.polar()[1][0] == 0
     assert repr(scalars(a.normalized())[0]) == repr(ScaledComplex(0j, 3.0).normalized())
     with pytest.raises(ZeroDivisionError):
         ScaledArray.from_complex([1.0 + 0j]).over(a)
@@ -791,3 +792,18 @@ def test_cancellation_matches_the_scalar_sum_bit_for_bit():
     for j in range(700):
         column = [scalar(terms[k, j]) for k in range(6) if used[k, j]]
         assert repr(float(got[j])) == repr(_cancellation_reference(column)), j
+    # unused terms that overflow at the used ones' scale, or are NaN or infinite
+    wild = ScaledArray(terms.mantissa.copy(), terms.log_scale.copy())
+    wild.log_scale[1, ::2] += 3000.0
+    wild.mantissa[3, 1::4] = complex(math.nan, math.nan)
+    wild.mantissa[5, 3::4] = complex(math.inf, -0.0)
+    unused = np.zeros((6, 700), dtype=bool)
+    unused[1, ::2] = unused[3, 1::4] = unused[5, 3::4] = True
+    got = wild.cancellation(used & ~unused)
+    for j in range(700):
+        column = [scalar(terms[k, j]) for k in range(6) if used[k, j] and not unused[k, j]]
+        assert repr(float(got[j])) == repr(_cancellation_reference(column)), j
+    # a one-term axis
+    got = terms[:1].cancellation(used[:1])
+    for j in range(700):
+        assert repr(float(got[j])) == repr(_cancellation_reference([scalar(terms[0, j])] if used[0, j] else [])), j
