@@ -288,12 +288,12 @@ class TorusCurve(SpectralCurve):
 
         Complex arguments give a ``float``; arrays (broadcast together)
         give the distance of each segment to the translates of its own
-        pole.  The translates tried lie within one of the box that the
-        ends' offsets from the pole span once rounded in the reduced period
-        basis, so every point's nearest one is tried and the distance is
-        exact at any shear.  When some box spans more than one both ways,
-        most of its translates are far, so each segment is cut into that
-        many pieces, a box each; all are padded to the widest.  Translates
+        pole.  The translates tried lie at most one beyond the box that the
+        ends' offsets from the pole span, rounded in the reduced period
+        basis, so each point's nearest translate is tried and the distance
+        is exact at any shear.  When some box spans more than one both
+        ways, most of its translates are far, so each segment is cut into
+        that many pieces, a box each, all padded to the widest.  Translates
         go in blocks of about ``_DISTANCE_BLOCK`` (piece, translate) pairs.
         """
         B = self.pm.B
