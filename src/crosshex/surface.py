@@ -62,7 +62,11 @@ _OFFSET_P, _OFFSET_Q = np.indices((3, 3)).reshape(2, -1) - 1
 _COVER_BLOCK = 4096
 # CPython's float ** 2 is libm pow, which rounds differently from x * x for some x
 _square = np.frompyfunc(lambda x: x**2, 1, 1)
-# (segment, translate) pairs TorusCurve._segment_pole_distance handles at once
+# (piece, translate) pairs TorusCurve._segment_pole_distance handles at once; the
+# probe screen searches the translates within 1e-3 of each piece and the pole guard
+# those within 1e-8, 2 x 2 or fewer a piece (16 to 20 in the exact search) where a
+# path crosses hundreds of reduced cells: at -3-5000i a 360-path screen takes
+# 51 ms (179 ms exact) and a 6-path b-cycle guard 0.76 ms (3.2 ms)
 _DISTANCE_BLOCK = 16384
 
 
@@ -143,11 +147,11 @@ class SpectralCurve:
         inverse = (np.array([det * d, -det * b]), np.array([-det * c, det * a]))
         return (u, v), inverse, (a * _OFFSET_P + c * _OFFSET_Q, b * _OFFSET_P + d * _OFFSET_Q)
 
-    def _reduced_round(self, delta) -> np.ndarray:
-        """The rounded coordinates (p, q) of ``delta`` in the reduced basis (u, v), stacked: p*u + q*v is near it."""
+    def _reduced_coords(self, delta) -> np.ndarray:
+        """The real coordinates (p, q) of ``delta`` in the reduced basis (u, v), stacked: delta = p*u + q*v."""
         s, t = self.lattice_coords(delta)
         by_s, by_t = self._reduced_basis[1]
-        return np.rint(np.multiply.outer(by_s, s) + np.multiply.outer(by_t, t))
+        return np.multiply.outer(by_s, s) + np.multiply.outer(by_t, t)
 
     def cover_distance(self, lift, others) -> float | np.ndarray:
         """Distance between lifts as curve points: min over lattice translates.
@@ -171,7 +175,7 @@ class SpectralCurve:
         delta = np.subtract.outer(lift, others)
         ((a, b), (c, d)), _, (offset_m, offset_n) = self._reduced_basis
         # the rounded coordinates in the reduced basis, back in (m, n)
-        p, q = self._reduced_round(delta)
+        p, q = np.rint(self._reduced_coords(delta))
         m, n = a * p + c * q, b * p + d * q
         group = max(1, _COVER_BLOCK // max(1, delta.size))
         if group == 1:
@@ -278,23 +282,47 @@ class TorusCurve(SpectralCurve):
     def _path_clearances(self, lifts: list[complex], poles) -> np.ndarray:
         ends = np.repeat(np.array(lifts, dtype=complex), len(poles))
         pole = np.tile(np.array([p.lift for p in poles], dtype=complex), len(lifts))
-        distance = self._segment_pole_distance(pole, self.base_lift, ends)
+        distance = self._segment_pole_distance(pole, self.base_lift, ends, _PATH_CLEARANCE)
         clear = distance >= _PATH_CLEARANCE
         self._clear_segments.update(zip(pole[clear].tolist(), itertools.repeat(self.base_lift), ends[clear].tolist()))
         return distance.reshape(len(lifts), -1).min(axis=1)
 
-    def _segment_pole_distance(self, pole, a, b) -> float | np.ndarray:
-        """Min distance from segment [a, b] to the lattice translates of ``pole``.
+    def _segment_pole_distance(self, pole, a, b, below: float = math.inf) -> float | np.ndarray:
+        """Min distance from segment [a, b] to the lattice translates of ``pole``, where it is below ``below``.
 
         Complex arguments give a ``float``; arrays (broadcast together)
         give the distance of each segment to the translates of its own
-        pole.  The translates tried lie at most one beyond the box that the
+        pole.  The result is the exact distance wherever that is below
+        ``below``, and some value at least ``below`` elsewhere (``inf``
+        when no translate is tried); the default ``inf`` asks for every
+        distance exactly.  A distance below ``below`` has the bits it has
+        with ``below = inf``: it is the same expression of the same
+        nearest translate, and a minimum over more translates that holds
+        it is the same minimum.
+
+        The translates tried lie at most one beyond the box that the
         ends' offsets from the pole span, rounded in the reduced period
         basis, so each point's nearest translate is tried and the distance
         is exact at any shear.  When some box spans more than one both
         ways, most of its translates are far, so each segment is cut into
         that many pieces, a box each, all padded to the widest.  Translates
         go in blocks of about ``_DISTANCE_BLOCK`` (piece, translate) pairs.
+
+        A finite ``below`` shrinks each piece's box to the translates that
+        can lie within ``below`` of the piece.  The reduced coordinate p
+        of an offset ``delta`` is a real linear map of (Re delta, Im delta),
+        with coefficient row ``row`` (p of a translate's offset is its
+        integer p), so a translate x within d of a point y of the piece
+        has ``|p(x - pole) - p(y - pole)| <= |row| d``; and p(y - pole) is
+        affine along the piece, between its values at the piece's ends.
+        So x's p lies within ``|row| below`` of the ends' unrounded p
+        range, and likewise its q.  Rounding moves that range by the
+        errors of the computed ends and coordinates, and the computed
+        distance from the true one: each is a few ulps of the magnitudes
+        summed, at most ``size * extent`` with ``size`` the row of the
+        coordinate map's absolute coefficients (at least ``|row|``) and
+        ``extent = |pole| + |a| + |b|``, so ``1e-9 * size * (1 + extent)``,
+        over 10**5 times those errors, pads the range as well.
         """
         B = self.pm.B
         pole, a, b = np.broadcast_arrays(*(np.asarray(x, dtype=complex) for x in (pole, a, b)))
@@ -302,25 +330,33 @@ class TorusCurve(SpectralCurve):
         # axes: segment, piece, translate
         pole, a, b = (x.reshape(-1, 1, 1) for x in (pole, a, b))
         ab = b - a
-        # the rounded coordinates of the piece ends, (p or q, segment, end, 1), and each piece's spans
-        ends = self._reduced_round(np.concatenate((a, b), axis=1) - pole)
-        spans = np.abs(ends[:, :, 1:] - ends[:, :, :-1])
-        cuts = int(spans.min(axis=0).max(initial=0))
+        # the coordinates of the piece ends, (p or q, segment, end, 1), and their range over each piece
+        coords = self._reduced_coords(np.concatenate((a, b), axis=1) - pole)
+        cuts = int(np.abs(np.rint(coords[:, :, 1:]) - np.rint(coords[:, :, :-1])).min(axis=0).max(initial=0))
         if cuts > 1:
-            ends = self._reduced_round(a + ab * (np.arange(cuts + 1) / cuts)[:, None] - pole)
-            spans = np.abs(ends[:, :, 1:] - ends[:, :, :-1])
-        p_lo, q_lo = np.minimum(ends[:, :, :-1], ends[:, :, 1:]) - 1
-        p_width, q_width = (int(w) + 3 for w in spans.max(axis=(1, 2, 3), initial=0))
+            coords = self._reduced_coords(a + ab * (np.arange(cuts + 1) / cuts)[:, None] - pole)
+        least, most = np.minimum(coords[:, :, :-1], coords[:, :, 1:]), np.maximum(coords[:, :, :-1], coords[:, :, 1:])
+        # rint is monotone, so these are the rounded ends' box, one wider each way
+        lo, hi = np.rint(least) - 1, np.rint(most) + 1
+        if below < math.inf:
+            by_s, by_t = (np.array(x, dtype=float).reshape(2, 1, 1, 1) for x in self._reduced_basis[1])
+            row = np.hypot((by_t - by_s * B.imag / (2.0 * math.pi)) / B.real, by_s / (2.0 * math.pi))
+            size = (np.abs(by_t) + np.abs(by_s) * abs(B.imag) / (2.0 * math.pi)) / -B.real + np.abs(by_s) / (2.0 * math.pi)
+            reach = below * row + 1e-9 * size * (1.0 + np.abs(pole) + np.abs(a) + np.abs(b))
+            lo = np.fmax(lo, np.ceil(least - reach))
+            hi = np.fmin(hi, np.floor(most + reach))
+        p_width, q_width = (max(0, int(w) + 1) for w in (hi - lo).max(axis=(1, 2, 3), initial=-1))
         offsets = p_width * q_width
         (u_m, u_n), (v_m, v_n) = self._reduced_basis[0]
+        # each piece's first translate in (m, n); integers, so exact in floats, as are the sums below
+        m_lo, n_lo = u_m * lo[0] + v_m * lo[1], u_n * lo[0] + v_n * lo[1]
         denom = np.array(_square(np.hypot(ab.real, ab.imag)), dtype=float).reshape(ab.shape)
         denom[denom == 0.0] = math.inf  # a point segment: t = 0, the distance to a
-        best = math.inf  # a (segment, 1, 1) array after the first block
-        block = max(1, _DISTANCE_BLOCK // max(1, p_lo.size))
+        best = np.full(pole.shape, math.inf)
+        block = max(1, _DISTANCE_BLOCK // max(1, m_lo.size))
         for k in range(0, offsets, block):
             dp, dq = np.divmod(np.arange(k, min(k + block, offsets)), q_width)
-            p, q = p_lo + dp, q_lo + dq
-            m, n = u_m * p + v_m * q, u_n * p + v_n * q
+            m, n = m_lo + (u_m * dp + v_m * dq), n_lo + (u_n * dp + v_n * dq)
             # the parts of the translate x = pole + 2*pi*i*m + B*n; CPython's zero
             # cross terms only change the sign of a zero, which the distance ignores
             x_re = pole.real + B.real * n
@@ -360,7 +396,7 @@ class TorusCurve(SpectralCurve):
         guard = [seg for seg in work if seg not in self._clear_segments]
         if guard:
             pole, a, b = (np.array(col, dtype=complex) for col in zip(*guard))
-            for seg in itertools.compress(guard, self._segment_pole_distance(pole, a, b) < _POLE_TOL):
+            for seg in itertools.compress(guard, self._segment_pole_distance(pole, a, b, _POLE_TOL) < _POLE_TOL):
                 out[seg] = PoleOnPath(f"integration segment passes within {_POLE_TOL:g} of a pole lift")
             work = [seg for seg in work if not isinstance(out[seg], PoleOnPath)]
         if not work:
@@ -541,8 +577,13 @@ def _validate_constants(curve: SpectralCurve, K: complex) -> None:
     Re B is deep.
     """
     pm = curve.pm
-    theta0_log = theta_eval_scaled(pm, 0j).log_abs
-    resid_log = theta_eval_scaled(pm, -K).log_abs
+    logs = []
+    for z in (0j, -K):
+        value = theta_eval_scaled(pm, z)
+        # ScaledArray.log_abs from the 0-d mantissa, as _primes takes it: the check reads no phase
+        m, s = value.mantissa.item(), value.log_scale.item()
+        logs.append(math.log(abs(m)) + s if m else -math.inf)
+    theta0_log, resid_log = logs
     # compared and reported as logs: the ratio itself overflows a float past e**709
     if not (resid_log - theta0_log <= math.log(_KCHECK_REL)):
         raise ConsistencyFailure(

@@ -837,9 +837,9 @@ def test_the_pole_guard_skips_only_the_probe_paths_the_sampler_cleared(model, mo
     probes = sample_probes(sd, 12, seed=5)
     measure, guarded = curve._segment_pole_distance, []
 
-    def recording(pole, a, b):
+    def recording(pole, a, b, below=math.inf):
         guarded.extend(zip(*(x.ravel().tolist() for x in np.broadcast_arrays(pole, a, b))))
-        return measure(pole, a, b)
+        return measure(pole, a, b, below)
 
     def guarded_segments(requests):
         guarded.clear()

@@ -21,7 +21,7 @@ from crosshex.surface import (
     export_curve_document,
     load_torus_curve,
 )
-from crosshex.theta import theta_eval_batch, theta_eval_scaled
+from crosshex.theta import ScaledArray, theta_eval_batch, theta_eval_scaled
 
 from crosshex_testlib import (
     CELL_FRACTIONS,
@@ -456,6 +456,48 @@ def test_segment_pole_distance_is_exact_at_sheared_periods():
             assert sampled - h / 2 <= distance <= sampled * (1 + 1e-12), (B, pole, end, distance, sampled)
 
 
+@pytest.mark.parametrize(
+    "B", [-4.25, -6.75, -3 + 50j, -7.5 - 1234.5j, -3 + 3000j, -3 - 5000j, -100 + 2500j]
+)
+def test_threshold_pole_distance_decides_as_the_exact_distance(B):
+    """With a threshold the distance search decides each segment as the exact search does.
+
+    Base-to-cell segments (the probe screen's) and b-cycle segments (the
+    pole guard's), random and with a pole translate planted at 0.5, 0.999,
+    1.001 and 2 times the threshold from a point inside the segment or
+    beyond one of its ends.
+    Where the exact distance is below the threshold, the threshold search
+    returns it bit for bit; elsewhere it returns at least the threshold.
+    """
+    rng = np.random.default_rng(52)
+    curve = TorusCurve(B)
+    base = curve.base_lift
+    size = 40
+    start = base + 2j * math.pi * rng.random(size) + B * rng.random(size)
+    a = np.where(np.arange(size) % 2, base, start)
+    b = np.where(np.arange(size) % 2, start, start + B)
+    poles = base + 2j * math.pi * rng.random(size) + B * rng.random(size)
+    for tol in (1e-8, 1e-3):
+        factors = np.repeat([0.5, 0.999, 1.001, 2.0], size // 4)
+        # off a point inside the segment at right angles to it, or, for half the
+        # base-to-cell segments, beyond an end along it (beyond a b-cycle's end
+        # lies a translate of a point inside it)
+        unit = (b - a) / np.abs(b - a)
+        inside = a + rng.uniform(0.1, 0.9, size) * (b - a) + factors * tol * 1j * unit
+        beyond = np.where(rng.random(size) < 0.5, a - factors * tol * unit, b + factors * tol * unit)
+        near = np.where(np.arange(size) % 4 == 1, beyond, inside)
+        m, n = rng.integers(-2, 3, (2, size))
+        pole = np.concatenate([poles, near + 2j * math.pi * m + B * n])
+        seg_a, seg_b = np.tile(a, 2), np.tile(b, 2)
+        exact = curve._segment_pole_distance(pole, seg_a, seg_b)
+        got = curve._segment_pole_distance(pole, seg_a, seg_b, tol)
+        below = exact < tol
+        assert below[size:][factors == 0.5].all() and not below[size:][factors == 2.0].any()
+        assert np.array_equal(got < tol, below)
+        assert list(map(repr, got[below])) == list(map(repr, exact[below]))
+        assert (got[~below] >= tol).all()
+
+
 def test_third_kind_pole_orders_by_log_fit(torus):
     """Re(integral) grows like +log eps at the plus pole, -log eps at minus.
 
@@ -579,6 +621,28 @@ def test_a_riemann_constant_far_from_the_theta_zero_fails_without_overflow(torus
     head = "Riemann constants failed the vanishing check: log10(|Theta(-K)| / |Theta(0)|) = "
     message = str(info.value)
     assert message.startswith(head) and 308 < float(message[len(head) :]) < math.inf, message
+
+
+@pytest.mark.parametrize("B", [-4.25, -6.75])
+def test_riemann_check_reads_no_phase(monkeypatch, B):
+    """The vanishing check reads log-magnitudes only: it never forms a mantissa's phase quotient."""
+    wrong = 0.5 + 1j * math.pi + B / 2.0
+    with pytest.raises(ConsistencyFailure) as info:
+        surface._validate_constants(TorusCurve(B), wrong)
+    refusal = str(info.value)
+
+    def no_quotient(*args):
+        raise AssertionError("a phase quotient was formed")
+
+    monkeypatch.setattr(ScaledArray, "_quotient", staticmethod(no_quotient))
+    curve = TorusCurve(B)
+    assert curve.riemann_constants() == 1j * math.pi + curve.pm.B / 2.0
+    with pytest.raises(ConsistencyFailure) as info:
+        surface._validate_constants(TorusCurve(B), wrong)
+    assert str(info.value) == refusal
+    # the text the check printed when it read ScaledArray.log_abs
+    want = {-4.25: "-0.519", -6.75: "-0.435"}[B]
+    assert refusal == f"Riemann constants failed the vanishing check: log10(|Theta(-K)| / |Theta(0)|) = {want}"
 
 
 def test_riemann_scan_refuses_a_far_node_near_zero(monkeypatch):
