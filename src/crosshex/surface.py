@@ -63,10 +63,8 @@ _COVER_BLOCK = 4096
 # CPython's float ** 2 is libm pow, which rounds differently from x * x for some x
 _square = np.frompyfunc(lambda x: x**2, 1, 1)
 # (piece, translate) pairs TorusCurve._segment_pole_distance handles at once; the
-# probe screen searches the translates within 1e-3 of each piece and the pole guard
-# those within 1e-8, 2 x 2 or fewer a piece (16 to 20 in the exact search) where a
-# path crosses hundreds of reduced cells: at -3-5000i a 360-path screen takes
-# 51 ms (179 ms exact) and a 6-path b-cycle guard 0.76 ms (3.2 ms)
+# probe screen searches the translates within 1e-3, the pole guard those within
+# 1e-8: at -3-5000i, 2 x 2 a piece, and 51 ms for 360 paths (179 ms exact)
 _DISTANCE_BLOCK = 16384
 
 
@@ -288,41 +286,30 @@ class TorusCurve(SpectralCurve):
         return distance.reshape(len(lifts), -1).min(axis=1)
 
     def _segment_pole_distance(self, pole, a, b, below: float = math.inf) -> float | np.ndarray:
-        """Min distance from segment [a, b] to the lattice translates of ``pole``, where it is below ``below``.
+        """Min distance from segment [a, b] to the lattice translates of ``pole``, exact where below ``below``.
 
         Complex arguments give a ``float``; arrays (broadcast together)
         give the distance of each segment to the translates of its own
-        pole.  The result is the exact distance wherever that is below
-        ``below``, and some value at least ``below`` elsewhere (``inf``
-        when no translate is tried); the default ``inf`` asks for every
-        distance exactly.  A distance below ``below`` has the bits it has
-        with ``below = inf``: it is the same expression of the same
-        nearest translate, and a minimum over more translates that holds
-        it is the same minimum.
+        pole.  A distance below ``below`` has the bits it has with the
+        default ``inf`` (the same expression of the same nearest translate,
+        in a minimum over translates that hold it); elsewhere the result is
+        at least ``below``.  The translates tried lie at most one beyond
+        the box that the ends' offsets from the pole span, rounded in the
+        reduced period basis, so each point's nearest translate is tried
+        at any shear.  When some box spans more than one both ways, each
+        segment is cut into that many pieces, a box each, all padded to the
+        widest, in blocks of about ``_DISTANCE_BLOCK`` (piece, translate) pairs.
 
-        The translates tried lie at most one beyond the box that the
-        ends' offsets from the pole span, rounded in the reduced period
-        basis, so each point's nearest translate is tried and the distance
-        is exact at any shear.  When some box spans more than one both
-        ways, most of its translates are far, so each segment is cut into
-        that many pieces, a box each, all padded to the widest.  Translates
-        go in blocks of about ``_DISTANCE_BLOCK`` (piece, translate) pairs.
-
-        A finite ``below`` shrinks each piece's box to the translates that
-        can lie within ``below`` of the piece.  The reduced coordinate p
-        of an offset ``delta`` is a real linear map of (Re delta, Im delta),
-        with coefficient row ``row`` (p of a translate's offset is its
-        integer p), so a translate x within d of a point y of the piece
-        has ``|p(x - pole) - p(y - pole)| <= |row| d``; and p(y - pole) is
-        affine along the piece, between its values at the piece's ends.
-        So x's p lies within ``|row| below`` of the ends' unrounded p
-        range, and likewise its q.  Rounding moves that range by the
-        errors of the computed ends and coordinates, and the computed
-        distance from the true one: each is a few ulps of the magnitudes
-        summed, at most ``size * extent`` with ``size`` the row of the
-        coordinate map's absolute coefficients (at least ``|row|``) and
-        ``extent = |pole| + |a| + |b|``, so ``1e-9 * size * (1 + extent)``,
-        over 10**5 times those errors, pads the range as well.
+        A finite ``below`` cuts each box to the translates within it of the
+        piece.  A reduced coordinate p of an offset is linear in its real
+        and imaginary parts, with coefficient row ``row``, so a translate
+        within d of a point y of the piece has p within ``|row| d`` of
+        p(y - pole), which lies between its values at the piece's ends.
+        Rounding errors in the ends, the coordinates and the distance are
+        a few ulps of at most ``size * extent`` (``size``: the map's
+        absolute coefficients, at least ``|row|``; ``extent``:
+        ``|pole| + |a| + |b|``), which ``1e-9 * size * (1 + extent)``
+        covers 10**5 times over.
         """
         B = self.pm.B
         pole, a, b = np.broadcast_arrays(*(np.asarray(x, dtype=complex) for x in (pole, a, b)))
@@ -577,13 +564,9 @@ def _validate_constants(curve: SpectralCurve, K: complex) -> None:
     Re B is deep.
     """
     pm = curve.pm
-    logs = []
-    for z in (0j, -K):
-        value = theta_eval_scaled(pm, z)
-        # ScaledArray.log_abs from the 0-d mantissa, as _primes takes it: the check reads no phase
-        m, s = value.mantissa.item(), value.log_scale.item()
-        logs.append(math.log(abs(m)) + s if m else -math.inf)
-    theta0_log, resid_log = logs
+    values = [theta_eval_scaled(pm, z) for z in (0j, -K)]
+    # ScaledArray.log_abs of each 0-d value, as _primes takes it: the check reads no phase
+    theta0_log, resid_log = (math.log(abs(v.mantissa.item())) + v.log_scale.item() if v.mantissa else -math.inf for v in values)
     # compared and reported as logs: the ratio itself overflows a float past e**709
     if not (resid_log - theta0_log <= math.log(_KCHECK_REL)):
         raise ConsistencyFailure(
