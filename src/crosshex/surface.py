@@ -35,7 +35,6 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -56,15 +55,13 @@ _KCHECK_REL = 1e-10
 _CONTINUATION_STACK_CAP = 64
 # deterministic fractional (a, b)-cycle coordinates tried for the b-cycle start
 _BCYCLE_STARTS = ((0.317, 0.473), (0.137, 0.613), (0.791, 0.215), (0.057, 0.349), (0.503, 0.867))
-# offsets, in a curve's reduced period basis, of the 9 lattice translates cover_distance tries around the nearest one
-_OFFSET_P, _OFFSET_Q = np.indices((3, 3)).reshape(2, -1) - 1
 # elements of (translate, distance) temporaries cover_distance takes in one group
 _COVER_BLOCK = 4096
 # CPython's float ** 2 is libm pow, which rounds differently from x * x for some x
 _square = np.frompyfunc(lambda x: x**2, 1, 1)
-# (piece, translate) pairs TorusCurve._segment_pole_distance handles at once; the
-# probe screen searches the translates within 1e-3, the pole guard those within
-# 1e-8: at -3-5000i, 2 x 2 a piece, and 51 ms for 360 paths (179 ms exact)
+# translates TorusCurve._segment_pole_distance tries at once; the probe screen
+# searches those within 1e-3 of its paths, the pole guard those within 1e-8: at
+# -3-5000i, 36 translates and 0.16 ms for 360 paths (347,002 and 16 ms exact)
 _DISTANCE_BLOCK = 16384
 
 
@@ -117,40 +114,6 @@ class SpectralCurve:
         s = (delta.imag - B.imag * t) / (2.0 * math.pi)
         return s, t
 
-    @cached_property
-    def _reduced_basis(self):
-        """A Lagrange-reduced basis of the period lattice, its integer inverse, and the 9 translate offsets in it.
-
-        Each basis vector is an integer row ``(m, n)``, the lattice vector
-        ``2*pi*i*m + B*n``, and the offsets are (m, n) arrays; the inverse
-        takes (s, t) to basis coordinates (p, q) = s * inverse[0] + t * inverse[1].
-        Rounding a difference's coordinates in this basis leaves its
-        nearest lattice vector among the 9 around the rounded one, however
-        sheared ``B`` is.  A real ``B`` gives (2*pi*i, B) in one order or
-        the other.
-        """
-
-        def vector(row):
-            return 2j * math.pi * row[0] + self.pm.B * row[1]
-
-        u, v = sorted(((1, 0), (0, 1)), key=lambda row: abs(vector(row)))
-        while True:
-            mu = round((vector(v) * vector(u).conjugate()).real / abs(vector(u)) ** 2)
-            v = (v[0] - mu * u[0], v[1] - mu * u[1])
-            if abs(vector(v)) >= abs(vector(u)):
-                break
-            u, v = v, u
-        (a, b), (c, d) = u, v
-        det = a * d - b * c  # +-1
-        inverse = (np.array([det * d, -det * b]), np.array([-det * c, det * a]))
-        return (u, v), inverse, (a * _OFFSET_P + c * _OFFSET_Q, b * _OFFSET_P + d * _OFFSET_Q)
-
-    def _reduced_coords(self, delta) -> np.ndarray:
-        """The real coordinates (p, q) of ``delta`` in the reduced basis (u, v), stacked: delta = p*u + q*v."""
-        s, t = self.lattice_coords(delta)
-        by_s, by_t = self._reduced_basis[1]
-        return np.multiply.outer(by_s, s) + np.multiply.outer(by_t, t)
-
     def cover_distance(self, lift, others) -> float | np.ndarray:
         """Distance between lifts as curve points: min over lattice translates.
 
@@ -158,8 +121,12 @@ class SpectralCurve:
         ``float``; for a 1-D array of N lifts in ``others`` it is an array
         of the N distances; for a 1-D array of L lifts in ``lift`` it
         gains a leading axis, one row per lift (an (L, N) table).  Every
-        difference is rounded in the curve's reduced period basis, and the
-        9 translates around that lattice vector are a leading axis, taken
+        point lies within ``U = hypot(Re B / 2, pi)`` of a translate
+        ``2*pi*i*m + B*n``, whose real part ``Re B * n`` does not depend on
+        m, so a difference's nearest n is within ``U / |Re B| < 1.5`` of
+        ``Re delta / Re B`` (``Re B <= -3``), and its nearest m for each n
+        is the rounded ``(Im delta - Im B * n) / (2*pi)``.  The 9
+        translates at n and m each within one of those rounded are taken
         in groups whose temporaries hold at most ``_COVER_BLOCK`` elements:
         all 9 in one pass for a table of up to 455 distances, one at a
         time with a running minimum from 2,049.
@@ -171,27 +138,19 @@ class SpectralCurve:
                 f"lift and others must each be one lift or a 1-D array, got shapes {lift.shape}, {others.shape}"
             )
         delta = np.subtract.outer(lift, others)
-        ((a, b), (c, d)), _, (offset_m, offset_n) = self._reduced_basis
-        # the rounded coordinates in the reduced basis, back in (m, n)
-        p, q = np.rint(self._reduced_coords(delta))
-        m, n = a * p + c * q, b * p + d * q
+        B = self.pm.B
+        axes = (-1,) + (1,) * delta.ndim
+        # the 3 n around the rounded one on a leading axis, and the rounded m of each;
+        # translate i is (n[i // 3], m[i // 3] + i % 3 - 1)
+        n = np.rint(delta.real / B.real) + np.array([-1.0, 0.0, 1.0]).reshape(axes)
+        m = np.rint((delta.imag - B.imag * n) / (2.0 * math.pi))
+        row, step = np.divmod(np.arange(9), 3)
         group = max(1, _COVER_BLOCK // max(1, delta.size))
-        if group == 1:
-            # scalar offsets keep every temporary the table's shape
-            offsets = zip(offset_m, offset_n)
-        else:
-            axes = (-1,) + (1,) * delta.ndim
-            offsets = [
-                (offset_m[i : i + group].reshape(axes), offset_n[i : i + group].reshape(axes))
-                for i in range(0, len(offset_m), group)
-            ]
-        least = None
-        for dm, dn in offsets:
-            diff = delta - (2j * math.pi * (m + dm) + self.pm.B * (n + dn))
-            square = diff.real * diff.real + diff.imag * diff.imag
-            if group > 1:
-                square = square.min(axis=0)
-            least = square if least is None else np.minimum(least, square)
+        least = math.inf
+        for i in range(0, 9, group):
+            rows = row[i : i + group]
+            diff = delta - (2j * math.pi * (m[rows] + (step[i : i + group] - 1.0).reshape(axes)) + B * n[rows])
+            least = np.minimum(least, (diff.real * diff.real + diff.imag * diff.imag).min(axis=0))
         # sqrt(re*re + im*im), not abs(): hypot rounds differently in the last
         # bit; sqrt rounds monotonically, so the root of the least square is
         # the least root
@@ -293,66 +252,76 @@ class TorusCurve(SpectralCurve):
         pole.  A distance below ``below`` has the bits it has with the
         default ``inf`` (the same expression of the same nearest translate,
         in a minimum over translates that hold it); elsewhere the result is
-        at least ``below``.  The translates tried lie at most one beyond
-        the box that the ends' offsets from the pole span, rounded in the
-        reduced period basis, so each point's nearest translate is tried
-        at any shear.  When some box spans more than one both ways, each
-        segment is cut into that many pieces, a box each, all padded to the
-        widest, in blocks of about ``_DISTANCE_BLOCK`` (piece, translate) pairs.
+        at least ``below``, ``inf`` when no translate is tried.
 
-        A finite ``below`` cuts each box to the translates within it of the
-        piece.  A reduced coordinate p of an offset is linear in its real
-        and imaginary parts, with coefficient row ``row``, so a translate
-        within d of a point y of the piece has p within ``|row| d`` of
-        p(y - pole), which lies between its values at the piece's ends.
-        Rounding errors in the ends, the coordinates and the distance are
-        a few ulps of at most ``size * extent`` (``size``: the map's
-        absolute coefficients, at least ``|row|``; ``extent``:
-        ``|pole| + |a| + |b|``), which ``1e-9 * size * (1 + extent)``
-        covers 10**5 times over.
+        Every point lies within ``U = hypot(Re B / 2, pi)`` of a translate
+        ``x = pole + 2*pi*i*m + B*n``, so an exact result's translate lies
+        within ``min(below, U)`` of a point y of the segment, and ``Re x =
+        Re pole + Re B * n`` does not depend on m.  The search takes each n
+        that puts ``Re x`` within ``reach`` of the segment's real range,
+        the part of the segment within reach of ``Re x`` in real part (y
+        lies in it), and each m that puts ``Im x`` within reach of the
+        part's imaginary range, in blocks of ``_DISTANCE_BLOCK`` translates.
+
+        ``reach`` is ``min(below, U)`` plus a slack for rounding.  Each
+        bound, and each distance compared with ``below``, is a few ulps off
+        in sums of terms at most ``extent = |pole| + |a| + |b|``, reach, or
+        ``|Im B * n| <= |Im B / Re B| (extent + reach)``.  In the period
+        domain ``U < 5001``, ``|Im B / Re B| <= 5000 / 3`` and ``|Im B| U /
+        |Re B| < 5800``, so each error is below ``1e-11 * (1 + extent)``;
+        the slack ``1e-9 * (1 + extent)`` covers the few that add up in one
+        bound over 30 times.  The part's ends are parameters on [a, b]:
+        their error and the slack's widening there are both over ``|Re (b
+        - a)|``, and both reach the part's imaginary range times ``|Im (b -
+        a)| / |Re (b - a)|``.
         """
         B = self.pm.B
-        pole, a, b = np.broadcast_arrays(*(np.asarray(x, dtype=complex) for x in (pole, a, b)))
-        shape = pole.shape
-        # axes: segment, piece, translate
-        pole, a, b = (x.reshape(-1, 1, 1) for x in (pole, a, b))
+        shape = np.broadcast_shapes(*map(np.shape, (pole, a, b)))
+        # axes: the segments', then n
+        pole, a, b = (np.asarray(x, dtype=complex)[..., None] for x in (pole, a, b))
         ab = b - a
-        # the coordinates of the piece ends, (p or q, segment, end, 1), and their range over each piece
-        coords = self._reduced_coords(np.concatenate((a, b), axis=1) - pole)
-        cuts = int(np.abs(np.rint(coords[:, :, 1:]) - np.rint(coords[:, :, :-1])).min(axis=0).max(initial=0))
-        if cuts > 1:
-            coords = self._reduced_coords(a + ab * (np.arange(cuts + 1) / cuts)[:, None] - pole)
-        least, most = np.minimum(coords[:, :, :-1], coords[:, :, 1:]), np.maximum(coords[:, :, :-1], coords[:, :, 1:])
-        # rint is monotone, so these are the rounded ends' box, one wider each way
-        lo, hi = np.rint(least) - 1, np.rint(most) + 1
-        if below < math.inf:
-            by_s, by_t = (np.array(x, dtype=float).reshape(2, 1, 1, 1) for x in self._reduced_basis[1])
-            row = np.hypot((by_t - by_s * B.imag / (2.0 * math.pi)) / B.real, by_s / (2.0 * math.pi))
-            size = (np.abs(by_t) + np.abs(by_s) * abs(B.imag) / (2.0 * math.pi)) / -B.real + np.abs(by_s) / (2.0 * math.pi)
-            reach = below * row + 1e-9 * size * (1.0 + np.abs(pole) + np.abs(a) + np.abs(b))
-            lo = np.fmax(lo, np.ceil(least - reach))
-            hi = np.fmin(hi, np.floor(most + reach))
-        p_width, q_width = (max(0, int(w) + 1) for w in (hi - lo).max(axis=(1, 2, 3), initial=-1))
-        offsets = p_width * q_width
-        (u_m, u_n), (v_m, v_n) = self._reduced_basis[0]
-        # each piece's first translate in (m, n); integers, so exact in floats, as are the sums below
-        m_lo, n_lo = u_m * lo[0] + v_m * lo[1], u_n * lo[0] + v_n * lo[1]
-        denom = np.array(_square(np.hypot(ab.real, ab.imag)), dtype=float).reshape(ab.shape)
-        denom[denom == 0.0] = math.inf  # a point segment: t = 0, the distance to a
-        best = np.full(pole.shape, math.inf)
-        block = max(1, _DISTANCE_BLOCK // max(1, m_lo.size))
-        for k in range(0, offsets, block):
-            dp, dq = np.divmod(np.arange(k, min(k + block, offsets)), q_width)
-            m, n = m_lo + (u_m * dp + v_m * dq), n_lo + (u_n * dp + v_n * dq)
-            # the parts of the translate x = pole + 2*pi*i*m + B*n; CPython's zero
+        reach = min(below, math.hypot(B.real / 2.0, math.pi)) + 1e-9 * (1.0 + np.abs(pole) + np.abs(a) + np.abs(b))
+        # Re B < 0, so the greatest real part gives the least n; the n of each
+        # segment past its n_hi pad it to the widest, and give no m
+        n_lo = np.ceil((np.maximum(a.real, b.real) + reach - pole.real) / B.real)
+        n_hi = np.floor((np.minimum(a.real, b.real) - reach - pole.real) / B.real)
+        n = n_lo + np.arange(int((n_hi - n_lo).max(initial=-1)) + 1)
+        x_re = pole.real + B.real * n
+        # the parameters on [a, b] of the ends of the part within reach of Re x, on a
+        # leading axis; where Re a == Re b they are -inf and inf (all of [a, b]), or
+        # nan where the segment lies exactly reach from Re x, which gives no m
+        sides = np.array([-1.0, 1.0]).reshape((2,) + (1,) * x_re.ndim)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.minimum(np.maximum((x_re - a.real + sides * reach) / ab.real, 0.0), 1.0)
+        part = a.imag + t * ab.imag
+        y_im = pole.imag + B.imag * n
+        m_lo = np.ceil((part.min(axis=0) - reach - y_im) / (2.0 * math.pi))
+        m_hi = np.floor((part.max(axis=0) + reach - y_im) / (2.0 * math.pi))
+        m_count = np.where(n <= n_hi, np.fmax(m_hi - m_lo + 1.0, 0.0), 0.0).astype(np.intp).ravel()
+        # translate j of the search is m = j + first_m[p] of (segment, n) pair p,
+        # the pair whose stop is the first above j
+        stops = np.cumsum(m_count)
+        first_m = m_lo.ravel() - (stops - m_count)
+        best = np.full(math.prod(shape), math.inf)
+        total = int(m_count.sum())
+        if total:  # the per-segment operands of the distance, flat
+            pole, a, ab = (np.broadcast_to(x, shape + (1,)).ravel() for x in (pole, a, ab))
+            denom = np.array(_square(np.hypot(ab.real, ab.imag)), dtype=float)
+            denom[denom == 0.0] = math.inf  # a point segment: t = 0, the distance to a
+        for k in range(0, total, _DISTANCE_BLOCK):
+            j = np.arange(k, min(k + _DISTANCE_BLOCK, total))
+            pair = np.searchsorted(stops, j, side="right")
+            seg = pair // n.shape[-1]
+            n_j, x_re_j, m_j = n.ravel()[pair], x_re.ravel()[pair], first_m[pair] + j
+            pole_j, a_j, ab_j, denom_j = pole[seg], a[seg], ab[seg], denom[seg]
+            # the imaginary part of x = pole + 2*pi*i*m + B*n; CPython's zero
             # cross terms only change the sign of a zero, which the distance ignores
-            x_re = pole.real + B.real * n
-            x_im = (pole.imag + 2.0 * math.pi * m) + B.imag * n
+            x_im = (pole_j.imag + 2.0 * math.pi * m_j) + B.imag * n_j
             # ((x - a) * conj(ab)).real / abs(ab)**2, then min(1.0, max(0.0, t)):
             # u - v * -w is u + v * w exactly, and the clamp's zero signs are lost in hypot
-            t = np.fmin(np.fmax(((x_re - a.real) * ab.real + (x_im - a.imag) * ab.imag) / denom, 0.0), 1.0)
-            dist = np.hypot(x_re - (a.real + t * ab.real), x_im - (a.imag + t * ab.imag))
-            best = np.fmin(best, np.fmin.reduce(dist, axis=(1, 2), keepdims=True))
+            t = np.fmin(np.fmax(((x_re_j - a_j.real) * ab_j.real + (x_im - a_j.imag) * ab_j.imag) / denom_j, 0.0), 1.0)
+            dist = np.hypot(x_re_j - (a_j.real + t * ab_j.real), x_im - (a_j.imag + t * ab_j.imag))
+            np.fmin.at(best, seg, dist)
         best = best.reshape(shape)
         return best if best.ndim else float(best)
 

@@ -50,9 +50,9 @@ def test_cover_distance_vanishes_on_lattice_translates(torus):
 
 
 def test_cover_distance_is_the_least_translate_distance_on_sheared_periods():
-    """Rounding in a reduced period basis keeps the nearest translate among the 9 tried, at any |Im B|."""
+    """The 9 translates tried, 3 n by 3 m around the rounded ones, hold the nearest at any |Im B|, down to the domain's corners."""
     rng = np.random.default_rng(33)
-    for B in (-3 + 5000j, -3 - 4999j, -100 + 2500j, -3 + 100j, -3 + 20j):
+    for B in (-3 + 5000j, -3 - 4999j, -100 + 2500j, -3 + 100j, -3 + 20j, -3 - 5000j, -1e4, -1e4 + 5000j, -1e4 - 5000j):
         curve = TorusCurve(B)
         # 12 + 12 lifts uniform in the disc of radius 20 about the origin
         lifts, others = 20.0 * np.sqrt(rng.random((2, 12))) * np.exp(2j * math.pi * rng.random((2, 12)))
@@ -350,23 +350,40 @@ def test_array_pole_distance_matches_the_scalar_loop():
 
 @pytest.mark.parametrize("block", [1, 7, 2048, 16384, 10**6])
 def test_pole_distance_does_not_depend_on_the_block_size(monkeypatch, block):
-    """The distance is a running fmin over the same values, however the offsets are blocked."""
+    """The distance is a running fmin over the same values, however the translates are blocked.
+
+    Exact and with the probe screen's 1e-3 threshold, at -4.25+1.1i and at
+    -3+3000i.  For the 1e-3 runs every other pole is moved to within
+    1e-10 .. 1e-2 of a point of its segment and then by a lattice vector,
+    so that the threshold search tries translates; the sheared exact run
+    takes the two smaller sets only (the 480 segments try about 270,000
+    translates).
+    """
     rng = np.random.default_rng(43)
-    curve = TorusCurve(-4.25 + 1.1j)
-    B = curve.pm.B
-    segment_sets = []
-    for count in (1, 6, 480):
-        pole = rng.uniform(-30, 30, count) + 1j * rng.uniform(-30, 30, count)
-        a = pole + 2j * math.pi * rng.uniform(-2, 2, count) + B * rng.uniform(-2, 2, count)
-        # boxes from a point (a == b) to several cells wide
-        reach = rng.choice([0.0, 0.05, 1.0, 3.0], count)
-        reach[0] = 0.0
-        b = a + (2j * math.pi * rng.uniform(-1, 1, count) + B * rng.uniform(-1, 1, count)) * reach
-        segment_sets.append((pole, a, b))
-    want = [curve._segment_pole_distance(*segments) for segments in segment_sets]
+    runs = []
+    for B in (-4.25 + 1.1j, -3 + 3000j):
+        curve = TorusCurve(B)
+        for count in (1, 6, 480):
+            pole = rng.uniform(-30, 30, count) + 1j * rng.uniform(-30, 30, count)
+            a = pole + 2j * math.pi * rng.uniform(-2, 2, count) + B * rng.uniform(-2, 2, count)
+            # boxes from a point (a == b) to several cells wide
+            reach = rng.choice([0.0, 0.05, 1.0, 3.0], count)
+            reach[0] = 0.0
+            b = a + (2j * math.pi * rng.uniform(-1, 1, count) + B * rng.uniform(-1, 1, count)) * reach
+            if B.imag < 1000 or count < 480:
+                runs.append((curve, (pole, a, b), math.inf))
+            runs.append((curve, (pole.copy(), a, b), 1e-3))
+    for curve, (pole, a, b), below in runs:
+        if below < math.inf:
+            count, B = len(pole), curve.pm.B
+            near = a + rng.random(count) * (b - a) + 10.0 ** rng.uniform(-10, -2, count) * np.exp(2j * math.pi * rng.random(count))
+            m, n = rng.integers(-3, 4, (2, count))
+            pole[::2] = (near + 2j * math.pi * m + B * n)[::2]
+    want = [curve._segment_pole_distance(*segments, below) for curve, segments, below in runs]
+    assert all((distance < 1e-3).any() for (_, (pole, _, _), below), distance in zip(runs, want) if below < 1 and len(pole) == 480)
     monkeypatch.setattr(surface, "_DISTANCE_BLOCK", block)
-    for segments, distance in zip(segment_sets, want):
-        assert np.array_equal(curve._segment_pole_distance(*segments), distance)
+    for (curve, segments, below), distance in zip(runs, want):
+        assert np.array_equal(curve._segment_pole_distance(*segments, below), distance)
 
 
 def test_lockstep_log_magnitudes_are_the_kernel_log_abs(monkeypatch, torus):
@@ -407,15 +424,20 @@ def test_segment_pole_distance_is_the_nearest_translate():
                 _point_segment_distance(pole + 2j * math.pi * m + B * n, a, b) for m, n in grid
             )
             assert curve._segment_pole_distance(pole, a, b) == brute
+        # the cell's centre, up to hypot(Re B / 2, pi) from its nearest translates
+        centre = 1j * math.pi + B / 2
+        brute = min(_point_segment_distance(2j * math.pi * m + B * n, centre, centre) for m, n in grid)
+        assert curve._segment_pole_distance(0.0, centre, centre) == brute
 
 
 def test_segment_pole_distance_sees_a_planted_pole_at_sheared_periods():
     """A pole planted within eps of a base-to-cell or b-cycle segment, then moved by a lattice vector, is seen.
 
-    The translates tried are those within one of the boxes that the
-    rounded ends of the segment, or of its pieces, span in the curve's
-    reduced period basis; at |Im B| up to 5000 they must still include
-    the planted one, so the distance reported is at most eps.
+    The translates tried are those whose real part lies within reach of
+    the segment's, and, for each, those whose imaginary part lies within
+    reach of the part of the segment near it in real part; at |Im B| up to
+    5000 they must still include the planted one, so the distance reported
+    is at most eps.
     """
     rng = np.random.default_rng(34)
     for B in (-3 + 5000j, -3 - 4999j, -100 + 2500j, -3 + 100j, -3 + 20j):
@@ -442,22 +464,33 @@ def test_segment_pole_distance_is_exact_at_sheared_periods():
     to the translates moves by at most the step.  Translates tried within
     one cell of the segment's unreduced (s, t) box miss the nearest one
     for many of these segments, by up to three decades at |Im B| = 3000.
+    The domain's corners follow, with 5 segments at Re B = -1e4, whose
+    segments are up to 1e4 long.  At each period a point segment at the
+    cell's centre ``i*pi + B/2``, up to ``hypot(Re B / 2, pi)`` from its
+    nearest translates (that far at a real B), must give its point's
+    cover distance.
     """
     rng = np.random.default_rng(38)
     h = 0.05
-    for B in (-3 + 50j, -7.5 - 1234.5j, -3 + 3000j):
+    for B in (-3 + 50j, -7.5 - 1234.5j, -3 + 3000j, -3 + 5000j, -1e4, -1e4 + 5000j, -1e4 - 5000j):
         curve = TorusCurve(B)
         base = curve.base_lift
-        ends, poles = base + 2j * math.pi * rng.random((2, 20)) + B * rng.random((2, 20))
+        count = 5 if B.real < -1000 else 20
+        ends, poles = base + 2j * math.pi * rng.random((2, count)) + B * rng.random((2, count))
         got = curve._segment_pole_distance(poles, base, ends)
         for pole, end, distance in zip(poles.tolist(), ends.tolist(), got.tolist()):
             points = base + (end - base) * np.linspace(0.0, 1.0, math.ceil(abs(end - base) / h) + 1)
             sampled = float(curve.cover_distance(points, pole).min())
             assert sampled - h / 2 <= distance <= sampled * (1 + 1e-12), (B, pole, end, distance, sampled)
+        centre = base + 1j * math.pi + B / 2
+        distance = curve._segment_pole_distance(base, centre, centre)
+        assert distance == pytest.approx(curve.cover_distance(centre, base), rel=1e-15, abs=0), B
 
 
 @pytest.mark.parametrize(
-    "B", [-4.25, -6.75, -3 + 50j, -7.5 - 1234.5j, -3 + 3000j, -3 - 5000j, -100 + 2500j]
+    "B",
+    [-4.25, -6.75, -3 + 50j, -7.5 - 1234.5j, -3 + 3000j, -3 - 5000j, -100 + 2500j]
+    + [-3 + 5000j, -1e4, -1e4 + 5000j, -1e4 - 5000j],
 )
 def test_threshold_pole_distance_decides_as_the_exact_distance(B):
     """With a threshold the distance search decides each segment as the exact search does.
