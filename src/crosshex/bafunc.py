@@ -43,9 +43,9 @@ _MIN_NORMALIZATION = 1e-12
 class ConstantNormalization:
     """Label-independent normalization constant: r_label = value for all labels.
 
-    The coefficient formulas consume only ratios r_x/r_y, so a constant
-    family makes every ratio 1; the value still scales phi itself and is
-    kept settable to exercise that covariance.
+    The coefficient formulas consume only ratios r_x/r_y, which a constant
+    family makes exactly 1, so they never read it; the value still scales
+    phi itself and is kept settable to exercise that covariance.
     """
 
     value: complex = 1.0 + 0j
@@ -59,7 +59,7 @@ class ConstantNormalization:
             raise SingularEvaluation(f"normalization constant {self.value!r} has no finite ratio r_x / r_y")
 
     def ratio(self) -> complex:
-        """r_x / r_y, one value for every pair of labels."""
+        """``value / value`` in floating point: the refusal rule for a value too large to divide."""
         value = complex(self.value)
         return complex(value / value)
 

@@ -1,13 +1,13 @@
 """Difference-operator coefficient fields and their verification.
 
 The coefficient of each stencil entry, relative to a per-site unit
-coefficient, is given by a closed ratio formula: a normalization ratio,
-a quotient of theta factors evaluated at marked points, an exponential
-of third-kind integrals between marked points, and for the center-like
-entries a two-term bracketed sum.  The formula tables below transcribe
-those identities term by term; each table entry records its
-transcription status, and the single corrected index is documented in
-ERRATA.md with the numerical evidence.
+coefficient, is given by a closed ratio formula: a quotient of theta
+factors evaluated at marked points, an exponential of third-kind
+integrals between marked points, and for the center-like entries a
+two-term bracketed sum (a constant normalization's ratio is exactly 1).
+The formula tables below transcribe those identities term by term; each
+table entry records its transcription status, and the single corrected
+index is documented in ERRATA.md with the numerical evidence.
 
 Verification is independent of the construction: the null-space oracle
 of ``oracle_report`` recovers the stencil at each site purely from
@@ -97,7 +97,7 @@ class ProductTerm:
 
 @dataclass(frozen=True)
 class RatioFormula:
-    """One coefficient ratio: sign · normalization ratio · main product · [sum of the bracket terms].
+    """One coefficient ratio: sign · main product · [sum of the bracket terms].
 
     ``transcription`` records whether the entry follows the source
     identity letter for letter or carries the documented index
@@ -564,10 +564,10 @@ def _ratios(sd, blocks) -> ScaledArray:
     shape (numerator and denominator counts): each shape takes one
     ``times`` or ``over`` per factor position, one ``times_exp`` and one
     sign flip.  Each bracket then takes one ``plus`` per further term and
-    one product with its main term; then all ratios take one
-    normalization product and one sign flip.  Each element goes through
-    the scaled operations of the one-label formula in their order, so it
-    has the bits of that formula evaluated one value at a time.
+    one product with its main term; then all ratios take one sign flip.
+    Each element goes through the scaled operations of the one-label
+    formula in their order, so it has the bits of that formula evaluated
+    one value at a time.
     """
     integrals = _marked_integrals(sd, [formula for _, formula in blocks])
     terms = [(b, term) for b, (_, f) in enumerate(blocks) for term in (f.main, *f.bracket)]
@@ -599,7 +599,7 @@ def _ratios(sd, blocks) -> ScaledArray:
             ratio = ratio.times(reduce(ScaledArray.plus, islice(pending, len(f.bracket))))
         ratios.append(ratio)
     out = ScaledArray(np.concatenate([r.mantissa for r in ratios]), np.concatenate([r.log_scale for r in ratios]))
-    return out.times(sd.normalization.ratio()).negated(np.repeat([f.sign < 0 for _, f in blocks], sizes))
+    return out.negated(np.repeat([f.sign < 0 for _, f in blocks], sizes))
 
 
 def evaluate_ratio(sd, v, formula: RatioFormula) -> ScaledArray:

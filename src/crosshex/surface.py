@@ -184,10 +184,6 @@ class TorusCurve(SpectralCurve):
         # the theta zero in closed form, also the Riemann constant K:
         # pairing the series terms N and -N-1 cancels Theta exactly at i*pi + B/2
         self._z0 = 1j * math.pi + B / 2.0
-        self._verified_pairs: set[tuple[complex, complex]] = set()
-        # (pole, a, b) segments _path_clearances measured at least _PATH_CLEARANCE from the pole
-        self._clear_segments: set[tuple[complex, complex, complex]] = set()
-        self._constants_validated = False
 
     def sample_points(
         self, rng, count: int, avoid, min_avoid: float, min_pairwise: float, poles=()
@@ -209,6 +205,7 @@ class TorusCurve(SpectralCurve):
         avoid = np.array([p.lift for p in avoid], dtype=complex)
         if not avoid.size:
             raise ValueError("sample_points needs a non-empty avoid")
+        poles = np.array([p.lift for p in poles], dtype=complex)
         kept: list[complex] = []
         tries = 0
         while len(kept) < count and tries < _MAX_DRAWS:
@@ -220,8 +217,9 @@ class TorusCurve(SpectralCurve):
                 self.base_lift + 2j * math.pi * rng.random() + B * rng.random() for _ in range(draws)
             ]
             accept = ~(self.cover_distance(lifts, avoid).min(axis=1) < min_avoid)
-            if poles:
-                accept &= ~(self._path_clearances(lifts, poles) < _PATH_CLEARANCE)
+            if poles.size:
+                clearance = self._segment_pole_distance(poles, self.base_lift, np.array(lifts)[:, None], _PATH_CLEARANCE)
+                accept &= ~(clearance.min(axis=1) < _PATH_CLEARANCE)
             near = self.cover_distance(lifts, kept + lifts) < min_pairwise
             accept &= ~near[:, : len(kept)].any(axis=1)
             # draw i against the earlier draws of the batch, which are settled
@@ -235,14 +233,6 @@ class TorusCurve(SpectralCurve):
         return [SurfacePoint(lift) for lift in kept]
 
     # -- prime-form surrogate -------------------------------------------------
-
-    def _path_clearances(self, lifts: list[complex], poles) -> np.ndarray:
-        ends = np.repeat(np.array(lifts, dtype=complex), len(poles))
-        pole = np.tile(np.array([p.lift for p in poles], dtype=complex), len(lifts))
-        distance = self._segment_pole_distance(pole, self.base_lift, ends, _PATH_CLEARANCE)
-        clear = distance >= _PATH_CLEARANCE
-        self._clear_segments.update(zip(pole[clear].tolist(), itertools.repeat(self.base_lift), ends[clear].tolist()))
-        return distance.reshape(len(lifts), -1).min(axis=1)
 
     def _segment_pole_distance(self, pole, a, b, below: float = math.inf) -> float | np.ndarray:
         """Min distance from segment [a, b] to the lattice translates of ``pole``, exact where below ``below``.
@@ -344,15 +334,13 @@ class TorusCurve(SpectralCurve):
         ``a == b`` gives 0j.  A segment that passes within 1e-8 of a
         lattice translate of its pole, or whose subdivision stack
         overruns, gets a :class:`PoleOnPath` in place of its increment
-        (returned, not raised).  The 1e-8 guard skips the segments
-        :meth:`_path_clearances` already measured at least 1e-3 clear.
+        (returned, not raised).
         """
         out: dict[tuple, complex | PoleOnPath] = dict.fromkeys(segments, 0j)
         work = [seg for seg in out if seg[1] != seg[2]]
-        guard = [seg for seg in work if seg not in self._clear_segments]
-        if guard:
-            pole, a, b = (np.array(col, dtype=complex) for col in zip(*guard))
-            for seg in itertools.compress(guard, self._segment_pole_distance(pole, a, b, _POLE_TOL) < _POLE_TOL):
+        if work:
+            pole, a, b = np.array(work, dtype=complex).T
+            for seg in itertools.compress(work, self._segment_pole_distance(pole, a, b, _POLE_TOL) < _POLE_TOL):
                 out[seg] = PoleOnPath(f"integration segment passes within {_POLE_TOL:g} of a pole lift")
             work = [seg for seg in work if not isinstance(out[seg], PoleOnPath)]
         if not work:
@@ -429,33 +417,28 @@ class TorusCurve(SpectralCurve):
         """b-period of Omega_{Pplus,Pminus}: equals abel(Pplus) - abel(Pminus).
 
         The identity is the Riemann bilinear relation in the
-        2*pi*i-normalized convention.  The first call per (lift, lift)
-        pair verifies it against direct numerical continuation along a
-        b-cycle representative; the comparison is modulo 2*pi*i times an
-        integer because a straight representative may wrap pole
-        translates.  A mismatch beyond 1e-8 raises
-        :class:`ConsistencyFailure`.
+        2*pi*i-normalized convention.  Each call verifies it against
+        direct numerical continuation along a b-cycle representative; the
+        comparison is modulo 2*pi*i times an integer because a straight
+        representative may wrap pole translates.  A mismatch beyond 1e-8
+        raises :class:`ConsistencyFailure`.
         """
         (U,) = self.b_periods([(Pplus, Pminus)])
         return U
 
     def b_periods(self, pairs) -> list[complex]:
-        """:meth:`b_period_vector` of each ``(Pplus, Pminus)``, the pairs not yet verified checked together.
+        """:meth:`b_period_vector` of each ``(Pplus, Pminus)``, the pairs checked together.
 
         One lockstep pass tracks, from the first deterministic start
-        point, a b-cycle representative of each pair not yet verified; a
-        pair whose representative runs into a pole retries from the next
+        point, a b-cycle representative of each distinct pair; a pair
+        whose representative runs into a pole retries from the next
         start points, in passes of its own.  Each value has the bits it
-        has when asked for alone.  Pairs all verified make no pass.
+        has when asked for alone.  No pairs make no pass.
         """
         B = self.pm.B
         pairs = list(pairs)
         periods = [self.abel(plus) - self.abel(minus) for plus, minus in pairs]
-        expected = {
-            (plus.lift, minus.lift): U
-            for (plus, minus), U in zip(pairs, periods)
-            if (plus.lift, minus.lift) not in self._verified_pairs
-        }
+        expected = {(plus.lift, minus.lift): U for (plus, minus), U in zip(pairs, periods)}
         pending, last_error = list(expected), None
         for fs, ft in _BCYCLE_STARTS:
             if not pending:
@@ -484,7 +467,6 @@ class TorusCurve(SpectralCurve):
             raise ConsistencyFailure(
                 f"could not route a b-cycle representative clear of poles: {last_error}"
             )
-        self._verified_pairs.update(expected)
         return periods
 
     def integrals(self, requests) -> list[complex]:
@@ -506,15 +488,13 @@ class TorusCurve(SpectralCurve):
     def riemann_constants(self) -> complex:
         """The Riemann constant K = i*pi + B/2.
 
-        First call validates the defining property: with a probe point
+        Each call validates the defining property: with a probe point
         P1, the function P -> Theta(abel(P) - abel(P1) - K) vanishes at
         P = P1 (residual <= 1e-10 * |Theta(0)|) and at no other point of
         a 100-point fundamental-domain grid (threshold 1e-3 of the
         median peak-relative |Theta| on the grid).
         """
-        if not self._constants_validated:
-            _validate_constants(self, self._z0)
-            self._constants_validated = True
+        _validate_constants(self, self._z0)
         return self._z0
 
 
@@ -626,7 +606,7 @@ def load_torus_curve(document: dict) -> tuple[TorusCurve, dict[str, SurfacePoint
     lattice cells from the base.  Other keys are ignored: the
     :class:`TorusCurve` computes every integral, b-period and Riemann
     constant from the period and the lifts (and validates its own
-    b-periods and Riemann constant when first asked for them).
+    b-periods and Riemann constant each time it is asked for them).
     """
     if not isinstance(document, dict):
         raise SchemaError("curve document must be a JSON object")

@@ -386,7 +386,7 @@ def _one_label_ratio(sd, v, formula, thetas=None):
 
     Scalar theta calls (memoized in ``thetas`` by marked point and
     shifted label), one ``third_kind_integral`` per integral term, and the
-    main term times the bracket sum, times the normalization ratio, signed.
+    main term times the bracket sum, signed.
     """
     thetas = {} if thetas is None else thetas
     v = tuple(v)
@@ -396,7 +396,6 @@ def _one_label_ratio(sd, v, formula, thetas=None):
         for term in formula.bracket[1:]:
             acc = acc.plus(_one_label_product(sd, v, term, thetas))
         out = out.times(acc)
-    out = out.times(sd.normalization.ratio())
     return out.negated() if formula.sign < 0 else out
 
 

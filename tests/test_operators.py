@@ -56,6 +56,7 @@ from crosshex.operators import (
     _ratios,
     _unique_rows,
 )
+from crosshex import surface
 from crosshex.surface import SurfacePoint, TorusCurve
 from crosshex.theta import ScaledArray
 
@@ -430,6 +431,17 @@ def test_constant_normalization_cancels_in_coefficients(torus, hex_data):
         for key in HEX_COEFFS:
             va, vb = a.stencil(site).as_dict()[key], b.stencil(site).as_dict()[key]
             assert va == pytest.approx(vb, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("model", ["cross", "hex"])
+def test_a_constant_normalization_leaves_the_coefficient_bits(torus, model):
+    """r_x / r_y is exactly 1 for a constant family, even where value / value rounds away from 1."""
+    value = 3.031859454455258 + 5.7744670227102635j
+    assert ConstantNormalization(value).ratio() != 1
+    sd = spectral_data(model, torus)
+    scaled = MODELS[model].spectral_class(torus, dict(sd.marked), sd.divisor, ConstantNormalization(value))
+    a, b = build_field(sd, 3).coeffs, build_field(scaled, 3).coeffs
+    assert a.mantissa.tobytes() == b.mantissa.tobytes() and a.log_scale.tobytes() == b.log_scale.tobytes()
 
 
 # -- the checks can actually fail ----------------------------------------------
@@ -831,39 +843,33 @@ def test_sample_probes_raises_when_separation_impossible(cross_data):
 
 
 @pytest.mark.parametrize("model", ["cross", "hex"])
-def test_the_pole_guard_skips_only_the_probe_paths_the_sampler_cleared(model, monkeypatch):
+def test_the_pole_guard_measures_every_probe_path(model, monkeypatch):
+    """Each (pole, base, probe) segment of an integrals call reaches the 1e-8 guard, though the sampler screened it."""
     curve = TorusCurve(-6.0)
     sd = spectral_data(model, curve)
     probes = sample_probes(sd, 12, seed=5)
     measure, guarded = curve._segment_pole_distance, []
 
     def recording(pole, a, b, below=math.inf):
-        guarded.extend(zip(*(x.ravel().tolist() for x in np.broadcast_arrays(pole, a, b))))
+        if below == surface._POLE_TOL:
+            guarded.extend(zip(*(x.ravel().tolist() for x in np.broadcast_arrays(pole, a, b))))
         return measure(pole, a, b, below)
-
-    def guarded_segments(requests):
-        guarded.clear()
-        curve.integrals(requests)
-        return set(guarded)
-
-    def segments(requests):
-        return {(pole.lift, curve.base_lift, P.lift) for P, *poles in requests for pole in poles}
 
     monkeypatch.setattr(curve, "_segment_pole_distance", recording)
     pairs = [(sd.marked[a], sd.marked[b]) for a, b in sd.basis_pairs]
-    # every (pole, base, probe) segment the sampler measured is left out of the guard
-    assert guarded_segments([(P, *pair) for pair in pairs for P in probes]) == set()
-    # the marked-point integrals and a hand-built request still reach it
+    # the probe paths, the marked-point integrals, and a hand-built request with a probe and
+    # a pole the sampler did not screen: each distinct segment reaches the guard once
     for requests in (
+        [(P, *pair) for pair in pairs for P in probes],
         [(sd.marked[endpoint], sd.marked[a], sd.marked[b]) for endpoint, (a, b) in MODELS[model].curve_integrals],
-        [(SurfacePoint(curve.base_lift + 2.0 + 1.5j), *pairs[0])],
+        [(SurfacePoint(curve.base_lift + 2.0 + 1.5j), *pairs[0]), (probes[0], sd.divisor[0], pairs[0][1])],
     ):
-        assert guarded_segments(requests) == segments(requests)
-    # a probe with a pole the sampler did not screen: that pole's segment reaches it
-    unscreened = [(probes[0], sd.divisor[0], pairs[0][1])]
-    assert guarded_segments(unscreened) == {(sd.divisor[0].lift, curve.base_lift, probes[0].lift)}
-    # and so do the b-cycles of pairs not yet checked (the basis pairs were, on construction)
+        guarded.clear()
+        curve.integrals(requests)
+        segments = {(pole.lift, curve.base_lift, P.lift) for P, *poles in requests for pole in poles}
+        assert len(guarded) == len(segments) and set(guarded) == segments
+    # and so do the b-cycles of the basis pairs, though building sd checked them once
     guarded.clear()
-    curve.b_periods([(minus, plus) for plus, minus in pairs])
+    curve.b_periods(pairs)
     assert {pole for pole, _, _ in guarded} == {p.lift for pair in pairs for p in pair}
     assert all(a != curve.base_lift for _, a, _ in guarded)

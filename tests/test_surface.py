@@ -613,16 +613,18 @@ def test_b_period_pair_refused_at_one_start_tries_the_next(monkeypatch):
 
     monkeypatch.setattr(curve, "_log_prime_deltas", recording)
     assert curve.b_periods(pairs) == [curve.abel(p) - curve.abel(m) for p, m in pairs]
-    assert curve._verified_pairs == {(p.lift, m.lift) for p, m in pairs}
     # both pairs from the first start, then the refused one alone from the second
     assert [[pole for pole, _, _ in segments] for segments in tracked] == [
         [p.lift for pair in pairs for p in pair],
         [on_first_cycle.lift, other.lift],
     ]
     assert tracked[1][0][1] != tracked[0][0][1]
-    # verified pairs make no pass, and neither do empty lists
+    # a second call makes the same passes, and empty lists make none
+    first = tracked.copy()
     tracked.clear()
     assert curve.b_periods(pairs) == [curve.abel(p) - curve.abel(m) for p, m in pairs]
+    assert tracked == first
+    tracked.clear()
     assert curve.b_periods([]) == [] and curve.integrals([]) == []
     assert tracked == []
     # with the first start point alone, the pair has nowhere to go
@@ -637,6 +639,15 @@ def test_riemann_constants_value_and_divisor_check(torus):
     at_minus_k = theta_eval_scaled(torus.pm, -K)
     at_zero = theta_eval_scaled(torus.pm, 0j)
     assert at_minus_k.log_abs - at_zero.log_abs <= math.log(1e-10)
+
+
+def test_riemann_constants_validates_on_every_call(monkeypatch):
+    curve = TorusCurve(-6.0)
+    validate, checked = surface._validate_constants, []
+    monkeypatch.setattr(surface, "_validate_constants", lambda c, K: checked.append((c, K)) or validate(c, K))
+    K = curve.riemann_constants()
+    assert curve.riemann_constants() == K == 1j * math.pi + curve.pm.B / 2.0
+    assert checked == [(curve, K), (curve, K)]
 
 
 @pytest.mark.parametrize("B", [-3.0, complex(-4.25, 3.0), -8.0, -100.0, -1000.0])
@@ -860,8 +871,9 @@ def test_export_writes_the_v2_keys_and_tracks_no_path(torus, monkeypatch):
     marked = {name: cell_point(curve, fs, ft) for name, (fs, ft) in zip(CROSS_NAME_ORDER, CELL_FRACTIONS)}
     track, passes = curve._log_prime_deltas, []
     monkeypatch.setattr(curve, "_log_prime_deltas", lambda segments: passes.append(segments) or track(segments))
+    monkeypatch.setattr(surface, "_validate_constants", lambda *args: pytest.fail("export validated the Riemann constant"))
     doc = export_curve_document(curve, marked)
-    assert passes == [] and not curve._constants_validated
+    assert passes == []
     assert doc == {
         "format": "crosshex-curve-v2",
         "genus": 1,
@@ -883,7 +895,7 @@ def test_one_item_queries_have_the_bits_of_the_batch_query(torus):
     requests = [("P2+", "P1+", "P1-"), ("P2-", "P1+", "P1-"), ("P1+", "P2+", "P2-"), ("P1-", "P3+", "P3-")]
 
     def fresh():
-        # a TorusCurve checks each b-period pair only once, so each side gets its own
+        # each query on a curve of its own: no query's bits may lean on another's
         return TorusCurve(torus.pm.B)
 
     def points(names):
