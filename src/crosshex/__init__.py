@@ -19,7 +19,7 @@ residuals, oracle, gauge, documents), ``cli`` (the four-command
 pipeline).
 """
 
-from .bafunc import ConstantNormalization, SpectralDataCross, SpectralDataHex
+from .bafunc import SpectralDataCross, SpectralDataHex
 from .errors import (
     ConsistencyFailure,
     CrosshexError,

@@ -1,11 +1,11 @@
 """Families of Baker-Akhiezer-type functions built from spectral data.
 
-A *spectral data* bundle is a curve, six marked points, a divisor of
-one point, and a normalization family ``r``.  From it we build the
-meromorphic family ``phi`` indexed by integer labels: a ratio of theta
-values times an exponential of third-kind integrals,
+A *spectral data* bundle is a curve, six marked points and a divisor of
+one point.  From it we build the meromorphic family ``phi`` indexed by
+integer labels: a ratio of theta values times an exponential of
+third-kind integrals,
 
-    phi_label(P) = r_label * exp( sum_i c_i(label) * I_i(P) )
+    phi_label(P) = exp( sum_i c_i(label) * I_i(P) )
                    * Theta(A(P) + sum_i c_i(label) U_i - A(D) - K)
                    / Theta(A(P) - A(D) - K),
 
@@ -25,56 +25,15 @@ their products stay moderate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConsistencyFailure, DimensionMismatch, SchemaError, SingularEvaluation
+from .errors import ConsistencyFailure, DimensionMismatch, SingularEvaluation
 from .labels import CROSS_LATTICE, HEX_LATTICE, Lattice
-from .surface import SpectralCurve, SurfacePoint, complex_from_json, complex_to_json
+from .surface import SpectralCurve, SurfacePoint
 from .theta import ScaledArray, complex_mul, theta_eval_batch, theta_eval_scaled
 
 _MIN_POINT_SEPARATION = 1e-6
 _GENERICITY_FLOOR = 1e-10
-_MIN_NORMALIZATION = 1e-12
-
-
-@dataclass(frozen=True)
-class ConstantNormalization:
-    """Label-independent normalization constant: r_label = value for all labels.
-
-    The coefficient formulas consume only ratios r_x/r_y, which a constant
-    family makes exactly 1, so they never read it; the value still scales
-    phi itself and is kept settable to exercise that covariance.
-    """
-
-    value: complex = 1.0 + 0j
-
-    def __post_init__(self):
-        if abs(self.value) < _MIN_NORMALIZATION:
-            raise SingularEvaluation(
-                f"normalization constant {self.value!r} is below the {_MIN_NORMALIZATION:g} floor"
-            )
-        if not np.isfinite(self.ratio()):
-            raise SingularEvaluation(f"normalization constant {self.value!r} has no finite ratio r_x / r_y")
-
-    def ratio(self) -> complex:
-        """``value / value`` in floating point: the refusal rule for a value too large to divide."""
-        value = complex(self.value)
-        return complex(value / value)
-
-    def to_json(self) -> dict:
-        return {"kind": "constant", "value": complex_to_json(self.value)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "ConstantNormalization":
-        """The normalization a document describes; it refuses anything else with :class:`SchemaError` only."""
-        if not isinstance(obj, dict) or obj.get("kind") != "constant":
-            raise SchemaError(f"unsupported normalization description: {obj!r}")
-        try:
-            return ConstantNormalization(complex_from_json(obj.get("value", [1.0, 0.0]), "value"))
-        except SingularEvaluation as exc:
-            raise SchemaError(str(exc)) from None
 
 
 class _SpectralDataBase:
@@ -97,7 +56,7 @@ class _SpectralDataBase:
     lattice: Lattice  # the label width, blocks and name in refusals
     label_columns: list[int]  # the label components paired with the basis pairs, in order
 
-    def __init__(self, curve: SpectralCurve, marked: dict[str, SurfacePoint], divisor, normalization=None):
+    def __init__(self, curve: SpectralCurve, marked: dict[str, SurfacePoint], divisor):
         if set(marked) != set(self.marked_names):
             raise ValueError(
                 f"{type(self).__name__} needs marked points {self.marked_names}, got {sorted(marked)}"
@@ -108,7 +67,6 @@ class _SpectralDataBase:
         self.curve = curve
         self.marked = {name: marked[name] for name in self.marked_names}
         self.divisor = divisor
-        self.normalization = normalization or ConstantNormalization()
         self._integrals: dict[tuple[complex, str, str], complex] = {}
         self._denominators: dict[complex, ScaledArray] = {}
         self._check_separation()
@@ -295,9 +253,9 @@ class _SpectralDataBase:
             term = complex_mul(c[:, None] + 0j, row[None, :])
             w = np.where(c[:, None] != 0, w + term, w)
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-            out = num.over(den).times_exp(w).times(complex(self.normalization.value))
+            out = num.over(den).times_exp(w)
         if not (np.isfinite(out.mantissa).all() and np.isfinite(out.log_scale).all()):
-            raise SingularEvaluation("phi left double range: the normalization or a label is too large")
+            raise SingularEvaluation("phi left double range: a label is too large")
         return out
 
 

@@ -33,7 +33,6 @@ import sys
 
 import numpy as np
 
-from .bafunc import ConstantNormalization
 from .errors import CrosshexError, SchemaError
 from .operators import (
     FORCED_ZERO_TOL,
@@ -66,7 +65,7 @@ from .surface import (
     require_near_base,
 )
 
-SPECTRAL_DOC_FORMAT = "crosshex-spectral-v1"
+SPECTRAL_DOC_FORMAT = "crosshex-spectral-v2"
 VERIFY_DOC_FORMAT = "crosshex-verify-v2"
 
 # marked and divisor points keep this cover distance from the base and each other
@@ -138,10 +137,9 @@ def cmd_gen_spectral(config) -> int:
     )
     marked = dict(zip(names, points))
     divisor = points[len(names):]
-    normalization = ConstantNormalization()
     # construct once now, which checks the b-periods: separation and
     # precomputation problems should surface at generation time, not at first use
-    spectral_class(curve, marked, divisor, normalization)
+    spectral_class(curve, marked, divisor)
 
     out = config.output
     stem = out[: -len(".json")] if out.endswith(".json") else out
@@ -153,7 +151,6 @@ def cmd_gen_spectral(config) -> int:
         "backend": "torus-analytic",
         "curve_ref": os.path.basename(curve_path),
         "divisor": [complex_to_json(p.lift) for p in divisor],
-        "normalization": normalization.to_json(),
     }
     _write((_json(export_curve_document(curve, marked)), curve_path), (_json(spectral_doc), out))
     print(f"wrote {out} and {curve_path} (model {model.name}, seed {config.seed})")
@@ -173,7 +170,9 @@ def load_spectral_document(path: str):
     from the period and lifts that the curve document holds.  A divisor
     lift far from the base is refused as a marked point is
     (:func:`~crosshex.surface.require_near_base`), and so is a ``seed``
-    that is absent, null or not a non-negative int.
+    that is absent, null or not a non-negative int.  A document of any
+    other format (``crosshex-spectral-v1`` included) is refused, and keys
+    the reader does not read are ignored.
     """
     doc = _load_json(path)
     if not isinstance(doc, dict) or doc.get("format") != SPECTRAL_DOC_FORMAT:
@@ -206,12 +205,7 @@ def load_spectral_document(path: str):
         raise SchemaError(f"{path}: divisor must list exactly one point")
     divisor = [SurfacePoint(complex_from_json(divisor_raw[0], f"{path}: divisor[0]"))]
     require_near_base(curve, divisor[0].lift, f"{path}: divisor[0]")
-    norm_raw = doc.get("normalization")
-    try:
-        normalization = ConstantNormalization.from_json(norm_raw)
-    except SchemaError as exc:
-        raise SchemaError(f"{path}: bad normalization: {exc}") from None
-    sd = spectral_class(curve, marked, divisor, normalization)
+    sd = spectral_class(curve, marked, divisor)
     return sd, doc
 
 
@@ -223,12 +217,7 @@ def load_spectral_document(path: str):
 def cmd_build(config) -> int:
     sd, doc = load_spectral_document(config.input)
     field = build_field(sd, config.window)
-    text = field_document_text(
-        field,
-        spectral_data_ref=os.path.basename(config.input),
-        seed=doc["seed"],
-        normalization=sd.normalization.to_json(),
-    )
+    text = field_document_text(field, spectral_data_ref=os.path.basename(config.input), seed=doc["seed"])
     _write((text, config.output))
     print(
         f"wrote {config.output}: {len(field.sites)} {sd.model} stencils, "

@@ -31,7 +31,7 @@ class SchemaError(CrosshexError):
 
 
 class SingularEvaluation(CrosshexError):
-    """A theta denominator or normalization value fell below the genericity floor."""
+    """A theta denominator fell below the genericity floor, or a value left double range."""
 
 
 class InvalidSite(CrosshexError):

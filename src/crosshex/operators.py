@@ -4,7 +4,7 @@ The coefficient of each stencil entry, relative to a per-site unit
 coefficient, is given by a closed ratio formula: a quotient of theta
 factors evaluated at marked points, an exponential of third-kind
 integrals between marked points, and for the center-like entries a
-two-term bracketed sum (a constant normalization's ratio is exactly 1).
+two-term bracketed sum.
 The formula tables below transcribe those identities term by term; each
 table entry records its transcription status, and the single corrected
 index is documented in ERRATA.md with the numerical evidence.
@@ -41,7 +41,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .bafunc import ConstantNormalization, SpectralDataCross, SpectralDataHex
+from .bafunc import SpectralDataCross, SpectralDataHex
 from .errors import (
     InvalidSite,
     MissingGauge,
@@ -53,7 +53,7 @@ from .labels import CROSS_COEFFS, HEX_COEFFS, Lattice, stencil_offsets
 from .surface import SurfacePoint, complex_array_from_json, complex_from_json, complex_to_json
 from .theta import NumpyScaledArray, ScaledArray
 
-FIELD_DOC_FORMAT = "crosshex-field-v1"
+FIELD_DOC_FORMAT = "crosshex-field-v2"
 
 # pole pairs of the third-kind differentials entering the formulas
 _P1 = ("P1+", "P1-")
@@ -756,13 +756,12 @@ def build_field(sd, radius: int) -> StencilField:
     return field
 
 
-def _document(field: StencilField, sites: list, *, spectral_data_ref="", seed=None, normalization=None):
+def _document(field: StencilField, sites: list, *, spectral_data_ref="", seed=None):
     return {
         "format": FIELD_DOC_FORMAT,
         "model": field.model,
         "window": {"radius": field.radius},
         "sites": sites,
-        "normalization": normalization or {"kind": "constant", "value": [1.0, 0.0]},
         "spectral_data_ref": spectral_data_ref,
         "seed": seed,
     }
@@ -772,8 +771,8 @@ def field_to_document(field: StencilField, **metadata) -> dict:
     """The field document as a dict; :func:`field_document_text` writes its file text.
 
     ``metadata`` holds the keyword arguments ``spectral_data_ref``
-    (default ``""``), ``seed`` (default ``None``) and ``normalization``
-    (default: the constant 1), as :func:`field_metadata` returns them.
+    (default ``""``) and ``seed`` (default ``None``), as
+    :func:`field_metadata` returns them.
     """
     model = MODELS[field.model]
     sites = [
@@ -818,15 +817,13 @@ def field_document_text(field: StencilField, **metadata) -> str:
 
 
 def field_metadata(doc: dict) -> dict:
-    """A field document's ``spectral_data_ref``, ``seed`` and ``normalization``, checked.
+    """A field document's ``spectral_data_ref`` and ``seed``, checked.
 
-    The result holds the keyword arguments of :func:`field_to_document`;
-    the normalization comes back in its canonical ``to_json`` form.  The
-    rules: a string ref (absent reads as ``""``), a non-negative integer
-    seed or null (``build`` writes its spectral document's seed, which the
-    spectral reader requires, but the field reader also reads null), and a
-    normalization that ``ConstantNormalization.from_json`` accepts, as the
-    spectral reader does.
+    The result holds the keyword arguments of :func:`field_to_document`,
+    so no other key of the document is copied.  The rules: a string ref
+    (absent reads as ``""``), and a non-negative integer seed or null
+    (``build`` writes its spectral document's seed, which the spectral
+    reader requires, but the field reader also reads null).
     """
     ref = doc.get("spectral_data_ref", "")
     if not isinstance(ref, str):
@@ -834,11 +831,7 @@ def field_metadata(doc: dict) -> dict:
     seed = doc.get("seed")
     if seed is not None and not (type(seed) is int and seed >= 0):
         raise SchemaError(f"seed must be a non-negative integer or null, got {seed!r}")
-    try:
-        normalization = ConstantNormalization.from_json(doc.get("normalization"))
-    except SchemaError as exc:
-        raise SchemaError(f"bad normalization: {exc}") from None
-    return {"spectral_data_ref": ref, "seed": seed, "normalization": normalization.to_json()}
+    return {"spectral_data_ref": ref, "seed": seed}
 
 
 def _is_entry(entry) -> bool:

@@ -352,7 +352,7 @@ def one_value_phi(sd, label, P):
     for c, (plus, minus) in zip(_label_coeffs(sd, label), sd.basis_pairs):
         if c != 0:
             w += complex(c) * _integral(sd.curve, P.lift, sd.marked[plus].lift, sd.marked[minus].lift)
-    return num.over(den).times_exp(w).times(sd.normalization.value)
+    return num.over(den).times_exp(w)
 
 
 def _one_label_product(sd, v, term, thetas):
@@ -429,7 +429,7 @@ def reference_as_dict(stencil) -> dict[str, complex]:
     return out
 
 
-def reference_document(field, *, spectral_data_ref="", seed=None, normalization=None) -> dict:
+def reference_document(field, *, spectral_data_ref="", seed=None) -> dict:
     """The field document by the per-site walk: ``field_to_document``'s and the text writer's reference."""
     sites_json = []
     for site in sorted(field.sites):
@@ -440,7 +440,6 @@ def reference_document(field, *, spectral_data_ref="", seed=None, normalization=
         "model": field.model,
         "window": {"radius": field.radius},
         "sites": sites_json,
-        "normalization": normalization or {"kind": "constant", "value": [1.0, 0.0]},
         "spectral_data_ref": spectral_data_ref,
         "seed": seed,
     }

@@ -50,6 +50,7 @@ def test_gen_spectral_writes_curve_and_spectral_docs(workspace):
     spectral, _ = workspace["cross"]
     doc = json.loads(spectral.read_text())
     assert doc["format"] == SPECTRAL_DOC_FORMAT
+    assert sorted(doc) == ["backend", "curve_ref", "divisor", "format", "model", "seed"]
     assert doc["model"] == "cross"
     assert doc["backend"] == "torus-analytic"
     curve = json.loads((spectral.parent / doc["curve_ref"]).read_text())
@@ -61,6 +62,7 @@ def test_build_document_shape(workspace):
     _, field = workspace["hex"]
     doc = json.loads(field.read_text())
     assert doc["format"] == FIELD_DOC_FORMAT
+    assert sorted(doc) == ["format", "model", "seed", "sites", "spectral_data_ref", "window"]
     assert doc["model"] == "hex"
     assert doc["window"]["radius"] == 2
     assert len(doc["sites"]) == 19
@@ -153,6 +155,11 @@ def test_export_csv_and_json(workspace, tmp_path):
             assert main(["build", "-i", str(spectral), "--window", str(radius), "-o", str(built)]) == 0
             assert main(["export", "-i", str(built), "--format", "json", "-o", str(exported)]) == 0
             assert exported.read_bytes() == built.read_bytes()
+    # export copies no key it does not read, such as the retired normalization
+    stray = tmp_path / "stray.json"
+    stray.write_text(json.dumps({**json.loads(built.read_text()), "normalization": {"kind": "constant"}}))
+    assert main(["export", "-i", str(stray), "--format", "json", "-o", str(exported)]) == 0
+    assert exported.read_bytes() == built.read_bytes()
 
 
 def test_pipeline_is_deterministic(workspace, tmp_path):
@@ -549,11 +556,15 @@ def test_corrupt_documents_exit_2(workspace, tmp_path, capsys):
             {"sites": sites + [{**first, "site": [9, 9]}]},
             {"window": {"radius": -1}, "sites": []},
             {"window": {"radius": 2**70}},
+            # the field format the reader no longer takes
+            {"format": "crosshex-field-v1"},
         ]
     ):
         path = tmp_path / f"field-{i}.json"
         path.write_text(json.dumps({**good, **change}))
-        assert exits_2_with_error_line(["export", "-i", str(path), "-o", str(tmp_path / "v.csv")])
+        for fmt in ("csv", "json"):
+            assert exits_2_with_error_line(["export", "-i", str(path), "--format", fmt, "-o", str(tmp_path / "v")])
+            assert not (tmp_path / "v").exists()
     # the window is walked only as far as the listed sites reach
     huge = tmp_path / "huge-hex.json"
     huge.write_text(json.dumps({**json.loads(workspace["hex"][1].read_text()), "window": {"radius": 2**70}}))
@@ -569,17 +580,17 @@ def test_corrupt_documents_exit_2(workspace, tmp_path, capsys):
             ({"seed": None}, {}),
             ({"seed": 1.5}, {}),
             ({"model": ["cross"]}, {}),
-            ({"normalization": {"kind": "constant", "value": [1.0, 0.0, 99]}}, {}),
-            ({"normalization": {"kind": "constant", "value": [True, 0]}}, {}),
             ({}, {"B": [[[0.5, 0.0]]]}),
             (tabulated, {"B": [[[0.5, 0.0]]]}),
             ({}, {"B": [[[True, False]]]}),
             ({}, {"format": "nonsense"}),
             (tabulated, {"format": "nonsense"}),
             ({}, {"format": drop}),
-            # the stored-table format the reader no longer takes
+            # the stored-table and spectral formats the readers no longer take
             ({}, {"format": "crosshex-curve-v1"}),
             (tabulated, {"format": "crosshex-curve-v1"}),
+            ({"format": "crosshex-spectral-v1"}, {}),
+            ({**tabulated, "format": "crosshex-spectral-v1"}, {}),
             # paths and b-cycle checks would take steps in proportion to these lengths
             ({}, {"B": [[[-1e308, 0.0]]]}),
             (tabulated, {"B": [[[-2.0**70, 0.0]]]}),
@@ -601,6 +612,7 @@ def test_corrupt_documents_exit_2(workspace, tmp_path, capsys):
         (folder / sdoc["curve_ref"]).write_text(json.dumps(curve))
         path = str(folder / spectral.name)
         assert exits_2_with_error_line(["build", "-i", path, "--window", "0", "-o", str(folder / "f.json")])
+        assert not (folder / "f.json").exists()
         assert exits_2_with_error_line(["verify", "-i", path, "--window", "0", "--probes", "8"])
 
 
@@ -612,7 +624,6 @@ def _non_finite_changes(cdoc: dict, bad: float) -> list[tuple[dict, dict]]:
         ({}, {"base_lift": [0.0, bad]}),
         ({}, {"marked_points": {**cdoc["marked_points"], point: [bad, 0.0]}}),
         ({"divisor": [[bad, 0.0]]}, {}),
-        ({"normalization": {"kind": "constant", "value": [1.0, bad]}}, {}),
     ]
 
 
@@ -666,16 +677,19 @@ def test_usage_errors_raise_systemexit_2(tmp_path, capsys):
 
 def test_out_of_range_values_exit_1(tmp_path, capsys):
     """A finite value whose evaluation leaves double range: a failure line, exit 1, never an exception."""
-    spectral = tmp_path / "hex.json"
-    assert main(["gen-spectral", "--model", "hex", "--seed", "1", "-o", str(spectral)]) == 0
-    sdoc = json.loads(spectral.read_text())
-    # phi at the probes leaves double range ([1e300, 0] does not)
-    path = tmp_path / "0.json"
-    path.write_text(json.dumps({**sdoc, "normalization": {"kind": "constant", "value": [1e308, 0.0]}}))
+    spectral = tmp_path / "cross.json"
+    field = tmp_path / "f.json"
+    assert main(["gen-spectral", "--model", "cross", "--seed", "2", "--b-re", "-40", "-o", str(spectral)]) == 0
     capsys.readouterr()
-    assert main(["verify", "-i", str(path), "--window", "0", "--probes", "8"]) == 1
+    # at radius 10 a coefficient leaves double range; radius 1 builds
+    assert main(["build", "-i", str(spectral), "--window", "10", "-o", str(field)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "verification-grade failure: coefficient c exceeds double range (log magnitude 709.5)"
+    )
+    assert not field.exists()
+    assert main(["verify", "-i", str(spectral), "--window", "10", "--probes", "8"]) == 1
     assert capsys.readouterr().err.startswith("verification-grade failure: ")
-    assert main(["build", "-i", str(path), "--window", "1", "-o", str(tmp_path / "f.json")]) == 0
+    assert main(["build", "-i", str(spectral), "--window", "1", "-o", str(field)]) == 0
 
 
 def test_a_divisor_lift_far_from_the_base_is_refused(workspace, tmp_path, capsys):
@@ -786,56 +800,6 @@ def test_a_denominator_below_the_floor_fails_build(workspace, tmp_path, capsys, 
     assert main(["build", "-i", str(spectral), "--window", "1", "-o", str(tmp_path / "f.json")]) == 1
     assert "theta denominator at" in capsys.readouterr().err
     assert not (tmp_path / "f.json").exists()
-
-
-@pytest.mark.parametrize(
-    "value, reason",
-    [
-        ([0, 0], "below the 1e-12 floor"),
-        ([1e-13, 0.0], "below the 1e-12 floor"),
-        # finite, but (1e308 + 1e308j) / itself overflows
-        ([1e308, 1e308], "has no finite ratio"),
-    ],
-    ids=["zero", "below-floor", "no-finite-ratio"],
-)
-def test_a_normalization_below_the_floor_is_a_malformed_document(workspace, tmp_path, capsys, value, reason):
-    # both readers refuse it with exit 2, as every other malformed value
-    spectral, field = workspace["cross"]
-    normalization = {"kind": "constant", "value": value}
-    sdoc, fdoc = json.loads(spectral.read_text()), json.loads(field.read_text())
-    bad_spectral = spectral.parent / f"below-floor-{value[0]}.json"  # next to its curve document
-    bad_spectral.write_text(json.dumps({**sdoc, "normalization": normalization}))
-    bad_field = tmp_path / "field.json"
-    bad_field.write_text(json.dumps({**fdoc, "normalization": normalization}))
-    for argv in (
-        ["build", "-i", str(bad_spectral), "--window", "1", "-o", str(tmp_path / "f.json")],
-        ["verify", "-i", str(bad_spectral), "--window", "1", "--probes", "8"],
-        ["export", "-i", str(bad_field), "--format", "json", "-o", str(tmp_path / "e.json")],
-        ["export", "-i", str(bad_field), "--format", "csv", "-o", str(tmp_path / "e.csv")],
-    ):
-        capsys.readouterr()
-        assert main(argv) == 2, argv
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "bad normalization: normalization constant" in err, err
-        assert reason in err
-
-
-def test_an_unsupported_normalization_description_is_a_malformed_document(workspace, tmp_path, capsys):
-    spectral, field = workspace["hex"]
-    normalization = {"kind": "linear"}
-    bad_spectral = spectral.parent / "linear-normalization.json"  # next to its curve document
-    bad_spectral.write_text(json.dumps({**json.loads(spectral.read_text()), "normalization": normalization}))
-    bad_field = tmp_path / "field.json"
-    bad_field.write_text(json.dumps({**json.loads(field.read_text()), "normalization": normalization}))
-    for argv in (
-        ["build", "-i", str(bad_spectral), "--window", "1", "-o", str(tmp_path / "f.json")],
-        ["export", "-i", str(bad_field), "--format", "json", "-o", str(tmp_path / "e.json")],
-    ):
-        capsys.readouterr()
-        assert main(argv) == 2, argv
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "bad normalization: unsupported normalization description" in err, err
-        assert not (tmp_path / argv[-1]).exists()
 
 
 def _in_process(argv):

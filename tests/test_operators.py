@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crosshex.bafunc import ConstantNormalization, SpectralDataHex
 from crosshex.errors import (
     MissingGauge,
     RankDeficient,
@@ -416,32 +415,6 @@ def test_residual_invariant_under_per_site_rescaling(cross_data, cross_probes):
     for e1, e2 in zip(base.entries, other.entries):
         assert e1.site == e2.site
         assert abs(e1.residual - e2.residual) <= 1e-10
-
-
-def test_constant_normalization_cancels_in_coefficients(torus, hex_data):
-    scaled = SpectralDataHex(
-        torus,
-        dict(hex_data.marked),
-        hex_data.divisor,
-        normalization=ConstantNormalization(2.7 - 1.1j),
-    )
-    a = build_field(hex_data, 1)
-    b = build_field(scaled, 1)
-    for site in a.sites:
-        for key in HEX_COEFFS:
-            va, vb = a.stencil(site).as_dict()[key], b.stencil(site).as_dict()[key]
-            assert va == pytest.approx(vb, rel=1e-12, abs=1e-15)
-
-
-@pytest.mark.parametrize("model", ["cross", "hex"])
-def test_a_constant_normalization_leaves_the_coefficient_bits(torus, model):
-    """r_x / r_y is exactly 1 for a constant family, even where value / value rounds away from 1."""
-    value = 3.031859454455258 + 5.7744670227102635j
-    assert ConstantNormalization(value).ratio() != 1
-    sd = spectral_data(model, torus)
-    scaled = MODELS[model].spectral_class(torus, dict(sd.marked), sd.divisor, ConstantNormalization(value))
-    a, b = build_field(sd, 3).coeffs, build_field(scaled, 3).coeffs
-    assert a.mantissa.tobytes() == b.mantissa.tobytes() and a.log_scale.tobytes() == b.log_scale.tobytes()
 
 
 # -- the checks can actually fail ----------------------------------------------
